@@ -308,6 +308,7 @@ void FabricPricer::rebind(const hw::Topology& topo) {
   ll_latency_scale_ = topo.ll_latency_scale;
   ll_bandwidth_scale_ = topo.ll_bandwidth_scale;
   place_memo_.clear();
+  place_keys_.clear();
 }
 
 FabricPricer::Placed FabricPricer::place(GroupPlacement g) const {
@@ -316,8 +317,10 @@ FabricPricer::Placed FabricPricer::place(GroupPlacement g) const {
 
 const FabricPricer::Placed& FabricPricer::place_ref(GroupPlacement g) const {
   if (!bound()) throw std::logic_error("FabricPricer::place: unbound pricer");
-  for (const PlaceMemoEntry& m : place_memo_) {
-    if (m.size == g.size && m.nvs == g.nvs) return m.pl;
+  for (std::size_t i = 0; i < place_keys_.size(); ++i) {
+    if (place_keys_[i][0] == g.size && place_keys_[i][1] == g.nvs) {
+      return place_memo_[i];
+    }
   }
   if (const auto why = invalid_placement_reason(*topo_, g)) {
     // Same rejection (and message) as the validating collective_time
@@ -326,8 +329,9 @@ const FabricPricer::Placed& FabricPricer::place_ref(GroupPlacement g) const {
         "collective_time: " + *why + " (size=" + std::to_string(g.size) +
         ", nvs=" + std::to_string(g.nvs) + ")");
   }
-  place_memo_.push_back({g.size, g.nvs, place_topo(make_placement(*topo_, g))});
-  return place_memo_.back().pl;
+  place_memo_.push_back(place_topo(make_placement(*topo_, g)));
+  place_keys_.push_back({g.size, g.nvs});
+  return place_memo_.back();
 }
 
 FabricPricer::Placed FabricPricer::place_topo(const TopoPlacement& p) const {

@@ -16,6 +16,7 @@
 #include <deque>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "comm/collective_model.hpp"
 #include "hw/topology.hpp"
@@ -187,11 +188,10 @@ class FabricPricer {
   /// valid placements are cached (rejections re-walk and re-throw). The
   /// memo makes place() non-reentrant: a pricer must not be shared by
   /// concurrent callers (each sweep chain owns one).
-  struct PlaceMemoEntry {
-    std::int64_t size = 0, nvs = 0;
-    Placed pl;
-  };
-  mutable std::deque<PlaceMemoEntry> place_memo_;
+  mutable std::deque<Placed> place_memo_;
+  /// (size, nvs) of each place_memo_ entry, same order: the lookup scans
+  /// these packed keys instead of striding over the large Placed records.
+  mutable std::vector<std::array<std::int64_t, 2>> place_keys_;
 };
 
 /// Algorithm-independent lower bound on any collective of `bytes` over

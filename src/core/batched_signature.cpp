@@ -26,6 +26,21 @@ constexpr std::array<std::size_t, 4> kGroupSlot = {0, 1, 3, 2};
 
 BatchedSignature lower_batched(const CostSignature& sig) {
   BatchedSignature b;
+  lower_batched(sig, b);
+  return b;
+}
+
+void lower_batched(const CostSignature& sig, BatchedSignature& b) {
+  // Clear, not reassign: a reused destination keeps its capacity.
+  const auto clear = [](auto&... v) { (v.clear(), ...); };
+  clear(b.fwd_flops, b.bwd_flops, b.fwd_bytes, b.bwd_bytes, b.panels,
+        b.tensor_core, b.fwd_comm_begin, b.fwd_comm_count, b.bwd_comm_begin,
+        b.bwd_comm_count, b.summa_ops, b.comm_kind, b.comm_group,
+        b.comm_panel_bytes, b.comm_price_row, b.price_rep, b.head_fwd_flops,
+        b.head_bwd_flops, b.head_fwd_bytes, b.head_bwd_bytes,
+        b.head_tensor_core);
+  b.comm_groups_mask = 0;
+
   const std::size_t n = sig.ops.size();
   b.fwd_flops.reserve(n);
   b.bwd_flops.reserve(n);
@@ -52,31 +67,32 @@ BatchedSignature lower_batched(const CostSignature& sig) {
     if (op.panels > 1) b.summa_ops.push_back(static_cast<std::uint32_t>(i));
   }
 
-  // Per-request panel scale of the owning op, resolved through the
-  // begin/count ranges so the packing is correct for any pool tiling.
-  std::vector<double> inv_scale(sig.comm.size(), 1.0);
+  // Per-request volume scaled by the owning op's 1 / panels — the exact
+  // product the scalar exposed_comm computes per call — resolved through
+  // the begin/count ranges so the packing is correct for any pool tiling.
+  // A request no op range covers keeps the unit scale.
+  b.comm_panel_bytes.resize(sig.comm.size());
+  for (std::size_t r = 0; r < sig.comm.size(); ++r) {
+    b.comm_panel_bytes[r] = sig.comm[r].bytes * 1.0;
+  }
   for (const SigOp& op : sig.ops) {
     const double inv_panels = 1.0 / static_cast<double>(op.panels);
     for (std::uint32_t r = op.fwd_comm_begin;
          r < op.fwd_comm_begin + op.fwd_comm_count; ++r) {
-      inv_scale[r] = inv_panels;
+      b.comm_panel_bytes[r] = sig.comm[r].bytes * inv_panels;
     }
     for (std::uint32_t r = op.bwd_comm_begin;
          r < op.bwd_comm_begin + op.bwd_comm_count; ++r) {
-      inv_scale[r] = inv_panels;
+      b.comm_panel_bytes[r] = sig.comm[r].bytes * inv_panels;
     }
   }
   b.comm_kind.reserve(sig.comm.size());
   b.comm_group.reserve(sig.comm.size());
-  b.comm_panel_bytes.reserve(sig.comm.size());
-  for (std::size_t r = 0; r < sig.comm.size(); ++r) {
-    const SigComm& req = sig.comm[r];
+  for (const SigComm& req : sig.comm) {
     b.comm_kind.push_back(req.collective);
     b.comm_group.push_back(static_cast<std::uint8_t>(req.group));
     b.comm_groups_mask |=
         static_cast<std::uint8_t>(1u << static_cast<unsigned>(req.group));
-    // The exact product the scalar exposed_comm computes per call.
-    b.comm_panel_bytes.push_back(req.bytes * inv_scale[r]);
   }
 
   // Dedup the pricing rows: two requests agreeing on kind, group and the
@@ -115,7 +131,6 @@ BatchedSignature lower_batched(const CostSignature& sig) {
     b.head_bwd_bytes.push_back(op.bwd_bytes);
     b.head_tensor_core.push_back(op.tensor_core ? 1 : 0);
   }
-  return b;
 }
 
 SystemTiming bind_system_batched(const CostSignature& sig,

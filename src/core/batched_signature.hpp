@@ -89,6 +89,10 @@ struct BatchedSignature {
 /// Pack a compiled signature into its SoA form. Pure; call once per
 /// signature and share the result (search::BatchedCache).
 BatchedSignature lower_batched(const CostSignature& sig);
+/// The same lowering into `out`, replacing its contents but keeping its
+/// vectors' capacity — for a caller that lowers one single-use signature
+/// after another into the same buffers.
+void lower_batched(const CostSignature& sig, BatchedSignature& out);
 
 /// Reusable per-thread scratch for time_placements_batch, so the placement
 /// scan of a sweep performs no per-candidate allocations once warm. Tables

@@ -53,6 +53,11 @@ constexpr std::size_t group_index(ops::CommGroup g) {
 /// for the training path (bitwise-pinned by the golden tests).
 void lower_ops(CostSignature& sig, const parallel::LayerCost& layer) {
   sig.ops.reserve(layer.ops.size());
+  std::size_t requests = 0;
+  for (const auto& op : layer.ops) {
+    requests += op.fwd_comm.size() + op.bwd_comm.size();
+  }
+  sig.comm.reserve(requests);
   for (const auto& op : layer.ops) {
     SigOp s;
     s.fwd_flops = op.fwd_flops;
@@ -132,6 +137,7 @@ CostSignature compile_signature(const model::TransformerConfig& mdl,
     const ops::Op embed_gather =
         ops::vector_op("embedding", tokens2 * static_cast<double>(mdl.embed),
                        1.0, 0.0);
+    sig.head.reserve(3);
     for (const ops::Op* op : {&logits, &loss, &embed_gather}) {
       sig.head.push_back({op->fwd_flops, op->fwd_bytes, op->bwd_flops,
                           op->bwd_bytes,

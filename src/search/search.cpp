@@ -8,6 +8,7 @@
 #include "core/lower_bounds.hpp"
 #include "parallel/layer_builder.hpp"
 #include "search/search_cache.hpp"
+#include "util/object_pool.hpp"
 #include "util/thread_pool.hpp"
 
 namespace tfpe::search {
@@ -248,6 +249,19 @@ void atomic_min(std::atomic<double>& target, double value) {
   }
 }
 
+/// One worker's share of the pruned engine's candidate evaluation: the
+/// fabric pricer (its memo is not reentrant, so workers cannot share one),
+/// the batch kernel's scratch and timing buffer, and the slots for a
+/// single-use signature and its lowering. Leased from a pool local to one
+/// search, so each stays warm across the candidates its worker evaluates.
+struct ScanWorker {
+  comm::FabricPricer pricer;
+  core::BatchScratch scratch;
+  std::vector<core::PlacementTiming> timings;
+  core::CostSignature sig;
+  core::BatchedSignature bat;
+};
+
 /// Per-candidate results of one sweep over the configuration space.
 struct SweepState {
   std::vector<parallel::ParallelConfig> configs;
@@ -299,7 +313,12 @@ SweepState sweep(const model::TransformerConfig& mdl,
   LayerCostCache layer_cache;
   PlacementCache placement_cache;
   SignatureCache signature_cache;
-  enum : std::uint8_t { kPending, kInvalid, kMemPruned, kBoundPruned };
+  BatchedCache batched_cache;
+  // One fabric for the whole search: the screen bounds against it and
+  // every worker's pricer is bound to it.
+  const hw::Topology fabric = sys.resolved_fabric();
+  util::ObjectPool<ScanWorker> workers;
+  enum : std::uint8_t { kPending, kInvalid, kMemPruned };
   std::vector<std::uint8_t> state(n, kPending);
   std::vector<double> lb(n, 0.0);
 
@@ -316,7 +335,7 @@ SweepState sweep(const model::TransformerConfig& mdl,
           return;
         }
         const core::SearchBounds bounds =
-            core::search_bounds(mdl, sys, cfg, b, opts.eval);
+            core::search_bounds(mdl, sys, fabric, cfg, b, opts.eval);
         if (Bytes(bounds.memory_floor) > sys.gpu.hbm_capacity) {
           slot.reason = "exceeds HBM capacity";
           state[i] = kMemPruned;
@@ -340,28 +359,84 @@ SweepState sweep(const model::TransformerConfig& mdl,
     return lb[a] != lb[c] ? lb[a] < lb[c] : a < c;
   });
 
+  // Only candidates sharing a signature key (in practice: differing only
+  // in the interleave factor) can be served twice by the signature and
+  // lowering caches. Every other candidate compiles and lowers straight
+  // into its worker's bundle, skipping both maps; the compile still counts
+  // in signature_compiles.
+  std::vector<char> shared_key(n, 0);
+  {
+    // Equal keys hash equal, so sorting (hash, candidate) pairs gathers
+    // every group of equal keys into one run of equal hashes.
+    std::vector<std::pair<std::size_t, std::size_t>> hashed;
+    hashed.reserve(order.size());
+    for (std::size_t i : order) {
+      hashed.emplace_back(signature_key_hash(signature_key(st.configs[i])), i);
+    }
+    std::sort(hashed.begin(), hashed.end());
+    for (std::size_t lo = 0, hi = 0; lo < hashed.size(); lo = hi) {
+      while (hi < hashed.size() && hashed[hi].first == hashed[lo].first) ++hi;
+      for (std::size_t a = lo; a < hi; ++a) {
+        for (std::size_t c = a + 1; c < hi; ++c) {
+          const std::size_t ia = hashed[a].second, ic = hashed[c].second;
+          if (signature_key(st.configs[ia]) == signature_key(st.configs[ic])) {
+            shared_key[ia] = shared_key[ic] = 1;
+          }
+        }
+      }
+    }
+  }
+
   std::atomic<double> incumbent{std::numeric_limits<double>::infinity()};
-  std::atomic<std::size_t> racy_pruned{0};
 
   // The pruned engine evaluates through the two-phase pipeline: compile the
   // candidate once (shared across the interleave axis via the signature
-  // cache), bind the system once, then re-time per placement — the
-  // placement scan re-does only the collective/pipeline/DP terms instead of
-  // the whole op-list roofline.
+  // cache), lower and bind it once, then time its whole placement set in
+  // one batched kernel call whose collectives the worker's pricer prices.
+  // Phase 1 already decided validity, so a candidate that fits in HBM is
+  // prevalidated; one over capacity keeps the scalar scan, which charges
+  // its single capacity probe and reports its reason.
   auto evaluate_candidate = [&](std::size_t i) {
     parallel::ParallelConfig cfg = st.configs[i];
-    const auto sig = signature_cache.get(mdl, cfg, b, opts.eval, layer_cache);
-    const core::SystemTiming base = core::bind_system(*sig, sys, opts.eval);
-    core::EvalResult r;
-    if (opts.search_placement) {
-      const auto placements = placement_cache.get(cfg, sys.nvs_domain);
-      r = scan_placements_signature(mdl, sys, cfg, b, *sig, base, *placements,
-                                    opts.eval, st.evals_per_config[i],
-                                    /*stop_after_infeasible=*/true);
+    util::ObjectPool<ScanWorker>::Lease w = workers.acquire();
+    std::shared_ptr<const core::CostSignature> shared_sig;
+    if (shared_key[i]) {
+      shared_sig = signature_cache.get(mdl, cfg, b, opts.eval, layer_cache);
     } else {
+      w->sig = signature_cache.compile(mdl, cfg, b, opts.eval, layer_cache);
+    }
+    const core::CostSignature& sig = shared_sig ? *shared_sig : w->sig;
+    core::EvalResult r;
+    if (!opts.search_placement) {
+      const core::SystemTiming base = core::bind_system(sig, sys, opts.eval);
       pack_placement(cfg, sys.nvs_domain);
-      r = core::time_signature(*sig, base, mdl, sys, cfg, b, opts.eval);
+      r = core::time_signature(sig, base, mdl, sys, cfg, b, opts.eval);
       st.evals_per_config[i] = 1;
+    } else {
+      const auto placements = placement_cache.get(cfg, sys.nvs_domain);
+      if (placements->empty() || sig.mem.total() > sys.gpu.hbm_capacity) {
+        const core::SystemTiming base = core::bind_system(sig, sys, opts.eval);
+        r = scan_placements_signature(mdl, sys, cfg, b, sig, base, *placements,
+                                      opts.eval, st.evals_per_config[i],
+                                      /*stop_after_infeasible=*/true);
+      } else {
+        if (!w->pricer.bound()) w->pricer.rebind(fabric);
+        std::shared_ptr<const core::BatchedSignature> shared_bat;
+        if (shared_sig) {
+          shared_bat = batched_cache.get(shared_sig);
+        } else {
+          core::lower_batched(sig, w->bat);
+        }
+        const core::BatchedSignature& bat = shared_bat ? *shared_bat : w->bat;
+        const core::SystemTiming base = core::bind_system_batched(
+            sig, bat, sys, opts.eval, /*capture_fabric=*/false);
+        r = scan_placements_batch(mdl, sys, cfg, b, sig, bat, base,
+                                  *placements, opts.eval,
+                                  st.evals_per_config[i],
+                                  /*stop_after_infeasible=*/true, w->scratch,
+                                  w->timings, &w->pricer,
+                                  /*prevalidated=*/true);
+      }
     }
     if (r.feasible) atomic_min(incumbent, r.iteration());
     st.best_per_config[i] = std::move(r);
@@ -375,10 +450,10 @@ SweepState sweep(const model::TransformerConfig& mdl,
     // Branch-and-bound rounds: evaluate round_size candidates, re-read the
     // incumbent at the barrier, and cut off the sorted suffix whose lower
     // bound it beats. The incumbent after a barrier is a min over a
-    // completed set of evaluations, so with opts.deterministic the pruning
-    // decisions — and all counters — are independent of the thread count.
-    // A pruned candidate satisfies time >= lb > incumbent >= optimum, so
-    // it can change neither the optimum nor its memory tie-break.
+    // completed set of evaluations, so the pruning decisions — and all
+    // counters — are independent of the thread count. A pruned candidate
+    // satisfies time >= lb > incumbent >= optimum, so it can change
+    // neither the optimum nor its memory tie-break.
     const std::size_t round_size = std::max<std::size_t>(1, opts.round_size);
     std::size_t pos = 0;
     std::size_t active_end = order.size();
@@ -391,7 +466,6 @@ SweepState sweep(const model::TransformerConfig& mdl,
       const std::size_t new_end =
           static_cast<std::size_t>(cut - order.begin());
       for (std::size_t j = new_end; j < active_end; ++j) {
-        state[order[j]] = kBoundPruned;
         st.best_per_config[order[j]].reason =
             "pruned: lower bound above incumbent";
         ++st.stats.bound_pruned;
@@ -400,47 +474,12 @@ SweepState sweep(const model::TransformerConfig& mdl,
       if (pos >= active_end) break;
 
       const std::size_t round_end = std::min(pos + round_size, active_end);
-      const double round_min_lb = lb[order[pos]];
-      std::function<bool()> stop;
-      if (!opts.deterministic) {
-        stop = [&incumbent, round_min_lb] {
-          return incumbent.load() < round_min_lb;
-        };
-      }
-      util::parallel_for_dynamic(
-          pool, round_end - pos,
-          [&, pos](std::size_t j) {
-            const std::size_t i = order[pos + j];
-            if (!opts.deterministic && lb[i] > incumbent.load()) {
-              state[i] = kBoundPruned;
-              st.best_per_config[i].reason =
-                  "pruned: lower bound above incumbent";
-              racy_pruned.fetch_add(1, std::memory_order_relaxed);
-              return;
-            }
-            evaluate_candidate(i);
-          },
-          /*grain=*/1, stop);
-      if (!opts.deterministic) {
-        // A stopped round leaves an unexecuted tail; every such candidate
-        // was abandoned because the incumbent beat the round's minimum
-        // bound, so it is bound-pruned, not skipped.
-        for (std::size_t j = pos; j < round_end; ++j) {
-          const std::size_t i = order[j];
-          if (state[i] == kPending && st.evals_per_config[i] == 0 &&
-              !st.best_per_config[i].feasible &&
-              st.best_per_config[i].reason.empty()) {
-            state[i] = kBoundPruned;
-            st.best_per_config[i].reason =
-                "pruned: lower bound above incumbent";
-            racy_pruned.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-      }
+      util::parallel_for_dynamic(pool, round_end - pos, [&, pos](std::size_t j) {
+        evaluate_candidate(order[pos + j]);
+      });
       pos = round_end;
       ++st.stats.rounds;
     }
-    st.stats.bound_pruned += racy_pruned.load();
   }
 
   st.stats.build_layer_calls = layer_cache.builds();
@@ -489,15 +528,20 @@ core::EvalResult best_placement(const model::TransformerConfig& mdl,
     best.reason = *why;
     return best;
   }
-  // Two-phase: compile once, bind once, re-time per placement.
+  // Compile, lower and bind once, then time every placement in one batched
+  // kernel call, priced by a transient pricer on base.fabric. No screen has
+  // run, so the scan keeps its own validity and capacity probe.
   const core::CostSignature sig =
       core::compile_signature(mdl, cfg, global_batch, eval);
-  const core::SystemTiming base = core::bind_system(sig, sys, eval);
+  const core::BatchedSignature bat = core::lower_batched(sig);
+  const core::SystemTiming base = core::bind_system_batched(sig, bat, sys, eval);
+  core::BatchScratch scratch;
+  std::vector<core::PlacementTiming> timings;
   std::size_t evals = 0;
-  return scan_placements_signature(mdl, sys, cfg, global_batch, sig, base,
-                                   enumerate_placements(cfg, sys.nvs_domain),
-                                   eval, evals,
-                                   /*stop_after_infeasible=*/false);
+  return scan_placements_batch(mdl, sys, cfg, global_batch, sig, bat, base,
+                               enumerate_placements(cfg, sys.nvs_domain), eval,
+                               evals, /*stop_after_infeasible=*/false, scratch,
+                               timings);
 }
 
 SearchResult find_optimal(const model::TransformerConfig& mdl,

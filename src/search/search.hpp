@@ -17,7 +17,10 @@
 //   * candidates are evaluated cheapest-bound-first in fixed-size rounds
 //     with dynamically scheduled workers; the incumbent is re-read at each
 //     round barrier, which keeps the pruning decisions (and therefore
-//     SearchResult::evaluated) independent of the thread count.
+//     SearchResult::evaluated) independent of the thread count;
+//   * the fabric is resolved once per search; each candidate that fits in
+//     HBM has its whole placement set timed by one batched kernel call
+//     (scan_placements_batch), priced by its worker's own FabricPricer.
 // Pruning is conservative: the returned optimum is identical — same
 // configuration, same iteration time — to the exhaustive sweep's
 // (SearchOptions::prune = false).
@@ -46,15 +49,10 @@ struct SearchOptions : EnumerationOptions {
   /// rejection and both caches still apply).
   bool prune = true;
 
-  /// When true (default), incumbent pruning decisions happen only at round
-  /// barriers, making the evaluated/pruned counts — not just the optimum —
-  /// invariant to the thread count. When false, workers additionally skip
-  /// candidates mid-round against the live incumbent and abandon a round
-  /// early once the incumbent beats every remaining lower bound: slightly
-  /// faster, but the stats become schedule-dependent.
-  bool deterministic = true;
-
   /// Candidates evaluated between incumbent re-reads in the pruned engine.
+  /// Pruning decisions happen only at these round barriers, which keeps the
+  /// evaluated/pruned counts — not just the optimum — invariant to the
+  /// thread count.
   std::size_t round_size = 64;
 
   /// Interleaved-pipeline chunk counts to try (extension; {1} = the paper's
@@ -165,13 +163,18 @@ std::vector<parallel::ParallelConfig> expand_candidates(
 /// give NVS GPUs to TP1 first, then TP2, PP, DP.
 void pack_placement(parallel::ParallelConfig& cfg, std::int64_t nvs_domain);
 
-/// Evaluate a compiled candidate under every placement in `placements` via
-/// the two-phase path (per placement only the collective/pipeline/DP terms
-/// are recomputed), returning the best result. `sig`/`base` must come from
+/// The scalar reference scan: evaluate a compiled candidate under every
+/// placement in `placements` with one time_placement walk each (per
+/// placement only the collective/pipeline/DP terms are recomputed),
+/// returning the best result. `sig`/`base` must come from
 /// compile_signature/bind_system for the same (mdl, cfg, batch, eval, sys).
 /// Increments `evals` once per placement evaluated. Infeasibility of a
 /// valid placement can only come from the placement-independent memory
 /// model, so `stop_after_infeasible` lets callers cut the scan short.
+/// Production placement timing goes through scan_placements_batch; this
+/// scan remains for the scalar arm of scan_point, the over-capacity
+/// candidates of find_optimal (one capacity probe, no timing kernel), the
+/// tests, and perfbench's traced replay of find_optimal.
 core::EvalResult scan_placements_signature(
     const model::TransformerConfig& mdl, const hw::SystemConfig& sys,
     parallel::ParallelConfig cfg, std::int64_t global_batch,

@@ -98,6 +98,10 @@ SignatureKey signature_key(const parallel::ParallelConfig& cfg) {
 }
 
 std::size_t SignatureCache::KeyHash::operator()(const SignatureKey& k) const {
+  return signature_key_hash(k);
+}
+
+std::size_t signature_key_hash(const SignatureKey& k) {
   std::size_t h = static_cast<std::size_t>(k.strategy);
   h = hash_combine(h, static_cast<std::size_t>(k.n1));
   h = hash_combine(h, static_cast<std::size_t>(k.n2));
@@ -122,9 +126,19 @@ std::shared_ptr<const core::CostSignature> SignatureCache::get(
     hits_.fetch_add(1, std::memory_order_relaxed);
     return it->second;
   }
-  compiles_.fetch_add(1, std::memory_order_relaxed);
   // Lock order is always signature shard -> layer shard, so the nested
   // acquisition cannot deadlock against LayerCostCache users.
+  auto sig = std::make_shared<const core::CostSignature>(
+      compile(mdl, cfg, global_batch, opts, layers));
+  shard.map.emplace(key, sig);
+  return sig;
+}
+
+core::CostSignature SignatureCache::compile(
+    const model::TransformerConfig& mdl, const parallel::ParallelConfig& cfg,
+    std::int64_t global_batch, const core::EvalOptions& opts,
+    LayerCostCache& layers) {
+  compiles_.fetch_add(1, std::memory_order_relaxed);
   const auto layer = layers.get(mdl, cfg, global_batch);
 #ifndef NDEBUG
   // Debug builds cross-check each compiled op list against the invariant
@@ -133,10 +147,7 @@ std::shared_ptr<const core::CostSignature> SignatureCache::get(
   analysis::assert_layer_invariants(mdl, cfg, cfg.local_microbatch(global_batch),
                                     *layer);
 #endif
-  auto sig = std::make_shared<const core::CostSignature>(
-      core::compile_signature(mdl, cfg, global_batch, *layer, opts));
-  shard.map.emplace(key, sig);
-  return sig;
+  return core::compile_signature(mdl, cfg, global_batch, *layer, opts);
 }
 
 std::shared_ptr<const core::BatchedSignature> BatchedCache::get(

@@ -127,6 +127,8 @@ struct SignatureKey {
 };
 
 SignatureKey signature_key(const parallel::ParallelConfig& cfg);
+/// The hash SignatureCache files `k` under.
+std::size_t signature_key_hash(const SignatureKey& k);
 
 class SignatureCache {
  public:
@@ -138,6 +140,15 @@ class SignatureCache {
       const model::TransformerConfig& mdl, const parallel::ParallelConfig& cfg,
       std::int64_t global_batch, const core::EvalOptions& opts,
       LayerCostCache& layers);
+
+  /// Compile cfg's signature without storing it, counted like a get()
+  /// miss. For a caller that knows no other probe will ask for this key, so
+  /// a cache entry could never be hit. Thread-safe.
+  core::CostSignature compile(const model::TransformerConfig& mdl,
+                              const parallel::ParallelConfig& cfg,
+                              std::int64_t global_batch,
+                              const core::EvalOptions& opts,
+                              LayerCostCache& layers);
 
   std::size_t compiles() const { return compiles_.load(); }
   std::size_t hits() const { return hits_.load(); }

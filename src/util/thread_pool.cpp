@@ -61,6 +61,17 @@ std::size_t parallel_for_dynamic(ThreadPool& pool, std::size_t count,
                                  const std::function<bool()>& stop) {
   if (count == 0) return 0;
   if (grain == 0) grain = 1;
+  if (pool.size() == 1) {
+    // One worker would claim every chunk in order anyway: run them on the
+    // calling thread and skip the cross-thread submit/wait.
+    std::size_t executed = 0;
+    while (executed < count && !(stop && stop())) {
+      const std::size_t end = std::min(count, executed + grain);
+      for (std::size_t i = executed; i < end; ++i) body(i);
+      executed = end;
+    }
+    return executed;
+  }
   std::atomic<std::size_t> cursor{0};
   std::atomic<std::size_t> executed{0};
   const std::size_t chunks = (count + grain - 1) / grain;

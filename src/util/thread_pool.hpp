@@ -58,11 +58,10 @@ void parallel_for_index(ThreadPool& pool, std::size_t count,
 /// straggle one statically assigned worker.
 ///
 /// If `stop` is provided, it is polled before each chunk claim; once it
-/// returns true no further chunks are claimed (in-flight chunks finish).
-/// The search uses this for incumbent-aware early exit: when the shared
-/// best-so-far already beats every remaining candidate's lower bound, the
-/// rest of the range is abandoned. Returns the number of indices executed
-/// (== count when the loop was not stopped).
+/// returns true no further chunks are claimed (in-flight chunks finish),
+/// abandoning the rest of the range. Returns the number of indices executed
+/// (== count when the loop was not stopped). A single-worker pool runs the
+/// body on the calling thread, in the same claim order.
 std::size_t parallel_for_dynamic(ThreadPool& pool, std::size_t count,
                                  const std::function<void(std::size_t)>& body,
                                  std::size_t grain = 1,

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "core/lower_bounds.hpp"
+#include "hw/topology.hpp"
 #include "search/search.hpp"
 
 namespace tfpe::search {
@@ -242,7 +245,7 @@ TEST(Pruning, MatchesExhaustiveOnVit32k) {
 
 TEST(Pruning, CountersInvariantAcrossThreadCounts) {
   // Round-barrier pruning makes the work counters — not just the optimum —
-  // independent of the thread count in deterministic mode.
+  // independent of the thread count.
   const auto mdl = model::gpt3_175b();
   const auto sys = b200(8, 128);
   SearchOptions opts;
@@ -260,23 +263,6 @@ TEST(Pruning, CountersInvariantAcrossThreadCounts) {
   EXPECT_EQ(a.stats.layer_cache_hits, b.stats.layer_cache_hits);
   EXPECT_EQ(a.stats.placement_sets, b.stats.placement_sets);
   EXPECT_EQ(a.stats.rounds, b.stats.rounds);
-}
-
-TEST(Pruning, NonDeterministicModeFindsSameOptimum) {
-  // deterministic = false allows mid-round skips and round abandonment;
-  // the counters become schedule-dependent but the optimum may not.
-  const auto mdl = model::gpt3_175b();
-  const auto sys = b200(8, 128);
-  SearchOptions opts;
-  opts.strategy = parallel::TpStrategy::TP1D;
-  opts.global_batch = 512;
-  opts.prune = false;
-  const SearchResult brute = find_optimal(mdl, sys, opts);
-  opts.prune = true;
-  opts.deterministic = false;
-  opts.threads = 8;
-  const SearchResult racy = find_optimal(mdl, sys, opts);
-  expect_same_optimum(racy, brute);
 }
 
 TEST(Pruning, TopKRankingUnaffected) {
@@ -314,6 +300,116 @@ TEST(Pruning, RoundSizeDoesNotChangeOptimum) {
   expect_same_optimum(a, c);
   // A single all-candidate round cannot prune anything after the barrier.
   EXPECT_GE(b.stats.bound_pruned, c.stats.bound_pruned);
+}
+
+// --- Batched placement scan vs the exhaustive reference ---
+
+void expect_same_work(const SearchResult& a, const SearchResult& b) {
+  EXPECT_EQ(a.evaluated, b.evaluated);
+  EXPECT_EQ(a.feasible, b.feasible);
+  EXPECT_EQ(a.stats.candidates, b.stats.candidates);
+  EXPECT_EQ(a.stats.bound_pruned, b.stats.bound_pruned);
+  EXPECT_EQ(a.stats.memory_pruned, b.stats.memory_pruned);
+  EXPECT_EQ(a.stats.build_layer_calls, b.stats.build_layer_calls);
+  EXPECT_EQ(a.stats.layer_cache_hits, b.stats.layer_cache_hits);
+  EXPECT_EQ(a.stats.placement_sets, b.stats.placement_sets);
+  EXPECT_EQ(a.stats.placement_cache_hits, b.stats.placement_cache_hits);
+  EXPECT_EQ(a.stats.signature_compiles, b.stats.signature_compiles);
+  EXPECT_EQ(a.stats.signature_cache_hits, b.stats.signature_cache_hits);
+  EXPECT_EQ(a.stats.rounds, b.stats.rounds);
+}
+
+void expect_same_ranking(const std::vector<core::EvalResult>& got,
+                         const std::vector<core::EvalResult>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].cfg.describe(), want[i].cfg.describe()) << "rank " << i;
+    EXPECT_EQ(got[i].iteration(), want[i].iteration()) << "rank " << i;
+    EXPECT_EQ(got[i].mem.total(), want[i].mem.total()) << "rank " << i;
+  }
+}
+
+/// The pruned engine (batched placement scan, one pricer per worker)
+/// against the exhaustive sweep, which evaluates every placement through
+/// the independent evaluate_with_layer path: same optimum, top-5 ranking
+/// and Pareto frontier bit for bit, and the same work at 1 and 4 threads.
+void expect_batched_matches_exhaustive(const model::TransformerConfig& mdl,
+                                       const hw::SystemConfig& sys,
+                                       parallel::TpStrategy strategy,
+                                       std::int64_t batch) {
+  SearchOptions opts;
+  opts.strategy = strategy;
+  opts.global_batch = batch;
+  opts.nb_candidates = {1, 4};  // SUMMA panels; keeps the sanitizer run short
+  opts.threads = 4;
+  opts.prune = false;
+  const SearchResult brute = find_optimal(mdl, sys, opts);
+  const auto brute_front = pareto_frontier(mdl, sys, opts);
+  opts.top_k = 5;
+  const SearchResult brute_top = find_optimal(mdl, sys, opts);
+
+  opts.prune = true;
+  const SearchResult top = find_optimal(mdl, sys, opts);
+  expect_same_ranking(top.top, brute_top.top);
+  expect_same_ranking(pareto_frontier(mdl, sys, opts), brute_front);
+
+  opts.top_k = 0;
+  const SearchResult four = find_optimal(mdl, sys, opts);
+  opts.threads = 1;
+  const SearchResult one = find_optimal(mdl, sys, opts);
+  EXPECT_TRUE(brute.best.feasible);
+  expect_same_optimum(one, brute);
+  expect_same_optimum(four, brute);
+  expect_same_work(one, four);
+}
+
+TEST(FindOptimal, BatchedEngineMatchesExhaustive) {
+  // 4-GPU fast domains under 8-GPU leaves, so the optima's groups cross
+  // the leaf tier and the three fabrics price them differently.
+  const auto mdl = model::gpt3_175b();
+  constexpr std::int64_t kGpus = 256;
+  for (auto gen : {hw::GpuGeneration::A100, hw::GpuGeneration::H200,
+                   hw::GpuGeneration::B200}) {
+    const hw::SystemConfig base = hw::make_system(gen, 4, kGpus);
+    std::vector<std::pair<const char*, hw::Topology>> fabrics = {
+        {"two-level", {}},
+        {"leaf_spine", hw::leaf_spine_topology(base.net, 4, 8, kGpus, 4.0)},
+        {"rail_optimized",
+         hw::rail_optimized_topology(base.net, 4, 8, kGpus)}};
+    for (const auto& [fabric_name, fabric] : fabrics) {
+      hw::SystemConfig sys = base;
+      sys.fabric = fabric;
+      for (auto strategy :
+           {parallel::TpStrategy::TP1D, parallel::TpStrategy::TP2D,
+            parallel::TpStrategy::Summa2D}) {
+        SCOPED_TRACE(sys.gpu.name + " " + fabric_name + " " +
+                     parallel::to_string(strategy));
+        expect_batched_matches_exhaustive(mdl, sys, strategy, 512);
+      }
+    }
+  }
+
+  // A 40 GB system where candidates pass the placement-free memory floor
+  // but compile over capacity: those keep the scalar scan, which must keep
+  // its eval charge and leave the optimum alone.
+  hw::SystemConfig small = hw::make_system(hw::GpuGeneration::A100, 4, kGpus);
+  small.gpu = small.gpu.with_memory(Bytes(40e9), small.gpu.hbm_bandwidth);
+  SearchOptions opts;
+  opts.strategy = parallel::TpStrategy::TP1D;
+  opts.global_batch = 512;
+  std::size_t over_capacity = 0;
+  for (const auto& cfg : expand_candidates(mdl, small, opts)) {
+    if (cfg.invalid_reason(mdl, small, opts.global_batch)) continue;
+    const auto bounds =
+        core::search_bounds(mdl, small, cfg, opts.global_batch);
+    if (Bytes(bounds.memory_floor) > small.gpu.hbm_capacity) continue;
+    const auto sig = core::compile_signature(mdl, cfg, opts.global_batch);
+    if (sig.mem.total() > small.gpu.hbm_capacity) ++over_capacity;
+  }
+  EXPECT_GT(over_capacity, 0u);
+  SCOPED_TRACE("A100 40 GB two-level 1D TP");
+  expect_batched_matches_exhaustive(mdl, small, opts.strategy,
+                                    opts.global_batch);
 }
 
 // Property test for the analytic bounds: the floors must never exceed the

@@ -7,6 +7,8 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "util/ascii_plot.hpp"
 #include "util/csv.hpp"
@@ -190,6 +192,34 @@ TEST(ThreadPool, DynamicForStopsEarly) {
       /*grain=*/1, /*stop=*/[&] { return ran.load() >= 10; });
   EXPECT_EQ(executed, 10u);
   EXPECT_EQ(ran.load(), 10);
+}
+
+TEST(ThreadPool, DynamicForSingleWorkerRunsInlineInClaimOrder) {
+  // A one-worker pool runs the body on the calling thread, index by index
+  // in claim order; stop is polled before each grain-sized chunk, so a
+  // stop raised mid-chunk still finishes that chunk and is counted.
+  ThreadPool pool(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  bool on_caller = true;
+  std::size_t executed = parallel_for_dynamic(
+      pool, 10,
+      [&](std::size_t i) {
+        order.push_back(i);
+        on_caller = on_caller && std::this_thread::get_id() == caller;
+      },
+      /*grain=*/3);
+  EXPECT_EQ(executed, 10u);
+  EXPECT_TRUE(on_caller);
+  ASSERT_EQ(order.size(), 10u);
+  for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+
+  order.clear();
+  executed = parallel_for_dynamic(
+      pool, 10, [&](std::size_t i) { order.push_back(i); }, /*grain=*/3,
+      /*stop=*/[&] { return order.size() >= 4; });
+  EXPECT_EQ(executed, 6u);
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));
 }
 
 TEST(ThreadPool, DynamicForStopNeverLosesInFlightWork) {

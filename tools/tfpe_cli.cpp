@@ -971,6 +971,11 @@ int main(int argc, char** argv) {
         (!best.feasible || found.best.iteration() < best.iteration())) {
       best = found.best;
       best_strategy = s;
+    } else if (!best.feasible) {
+      // Nothing feasible so far: carry each strategy's reason, so an
+      // all-infeasible search still says why.
+      if (!best.reason.empty()) best.reason += "; ";
+      best.reason += parallel::to_string(s) + ": " + found.best.reason;
     }
     if (opts.top_k > 0 && found.best.feasible) {
       for (std::size_t i = 1; i < found.top.size(); ++i) {
