@@ -1,8 +1,8 @@
 // A/B benchmark of the architecture x configuration co-design engine
 // (search/codesign.hpp), three arms over the same iso-parameter family x
 // hardware grid:
-//   naive         — one find_optimal per (shape, point): the pre-engine
-//                   flow and the verification reference;
+//   naive         — one find_optimal per (shape, point), looped here: the
+//                   pre-engine flow and the verification reference;
 //   engine        — memoized enumeration + warm-start chains + batched
 //                   placement scan, full exact per-shape matrix
 //                   (prune_shapes = false);
@@ -80,12 +80,60 @@ search::CodesignOptions codesign_opts(Mode mode, unsigned threads) {
   search::CodesignOptions opts;
   opts.sweep.search.strategy = parallel::TpStrategy::TP1D;
   opts.sweep.search.global_batch = kBatch;
-  opts.sweep.use_signatures = mode != Mode::kNaive;
-  opts.sweep.batch = mode != Mode::kNaive;
-  opts.sweep.warm_start = mode != Mode::kNaive;
+  opts.sweep.warm_start = true;
   opts.sweep.threads = threads;
   opts.prune_shapes = mode == Mode::kEnginePrune;
   return opts;
+}
+
+/// The naive arm: one independent find_optimal per (shape, point), given
+/// the engine's thread budget, filling the full exact matrix and the
+/// shape-order better_result winners.
+search::CodesignResult run_naive(
+    const std::vector<model::TransformerConfig>& shapes,
+    const std::vector<hw::SystemConfig>& points,
+    const search::CodesignOptions& opts) {
+  search::SearchOptions per_point = opts.sweep.search;
+  per_point.threads = opts.sweep.threads;
+  search::CodesignResult out;
+  out.shapes = shapes;
+  out.best.resize(points.size());
+  out.per_shape.assign(shapes.size(),
+                       std::vector<core::EvalResult>(points.size()));
+  out.pruned.assign(shapes.size(),
+                    std::vector<std::uint8_t>(points.size(), 0));
+  auto& st = out.stats;
+  st.shapes = shapes.size();
+  st.points = points.size();
+  for (std::size_t s = 0; s < shapes.size(); ++s) {
+    for (std::size_t p = 0; p < points.size(); ++p) {
+      search::SearchResult r =
+          search::find_optimal(shapes[s], points[p], per_point);
+      ++st.shapes_evaluated;
+      ++st.enumerations;
+      st.candidates += r.stats.candidates;
+      st.evaluated += r.evaluated;
+      st.bound_pruned += r.stats.bound_pruned;
+      st.memory_pruned += r.stats.memory_pruned;
+      st.signature_compiles += r.stats.signature_compiles;
+      st.signature_cache_hits += r.stats.signature_cache_hits;
+      if (r.best.feasible) ++st.feasible_shape_points;
+      out.per_shape[s][p] = std::move(r.best);
+      if (search::better_result(out.per_shape[s][p], out.best[p].best)) {
+        out.best[p].best = out.per_shape[s][p];
+        out.best[p].shape = s;
+      }
+    }
+  }
+  return out;
+}
+
+search::CodesignResult run_mode(
+    Mode mode, const std::vector<model::TransformerConfig>& shapes,
+    const std::vector<hw::SystemConfig>& points,
+    const search::CodesignOptions& opts) {
+  return mode == Mode::kNaive ? run_naive(shapes, points, opts)
+                              : search::run_codesign(shapes, points, opts);
 }
 
 void BM_Codesign(benchmark::State& state) {
@@ -102,7 +150,7 @@ void BM_Codesign(benchmark::State& state) {
   const auto opts = codesign_opts(mode, 1);
   search::CodesignStats stats;
   for (auto _ : state) {
-    const auto r = search::run_codesign(shapes, points, opts);
+    const auto r = run_mode(mode, shapes, points, opts);
     stats = r.stats;
     benchmark::DoNotOptimize(r);
   }
@@ -136,7 +184,7 @@ Sample run_once(const std::vector<model::TransformerConfig>& shapes,
   // stay honest about the enumeration and compile work.
   for (int rep = 0; rep < repeats; ++rep) {
     const auto t0 = std::chrono::steady_clock::now();
-    auto r = search::run_codesign(shapes, points, opts);
+    auto r = run_mode(mode, shapes, points, opts);
     const double sec =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();

@@ -1,8 +1,9 @@
-// A/B benchmark of the cross-hardware sweep engines, four arms:
-//   legacy     — one find_optimal per grid point (the pre-signature flow);
-//   scalar     — the PR-3 two-phase signature engine (per-placement walk);
-//   batch      — the SoA batched placement kernel (time_placements_batch);
-//   batch-warm — batched plus warm-started incumbents along each chain;
+// A/B benchmark of the cross-hardware sweep engine against its reference,
+// three arms:
+//   legacy     — one find_optimal per grid point, looped here (the
+//                reference the engine must reproduce);
+//   batch      — search::run_sweep, the chain engine;
+//   batch-warm — run_sweep with warm-started incumbents along each chain;
 // on the paper-style generation x NVS-domain grid for GPT3-1T.
 //
 // Two outputs:
@@ -14,12 +15,9 @@
 //    machines (oversubscribed thread counts still exercise the pool; the
 //    threads=1 rows take the inline no-pool path) — and writes
 //    BENCH_sweep.json — seconds, points/sec, compile-cache hit rate, batch
-//    occupancy and the speedups (batch vs the scalar signature baseline,
-//    signature vs legacy) — so the >= 3x batched-engine throughput gain on
-//    the exhaustive scan is machine-checkable (the pruned scan times too
-//    few placements per call to reach 3x; its ratio lands near 2-2.5x).
+//    occupancy and the speedups of batch and batch-warm over legacy.
 //    The driver also asserts (exit 1 otherwise) that the
-//    per-point optima are bitwise identical across all four arms, prune
+//    per-point optima are bitwise identical across all three arms, prune
 //    settings and thread counts, and that the work counters (candidates,
 //    evaluations, prune tallies, batch calls/placements, signature-service
 //    totals) are invariant across thread counts for a given (mode, prune) —
@@ -46,14 +44,12 @@ using namespace tfpe;
 constexpr std::int64_t kGpus = 4096;
 constexpr std::int64_t kBatch = 4096;
 
-enum class Mode { kLegacy, kScalar, kBatched, kBatchedWarm };
-constexpr Mode kModes[] = {Mode::kLegacy, Mode::kScalar, Mode::kBatched,
-                           Mode::kBatchedWarm};
+enum class Mode { kLegacy, kBatched, kBatchedWarm };
+constexpr Mode kModes[] = {Mode::kLegacy, Mode::kBatched, Mode::kBatchedWarm};
 
 const char* mode_name(Mode m) {
   switch (m) {
     case Mode::kLegacy: return "legacy";
-    case Mode::kScalar: return "scalar";
     case Mode::kBatched: return "batch";
     case Mode::kBatchedWarm: return "batch-warm";
   }
@@ -72,11 +68,42 @@ search::SweepOptions sweep_opts(Mode mode, bool prune, unsigned threads) {
   opts.search.strategy = parallel::TpStrategy::TP1D;
   opts.search.global_batch = kBatch;
   opts.search.prune = prune;
-  opts.use_signatures = mode != Mode::kLegacy;
-  opts.batch = mode == Mode::kBatched || mode == Mode::kBatchedWarm;
   opts.warm_start = mode == Mode::kBatchedWarm;
   opts.threads = threads;
   return opts;
+}
+
+/// The reference arm: one independent find_optimal per grid point, given
+/// the sweep's thread budget, with its counters summed into SweepStats.
+search::SweepResult run_legacy(const model::TransformerConfig& mdl,
+                               const std::vector<hw::SystemConfig>& points,
+                               const search::SweepOptions& opts) {
+  search::SearchOptions per_point = opts.search;
+  per_point.threads = opts.threads;
+  search::SweepResult out;
+  out.stats.points = points.size();
+  for (const hw::SystemConfig& sys : points) {
+    search::SearchResult r = search::find_optimal(mdl, sys, per_point);
+    out.evaluated_per_point.push_back(r.evaluated);
+    out.stats.candidates += r.stats.candidates;
+    out.stats.evaluated += r.evaluated;
+    out.stats.bound_pruned += r.stats.bound_pruned;
+    out.stats.memory_pruned += r.stats.memory_pruned;
+    out.stats.build_layer_calls += r.stats.build_layer_calls;
+    out.stats.layer_cache_hits += r.stats.layer_cache_hits;
+    out.stats.signature_compiles += r.stats.signature_compiles;
+    out.stats.signature_cache_hits += r.stats.signature_cache_hits;
+    if (r.best.feasible) ++out.stats.feasible_points;
+    out.best.push_back(std::move(r.best));
+  }
+  return out;
+}
+
+search::SweepResult run_mode(Mode mode, const model::TransformerConfig& mdl,
+                             const std::vector<hw::SystemConfig>& points,
+                             const search::SweepOptions& opts) {
+  return mode == Mode::kLegacy ? run_legacy(mdl, points, opts)
+                               : search::run_sweep(mdl, points, opts);
 }
 
 void BM_Sweep(benchmark::State& state) {
@@ -87,7 +114,7 @@ void BM_Sweep(benchmark::State& state) {
   const auto opts = sweep_opts(mode, prune, 1);
   search::SweepStats stats;
   for (auto _ : state) {
-    const auto r = search::run_sweep(mdl, points, opts);
+    const auto r = run_mode(mode, mdl, points, opts);
     stats = r.stats;
     benchmark::DoNotOptimize(r);
   }
@@ -98,7 +125,7 @@ void BM_Sweep(benchmark::State& state) {
   state.counters["batch_occupancy"] = stats.batch_occupancy();
 }
 BENCHMARK(BM_Sweep)
-    ->ArgsProduct({{0, 1, 2, 3}, {0, 1}})
+    ->ArgsProduct({{0, 1, 2}, {0, 1}})
     ->ArgNames({"mode", "prune"})
     ->Unit(benchmark::kMillisecond);
 
@@ -124,7 +151,7 @@ Sample run_once(Mode mode, bool prune, unsigned threads, int repeats) {
   // repeats stay honest about the compile work.
   for (int rep = 0; rep < repeats; ++rep) {
     const auto t0 = std::chrono::steady_clock::now();
-    auto r = search::run_sweep(mdl, points, opts);
+    auto r = run_mode(mode, mdl, points, opts);
     const double sec =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
@@ -159,9 +186,7 @@ void write_json(const std::vector<Sample>& samples, std::size_t n_points,
     os << "    {\"mode\": \"" << mode_name(s.mode) << "\""
        << ", \"engine\": \""
        << (s.mode == Mode::kLegacy ? "legacy" : "signature") << "\""
-       << ", \"batch\": "
-       << (s.mode == Mode::kBatched || s.mode == Mode::kBatchedWarm ? "true"
-                                                                    : "false")
+       << ", \"batch\": " << (s.mode == Mode::kLegacy ? "false" : "true")
        << ", \"warm_start\": "
        << (s.mode == Mode::kBatchedWarm ? "true" : "false")
        << ", \"prune\": " << (s.prune ? "true" : "false")
@@ -187,18 +212,13 @@ void write_json(const std::vector<Sample>& samples, std::size_t n_points,
        << (i + 1 < samples.size() ? "," : "") << "\n";
   }
   os << "  ],\n  \"speedups\": [\n";
-  // Each accelerated arm against its natural baseline at equal thread count
-  // and prune setting: batch / batch-warm vs the scalar signature engine
-  // (the PR-3 throughput bar), and scalar vs legacy (the PR-3 claim,
-  // re-verified).
-  const auto baseline_of = [](Mode m) {
-    return m == Mode::kScalar ? Mode::kLegacy : Mode::kScalar;
-  };
+  // Each engine arm against the legacy reference at equal thread count and
+  // prune setting.
   bool first = true;
   for (const Sample& s : samples) {
     if (s.mode == Mode::kLegacy) continue;
     for (const Sample& b : samples) {
-      if (b.mode != baseline_of(s.mode) || b.prune != s.prune ||
+      if (b.mode != Mode::kLegacy || b.prune != s.prune ||
           b.threads != s.threads) {
         continue;
       }
@@ -279,22 +299,17 @@ int run_driver(bool quick) {
             s.stats.signature_compiles, s.stats.batch_occupancy(),
             s.stats.warm_seeded);
       }
-      const auto by_mode = [&](Mode m) -> const Sample& {
-        return samples[samples.size() - 4 +
-                       static_cast<std::size_t>(std::find(kModes, kModes + 4,
-                                                          m) -
-                                                kModes)];
-      };
-      std::printf("  -> batch vs scalar %.2fx, scalar vs legacy %.2fx\n",
-                  by_mode(Mode::kScalar).seconds /
-                      by_mode(Mode::kBatched).seconds,
-                  by_mode(Mode::kLegacy).seconds /
-                      by_mode(Mode::kScalar).seconds);
+      // The last three samples are this (prune, threads) row's arms, in
+      // kModes order.
+      const Sample* row = &samples[samples.size() - 3];
+      std::printf("  -> batch vs legacy %.2fx, batch-warm vs legacy %.2fx\n",
+                  row[0].seconds / row[1].seconds,
+                  row[0].seconds / row[2].seconds);
     }
   }
 
-  // Every run must agree per point — engine, batching, warm starts, prune
-  // setting and thread count may change the work done, never the answer.
+  // Every run must agree per point — engine, warm starts, prune setting
+  // and thread count may change the work done, never the answer.
   // The work counters must additionally agree across thread counts (checked
   // separately so the JSON's identical_optima keeps its exact meaning).
   const bool counters_ok = counters_thread_invariant(samples);

@@ -137,40 +137,6 @@ CodesignResult run_codesign(const std::vector<model::TransformerConfig>& shapes,
   if (ns == 0 || np == 0) return out;
   const auto wall_t0 = Clock::now();
 
-  if (!opts.sweep.use_signatures) {
-    // Naive arm: one independent find_optimal per product point — the A/B
-    // baseline and bitwise verification reference. Always exhaustive over
-    // the matrix (prune_shapes is an engine feature, not a semantics
-    // change, so the reference must cover every pair).
-    SearchOptions per_point = opts.sweep.search;
-    per_point.threads = opts.sweep.threads;
-    for (std::size_t s = 0; s < ns; ++s) {
-      for (std::size_t p = 0; p < np; ++p) {
-        SearchResult r = find_optimal(shapes[s], points[p], per_point);
-        ++out.stats.shapes_evaluated;
-        ++out.stats.enumerations;
-        out.stats.candidates += r.stats.candidates;
-        out.stats.evaluated += r.evaluated;
-        out.stats.bound_pruned += r.stats.bound_pruned;
-        out.stats.memory_pruned += r.stats.memory_pruned;
-        out.stats.build_layer_calls += r.stats.build_layer_calls;
-        out.stats.layer_cache_hits += r.stats.layer_cache_hits;
-        out.stats.placement_sets += r.stats.placement_sets;
-        out.stats.placement_cache_hits += r.stats.placement_cache_hits;
-        out.stats.signature_compiles += r.stats.signature_compiles;
-        out.stats.signature_cache_hits += r.stats.signature_cache_hits;
-        if (r.best.feasible) ++out.stats.feasible_shape_points;
-        out.per_shape[s][p] = std::move(r.best);
-        if (better_result(out.per_shape[s][p], out.best[p].best)) {
-          out.best[p].best = out.per_shape[s][p];
-          out.best[p].shape = s;
-        }
-      }
-    }
-    out.stats.profile.wall_s = static_cast<double>(ns_since(wall_t0)) * 1e-9;
-    return out;
-  }
-
   const std::int64_t b = opts.sweep.search.global_batch;
   std::vector<std::int64_t> scale_of(np);
   for (std::size_t p = 0; p < np; ++p) {
@@ -266,7 +232,7 @@ CodesignResult run_codesign(const std::vector<model::TransformerConfig>& shapes,
           if (seed == kNoSeed) seed = chain_seed;
         }
         outcomes[p] = scan_point(scan, points[p], *configs, seed, *scratch,
-                                 opts.sweep.batch ? &ctx : nullptr);
+                                 ctx);
         chain_seed = outcomes[p].best_index;
       }
     };

@@ -129,13 +129,9 @@ class CandidateCache {
 
 struct CodesignOptions {
   /// Engine knobs shared with run_sweep: `sweep.search` fixes the candidate
-  /// space and global batch for every shape; `sweep.batch` /
-  /// `sweep.warm_start` / `sweep.threads` tune the scan; and
-  /// `sweep.use_signatures = false` selects the naive arm (one find_optimal
-  /// per (shape, point) — the A/B baseline and verification reference,
-  /// which ignores prune_shapes and always fills the full matrix). The same
-  /// restrictions as run_sweep apply: search.top_k and search.threads must
-  /// stay 0.
+  /// space and global batch for every shape; `sweep.warm_start` /
+  /// `sweep.threads` tune the scan. The same restrictions as run_sweep
+  /// apply: search.top_k and search.threads must stay 0.
   SweepOptions sweep;
 
   /// Screen whole shapes with core::shape_time_floor against the per-point

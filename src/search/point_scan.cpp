@@ -23,7 +23,7 @@ bool same_roofline(const hw::GpuSpec& a, const hw::GpuSpec& b) {
 PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
                         const std::vector<parallel::ParallelConfig>& configs,
                         std::size_t seed_index, ScanScratch& scratch,
-                        ChainContext* chain) {
+                        ChainContext& chain) {
   const SweepOptions& opts = sh.opts;
   const std::int64_t b = opts.search.global_batch;
   const core::EvalOptions& eval = opts.search.eval;
@@ -34,33 +34,27 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
   std::int64_t time_ns = 0;
   const auto screen_t0 = Clock::now();
 
-  if (chain) {
-    chain->point = chain->point == kNoSeed ? 0 : chain->point + 1;
-    chain->entries.resize(n);
-    chain->fabric = sys.resolved_fabric();
-    // Rebind AFTER the fabric assignment: the pricer points at
-    // chain->fabric (stable address) and precomputes its per-level terms.
-    chain->pricer.rebind(chain->fabric);
-    if (chain->point == 0 || !same_roofline(chain->gpu, sys.gpu) ||
-        chain->host_bw.value() != sys.host_bandwidth.value()) {
-      for (ChainEntry& e : chain->entries) {
-        e.bound = 0;
-        e.lb_ready = 0;
-      }
-      chain->gpu = sys.gpu;
-      chain->host_bw = sys.host_bandwidth;
+  chain.point = chain.point == kNoSeed ? 0 : chain.point + 1;
+  chain.entries.resize(n);
+  chain.fabric = sys.resolved_fabric();
+  // Rebind AFTER the fabric assignment: the pricer points at chain.fabric
+  // (stable address) and precomputes its per-level terms.
+  chain.pricer.rebind(chain.fabric);
+  if (chain.point == 0 || !same_roofline(chain.gpu, sys.gpu) ||
+      chain.host_bw.value() != sys.host_bandwidth.value()) {
+    for (ChainEntry& e : chain.entries) {
+      e.bound = 0;
+      e.lb_ready = 0;
     }
+    chain.gpu = sys.gpu;
+    chain.host_bw = sys.host_bandwidth;
   }
 
   // A result only escapes scan_point when it is feasible (better_result
   // never prefers an infeasible one, and an all-infeasible point reports
-  // the fixed "no feasible configuration" reason), so the batch arm keeps
-  // just the sparse list of feasible results and skips every infeasible
-  // store — reasons, cfg copies, the dense vector itself. The scalar arm
-  // keeps the dense PR-3 bookkeeping it is benchmarked as.
-  std::vector<core::EvalResult>& results = scratch.results;
-  results.clear();
-  results.resize(chain ? 0 : n);
+  // the fixed "no feasible configuration" reason), so the scan keeps just
+  // the sparse list of feasible results and skips every infeasible store —
+  // reasons, cfg copies, a dense per-candidate vector.
   std::vector<std::pair<std::size_t, core::EvalResult>>& feasible =
       scratch.feasible;
   feasible.clear();
@@ -70,55 +64,43 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
   pending.assign(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
     const parallel::ParallelConfig& cfg = configs[i];
-    if (!chain) results[i].cfg = cfg;
-    if (chain && cfg.placement_product() == 1) {
+    ChainEntry& e = chain.entries[i];
+    if (cfg.placement_product() == 1) {
       // A unit-placement candidate's validity reads only the cluster size,
       // so the verdict survives along the chain (stamped for safety).
-      ChainEntry& e = chain->entries[i];
       if (e.screened == 0 || e.screen_n_gpus != sys.n_gpus) {
         e.screened = cfg.invalid_reason(sh.mdl, sys, b) ? 2 : 1;
         e.screen_n_gpus = sys.n_gpus;
       }
       if (e.screened == 2) continue;
-    } else if (auto why = cfg.invalid_reason(sh.mdl, sys, b)) {
-      if (!chain) results[i].reason = *why;
+    } else if (cfg.invalid_reason(sh.mdl, sys, b)) {
       continue;
     }
-    if (chain && opts.search.search_placement) {
+    if (opts.search.search_placement && e.sig &&
+        e.sig->mem.total() > sys.gpu.hbm_capacity) {
       // Screen-level capacity gate: a candidate compiled on an earlier
       // point of the chain whose signature already exceeds this point's
       // HBM is charged its one capacity probe right here and never enters
       // the scan order — no bounds, no placement lookup, no reduction
       // visit. (First-point candidates have no signature yet; they gate
-      // inside evaluate_chain after compiling.) Classification shifts from
-      // memory_pruned / bound_pruned to evaluated relative to the scalar
-      // arm, but stays deterministic and thread-invariant — chains are
+      // inside evaluate after compiling.) Relative to find_optimal this
+      // moves the candidate from memory_pruned / bound_pruned to
+      // evaluated, deterministically and thread-invariantly — chains are
       // sequential — and the optima are untouched: an over-capacity
-      // candidate is infeasible under every placement.
-      const ChainEntry& e = chain->entries[i];
-      if (e.sig && e.sig->mem.total() > sys.gpu.hbm_capacity) {
-        // Served by the chain-held signature — the scalar engine's visit
-        // here would be one SignatureCache hit (see signature_reuses).
-        ++out.signature_reuses;
-        ++out.evaluated;
-        continue;
-      }
+      // candidate is infeasible under every placement. Served by the
+      // chain-held signature (see signature_reuses).
+      ++out.signature_reuses;
+      ++out.evaluated;
+      continue;
     }
     if (opts.search.prune) {
-      core::SearchBounds bounds;
-      if (chain) {
-        ChainEntry& e = chain->entries[i];
-        if (!e.lb_ready) {
-          e.lb_base = core::search_bounds_base(sh.mdl, sys, cfg, b, eval);
-          e.lb_ready = 1;
-        }
-        bounds = core::finish_search_bounds(e.lb_base, sh.mdl, chain->fabric,
-                                            cfg);
-      } else {
-        bounds = core::search_bounds(sh.mdl, sys, cfg, b, eval);
+      if (!e.lb_ready) {
+        e.lb_base = core::search_bounds_base(sh.mdl, sys, cfg, b, eval);
+        e.lb_ready = 1;
       }
+      const core::SearchBounds bounds =
+          core::finish_search_bounds(e.lb_base, sh.mdl, chain.fabric, cfg);
       if (Bytes(bounds.memory_floor) > sys.gpu.hbm_capacity) {
-        if (!chain) results[i].reason = "exceeds HBM capacity";
         ++out.memory_pruned;
         continue;
       }
@@ -140,23 +122,23 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
   }
   time_ns += ns_since(screen_t0);
 
-  // Evaluate candidate i through the compile -> bind -> time stages,
-  // returning its achieved iteration time (infinity when infeasible).
   std::vector<char>& done = scratch.done;
   done.assign(n, 0);
 
-  // Batch arm: candidate state persists along the chain. A candidate is
-  // compiled once, its capacity verdict decided once, and — if it ever
-  // needs timing — lowered and bound once, with only the fabric restamped
-  // on later points. Over-capacity candidates (the bulk of a large-model
+  // Evaluate candidate i through the compile -> bind -> time stages,
+  // returning its achieved iteration time (infinity when infeasible).
+  // Candidate state persists along the chain: a candidate is compiled
+  // once, its capacity verdict decided once, and — if it ever needs
+  // timing — lowered and bound once, with only the fabric restamped on
+  // later points. Over-capacity candidates (the bulk of a large-model
   // grid) skip bind/lower/timing entirely: better_result never prefers an
   // infeasible result, so only the eval count must match the reference
   // scan. Gated shortcuts after the first point are too small to bracket
   // with the stage clock; the stage profile counts the heavyweight stage
   // bodies.
-  const auto evaluate_chain = [&](std::size_t i) -> double {
+  const auto evaluate = [&](std::size_t i) -> double {
     parallel::ParallelConfig cfg = configs[i];
-    ChainEntry& e = chain->entries[i];
+    ChainEntry& e = chain.entries[i];
     if (!e.sig) {
       const auto compile_t0 = Clock::now();
       e.sig = sh.signature_cache.get(sh.mdl, cfg, b, eval, sh.layer_cache);
@@ -168,9 +150,9 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
     if (over_capacity && opts.search.search_placement) {
       // One capacity probe — the candidate's placements are never
       // enumerated, looked up, or timed, so the evaluation counters report
-      // the work the batch arm actually did (the reference scans charge the
-      // whole placement set in exhaustive mode; optima are unaffected
-      // either way, only the bookkeeping differs).
+      // the work the scan actually did (the exhaustive reference charges
+      // the whole placement set; optima are unaffected either way, only
+      // the bookkeeping differs).
       ++out.evaluated;
       done[i] = 1;
       return std::numeric_limits<double>::infinity();
@@ -179,19 +161,19 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
       const auto compile_t0 = Clock::now();
       e.bat = sh.batched_cache.get(e.sig);
       // On the placement-search path every collective is priced through
-      // chain->pricer and the candidate's own fabric copy is dead weight —
+      // chain.pricer and the candidate's own fabric copy is dead weight —
       // skip the capture AND the per-point restamp below. The
       // time_signature path still reads base.fabric.
       e.base = core::bind_system_batched(
           *e.sig, *e.bat, sys, eval,
           /*capture_fabric=*/!opts.search.search_placement);
-      e.fabric_point = chain->point;
+      e.fabric_point = chain.point;
       e.bound = 1;
       compile_ns += ns_since(compile_t0);
     } else if (!opts.search.search_placement &&
-               e.fabric_point != chain->point) {
-      e.base.fabric = chain->fabric;
-      e.fabric_point = chain->point;
+               e.fabric_point != chain.point) {
+      e.base.fabric = chain.fabric;
+      e.fabric_point = chain.point;
     }
 
     const auto time_t0 = Clock::now();
@@ -207,7 +189,7 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
       r = scan_placements_batch(sh.mdl, sys, cfg, b, *e.sig, *e.bat, e.base,
                                 *placements, eval, evals,
                                 /*stop_after_infeasible=*/opts.search.prune,
-                                scratch.batch, timings, &chain->pricer,
+                                scratch.batch, timings, &chain.pricer,
                                 /*prevalidated=*/true);
       if (!timings.empty()) {
         ++out.batch_calls;
@@ -224,55 +206,6 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
     if (!r.feasible) return std::numeric_limits<double>::infinity();
     const double t = r.iteration();
     feasible.emplace_back(i, std::move(r));
-    return t;
-  };
-
-  const auto evaluate = [&](std::size_t i) -> double {
-    if (chain) return evaluate_chain(i);
-    parallel::ParallelConfig cfg = configs[i];
-    const auto compile_t0 = Clock::now();
-    const auto sig = sh.signature_cache.get(sh.mdl, cfg, b, eval,
-                                            sh.layer_cache);
-    std::shared_ptr<const core::BatchedSignature> bat;
-    core::SystemTiming base;
-    if (opts.batch) {
-      bat = sh.batched_cache.get(sig);
-      base = core::bind_system_batched(*sig, *bat, sys, eval);
-    } else {
-      base = core::bind_system(*sig, sys, eval);
-    }
-    compile_ns += ns_since(compile_t0);
-
-    const auto time_t0 = Clock::now();
-    core::EvalResult r;
-    if (opts.search.search_placement) {
-      const auto placements = sh.placement_cache.get(cfg, sys.nvs_domain);
-      std::size_t evals = 0;
-      if (opts.batch) {
-        r = scan_placements_batch(sh.mdl, sys, cfg, b, *sig, *bat, base,
-                                  *placements, eval, evals,
-                                  /*stop_after_infeasible=*/opts.search.prune,
-                                  scratch.batch, timings);
-        if (!timings.empty()) {
-          ++out.batch_calls;
-          out.batch_placements += timings.size();
-        }
-      } else {
-        r = scan_placements_signature(
-            sh.mdl, sys, cfg, b, *sig, base, *placements, eval, evals,
-            /*stop_after_infeasible=*/opts.search.prune);
-      }
-      out.evaluated += evals;
-    } else {
-      pack_placement(cfg, sys.nvs_domain);
-      r = core::time_signature(*sig, base, sh.mdl, sys, cfg, b, eval);
-      ++out.evaluated;
-    }
-    time_ns += ns_since(time_t0);
-    done[i] = 1;
-    const double t = r.feasible ? r.iteration()
-                                : std::numeric_limits<double>::infinity();
-    results[i] = std::move(r);
     return t;
   };
 
@@ -301,11 +234,7 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
       // than an achieved time (and a pruned candidate cannot tie, so the
       // index-order reduction below still picks find_optimal's answer).
       for (std::size_t j = pos; j < order.size(); ++j) {
-        if (done[order[j]]) continue;
-        if (!chain) {
-          results[order[j]].reason = "pruned: lower bound above incumbent";
-        }
-        ++out.bound_pruned;
+        if (!done[order[j]]) ++out.bound_pruned;
       }
       break;
     }
@@ -316,25 +245,16 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
   // Reduce in candidate-index order with the shared predicate — the same
   // tie-breaking walk find_optimal performs, so the two agree bitwise even
   // between equal-time configurations. The sparse list visits the same
-  // feasible results in the same index order as the dense walk; the dense
+  // feasible results in the same index order as a dense walk; the dense
   // walk's extra visits are all infeasible, which the predicate never
   // prefers.
   out.best.reason = "no feasible configuration";
-  if (chain) {
-    std::sort(feasible.begin(), feasible.end(),
-              [](const auto& a, const auto& c) { return a.first < c.first; });
-    for (const auto& [i, r] : feasible) {
-      if (better_result(r, out.best)) {
-        out.best = r;
-        out.best_index = i;
-      }
-    }
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (better_result(results[i], out.best)) {
-        out.best = results[i];
-        out.best_index = i;
-      }
+  std::sort(feasible.begin(), feasible.end(),
+            [](const auto& a, const auto& c) { return a.first < c.first; });
+  for (const auto& [i, r] : feasible) {
+    if (better_result(r, out.best)) {
+      out.best = r;
+      out.best_index = i;
     }
   }
   if (!out.best.feasible) out.best_index = kNoSeed;

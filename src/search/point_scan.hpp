@@ -3,16 +3,16 @@
 // (search/sweep.hpp) and the architecture co-design search
 // (search/codesign.hpp): one system's sequential, lower-bound-ordered scan
 // of a candidate list with an achieved-time incumbent, warm seeding, and
-// the batch-arm ChainContext that persists per-candidate state (compiled
-// signature, SoA lowering, bound timing with fabric restamp, screen and
-// lower-bound caches) across the points of one chain.
+// the ChainContext that persists per-candidate state (compiled signature,
+// SoA lowering, bound timing with fabric restamp, screen and lower-bound
+// caches) across the points of one chain.
 //
 // This is the search layer's internal engine room — the public entry
 // points are run_sweep and run_codesign, which own the caches, group
 // points into chains and aggregate PointOutcome counters into their stats.
 // Everything here preserves the bitwise contract: scan_point's best result
-// equals find_optimal's optimum at the same point, for every combination
-// of {batch, warm seed, prune} (see sweep.hpp for the argument).
+// equals find_optimal's optimum at the same point, with or without a warm
+// seed and pruning (see sweep.hpp for the argument).
 
 #include <atomic>
 #include <chrono>
@@ -64,11 +64,11 @@ struct PointOutcome {
   std::size_t batch_calls = 0;
   std::size_t batch_placements = 0;
   /// Candidate visits served by the chain's own already-compiled signature,
-  /// with no SignatureCache probe at all. The scalar engine probes the
-  /// cache on every visit (each probe a hit or a compile), so hit-rate
-  /// accounting that only counts probes makes identical work look like a
-  /// lower hit rate under the chain engine — SweepStats::compile_hit_rate
-  /// counts these reuses alongside cache hits to stay comparable.
+  /// with no SignatureCache probe at all. find_optimal probes the cache on
+  /// every visit (each probe a hit or a compile), so hit-rate accounting
+  /// that only counts probes would make the same work look like a lower
+  /// hit rate here — SweepStats::compile_hit_rate counts these reuses
+  /// alongside cache hits.
   std::size_t signature_reuses = 0;
   bool warm_seeded = false;
   bool warm_seed_feasible = false;
@@ -98,13 +98,11 @@ struct ChainEntry {
   std::uint8_t lb_ready = 0;
 };
 
-/// Batch-arm chain context: candidate state reused across the points of one
-/// chain. The signature (and capacity verdict derived from it) never
-/// changes; the bound SystemTiming changes only through the fabric; the
-/// validity screen of a unit-placement candidate reads only the GPU count.
-/// Each is cached with the stamp that invalidates it. The scalar arm does
-/// not use the context, staying the PR-3-faithful baseline the batch
-/// speedup is measured against.
+/// Chain context: candidate state reused across the points of one chain.
+/// The signature (and capacity verdict derived from it) never changes; the
+/// bound SystemTiming changes only through the fabric; the validity screen
+/// of a unit-placement candidate reads only the GPU count. Each is cached
+/// with the stamp that invalidates it.
 struct ChainContext {
   std::vector<ChainEntry> entries;
   hw::Topology fabric;          ///< current point's fabric, resolved once
@@ -135,7 +133,6 @@ struct ScanScratch {
   core::BatchScratch batch;
   std::vector<core::PlacementTiming> timings;
   // scan_point-internal per-candidate state (sized to the candidate list).
-  std::vector<core::EvalResult> results;  ///< scalar arm's dense store
   std::vector<std::pair<std::size_t, core::EvalResult>> feasible;
   std::vector<double> lb;
   std::vector<char> pending;
@@ -153,6 +150,6 @@ struct ScanScratch {
 PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
                         const std::vector<parallel::ParallelConfig>& configs,
                         std::size_t seed_index, ScanScratch& scratch,
-                        ChainContext* chain);
+                        ChainContext& chain);
 
 }  // namespace tfpe::search

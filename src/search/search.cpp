@@ -122,7 +122,7 @@ core::EvalResult scan_placements_batch(
   };
 
   // Same placement-invariant feasibility shortcut (and eval accounting) as
-  // the scalar scan — the batch kernel never runs for a doomed candidate.
+  // the reference scan — the batch kernel never runs for a doomed candidate.
   // A prevalidated caller has already decided both verdicts (valid, fits),
   // so the probe — the only reader of base.fabric on this path — is
   // skipped, not merely predicted false.
@@ -146,7 +146,7 @@ core::EvalResult scan_placements_batch(
 
   // The batched timings are bitwise equal to the scalar per-placement ones,
   // so this argmin (first index winning ties) lands on the exact candidate
-  // scan_placements_signature would pick.
+  // the reference scan would pick.
   std::size_t best_idx = 0;
   double best_total = std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < timings.size(); ++i) {
@@ -175,7 +175,7 @@ core::EvalResult scan_placements_batch(
 
 namespace {
 
-/// Single-phase variant of scan_placements_signature, used by the
+/// Single-phase variant of the reference scan, used by the
 /// exhaustive reference engine (one full evaluate_with_layer per
 /// placement). Kept deliberately on the legacy path so the pruned/
 /// exhaustive equivalence tests compare the two-phase pipeline against an
@@ -394,8 +394,9 @@ SweepState sweep(const model::TransformerConfig& mdl,
   // cache), lower and bind it once, then time its whole placement set in
   // one batched kernel call whose collectives the worker's pricer prices.
   // Phase 1 already decided validity, so a candidate that fits in HBM is
-  // prevalidated; one over capacity keeps the scalar scan, which charges
-  // its single capacity probe and reports its reason.
+  // prevalidated. One over capacity is infeasible under every placement:
+  // it gets its reason and a single capacity probe's eval charge, and no
+  // timing (infeasible results never reach the reduction's answer).
   auto evaluate_candidate = [&](std::size_t i) {
     parallel::ParallelConfig cfg = st.configs[i];
     util::ObjectPool<ScanWorker>::Lease w = workers.acquire();
@@ -414,11 +415,14 @@ SweepState sweep(const model::TransformerConfig& mdl,
       st.evals_per_config[i] = 1;
     } else {
       const auto placements = placement_cache.get(cfg, sys.nvs_domain);
-      if (placements->empty() || sig.mem.total() > sys.gpu.hbm_capacity) {
-        const core::SystemTiming base = core::bind_system(sig, sys, opts.eval);
-        r = scan_placements_signature(mdl, sys, cfg, b, sig, base, *placements,
-                                      opts.eval, st.evals_per_config[i],
-                                      /*stop_after_infeasible=*/true);
+      if (placements->empty()) {
+        r.cfg = cfg;
+        r.reason = "no valid placement";
+      } else if (sig.mem.total() > sys.gpu.hbm_capacity) {
+        r.cfg = cfg;
+        r.mem = sig.mem;
+        r.reason = "exceeds HBM capacity";
+        st.evals_per_config[i] = 1;
       } else {
         if (!w->pricer.bound()) w->pricer.rebind(fabric);
         std::shared_ptr<const core::BatchedSignature> shared_bat;

@@ -20,7 +20,8 @@
 //     SearchResult::evaluated) independent of the thread count;
 //   * the fabric is resolved once per search; each candidate that fits in
 //     HBM has its whole placement set timed by one batched kernel call
-//     (scan_placements_batch), priced by its worker's own FabricPricer.
+//     (scan_placements_batch), priced by its worker's own FabricPricer;
+//     one over HBM is reported infeasible without being timed.
 // Pruning is conservative: the returned optimum is identical — same
 // configuration, same iteration time — to the exhaustive sweep's
 // (SearchOptions::prune = false).
@@ -171,10 +172,10 @@ void pack_placement(parallel::ParallelConfig& cfg, std::int64_t nvs_domain);
 /// Increments `evals` once per placement evaluated. Infeasibility of a
 /// valid placement can only come from the placement-independent memory
 /// model, so `stop_after_infeasible` lets callers cut the scan short.
-/// Production placement timing goes through scan_placements_batch; this
-/// scan remains for the scalar arm of scan_point, the over-capacity
-/// candidates of find_optimal (one capacity probe, no timing kernel), the
-/// tests, and perfbench's traced replay of find_optimal.
+/// Every production search times placements through scan_placements_batch;
+/// this scan is the scalar reference it is tested against
+/// (Search.ScalarScanMatchesBatchedScan) and the one the benchmark's traced
+/// replay of find_optimal times through.
 core::EvalResult scan_placements_signature(
     const model::TransformerConfig& mdl, const hw::SystemConfig& sys,
     parallel::ParallelConfig cfg, std::int64_t global_batch,
@@ -183,7 +184,7 @@ core::EvalResult scan_placements_signature(
     const core::EvalOptions& eval, std::size_t& evals,
     bool stop_after_infeasible);
 
-/// Batched twin of scan_placements_signature: one time_placements_batch
+/// Batched twin of the scalar reference scan: one time_placements_batch
 /// call over the whole placement set instead of a per-placement
 /// time_placement loop. Returns the bitwise-identical result and increments
 /// `evals` by the same counts (the batch kernel's timings equal the scalar

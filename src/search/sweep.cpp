@@ -65,30 +65,6 @@ SweepResult run_sweep(const model::TransformerConfig& mdl,
   out.stats.points = n;
   if (n == 0) return out;
 
-  if (!opts.use_signatures) {
-    // Legacy workflow: one independent find_optimal per grid point, its
-    // worker pool getting the sweep's thread budget.
-    SearchOptions per_point = opts.search;
-    per_point.threads = opts.threads;
-    for (std::size_t i = 0; i < n; ++i) {
-      SearchResult r = find_optimal(mdl, points[i], per_point);
-      out.evaluated_per_point[i] = r.evaluated;
-      out.stats.candidates += r.stats.candidates;
-      out.stats.evaluated += r.evaluated;
-      out.stats.bound_pruned += r.stats.bound_pruned;
-      out.stats.memory_pruned += r.stats.memory_pruned;
-      out.stats.build_layer_calls += r.stats.build_layer_calls;
-      out.stats.layer_cache_hits += r.stats.layer_cache_hits;
-      out.stats.placement_sets += r.stats.placement_sets;
-      out.stats.placement_cache_hits += r.stats.placement_cache_hits;
-      out.stats.signature_compiles += r.stats.signature_compiles;
-      out.stats.signature_cache_hits += r.stats.signature_cache_hits;
-      if (r.best.feasible) ++out.stats.feasible_points;
-      out.best[i] = std::move(r.best);
-    }
-    return out;
-  }
-
   // Candidates depend on the system only through the model shape and the
   // GPU count (never the GPU type or NVS domain), and the model is fixed
   // across this sweep — so one list per distinct scale. The slots are keyed
@@ -148,7 +124,7 @@ SweepResult run_sweep(const model::TransformerConfig& mdl,
       });
       outcomes[i] = scan_point(scan, points[i], slot.configs,
                                opts.warm_start ? seed : kNoSeed, *scratch,
-                               opts.batch ? &ctx : nullptr);
+                               ctx);
       seed = outcomes[i].best_index;
     }
   };

@@ -5,7 +5,7 @@
 // two-phase evaluator so the hardware axis re-times compiled signatures
 // instead of re-running the full per-point search.
 //
-// Contrast with a find_optimal loop over the grid (the legacy workflow):
+// Contrast with a find_optimal loop over the grid:
 //   * candidates are enumerated ONCE per distinct GPU count (the candidate
 //     space never depends on the GPU type or NVS size), lazily inside the
 //     worker that first needs the scale — so enumeration OVERLAPS with
@@ -26,12 +26,11 @@
 //     below the child's true optimum, so the per-point optima are
 //     unchanged — bit for bit — with or without warm starts;
 //   * per point, candidates scan cheapest-lower-bound-first with a
-//     point-local incumbent; with SweepOptions::batch (default) all
-//     placements of a candidate are timed by one core::time_placements_batch
-//     call over the SoA arrays instead of a per-placement scalar walk.
+//     point-local incumbent, and all placements of a candidate are timed
+//     by one core::time_placements_batch call over the SoA arrays.
 // The per-point optima are IDENTICAL — configuration, time and memory
-// bits — to find_optimal run at that point, for every combination of
-// {batch, warm_start} (bench_sweep_scaling asserts this on every run).
+// bits — to find_optimal run at that point, with or without warm_start
+// (bench_sweep_scaling asserts this on every run).
 //
 // Determinism: chains and seeds are fixed by the input order, and each
 // chain is sequential, so every SweepStats WORK counter (evaluated, pruned,
@@ -63,17 +62,6 @@ struct SweepOptions {
   /// Workers across chains of grid points; 0 = hardware concurrency.
   unsigned threads = 0;
 
-  /// Two-phase engine (default). False falls back to one find_optimal call
-  /// per grid point — the legacy workflow, kept for the A/B bench and the
-  /// --verify-legacy CLI mode; identical optima either way.
-  bool use_signatures = true;
-
-  /// Time each candidate's placements through the SoA batch kernel
-  /// (core/batched_signature.hpp) instead of the scalar per-placement walk.
-  /// Identical results bit for bit; this is purely a throughput switch
-  /// (false = PR-3 scalar engine, the A/B baseline).
-  bool batch = true;
-
   /// Seed each point's incumbent from its chain predecessor's optimal
   /// candidate (see the header comment). Off by default so the default
   /// counters match the cold engine; turn on for large grids.
@@ -87,8 +75,8 @@ struct SweepStats {
   /// Candidate parallelizations per distinct GPU count, summed over the
   /// distinct counts (NOT multiplied by the points sharing them).
   std::size_t candidates = 0;
-  /// Placement evaluations (scalar time_placement-equivalents) over all
-  /// points; batch kernels count every placement they time.
+  /// Placement evaluations (time_placement-equivalents) over all points;
+  /// batch kernels count every placement they time.
   std::size_t evaluated = 0;
   std::size_t bound_pruned = 0;
   std::size_t memory_pruned = 0;
@@ -99,14 +87,13 @@ struct SweepStats {
   std::size_t signature_compiles = 0;
   std::size_t signature_cache_hits = 0;
   /// Candidate visits served by a chain-held signature with NO cache probe
-  /// (the batch engine keeps each candidate's compiled signature in its
-  /// ChainContext across the points of a chain). The scalar engine probes
-  /// the cache on every visit, so these are the visits that would have
-  /// been cache hits there — compile_hit_rate() folds them in to keep the
-  /// rate comparable across engines.
+  /// (the engine keeps each candidate's compiled signature in its
+  /// ChainContext across the points of a chain). find_optimal probes the
+  /// cache on every visit, so these are the visits that would have been
+  /// cache hits there — compile_hit_rate() folds them in.
   std::size_t signature_reuses = 0;
-  /// SoA lowerings (one per distinct signature under `batch`) and their
-  /// cross-point reuses.
+  /// SoA lowerings (one per distinct signature) and their cross-point
+  /// reuses.
   std::size_t signature_lowers = 0;
   std::size_t batched_cache_hits = 0;
   std::size_t build_layer_calls = 0;
@@ -115,8 +102,8 @@ struct SweepStats {
   std::size_t placement_cache_hits = 0;
 
   /// time_placements_batch invocations and the placements they timed;
-  /// occupancy is the mean batch width (1.0 would mean the batch engine
-  /// degenerated to the scalar walk).
+  /// occupancy is the mean batch width (1.0 would mean one placement per
+  /// kernel call).
   std::size_t batch_calls = 0;
   std::size_t batch_placements = 0;
 
@@ -141,12 +128,10 @@ struct SweepStats {
   StageProfile profile;
 
   /// Fraction of candidate compile lookups that did NOT compile: cache
-  /// hits plus chain-held reuses, over all lookups. Counting reuses is
-  /// what makes the rate mean the same thing in both engines — the scalar
-  /// engine resolves every visit through the cache while the batch engine
-  /// answers most repeat visits from the chain without a probe; a
-  /// probes-only rate under-reported the batch engine's sharing on
-  /// identical work (see docs/API.md, "Counter semantics").
+  /// hits plus chain-held reuses, over all lookups. The engine answers
+  /// most repeat visits from the chain without a probe, so a probes-only
+  /// rate would under-report its sharing (see docs/API.md, "Counter
+  /// semantics").
   double compile_hit_rate() const {
     const std::size_t served = signature_cache_hits + signature_reuses;
     const std::size_t total = signature_compiles + served;

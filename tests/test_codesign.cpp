@@ -158,68 +158,68 @@ TEST(Codesign, ShapeFloorBelowEveryConfigFloor) {
 }
 
 /// Golden satellite: a single-shape co-design run IS find_optimal, bit for
-/// bit, across prune on/off x batch on/off (warm starts exercised too —
-/// with one shape they reduce to the PR 6 chain seeds).
+/// bit, with prune on and off (warm starts exercised too — with one shape
+/// they reduce to the PR 6 chain seeds).
 TEST(Codesign, SingleShapeReproducesFindOptimal) {
   const auto mdl = model::gpt3_175b();
   const auto points = search::hardware_grid(
       {hw::GpuGeneration::A100, hw::GpuGeneration::B200}, {4, 16}, 256);
   for (bool prune : {false, true}) {
-    for (bool batch : {false, true}) {
-      search::CodesignOptions opts;
-      opts.sweep.search.global_batch = 1024;
-      opts.sweep.search.prune = prune;
-      opts.sweep.batch = batch;
-      opts.sweep.warm_start = true;
-      opts.sweep.threads = 2;
-      const auto run = search::run_codesign({mdl}, points, opts);
-      ASSERT_EQ(run.best.size(), points.size());
-      for (std::size_t p = 0; p < points.size(); ++p) {
-        ASSERT_FALSE(run.pruned[0][p]);
-        const auto direct = search::find_optimal(mdl, points[p],
-                                                 opts.sweep.search);
-        const std::string label = "point " + std::to_string(p) + " prune=" +
-                                  std::to_string(prune) + " batch=" +
-                                  std::to_string(batch);
-        expect_same_optimum(direct.best, run.per_shape[0][p], label);
-        expect_same_optimum(direct.best, run.best[p].best, label);
-        if (direct.best.feasible) EXPECT_EQ(run.best[p].shape, 0u) << label;
-      }
+    search::CodesignOptions opts;
+    opts.sweep.search.global_batch = 1024;
+    opts.sweep.search.prune = prune;
+    opts.sweep.warm_start = true;
+    opts.sweep.threads = 2;
+    const auto run = search::run_codesign({mdl}, points, opts);
+    ASSERT_EQ(run.best.size(), points.size());
+    for (std::size_t p = 0; p < points.size(); ++p) {
+      ASSERT_FALSE(run.pruned[0][p]);
+      const auto direct = search::find_optimal(mdl, points[p],
+                                               opts.sweep.search);
+      const std::string label =
+          "point " + std::to_string(p) + " prune=" + std::to_string(prune);
+      expect_same_optimum(direct.best, run.per_shape[0][p], label);
+      expect_same_optimum(direct.best, run.best[p].best, label);
+      if (direct.best.feasible) EXPECT_EQ(run.best[p].shape, 0u) << label;
     }
   }
 }
 
 /// With shape pruning off, the full (shape x point) matrix is exact and
-/// the winner is the shape-order better_result reduction.
+/// the winner is the shape-order better_result reduction — on a two-
+/// generation grid and on a single-generation NVS-axis chain.
 TEST(Codesign, MatrixMatchesFindOptimalPerShape) {
   const auto shapes = small_family();
-  const auto points = search::hardware_grid(
-      {hw::GpuGeneration::A100, hw::GpuGeneration::B200}, {8}, 128);
-  search::CodesignOptions opts;
-  opts.sweep.search.global_batch = 512;
-  opts.sweep.warm_start = true;
-  opts.sweep.threads = 2;
-  opts.prune_shapes = false;
-  const auto run = search::run_codesign(shapes, points, opts);
-  EXPECT_EQ(run.stats.shapes_pruned, 0u);
-  EXPECT_EQ(run.stats.shapes_evaluated, shapes.size() * points.size());
-  for (std::size_t p = 0; p < points.size(); ++p) {
-    core::EvalResult ref;
-    ref.reason = "no feasible configuration";
-    std::size_t ref_shape = search::CodesignResult::kNoShape;
-    for (std::size_t s = 0; s < shapes.size(); ++s) {
-      const auto direct =
-          search::find_optimal(shapes[s], points[p], opts.sweep.search);
-      expect_same_optimum(direct.best, run.per_shape[s][p],
-                          shapes[s].name + " point " + std::to_string(p));
-      if (search::better_result(direct.best, ref)) {
-        ref = direct.best;
-        ref_shape = s;
+  for (const auto& points :
+       {search::hardware_grid(
+            {hw::GpuGeneration::A100, hw::GpuGeneration::B200}, {8}, 128),
+        search::hardware_grid({hw::GpuGeneration::B200}, {4, 16}, 128)}) {
+    search::CodesignOptions opts;
+    opts.sweep.search.global_batch = 512;
+    opts.sweep.warm_start = true;
+    opts.sweep.threads = 2;
+    opts.prune_shapes = false;
+    const auto run = search::run_codesign(shapes, points, opts);
+    EXPECT_EQ(run.stats.shapes_pruned, 0u);
+    EXPECT_EQ(run.stats.shapes_evaluated, shapes.size() * points.size());
+    for (std::size_t p = 0; p < points.size(); ++p) {
+      core::EvalResult ref;
+      ref.reason = "no feasible configuration";
+      std::size_t ref_shape = search::CodesignResult::kNoShape;
+      for (std::size_t s = 0; s < shapes.size(); ++s) {
+        const auto direct =
+            search::find_optimal(shapes[s], points[p], opts.sweep.search);
+        expect_same_optimum(direct.best, run.per_shape[s][p],
+                            shapes[s].name + " point " + std::to_string(p));
+        if (search::better_result(direct.best, ref)) {
+          ref = direct.best;
+          ref_shape = s;
+        }
       }
+      expect_same_optimum(ref, run.best[p].best,
+                          "winner point " + std::to_string(p));
+      EXPECT_EQ(run.best[p].shape, ref_shape) << "point " << p;
     }
-    expect_same_optimum(ref, run.best[p].best,
-                        "winner point " + std::to_string(p));
-    EXPECT_EQ(run.best[p].shape, ref_shape) << "point " << p;
   }
 }
 
@@ -343,33 +343,6 @@ TEST(Codesign, RejectsUnsupportedOptions) {
   EXPECT_THROW(
       search::run_codesign({model::gpt3_175b()}, points, opts),
       std::invalid_argument);
-}
-
-/// The naive arm (use_signatures = false) fills the same exact matrix.
-TEST(Codesign, NaiveArmMatchesSignatureArm) {
-  const auto shapes = small_family();
-  const auto points =
-      search::hardware_grid({hw::GpuGeneration::B200}, {4, 16}, 128);
-  search::CodesignOptions fast;
-  fast.sweep.search.global_batch = 512;
-  fast.sweep.warm_start = true;
-  fast.sweep.threads = 2;
-  fast.prune_shapes = false;
-  search::CodesignOptions naive = fast;
-  naive.sweep.use_signatures = false;
-  const auto a = search::run_codesign(shapes, points, fast);
-  const auto b = search::run_codesign(shapes, points, naive);
-  for (std::size_t s = 0; s < shapes.size(); ++s) {
-    for (std::size_t p = 0; p < points.size(); ++p) {
-      expect_same_optimum(b.per_shape[s][p], a.per_shape[s][p],
-                          shapes[s].name + " point " + std::to_string(p));
-    }
-  }
-  for (std::size_t p = 0; p < points.size(); ++p) {
-    expect_same_optimum(b.best[p].best, a.best[p].best,
-                        "winner point " + std::to_string(p));
-    EXPECT_EQ(b.best[p].shape, a.best[p].shape) << "point " << p;
-  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
 #include <utility>
 #include <vector>
@@ -390,26 +391,138 @@ TEST(FindOptimal, BatchedEngineMatchesExhaustive) {
   }
 
   // A 40 GB system where candidates pass the placement-free memory floor
-  // but compile over capacity: those keep the scalar scan, which must keep
-  // its eval charge and leave the optimum alone.
+  // but compile over capacity: those get a direct infeasible result, which
+  // must keep the one-probe eval charge and leave the optimum alone.
   hw::SystemConfig small = hw::make_system(hw::GpuGeneration::A100, 4, kGpus);
   small.gpu = small.gpu.with_memory(Bytes(40e9), small.gpu.hbm_bandwidth);
   SearchOptions opts;
   opts.strategy = parallel::TpStrategy::TP1D;
   opts.global_batch = 512;
   std::size_t over_capacity = 0;
+  std::size_t screened_evals = 0;  // one probe per over-capacity candidate
   for (const auto& cfg : expand_candidates(mdl, small, opts)) {
     if (cfg.invalid_reason(mdl, small, opts.global_batch)) continue;
     const auto bounds =
         core::search_bounds(mdl, small, cfg, opts.global_batch);
     if (Bytes(bounds.memory_floor) > small.gpu.hbm_capacity) continue;
     const auto sig = core::compile_signature(mdl, cfg, opts.global_batch);
-    if (sig.mem.total() > small.gpu.hbm_capacity) ++over_capacity;
+    if (sig.mem.total() > small.gpu.hbm_capacity) {
+      ++over_capacity;
+      ++screened_evals;
+    } else {
+      screened_evals += enumerate_placements(cfg, small.nvs_domain).size();
+    }
   }
   EXPECT_GT(over_capacity, 0u);
+  // A ranking search has no incumbent, so every screened candidate is
+  // evaluated and the eval count is exactly the tally above.
+  SearchOptions ranked = opts;
+  ranked.top_k = 1;
+  EXPECT_EQ(find_optimal(mdl, small, ranked).evaluated, screened_evals);
   SCOPED_TRACE("A100 40 GB two-level 1D TP");
   expect_batched_matches_exhaustive(mdl, small, opts.strategy,
                                     opts.global_batch);
+}
+
+void expect_bitwise(const core::EvalResult& a, const core::EvalResult& b) {
+  EXPECT_EQ(a.feasible, b.feasible);
+  EXPECT_EQ(a.reason, b.reason);
+  EXPECT_EQ(a.cfg.describe(), b.cfg.describe());
+  EXPECT_EQ(a.cfg.nvs1, b.cfg.nvs1);
+  EXPECT_EQ(a.cfg.nvs2, b.cfg.nvs2);
+  EXPECT_EQ(a.cfg.nvsp, b.cfg.nvsp);
+  EXPECT_EQ(a.cfg.nvsd, b.cfg.nvsd);
+  EXPECT_EQ(a.time.compute, b.time.compute);
+  EXPECT_EQ(a.time.memory, b.time.memory);
+  EXPECT_EQ(a.time.tp_comm, b.time.tp_comm);
+  EXPECT_EQ(a.time.pp_comm, b.time.pp_comm);
+  EXPECT_EQ(a.time.dp_comm, b.time.dp_comm);
+  EXPECT_EQ(a.time.bubble, b.time.bubble);
+  EXPECT_EQ(a.time.optimizer, b.time.optimizer);
+  EXPECT_EQ(a.mem.weights, b.mem.weights);
+  EXPECT_EQ(a.mem.gradients, b.mem.gradients);
+  EXPECT_EQ(a.mem.optimizer, b.mem.optimizer);
+  EXPECT_EQ(a.mem.activations, b.mem.activations);
+  EXPECT_EQ(a.mem.kv_cache, b.mem.kv_cache);
+  EXPECT_EQ(a.t_fwd_micro, b.t_fwd_micro);
+  EXPECT_EQ(a.t_bwd_micro, b.t_bwd_micro);
+}
+
+/// The scalar reference scan (one time_placement walk per placement) and
+/// the batched scan return the same result bit for bit and charge the same
+/// evals: on a feasible multi-placement candidate, an over-HBM candidate
+/// under both stop modes, an invalid config and an empty placement list.
+TEST(Search, ScalarScanMatchesBatchedScan) {
+  const auto mdl = model::gpt3_175b();
+  const core::EvalOptions eval;
+  constexpr std::int64_t kBatch = 512;
+  const auto check = [&](const hw::SystemConfig& sys,
+                         const parallel::ParallelConfig& cfg,
+                         const std::vector<std::array<std::int64_t, 4>>& pls,
+                         bool stop_after_infeasible) {
+    const auto sig = core::compile_signature(mdl, cfg, kBatch, eval);
+    const auto bat = core::lower_batched(sig);
+    std::size_t scalar_evals = 0;
+    const core::EvalResult scalar = scan_placements_signature(
+        mdl, sys, cfg, kBatch, sig, core::bind_system(sig, sys, eval), pls,
+        eval, scalar_evals, stop_after_infeasible);
+    std::size_t batched_evals = 0;
+    core::BatchScratch scratch;
+    std::vector<core::PlacementTiming> timings;
+    const core::EvalResult batched = scan_placements_batch(
+        mdl, sys, cfg, kBatch, sig, bat,
+        core::bind_system_batched(sig, bat, sys, eval), pls, eval,
+        batched_evals, stop_after_infeasible, scratch, timings);
+    EXPECT_EQ(scalar_evals, batched_evals);
+    expect_bitwise(scalar, batched);
+    return scalar;
+  };
+  // First valid candidate with more than one placement whose compiled
+  // footprint fits (or, with want_fit = false, exceeds) the system's HBM.
+  const auto pick = [&](const hw::SystemConfig& sys, bool want_fit) {
+    SearchOptions opts;
+    opts.strategy = parallel::TpStrategy::TP1D;
+    opts.global_batch = kBatch;
+    for (const auto& cfg : expand_candidates(mdl, sys, opts)) {
+      if (cfg.invalid_reason(mdl, sys, kBatch)) continue;
+      if (enumerate_placements(cfg, sys.nvs_domain).size() < 2) continue;
+      const auto sig = core::compile_signature(mdl, cfg, kBatch, eval);
+      if ((sig.mem.total() <= sys.gpu.hbm_capacity) == want_fit) return cfg;
+    }
+    ADD_FAILURE() << "no candidate with want_fit=" << want_fit;
+    return parallel::ParallelConfig{};
+  };
+
+  const hw::SystemConfig big = b200(8, 256);
+  const parallel::ParallelConfig fits = pick(big, true);
+  const auto fit_pls = enumerate_placements(fits, big.nvs_domain);
+  {
+    SCOPED_TRACE("feasible");
+    EXPECT_TRUE(check(big, fits, fit_pls, true).feasible);
+  }
+
+  hw::SystemConfig small = hw::make_system(hw::GpuGeneration::A100, 4, 256);
+  small.gpu = small.gpu.with_memory(Bytes(40e9), small.gpu.hbm_bandwidth);
+  const parallel::ParallelConfig over = pick(small, false);
+  const auto over_pls = enumerate_placements(over, small.nvs_domain);
+  for (bool stop : {true, false}) {
+    SCOPED_TRACE(stop ? "over HBM, stop" : "over HBM, full");
+    const core::EvalResult r = check(small, over, over_pls, stop);
+    EXPECT_EQ(r.reason, "exceeds HBM capacity");
+  }
+
+  {
+    // The 256-GPU candidate on a 128-GPU system: fails divisibility.
+    SCOPED_TRACE("invalid");
+    const hw::SystemConfig half = b200(8, 128);
+    ASSERT_TRUE(fits.invalid_reason(mdl, half, kBatch).has_value());
+    EXPECT_FALSE(check(half, fits, fit_pls, true).feasible);
+  }
+
+  {
+    SCOPED_TRACE("no placements");
+    EXPECT_EQ(check(big, fits, {}, true).reason, "no valid placement");
+  }
 }
 
 // Property test for the analytic bounds: the floors must never exceed the

@@ -1,5 +1,5 @@
-// Pipelined, warm-started sweep engine: bitwise identity of the batched /
-// warm-started arms against find_optimal, loud rejection of unsupported
+// Pipelined, warm-started sweep engine: bitwise identity of the cold and
+// warm-started engine against find_optimal, loud rejection of unsupported
 // SweepOptions, thread-count invariance of the new work counters, and
 // tsan-covered concurrency of the shared caches and the chain-streaming
 // fan-out. Test suites are named Sweep/Signature on purpose — the tsan CTest
@@ -31,23 +31,18 @@ void expect_same_optimum(const core::EvalResult& ref,
   EXPECT_EQ(ref.mem.total().value(), got.mem.total().value()) << label;
 }
 
-/// Every engine arm — scalar, batched, batched+warm-started — must land on
-/// find_optimal's optimum bit for bit, pruned or exhaustive.
+/// The sweep engine — cold and warm-started — must land on find_optimal's
+/// optimum bit for bit, pruned or exhaustive.
 TEST(Sweep, BatchedWarmStartedMatchesFindOptimal) {
   const auto mdl = model::gpt3_175b();
   const auto points = search::hardware_grid(
       {hw::GpuGeneration::A100, hw::GpuGeneration::B200}, {4, 16}, 256);
   for (bool prune : {false, true}) {
-    for (const auto& [batch, warm] :
-         std::vector<std::pair<bool, bool>>{{false, false},
-                                            {true, false},
-                                            {false, true},
-                                            {true, true}}) {
+    for (bool warm : {false, true}) {
       search::SweepOptions opts;
       opts.search.strategy = parallel::TpStrategy::TP1D;
       opts.search.global_batch = 1024;
       opts.search.prune = prune;
-      opts.batch = batch;
       opts.warm_start = warm;
       opts.threads = 2;
       const auto swept = search::run_sweep(mdl, points, opts);
@@ -55,8 +50,7 @@ TEST(Sweep, BatchedWarmStartedMatchesFindOptimal) {
       for (std::size_t i = 0; i < points.size(); ++i) {
         const auto direct = search::find_optimal(mdl, points[i], opts.search);
         expect_same_optimum(direct.best, swept.best[i],
-                            "point " + std::to_string(i) + " batch=" +
-                                std::to_string(batch) + " warm=" +
+                            "point " + std::to_string(i) + " warm=" +
                                 std::to_string(warm) + " prune=" +
                                 std::to_string(prune));
       }
@@ -68,17 +62,12 @@ TEST(Sweep, BatchedWarmStartedMatchesFindOptimal) {
       } else {
         EXPECT_EQ(swept.stats.warm_seeded, 0u);
       }
-      if (batch) {
-        EXPECT_GT(swept.stats.batch_calls, 0u);
-        EXPECT_GT(swept.stats.signature_lowers, 0u);
-        // The batch kernel runs once per feasible candidate scan; the
-        // infeasible shortcut and pruning keep some evals out of batches.
-        EXPECT_LE(swept.stats.batch_placements, swept.stats.evaluated);
-        EXPECT_GE(swept.stats.batch_occupancy(), 1.0);
-      } else {
-        EXPECT_EQ(swept.stats.batch_calls, 0u);
-        EXPECT_EQ(swept.stats.signature_lowers, 0u);
-      }
+      EXPECT_GT(swept.stats.batch_calls, 0u);
+      EXPECT_GT(swept.stats.signature_lowers, 0u);
+      // The batch kernel runs once per feasible candidate scan; the
+      // capacity gates and pruning keep some evals out of batches.
+      EXPECT_LE(swept.stats.batch_placements, swept.stats.evaluated);
+      EXPECT_GE(swept.stats.batch_occupancy(), 1.0);
     }
   }
 }
@@ -121,12 +110,6 @@ TEST(Sweep, RejectsUnsupportedOptions) {
   search::SweepOptions threads = opts;
   threads.search.threads = 2;
   EXPECT_THROW(search::run_sweep(mdl, points, threads), std::invalid_argument);
-
-  // The legacy arm enforces the same contract (it would otherwise nest a
-  // per-point pool inside the sweep's budget).
-  search::SweepOptions legacy = threads;
-  legacy.use_signatures = false;
-  EXPECT_THROW(search::run_sweep(mdl, points, legacy), std::invalid_argument);
 
   // And the supported surface still runs (empty grid short-circuits after
   // validation).

@@ -419,7 +419,6 @@ int codesign_usage(const char* msg) {
       "  --batch B           global batch (default 4096)\n"
       "  --threads N         worker threads (0 = hardware concurrency)\n"
       "  --no-prune-shapes   keep the full exact per-shape matrix\n"
-      "  --no-batch          scalar placement walk (A/B baseline)\n"
       "  --no-warm-start     cold incumbents (A/B baseline)\n"
       "  --verify-per-shape  cross-check every scanned (shape, point) and\n"
       "                      winner bitwise against per-shape find_optimal;\n"
@@ -476,7 +475,6 @@ int run_codesign_cmd(const util::ArgParser& args) {
   search::CodesignOptions opts;
   opts.sweep.search.global_batch = args.get_int_or("batch", 4096);
   opts.sweep.threads = static_cast<unsigned>(args.get_int_or("threads", 0));
-  opts.sweep.batch = !args.has("no-batch");
   opts.sweep.warm_start = !args.has("no-warm-start");
   opts.prune_shapes = !args.has("no-prune-shapes");
   const bool verify = args.has("verify-per-shape");

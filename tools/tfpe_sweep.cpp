@@ -15,30 +15,27 @@
 //   batch = 4096
 //   output = sweep.csv
 //
-// Usage: tfpe-sweep spec.tfpe [--output path] [--engine signature|legacy]
-//                             [--threads N] [--batch | --no-batch]
-//                             [--warm-start] [--profile-stages]
-//                             [--verify-legacy] [--ablate-topology] [--arch]
+// Usage: tfpe-sweep spec.tfpe [--output path] [--threads N] [--warm-start]
+//                             [--profile-stages] [--verify-legacy]
+//                             [--ablate-topology] [--arch]
 //
 // The hardware axes (gpu, nvs, oversub) of each (model, strategy, batch,
 // gpus) slice run through search::run_sweep: candidates are enumerated once,
 // compiled once into hardware-invariant cost signatures, and re-timed per
 // hardware point in parallel. Oversubscription 1 keeps the canonical
 // two-level fabric; ratios > 1 attach a three-level leaf/spine fabric, so
-// the topology is swept exactly like the NVS-domain size. --engine legacy
-// falls back to one find_optimal call per point; --verify-legacy runs both
-// engines and exits nonzero unless every per-point optimum is bitwise
-// identical. --ablate-topology re-runs every two-level point with its
-// fabric replaced by the degenerate three-level preset (leaf = nvs, no
-// oversubscription) and exits nonzero unless the optima are bitwise
-// identical — the golden-equivalence contract of the topology layer.
+// the topology is swept exactly like the NVS-domain size. --verify-legacy
+// re-solves every point with its own search::find_optimal call and exits
+// nonzero unless every per-point optimum is bitwise identical.
+// --ablate-topology re-runs every two-level point with its fabric replaced
+// by the degenerate three-level preset (leaf = nvs, no oversubscription)
+// and exits nonzero unless the optima are bitwise identical — the
+// golden-equivalence contract of the topology layer.
 //
-// --no-batch drops the signature engine back to the PR-3 scalar placement
-// walk (--batch, the default, times each candidate's placements through the
-// SoA batch kernel); --warm-start seeds each grid point's incumbent from
-// its chain predecessor's optimum. Both knobs change throughput only —
-// every optimum stays bitwise identical. --profile-stages prints per-stage
-// busy seconds (enumerate / compile / time) and their overlap factor.
+// --warm-start seeds each grid point's incumbent from its chain
+// predecessor's optimum; it changes throughput only — every optimum stays
+// bitwise identical. --profile-stages prints per-stage busy seconds
+// (enumerate / compile / time) and their overlap factor.
 //
 // --arch adds the architecture axis: every model on the axis expands into
 // its iso-parameter shape family (the spec's [codesign] section, or the
@@ -46,7 +43,7 @@
 // search::run_codesign with the full exact per-shape matrix, one CSV row
 // per (shape, hardware point) with the shape's name in the model column —
 // the CSV schema is unchanged. --verify-legacy then cross-checks the
-// matrix bitwise against the naive one-find_optimal-per-pair arm.
+// matrix bitwise against one find_optimal call per (shape, point).
 
 #include <chrono>
 #include <cstdio>
@@ -68,10 +65,8 @@ using namespace tfpe;
 
 int usage(const char* msg) {
   if (msg) std::cerr << "error: " << msg << "\n";
-  std::cerr << "usage: tfpe-sweep spec.tfpe [--output path]\n"
-               "                  [--engine signature|legacy] [--threads N]\n"
-               "                  [--batch | --no-batch] [--warm-start]\n"
-               "                  [--profile-stages]\n"
+  std::cerr << "usage: tfpe-sweep spec.tfpe [--output path] [--threads N]\n"
+               "                  [--warm-start] [--profile-stages]\n"
                "                  [--verify-legacy] [--ablate-topology]\n"
                "                  [--arch]\n"
                "see the header of tools/tfpe_sweep.cpp for the spec format\n";
@@ -143,10 +138,6 @@ int main(int argc, char** argv) {
     const auto out_it = spec.find("output");
     output = out_it != spec.end() ? out_it->second : "sweep.csv";
   }
-  const std::string engine = args.get_or("engine", "signature");
-  if (engine != "signature" && engine != "legacy") {
-    return usage("--engine must be 'signature' or 'legacy'");
-  }
   const bool verify_legacy = args.has("verify-legacy");
   const bool ablate_topology = args.has("ablate-topology");
   const bool arch = args.has("arch");
@@ -161,13 +152,11 @@ int main(int argc, char** argv) {
       return usage(e.what());
     }
   }
-  if (args.has("batch") && args.has("no-batch")) {
-    return usage("--batch and --no-batch are mutually exclusive");
-  }
-  const bool batch = !args.has("no-batch");  // --batch is the default
   const bool warm_start = args.has("warm-start");
   const bool profile_stages = args.has("profile-stages");
   const auto threads = static_cast<unsigned>(args.get_int_or("threads", 0));
+  const auto stray = args.unused();
+  if (!stray.empty()) return usage(("unknown flag --" + stray.front()).c_str());
 
   // Validate axes up front, before any work.
   for (const auto& name : models) {
@@ -222,6 +211,21 @@ int main(int argc, char** argv) {
   };
   std::vector<ArchRow> arch_rows;
 
+  // SweepStats and CodesignStats name their shared counters alike.
+  const auto accumulate = [&](const auto& st) {
+    totals.signature_compiles += st.signature_compiles;
+    totals.signature_cache_hits += st.signature_cache_hits;
+    totals.signature_reuses += st.signature_reuses;
+    totals.batch_calls += st.batch_calls;
+    totals.batch_placements += st.batch_placements;
+    totals.warm_seeded += st.warm_seeded;
+    totals.warm_seed_feasible += st.warm_seed_feasible;
+    totals.profile.enumerate_s += st.profile.enumerate_s;
+    totals.profile.compile_s += st.profile.compile_s;
+    totals.profile.time_s += st.profile.time_s;
+    totals.profile.wall_s += st.profile.wall_s;
+  };
+
   for (const auto& model_name : models) {
     const auto mdl = model::preset_by_name(model_name);
     for (const auto& n_s : scale_axis) {
@@ -250,9 +254,11 @@ int main(int argc, char** argv) {
           opts.search.global_batch = std::stoll(b_s);
           opts.search.n_gpus = std::stoll(n_s);
           opts.threads = threads;
-          opts.use_signatures = engine == "signature";
-          opts.batch = batch;
           opts.warm_start = warm_start;
+          // --verify-legacy's reference: an independent find_optimal per
+          // point, given the sweep's thread budget.
+          search::SearchOptions reference = opts.search;
+          reference.threads = threads;
 
           if (arch) {
             // Architecture axis: expand the slice's model into its
@@ -280,25 +286,8 @@ int main(int argc, char** argv) {
                 std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - t0)
                     .count();
-            totals.candidates += cr.stats.candidates;
-            totals.evaluated += cr.stats.evaluated;
-            totals.signature_compiles += cr.stats.signature_compiles;
-            totals.signature_cache_hits += cr.stats.signature_cache_hits;
-            totals.batch_calls += cr.stats.batch_calls;
-            totals.batch_placements += cr.stats.batch_placements;
-            totals.warm_seeded += cr.stats.warm_seeded;
-            totals.warm_seed_feasible += cr.stats.warm_seed_feasible;
-            totals.profile.enumerate_s += cr.stats.profile.enumerate_s;
-            totals.profile.compile_s += cr.stats.profile.compile_s;
-            totals.profile.time_s += cr.stats.profile.time_s;
-            totals.profile.wall_s += cr.stats.profile.wall_s;
+            accumulate(cr.stats);
 
-            search::CodesignResult naive;
-            if (verify_legacy) {
-              search::CodesignOptions other = copts;
-              other.sweep.use_signatures = !copts.sweep.use_signatures;
-              naive = search::run_codesign(shapes, grid, other);
-            }
             for (std::size_t s = 0; s < shapes.size(); ++s) {
               for (std::size_t j = 0; j < slice.size(); ++j) {
                 Point p = points[slice[j]];
@@ -306,8 +295,10 @@ int main(int argc, char** argv) {
                 arch_rows.push_back(
                     {std::move(p), cr.per_shape[s][j], shapes[s].seq_len});
                 if (verify_legacy &&
-                    !identical_optimum(cr.per_shape[s][j],
-                                       naive.per_shape[s][j])) {
+                    !identical_optimum(
+                        cr.per_shape[s][j],
+                        search::find_optimal(shapes[s], grid[j], reference)
+                            .best)) {
                   ++mismatches;
                   std::cerr << "MISMATCH at " << shapes[s].name << " "
                             << points[slice[j]].gpu << " nvs"
@@ -327,25 +318,13 @@ int main(int argc, char** argv) {
           for (std::size_t j = 0; j < slice.size(); ++j) {
             results[slice[j]] = std::move(sr.best[j]);
           }
-          totals.candidates += sr.stats.candidates;
-          totals.evaluated += sr.stats.evaluated;
-          totals.signature_compiles += sr.stats.signature_compiles;
-          totals.signature_cache_hits += sr.stats.signature_cache_hits;
-          totals.batch_calls += sr.stats.batch_calls;
-          totals.batch_placements += sr.stats.batch_placements;
-          totals.warm_seeded += sr.stats.warm_seeded;
-          totals.warm_seed_feasible += sr.stats.warm_seed_feasible;
-          totals.profile.enumerate_s += sr.stats.profile.enumerate_s;
-          totals.profile.compile_s += sr.stats.profile.compile_s;
-          totals.profile.time_s += sr.stats.profile.time_s;
-          totals.profile.wall_s += sr.stats.profile.wall_s;
+          accumulate(sr.stats);
 
           if (verify_legacy) {
-            search::SweepOptions other = opts;
-            other.use_signatures = !opts.use_signatures;
-            const search::SweepResult check = run_sweep(*mdl, grid, other);
             for (std::size_t j = 0; j < slice.size(); ++j) {
-              if (!identical_optimum(results[slice[j]], check.best[j])) {
+              if (!identical_optimum(
+                      results[slice[j]],
+                      search::find_optimal(*mdl, grid[j], reference).best)) {
                 ++mismatches;
                 const Point& p = points[slice[j]];
                 std::cerr << "MISMATCH at " << p.model << " " << p.gpu
@@ -430,21 +409,16 @@ int main(int argc, char** argv) {
   const double pps = sweep_seconds > 0.0
                          ? static_cast<double>(n_rows) / sweep_seconds
                          : 0.0;
-  std::printf("engine=%s  %.3fs  %.1f points/s", engine.c_str(), sweep_seconds,
-              pps);
-  if (engine == "signature") {
-    std::printf("  compiles=%zu  compile-cache hit rate=%.1f%%",
-                totals.signature_compiles, 100.0 * totals.compile_hit_rate());
-    if (batch) {
-      std::printf("  batch-occupancy=%.1f", totals.batch_occupancy());
-    }
-    if (warm_start) {
-      std::printf("  warm-seeds=%zu/%zu", totals.warm_seed_feasible,
-                  totals.warm_seeded);
-    }
+  std::printf("%.3fs  %.1f points/s  compiles=%zu  compile-cache hit "
+              "rate=%.1f%%  batch-occupancy=%.1f",
+              sweep_seconds, pps, totals.signature_compiles,
+              100.0 * totals.compile_hit_rate(), totals.batch_occupancy());
+  if (warm_start) {
+    std::printf("  warm-seeds=%zu/%zu", totals.warm_seed_feasible,
+                totals.warm_seeded);
   }
   std::printf("\n");
-  if (profile_stages && engine == "signature") {
+  if (profile_stages) {
     std::printf(
         "stages: enumerate=%.3fs  compile=%.3fs  time=%.3fs  wall=%.3fs  "
         "overlap=%.2fx\n",
@@ -454,8 +428,8 @@ int main(int argc, char** argv) {
   }
   if (verify_legacy) {
     if (mismatches != 0) {
-      std::cerr << mismatches << " grid points differ between the signature "
-                << "and legacy engines\n";
+      std::cerr << mismatches << " grid points differ between the sweep "
+                << "engine and per-point find_optimal\n";
       return 1;
     }
     std::cout << "verify-legacy: all " << n_rows
