@@ -194,14 +194,6 @@ Sample run_once(const std::vector<model::TransformerConfig>& shapes,
   return s;
 }
 
-bool same_result(const core::EvalResult& a, const core::EvalResult& b) {
-  if (a.feasible != b.feasible) return false;
-  if (!a.feasible) return true;
-  return a.cfg.describe() == b.cfg.describe() &&
-         a.iteration() == b.iteration() &&
-         a.mem.total().value() == b.mem.total().value();
-}
-
 /// The exactness contract, checked against the naive reference BEFORE any
 /// artifact is written: every scanned (shape, point) entry matches the
 /// reference matrix bitwise, every pruned entry is flagged (never a
@@ -212,7 +204,8 @@ bool verify_against(const search::CodesignResult& ref, const Sample& s) {
   for (std::size_t i = 0; i < ref.shapes.size(); ++i) {
     for (std::size_t p = 0; p < ref.best.size(); ++p) {
       if (s.result.pruned[i][p]) continue;
-      if (!same_result(ref.per_shape[i][p], s.result.per_shape[i][p])) {
+      if (!search::same_optimum(ref.per_shape[i][p],
+                                s.result.per_shape[i][p])) {
         ok = false;
         std::cerr << "PER-SHAPE MISMATCH shape=" << ref.shapes[i].name
                   << " point=" << p << " (" << mode_name(s.mode)
@@ -222,7 +215,7 @@ bool verify_against(const search::CodesignResult& ref, const Sample& s) {
   }
   for (std::size_t p = 0; p < ref.best.size(); ++p) {
     if (ref.best[p].shape != s.result.best[p].shape ||
-        !same_result(ref.best[p].best, s.result.best[p].best)) {
+        !search::same_optimum(ref.best[p].best, s.result.best[p].best)) {
       ok = false;
       std::cerr << "WINNER MISMATCH at grid point " << p << " ("
                 << mode_name(s.mode) << ", threads=" << s.threads << ")\n";

@@ -162,14 +162,6 @@ Sample run_once(Mode mode, bool prune, unsigned threads, int repeats) {
   return s;
 }
 
-bool same_optimum(const core::EvalResult& a, const core::EvalResult& b) {
-  if (a.feasible != b.feasible) return false;
-  if (!a.feasible) return true;
-  return a.cfg.describe() == b.cfg.describe() &&
-         a.iteration() == b.iteration() &&
-         a.mem.total().value() == b.mem.total().value();
-}
-
 void write_json(const std::vector<Sample>& samples, std::size_t n_points,
                 bool identical, const std::string& path) {
   std::ofstream os(path);
@@ -317,7 +309,7 @@ int run_driver(bool quick) {
   const std::size_t n_points = samples.front().best.size();
   for (const Sample& s : samples) {
     for (std::size_t p = 0; p < n_points; ++p) {
-      if (!same_optimum(samples.front().best[p], s.best[p])) {
+      if (!search::same_optimum(samples.front().best[p], s.best[p])) {
         identical = false;
         std::cerr << "OPTIMUM MISMATCH at grid point " << p << " ("
                   << mode_name(s.mode) << ", prune=" << s.prune

@@ -110,13 +110,14 @@ CodesignResult run_codesign(const std::vector<model::TransformerConfig>& shapes,
                             const CodesignOptions& opts) {
   if (opts.sweep.search.top_k != 0) {
     throw std::invalid_argument(
-        "run_codesign: search.top_k is not supported (the product search "
-        "keeps only per-(shape, point) optima) — rank with find_optimal");
+        "run_sweep/run_codesign: search.top_k is not supported (the scan "
+        "keeps only the per-point optimum) — rank candidates with "
+        "find_optimal instead");
   }
   if (opts.sweep.search.threads != 0) {
     throw std::invalid_argument(
-        "run_codesign: search.threads is not supported (the engine owns the "
-        "thread budget) — set CodesignOptions::sweep.threads instead");
+        "run_sweep/run_codesign: search.threads is not supported (the scan "
+        "owns the thread budget) — set SweepOptions::threads instead");
   }
 
   CodesignResult out;
@@ -126,6 +127,7 @@ CodesignResult run_codesign(const std::vector<model::TransformerConfig>& shapes,
   out.best.resize(np);
   out.per_shape.assign(ns, std::vector<core::EvalResult>(np));
   out.pruned.assign(ns, std::vector<std::uint8_t>(np, 0));
+  out.evaluated.assign(ns, std::vector<std::size_t>(np, 0));
   out.stats.shapes = ns;
   out.stats.points = np;
   for (std::size_t s = 0; s < ns; ++s) {
@@ -145,9 +147,11 @@ CodesignResult run_codesign(const std::vector<model::TransformerConfig>& shapes,
                                      : points[p].n_gpus;
   }
 
-  // Chains exactly as in run_sweep: points sharing (GPU type, scale), in
-  // input order — within one shape the chain streams the ChainContext and
-  // the same-shape warm seed along the fabric axis.
+  // Chains: points sharing (GPU type, scale), in input order — the axis
+  // along which a hardware_grid varies only the fabric, so within one
+  // shape a predecessor's optimal candidate is a plausible (and index-
+  // compatible, since the candidate list is shared) seed for its
+  // successor, and the ChainContext streams along it.
   std::map<std::pair<std::string, std::int64_t>, std::size_t> chain_ids;
   std::vector<std::vector<std::size_t>> chains;
   for (std::size_t p = 0; p < np; ++p) {
@@ -157,7 +161,7 @@ CodesignResult run_codesign(const std::vector<model::TransformerConfig>& shapes,
     chains[it->second].push_back(p);
   }
 
-  // Product-sweep-scoped caches (model-keyed or model-free).
+  // Run-scoped caches (model-keyed or model-free).
   CandidateCache cand_cache;
   PlacementCache placement_cache;
   std::atomic<std::int64_t> enumerate_ns{0};
@@ -165,14 +169,16 @@ CodesignResult run_codesign(const std::vector<model::TransformerConfig>& shapes,
   std::atomic<std::int64_t> time_ns{0};
 
   // Per-point cross-shape state, updated sequentially between shapes: the
-  // incumbent winner and the last surviving shape's optimal configuration
-  // (the cross-shape warm seed, matched by value in the next shape's list).
+  // last surviving shape's optimal configuration (the cross-shape warm
+  // seed, matched by value in the next shape's list).
   std::vector<std::optional<parallel::ParallelConfig>> seed_cfg(np);
 
   // One pool of workers and one pool of scratch bundles for the WHOLE
   // product loop: the leased ScanScratch carries its warm capacity across
   // shapes, not just across chains. With a single worker (or a single
-  // chain) the chains run inline — no pool is ever spawned.
+  // chain) the chains run inline — spawning a pool to feed one consumer
+  // costs more than a small grid's whole scan, and the counters are
+  // thread-invariant either way.
   const unsigned workers =
       opts.sweep.threads != 0
           ? opts.sweep.threads
@@ -216,6 +222,12 @@ CodesignResult run_codesign(const std::vector<model::TransformerConfig>& shapes,
                           compile_ns,
                           time_ns};
 
+    // Within a chain the points run in input order, threading the warm
+    // seed; the leased ScanScratch persists across the chain (and, through
+    // the pool, across chains) so the batch kernel allocates only on
+    // growth. The ChainContext stays chain-local on purpose: its
+    // per-candidate entries are indexed into THIS chain's candidate list
+    // and must not leak into the next one.
     const auto run_chain = [&](std::size_t c) {
       util::ObjectPool<ScanScratch>::Lease scratch = scratch_pool.acquire();
       ChainContext ctx;
@@ -249,6 +261,7 @@ CodesignResult run_codesign(const std::vector<model::TransformerConfig>& shapes,
       if (out.pruned[s][p]) continue;
       PointOutcome& o = outcomes[p];
       ++out.stats.shapes_evaluated;
+      out.evaluated[s][p] = o.evaluated;
       out.stats.evaluated += o.evaluated;
       out.stats.bound_pruned += o.bound_pruned;
       out.stats.memory_pruned += o.memory_pruned;
@@ -276,6 +289,9 @@ CodesignResult run_codesign(const std::vector<model::TransformerConfig>& shapes,
     out.stats.layer_cache_hits += layer_cache.hits();
   }
 
+  for (const auto& w : out.best) {
+    if (w.shape != CodesignResult::kNoShape) ++out.stats.feasible_points;
+  }
   out.stats.enumerations = cand_cache.builds();
   out.stats.enumeration_hits = cand_cache.hits();
   out.stats.candidates = cand_cache.candidates();

@@ -1,53 +1,71 @@
 #pragma once
-// Architecture x configuration co-design search (ROADMAP item 3; Anthony
-// et al., arXiv 2401.14489): the optimal (shape, parallelization,
-// placement) triple over an iso-parameter architecture family
-// (model/shape_family.hpp) crossed with a hardware grid, run as a
-// branch-and-bound over the PRODUCT space instead of a find_optimal loop
-// per (shape, point):
+// The scan driver: the optimal (shape, parallelization, placement) triple
+// over a family of model shapes crossed with a hardware grid — GPU
+// generations, NVS-domain sizes, bandwidth/capacity and fabric what-ifs
+// (paper §IV Figs. 2-5, A2-A6; architecture co-design after Anthony et
+// al., arXiv 2401.14489). run_sweep (search/sweep.hpp) is this driver over
+// a one-shape family. It runs as a branch-and-bound over the PRODUCT space
+// instead of a find_optimal loop per (shape, point):
 //
-//   * SHAPE-LEVEL PRUNING — core::shape_time_floor bounds every candidate
-//     of a shape from the architecture and the system peaks alone, BEFORE
-//     the shape's candidate space is enumerated. A shape whose floor
-//     already exceeds the point's cross-shape incumbent (an achieved
-//     iteration time from an earlier shape) is skipped outright: floor >
-//     incumbent implies every one of its configurations is strictly slower
-//     than an achieved time, so it can neither win nor tie. Pruned
-//     (shape, point) pairs are reported as such, never with a fabricated
-//     optimum.
-//   * MEMOIZED ENUMERATION — expand_candidates is model-shape-dependent
-//     (see search.hpp), so CandidateCache memoizes it on the full
-//     (shape key, GPU count) pair and shares the lists across the grid.
-//   * WARM-START CHAINS ACROSS SHAPES — per point, the previous surviving
-//     shape's optimal ParallelConfig is looked up BY VALUE in the current
-//     shape's candidate list (indices are not comparable across shapes)
-//     and re-timed first, seeding the scan's incumbent with an achieved
-//     time exactly like PR 6's chain warm starts; within one shape, points
-//     chain along the hardware grid with the PR 6 ChainContext (compile
-//     once, bind once, fabric restamp) via search/point_scan.hpp.
-//   * PER-SHAPE CACHES — SignatureCache/LayerCostCache/BatchedCache key
-//     below the model, so the engine scopes one trio per shape (shared by
-//     all of that shape's grid points); the PlacementCache and
-//     CandidateCache are model-keyed or model-free and live for the whole
-//     product sweep.
+//   * LAZY, MEMOIZED ENUMERATION — expand_candidates depends on the system
+//     only through the GPU count but on the model shape (see search.hpp),
+//     so CandidateCache memoizes it on the full (shape key, GPU count)
+//     pair and shares the lists across the grid. The first worker that
+//     needs a list builds it, so enumeration OVERLAPS other chains'
+//     compile and timing work instead of serializing ahead of the fan-out.
+//   * COMPILE ONCE — each candidate is compiled once into a hardware-
+//     invariant CostSignature and lowered once into its SoA
+//     BatchedSignature. SignatureCache/LayerCostCache/BatchedCache key
+//     below the model, so the driver scopes one trio per shape, shared by
+//     all of that shape's grid points (and the interleave axis within a
+//     point); the PlacementCache and CandidateCache are model-keyed or
+//     model-free and live for the whole run.
+//   * CHAINS — grid points sharing a GPU type and scale (the NVS/bandwidth
+//     axis of a hardware_grid) form a chain, in input order. Chains stream
+//     over util::parallel_for_dynamic; within a chain the points run
+//     sequentially through one ChainContext (search/point_scan.hpp:
+//     compile once, bind once, fabric restamp).
+//   * WARM STARTS (SweepOptions::warm_start) — each scan first re-times a
+//     seed candidate: the previous surviving shape's optimum at the same
+//     point, looked up BY VALUE in this shape's list (indices are not
+//     comparable across shapes), else the chain predecessor's optimum.
+//     That seeds the incumbent with an *achieved* time and lets the
+//     lower-bound prune cut deeper. A seed can only tighten the
+//     incumbent, never below the point's true optimum, so the optima are
+//     unchanged — bit for bit — with or without warm starts.
+//   * SHAPE-LEVEL PRUNING (CodesignOptions::prune_shapes) —
+//     core::shape_time_floor bounds every candidate of a shape from the
+//     architecture and the system peaks alone, BEFORE the shape's
+//     candidate space is enumerated. A shape whose floor already exceeds
+//     the point's cross-shape incumbent (an achieved iteration time from
+//     an earlier shape) is skipped outright: floor > incumbent implies
+//     every one of its configurations is strictly slower than an achieved
+//     time, so it can neither win nor tie. Pruned (shape, point) pairs are
+//     reported as such, never with a fabricated optimum. The first shape
+//     has no incumbent, so a one-shape run never prunes.
+//   * Per point, candidates scan cheapest-lower-bound-first with a point-
+//     local incumbent, and all placements of a candidate are timed by one
+//     core::time_placements_batch call over the SoA arrays.
 //
-// EXACTNESS CONTRACT: for every (shape, point) pair the engine scans, the
+// EXACTNESS CONTRACT: for every (shape, point) pair the driver scans, the
 // reported result is BITWISE identical — configuration, time and memory —
-// to find_optimal(shape, point); per-point winners equal the shape-order
-// better_result reduction of those per-shape optima. Shape-level pruning
-// only ever removes pairs that provably cannot affect a winner (their
-// per-shape entry is flagged pruned). With prune_shapes = false the full
-// per-shape matrix is exact. bench_codesign and the codesign smoke ctest
-// assert both properties on every run.
+// to find_optimal(shape, point), with or without warm starts; per-point
+// winners equal the shape-order better_result reduction of those
+// per-shape optima. Shape-level pruning only ever removes pairs that
+// provably cannot affect a winner (their per-shape entry is flagged
+// pruned). With prune_shapes = false the full per-shape matrix is exact.
+// bench_sweep_scaling, bench_codesign and the sweep / codesign smoke
+// ctests assert this on every run.
 //
 // DETERMINISM: shapes run in family order with a sequential winner
 // reduction between them; within a shape, chains fan out across the pool
-// but each (shape, point) scan is sequential. Every CodesignStats WORK
-// counter is therefore invariant to the thread count; the StageProfile is
-// wall-clock and schedule-dependent (never golden-test it).
+// but each chain is sequential and its seeds are fixed by the input order.
+// Every CodesignStats WORK counter is therefore invariant to the thread
+// count; the StageProfile is wall-clock and schedule-dependent (use it for
+// perf triage, never in golden tests).
 //
 // Complexity: |family| x |grid| x |candidates| product points, of which
-// the engine evaluates only the shapes surviving the architecture floor,
+// the driver evaluates only the shapes surviving the architecture floor,
 // and per surviving shape only the candidates surviving the warm-seeded
 // per-point incumbent — the bench's GPT3-1T-class family resolves a
 // 200-shape x 3-generation product at >= 5x the per-shape find_optimal
@@ -128,10 +146,9 @@ class CandidateCache {
 };
 
 struct CodesignOptions {
-  /// Engine knobs shared with run_sweep: `sweep.search` fixes the candidate
-  /// space and global batch for every shape; `sweep.warm_start` /
-  /// `sweep.threads` tune the scan. The same restrictions as run_sweep
-  /// apply: search.top_k and search.threads must stay 0.
+  /// Scan knobs: `sweep.search` fixes the candidate space and global batch
+  /// for every shape; `sweep.warm_start` / `sweep.threads` tune the scan.
+  /// search.top_k and search.threads must stay 0 (see SweepOptions).
   SweepOptions sweep;
 
   /// Screen whole shapes with core::shape_time_floor against the per-point
@@ -142,46 +159,21 @@ struct CodesignOptions {
   bool prune_shapes = true;
 };
 
-/// Work counters for one co-design run. All except `profile` are invariant
-/// to the thread count.
-struct CodesignStats {
-  std::size_t shapes = 0;            ///< family size
-  std::size_t points = 0;            ///< hardware grid size
+/// Work counters for one driver run: the scan-level SweepStats, summed over
+/// every scanned (shape, point) pair (`feasible_points` counts the points
+/// that have a winner), plus the shape-level counters below. All except
+/// `profile` are invariant to the thread count.
+struct CodesignStats : SweepStats {
+  std::size_t shapes = 0;  ///< family size
   /// (shape, point) pairs skipped by the architecture-level floor…
   std::size_t shapes_pruned = 0;
   /// …and pairs actually scanned (pruned + evaluated = shapes * points).
   std::size_t shapes_evaluated = 0;
   std::size_t feasible_shape_points = 0;
-
-  /// CandidateCache builds (distinct (shape, scale) lists enumerated) /
-  /// hits, and the summed size of the distinct lists.
+  /// CandidateCache builds (distinct (shape, scale) lists enumerated) and
+  /// hits; `candidates` is the summed size of the distinct lists.
   std::size_t enumerations = 0;
   std::size_t enumeration_hits = 0;
-  std::size_t candidates = 0;
-
-  /// Scan-level work, summed over all scanned (shape, point) pairs —
-  /// same meaning as the SweepStats counters.
-  std::size_t evaluated = 0;
-  std::size_t bound_pruned = 0;
-  std::size_t memory_pruned = 0;
-  std::size_t batch_calls = 0;
-  std::size_t batch_placements = 0;
-  std::size_t warm_seeded = 0;
-  std::size_t warm_seed_feasible = 0;
-  std::size_t signature_compiles = 0;
-  std::size_t signature_cache_hits = 0;
-  /// Chain-held signature reuses (no cache probe) — same semantics as
-  /// SweepStats::signature_reuses.
-  std::size_t signature_reuses = 0;
-  std::size_t signature_lowers = 0;
-  std::size_t batched_cache_hits = 0;
-  std::size_t build_layer_calls = 0;
-  std::size_t layer_cache_hits = 0;
-  std::size_t placement_sets = 0;
-  std::size_t placement_cache_hits = 0;
-
-  /// Busy seconds per stage + wall clock; schedule-dependent.
-  SweepStats::StageProfile profile;
 };
 
 struct CodesignResult {
@@ -205,13 +197,15 @@ struct CodesignResult {
   /// cross-shape incumbent) it is infeasible with the shape-pruned reason.
   std::vector<std::vector<core::EvalResult>> per_shape;
   std::vector<std::vector<std::uint8_t>> pruned;
+  /// evaluated[s][p]: placement evaluations of that pair's scan (0 when
+  /// pruned); sums to stats.evaluated.
+  std::vector<std::vector<std::size_t>> evaluated;
 
   CodesignStats stats;
 };
 
-/// Co-design search of `shapes` x `points`. Throws std::invalid_argument
-/// when opts.sweep.search.top_k or .threads is nonzero (same contract as
-/// run_sweep).
+/// Driver run over `shapes` x `points`. Throws std::invalid_argument when
+/// opts.sweep.search.top_k or .threads is nonzero (see SweepOptions).
 CodesignResult run_codesign(const std::vector<model::TransformerConfig>& shapes,
                             const std::vector<hw::SystemConfig>& points,
                             const CodesignOptions& opts);

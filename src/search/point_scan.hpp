@@ -1,18 +1,18 @@
 #pragma once
-// The per-grid-point candidate scan shared by the cross-hardware sweep
-// (search/sweep.hpp) and the architecture co-design search
-// (search/codesign.hpp): one system's sequential, lower-bound-ordered scan
-// of a candidate list with an achieved-time incumbent, warm seeding, and
-// the ChainContext that persists per-candidate state (compiled signature,
-// SoA lowering, bound timing with fabric restamp, screen and lower-bound
-// caches) across the points of one chain.
+// The per-grid-point candidate scan of the scan driver (run_codesign in
+// search/codesign.hpp; run_sweep is its one-shape case): one system's
+// sequential, lower-bound-ordered scan of a candidate list with an
+// achieved-time incumbent, warm seeding, and the ChainContext that
+// persists per-candidate state (compiled signature, SoA lowering, bound
+// timing with fabric restamp, screen and lower-bound caches) across the
+// points of one chain.
 //
-// This is the search layer's internal engine room — the public entry
-// points are run_sweep and run_codesign, which own the caches, group
-// points into chains and aggregate PointOutcome counters into their stats.
-// Everything here preserves the bitwise contract: scan_point's best result
-// equals find_optimal's optimum at the same point, with or without a warm
-// seed and pruning (see sweep.hpp for the argument).
+// This is the search layer's internal engine room — run_codesign owns the
+// caches, groups points into chains and aggregates PointOutcome counters
+// into its stats. Everything here preserves the bitwise contract:
+// scan_point's best result equals find_optimal's optimum at the same
+// point, with or without a warm seed and pruning (see codesign.hpp for the
+// argument).
 
 #include <atomic>
 #include <chrono>

@@ -20,6 +20,14 @@ bool better_result(const core::EvalResult& a, const core::EvalResult& b) {
   return a.mem.total() < b.mem.total();
 }
 
+bool same_optimum(const core::EvalResult& a, const core::EvalResult& b) {
+  if (a.feasible != b.feasible) return false;
+  if (!a.feasible) return true;
+  return a.cfg.describe() == b.cfg.describe() &&
+         a.iteration() == b.iteration() &&
+         a.mem.total().value() == b.mem.total().value();
+}
+
 void pack_placement(parallel::ParallelConfig& cfg, std::int64_t nvs_domain) {
   auto largest_divisor_leq = [](std::int64_t n, std::int64_t cap) {
     std::int64_t best = 1;

@@ -138,14 +138,18 @@ core::EvalResult best_placement(const model::TransformerConfig& mdl,
                                 std::int64_t global_batch,
                                 const core::EvalOptions& eval = {});
 
-// -- Building blocks shared with the cross-hardware sweep engine
-//    (search/sweep.hpp) ----------------------------------------------------
+// -- Building blocks shared with the scan driver (search/codesign.hpp) ----
 
 /// True when `a` is strictly better than `b`: faster, or equally fast and
-/// lighter on HBM. find_optimal and run_sweep both reduce per-candidate
+/// lighter on HBM. find_optimal and run_codesign both reduce per-candidate
 /// results in candidate-index order with this predicate, which is what
 /// makes their optima identical configuration-for-configuration.
 bool better_result(const core::EvalResult& a, const core::EvalResult& b);
+
+/// True when `a` and `b` are the same optimum bit for bit: equal
+/// feasibility and, when feasible, the same configuration, iteration time
+/// and HBM total — the comparison every engine-vs-find_optimal check uses.
+bool same_optimum(const core::EvalResult& a, const core::EvalResult& b);
 
 /// The candidate parallelizations find_optimal scans: enumerate_parallel
 /// expanded by the interleave / ZeRO-3 / ring-attention axes. Depends on

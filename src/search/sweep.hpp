@@ -1,42 +1,14 @@
 #pragma once
-// Cross-hardware sweep engine (paper §IV Figs. 2-5, A2-A6): the optimal
+// Cross-hardware sweep (paper §IV Figs. 2-5, A2-A6): the optimal
 // configuration of one model at many hardware points — GPU generations,
-// NVS-domain sizes, bandwidth/capacity what-ifs — computed with the
-// two-phase evaluator so the hardware axis re-times compiled signatures
-// instead of re-running the full per-point search.
-//
-// Contrast with a find_optimal loop over the grid:
-//   * candidates are enumerated ONCE per distinct GPU count (the candidate
-//     space never depends on the GPU type or NVS size), lazily inside the
-//     worker that first needs the scale — so enumeration OVERLAPS with
-//     other workers' compile and timing work instead of serializing ahead
-//     of the fan-out;
-//   * each candidate is compiled ONCE into a hardware-invariant
-//     CostSignature and lowered ONCE into its SoA BatchedSignature, shared
-//     across every grid point through cross-sweep caches (and across the
-//     interleave axis within one point);
-//   * grid points are grouped into CHAINS — runs of points sharing a GPU
-//     type and scale, i.e. the NVS/bandwidth axis of a hardware_grid — and
-//     the chains stream over util::parallel_for_dynamic. Within a chain,
-//     points run sequentially so each point can WARM-START from its
-//     predecessor (SweepOptions::warm_start): the parent's optimal
-//     candidate is re-timed first at the child point, which seeds the
-//     child's incumbent with an *achieved* time and lets the lower-bound
-//     prune cut deeper. A warm seed can only tighten the incumbent, never
-//     below the child's true optimum, so the per-point optima are
-//     unchanged — bit for bit — with or without warm starts;
-//   * per point, candidates scan cheapest-lower-bound-first with a
-//     point-local incumbent, and all placements of a candidate are timed
-//     by one core::time_placements_batch call over the SoA arrays.
-// The per-point optima are IDENTICAL — configuration, time and memory
-// bits — to find_optimal run at that point, with or without warm_start
-// (bench_sweep_scaling asserts this on every run).
-//
-// Determinism: chains and seeds are fixed by the input order, and each
-// chain is sequential, so every SweepStats WORK counter (evaluated, pruned,
-// batch occupancy, warm-start counters) is invariant to the thread count.
-// The stage PROFILE (busy seconds per pipeline stage) is wall-clock and
-// schedule-dependent — use it for perf triage, never in golden tests.
+// NVS-domain sizes, bandwidth/capacity what-ifs. run_sweep is the scan
+// driver run_codesign (search/codesign.hpp) over a one-shape family; that
+// header documents the engine — lazy enumeration, compile-once caches,
+// chains, warm starts — and its exactness argument. The per-point optima
+// are IDENTICAL — configuration, time and memory bits — to find_optimal
+// run at that point, with or without warm_start (bench_sweep_scaling
+// asserts this on every run), and every SweepStats WORK counter is
+// invariant to the thread count.
 //
 // Supported per-point result is the optimum only (top_k / pareto still go
 // through find_optimal / pareto_frontier).
@@ -63,17 +35,19 @@ struct SweepOptions {
   unsigned threads = 0;
 
   /// Seed each point's incumbent from its chain predecessor's optimal
-  /// candidate (see the header comment). Off by default so the default
-  /// counters match the cold engine; turn on for large grids.
+  /// candidate (see "WARM STARTS" in search/codesign.hpp). Off by default
+  /// so the default counters match the cold engine; turn on for large
+  /// grids.
   bool warm_start = false;
 };
 
-/// Work counters for one sweep, aggregated over all grid points.
+/// Work counters for one sweep, aggregated over all grid points
+/// (CodesignStats extends them with the shape-level counters).
 struct SweepStats {
   std::size_t points = 0;
   std::size_t feasible_points = 0;
-  /// Candidate parallelizations per distinct GPU count, summed over the
-  /// distinct counts (NOT multiplied by the points sharing them).
+  /// Candidate parallelizations per distinct (shape, GPU count), summed
+  /// over the distinct pairs (NOT multiplied by the points sharing them).
   std::size_t candidates = 0;
   /// Placement evaluations (time_placement-equivalents) over all points;
   /// batch kernels count every placement they time.

@@ -11,7 +11,7 @@ namespace {
 using analysis::DiagnosticSink;
 using analysis::RuleId;
 
-/// Chain identity of one grid point as run_sweep keys it.
+/// Chain identity of one grid point as run_codesign keys it.
 struct ChainKey {
   std::string gpu_name;
   std::int64_t n_gpus = 0;

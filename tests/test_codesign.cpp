@@ -267,11 +267,15 @@ TEST(Codesign, StatsAreThreadInvariant) {
   opts.sweep.search.global_batch = 512;
   opts.sweep.warm_start = true;
   search::CodesignStats stats[2];
+  std::vector<std::vector<std::size_t>> evaluated[2];
   for (int i = 0; i < 2; ++i) {
     opts.sweep.threads = i == 0 ? 1 : 4;
     const auto run = search::run_codesign(shapes, points, opts);
     stats[i] = run.stats;
+    evaluated[i] = run.evaluated;
   }
+  EXPECT_EQ(evaluated[0], evaluated[1]);
+  EXPECT_EQ(stats[0].feasible_points, stats[1].feasible_points);
   EXPECT_EQ(stats[0].shapes_pruned, stats[1].shapes_pruned);
   EXPECT_EQ(stats[0].shapes_evaluated, stats[1].shapes_evaluated);
   EXPECT_EQ(stats[0].feasible_shape_points, stats[1].feasible_shape_points);
@@ -288,6 +292,59 @@ TEST(Codesign, StatsAreThreadInvariant) {
   EXPECT_EQ(stats[0].signature_lowers, stats[1].signature_lowers);
   EXPECT_EQ(stats[0].build_layer_calls, stats[1].build_layer_calls);
   EXPECT_EQ(stats[0].placement_sets, stats[1].placement_sets);
+}
+
+/// The per-pair work matrix: a floor-pruned pair is never scanned, so it
+/// charges no evaluations, and the matrix sums to the run's counter.
+TEST(Codesign, PrunedPairsChargeNoWork) {
+  // Dense + MoE variants of the tests/data/codesign_smoke.tfpe family: the
+  // MoE shapes' floors sit above the dense incumbents, so pairs prune — on
+  // this grid some shapes at only part of the points, so pruned and
+  // scanned pairs share one shape's reduction.
+  model::ShapeFamilyOptions fam;
+  fam.tolerance = 0.05;
+  fam.depths = {48, 96};
+  fam.heads = {64, 96, 128};
+  fam.head_dims = {128};
+  fam.aspect_min = 1.0;
+  fam.aspect_max = 8.0;
+  fam.moe_experts = {0, 4};
+  const auto shapes = model::shape_family(model::gpt3_175b(), fam);
+  const auto points = search::hardware_grid(
+      {hw::GpuGeneration::A100, hw::GpuGeneration::H200,
+       hw::GpuGeneration::B200},
+      {4, 8, 16}, 256);
+  search::CodesignOptions opts;
+  opts.sweep.search.global_batch = 128;
+  opts.sweep.warm_start = true;
+  opts.sweep.threads = 2;
+  const auto run = search::run_codesign(shapes, points, opts);
+  ASSERT_GT(run.stats.shapes_pruned, 0u);
+  ASSERT_EQ(run.evaluated.size(), shapes.size());
+  std::size_t total = 0;
+  std::size_t pruned = 0;
+  std::size_t partly_pruned_shapes = 0;
+  for (std::size_t s = 0; s < shapes.size(); ++s) {
+    ASSERT_EQ(run.evaluated[s].size(), points.size());
+    std::size_t shape_pruned = 0;
+    for (std::size_t p = 0; p < points.size(); ++p) {
+      if (run.pruned[s][p]) {
+        ++shape_pruned;
+        EXPECT_EQ(run.evaluated[s][p], 0u) << shapes[s].name << " point " << p;
+      }
+      total += run.evaluated[s][p];
+    }
+    if (shape_pruned > 0 && shape_pruned < points.size()) {
+      ++partly_pruned_shapes;
+    }
+    pruned += shape_pruned;
+  }
+  EXPECT_GT(partly_pruned_shapes, 0u);
+  EXPECT_EQ(pruned, run.stats.shapes_pruned);
+  EXPECT_EQ(total, run.stats.evaluated);
+  std::size_t winners = 0;
+  for (const auto& w : run.best) winners += w.best.feasible ? 1 : 0;
+  EXPECT_EQ(winners, run.stats.feasible_points);
 }
 
 /// Satellite regression: the candidate memo keys on the FULL (shape,

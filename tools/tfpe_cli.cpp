@@ -451,14 +451,6 @@ int run_codesign_cmd(const util::ArgParser& args) {
 
   model::ShapeFamilyOptions fam =
       file_cfg.codesign ? *file_cfg.codesign : model::ShapeFamilyOptions{};
-  if (args.has("target-params")) {
-    fam.target_params = static_cast<std::int64_t>(
-        args.get_double_or("target-params", 0.0) * 1e9);
-  }
-  if (args.has("tolerance")) {
-    fam.tolerance = args.get_double_or("tolerance", fam.tolerance);
-  }
-
   std::vector<hw::GpuGeneration> gens;
   for (const auto& name :
        util::split_list(args.get_or("gpu", "a100,h200,b200"))) {
@@ -468,13 +460,31 @@ int run_codesign_cmd(const util::ArgParser& args) {
   }
   std::vector<std::int64_t> nvs;
   for (const auto& v : util::split_list(args.get_or("nvs", "8"))) {
-    nvs.push_back(std::stoll(v));
+    char* end = nullptr;
+    const std::int64_t domain = std::strtoll(v.c_str(), &end, 10);
+    if (end == v.c_str() || *end != '\0' || domain < 1) {
+      return codesign_usage(
+          ("flag --nvs expects positive integers, got '" + v + "'").c_str());
+    }
+    nvs.push_back(domain);
   }
-  const std::int64_t n_gpus = args.get_int_or("gpus", 1024);
-
+  std::int64_t n_gpus = 0;
+  std::int64_t threads = 0;
   search::CodesignOptions opts;
-  opts.sweep.search.global_batch = args.get_int_or("batch", 4096);
-  opts.sweep.threads = static_cast<unsigned>(args.get_int_or("threads", 0));
+  try {
+    if (args.has("target-params")) {
+      fam.target_params = static_cast<std::int64_t>(
+          args.get_double_or("target-params", 0.0) * 1e9);
+    }
+    fam.tolerance = args.get_double_or("tolerance", fam.tolerance);
+    n_gpus = args.get_int_or("gpus", 1024);
+    opts.sweep.search.global_batch = args.get_int_or("batch", 4096);
+    threads = args.get_int_or("threads", 0);
+  } catch (const std::exception& e) {
+    return codesign_usage(e.what());
+  }
+  if (threads < 0) return codesign_usage("--threads must be >= 0");
+  opts.sweep.threads = static_cast<unsigned>(threads);
   opts.sweep.warm_start = !args.has("no-warm-start");
   opts.prune_shapes = !args.has("no-prune-shapes");
   const bool verify = args.has("verify-per-shape");
@@ -564,14 +574,7 @@ int run_codesign_cmd(const util::ArgParser& args) {
           ref_shape = s;
         }
         if (run.pruned[s][p]) continue;
-        const auto& got = run.per_shape[s][p];
-        const bool same =
-            direct.best.feasible == got.feasible &&
-            (!got.feasible ||
-             (direct.best.cfg.describe() == got.cfg.describe() &&
-              direct.best.iteration() == got.iteration() &&
-              direct.best.mem.total().value() == got.mem.total().value()));
-        if (!same) {
+        if (!search::same_optimum(direct.best, run.per_shape[s][p])) {
           ++mismatches;
           std::cerr << "MISMATCH at " << shapes[s].name << " x "
                     << points[p].gpu.name << " nvs" << points[p].nvs_domain
@@ -579,13 +582,7 @@ int run_codesign_cmd(const util::ArgParser& args) {
         }
       }
       const auto& w = run.best[p];
-      const bool winner_same =
-          ref_shape == w.shape &&
-          (ref_shape == search::CodesignResult::kNoShape ||
-           (ref.cfg.describe() == w.best.cfg.describe() &&
-            ref.iteration() == w.best.iteration() &&
-            ref.mem.total().value() == w.best.mem.total().value()));
-      if (!winner_same) {
+      if (ref_shape != w.shape || !search::same_optimum(ref, w.best)) {
         ++mismatches;
         std::cerr << "WINNER MISMATCH at " << points[p].gpu.name << " nvs"
                   << points[p].nvs_domain << "\n";

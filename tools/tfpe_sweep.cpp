@@ -19,14 +19,18 @@
 //                             [--profile-stages] [--verify-legacy]
 //                             [--ablate-topology] [--arch]
 //
-// The hardware axes (gpu, nvs, oversub) of each (model, strategy, batch,
-// gpus) slice run through search::run_sweep: candidates are enumerated once,
-// compiled once into hardware-invariant cost signatures, and re-timed per
-// hardware point in parallel. Oversubscription 1 keeps the canonical
-// two-level fabric; ratios > 1 attach a three-level leaf/spine fabric, so
-// the topology is swept exactly like the NVS-domain size. --verify-legacy
-// re-solves every point with its own search::find_optimal call and exits
-// nonzero unless every per-point optimum is bitwise identical.
+// The spec is schema-linted first (the checks of `tfpe lint FILE`); any
+// error prints the located report and exits 2 before any work.
+//
+// Each (model, strategy, batch, gpus) slice is one search::run_codesign
+// call over its hardware axes (gpu, nvs, oversub): candidates are
+// enumerated once, compiled once into hardware-invariant cost signatures,
+// and re-timed per hardware point in parallel. The plain sweep passes the
+// slice's model as a one-shape family. Oversubscription 1 keeps the
+// canonical two-level fabric; ratios > 1 attach a three-level leaf/spine
+// fabric, so the topology is swept exactly like the NVS-domain size.
+// --verify-legacy re-solves every row with its own search::find_optimal
+// call and exits nonzero unless every optimum is bitwise identical.
 // --ablate-topology re-runs every two-level point with its fabric replaced
 // by the degenerate three-level preset (leaf = nvs, no oversubscription)
 // and exits nonzero unless the optima are bitwise identical — the
@@ -39,19 +43,20 @@
 //
 // --arch adds the architecture axis: every model on the axis expands into
 // its iso-parameter shape family (the spec's [codesign] section, or the
-// defaults; see io/config_file.hpp) and each slice runs through
-// search::run_codesign with the full exact per-shape matrix, one CSV row
-// per (shape, hardware point) with the shape's name in the model column —
-// the CSV schema is unchanged. --verify-legacy then cross-checks the
-// matrix bitwise against one find_optimal call per (shape, point).
+// defaults; see io/config_file.hpp), which becomes the slice's family with
+// the full exact per-shape matrix (no shape pruning) — one CSV row per
+// (shape, hardware point) with the shape's name in the model column; the
+// CSV schema is unchanged.
 
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 
+#include "analysis/diagnostics.hpp"
 #include "hw/topology.hpp"
 #include "io/config_file.hpp"
+#include "io/config_lint.hpp"
 #include "search/codesign.hpp"
 #include "search/sweep.hpp"
 #include "util/args.hpp"
@@ -92,24 +97,32 @@ struct Point {
   std::string model, gpu, nvs, oversub, gpus, strategy, batch;
 };
 
-bool identical_optimum(const core::EvalResult& a, const core::EvalResult& b) {
-  if (a.feasible != b.feasible) return false;
-  if (!a.feasible) return true;
-  return a.cfg.describe() == b.cfg.describe() &&
-         a.iteration() == b.iteration() &&
-         a.mem.total().value() == b.mem.total().value();
-}
+/// One CSV row: a sweep point (its model column naming the shape under
+/// --arch), its optimum, and the sequence length its throughput uses.
+struct Row {
+  Point p;
+  core::EvalResult r;
+  std::int64_t seq_len = 0;
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
   util::ArgParser args(argc, argv);
   if (args.positional().empty()) return usage("missing sweep spec");
+  const std::string& spec_path = args.positional().front();
+
+  // Every axis value (model / gpu / strategy names, positive integers,
+  // oversubscription ratios) is validated here, before any work.
+  const analysis::LintReport lint = io::lint_config_file(spec_path);
+  if (lint.errors() > 0) {
+    std::cerr << analysis::render_text(lint) << "\n";
+    return 2;
+  }
 
   io::ConfigSections sections;
   try {
-    std::ifstream in(args.positional().front());
-    if (!in) return usage("cannot open spec file");
+    std::ifstream in(spec_path);
     sections = io::parse_config(in);
   } catch (const std::exception& e) {
     return usage(e.what());
@@ -154,29 +167,22 @@ int main(int argc, char** argv) {
   }
   const bool warm_start = args.has("warm-start");
   const bool profile_stages = args.has("profile-stages");
-  const auto threads = static_cast<unsigned>(args.get_int_or("threads", 0));
+  std::int64_t threads_flag = 0;
+  try {
+    threads_flag = args.get_int_or("threads", 0);
+  } catch (const std::exception& e) {
+    return usage(e.what());
+  }
+  if (threads_flag < 0) return usage("--threads must be >= 0");
+  const auto threads = static_cast<unsigned>(threads_flag);
   const auto stray = args.unused();
   if (!stray.empty()) return usage(("unknown flag --" + stray.front()).c_str());
 
-  // Validate axes up front, before any work.
-  for (const auto& name : models) {
-    if (!model::preset_by_name(name)) {
-      return usage(("unknown model '" + name + "'").c_str());
-    }
-  }
-  for (const auto& name : gpus_axis) {
-    if (!gen_by_name(name)) return usage(("unknown gpu '" + name + "'").c_str());
-  }
-  for (const auto& name : strat_axis) {
-    if (!strategy_by_name(name)) {
-      return usage(("unknown strategy '" + name + "'").c_str());
-    }
-  }
-
-  // Flatten the cross product in spec nesting order (the CSV row order), and
-  // group points into hardware grids: within one (model, strategy, batch,
-  // gpus) slice the gpu × nvs axes share candidates and compiled signatures,
-  // so each slice is one run_sweep call.
+  // Flatten the cross product in spec nesting order (the plain CSV row
+  // order), and group points into hardware grids: within one (model,
+  // strategy, batch, gpus) slice the gpu × nvs × oversub axes share
+  // candidates and compiled signatures, so each slice is one run_codesign
+  // call.
   std::vector<Point> points;
   for (const auto& model_name : models) {
     for (const auto& gpu_name : gpus_axis) {
@@ -195,39 +201,31 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<core::EvalResult> results(points.size());
+  // Plain rows land at their point's index; --arch rows, one per (shape,
+  // hardware point), append slice by slice in spec nesting order.
+  std::vector<Row> rows(arch ? 0 : points.size());
   search::SweepStats totals;
   double sweep_seconds = 0.0;
   std::size_t mismatches = 0;
   std::size_t ablation_mismatches = 0;
   std::size_t ablation_checked = 0;
 
-  /// --arch: one row per (shape, hardware point), shape name in the model
-  /// column — appended slice by slice in spec nesting order.
-  struct ArchRow {
-    Point p;
-    core::EvalResult r;
-    std::int64_t seq_len = 0;
-  };
-  std::vector<ArchRow> arch_rows;
-
-  // SweepStats and CodesignStats name their shared counters alike.
-  const auto accumulate = [&](const auto& st) {
-    totals.signature_compiles += st.signature_compiles;
-    totals.signature_cache_hits += st.signature_cache_hits;
-    totals.signature_reuses += st.signature_reuses;
-    totals.batch_calls += st.batch_calls;
-    totals.batch_placements += st.batch_placements;
-    totals.warm_seeded += st.warm_seeded;
-    totals.warm_seed_feasible += st.warm_seed_feasible;
-    totals.profile.enumerate_s += st.profile.enumerate_s;
-    totals.profile.compile_s += st.profile.compile_s;
-    totals.profile.time_s += st.profile.time_s;
-    totals.profile.wall_s += st.profile.wall_s;
-  };
-
   for (const auto& model_name : models) {
     const auto mdl = model::preset_by_name(model_name);
+    // The slice's shape family: the model itself, or under --arch its
+    // iso-parameter family.
+    std::vector<model::TransformerConfig> shapes{*mdl};
+    if (arch) {
+      try {
+        shapes = model::shape_family(*mdl, family_opts);
+      } catch (const std::exception& e) {
+        return usage(e.what());
+      }
+      if (shapes.empty()) {
+        return usage(
+            ("[codesign] enumerates zero shapes around " + model_name).c_str());
+      }
+    }
     for (const auto& n_s : scale_axis) {
       for (const auto& strat_s : strat_axis) {
         for (const auto& b_s : batch_axis) {
@@ -249,87 +247,59 @@ int main(int argc, char** argv) {
                 leaf_size)[0]);
           }
 
-          search::SweepOptions opts;
-          opts.search.strategy = *strategy_by_name(strat_s);
-          opts.search.global_batch = std::stoll(b_s);
-          opts.search.n_gpus = std::stoll(n_s);
-          opts.threads = threads;
-          opts.warm_start = warm_start;
+          search::CodesignOptions opts;
+          opts.sweep.search.strategy = *strategy_by_name(strat_s);
+          opts.sweep.search.global_batch = std::stoll(b_s);
+          opts.sweep.search.n_gpus = std::stoll(n_s);
+          opts.sweep.threads = threads;
+          opts.sweep.warm_start = warm_start;
+          // Every row must be a true find_optimal result, so the full
+          // per-shape matrix is kept.
+          opts.prune_shapes = false;
           // --verify-legacy's reference: an independent find_optimal per
-          // point, given the sweep's thread budget.
-          search::SearchOptions reference = opts.search;
+          // row, given the sweep's thread budget.
+          search::SearchOptions reference = opts.sweep.search;
           reference.threads = threads;
 
-          if (arch) {
-            // Architecture axis: expand the slice's model into its
-            // iso-parameter family and run the co-design engine with the
-            // full exact per-shape matrix (every row must be a true
-            // find_optimal result, so shape pruning stays off here).
-            std::vector<model::TransformerConfig> shapes;
-            try {
-              shapes = model::shape_family(*mdl, family_opts);
-            } catch (const std::exception& e) {
-              return usage(e.what());
-            }
-            if (shapes.empty()) {
-              return usage(("[codesign] enumerates zero shapes around " +
-                            model_name)
-                               .c_str());
-            }
-            search::CodesignOptions copts;
-            copts.sweep = opts;
-            copts.prune_shapes = false;
-            const auto t0 = std::chrono::steady_clock::now();
-            search::CodesignResult cr =
-                search::run_codesign(shapes, grid, copts);
-            sweep_seconds +=
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-            accumulate(cr.stats);
-
-            for (std::size_t s = 0; s < shapes.size(); ++s) {
-              for (std::size_t j = 0; j < slice.size(); ++j) {
-                Point p = points[slice[j]];
-                p.model = shapes[s].name;
-                arch_rows.push_back(
-                    {std::move(p), cr.per_shape[s][j], shapes[s].seq_len});
-                if (verify_legacy &&
-                    !identical_optimum(
-                        cr.per_shape[s][j],
-                        search::find_optimal(shapes[s], grid[j], reference)
-                            .best)) {
-                  ++mismatches;
-                  std::cerr << "MISMATCH at " << shapes[s].name << " "
-                            << points[slice[j]].gpu << " nvs"
-                            << points[slice[j]].nvs << "\n";
-                }
-              }
-            }
-            continue;
-          }
-
           const auto t0 = std::chrono::steady_clock::now();
-          search::SweepResult sr = run_sweep(*mdl, grid, opts);
+          const search::CodesignResult run =
+              search::run_codesign(shapes, grid, opts);
           sweep_seconds +=
               std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                             t0)
                   .count();
-          for (std::size_t j = 0; j < slice.size(); ++j) {
-            results[slice[j]] = std::move(sr.best[j]);
-          }
-          accumulate(sr.stats);
+          const search::SweepStats& st = run.stats;
+          totals.signature_compiles += st.signature_compiles;
+          totals.signature_cache_hits += st.signature_cache_hits;
+          totals.signature_reuses += st.signature_reuses;
+          totals.batch_calls += st.batch_calls;
+          totals.batch_placements += st.batch_placements;
+          totals.warm_seeded += st.warm_seeded;
+          totals.warm_seed_feasible += st.warm_seed_feasible;
+          totals.profile.enumerate_s += st.profile.enumerate_s;
+          totals.profile.compile_s += st.profile.compile_s;
+          totals.profile.time_s += st.profile.time_s;
+          totals.profile.wall_s += st.profile.wall_s;
 
-          if (verify_legacy) {
+          for (std::size_t s = 0; s < shapes.size(); ++s) {
             for (std::size_t j = 0; j < slice.size(); ++j) {
-              if (!identical_optimum(
-                      results[slice[j]],
-                      search::find_optimal(*mdl, grid[j], reference).best)) {
+              Row row{points[slice[j]], run.per_shape[s][j],
+                      shapes[s].seq_len};
+              if (arch) row.p.model = shapes[s].name;
+              if (verify_legacy &&
+                  !search::same_optimum(
+                      row.r,
+                      search::find_optimal(shapes[s], grid[j], reference)
+                          .best)) {
                 ++mismatches;
-                const Point& p = points[slice[j]];
-                std::cerr << "MISMATCH at " << p.model << " " << p.gpu
-                          << " nvs" << p.nvs << " n" << p.gpus << " "
-                          << p.strategy << " b" << p.batch << "\n";
+                std::cerr << "MISMATCH at " << row.p.model << " " << row.p.gpu
+                          << " nvs" << row.p.nvs << " n" << row.p.gpus << " "
+                          << row.p.strategy << " b" << row.p.batch << "\n";
+              }
+              if (arch) {
+                rows.push_back(std::move(row));
+              } else {
+                rows[slice[j]] = std::move(row);
               }
             }
           }
@@ -348,11 +318,12 @@ int main(int argc, char** argv) {
                   grid[j].n_gpus, 1.0);
               swapped[j] = true;
             }
-            const search::SweepResult check = run_sweep(*mdl, degenerate, opts);
+            const search::SweepResult check =
+                search::run_sweep(*mdl, degenerate, opts.sweep);
             for (std::size_t j = 0; j < slice.size(); ++j) {
               if (!swapped[j]) continue;
               ++ablation_checked;
-              if (!identical_optimum(results[slice[j]], check.best[j])) {
+              if (!search::same_optimum(rows[slice[j]].r, check.best[j])) {
                 ++ablation_mismatches;
                 const Point& p = points[slice[j]];
                 std::cerr << "ABLATION MISMATCH at " << p.model << " "
@@ -371,9 +342,8 @@ int main(int argc, char** argv) {
                     "batch", "feasible", "config", "iter_s",
                     "tokens_per_s_per_gpu", "hbm_gb"});
   std::size_t feasible = 0;
-  const std::size_t n_rows = arch ? arch_rows.size() : points.size();
-  const auto emit_row = [&](std::size_t i, const Point& p,
-                            const core::EvalResult& r, std::int64_t seq_len) {
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const auto& [p, r, seq_len] = rows[i];
     if (r.feasible) ++feasible;
     const auto n = static_cast<double>(std::stoll(p.gpus));
     const double tps =
@@ -392,18 +362,9 @@ int main(int argc, char** argv) {
               << p.strategy << " b" << p.batch << ": "
               << (r.feasible ? util::format_time(r.iteration()) : "infeasible")
               << "\n";
-  };
-  if (arch) {
-    for (std::size_t i = 0; i < arch_rows.size(); ++i) {
-      emit_row(i, arch_rows[i].p, arch_rows[i].r, arch_rows[i].seq_len);
-    }
-  } else {
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      emit_row(i, points[i], results[i],
-               model::preset_by_name(points[i].model)->seq_len);
-    }
   }
 
+  const std::size_t n_rows = rows.size();
   std::cout << n_rows << " sweep points (" << feasible
             << " feasible) written to " << output << "\n";
   const double pps = sweep_seconds > 0.0
