@@ -489,6 +489,92 @@ void time_placements_batch(
 #endif
 }
 
+double placement_floor(const CostSignature& sig, const BatchedSignature& bat,
+                       const SystemTiming& base,
+                       const comm::FabricPricer& pricer,
+                       const parallel::ParallelConfig& cfg,
+                       const EvalOptions& opts, BatchScratch& s) {
+  if (!(opts.tp_overlap <= 1)) return 0;
+  const hw::Topology& fabric = pricer.fabric();
+  const std::array<std::int64_t, 4> group_size = {cfg.n1, cfg.n2, cfg.nd,
+                                                  cfg.np};
+
+  // One floor per pricing row, where the kernel prices one cell per
+  // distinct nvs: the floor depends on the group size, never the nvs.
+  const std::size_t nu = bat.price_rep.size();
+  s.row_floor.resize(nu);
+  for (std::size_t u = 0; u < nu; ++u) {
+    const std::uint32_t rep = bat.price_rep[u];
+    const ops::Collective kind = bat.comm_kind[rep];
+    const Bytes bytes = bat.comm_panel_bytes[rep];
+    Seconds floor;
+    if (kind == ops::Collective::None) {
+      floor = Seconds(0);
+    } else if (kind == ops::Collective::PointToPoint) {
+      floor = bytes / comm::best_p2p_bandwidth(fabric);
+    } else {
+      floor = comm::collective_time_floor(fabric,
+                                          group_size[bat.comm_group[rep]],
+                                          bytes);
+    }
+    s.row_floor[u] = floor;
+  }
+  const auto row_sum = [&](std::uint32_t begin, std::uint32_t count) {
+    Seconds t;
+    for (std::uint32_t r = begin; r < begin + count; ++r) {
+      t += s.row_floor[bat.comm_price_row[r]];
+    }
+    return t;
+  };
+
+  // The kernel's op walk, statement for statement, on the row floors.
+  Seconds fwd_comm, bwd_comm;
+  std::size_t summa = 0;
+  for (std::size_t i = 0; i < bat.op_count(); ++i) {
+    const std::int64_t panels = bat.panels[i];
+    std::array<Seconds, 2> panel{};
+    if (panels > 1) panel = base.summa_panel_time[summa++];
+    Seconds f_comm, b_comm;
+    if (bat.fwd_comm_count[i] > 0) {
+      const Seconds t = row_sum(bat.fwd_comm_begin[i], bat.fwd_comm_count[i]);
+      f_comm = panels == 1 ? t
+                           : t + std::max(Seconds(0), t - panel[0]) *
+                                     static_cast<double>(panels - 1);
+    }
+    if (bat.bwd_comm_count[i] > 0) {
+      const Seconds t = row_sum(bat.bwd_comm_begin[i], bat.bwd_comm_count[i]);
+      b_comm = panels == 1 ? t
+                           : t + std::max(Seconds(0), t - panel[1]) *
+                                     static_cast<double>(panels - 1);
+    }
+    if (panels <= 1 && opts.tp_overlap > 0) {
+      f_comm *= 1.0 - opts.tp_overlap;
+      b_comm *= 1.0 - opts.tp_overlap;
+    }
+    fwd_comm += f_comm;
+    bwd_comm += b_comm;
+    if (opts.activation_recompute) bwd_comm += f_comm;
+  }
+
+  const double Ld = static_cast<double>(sig.layers_per_stage);
+  const double md = static_cast<double>(sig.microbatches);
+  Seconds t_fwd_stage = (base.fwd_cm + fwd_comm) * Ld;
+  Seconds t_bwd_stage = (base.bwd_cm + bwd_comm) * Ld;
+  if (!sig.head.empty()) {
+    t_fwd_stage += base.head_fwd_cm;
+    t_bwd_stage += base.head_bwd_cm;
+  }
+  TimeBreakdown t;
+  t.compute = base.time_compute;
+  t.memory = base.time_memory;
+  t.tp_comm = ((fwd_comm + bwd_comm) * (md * Ld)).value();
+  t.bubble = pipeline::bubble_time(cfg.np, t_fwd_stage, t_bwd_stage,
+                                   cfg.interleave)
+                 .value();
+  t.optimizer = base.optimizer;
+  return t.total();
+}
+
 std::vector<std::vector<PlacementTiming>> time_placements_systems_batch(
     const CostSignature& sig, const BatchedSignature& bat,
     const std::vector<hw::SystemConfig>& systems,

@@ -132,6 +132,10 @@ struct BatchScratch {
   /// nvs), kept here so a warm scan prices DP terms allocation-free.
   std::vector<std::int64_t> dp_keys;
   std::vector<std::array<Seconds, 2>> dp_terms;
+  /// placement_floor's per-pricing-row collective floors (one per
+  /// BatchedSignature::price_rep entry), kept here so the screen runs
+  /// allocation-free once warm.
+  std::vector<Seconds> row_floor;
 };
 
 /// SoA bind: bitwise-identical to bind_system(sig, sys, opts) — the same
@@ -172,6 +176,31 @@ void time_placements_batch(
     const EvalOptions& opts, std::vector<PlacementTiming>& out,
     BatchScratch* scratch = nullptr,
     const comm::FabricPricer* pricer = nullptr);
+
+/// Placement-independent lower bound on time.total() for EVERY placement
+/// in any enumerated set of (sig, cfg) priced against pricer.fabric(): the
+/// search screens a candidate whose floor is above the incumbent before
+/// time_placements_batch runs. Built as a TimeBreakdown summed in total()'s
+/// order:
+///   * compute, memory and optimizer come exactly from `base`;
+///   * tp_comm runs the kernel's own op walk — SUMMA panel exposure,
+///     (1 - tp_overlap) scaling, recompute term — over one floor per
+///     pricing row instead of the priced cells: comm::collective_time_floor
+///     on the row's group size and panel volume, except PointToPoint rows,
+///     whose floor is the volume over comm::best_p2p_bandwidth (the
+///     collective floor's (g-1)/g ingress argument does not bound a single
+///     hop, and is measured above the P2P price on shallow fabrics);
+///   * bubble is pipeline::bubble_time on the floored stage times;
+///   * pp_comm and dp_comm are 0.
+/// Every step is monotone in the row times, so floor <= total up to the
+/// rounding of the row floors against the prices. Returns 0 (no screen)
+/// when !(opts.tp_overlap <= 1): exposed communication is negative there
+/// and the walk is no longer monotone. Uses scratch.row_floor only.
+double placement_floor(const CostSignature& sig, const BatchedSignature& bat,
+                       const SystemTiming& base,
+                       const comm::FabricPricer& pricer,
+                       const parallel::ParallelConfig& cfg,
+                       const EvalOptions& opts, BatchScratch& scratch);
 
 /// N placements x M systems in one call: out[k] holds placements.size()
 /// timings against systems[k] (bound via bind_systems_batch). Convenience

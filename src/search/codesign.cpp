@@ -265,6 +265,7 @@ CodesignResult run_codesign(const std::vector<model::TransformerConfig>& shapes,
       out.stats.evaluated += o.evaluated;
       out.stats.bound_pruned += o.bound_pruned;
       out.stats.memory_pruned += o.memory_pruned;
+      out.stats.placement_floor_pruned += o.placement_floor_pruned;
       out.stats.batch_calls += o.batch_calls;
       out.stats.batch_placements += o.batch_placements;
       out.stats.signature_reuses += o.signature_reuses;

@@ -126,7 +126,8 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
   done.assign(n, 0);
 
   // Evaluate candidate i through the compile -> bind -> time stages,
-  // returning its achieved iteration time (infinity when infeasible).
+  // returning its achieved iteration time (infinity when infeasible or
+  // settled by the placement-floor screen against `cutoff`).
   // Candidate state persists along the chain: a candidate is compiled
   // once, its capacity verdict decided once, and — if it ever needs
   // timing — lowered and bound once, with only the fabric restamped on
@@ -136,7 +137,7 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
   // scan. Gated shortcuts after the first point are too small to bracket
   // with the stage clock; the stage profile counts the heavyweight stage
   // bodies.
-  const auto evaluate = [&](std::size_t i) -> double {
+  const auto evaluate = [&](std::size_t i, double cutoff) -> double {
     parallel::ParallelConfig cfg = configs[i];
     ChainEntry& e = chain.entries[i];
     if (!e.sig) {
@@ -181,6 +182,7 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
     if (opts.search.search_placement) {
       const auto placements = sh.placement_cache.get(cfg, sys.nvs_domain);
       std::size_t evals = 0;
+      bool screened = false;
       // prevalidated: the screening loop / capacity gates above already
       // decided validity and HBM fit for this candidate, so the scan's
       // placement-invariant shortcut (which reads base.fabric via
@@ -190,7 +192,8 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
                                 *placements, eval, evals,
                                 /*stop_after_infeasible=*/opts.search.prune,
                                 scratch.batch, timings, &chain.pricer,
-                                /*prevalidated=*/true);
+                                /*prevalidated=*/true, cutoff, &screened);
+      if (screened) ++out.placement_floor_pruned;
       if (!timings.empty()) {
         ++out.batch_calls;
         out.batch_placements += timings.size();
@@ -219,7 +222,8 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
   // bitwise-unchanged; only the pruning (and eval counts) tighten.
   if (seed_index != kNoSeed && seed_index < n && pending[seed_index]) {
     out.warm_seeded = true;
-    const double t = evaluate(seed_index);
+    const double t =
+        evaluate(seed_index, std::numeric_limits<double>::infinity());
     if (t < incumbent) {
       incumbent = t;
       out.warm_seed_feasible = true;
@@ -238,7 +242,13 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
       }
       break;
     }
-    const double t = evaluate(i);
+    // The placement-floor screen runs against the same running incumbent:
+    // a screened candidate is slower than an achieved time, so it can
+    // neither be nor tie the optimum.
+    const double t =
+        evaluate(i, opts.search.prune
+                        ? incumbent
+                        : std::numeric_limits<double>::infinity());
     if (t < incumbent) incumbent = t;
   }
 

@@ -61,6 +61,7 @@ struct PointOutcome {
   std::size_t evaluated = 0;
   std::size_t bound_pruned = 0;
   std::size_t memory_pruned = 0;
+  std::size_t placement_floor_pruned = 0;
   std::size_t batch_calls = 0;
   std::size_t batch_placements = 0;
   /// Candidate visits served by the chain's own already-compiled signature,
@@ -142,7 +143,9 @@ struct ScanScratch {
 
 /// One grid point: scan the shared candidate list sequentially,
 /// cheapest-lower-bound-first with a point-local incumbent — optionally
-/// seeded by re-timing the chain parent's optimal candidate first.
+/// seeded by re-timing the chain parent's optimal candidate first. With
+/// pruning on, the running incumbent is also the cutoff of the
+/// placement-floor screen (see scan_placements_batch).
 /// Sequential on purpose: the callers' parallelism is across chains, and a
 /// sequential scan both updates the incumbent after every single candidate
 /// (tighter than find_optimal's round barriers) and keeps the per-point

@@ -105,6 +105,18 @@ core::EvalResult scan_placements_signature(
   return core::time_signature(sig, base, mdl, sys, cfg, global_batch, eval);
 }
 
+namespace {
+
+/// Relative margin of the placement-floor screen: a candidate is screened
+/// only when floor * (1 - kPlacementFloorSlack) > cutoff. The floor and the
+/// priced time sum the same terms in different floating-point groupings
+/// (one collective floor per pricing row against one priced cell per
+/// placement), so a floor that is mathematically <= the time could still
+/// round a few ulps above it; the margin keeps such a candidate timed.
+constexpr double kPlacementFloorSlack = 1e-9;
+
+}  // namespace
+
 core::EvalResult scan_placements_batch(
     const model::TransformerConfig& mdl, const hw::SystemConfig& sys,
     parallel::ParallelConfig cfg, std::int64_t global_batch,
@@ -114,7 +126,9 @@ core::EvalResult scan_placements_batch(
     const core::EvalOptions& eval, std::size_t& evals,
     bool stop_after_infeasible, core::BatchScratch& scratch,
     std::vector<core::PlacementTiming>& timings,
-    const comm::FabricPricer* pricer, bool prevalidated) {
+    const comm::FabricPricer* pricer, bool prevalidated, double cutoff,
+    bool* screened) {
+  if (screened) *screened = false;
   timings.clear();
   if (placements.empty()) {
     core::EvalResult best;
@@ -145,6 +159,24 @@ core::EvalResult scan_placements_batch(
       apply(stop_after_infeasible ? 0 : placements.size() - 1);
       return core::time_signature(sig, base, mdl, sys, cfg, global_batch,
                                   eval);
+    }
+  }
+
+  // Placement-floor screen: a candidate whose floor is above the cutoff is
+  // slower than it under every placement, so it is settled without timing.
+  // Its placements stay charged to `evals`, exactly as if they were timed.
+  if (pricer && cutoff < std::numeric_limits<double>::infinity()) {
+    const double floor =
+        core::placement_floor(sig, bat, base, *pricer, cfg, eval, scratch);
+    if (floor * (1.0 - kPlacementFloorSlack) > cutoff) {
+      evals += placements.size();
+      if (screened) *screened = true;
+      apply(0);
+      core::EvalResult res;
+      res.cfg = cfg;
+      res.mem = sig.mem;
+      res.reason = "pruned: placement floor above incumbent";
+      return res;
     }
   }
 
@@ -396,6 +428,7 @@ SweepState sweep(const model::TransformerConfig& mdl,
   }
 
   std::atomic<double> incumbent{std::numeric_limits<double>::infinity()};
+  std::atomic<std::size_t> floor_pruned{0};
 
   // The pruned engine evaluates through the two-phase pipeline: compile the
   // candidate once (shared across the interleave axis via the signature
@@ -405,7 +438,8 @@ SweepState sweep(const model::TransformerConfig& mdl,
   // prevalidated. One over capacity is infeasible under every placement:
   // it gets its reason and a single capacity probe's eval charge, and no
   // timing (infeasible results never reach the reduction's answer).
-  auto evaluate_candidate = [&](std::size_t i) {
+  // `cutoff` is the placement-floor screen's incumbent (+inf: no screen).
+  auto evaluate_candidate = [&](std::size_t i, double cutoff) {
     parallel::ParallelConfig cfg = st.configs[i];
     util::ObjectPool<ScanWorker>::Lease w = workers.acquire();
     std::shared_ptr<const core::CostSignature> shared_sig;
@@ -442,12 +476,14 @@ SweepState sweep(const model::TransformerConfig& mdl,
         const core::BatchedSignature& bat = shared_bat ? *shared_bat : w->bat;
         const core::SystemTiming base = core::bind_system_batched(
             sig, bat, sys, opts.eval, /*capture_fabric=*/false);
+        bool screened = false;
         r = scan_placements_batch(mdl, sys, cfg, b, sig, bat, base,
                                   *placements, opts.eval,
                                   st.evals_per_config[i],
                                   /*stop_after_infeasible=*/true, w->scratch,
                                   w->timings, &w->pricer,
-                                  /*prevalidated=*/true);
+                                  /*prevalidated=*/true, cutoff, &screened);
+        if (screened) floor_pruned.fetch_add(1, std::memory_order_relaxed);
       }
     }
     if (r.feasible) atomic_min(incumbent, r.iteration());
@@ -456,7 +492,7 @@ SweepState sweep(const model::TransformerConfig& mdl,
 
   if (!use_incumbent) {
     util::parallel_for_dynamic(pool, order.size(), [&](std::size_t j) {
-      evaluate_candidate(order[j]);
+      evaluate_candidate(order[j], std::numeric_limits<double>::infinity());
     });
   } else {
     // Branch-and-bound rounds: evaluate round_size candidates, re-read the
@@ -465,7 +501,9 @@ SweepState sweep(const model::TransformerConfig& mdl,
     // completed set of evaluations, so the pruning decisions — and all
     // counters — are independent of the thread count. A pruned candidate
     // satisfies time >= lb > incumbent >= optimum, so it can change
-    // neither the optimum nor its memory tie-break.
+    // neither the optimum nor its memory tie-break. The placement-floor
+    // screen inside a round uses the same barrier incumbent t_best (not the
+    // live atomic), so which candidates it settles is thread-invariant too.
     const std::size_t round_size = std::max<std::size_t>(1, opts.round_size);
     std::size_t pos = 0;
     std::size_t active_end = order.size();
@@ -486,14 +524,16 @@ SweepState sweep(const model::TransformerConfig& mdl,
       if (pos >= active_end) break;
 
       const std::size_t round_end = std::min(pos + round_size, active_end);
-      util::parallel_for_dynamic(pool, round_end - pos, [&, pos](std::size_t j) {
-        evaluate_candidate(order[pos + j]);
-      });
+      util::parallel_for_dynamic(pool, round_end - pos,
+                                 [&, pos, t_best](std::size_t j) {
+                                   evaluate_candidate(order[pos + j], t_best);
+                                 });
       pos = round_end;
       ++st.stats.rounds;
     }
   }
 
+  st.stats.placement_floor_pruned = floor_pruned.load();
   st.stats.build_layer_calls = layer_cache.builds();
   st.stats.layer_cache_hits = layer_cache.hits();
   st.stats.placement_sets = placement_cache.builds();

@@ -21,12 +21,16 @@
 //   * the fabric is resolved once per search; each candidate that fits in
 //     HBM has its whole placement set timed by one batched kernel call
 //     (scan_placements_batch), priced by its worker's own FabricPricer;
-//     one over HBM is reported infeasible without being timed.
+//     one over HBM is reported infeasible without being timed;
+//   * before that kernel call, a placement-independent floor built from
+//     the candidate's own bind (core::placement_floor) settles a candidate
+//     that is slower than the round's incumbent under every placement.
 // Pruning is conservative: the returned optimum is identical — same
 // configuration, same iteration time — to the exhaustive sweep's
 // (SearchOptions::prune = false).
 
 #include <cstdint>
+#include <limits>
 
 #include "core/batched_signature.hpp"
 #include "core/cost_signature.hpp"
@@ -99,12 +103,18 @@ struct SearchStats {
   std::size_t signature_cache_hits = 0;
   /// Incumbent rounds executed by the pruned engine.
   std::size_t rounds = 0;
+  /// Candidates settled by the placement-floor screen: compiled and bound,
+  /// but their placement set never timed because core::placement_floor was
+  /// above the round's incumbent. Their placements still count in
+  /// SearchResult::evaluated.
+  std::size_t placement_floor_pruned = 0;
 };
 
 struct SearchResult {
   core::EvalResult best;  ///< best.feasible == false if nothing fits.
-  /// Placement evaluations actually performed (pruned candidates perform
-  /// none; memory-infeasible candidates perform one).
+  /// Placements accounted for: timed, or settled by the placement floor
+  /// (bound-pruned candidates account for none; memory-infeasible
+  /// candidates for one).
   std::size_t evaluated = 0;
   std::size_t feasible = 0;
   /// The top_k fastest feasible results, best first (one per
@@ -207,6 +217,16 @@ core::EvalResult scan_placements_signature(
 /// the call — so the placement-invariant shortcut is skipped. Together the
 /// two make `base.fabric` dead on this path, which is what lets the chain
 /// bind candidates with capture_fabric = false and never restamp them.
+///
+/// Placement-floor screen: with a `pricer` and a finite `cutoff` (an
+/// achieved iteration time), a candidate whose core::placement_floor
+/// exceeds it by more than a 1e-9 relative margin (for the different
+/// floating-point groupings of floor and price) is slower than the cutoff
+/// under every placement. It is settled without running the kernel: `evals` is still
+/// charged placements.size(), the result is infeasible with reason
+/// "pruned: placement floor above incumbent", `timings` stays empty and
+/// `*screened` (when non-null) is set. Strictly greater, so a candidate
+/// that could tie the cutoff on time (and win on memory) is still timed.
 core::EvalResult scan_placements_batch(
     const model::TransformerConfig& mdl, const hw::SystemConfig& sys,
     parallel::ParallelConfig cfg, std::int64_t global_batch,
@@ -216,6 +236,8 @@ core::EvalResult scan_placements_batch(
     const core::EvalOptions& eval, std::size_t& evals,
     bool stop_after_infeasible, core::BatchScratch& scratch,
     std::vector<core::PlacementTiming>& timings,
-    const comm::FabricPricer* pricer = nullptr, bool prevalidated = false);
+    const comm::FabricPricer* pricer = nullptr, bool prevalidated = false,
+    double cutoff = std::numeric_limits<double>::infinity(),
+    bool* screened = nullptr);
 
 }  // namespace tfpe::search

@@ -49,11 +49,15 @@ struct SweepStats {
   /// Candidate parallelizations per distinct (shape, GPU count), summed
   /// over the distinct pairs (NOT multiplied by the points sharing them).
   std::size_t candidates = 0;
-  /// Placement evaluations (time_placement-equivalents) over all points;
-  /// batch kernels count every placement they time.
+  /// Placements accounted for over all points: timed by a batch kernel,
+  /// or settled by the placement-floor screen.
   std::size_t evaluated = 0;
   std::size_t bound_pruned = 0;
   std::size_t memory_pruned = 0;
+  /// Candidates settled by the placement-floor screen (see
+  /// SearchStats::placement_floor_pruned): bound, never timed, their
+  /// placements still counted in `evaluated`.
+  std::size_t placement_floor_pruned = 0;
   /// Cross-sweep compile sharing: compiles is the number of distinct
   /// signatures actually lowered; hits counts every reuse served by a
   /// SignatureCache probe (across grid points and across the interleave
@@ -75,8 +79,8 @@ struct SweepStats {
   std::size_t placement_sets = 0;
   std::size_t placement_cache_hits = 0;
 
-  /// time_placements_batch invocations and the placements they timed;
-  /// occupancy is the mean batch width (1.0 would mean one placement per
+  /// time_placements_batch invocations and the placements they timed
+  /// (screened candidates make no call); occupancy is the mean batch width (1.0 would mean one placement per
   /// kernel call).
   std::size_t batch_calls = 0;
   std::size_t batch_placements = 0;

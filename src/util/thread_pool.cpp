@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <utility>
 
 namespace tfpe::util {
 
@@ -34,6 +35,7 @@ void ThreadPool::submit(std::function<void()> task) {
 void ThreadPool::wait_idle() {
   std::unique_lock lock(mutex_);
   cv_idle_.wait(lock, [this] { return in_flight_ == 0; });
+  if (error_) std::rethrow_exception(std::exchange(error_, nullptr));
 }
 
 void ThreadPool::worker_loop() {
@@ -46,9 +48,15 @@ void ThreadPool::worker_loop() {
       task = std::move(tasks_.front());
       tasks_.pop();
     }
-    task();
+    std::exception_ptr error;
+    try {
+      task();
+    } catch (...) {
+      error = std::current_exception();
+    }
     {
       std::lock_guard lock(mutex_);
+      if (error && !error_) error_ = std::move(error);
       --in_flight_;
       if (in_flight_ == 0) cv_idle_.notify_all();
     }
@@ -74,18 +82,28 @@ std::size_t parallel_for_dynamic(ThreadPool& pool, std::size_t count,
   }
   std::atomic<std::size_t> cursor{0};
   std::atomic<std::size_t> executed{0};
+  std::atomic<bool> failed{false};
   const std::size_t chunks = (count + grain - 1) / grain;
   const std::size_t workers =
       std::min<std::size_t>(pool.size(), chunks);
   for (std::size_t w = 0; w < workers; ++w) {
-    pool.submit([&cursor, &executed, &body, &stop, count, grain] {
+    pool.submit([&cursor, &executed, &failed, &body, &stop, count, grain] {
       for (;;) {
-        if (stop && stop()) return;
+        if (failed.load(std::memory_order_relaxed) || (stop && stop())) {
+          return;
+        }
         const std::size_t begin =
             cursor.fetch_add(grain, std::memory_order_relaxed);
         if (begin >= count) return;
         const std::size_t end = std::min(count, begin + grain);
-        for (std::size_t i = begin; i < end; ++i) body(i);
+        try {
+          for (std::size_t i = begin; i < end; ++i) body(i);
+        } catch (...) {
+          // Stop the other workers claiming; the pool carries the
+          // exception to wait_idle() below.
+          failed.store(true, std::memory_order_relaxed);
+          throw;
+        }
         executed.fetch_add(end - begin, std::memory_order_relaxed);
       }
     });

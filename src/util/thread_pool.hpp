@@ -8,6 +8,7 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <queue>
@@ -25,10 +26,13 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueue a task. Tasks must not throw; exceptions terminate.
+  /// Enqueue a task. A task that throws does not take its worker down:
+  /// the first exception since the last wait_idle() is kept (later ones
+  /// are dropped) and rethrown by wait_idle() on the calling thread.
   void submit(std::function<void()> task);
 
-  /// Block until every submitted task has finished.
+  /// Block until every submitted task has finished, then rethrow the first
+  /// exception a task threw since the previous wait_idle(), if any.
   void wait_idle();
 
   unsigned size() const { return static_cast<unsigned>(workers_.size()); }
@@ -42,11 +46,14 @@ class ThreadPool {
   std::condition_variable cv_task_;
   std::condition_variable cv_idle_;
   std::size_t in_flight_ = 0;
+  std::exception_ptr error_;  ///< first task exception, guarded by mutex_
   bool stop_ = false;
 };
 
 /// Run body(i) for i in [0, count) across the pool, blocking until done.
-/// The body must be safe to invoke concurrently for distinct i.
+/// The body must be safe to invoke concurrently for distinct i. If a body
+/// throws, the first exception is rethrown here once every chunk has
+/// finished (as in parallel_for_dynamic).
 /// Splits the range into fixed contiguous chunks up-front; prefer
 /// parallel_for_dynamic when per-index cost is uneven.
 void parallel_for_index(ThreadPool& pool, std::size_t count,
@@ -62,6 +69,9 @@ void parallel_for_index(ThreadPool& pool, std::size_t count,
 /// abandoning the rest of the range. Returns the number of indices executed
 /// (== count when the loop was not stopped). A single-worker pool runs the
 /// body on the calling thread, in the same claim order.
+///
+/// If a body throws, no further chunks are claimed, the in-flight ones
+/// finish, and the first exception is rethrown on the calling thread.
 std::size_t parallel_for_dynamic(ThreadPool& pool, std::size_t count,
                                  const std::function<void(std::size_t)>& body,
                                  std::size_t grain = 1,

@@ -284,6 +284,8 @@ TEST(Codesign, StatsAreThreadInvariant) {
   EXPECT_EQ(stats[0].evaluated, stats[1].evaluated);
   EXPECT_EQ(stats[0].bound_pruned, stats[1].bound_pruned);
   EXPECT_EQ(stats[0].memory_pruned, stats[1].memory_pruned);
+  EXPECT_GT(stats[0].placement_floor_pruned, 0u);
+  EXPECT_EQ(stats[0].placement_floor_pruned, stats[1].placement_floor_pruned);
   EXPECT_EQ(stats[0].batch_calls, stats[1].batch_calls);
   EXPECT_EQ(stats[0].batch_placements, stats[1].batch_placements);
   EXPECT_EQ(stats[0].warm_seeded, stats[1].warm_seeded);
@@ -292,6 +294,44 @@ TEST(Codesign, StatsAreThreadInvariant) {
   EXPECT_EQ(stats[0].signature_lowers, stats[1].signature_lowers);
   EXPECT_EQ(stats[0].build_layer_calls, stats[1].build_layer_calls);
   EXPECT_EQ(stats[0].placement_sets, stats[1].placement_sets);
+}
+
+/// The placement-floor screen leaves every per-shape optimum bit-identical
+/// to the unscreened scan (prune = false, which also never screens).
+TEST(Codesign, PlacementFloorScreenKeepsOptima) {
+  const auto shapes = small_family();
+  const auto points = search::hardware_grid(
+      {hw::GpuGeneration::A100, hw::GpuGeneration::B200}, {4, 16}, 128);
+  search::CodesignOptions opts;
+  opts.sweep.search.global_batch = 512;
+  opts.sweep.threads = 2;
+  opts.prune_shapes = false;
+  const auto screened = search::run_codesign(shapes, points, opts);
+  opts.sweep.search.prune = false;
+  const auto full = search::run_codesign(shapes, points, opts);
+  EXPECT_GT(screened.stats.placement_floor_pruned, 0u);
+  EXPECT_EQ(full.stats.placement_floor_pruned, 0u);
+  for (std::size_t s = 0; s < shapes.size(); ++s) {
+    for (std::size_t p = 0; p < points.size(); ++p) {
+      EXPECT_TRUE(search::same_optimum(screened.per_shape[s][p],
+                                       full.per_shape[s][p]))
+          << "shape " << s << " point " << p;
+    }
+  }
+}
+
+/// Above full overlap (tp_overlap > 1) exposed communication is negative
+/// and the floor is not a bound, so the screen settles nothing.
+TEST(Codesign, PlacementFloorScreenOffAboveFullOverlap) {
+  const auto points = search::hardware_grid(
+      {hw::GpuGeneration::A100, hw::GpuGeneration::B200}, {4, 16}, 128);
+  search::CodesignOptions opts;
+  opts.sweep.search.global_batch = 512;
+  opts.sweep.search.eval.tp_overlap = 1.5;
+  opts.sweep.threads = 2;
+  const auto run = search::run_codesign(small_family(), points, opts);
+  EXPECT_GT(run.stats.evaluated, 0u);
+  EXPECT_EQ(run.stats.placement_floor_pruned, 0u);
 }
 
 /// The per-pair work matrix: a floor-pruned pair is never scanned, so it

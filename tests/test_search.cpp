@@ -264,6 +264,7 @@ TEST(Pruning, CountersInvariantAcrossThreadCounts) {
   EXPECT_EQ(a.stats.layer_cache_hits, b.stats.layer_cache_hits);
   EXPECT_EQ(a.stats.placement_sets, b.stats.placement_sets);
   EXPECT_EQ(a.stats.rounds, b.stats.rounds);
+  EXPECT_EQ(a.stats.placement_floor_pruned, b.stats.placement_floor_pruned);
 }
 
 TEST(Pruning, TopKRankingUnaffected) {
@@ -452,6 +453,86 @@ void expect_bitwise(const core::EvalResult& a, const core::EvalResult& b) {
 /// the batched scan return the same result bit for bit and charge the same
 /// evals: on a feasible multi-placement candidate, an over-HBM candidate
 /// under both stop modes, an invalid config and an empty placement list.
+TEST(PlacementFloorScreen, KeepsEveryExistingCounterOnSumma) {
+  // GPT3-1T on 4096 B200s with SUMMA: the screen settles candidates the
+  // kernel used to time, while every counter that existed before it —
+  // placements accounted for, bound and memory prunes, rounds, compiles,
+  // op-list builds, placement sets — stays at its pre-screen value.
+  const auto mdl = model::gpt3_1t();
+  const auto sys = b200(8, 4096);
+  SearchOptions opts;
+  opts.strategy = parallel::TpStrategy::Summa2D;
+  opts.global_batch = 4096;
+  const SearchResult r = find_optimal(mdl, sys, opts);
+  ASSERT_TRUE(r.best.feasible);
+  EXPECT_EQ(r.evaluated, 89240u);
+  EXPECT_EQ(r.stats.bound_pruned, 5470u);
+  EXPECT_EQ(r.stats.memory_pruned, 700u);
+  EXPECT_EQ(r.stats.rounds, 143u);
+  EXPECT_EQ(r.stats.signature_compiles, 9135u);
+  EXPECT_EQ(r.stats.build_layer_calls, 2055u);
+  EXPECT_EQ(r.stats.placement_sets, 290u);
+  EXPECT_GT(r.stats.placement_floor_pruned, 0u);
+}
+
+TEST(PlacementFloorScreen, CounterInvariantAcrossThreadCounts) {
+  // The screen cuts against the round's barrier incumbent, so what it
+  // settles does not depend on which worker finished first.
+  const auto mdl = model::gpt3_1t();
+  const auto sys = b200(8, 1024);
+  SearchOptions opts;
+  opts.strategy = parallel::TpStrategy::Summa2D;
+  opts.global_batch = 4096;
+  opts.threads = 1;
+  const SearchResult a = find_optimal(mdl, sys, opts);
+  opts.threads = 4;
+  const SearchResult b = find_optimal(mdl, sys, opts);
+  expect_same_optimum(a, b);
+  EXPECT_GT(a.stats.placement_floor_pruned, 0u);
+  EXPECT_EQ(a.stats.placement_floor_pruned, b.stats.placement_floor_pruned);
+  EXPECT_EQ(a.evaluated, b.evaluated);
+  EXPECT_EQ(a.feasible, b.feasible);
+}
+
+TEST(PlacementFloorScreen, OffWhereEveryCandidateMustBeTimed) {
+  const auto mdl = model::gpt3_175b();
+  const auto sys = b200(8, 128);
+  SearchOptions opts;
+  opts.strategy = parallel::TpStrategy::Summa2D;
+  opts.global_batch = 512;
+  opts.prune = false;
+  const SearchResult brute = find_optimal(mdl, sys, opts);
+  opts.prune = true;
+  const SearchResult screened = find_optimal(mdl, sys, opts);
+  ASSERT_GT(screened.stats.placement_floor_pruned, 0u);
+  expect_same_optimum(screened, brute);
+
+  // top-k ranking keeps every feasible candidate: no screen.
+  opts.top_k = 3;
+  const SearchResult top = find_optimal(mdl, sys, opts);
+  EXPECT_EQ(top.stats.placement_floor_pruned, 0u);
+  expect_same_optimum(top, brute);
+  opts.top_k = 0;
+
+  // The Pareto frontier also inspects every feasible candidate; it matches
+  // the exhaustive engine's frontier entry for entry.
+  opts.prune = false;
+  const auto front_brute = pareto_frontier(mdl, sys, opts);
+  opts.prune = true;
+  const auto front = pareto_frontier(mdl, sys, opts);
+  ASSERT_EQ(front.size(), front_brute.size());
+  for (std::size_t i = 0; i < front.size(); ++i) {
+    EXPECT_TRUE(same_optimum(front[i], front_brute[i])) << i;
+  }
+
+  // Above full overlap the floor is not a bound: the screen stays off.
+  opts.eval.tp_overlap = 1.5;
+  const SearchResult over = find_optimal(mdl, sys, opts);
+  EXPECT_EQ(over.stats.placement_floor_pruned, 0u);
+  opts.prune = false;
+  expect_same_optimum(over, find_optimal(mdl, sys, opts));
+}
+
 TEST(Search, ScalarScanMatchesBatchedScan) {
   const auto mdl = model::gpt3_175b();
   const core::EvalOptions eval;

@@ -649,6 +649,147 @@ TEST(Signature, BatchedExternalPricerMatchesScalarFuzz) {
   EXPECT_GT(compared, 200u);
 }
 
+/// The placement floor is a lower bound on every placement's timed total,
+/// across models (dense, vision, MoE), GPU generations and NVS sizes, TP
+/// strategies, fabric shapes with every collective algorithm enabled, and
+/// the overlap / recompute / offload / ZeRO-3 / interleave / ring-attention
+/// extensions. Candidates are drawn at random from the expanded space.
+TEST(PlacementFloor, BelowEveryTimedPlacement) {
+  std::mt19937 rng(0x5f10a7u);
+  constexpr std::int64_t kGpus = 512;
+  const std::vector<model::TransformerConfig> models = {
+      model::gpt3_1t(), model::vit_64k(), model::gpt_moe_1t()};
+  const std::vector<hw::GpuGeneration> gens = {hw::GpuGeneration::A100,
+                                               hw::GpuGeneration::H200,
+                                               hw::GpuGeneration::B200};
+  const std::vector<std::int64_t> nvs_sizes = {4, 8, 64};
+  const std::vector<parallel::TpStrategy> strategies = {
+      parallel::TpStrategy::TP1D, parallel::TpStrategy::TP2D,
+      parallel::TpStrategy::Summa2D};
+  std::vector<core::EvalOptions> evals;
+  for (double overlap : {0.0, 0.5, 1.0}) {
+    core::EvalOptions e;
+    e.tp_overlap = overlap;
+    evals.push_back(e);
+  }
+  {
+    core::EvalOptions e;
+    e.activation_recompute = true;
+    evals.push_back(e);
+    e.activation_recompute = false;
+    e.activation_offload = 0.5;
+    evals.push_back(e);
+    e.tp_overlap = 0.5;
+    e.activation_recompute = true;
+    evals.push_back(e);
+  }
+  // System k: generation, NVS size and fabric shape (two-level, leaf-spine
+  // at oversubscription 4, rail-optimized), LL / tree / hierarchical on.
+  std::vector<hw::SystemConfig> systems;
+  for (hw::GpuGeneration gen : gens) {
+    for (std::int64_t nvs : nvs_sizes) {
+      for (int shape = 0; shape < 3; ++shape) {
+        hw::SystemConfig sys = system_of(gen, nvs, kGpus);
+        sys.net.enable_ll = true;
+        sys.net.enable_tree = true;
+        const std::int64_t leaf = std::max<std::int64_t>(nvs, 64);
+        if (shape == 0) {
+          sys.fabric = hw::two_level_topology(sys.net, nvs, kGpus);
+        } else if (shape == 1) {
+          sys.fabric =
+              hw::leaf_spine_topology(sys.net, nvs, leaf, kGpus, 4.0);
+        } else {
+          sys.fabric = hw::rail_optimized_topology(sys.net, nvs, leaf, kGpus);
+        }
+        sys.fabric.enable_hierarchical = true;
+        systems.push_back(std::move(sys));
+      }
+    }
+  }
+
+  core::BatchScratch scratch;
+  comm::FabricPricer pricer;
+  std::vector<core::PlacementTiming> timings;
+  std::size_t checked = 0, with_comm = 0;
+  for (const model::TransformerConfig& mdl : models) {
+    for (parallel::TpStrategy strategy : strategies) {
+      search::SearchOptions sopts;
+      sopts.strategy = strategy;
+      sopts.global_batch = 4096;
+      sopts.allow_zero3 = true;
+      sopts.allow_ring_attention = true;
+      sopts.interleave_candidates = {1, 2};
+      const auto configs = search::expand_candidates(mdl, systems[0], sopts);
+      if (configs.empty()) continue;
+      std::uniform_int_distribution<std::size_t> pick_cfg(0,
+                                                          configs.size() - 1);
+      std::uniform_int_distribution<std::size_t> pick_sys(0,
+                                                          systems.size() - 1);
+      std::uniform_int_distribution<std::size_t> pick_eval(0,
+                                                           evals.size() - 1);
+      for (int draw = 0; draw < 24; ++draw) {
+        const parallel::ParallelConfig cfg = configs[pick_cfg(rng)];
+        const hw::SystemConfig& sys = systems[pick_sys(rng)];
+        const core::EvalOptions& eval = evals[pick_eval(rng)];
+        if (cfg.invalid_reason(mdl, sys, sopts.global_batch)) continue;
+        const auto placements =
+            search::enumerate_placements(cfg, sys.nvs_domain);
+        if (placements.empty()) continue;
+        const core::CostSignature sig =
+            core::compile_signature(mdl, cfg, sopts.global_batch, eval);
+        const core::BatchedSignature bat = core::lower_batched(sig);
+        const hw::Topology fabric = sys.resolved_fabric();
+        pricer.rebind(fabric);
+        const core::SystemTiming base = core::bind_system_batched(
+            sig, bat, sys, eval, /*capture_fabric=*/false);
+        core::time_placements_batch(sig, bat, base, sys, cfg, placements, eval,
+                                    timings, &scratch, &pricer);
+        const double floor =
+            core::placement_floor(sig, bat, base, pricer, cfg, eval, scratch);
+        const double fixed = base.time_compute + base.time_memory;
+        EXPECT_GE(floor, fixed) << mdl.name << " " << cfg.describe();
+        if (floor > fixed + base.optimizer) ++with_comm;
+        for (std::size_t i = 0; i < timings.size(); ++i) {
+          EXPECT_LE(floor, timings[i].time.total())
+              << mdl.name << " " << cfg.describe() << " on "
+              << sys.gpu.name << " nvs" << sys.nvs_domain << " fabric depth "
+              << fabric.depth() << " placement " << i;
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 500u);
+  EXPECT_GT(with_comm, 50u);
+}
+
+TEST(PlacementFloor, NoScreenAboveFullOverlap) {
+  // tp_overlap > 1 makes exposed communication negative, so the op walk is
+  // no longer monotone in the collective times: the floor turns itself off.
+  const auto mdl = model::gpt3_175b();
+  const hw::SystemConfig sys = system_of(hw::GpuGeneration::B200, 8, 256);
+  parallel::ParallelConfig cfg;
+  cfg.n1 = 8;
+  cfg.np = 8;
+  cfg.nd = 4;
+  cfg.microbatches = 8;
+  core::EvalOptions eval;
+  eval.tp_overlap = 1.5;
+  ASSERT_FALSE(cfg.invalid_reason(mdl, sys, 1024));
+  const core::CostSignature sig = core::compile_signature(mdl, cfg, 1024, eval);
+  const core::BatchedSignature bat = core::lower_batched(sig);
+  const hw::Topology fabric = sys.resolved_fabric();
+  const comm::FabricPricer pricer(fabric);
+  const core::SystemTiming base =
+      core::bind_system_batched(sig, bat, sys, eval, /*capture_fabric=*/false);
+  core::BatchScratch scratch;
+  EXPECT_EQ(core::placement_floor(sig, bat, base, pricer, cfg, eval, scratch),
+            0.0);
+  eval.tp_overlap = 1.0;
+  EXPECT_GT(core::placement_floor(sig, bat, base, pricer, cfg, eval, scratch),
+            0.0);
+}
+
 TEST(Sweep, MatchesFindOptimalPerPoint) {
   const auto mdl = model::gpt3_175b();
   const auto points = search::hardware_grid(

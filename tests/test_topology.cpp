@@ -474,13 +474,69 @@ TEST(TopologyFloor, ConservativeForLlAndTree) {
     for (double v : {1.0, 1e6, 1e9}) {
       const double floor =
           comm::collective_time_floor(t, size, Bytes(v)).value();
-      const double actual =
-          comm::collective_time(t, Collective::AllReduce, Bytes(v),
-                                GroupPlacement{size, 8})
-              .value();
-      EXPECT_LE(floor, actual) << "size=" << size << " V=" << v;
+      for (Collective coll :
+           {Collective::AllReduce, Collective::Broadcast, Collective::Reduce,
+            Collective::AllToAll}) {
+        const double actual =
+            comm::collective_time(t, coll, Bytes(v), GroupPlacement{size, 8})
+                .value();
+        EXPECT_LE(floor, actual) << "coll=" << static_cast<int>(coll)
+                                 << " size=" << size << " V=" << v;
+      }
     }
   }
+}
+
+TEST(TopologyFloor, BestLinkBoundsPointToPoint) {
+  // A point-to-point hop runs over one link of its innermost shared level,
+  // so the volume over the fabric's fastest link bounds it on every fabric
+  // shape and placement.
+  for (hw::GpuGeneration gen :
+       {hw::GpuGeneration::A100, hw::GpuGeneration::H200,
+        hw::GpuGeneration::B200}) {
+    const hw::NetworkSpec net = hw::network_preset(gen);
+    for (const hw::Topology& t :
+         {hw::two_level_topology(net, 4, 1024),
+          hw::leaf_spine_topology(net, 8, 64, 1024, 4.0),
+          hw::rail_optimized_topology(net, 8, 64, 1024)}) {
+      const BytesPerSec best = comm::best_p2p_bandwidth(t);
+      for (std::int64_t size : {2, 8, 64}) {
+        for (std::int64_t nvs : {1, 2, 4}) {
+          if (nvs > size) continue;
+          for (double v : {1.0, 1e6, 1e8}) {
+            const double price =
+                comm::collective_time(t, Collective::PointToPoint, Bytes(v),
+                                      GroupPlacement{size, nvs})
+                    .value();
+            EXPECT_LE((Bytes(v) / best).value(), price)
+                << "gen=" << static_cast<int>(gen) << " size=" << size
+                << " nvs=" << nvs << " V=" << v;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(TopologyFloor, CollectiveFloorIsNotAPointToPointFloor) {
+  // The collective floor charges a group larger than one fast domain the
+  // non-resident share of V through the domain's uplink; a single P2P hop
+  // between two neighbours in that group never leaves the domain. On an
+  // A100 nvs4 > IB fabric, g = 8 at nvs 2 and 1e8 B: floor 7.14e-4 s
+  // against a P2P price of 4.79e-4 s — which is why the placement floor
+  // bounds P2P rows with best_p2p_bandwidth instead.
+  const hw::Topology t = hw::two_level_topology(
+      hw::network_preset(hw::GpuGeneration::A100), 4, 1024);
+  const double floor =
+      comm::collective_time_floor(t, 8, Bytes(1e8)).value();
+  const double price =
+      comm::collective_time(t, Collective::PointToPoint, Bytes(1e8),
+                            GroupPlacement{8, 2})
+          .value();
+  EXPECT_NEAR(floor, 7.14e-4, 1e-6);
+  EXPECT_NEAR(price, 4.79e-4, 1e-6);
+  EXPECT_GT(floor, price);
+  EXPECT_LE((Bytes(1e8) / comm::best_p2p_bandwidth(t)).value(), price);
 }
 
 // ---------------------------------------------------------------------------

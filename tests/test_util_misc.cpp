@@ -7,6 +7,8 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -192,6 +194,47 @@ TEST(ThreadPool, DynamicForStopsEarly) {
       /*grain=*/1, /*stop=*/[&] { return ran.load() >= 10; });
   EXPECT_EQ(executed, 10u);
   EXPECT_EQ(ran.load(), 10);
+}
+
+TEST(ThreadPool, DynamicForCarriesWorkerExceptionToCaller) {
+  // A body throwing on one index reaches the caller with its message intact
+  // (instead of terminating the process), and the pool stays usable.
+  ThreadPool pool(4);
+  std::string caught;
+  try {
+    parallel_for_dynamic(pool, 100, [](std::size_t i) {
+      if (i == 7) throw std::runtime_error("body failed at index 7");
+    });
+  } catch (const std::runtime_error& e) {
+    caught = e.what();
+  }
+  EXPECT_EQ(caught, "body failed at index 7");
+  std::atomic<int> ran{0};
+  parallel_for_dynamic(pool, 50, [&](std::size_t) { ran.fetch_add(1); });
+  EXPECT_EQ(ran.load(), 50);
+}
+
+TEST(ThreadPool, WaitIdleRethrowsTaskExceptionOnce) {
+  // Every task still runs; wait_idle rethrows the one exception, then the
+  // error is cleared for the next batch.
+  ThreadPool pool(4);
+  std::atomic<int> ran{0};
+  for (int t = 0; t < 20; ++t) {
+    pool.submit([&ran, t] {
+      ran.fetch_add(1);
+      if (t == 7) throw std::runtime_error("task 7");
+    });
+  }
+  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
+  EXPECT_EQ(ran.load(), 20);
+  EXPECT_NO_THROW(pool.wait_idle());
+  EXPECT_THROW(parallel_for_index(pool, 100,
+                                  [](std::size_t i) {
+                                    if (i == 7) {
+                                      throw std::runtime_error("index 7");
+                                    }
+                                  }),
+               std::runtime_error);
 }
 
 TEST(ThreadPool, DynamicForSingleWorkerRunsInlineInClaimOrder) {

@@ -552,9 +552,10 @@ int run_codesign_cmd(const util::ArgParser& args) {
       seconds > 0 ? static_cast<double>(st.shapes * st.points) / seconds : 0.0);
   std::printf(
       "enumerations=%zu (%zu memo hits)  candidates=%zu  evaluated=%zu  "
-      "bound-pruned=%zu  warm-seeds=%zu/%zu\n",
+      "bound-pruned=%zu  placement-floor-pruned=%zu  warm-seeds=%zu/%zu\n",
       st.enumerations, st.enumeration_hits, st.candidates, st.evaluated,
-      st.bound_pruned, st.warm_seed_feasible, st.warm_seeded);
+      st.bound_pruned, st.placement_floor_pruned, st.warm_seed_feasible,
+      st.warm_seeded);
 
   if (verify) {
     // Legacy-style cross-check: one find_optimal per (shape, point), the

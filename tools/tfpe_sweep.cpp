@@ -274,6 +274,7 @@ int main(int argc, char** argv) {
           totals.signature_reuses += st.signature_reuses;
           totals.batch_calls += st.batch_calls;
           totals.batch_placements += st.batch_placements;
+          totals.placement_floor_pruned += st.placement_floor_pruned;
           totals.warm_seeded += st.warm_seeded;
           totals.warm_seed_feasible += st.warm_seed_feasible;
           totals.profile.enumerate_s += st.profile.enumerate_s;
@@ -371,9 +372,10 @@ int main(int argc, char** argv) {
                          ? static_cast<double>(n_rows) / sweep_seconds
                          : 0.0;
   std::printf("%.3fs  %.1f points/s  compiles=%zu  compile-cache hit "
-              "rate=%.1f%%  batch-occupancy=%.1f",
+              "rate=%.1f%%  batch-occupancy=%.1f  placement-floor-pruned=%zu",
               sweep_seconds, pps, totals.signature_compiles,
-              100.0 * totals.compile_hit_rate(), totals.batch_occupancy());
+              100.0 * totals.compile_hit_rate(), totals.batch_occupancy(),
+              totals.placement_floor_pruned);
   if (warm_start) {
     std::printf("  warm-seeds=%zu/%zu", totals.warm_seed_feasible,
                 totals.warm_seeded);
