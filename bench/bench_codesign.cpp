@@ -116,7 +116,6 @@ search::CodesignResult run_naive(
       st.bound_pruned += r.stats.bound_pruned;
       st.memory_pruned += r.stats.memory_pruned;
       st.signature_compiles += r.stats.signature_compiles;
-      st.signature_cache_hits += r.stats.signature_cache_hits;
       if (r.best.feasible) ++st.feasible_shape_points;
       out.per_shape[s][p] = std::move(r.best);
       if (search::better_result(out.per_shape[s][p], out.best[p].best)) {

@@ -101,7 +101,6 @@ void write_json(const std::vector<Sample>& samples, const std::string& path) {
        << ", \"placement_sets\": " << s.stats.placement_sets
        << ", \"placement_cache_hits\": " << s.stats.placement_cache_hits
        << ", \"signature_compiles\": " << s.stats.signature_compiles
-       << ", \"signature_cache_hits\": " << s.stats.signature_cache_hits
        << ", \"bound_pruned\": " << s.stats.bound_pruned
        << ", \"memory_pruned\": " << s.stats.memory_pruned
        << ", \"rounds\": " << s.stats.rounds << "}"

@@ -92,7 +92,8 @@ search::SweepResult run_legacy(const model::TransformerConfig& mdl,
     out.stats.build_layer_calls += r.stats.build_layer_calls;
     out.stats.layer_cache_hits += r.stats.layer_cache_hits;
     out.stats.signature_compiles += r.stats.signature_compiles;
-    out.stats.signature_cache_hits += r.stats.signature_cache_hits;
+    // find_optimal lowers one block per layer build.
+    out.stats.signature_lowers += r.stats.build_layer_calls;
     if (r.best.feasible) ++out.stats.feasible_points;
     out.best.push_back(std::move(r.best));
   }

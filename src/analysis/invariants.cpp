@@ -361,14 +361,19 @@ class Linter {
   void check_fwd_bwd_flops() {
     for (const auto& op : layer_.ops) {
       if (op.fwd_flops.value() <= 0) continue;
-      const double ratio = op.bwd_flops.value() / op.fwd_flops.value();
-      // Matmuls: two backward multiplies (~2x, exactly 2.5x for fused
+      // Compared as multiply-adds (flops + GEMM outputs, see
+      // ops::Op::fwd_gemm_outputs): a GEMM's backward is then exactly 2x
+      // its forward however thin its shards are, where the (2k-1) counts
+      // drift to 1.5x as a wgrad contraction shrinks to one token.
+      const double ratio = (op.bwd_flops.value() + op.bwd_gemm_outputs) /
+                           (op.fwd_flops.value() + op.fwd_gemm_outputs);
+      // Matmuls: two backward multiplies (2x, exactly 2.5x for fused
       // attention's recompute). Vector ops: same element count (~1x).
       const double lo = op.unit == ops::ComputeUnit::TensorCore ? 1.5 : 0.5;
       const double hi = op.unit == ops::ComputeUnit::TensorCore ? 3.0 : 1.5;
       if (ratio < lo || ratio > hi) {
         std::ostringstream msg;
-        msg << "op '" << op.name << "' bwd/fwd FLOP ratio " << ratio
+        msg << "op '" << op.name << "' bwd/fwd multiply-add ratio " << ratio
             << " outside [" << lo << ", " << hi << "] for "
             << ops::to_string(op.unit) << " ops";
         emit(RuleId::kFwdBwdFlops, op.name, lo, ratio, msg.str(),
@@ -388,22 +393,42 @@ class Linter {
     serial.n2 = 1;
     serial.ring_attention = false;
     const parallel::LayerCost base = parallel::build_layer_1d(mdl_, serial, b_);
+    // Work is conserved as multiply-adds, not as (2k-1)*m*n FLOPs: a GEMM
+    // whose contraction k is split over s shards sums to (2k/s - 1)*m*n
+    // per shard, (2k - s)*m*n in all — each shard writes its own m*n
+    // partial sums. So the expected sharded count is the serial count plus
+    // the serial GEMM outputs minus the shards' GEMM outputs.
+    const auto outputs = [](const parallel::LayerCost& l, bool fwd) {
+      double sum = 0;
+      for (const auto& op : l.ops) {
+        sum += fwd ? op.fwd_gemm_outputs : op.bwd_gemm_outputs;
+      }
+      return sum;
+    };
     const double tp = static_cast<double>(cfg_.tp());
     const double fwd_scaled = tp * layer_.fwd_flops().value();
     const double bwd_scaled = tp * layer_.bwd_flops().value();
-    if (rel_diff(base.fwd_flops().value(), fwd_scaled) > opts_.flop_rtol) {
+    const double fwd_expected = base.fwd_flops().value() + outputs(base, true) -
+                                tp * outputs(layer_, true);
+    const double bwd_expected = base.bwd_flops().value() +
+                                outputs(base, false) -
+                                tp * outputs(layer_, false);
+    if (rel_diff(fwd_expected, fwd_scaled) > opts_.flop_rtol) {
       std::ostringstream msg;
       msg << "n1*n2 * per-GPU forward FLOPs = " << fwd_scaled
-          << ", serial block = " << base.fwd_flops().value()
-          << " (dimension splits must conserve work)";
-      emit(RuleId::kFlopInvariance, "<layer>", base.fwd_flops().value(), fwd_scaled,
+          << ", expected " << fwd_expected << " (serial block "
+          << base.fwd_flops().value()
+          << " with per-shard GEMM contractions; dimension splits must "
+             "conserve work)";
+      emit(RuleId::kFlopInvariance, "<layer>", fwd_expected, fwd_scaled,
            msg.str());
     }
-    if (rel_diff(base.bwd_flops().value(), bwd_scaled) > opts_.flop_rtol) {
+    if (rel_diff(bwd_expected, bwd_scaled) > opts_.flop_rtol) {
       std::ostringstream msg;
       msg << "n1*n2 * per-GPU backward FLOPs = " << bwd_scaled
-          << ", serial block = " << base.bwd_flops().value();
-      emit(RuleId::kFlopInvariance, "<layer>", base.bwd_flops().value(), bwd_scaled,
+          << ", expected " << bwd_expected << " (serial block "
+          << base.bwd_flops().value() << " with per-shard GEMM contractions)";
+      emit(RuleId::kFlopInvariance, "<layer>", bwd_expected, bwd_scaled,
            msg.str());
     }
   }

@@ -26,20 +26,7 @@ constexpr std::array<std::size_t, 4> kGroupSlot = {0, 1, 3, 2};
 
 BatchedSignature lower_batched(const CostSignature& sig) {
   BatchedSignature b;
-  lower_batched(sig, b);
-  return b;
-}
-
-void lower_batched(const CostSignature& sig, BatchedSignature& b) {
-  // Clear, not reassign: a reused destination keeps its capacity.
-  const auto clear = [](auto&... v) { (v.clear(), ...); };
-  clear(b.fwd_flops, b.bwd_flops, b.fwd_bytes, b.bwd_bytes, b.panels,
-        b.tensor_core, b.fwd_comm_begin, b.fwd_comm_count, b.bwd_comm_begin,
-        b.bwd_comm_count, b.summa_ops, b.comm_kind, b.comm_group,
-        b.comm_panel_bytes, b.comm_price_row, b.price_rep, b.head_fwd_flops,
-        b.head_bwd_flops, b.head_fwd_bytes, b.head_bwd_bytes,
-        b.head_tensor_core);
-  b.comm_groups_mask = 0;
+  static_cast<BlockScalars&>(b) = sig;
 
   const std::size_t n = sig.ops.size();
   b.fwd_flops.reserve(n);
@@ -131,18 +118,15 @@ void lower_batched(const CostSignature& sig, BatchedSignature& b) {
     b.head_bwd_bytes.push_back(op.bwd_bytes);
     b.head_tensor_core.push_back(op.tensor_core ? 1 : 0);
   }
+#ifndef NDEBUG
+  analysis::assert_batched_invariants(sig, b);
+#endif
+  return b;
 }
 
-SystemTiming bind_system_batched(const CostSignature& sig,
-                                 const BatchedSignature& bat,
-                                 const hw::SystemConfig& sys,
-                                 const EvalOptions& opts, bool capture_fabric) {
-#ifndef NDEBUG
-  analysis::assert_batched_invariants(sig, bat);
-#endif
-  SystemTiming bt;
-  if (capture_fabric) bt.fabric = sys.resolved_fabric();
-  Seconds fwd_c, fwd_m, bwd_c, bwd_m;
+BlockTiming bind_block(const BatchedSignature& bat, const hw::SystemConfig& sys,
+                       const EvalOptions& opts) {
+  BlockTiming bt;
   const std::size_t n = bat.op_count();
   for (std::size_t i = 0; i < n; ++i) {
     const bool tc = bat.tensor_core[i] != 0;
@@ -150,26 +134,25 @@ SystemTiming bind_system_batched(const CostSignature& sig,
                                            bat.panels[i], tc, sys.gpu);
     const PanelRoofline b = panel_roofline(bat.bwd_flops[i], bat.bwd_bytes[i],
                                            bat.panels[i], tc, sys.gpu);
-    fwd_c += f.compute;
-    fwd_m += f.memory;
-    bwd_c += b.compute;
-    bwd_m += b.memory;
+    bt.fwd_c += f.compute;
+    bt.fwd_m += f.memory;
+    bt.bwd_c += b.compute;
+    bt.bwd_m += b.memory;
     if (opts.activation_recompute) {
-      bwd_c += f.compute;
-      bwd_m += f.memory;
+      bt.bwd_c += f.compute;
+      bt.bwd_m += f.memory;
     }
     if (bat.panels[i] > 1) bt.summa_panel_time.push_back({f.t_panel, b.t_panel});
   }
 
   if (opts.activation_offload > 0) {
-    const Seconds per_micro = sig.stored_activation_bytes *
+    const Seconds per_micro = bat.stored_activation_bytes *
                               (2.0 * opts.activation_offload) /
                               sys.host_bandwidth;
-    fwd_m += per_micro * 0.5;
-    bwd_m += per_micro * 0.5;
+    bt.fwd_m += per_micro * 0.5;
+    bt.bwd_m += per_micro * 0.5;
   }
 
-  Seconds head_fwd_c, head_fwd_m, head_bwd_c, head_bwd_m;
   const std::size_t h = bat.head_fwd_flops.size();
   for (std::size_t i = 0; i < h; ++i) {
     const bool tc = bat.head_tensor_core[i] != 0;
@@ -179,28 +162,46 @@ SystemTiming bind_system_batched(const CostSignature& sig,
     const PanelRoofline b = panel_roofline(bat.head_bwd_flops[i],
                                            bat.head_bwd_bytes[i], 1, tc,
                                            sys.gpu);
-    head_fwd_c += f.compute;
-    head_fwd_m += f.memory;
-    head_bwd_c += b.compute;
-    head_bwd_m += b.memory;
+    bt.head_fwd_c += f.compute;
+    bt.head_fwd_m += f.memory;
+    bt.head_bwd_c += b.compute;
+    bt.head_bwd_m += b.memory;
   }
+  return bt;
+}
 
+void finish_bind(const BlockTiming& part, const SignatureTail& sig,
+                 const hw::SystemConfig& sys, SystemTiming& out) {
   const double Ld = static_cast<double>(sig.layers_per_stage);
   const double md = static_cast<double>(sig.microbatches);
-  bt.time_compute =
-      (((fwd_c + bwd_c) * Ld + head_fwd_c + head_bwd_c) * md).value();
-  bt.time_memory =
-      (((fwd_m + bwd_m) * Ld + head_fwd_m + head_bwd_m) * md).value();
-  bt.optimizer = (sig.optimizer_traffic / sys.gpu.hbm_bandwidth).value();
-  bt.fwd_cm = fwd_c + fwd_m;
-  bt.bwd_cm = bwd_c + bwd_m;
-  bt.head_fwd_cm = head_fwd_c + head_fwd_m;
-  bt.head_bwd_cm = head_bwd_c + head_bwd_m;
+  out.time_compute = (((part.fwd_c + part.bwd_c) * Ld + part.head_fwd_c +
+                       part.head_bwd_c) *
+                      md)
+                         .value();
+  out.time_memory = (((part.fwd_m + part.bwd_m) * Ld + part.head_fwd_m +
+                      part.head_bwd_m) *
+                     md)
+                        .value();
+  out.optimizer = (sig.optimizer_traffic / sys.gpu.hbm_bandwidth).value();
+  out.fwd_cm = part.fwd_c + part.fwd_m;
+  out.bwd_cm = part.bwd_c + part.bwd_m;
+  out.head_fwd_cm = part.head_fwd_c + part.head_fwd_m;
+  out.head_bwd_cm = part.head_bwd_c + part.head_bwd_m;
+  out.summa_panel_time = part.summa_panel_time;
+}
+
+SystemTiming bind_system_batched(const SignatureTail& sig,
+                                 const BatchedSignature& bat,
+                                 const hw::SystemConfig& sys,
+                                 const EvalOptions& opts, bool capture_fabric) {
+  SystemTiming bt;
+  if (capture_fabric) bt.fabric = sys.resolved_fabric();
+  finish_bind(bind_block(bat, sys, opts), sig, sys, bt);
   return bt;
 }
 
 std::vector<SystemTiming> bind_systems_batch(
-    const CostSignature& sig, const BatchedSignature& bat,
+    const SignatureTail& sig, const BatchedSignature& bat,
     const std::vector<hw::SystemConfig>& systems, const EvalOptions& opts) {
   std::vector<SystemTiming> out;
   out.reserve(systems.size());
@@ -211,7 +212,7 @@ std::vector<SystemTiming> bind_systems_batch(
 }
 
 void time_placements_batch(
-    const CostSignature& sig, const BatchedSignature& bat,
+    const SignatureTail& sig, const BatchedSignature& bat,
     const SystemTiming& base, const hw::SystemConfig& sys,
     const parallel::ParallelConfig& cfg,
     const std::vector<std::array<std::int64_t, 4>>& placements,
@@ -406,7 +407,7 @@ void time_placements_batch(
       const Seconds t_bwd_micro = (base.bwd_cm + bwd_comm) * Ld;
       Seconds t_fwd_stage = t_fwd_micro;
       Seconds t_bwd_stage = t_bwd_micro;
-      if (!sig.head.empty()) {
+      if (bat.has_head()) {
         t_fwd_stage += base.head_fwd_cm;
         t_bwd_stage += base.head_bwd_cm;
       }
@@ -437,7 +438,7 @@ void time_placements_batch(
         p2p_value[hop_idx] = pipeline::p2p_time(
             pr,
             pr.place_ref(comm::GroupPlacement{2, hop_idx != 0 ? 2 : 1}),
-            cfg.np, sig.microbatches, sig.pp_boundary_bytes, cfg.interleave);
+            cfg.np, sig.microbatches, bat.pp_boundary_bytes, cfg.interleave);
       } else {
         p2p_value[hop_idx] = Seconds(0);
       }
@@ -446,7 +447,7 @@ void time_placements_batch(
     o.time.pp_comm = p2p_value[hop_idx].value();
 
     std::int64_t dp_nvs = placements[p][3];
-    if (sig.dp_group_includes_tp2) dp_nvs *= placements[p][1];
+    if (bat.dp_group_includes_tp2) dp_nvs *= placements[p][1];
     if (sig.dp_size > 1) {
       std::size_t k = 0;
       for (; k < s.dp_keys.size(); ++k) {
@@ -489,20 +490,30 @@ void time_placements_batch(
 #endif
 }
 
-double placement_floor(const CostSignature& sig, const BatchedSignature& bat,
+double placement_floor(const SignatureTail& sig, const BatchedSignature& bat,
                        const SystemTiming& base,
                        const comm::FabricPricer& pricer,
                        const parallel::ParallelConfig& cfg,
                        const EvalOptions& opts, BatchScratch& s) {
   if (!(opts.tp_overlap <= 1)) return 0;
-  const hw::Topology& fabric = pricer.fabric();
+  return finish_placement_floor(
+      floor_comm_walk(bat, base.summa_panel_time, pricer.fabric(), cfg, opts,
+                      s.row_floor),
+      sig, bat, base, cfg, opts);
+}
+
+FloorWalk floor_comm_walk(
+    const BatchedSignature& bat,
+    const std::vector<std::array<Seconds, 2>>& summa_panel_time,
+    const hw::Topology& fabric, const parallel::ParallelConfig& cfg,
+    const EvalOptions& opts, std::vector<Seconds>& row_floor) {
   const std::array<std::int64_t, 4> group_size = {cfg.n1, cfg.n2, cfg.nd,
                                                   cfg.np};
 
   // One floor per pricing row, where the kernel prices one cell per
   // distinct nvs: the floor depends on the group size, never the nvs.
   const std::size_t nu = bat.price_rep.size();
-  s.row_floor.resize(nu);
+  row_floor.resize(nu);
   for (std::size_t u = 0; u < nu; ++u) {
     const std::uint32_t rep = bat.price_rep[u];
     const ops::Collective kind = bat.comm_kind[rep];
@@ -517,23 +528,23 @@ double placement_floor(const CostSignature& sig, const BatchedSignature& bat,
                                           group_size[bat.comm_group[rep]],
                                           bytes);
     }
-    s.row_floor[u] = floor;
+    row_floor[u] = floor;
   }
   const auto row_sum = [&](std::uint32_t begin, std::uint32_t count) {
     Seconds t;
     for (std::uint32_t r = begin; r < begin + count; ++r) {
-      t += s.row_floor[bat.comm_price_row[r]];
+      t += row_floor[bat.comm_price_row[r]];
     }
     return t;
   };
 
   // The kernel's op walk, statement for statement, on the row floors.
-  Seconds fwd_comm, bwd_comm;
+  FloorWalk w;
   std::size_t summa = 0;
   for (std::size_t i = 0; i < bat.op_count(); ++i) {
     const std::int64_t panels = bat.panels[i];
     std::array<Seconds, 2> panel{};
-    if (panels > 1) panel = base.summa_panel_time[summa++];
+    if (panels > 1) panel = summa_panel_time[summa++];
     Seconds f_comm, b_comm;
     if (bat.fwd_comm_count[i] > 0) {
       const Seconds t = row_sum(bat.fwd_comm_begin[i], bat.fwd_comm_count[i]);
@@ -551,23 +562,31 @@ double placement_floor(const CostSignature& sig, const BatchedSignature& bat,
       f_comm *= 1.0 - opts.tp_overlap;
       b_comm *= 1.0 - opts.tp_overlap;
     }
-    fwd_comm += f_comm;
-    bwd_comm += b_comm;
-    if (opts.activation_recompute) bwd_comm += f_comm;
+    w.fwd_comm += f_comm;
+    w.bwd_comm += b_comm;
+    if (opts.activation_recompute) w.bwd_comm += f_comm;
   }
+  return w;
+}
 
+double finish_placement_floor(const FloorWalk& walk, const SignatureTail& sig,
+                              const BatchedSignature& bat,
+                              const SystemTiming& base,
+                              const parallel::ParallelConfig& cfg,
+                              const EvalOptions& opts) {
+  if (!(opts.tp_overlap <= 1)) return 0;
   const double Ld = static_cast<double>(sig.layers_per_stage);
   const double md = static_cast<double>(sig.microbatches);
-  Seconds t_fwd_stage = (base.fwd_cm + fwd_comm) * Ld;
-  Seconds t_bwd_stage = (base.bwd_cm + bwd_comm) * Ld;
-  if (!sig.head.empty()) {
+  Seconds t_fwd_stage = (base.fwd_cm + walk.fwd_comm) * Ld;
+  Seconds t_bwd_stage = (base.bwd_cm + walk.bwd_comm) * Ld;
+  if (bat.has_head()) {
     t_fwd_stage += base.head_fwd_cm;
     t_bwd_stage += base.head_bwd_cm;
   }
   TimeBreakdown t;
   t.compute = base.time_compute;
   t.memory = base.time_memory;
-  t.tp_comm = ((fwd_comm + bwd_comm) * (md * Ld)).value();
+  t.tp_comm = ((walk.fwd_comm + walk.bwd_comm) * (md * Ld)).value();
   t.bubble = pipeline::bubble_time(cfg.np, t_fwd_stage, t_bwd_stage,
                                    cfg.interleave)
                  .value();
@@ -576,7 +595,7 @@ double placement_floor(const CostSignature& sig, const BatchedSignature& bat,
 }
 
 std::vector<std::vector<PlacementTiming>> time_placements_systems_batch(
-    const CostSignature& sig, const BatchedSignature& bat,
+    const SignatureTail& sig, const BatchedSignature& bat,
     const std::vector<hw::SystemConfig>& systems,
     const parallel::ParallelConfig& cfg,
     const std::vector<std::array<std::int64_t, 4>>& placements,

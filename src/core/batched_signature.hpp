@@ -29,9 +29,25 @@
 // the same discipline as the two-phase split itself). Keep this file in FP
 // lockstep with core/cost_signature.cpp and core/evaluator.cpp.
 //
+// PER-BLOCK / PER-CANDIDATE SPLIT. The BatchedSignature is the block half
+// of a signature (see cost_signature.hpp); the kernels take the
+// candidate's SignatureTail beside it. Binding and the placement floor
+// split the same way, each into a per-block half and a tail of the
+// one-shot form's own statements:
+//   * bind_block (per block x system: the op-walk roofline sums and SUMMA
+//     panel budgets) + finish_bind (per candidate: the Ld / m scaling);
+//   * floor_comm_walk (per block x fabric when the pool uses only the TP
+//     groups, whose sizes the layer fixes; per candidate otherwise) +
+//     finish_placement_floor (stage times, bubble, total).
+// The per-block halves read nothing of the tail and the tails repeat the
+// one-shot statements on the same operands in the same order, so a block
+// shared by many candidates gives every candidate the bits its own
+// bind_system_batched / placement_floor would
+// (BlockTail.MatchesWholeSignatureBitwise).
+//
 // Thread-safety: BatchedSignature is immutable after lower_batched(); any
-// number of threads may share it (cross-sweep sharing lives in
-// search::BatchedCache). BatchScratch is per-thread mutable state.
+// number of threads may share it (the engines share one per LayerKey,
+// search/search_cache.hpp). BatchScratch is per-thread mutable state.
 
 #include <array>
 #include <cstdint>
@@ -42,11 +58,14 @@
 
 namespace tfpe::core {
 
-/// Hardware-invariant SoA packing of one CostSignature. Parallel arrays
-/// (one slot per CostSignature::ops entry, in op order) plus a flattened
-/// comm pool in CostSignature::comm order; indices are shared with the AoS
-/// form so the two views describe the same signature.
-struct BatchedSignature {
+/// Hardware-invariant SoA packing of one CostSignature's block half — the
+/// engine's per-LayerKey BLOCK. Parallel arrays (one slot per
+/// CostSignature::ops entry, in op order) plus a flattened comm pool in
+/// CostSignature::comm order; indices are shared with the AoS form so the
+/// two views describe the same signature. It carries no SignatureTail: the
+/// kernels below take the candidate's tail separately, so one block serves
+/// every candidate sharing its layer.
+struct BatchedSignature : BlockScalars {
   // Per-op roofline operands (op order preserved).
   std::vector<Flops> fwd_flops, bwd_flops;
   std::vector<Bytes> fwd_bytes, bwd_bytes;
@@ -84,15 +103,14 @@ struct BatchedSignature {
 
   std::size_t op_count() const { return fwd_flops.size(); }
   std::size_t comm_count() const { return comm_kind.size(); }
+  bool has_head() const { return !head_fwd_flops.empty(); }
 };
 
-/// Pack a compiled signature into its SoA form. Pure; call once per
-/// signature and share the result (search::BatchedCache).
+/// Pack a compiled signature's block half (records and BlockScalars) into
+/// its SoA form. Pure; the search engines call it once per LayerKey on
+/// compile_layer's output and share the block. Debug builds check the
+/// packing against the records (analysis::assert_batched_invariants).
 BatchedSignature lower_batched(const CostSignature& sig);
-/// The same lowering into `out`, replacing its contents but keeping its
-/// vectors' capacity — for a caller that lowers one single-use signature
-/// after another into the same buffers.
-void lower_batched(const CostSignature& sig, BatchedSignature& out);
 
 /// Reusable per-thread scratch for time_placements_batch, so the placement
 /// scan of a sweep performs no per-candidate allocations once warm. Tables
@@ -138,14 +156,36 @@ struct BatchScratch {
   std::vector<Seconds> row_floor;
 };
 
+/// The per-(block, system) half of bind_system_batched: the op walk's
+/// roofline sums (recompute and host-offload terms included) and the SUMMA
+/// panel budgets. Everything here reads the block, the GPU roofline, the
+/// host link and the EvalOptions — never the candidate's tail.
+struct BlockTiming {
+  Seconds fwd_c, fwd_m, bwd_c, bwd_m;  ///< Per microbatch per block.
+  Seconds head_fwd_c, head_fwd_m, head_bwd_c, head_bwd_m;
+  /// (fwd t_panel, bwd t_panel) for each SUMMA op, in op order.
+  std::vector<std::array<Seconds, 2>> summa_panel_time;
+};
+
+BlockTiming bind_block(const BatchedSignature& bat, const hw::SystemConfig& sys,
+                       const EvalOptions& opts = {});
+
+/// The per-candidate tail of bind_system_batched: scales the block sums by
+/// the tail's layers per stage and microbatches into `out` (every field but
+/// `fabric`, which is left as is). The same statements in the same order as
+/// the one-shot bind, so a block bound once and finished per candidate
+/// equals bind_system_batched bit for bit.
+void finish_bind(const BlockTiming& part, const SignatureTail& sig,
+                 const hw::SystemConfig& sys, SystemTiming& out);
+
 /// SoA bind: bitwise-identical to bind_system(sig, sys, opts) — the same
 /// panel_roofline calls accumulated in the same op order, read from the
-/// packed arrays instead of the AoS records. `capture_fabric = false` skips
-/// the SystemTiming::fabric copy for callers that price collectives through
-/// an external FabricPricer (the generation-major sweep path) — every other
-/// field is unaffected, but time_placement/time_signature must NOT be fed
-/// such a timing.
-SystemTiming bind_system_batched(const CostSignature& sig,
+/// packed arrays instead of the AoS records (bind_block, then
+/// finish_bind). `capture_fabric = false` skips the SystemTiming::fabric
+/// copy for callers that price collectives through an external
+/// FabricPricer — every other field is unaffected, but
+/// time_placement/time_signature must NOT be fed such a timing.
+SystemTiming bind_system_batched(const SignatureTail& sig,
                                  const BatchedSignature& bat,
                                  const hw::SystemConfig& sys,
                                  const EvalOptions& opts = {},
@@ -154,7 +194,7 @@ SystemTiming bind_system_batched(const CostSignature& sig,
 /// Bind one signature against M systems in one pass over the packed
 /// operands. out[k] is bitwise-identical to bind_system(sig, systems[k]).
 std::vector<SystemTiming> bind_systems_batch(
-    const CostSignature& sig, const BatchedSignature& bat,
+    const SignatureTail& sig, const BatchedSignature& bat,
     const std::vector<hw::SystemConfig>& systems, const EvalOptions& opts = {});
 
 /// Time N placements of one bound (signature, system) in one batched pass.
@@ -169,7 +209,7 @@ std::vector<SystemTiming> bind_systems_batch(
 /// chain keeps one pricer per grid point, so the per-candidate SystemTiming
 /// needs no fabric restamp). Null builds a transient pricer on base.fabric.
 void time_placements_batch(
-    const CostSignature& sig, const BatchedSignature& bat,
+    const SignatureTail& sig, const BatchedSignature& bat,
     const SystemTiming& base, const hw::SystemConfig& sys,
     const parallel::ParallelConfig& cfg,
     const std::vector<std::array<std::int64_t, 4>>& placements,
@@ -196,17 +236,56 @@ void time_placements_batch(
 /// rounding of the row floors against the prices. Returns 0 (no screen)
 /// when !(opts.tp_overlap <= 1): exposed communication is negative there
 /// and the walk is no longer monotone. Uses scratch.row_floor only.
-double placement_floor(const CostSignature& sig, const BatchedSignature& bat,
+/// It is floor_comm_walk followed by finish_placement_floor.
+double placement_floor(const SignatureTail& sig, const BatchedSignature& bat,
                        const SystemTiming& base,
                        const comm::FabricPricer& pricer,
                        const parallel::ParallelConfig& cfg,
                        const EvalOptions& opts, BatchScratch& scratch);
 
+/// The floor's exposed-communication sums per microbatch per block (the
+/// op walk over the row floors), before the tail scales them.
+struct FloorWalk {
+  Seconds fwd_comm, bwd_comm;
+};
+
+/// placement_floor's op walk: reads the block, its SUMMA panel budgets
+/// (BlockTiming::summa_panel_time or SystemTiming::summa_panel_time, the
+/// same values), the fabric, the EvalOptions, and cfg only through the
+/// sizes of the groups its pricing rows use. `row_floor` is scratch.
+FloorWalk floor_comm_walk(
+    const BatchedSignature& bat,
+    const std::vector<std::array<Seconds, 2>>& summa_panel_time,
+    const hw::Topology& fabric, const parallel::ParallelConfig& cfg,
+    const EvalOptions& opts, std::vector<Seconds>& row_floor);
+
+/// True when floor_comm_walk reads only the TP1 and TP2 group sizes (n1,
+/// n2), which the LayerKey fixes: one walk per (block, fabric) then serves
+/// every candidate of the block. A block with DP-group rows (the MoE
+/// AllToAll) prices them at nd, which candidates sharing the block (nd at
+/// or above the expert count) do not share, so its walk stays per
+/// candidate.
+inline bool floor_walk_per_block(const BatchedSignature& bat) {
+  constexpr unsigned kTpGroups =
+      (1u << static_cast<unsigned>(ops::CommGroup::TP1)) |
+      (1u << static_cast<unsigned>(ops::CommGroup::TP2));
+  return (bat.comm_groups_mask & ~kTpGroups) == 0;
+}
+
+/// placement_floor's tail: the stage times, tp_comm, bubble and the total
+/// from a walk and the candidate's finished SystemTiming (only its scalar
+/// fields are read). Returns 0 when !(opts.tp_overlap <= 1).
+double finish_placement_floor(const FloorWalk& walk, const SignatureTail& sig,
+                              const BatchedSignature& bat,
+                              const SystemTiming& base,
+                              const parallel::ParallelConfig& cfg,
+                              const EvalOptions& opts);
+
 /// N placements x M systems in one call: out[k] holds placements.size()
 /// timings against systems[k] (bound via bind_systems_batch). Convenience
 /// composition of the two kernels above for grid-shaped queries.
 std::vector<std::vector<PlacementTiming>> time_placements_systems_batch(
-    const CostSignature& sig, const BatchedSignature& bat,
+    const SignatureTail& sig, const BatchedSignature& bat,
     const std::vector<hw::SystemConfig>& systems,
     const parallel::ParallelConfig& cfg,
     const std::vector<std::array<std::int64_t, 4>>& placements,

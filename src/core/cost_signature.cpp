@@ -97,35 +97,20 @@ void lower_ops(CostSignature& sig, const parallel::LayerCost& layer) {
 
 }  // namespace
 
-CostSignature compile_signature(const model::TransformerConfig& mdl,
-                                const parallel::ParallelConfig& cfg,
-                                std::int64_t global_batch,
-                                const parallel::LayerCost& layer,
-                                const EvalOptions& opts) {
+CostSignature compile_layer(const model::TransformerConfig& mdl,
+                            const parallel::ParallelConfig& cfg,
+                            std::int64_t global_batch,
+                            const parallel::LayerCost& layer) {
   CostSignature sig;
-  sig.microbatches = cfg.microbatches;
-  sig.np = cfg.np;
-  sig.layers_per_stage = mdl.depth / cfg.np;
-  sig.local_microbatch = cfg.local_microbatch(global_batch);
-
   lower_ops(sig, layer);
 
   sig.stored_activation_bytes = layer.stored_bytes();
   sig.pp_boundary_bytes = layer.pp_boundary_bytes;
   sig.weight_params = layer.weight_params;
-  const double Ld = static_cast<double>(sig.layers_per_stage);
-  sig.stage_params = layer.weight_params * Ld;
   sig.dp_group_includes_tp2 = layer.dp_group_includes_tp2;
-  sig.dp_size = cfg.nd;
-  if (layer.dp_group_includes_tp2) sig.dp_size *= cfg.n2;
-  sig.dp_grad_bytes = Bytes(2.0 * sig.stage_params);
-  double opt_shard = static_cast<double>(cfg.nd);
-  if (layer.dp_group_includes_tp2) opt_shard *= static_cast<double>(cfg.n2);
-  sig.opt_shard = opt_shard;
-  sig.optimizer_traffic = Bytes(28.0 * sig.stage_params / opt_shard);
 
   if (mdl.vocab > 0) {
-    const double B = static_cast<double>(sig.local_microbatch);
+    const double B = static_cast<double>(cfg.local_microbatch(global_batch));
     const double tokens2 =
         B * static_cast<double>(mdl.seq_len) / static_cast<double>(cfg.n2);
     const double Vshard =
@@ -147,20 +132,57 @@ CostSignature compile_signature(const model::TransformerConfig& mdl,
                              static_cast<double>(mdl.embed) /
                              static_cast<double>(cfg.n1);
   }
+  return sig;
+}
+
+SignatureTail compile_tail(const model::TransformerConfig& mdl,
+                           const parallel::ParallelConfig& cfg,
+                           std::int64_t global_batch,
+                           const BlockScalars& block,
+                           const EvalOptions& opts) {
+  SignatureTail t;
+  t.microbatches = cfg.microbatches;
+  t.np = cfg.np;
+  t.layers_per_stage = mdl.depth / cfg.np;
+  t.local_microbatch = cfg.local_microbatch(global_batch);
+
+  const double Ld = static_cast<double>(t.layers_per_stage);
+  t.stage_params = block.weight_params * Ld;
+  t.dp_size = cfg.nd;
+  if (block.dp_group_includes_tp2) t.dp_size *= cfg.n2;
+  t.dp_grad_bytes = Bytes(2.0 * t.stage_params);
+  double opt_shard = static_cast<double>(cfg.nd);
+  if (block.dp_group_includes_tp2) opt_shard *= static_cast<double>(cfg.n2);
+  t.opt_shard = opt_shard;
+  t.optimizer_traffic = Bytes(28.0 * t.stage_params / opt_shard);
 
   const std::int64_t in_flight =
       pipeline::in_flight_microbatches(cfg.np, cfg.microbatches);
-  sig.mem = memory::compute_memory(layer, cfg, sig.layers_per_stage, in_flight);
+  t.mem = memory::compute_memory(block.weight_params,
+                                 block.dp_group_includes_tp2,
+                                 block.stored_activation_bytes, cfg,
+                                 t.layers_per_stage, in_flight);
   if (opts.activation_recompute) {
-    sig.mem.activations =
-        layer.pp_boundary_bytes * (Ld * static_cast<double>(in_flight));
+    t.mem.activations =
+        block.pp_boundary_bytes * (Ld * static_cast<double>(in_flight));
   }
-  sig.mem.activations *= 1.0 - opts.activation_offload;
-  if (sig.head_weight_params > 0) {
-    sig.mem.weights += Bytes(2.0 * sig.head_weight_params);
-    sig.mem.gradients += Bytes(2.0 * sig.head_weight_params);
-    sig.mem.optimizer += Bytes(12.0 * sig.head_weight_params / opt_shard);
+  t.mem.activations *= 1.0 - opts.activation_offload;
+  if (block.head_weight_params > 0) {
+    t.mem.weights += Bytes(2.0 * block.head_weight_params);
+    t.mem.gradients += Bytes(2.0 * block.head_weight_params);
+    t.mem.optimizer += Bytes(12.0 * block.head_weight_params / opt_shard);
   }
+  return t;
+}
+
+CostSignature compile_signature(const model::TransformerConfig& mdl,
+                                const parallel::ParallelConfig& cfg,
+                                std::int64_t global_batch,
+                                const parallel::LayerCost& layer,
+                                const EvalOptions& opts) {
+  CostSignature sig = compile_layer(mdl, cfg, global_batch, layer);
+  static_cast<SignatureTail&>(sig) =
+      compile_tail(mdl, cfg, global_batch, sig, opts);
   return sig;
 }
 

@@ -27,9 +27,26 @@
 //     evaluation-order contract; a change to any of them must land in all
 //     three (the golden matrix + randomized property tests enforce it).
 //
+// BLOCK / TAIL SPLIT. A CostSignature is two halves with different keys:
+//   * the BLOCK (compile_layer) — op, comm and head records plus the
+//     BlockScalars — depends only on the built layer, i.e. on the
+//     search::LayerKey slice of the config, so every (np, nd, m, zero)
+//     candidate with the same layer shares it;
+//   * the TAIL (compile_tail, SignatureTail) — layers per stage,
+//     microbatches, the DP and optimizer scalars and the memory breakdown
+//     — is a few multiplies per candidate, computed from the block's
+//     scalars.
+// compile_signature is compile_layer followed by compile_tail, so each
+// scalar statement exists once and a tail compiled against a shared block
+// is bitwise the signature's own. The search engines keep the halves apart
+// (search::lower_block, core/batched_signature.hpp's bind_block /
+// finish_bind), lowering and binding each layer once however many
+// candidates use it.
+//
 // Thread-safety: CostSignature and SystemTiming are immutable after
 // construction; any number of threads may share them. The compile phase is
-// pure. Cross-sweep sharing lives in search::SignatureCache.
+// pure. Whole signatures are shared through search::SignatureCache (serve
+// planning); the engines share blocks and tails (search/search_cache.hpp).
 
 #include <array>
 #include <cstdint>
@@ -111,36 +128,28 @@ struct SigHeadOp {
   bool tensor_core = false;
 };
 
-/// Hardware-invariant compilation of one candidate: everything the time
-/// phase needs, with no reference back to the op list. Valid for any
-/// hw::SystemConfig and any NVS placement of the same (n1, n2, np, nd);
-/// also interleave-invariant (the schedule enters only at time time).
-/// Depends on EvalOptions (recompute/offload shape the memory breakdown),
-/// so cache signatures per (model, global batch, EvalOptions).
-struct CostSignature {
-  // Identity of the hardware-free slice this was compiled for.
-  /// Execution phase of the op tables below. Training signatures carry the
-  /// full fwd+bwd+optimizer records exactly as always; inference phases
-  /// zero the backward dimension (ops, aggregates, DP/optimizer scalars).
-  ExecutionPhase phase = ExecutionPhase::kTraining;
-  /// Decode only: single-token queries per pipeline decode group (may be
-  /// fractional — a resident batch split across np groups).
-  double phase_tokens = 0;
+/// The per-LayerKey scalars of a signature: what the built layer alone
+/// fixes, shared by every candidate whose (np, nd, m, zero) differ but whose
+/// layer is the same (search::LayerKey). The SoA block
+/// (core/batched_signature.hpp) carries them next to its op rows.
+struct BlockScalars {
+  Bytes stored_activation_bytes;  ///< Per microbatch per block.
+  Bytes pp_boundary_bytes;        ///< Pipeline handoff per microbatch.
+  double weight_params = 0;       ///< Per block.
+  bool dp_group_includes_tp2 = false;
+  double head_weight_params = 0;  ///< 0 when the model has no vocabulary.
+};
+
+/// The per-candidate scalar tail of a signature: everything (np, nd, m,
+/// zero) and the EvalOptions change while the layer is held fixed. Cheap
+/// to compile (compile_tail: a few multiplies and the memory breakdown),
+/// so the search engines compile one per candidate against a shared block.
+struct SignatureTail {
   std::int64_t microbatches = 1;      ///< m (decode: np rotating groups)
   std::int64_t np = 1;                ///< pipeline stages
   std::int64_t layers_per_stage = 1;  ///< depth / np
   std::int64_t local_microbatch = 1;  ///< b / (nd * m)
-
-  std::vector<SigOp> ops;
-  std::vector<SigComm> comm;   ///< Flattened fwd+bwd requests of all ops.
-  std::vector<SigHeadOp> head; ///< Empty when the model has no vocabulary.
-  double head_weight_params = 0;
-
-  Bytes stored_activation_bytes;  ///< Per microbatch per block.
-  Bytes pp_boundary_bytes;        ///< Pipeline handoff per microbatch.
-  double weight_params = 0;       ///< Per block.
-  double stage_params = 0;        ///< weight_params * layers_per_stage.
-  bool dp_group_includes_tp2 = false;
+  double stage_params = 0;   ///< weight_params * layers_per_stage.
   std::int64_t dp_size = 1;  ///< nd (x n2 when the flag is set).
   Bytes dp_grad_bytes;       ///< 2 B/param gradient volume per stage.
   double opt_shard = 1;      ///< Adam shard width (dp_size).
@@ -149,6 +158,29 @@ struct CostSignature {
   /// Busiest-GPU residency, hardware-free (recompute override, offload
   /// fraction and head-shard adjustments already applied).
   memory::MemoryBreakdown mem;
+};
+
+/// Hardware-invariant compilation of one candidate: everything the time
+/// phase needs, with no reference back to the op list. Valid for any
+/// hw::SystemConfig and any NVS placement of the same (n1, n2, np, nd);
+/// also interleave-invariant (the schedule enters only at time time).
+/// Depends on EvalOptions (recompute/offload shape the memory breakdown),
+/// so cache signatures per (model, global batch, EvalOptions).
+/// It is the block half (op, comm and head records plus BlockScalars, from
+/// compile_layer) and the candidate's SignatureTail (compile_tail) in one
+/// object; the search engines keep the halves apart.
+struct CostSignature : SignatureTail, BlockScalars {
+  /// Execution phase of the op tables below. Training signatures carry the
+  /// full fwd+bwd+optimizer records exactly as always; inference phases
+  /// zero the backward dimension (ops, aggregates, DP/optimizer scalars).
+  ExecutionPhase phase = ExecutionPhase::kTraining;
+  /// Decode only: single-token queries per pipeline decode group (may be
+  /// fractional — a resident batch split across np groups).
+  double phase_tokens = 0;
+
+  std::vector<SigOp> ops;
+  std::vector<SigComm> comm;   ///< Flattened fwd+bwd requests of all ops.
+  std::vector<SigHeadOp> head; ///< Empty when the model has no vocabulary.
 
   // Aggregate totals per op class and comm group — summaries for the
   // invariant analyzer and reports; the per-op records drive the timing.
@@ -164,6 +196,26 @@ struct CostSignature {
   Bytes fwd_hbm_bytes() const { return matmul_fwd_bytes + vector_fwd_bytes; }
   Bytes bwd_hbm_bytes() const { return matmul_bwd_bytes + vector_bwd_bytes; }
 };
+
+/// The block half of compile_signature: the op, comm and head records,
+/// their aggregates and the BlockScalars. It reads cfg only through the
+/// LayerKey slice (strategy, n1, n2, nb, ring attention, the local
+/// microbatch and the MoE width), so every candidate sharing a layer shares
+/// its output. The SignatureTail part is left at its defaults.
+CostSignature compile_layer(const model::TransformerConfig& mdl,
+                            const parallel::ParallelConfig& cfg,
+                            std::int64_t global_batch,
+                            const parallel::LayerCost& layer);
+
+/// The tail half of compile_signature, from the block's scalars alone:
+/// compile_signature(mdl, cfg, b, layer, opts) is compile_layer plus this,
+/// so a tail compiled against a shared block equals the signature's own
+/// tail bit for bit.
+SignatureTail compile_tail(const model::TransformerConfig& mdl,
+                           const parallel::ParallelConfig& cfg,
+                           std::int64_t global_batch,
+                           const BlockScalars& block,
+                           const EvalOptions& opts = {});
 
 /// Lower a built layer into its signature. `cfg` must satisfy the
 /// hardware-free divisibility constraints (np | depth, nd*m | b, ...);

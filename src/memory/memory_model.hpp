@@ -39,6 +39,15 @@ MemoryBreakdown compute_memory(const parallel::LayerCost& layer,
                                std::int64_t layers_per_stage,
                                std::int64_t in_flight_microbatches);
 
+/// The same breakdown from the three per-block quantities it reads
+/// (weight_params, dp_group_includes_tp2, stored_bytes()), for callers that
+/// keep a layer's scalars but not its op list.
+MemoryBreakdown compute_memory(double weight_params,
+                               bool dp_group_includes_tp2, Bytes stored_bytes,
+                               const parallel::ParallelConfig& cfg,
+                               std::int64_t layers_per_stage,
+                               std::int64_t in_flight_microbatches);
+
 /// Per-GPU K/V cache bytes for `tokens` cached tokens of one sequence over
 /// `layers` blocks: 2 (K and V) x kv_heads x head_dim x tokens x 2 B/elem
 /// per layer, with the kv_heads sharded over tp while tp <= kv_heads and

@@ -58,6 +58,17 @@ struct Op {
   Bytes bwd_bytes;
   std::vector<CommRequest> bwd_comm;
 
+  /// Output elements of the op's GEMMs per GPU: m*n forward, m*k + k*n
+  /// backward (dgrad and wgrad), 0 for every other op. A GEMM is counted
+  /// as (2k-1)*m*n FLOPs, i.e. 2 multiply-adds per term minus one per
+  /// output element, so flops + gemm outputs is twice the multiply-add
+  /// count — the quantity any split of the GEMM conserves. Splitting the
+  /// contraction k over s shards makes each shard write its own m*n partial
+  /// sums: the shards then sum to (2k - s)*m*n FLOPs, and the invariant
+  /// analyzer uses these counts to expect exactly that.
+  double fwd_gemm_outputs = 0;
+  double bwd_gemm_outputs = 0;
+
   /// Bytes of intermediate activations this op keeps resident per microbatch
   /// for its backward pass (FlashAttention recomputation already accounted).
   Bytes stored_bytes;

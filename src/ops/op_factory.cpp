@@ -34,6 +34,8 @@ Op matmul(std::string name, double m, double n, double k, double batch,
   op.bwd_flops =
       Flops(batch * ((2.0 * n - 1.0) * m * k + (2.0 * m - 1.0) * k * n));
   op.bwd_bytes = 2.0 * op.fwd_bytes;
+  op.fwd_gemm_outputs = batch * m * n;
+  op.bwd_gemm_outputs = batch * (m * k + k * n);
   op.stored_bytes = Bytes(batch * kBytesPerElement *
                           ((store_a ? m * k : 0.0) + (store_b ? k * n : 0.0)));
   op.in_elems = batch * m * k;
@@ -126,6 +128,10 @@ Op summa_matmul(std::string name, double M, double N, double K, std::int64_t n1,
              K * N / static_cast<double>(n1) + M * N / p));
   op.bwd_flops = 2.0 * op.fwd_flops;
   op.bwd_bytes = 2.0 * op.fwd_bytes;
+  // The serial count split evenly over the p GPUs: one (M x N)/p output
+  // forward, two backward (the same 2 x multiply-adds as dgrad + wgrad).
+  op.fwd_gemm_outputs = M * N / p;
+  op.bwd_gemm_outputs = 2.0 * M * N / p;
   op.stored_bytes = Bytes(store_a ? kBytesPerElement * M * K / p : 0.0);
   op.in_elems = M * K / p;
   op.out_elems = M * N / p;
@@ -152,6 +158,7 @@ Op summa_matmul(std::string name, double M, double N, double K, std::int64_t n1,
 
 Op forward_only(Op op) {
   op.bwd_flops = Flops(0);
+  op.bwd_gemm_outputs = 0;
   op.bwd_bytes = Bytes(0);
   op.bwd_comm.clear();
   op.stored_bytes = Bytes(0);

@@ -89,20 +89,11 @@ std::shared_ptr<const std::vector<parallel::ParallelConfig>>
 CandidateCache::get(const model::TransformerConfig& mdl,
                     const hw::SystemConfig& sys, const SearchOptions& opts) {
   const std::int64_t scale = opts.n_gpus > 0 ? opts.n_gpus : sys.n_gpus;
-  const ShapeKey key = shape_key(mdl, scale);
-  Shard& shard = shards_[KeyHash{}(key) % kShards];
-  std::lock_guard lock(shard.mutex);
-  auto it = shard.map.find(key);
-  if (it != shard.map.end()) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return it->second;
-  }
-  builds_.fetch_add(1, std::memory_order_relaxed);
-  auto configs = std::make_shared<const std::vector<parallel::ParallelConfig>>(
-      expand_candidates(mdl, sys, opts));
-  candidates_.fetch_add(configs->size(), std::memory_order_relaxed);
-  shard.map.emplace(key, configs);
-  return configs;
+  return memo_.get(shape_key(mdl, scale), [&] {
+    auto configs = expand_candidates(mdl, sys, opts);
+    candidates_.fetch_add(configs.size(), std::memory_order_relaxed);
+    return configs;
+  });
 }
 
 CodesignResult run_codesign(const std::vector<model::TransformerConfig>& shapes,
@@ -208,19 +199,11 @@ CodesignResult run_codesign(const std::vector<model::TransformerConfig>& shapes,
     }
     if (!any_scanned) continue;
 
-    // Signature-level caches key below the model: one trio per shape,
-    // shared by all of its grid points (see SignatureCache).
-    LayerCostCache layer_cache;
-    SignatureCache signature_cache;
-    BatchedCache batched_cache;
-    const ScanShared scan{shape,
-                          opts.sweep,
-                          layer_cache,
-                          placement_cache,
-                          signature_cache,
-                          batched_cache,
-                          compile_ns,
-                          time_ns};
+    // Block and tail caches key below the model: one pair per shape,
+    // shared by all of its grid points (see ShapeCaches).
+    ShapeCaches caches;
+    const ScanShared scan{shape, opts.sweep, caches, placement_cache,
+                          compile_ns, time_ns};
 
     // Within a chain the points run in input order, threading the warm
     // seed; the leased ScanScratch persists across the chain (and, through
@@ -282,12 +265,11 @@ CodesignResult run_codesign(const std::vector<model::TransformerConfig>& shapes,
         out.best[p].shape = s;
       }
     }
-    out.stats.signature_compiles += signature_cache.compiles();
-    out.stats.signature_cache_hits += signature_cache.hits();
-    out.stats.signature_lowers += batched_cache.lowers();
-    out.stats.batched_cache_hits += batched_cache.hits();
-    out.stats.build_layer_calls += layer_cache.builds();
-    out.stats.layer_cache_hits += layer_cache.hits();
+    out.stats.signature_compiles += caches.tails.builds();
+    out.stats.signature_cache_hits += caches.tails.hits();
+    out.stats.signature_lowers += caches.blocks.builds();
+    out.stats.build_layer_calls += caches.blocks.builds();
+    out.stats.layer_cache_hits += caches.blocks.hits();
   }
 
   for (const auto& w : out.best) {

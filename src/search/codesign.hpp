@@ -13,18 +13,20 @@
 //     pair and shares the lists across the grid. The first worker that
 //     needs a list builds it, so enumeration OVERLAPS other chains'
 //     compile and timing work instead of serializing ahead of the fan-out.
-//   * COMPILE ONCE — each candidate is compiled once into a hardware-
-//     invariant CostSignature and lowered once into its SoA
-//     BatchedSignature. SignatureCache/LayerCostCache/BatchedCache key
-//     below the model, so the driver scopes one trio per shape, shared by
-//     all of that shape's grid points (and the interleave axis within a
-//     point); the PlacementCache and CandidateCache are model-keyed or
-//     model-free and live for the whole run.
+//   * COMPILE PER LAYER — each distinct layer is lowered once into a
+//     hardware-invariant SoA block and each candidate compiles only its
+//     scalar tail against it (core/cost_signature.hpp, "block / tail
+//     split"). The block and tail caches (ShapeCaches) key below the
+//     model, so the driver scopes one pair per shape, shared by all of
+//     that shape's grid points (and the interleave axis within a point);
+//     the PlacementCache and CandidateCache are model-keyed or model-free
+//     and live for the whole run.
 //   * CHAINS — grid points sharing a GPU type and scale (the NVS/bandwidth
 //     axis of a hardware_grid) form a chain, in input order. Chains stream
 //     over util::parallel_for_dynamic; within a chain the points run
-//     sequentially through one ChainContext (search/point_scan.hpp:
-//     compile once, bind once, fabric restamp).
+//     sequentially through one ChainContext (search/point_scan.hpp: a
+//     tail per candidate, a bind per block and GPU roofline, a floor walk
+//     per block and point).
 //   * WARM STARTS (SweepOptions::warm_start) — each scan first re-times a
 //     seed candidate: the previous surviving shape's optimum at the same
 //     point, looked up BY VALUE in this shape's list (indices are not
@@ -71,15 +73,13 @@
 // 200-shape x 3-generation product at >= 5x the per-shape find_optimal
 // throughput.
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "model/shape_family.hpp"
+#include "search/search_cache.hpp"
 #include "search/sweep.hpp"
 
 namespace tfpe::search {
@@ -110,9 +110,9 @@ struct ShapeKey {
 ShapeKey shape_key(const model::TransformerConfig& mdl, std::int64_t n_gpus);
 
 /// Memoized expand_candidates over (shape, GPU count), shared by every
-/// grid point and shape of one co-design run. Thread-safe; a shard's mutex
-/// is held across the build so each key enumerates exactly once (builds()
-/// is deterministic) and readers share the immutable list.
+/// grid point and shape of one co-design run. Thread-safe (a ShardedMemo:
+/// each key enumerates exactly once, so builds() is deterministic, and
+/// readers share the immutable list).
 class CandidateCache {
  public:
   /// The expanded candidate list for `mdl` at the scale find_optimal would
@@ -122,8 +122,8 @@ class CandidateCache {
       const model::TransformerConfig& mdl, const hw::SystemConfig& sys,
       const SearchOptions& opts);
 
-  std::size_t builds() const { return builds_.load(); }
-  std::size_t hits() const { return hits_.load(); }
+  std::size_t builds() const { return memo_.builds(); }
+  std::size_t hits() const { return memo_.hits(); }
   /// Summed size of the distinct lists built (not multiplied by reuse).
   std::size_t candidates() const { return candidates_.load(); }
 
@@ -131,17 +131,7 @@ class CandidateCache {
   struct KeyHash {
     std::size_t operator()(const ShapeKey& k) const;
   };
-  struct Shard {
-    std::mutex mutex;
-    std::unordered_map<
-        ShapeKey, std::shared_ptr<const std::vector<parallel::ParallelConfig>>,
-        KeyHash>
-        map;
-  };
-  static constexpr std::size_t kShards = 16;
-  std::array<Shard, kShards> shards_;
-  std::atomic<std::size_t> builds_{0};
-  std::atomic<std::size_t> hits_{0};
+  ShardedMemo<ShapeKey, std::vector<parallel::ParallelConfig>, KeyHash> memo_;
   std::atomic<std::size_t> candidates_{0};
 };
 

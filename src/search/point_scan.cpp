@@ -42,10 +42,8 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
   chain.pricer.rebind(chain.fabric);
   if (chain.point == 0 || !same_roofline(chain.gpu, sys.gpu) ||
       chain.host_bw.value() != sys.host_bandwidth.value()) {
-    for (ChainEntry& e : chain.entries) {
-      e.bound = 0;
-      e.lb_ready = 0;
-    }
+    for (ChainEntry& e : chain.entries) e.lb_ready = 0;
+    for (ChainBlock& cb : chain.blocks) cb.bound = 0;
     chain.gpu = sys.gpu;
     chain.host_bw = sys.host_bandwidth;
   }
@@ -76,19 +74,19 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
     } else if (cfg.invalid_reason(sh.mdl, sys, b)) {
       continue;
     }
-    if (opts.search.search_placement && e.sig &&
-        e.sig->mem.total() > sys.gpu.hbm_capacity) {
+    if (opts.search.search_placement && e.tail &&
+        e.tail->mem.total() > sys.gpu.hbm_capacity) {
       // Screen-level capacity gate: a candidate compiled on an earlier
-      // point of the chain whose signature already exceeds this point's
+      // point of the chain whose tail already exceeds this point's
       // HBM is charged its one capacity probe right here and never enters
       // the scan order — no bounds, no placement lookup, no reduction
-      // visit. (First-point candidates have no signature yet; they gate
+      // visit. (First-point candidates have no tail yet; they gate
       // inside evaluate after compiling.) Relative to find_optimal this
       // moves the candidate from memory_pruned / bound_pruned to
       // evaluated, deterministically and thread-invariantly — chains are
       // sequential — and the optima are untouched: an over-capacity
       // candidate is infeasible under every placement. Served by the
-      // chain-held signature (see signature_reuses).
+      // chain-held tail (see signature_reuses).
       ++out.signature_reuses;
       ++out.evaluated;
       continue;
@@ -125,30 +123,36 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
   std::vector<char>& done = scratch.done;
   done.assign(n, 0);
 
-  // Evaluate candidate i through the compile -> bind -> time stages,
-  // returning its achieved iteration time (infinity when infeasible or
-  // settled by the placement-floor screen against `cutoff`).
-  // Candidate state persists along the chain: a candidate is compiled
-  // once, its capacity verdict decided once, and — if it ever needs
-  // timing — lowered and bound once, with only the fabric restamped on
-  // later points. Over-capacity candidates (the bulk of a large-model
-  // grid) skip bind/lower/timing entirely: better_result never prefers an
-  // infeasible result, so only the eval count must match the reference
-  // scan. Gated shortcuts after the first point are too small to bracket
-  // with the stage clock; the stage profile counts the heavyweight stage
-  // bodies.
+  // Evaluate candidate i as tail -> capacity check -> block bind -> floor
+  // screen -> placement kernel, returning its achieved iteration time
+  // (infinity when infeasible or settled by the placement-floor screen
+  // against `cutoff`). State persists along the chain: a candidate's tail
+  // is compiled once (and shared across chains through the tail cache),
+  // its capacity verdict decided once; a block is bound once per GPU
+  // roofline and floor-walked once per point, and every candidate of the
+  // block finishes both from those sums with the statements of the
+  // one-shot forms, so results are bitwise unchanged. Over-capacity
+  // candidates (the bulk of a large-model grid) never touch their block:
+  // better_result never prefers an infeasible result, so only the eval
+  // count must match the reference scan. Gated shortcuts after the first
+  // point are too small to bracket with the stage clock; the stage profile
+  // counts the heavyweight stage bodies.
   const auto evaluate = [&](std::size_t i, double cutoff) -> double {
     parallel::ParallelConfig cfg = configs[i];
     ChainEntry& e = chain.entries[i];
-    if (!e.sig) {
-      const auto compile_t0 = Clock::now();
-      e.sig = sh.signature_cache.get(sh.mdl, cfg, b, eval, sh.layer_cache);
+    auto compile_t0 = Clock::now();
+    if (!e.tail) {
+      e.tail = sh.caches.tails.get(signature_key(cfg), [&] {
+        e.block = sh.caches.block(sh.mdl, cfg, b);
+        return core::compile_tail(sh.mdl, cfg, b, e.block->bat, eval);
+      });
       compile_ns += ns_since(compile_t0);
     } else {
       ++out.signature_reuses;
     }
-    const bool over_capacity = e.sig->mem.total() > sys.gpu.hbm_capacity;
-    if (over_capacity && opts.search.search_placement) {
+    const core::SignatureTail& tail = *e.tail;
+    if (opts.search.search_placement &&
+        tail.mem.total() > sys.gpu.hbm_capacity) {
       // One capacity probe — the candidate's placements are never
       // enumerated, looked up, or timed, so the evaluation counters report
       // the work the scan actually did (the exhaustive reference charges
@@ -158,52 +162,68 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
       done[i] = 1;
       return std::numeric_limits<double>::infinity();
     }
-    if (!e.bound) {
-      const auto compile_t0 = Clock::now();
-      e.bat = sh.batched_cache.get(e.sig);
-      // On the placement-search path every collective is priced through
-      // chain.pricer and the candidate's own fabric copy is dead weight —
-      // skip the capture AND the per-point restamp below. The
-      // time_signature path still reads base.fabric.
-      e.base = core::bind_system_batched(
-          *e.sig, *e.bat, sys, eval,
-          /*capture_fabric=*/!opts.search.search_placement);
-      e.fabric_point = chain.point;
-      e.bound = 1;
-      compile_ns += ns_since(compile_t0);
-    } else if (!opts.search.search_placement &&
-               e.fabric_point != chain.point) {
-      e.base.fabric = chain.fabric;
-      e.fabric_point = chain.point;
+    compile_t0 = Clock::now();
+    if (!e.block) e.block = sh.caches.block(sh.mdl, cfg, b);
+    const core::BatchedSignature& bat = e.block->bat;
+    if (chain.blocks.size() <= e.block->id) {
+      chain.blocks.resize(e.block->id + 1);
     }
+    ChainBlock& cb = chain.blocks[e.block->id];
+    if (!cb.bound) {
+      cb.part = core::bind_block(bat, sys, eval);
+      cb.bound = 1;
+    }
+    core::finish_bind(cb.part, tail, sys, scratch.base);
+    compile_ns += ns_since(compile_t0);
 
     const auto time_t0 = Clock::now();
     core::EvalResult r;
+    std::size_t evals = 0;
     if (opts.search.search_placement) {
       const auto placements = sh.placement_cache.get(cfg, sys.nvs_domain);
-      std::size_t evals = 0;
+      double floor = 0;
+      if (cutoff < std::numeric_limits<double>::infinity() &&
+          eval.tp_overlap <= 1) {
+        core::FloorWalk walk;
+        if (core::floor_walk_per_block(bat)) {
+          if (cb.walk_point != chain.point) {
+            cb.walk = core::floor_comm_walk(bat, cb.part.summa_panel_time,
+                                            chain.fabric, cfg, eval,
+                                            scratch.batch.row_floor);
+            cb.walk_point = chain.point;
+          }
+          walk = cb.walk;
+        } else {
+          walk = core::floor_comm_walk(bat, cb.part.summa_panel_time,
+                                       chain.fabric, cfg, eval,
+                                       scratch.batch.row_floor);
+        }
+        floor = core::finish_placement_floor(walk, tail, bat, scratch.base,
+                                             cfg, eval);
+      }
       bool screened = false;
       // prevalidated: the screening loop / capacity gates above already
       // decided validity and HBM fit for this candidate, so the scan's
-      // placement-invariant shortcut (which reads base.fabric via
-      // time_signature) is provably dead — skipping it is what lets the
-      // bind above drop the fabric capture.
-      r = scan_placements_batch(sh.mdl, sys, cfg, b, *e.sig, *e.bat, e.base,
+      // placement-invariant shortcut is provably dead.
+      r = scan_placements_batch(sh.mdl, sys, cfg, b, tail, bat, scratch.base,
                                 *placements, eval, evals,
                                 /*stop_after_infeasible=*/opts.search.prune,
                                 scratch.batch, timings, &chain.pricer,
-                                /*prevalidated=*/true, cutoff, &screened);
+                                /*prevalidated=*/true, floor, cutoff,
+                                &screened);
       if (screened) ++out.placement_floor_pruned;
       if (!timings.empty()) {
         ++out.batch_calls;
         out.batch_placements += timings.size();
       }
-      out.evaluated += evals;
     } else {
       pack_placement(cfg, sys.nvs_domain);
-      r = core::time_signature(*e.sig, e.base, sh.mdl, sys, cfg, b, eval);
-      ++out.evaluated;
+      r = scan_placements_batch(sh.mdl, sys, cfg, b, tail, bat, scratch.base,
+                                {{cfg.nvs1, cfg.nvs2, cfg.nvsp, cfg.nvsd}},
+                                eval, evals, /*stop_after_infeasible=*/true,
+                                scratch.batch, timings, &chain.pricer);
     }
+    out.evaluated += evals;
     time_ns += ns_since(time_t0);
     done[i] = 1;
     if (!r.feasible) return std::numeric_limits<double>::infinity();

@@ -3,9 +3,9 @@
 // search/codesign.hpp; run_sweep is its one-shape case): one system's
 // sequential, lower-bound-ordered scan of a candidate list with an
 // achieved-time incumbent, warm seeding, and the ChainContext that
-// persists per-candidate state (compiled signature, SoA lowering, bound
-// timing with fabric restamp, screen and lower-bound caches) across the
-// points of one chain.
+// persists state across the points of one chain: per candidate its
+// compiled tail, block and screen / lower-bound caches; per block its bind
+// half (per GPU roofline) and floor walk (per point).
 //
 // This is the search layer's internal engine room — run_codesign owns the
 // caches, groups points into chains and aggregates PointOutcome counters
@@ -37,17 +37,42 @@ inline std::int64_t ns_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+/// One lowered layer of a shape (lower_block), shared by every chain that
+/// scans the shape. `id` numbers the shape's blocks densely in build order,
+/// so a chain keeps its per-block state in a vector (ChainContext::blocks).
+struct ScanBlock {
+  core::BatchedSignature bat;
+  std::size_t id = 0;
+};
+
+/// The per-shape engine caches (they key below the model): blocks per
+/// LayerKey and candidate tails per SignatureKey, shared by every grid
+/// point and chain of one shape.
+struct ShapeCaches {
+  ShardedMemo<LayerKey, ScanBlock, LayerKeyHash> blocks;
+  ShardedMemo<SignatureKey, core::SignatureTail, SignatureKeyHash> tails;
+  std::atomic<std::size_t> block_ids{0};
+
+  /// cfg's block, lowering it on first use. Thread-safe.
+  std::shared_ptr<const ScanBlock> block(const model::TransformerConfig& mdl,
+                                         const parallel::ParallelConfig& cfg,
+                                         std::int64_t global_batch) {
+    return blocks.get(layer_key(mdl, cfg, global_batch), [&] {
+      return ScanBlock{lower_block(mdl, cfg, global_batch),
+                       block_ids.fetch_add(1, std::memory_order_relaxed)};
+    });
+  }
+};
+
 /// Everything scan_point reads and mutates, owned by the caller: the model
-/// and engine options the scan is for, the memoization caches (signature /
-/// batched caches must be paired per (model, global batch, EvalOptions)
-/// tuple — see SignatureCache), and the stage-profile busy counters.
+/// and engine options the scan is for, the memoization caches (the shape's
+/// caches must be per (model, global batch, EvalOptions) tuple — see
+/// SignatureKey), and the stage-profile busy counters.
 struct ScanShared {
   const model::TransformerConfig& mdl;
   const SweepOptions& opts;
-  LayerCostCache& layer_cache;
+  ShapeCaches& caches;
   PlacementCache& placement_cache;
-  SignatureCache& signature_cache;
-  BatchedCache& batched_cache;
   std::atomic<std::int64_t>& compile_ns;
   std::atomic<std::int64_t>& time_ns;
 };
@@ -64,12 +89,12 @@ struct PointOutcome {
   std::size_t placement_floor_pruned = 0;
   std::size_t batch_calls = 0;
   std::size_t batch_placements = 0;
-  /// Candidate visits served by the chain's own already-compiled signature,
-  /// with no SignatureCache probe at all. find_optimal probes the cache on
-  /// every visit (each probe a hit or a compile), so hit-rate accounting
-  /// that only counts probes would make the same work look like a lower
-  /// hit rate here — SweepStats::compile_hit_rate counts these reuses
-  /// alongside cache hits.
+  /// Candidate visits served by the chain's own already-compiled tail,
+  /// with no tail-cache probe at all. find_optimal compiles a tail on
+  /// every visit, so hit-rate accounting that only counts probes would
+  /// make the same work look like a lower hit rate here —
+  /// SweepStats::compile_hit_rate counts these reuses alongside cache
+  /// hits.
   std::size_t signature_reuses = 0;
   bool warm_seeded = false;
   bool warm_seed_feasible = false;
@@ -78,46 +103,48 @@ struct PointOutcome {
 /// Per-candidate state carried across the points of one chain (fixed GPU
 /// type and scale; see ChainContext).
 struct ChainEntry {
-  /// Hardware-invariant: the compiled signature and its SoA lowering are
-  /// valid for every point of the sweep, not just the chain.
-  std::shared_ptr<const core::CostSignature> sig;
-  std::shared_ptr<const core::BatchedSignature> bat;
-  /// Bound timing; valid when `bound`. Everything in it except `.fabric`
-  /// reads only the GPU roofline. On the placement-search path collectives
-  /// are priced through the chain's FabricPricer and `.fabric` is never
-  /// read (bound with capture_fabric = false, no restamp); the
-  /// time_signature path still restamps the current point's fabric
-  /// instead of re-binding.
-  core::SystemTiming base;
-  std::size_t fabric_point = kNoSeed;  ///< chain point whose fabric base has
+  /// Hardware-invariant: the compiled tail and the block are valid for
+  /// every point of the sweep, not just the chain. The block is looked up
+  /// when the candidate first needs it (a tail-cache hit does not).
+  std::shared_ptr<const core::SignatureTail> tail;
+  std::shared_ptr<const ScanBlock> block;
   /// Fabric-independent half of the candidate's lower bounds; the screen
   /// finishes it with the current point's fabric.
   core::SearchBoundsBase lb_base;
   std::int64_t screen_n_gpus = -1;     ///< cluster size the verdict is for
   std::uint8_t screened = 0;           ///< 0 unknown, 1 valid, 2 invalid
-  std::uint8_t bound = 0;
   std::uint8_t lb_ready = 0;
 };
 
-/// Chain context: candidate state reused across the points of one chain.
-/// The signature (and capacity verdict derived from it) never changes; the
-/// bound SystemTiming changes only through the fabric; the validity screen
-/// of a unit-placement candidate reads only the GPU count. Each is cached
-/// with the stamp that invalidates it.
+/// Per-block state carried across the points of one chain, indexed by
+/// ScanBlock::id: the bind half (it reads only the GPU roofline, the host
+/// link and the options) and the floor walk (it also reads the fabric, so
+/// it is redone per point).
+struct ChainBlock {
+  core::BlockTiming part;    ///< valid when `bound`
+  core::FloorWalk walk;      ///< valid when walk_point is the chain's point
+  std::size_t walk_point = kNoSeed;
+  std::uint8_t bound = 0;
+};
+
+/// Chain context: state reused across the points of one chain. The tail
+/// (and the capacity verdict derived from it) never changes; a block's
+/// bind changes only with the GPU roofline; the validity screen of a
+/// unit-placement candidate reads only the GPU count. Each is cached with
+/// the stamp that invalidates it.
 struct ChainContext {
   std::vector<ChainEntry> entries;
+  std::vector<ChainBlock> blocks;
   hw::Topology fabric;          ///< current point's fabric, resolved once
   /// Pricer bound to `fabric`, rebound once per point AFTER the fabric is
   /// resolved (it holds a pointer to `fabric`, whose address is stable for
-  /// the context's lifetime). On the placement-search path it performs all
-  /// collective pricing, so the per-candidate SystemTiming never needs its
-  /// own fabric copy — bind_system_batched runs with capture_fabric =
-  /// false and the per-point restamp disappears.
+  /// the context's lifetime). It performs all collective pricing, so the
+  /// candidates' SystemTimings never need their own fabric copy.
   comm::FabricPricer pricer;
   std::size_t point = kNoSeed;  ///< ordinal of the current point
   /// Roofline identity guard: chains key on gpu.name, but with_memory /
   /// with_compute grids can reuse a name with different rates — detect that
-  /// and drop the bound state (the signatures stay; they are
+  /// and drop the bound state (the tails and blocks stay; they are
   /// hardware-invariant).
   hw::GpuSpec gpu;
   BytesPerSec host_bw;
@@ -133,6 +160,7 @@ struct ChainContext {
 struct ScanScratch {
   core::BatchScratch batch;
   std::vector<core::PlacementTiming> timings;
+  core::SystemTiming base;  ///< the candidate's bind, finished per visit
   // scan_point-internal per-candidate state (sized to the candidate list).
   std::vector<std::pair<std::size_t, core::EvalResult>> feasible;
   std::vector<double> lb;

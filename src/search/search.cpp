@@ -120,21 +120,21 @@ constexpr double kPlacementFloorSlack = 1e-9;
 core::EvalResult scan_placements_batch(
     const model::TransformerConfig& mdl, const hw::SystemConfig& sys,
     parallel::ParallelConfig cfg, std::int64_t global_batch,
-    const core::CostSignature& sig, const core::BatchedSignature& bat,
+    const core::SignatureTail& sig, const core::BatchedSignature& bat,
     const core::SystemTiming& base,
     const std::vector<std::array<std::int64_t, 4>>& placements,
     const core::EvalOptions& eval, std::size_t& evals,
     bool stop_after_infeasible, core::BatchScratch& scratch,
     std::vector<core::PlacementTiming>& timings,
-    const comm::FabricPricer* pricer, bool prevalidated, double cutoff,
-    bool* screened) {
+    const comm::FabricPricer* pricer, bool prevalidated, double floor,
+    double cutoff, bool* screened) {
   if (screened) *screened = false;
   timings.clear();
+  core::EvalResult res;
   if (placements.empty()) {
-    core::EvalResult best;
-    best.cfg = cfg;
-    best.reason = "no valid placement";
-    return best;
+    res.cfg = cfg;
+    res.reason = "no valid placement";
+    return res;
   }
   const auto apply = [&](std::size_t idx) {
     cfg.nvs1 = placements[idx][0];
@@ -142,42 +142,58 @@ core::EvalResult scan_placements_batch(
     cfg.nvsp = placements[idx][2];
     cfg.nvsd = placements[idx][3];
   };
+  // A timed placement's result: every field time_signature would compute
+  // (time_placement is pure, and validity and capacity are decided here).
+  const auto materialize = [&](const core::PlacementTiming& pt) {
+    res.cfg = cfg;
+    res.t_fwd_micro = pt.t_fwd_stage.value();
+    res.t_bwd_micro = pt.t_bwd_stage.value();
+    res.time = pt.time;
+    res.mem = sig.mem;
+  };
 
   // Same placement-invariant feasibility shortcut (and eval accounting) as
-  // the reference scan — the batch kernel never runs for a doomed candidate.
-  // A prevalidated caller has already decided both verdicts (valid, fits),
-  // so the probe — the only reader of base.fabric on this path — is
-  // skipped, not merely predicted false.
+  // the reference scan — the kernel never times a doomed set. A
+  // prevalidated caller has already decided both verdicts (valid, fits),
+  // so the probe is skipped, not merely predicted false. An over-HBM
+  // candidate still reports the kept placement's timing, as time_signature
+  // does, from a one-placement kernel call.
   if (!prevalidated) {
     apply(0);
-    const bool invalid =
-        cfg.invalid_reason(mdl, sys, global_batch).has_value();
+    const auto invalid = cfg.invalid_reason(mdl, sys, global_batch);
     const bool over_capacity =
         !invalid && sig.mem.total() > sys.gpu.hbm_capacity;
     if (invalid || over_capacity) {
       evals += stop_after_infeasible ? 1 : placements.size();
-      apply(stop_after_infeasible ? 0 : placements.size() - 1);
-      return core::time_signature(sig, base, mdl, sys, cfg, global_batch,
-                                  eval);
+      const std::size_t kept =
+          stop_after_infeasible ? 0 : placements.size() - 1;
+      apply(kept);
+      if (invalid) {
+        // The kept placement's own reason, as time_signature reports it.
+        res.cfg = cfg;
+        res.reason = cfg.invalid_reason(mdl, sys, global_batch).value_or(
+            *invalid);
+        return res;
+      }
+      core::time_placements_batch(sig, bat, base, sys, cfg, {placements[kept]},
+                                  eval, timings, &scratch, pricer);
+      materialize(timings.front());
+      res.reason = "exceeds HBM capacity";
+      return res;
     }
   }
 
   // Placement-floor screen: a candidate whose floor is above the cutoff is
   // slower than it under every placement, so it is settled without timing.
   // Its placements stay charged to `evals`, exactly as if they were timed.
-  if (pricer && cutoff < std::numeric_limits<double>::infinity()) {
-    const double floor =
-        core::placement_floor(sig, bat, base, *pricer, cfg, eval, scratch);
-    if (floor * (1.0 - kPlacementFloorSlack) > cutoff) {
-      evals += placements.size();
-      if (screened) *screened = true;
-      apply(0);
-      core::EvalResult res;
-      res.cfg = cfg;
-      res.mem = sig.mem;
-      res.reason = "pruned: placement floor above incumbent";
-      return res;
-    }
+  if (floor * (1.0 - kPlacementFloorSlack) > cutoff) {
+    evals += placements.size();
+    if (screened) *screened = true;
+    apply(0);
+    res.cfg = cfg;
+    res.mem = sig.mem;
+    res.reason = "pruned: placement floor above incumbent";
+    return res;
   }
 
   core::time_placements_batch(sig, bat, base, sys, cfg, placements, eval,
@@ -197,18 +213,7 @@ core::EvalResult scan_placements_batch(
     }
   }
   apply(best_idx);
-
-  // The winner's timing already holds every field time_signature would
-  // recompute (validity and capacity were decided above, and
-  // time_placement is pure), so materialize the EvalResult from it
-  // directly instead of re-timing the placement.
-  core::EvalResult res;
-  res.cfg = cfg;
-  const core::PlacementTiming& pt = timings[best_idx];
-  res.t_fwd_micro = pt.t_fwd_stage.value();
-  res.t_bwd_micro = pt.t_bwd_stage.value();
-  res.time = pt.time;
-  res.mem = sig.mem;
+  materialize(timings[best_idx]);
   res.feasible = true;
   return res;
 }
@@ -291,15 +296,23 @@ void atomic_min(std::atomic<double>& target, double value) {
 
 /// One worker's share of the pruned engine's candidate evaluation: the
 /// fabric pricer (its memo is not reentrant, so workers cannot share one),
-/// the batch kernel's scratch and timing buffer, and the slots for a
-/// single-use signature and its lowering. Leased from a pool local to one
-/// search, so each stays warm across the candidates its worker evaluates.
+/// the batch kernel's scratch and timing buffer, and the candidate's
+/// finished bind. Leased from a pool local to one search, so each stays
+/// warm across the candidates its worker evaluates.
 struct ScanWorker {
   comm::FabricPricer pricer;
   core::BatchScratch scratch;
   std::vector<core::PlacementTiming> timings;
-  core::CostSignature sig;
+  core::SystemTiming base;
+};
+
+/// One lowered layer, bound once to the search's single system: the
+/// block, its bind half and — when core::floor_walk_per_block holds and a
+/// screen can run — its floor walk on the search's fabric.
+struct SearchBlock {
   core::BatchedSignature bat;
+  core::BlockTiming part;
+  core::FloorWalk walk;
 };
 
 /// Per-candidate results of one sweep over the configuration space.
@@ -350,10 +363,8 @@ SweepState sweep(const model::TransformerConfig& mdl,
     return st;
   }
 
-  LayerCostCache layer_cache;
+  ShardedMemo<LayerKey, SearchBlock, LayerKeyHash> blocks;
   PlacementCache placement_cache;
-  SignatureCache signature_cache;
-  BatchedCache batched_cache;
   // One fabric for the whole search: the screen bounds against it and
   // every worker's pricer is bound to it.
   const hw::Topology fabric = sys.resolved_fabric();
@@ -399,90 +410,83 @@ SweepState sweep(const model::TransformerConfig& mdl,
     return lb[a] != lb[c] ? lb[a] < lb[c] : a < c;
   });
 
-  // Only candidates sharing a signature key (in practice: differing only
-  // in the interleave factor) can be served twice by the signature and
-  // lowering caches. Every other candidate compiles and lowers straight
-  // into its worker's bundle, skipping both maps; the compile still counts
-  // in signature_compiles.
-  std::vector<char> shared_key(n, 0);
-  {
-    // Equal keys hash equal, so sorting (hash, candidate) pairs gathers
-    // every group of equal keys into one run of equal hashes.
-    std::vector<std::pair<std::size_t, std::size_t>> hashed;
-    hashed.reserve(order.size());
-    for (std::size_t i : order) {
-      hashed.emplace_back(signature_key_hash(signature_key(st.configs[i])), i);
-    }
-    std::sort(hashed.begin(), hashed.end());
-    for (std::size_t lo = 0, hi = 0; lo < hashed.size(); lo = hi) {
-      while (hi < hashed.size() && hashed[hi].first == hashed[lo].first) ++hi;
-      for (std::size_t a = lo; a < hi; ++a) {
-        for (std::size_t c = a + 1; c < hi; ++c) {
-          const std::size_t ia = hashed[a].second, ic = hashed[c].second;
-          if (signature_key(st.configs[ia]) == signature_key(st.configs[ic])) {
-            shared_key[ia] = shared_key[ic] = 1;
-          }
-        }
-      }
-    }
-  }
-
   std::atomic<double> incumbent{std::numeric_limits<double>::infinity()};
+  std::atomic<std::size_t> tails{0};
   std::atomic<std::size_t> floor_pruned{0};
+  // Only an incumbent search screens, and only where the floor bounds.
+  const bool screening = use_incumbent && opts.eval.tp_overlap <= 1;
 
-  // The pruned engine evaluates through the two-phase pipeline: compile the
-  // candidate once (shared across the interleave axis via the signature
-  // cache), lower and bind it once, then time its whole placement set in
-  // one batched kernel call whose collectives the worker's pricer prices.
-  // Phase 1 already decided validity, so a candidate that fits in HBM is
-  // prevalidated. One over capacity is infeasible under every placement:
-  // it gets its reason and a single capacity probe's eval charge, and no
+  // The pruned engine evaluates a candidate as block lookup -> tail ->
+  // capacity check -> floor screen -> placement kernel. The block (one per
+  // LayerKey, shared by every candidate with the same layer) is lowered,
+  // bound to the system and, where it is per block, floor-walked once, at
+  // its build; the candidate compiles only its scalar tail and finishes
+  // the bind and the floor from the block's sums with the same statements
+  // the one-shot forms run, so every result is bitwise unchanged. Phase 1
+  // already decided validity, so a candidate that fits in HBM is
+  // prevalidated. One over capacity is infeasible under every placement: it
+  // gets its reason and a single capacity probe's eval charge, and no
   // timing (infeasible results never reach the reduction's answer).
   // `cutoff` is the placement-floor screen's incumbent (+inf: no screen).
   auto evaluate_candidate = [&](std::size_t i, double cutoff) {
     parallel::ParallelConfig cfg = st.configs[i];
+    const std::shared_ptr<const SearchBlock> blk =
+        blocks.get(layer_key(mdl, cfg, b), [&] {
+          SearchBlock sb;
+          sb.bat = lower_block(mdl, cfg, b);
+          sb.part = core::bind_block(sb.bat, sys, opts.eval);
+          if (screening && core::floor_walk_per_block(sb.bat)) {
+            std::vector<Seconds> row_floor;
+            sb.walk = core::floor_comm_walk(sb.bat, sb.part.summa_panel_time,
+                                            fabric, cfg, opts.eval, row_floor);
+          }
+          return sb;
+        });
+    const core::SignatureTail tail =
+        core::compile_tail(mdl, cfg, b, blk->bat, opts.eval);
+    tails.fetch_add(1, std::memory_order_relaxed);
     util::ObjectPool<ScanWorker>::Lease w = workers.acquire();
-    std::shared_ptr<const core::CostSignature> shared_sig;
-    if (shared_key[i]) {
-      shared_sig = signature_cache.get(mdl, cfg, b, opts.eval, layer_cache);
-    } else {
-      w->sig = signature_cache.compile(mdl, cfg, b, opts.eval, layer_cache);
-    }
-    const core::CostSignature& sig = shared_sig ? *shared_sig : w->sig;
+    if (!w->pricer.bound()) w->pricer.rebind(fabric);
     core::EvalResult r;
     if (!opts.search_placement) {
-      const core::SystemTiming base = core::bind_system(sig, sys, opts.eval);
       pack_placement(cfg, sys.nvs_domain);
-      r = core::time_signature(sig, base, mdl, sys, cfg, b, opts.eval);
-      st.evals_per_config[i] = 1;
+      core::finish_bind(blk->part, tail, sys, w->base);
+      r = scan_placements_batch(mdl, sys, cfg, b, tail, blk->bat, w->base,
+                                {{cfg.nvs1, cfg.nvs2, cfg.nvsp, cfg.nvsd}},
+                                opts.eval, st.evals_per_config[i],
+                                /*stop_after_infeasible=*/true, w->scratch,
+                                w->timings, &w->pricer);
     } else {
       const auto placements = placement_cache.get(cfg, sys.nvs_domain);
       if (placements->empty()) {
         r.cfg = cfg;
         r.reason = "no valid placement";
-      } else if (sig.mem.total() > sys.gpu.hbm_capacity) {
+      } else if (tail.mem.total() > sys.gpu.hbm_capacity) {
         r.cfg = cfg;
-        r.mem = sig.mem;
+        r.mem = tail.mem;
         r.reason = "exceeds HBM capacity";
         st.evals_per_config[i] = 1;
       } else {
-        if (!w->pricer.bound()) w->pricer.rebind(fabric);
-        std::shared_ptr<const core::BatchedSignature> shared_bat;
-        if (shared_sig) {
-          shared_bat = batched_cache.get(shared_sig);
-        } else {
-          core::lower_batched(sig, w->bat);
+        core::finish_bind(blk->part, tail, sys, w->base);
+        double floor = 0;
+        if (screening && cutoff < std::numeric_limits<double>::infinity()) {
+          const core::FloorWalk walk =
+              core::floor_walk_per_block(blk->bat)
+                  ? blk->walk
+                  : core::floor_comm_walk(blk->bat, blk->part.summa_panel_time,
+                                          fabric, cfg, opts.eval,
+                                          w->scratch.row_floor);
+          floor = core::finish_placement_floor(walk, tail, blk->bat, w->base,
+                                               cfg, opts.eval);
         }
-        const core::BatchedSignature& bat = shared_bat ? *shared_bat : w->bat;
-        const core::SystemTiming base = core::bind_system_batched(
-            sig, bat, sys, opts.eval, /*capture_fabric=*/false);
         bool screened = false;
-        r = scan_placements_batch(mdl, sys, cfg, b, sig, bat, base,
+        r = scan_placements_batch(mdl, sys, cfg, b, tail, blk->bat, w->base,
                                   *placements, opts.eval,
                                   st.evals_per_config[i],
                                   /*stop_after_infeasible=*/true, w->scratch,
                                   w->timings, &w->pricer,
-                                  /*prevalidated=*/true, cutoff, &screened);
+                                  /*prevalidated=*/true, floor, cutoff,
+                                  &screened);
         if (screened) floor_pruned.fetch_add(1, std::memory_order_relaxed);
       }
     }
@@ -534,12 +538,11 @@ SweepState sweep(const model::TransformerConfig& mdl,
   }
 
   st.stats.placement_floor_pruned = floor_pruned.load();
-  st.stats.build_layer_calls = layer_cache.builds();
-  st.stats.layer_cache_hits = layer_cache.hits();
+  st.stats.build_layer_calls = blocks.builds();
+  st.stats.layer_cache_hits = blocks.hits();
   st.stats.placement_sets = placement_cache.builds();
   st.stats.placement_cache_hits = placement_cache.hits();
-  st.stats.signature_compiles = signature_cache.compiles();
-  st.stats.signature_cache_hits = signature_cache.hits();
+  st.stats.signature_compiles = tails.load();
   return st;
 }
 

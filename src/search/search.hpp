@@ -10,7 +10,7 @@
 //     shared incumbent (best achieved iteration time) or whose
 //     placement-independent memory floor exceeds HBM, before any op list
 //     is built;
-//   * a concurrent LayerCost cache shares one op list across all
+//   * a concurrent block cache shares one lowered layer across all
 //     (np, nd, m) combinations with the same tensor shapes, and a
 //     placement cache shares the non-dominated placement sets across the
 //     interleave/ZeRO/ring expansion axes;
@@ -88,25 +88,24 @@ struct SearchStats {
   /// exceeded HBM capacity.
   std::size_t memory_pruned = 0;
   /// build_layer invocations (exhaustive: one per candidate; pruned: one
-  /// per distinct LayerCost cache key actually needed).
+  /// per distinct LayerKey block actually needed) and block reuses.
   std::size_t build_layer_calls = 0;
   std::size_t layer_cache_hits = 0;
   /// enumerate_placements invocations / placement-set cache hits.
   std::size_t placement_sets = 0;
   std::size_t placement_cache_hits = 0;
-  /// compile_signature invocations / signature cache hits of the two-phase
-  /// engine. Distinct from the layer-cache counters: a layer hit reuses an
-  /// op LIST (hardware-free S1 counts), a signature hit reuses the full
-  /// COMPILED candidate (op records + memory breakdown + DP/optimizer
-  /// scalars), and a placement hit reuses the enumerated placement SET.
+  /// Candidate tails compiled (core::compile_tail, one per candidate the
+  /// pruned engine evaluates). The layer counters above count the shared
+  /// per-LayerKey blocks: each build is one build_layer, one lowering and
+  /// one bind against the search's system, so a search lowers and binds at
+  /// most build_layer_calls times however many candidates share a block.
   std::size_t signature_compiles = 0;
-  std::size_t signature_cache_hits = 0;
   /// Incumbent rounds executed by the pruned engine.
   std::size_t rounds = 0;
-  /// Candidates settled by the placement-floor screen: compiled and bound,
-  /// but their placement set never timed because core::placement_floor was
-  /// above the round's incumbent. Their placements still count in
-  /// SearchResult::evaluated.
+  /// Candidates settled by the placement-floor screen: their tail compiled
+  /// and finished against the block, but their placement set never timed
+  /// because their placement floor was above the round's incumbent. Their
+  /// placements still count in SearchResult::evaluated.
   std::size_t placement_floor_pruned = 0;
 };
 
@@ -202,41 +201,45 @@ core::EvalResult scan_placements_signature(
 /// call over the whole placement set instead of a per-placement
 /// time_placement loop. Returns the bitwise-identical result and increments
 /// `evals` by the same counts (the batch kernel's timings equal the scalar
-/// ones bit for bit, so the argmin picks the same winner). `bat` must be
-/// lower_batched(sig); `scratch` and `timings` are caller-owned so a
+/// ones bit for bit, so the argmin picks the same winner). `sig` is the
+/// candidate's tail (a whole CostSignature converts) and `bat` its block;
+/// `base` is their bind. `scratch` and `timings` are caller-owned so a
 /// placement scan reuses their allocations across candidates. On return
-/// `timings` holds the batch actually timed (empty when the
-/// placement-invariant infeasibility shortcut skipped the kernel) — callers
-/// use its size for batch-occupancy accounting.
+/// `timings` holds the batch actually timed (empty when the screen or the
+/// infeasibility shortcut skipped the kernel; one placement when an
+/// over-HBM candidate is timed for its report).
 ///
 /// Generation-major fast path: a non-null `pricer` (bound to the fabric
 /// these placements should be priced against) is forwarded to
 /// time_placements_batch and performs ALL collective pricing. With
 /// `prevalidated` the caller additionally guarantees cfg is valid at `sys`
-/// and the signature fits HBM — both decided by the chain's screens before
-/// the call — so the placement-invariant shortcut is skipped. Together the
-/// two make `base.fabric` dead on this path, which is what lets the chain
-/// bind candidates with capture_fabric = false and never restamp them.
+/// and the signature fits HBM — both decided by the engine's screens
+/// before the call — so the placement-invariant shortcut is skipped.
+/// Together the two make `base.fabric` dead on this path, which is what
+/// lets the engines bind with capture_fabric = false.
 ///
-/// Placement-floor screen: with a `pricer` and a finite `cutoff` (an
-/// achieved iteration time), a candidate whose core::placement_floor
-/// exceeds it by more than a 1e-9 relative margin (for the different
-/// floating-point groupings of floor and price) is slower than the cutoff
-/// under every placement. It is settled without running the kernel: `evals` is still
-/// charged placements.size(), the result is infeasible with reason
-/// "pruned: placement floor above incumbent", `timings` stays empty and
-/// `*screened` (when non-null) is set. Strictly greater, so a candidate
-/// that could tie the cutoff on time (and win on memory) is still timed.
+/// Placement-floor screen: `floor` is the candidate's placement floor
+/// (core::placement_floor, or the engines' block walk finished by the
+/// tail; 0 = no screen) and `cutoff` an achieved iteration time. A
+/// candidate whose floor exceeds the cutoff by more than a 1e-9 relative
+/// margin (for the different floating-point groupings of floor and price)
+/// is slower than the cutoff under every placement. It is settled without
+/// running the kernel: `evals` is still charged placements.size(), the
+/// result is infeasible with reason "pruned: placement floor above
+/// incumbent", `timings` stays empty and `*screened` (when non-null) is
+/// set. Strictly greater, so a candidate that could tie the cutoff on time
+/// (and win on memory) is still timed.
 core::EvalResult scan_placements_batch(
     const model::TransformerConfig& mdl, const hw::SystemConfig& sys,
     parallel::ParallelConfig cfg, std::int64_t global_batch,
-    const core::CostSignature& sig, const core::BatchedSignature& bat,
+    const core::SignatureTail& sig, const core::BatchedSignature& bat,
     const core::SystemTiming& base,
     const std::vector<std::array<std::int64_t, 4>>& placements,
     const core::EvalOptions& eval, std::size_t& evals,
     bool stop_after_infeasible, core::BatchScratch& scratch,
     std::vector<core::PlacementTiming>& timings,
     const comm::FabricPricer* pricer = nullptr, bool prevalidated = false,
+    double floor = 0,
     double cutoff = std::numeric_limits<double>::infinity(),
     bool* screened = nullptr);
 

@@ -1,18 +1,18 @@
 #pragma once
 // Concurrent memoization caches for the S3 search (shared by all worker
-// threads of one find_optimal call).
+// threads of one find_optimal call or one run_codesign shape).
 //
 // build_layer() only reads the placement-independent slice of a
 // ParallelConfig — (strategy, n1, n2, nb, ring_attention) plus the local
 // microbatch size and, for MoE, the expert-parallel width min(nd, E) — so
 // the many (np, nd, m) combinations that share those fields reuse one
-// LayerCost instead of rebuilding the op list per configuration.
-// enumerate_placements() similarly depends only on (n1, n2, np, nd) and the
-// NVS-domain size, and is shared across the interleave/ZeRO/ring expansion
-// axes.
+// layer (in the engines: one lowered block, see lower_block) instead of
+// rebuilding the op list per configuration. enumerate_placements()
+// similarly depends only on (n1, n2, np, nd) and the NVS-domain size, and
+// is shared across the interleave/ZeRO/ring expansion axes.
 //
-// Both caches are sharded hash maps; a shard's mutex is held across the
-// build so each key is constructed exactly once (making the build counters
+// Every cache is a ShardedMemo: a shard's mutex is held across the build
+// so each key is constructed exactly once (making the build counters
 // deterministic) and readers share immutable values via shared_ptr.
 
 #include <array>
@@ -31,8 +31,46 @@
 
 namespace tfpe::search {
 
+/// The one memo shape every search cache shares: a sharded hash map whose
+/// shard mutex is held across the build, so each key is built exactly once
+/// (the build counter is deterministic) and readers share the immutable
+/// value through shared_ptr. `build()` must return the Value for `key`; it
+/// may take other memos' locks, provided no two memos nest in both orders.
+template <class Key, class Value, class Hash>
+class ShardedMemo {
+ public:
+  template <class Build>
+  std::shared_ptr<const Value> get(const Key& key, Build&& build) {
+    Shard& shard = shards_[Hash{}(key) % kShards];
+    std::lock_guard lock(shard.mutex);
+    auto it = shard.map.find(key);
+    if (it != shard.map.end()) {
+      hits_.fetch_add(1, std::memory_order_relaxed);
+      return it->second;
+    }
+    builds_.fetch_add(1, std::memory_order_relaxed);
+    auto value = std::make_shared<const Value>(build());
+    shard.map.emplace(key, value);
+    return value;
+  }
+
+  std::size_t builds() const { return builds_.load(); }
+  std::size_t hits() const { return hits_.load(); }
+
+ private:
+  struct Shard {
+    std::mutex mutex;
+    std::unordered_map<Key, std::shared_ptr<const Value>, Hash> map;
+  };
+  static constexpr std::size_t kShards = 16;
+  std::array<Shard, kShards> shards_;
+  std::atomic<std::size_t> builds_{0};
+  std::atomic<std::size_t> hits_{0};
+};
+
 /// The slice of (model, ParallelConfig, global batch) that build_layer's
-/// output depends on.
+/// output depends on — and with it compile_layer's, so it also keys the
+/// search engines' lowered blocks (lower_block).
 struct LayerKey {
   parallel::TpStrategy strategy = parallel::TpStrategy::TP1D;
   std::int64_t n1 = 1;
@@ -49,6 +87,10 @@ LayerKey layer_key(const model::TransformerConfig& mdl,
                    const parallel::ParallelConfig& cfg,
                    std::int64_t global_batch);
 
+struct LayerKeyHash {
+  std::size_t operator()(const LayerKey& k) const;
+};
+
 class LayerCostCache {
  public:
   /// The LayerCost for cfg, building it on first use. Thread-safe.
@@ -56,23 +98,11 @@ class LayerCostCache {
       const model::TransformerConfig& mdl, const parallel::ParallelConfig& cfg,
       std::int64_t global_batch);
 
-  std::size_t builds() const { return builds_.load(); }
-  std::size_t hits() const { return hits_.load(); }
+  std::size_t builds() const { return memo_.builds(); }
+  std::size_t hits() const { return memo_.hits(); }
 
  private:
-  struct KeyHash {
-    std::size_t operator()(const LayerKey& k) const;
-  };
-  struct Shard {
-    std::mutex mutex;
-    std::unordered_map<LayerKey, std::shared_ptr<const parallel::LayerCost>,
-                       KeyHash>
-        map;
-  };
-  static constexpr std::size_t kShards = 16;
-  std::array<Shard, kShards> shards_;
-  std::atomic<std::size_t> builds_{0};
-  std::atomic<std::size_t> hits_{0};
+  ShardedMemo<LayerKey, parallel::LayerCost, LayerKeyHash> memo_;
 };
 
 class PlacementCache {
@@ -83,25 +113,15 @@ class PlacementCache {
   std::shared_ptr<const std::vector<std::array<std::int64_t, 4>>> get(
       const parallel::ParallelConfig& cfg, std::int64_t nvs_domain);
 
-  std::size_t builds() const { return builds_.load(); }
-  std::size_t hits() const { return hits_.load(); }
+  std::size_t builds() const { return memo_.builds(); }
+  std::size_t hits() const { return memo_.hits(); }
 
  private:
   using Key = std::array<std::int64_t, 5>;  // n1, n2, np, nd, nvs_domain
   struct KeyHash {
     std::size_t operator()(const Key& k) const;
   };
-  struct Shard {
-    std::mutex mutex;
-    std::unordered_map<
-        Key, std::shared_ptr<const std::vector<std::array<std::int64_t, 4>>>,
-        KeyHash>
-        map;
-  };
-  static constexpr std::size_t kShards = 16;
-  std::array<Shard, kShards> shards_;
-  std::atomic<std::size_t> builds_{0};
-  std::atomic<std::size_t> hits_{0};
+  ShardedMemo<Key, std::vector<std::array<std::int64_t, 4>>, KeyHash> memo_;
 };
 
 /// The slice of a ParallelConfig that compile_signature's output depends on
@@ -109,9 +129,10 @@ class PlacementCache {
 /// hw::SystemConfig of a sweep. Excluded on purpose: the NVS placement
 /// fields and the interleave factor (signatures are invariant to both; the
 /// schedule enters only at time_signature). The key does NOT capture the
-/// model, the global batch or the EvalOptions: use one SignatureCache per
+/// model, the global batch or the EvalOptions: use one cache per
 /// (model, global batch, EvalOptions) tuple, as the search and the sweep
-/// engine do.
+/// engine do. It keys compile_tail's output too (the chain engine's tail
+/// memo), since a tail reads only this slice and the block's scalars.
 struct SignatureKey {
   parallel::TpStrategy strategy = parallel::TpStrategy::TP1D;
   std::int64_t n1 = 1;
@@ -127,9 +148,15 @@ struct SignatureKey {
 };
 
 SignatureKey signature_key(const parallel::ParallelConfig& cfg);
-/// The hash SignatureCache files `k` under.
-std::size_t signature_key_hash(const SignatureKey& k);
 
+struct SignatureKeyHash {
+  std::size_t operator()(const SignatureKey& k) const;
+};
+
+/// Whole CostSignatures (block and tail in one object), for the callers
+/// that time through the scalar path: the serving planner and the
+/// benchmark's traced replay. The search engines keep the two halves apart
+/// (lower_block, core::compile_tail) and do not use it.
 class SignatureCache {
  public:
   /// The compiled CostSignature for cfg, compiling it on first use (the op
@@ -141,62 +168,20 @@ class SignatureCache {
       std::int64_t global_batch, const core::EvalOptions& opts,
       LayerCostCache& layers);
 
-  /// Compile cfg's signature without storing it, counted like a get()
-  /// miss. For a caller that knows no other probe will ask for this key, so
-  /// a cache entry could never be hit. Thread-safe.
-  core::CostSignature compile(const model::TransformerConfig& mdl,
-                              const parallel::ParallelConfig& cfg,
-                              std::int64_t global_batch,
-                              const core::EvalOptions& opts,
-                              LayerCostCache& layers);
-
-  std::size_t compiles() const { return compiles_.load(); }
-  std::size_t hits() const { return hits_.load(); }
+  std::size_t compiles() const { return memo_.builds(); }
+  std::size_t hits() const { return memo_.hits(); }
 
  private:
-  struct KeyHash {
-    std::size_t operator()(const SignatureKey& k) const;
-  };
-  struct Shard {
-    std::mutex mutex;
-    std::unordered_map<SignatureKey,
-                       std::shared_ptr<const core::CostSignature>, KeyHash>
-        map;
-  };
-  static constexpr std::size_t kShards = 16;
-  std::array<Shard, kShards> shards_;
-  std::atomic<std::size_t> compiles_{0};
-  std::atomic<std::size_t> hits_{0};
+  ShardedMemo<SignatureKey, core::CostSignature, SignatureKeyHash> memo_;
 };
 
-/// SoA lowerings of compiled signatures, keyed by the signature's identity
-/// (the shared_ptr-owned address handed out by SignatureCache — stable for
-/// the cache's lifetime, so the pointer is a valid key). One lowering per
-/// signature is shared by every grid point and placement batch of a sweep;
-/// the batched timing path pairs one BatchedCache with one SignatureCache.
-class BatchedCache {
- public:
-  /// The SoA form of `sig`, lowering it on first use. `sig` must stay alive
-  /// for the cache's lifetime (guaranteed when it comes from a
-  /// SignatureCache sharing the sweep's scope). Thread-safe; the returned
-  /// lowering is immutable and shared.
-  std::shared_ptr<const core::BatchedSignature> get(
-      const std::shared_ptr<const core::CostSignature>& sig);
-
-  std::size_t lowers() const { return lowers_.load(); }
-  std::size_t hits() const { return hits_.load(); }
-
- private:
-  struct Shard {
-    std::mutex mutex;
-    std::unordered_map<const core::CostSignature*,
-                       std::shared_ptr<const core::BatchedSignature>>
-        map;
-  };
-  static constexpr std::size_t kShards = 16;
-  std::array<Shard, kShards> shards_;
-  std::atomic<std::size_t> lowers_{0};
-  std::atomic<std::size_t> hits_{0};
-};
+/// The search engines' shared half of a signature for cfg's LayerKey:
+/// build_layer, then compile_layer, then lower_batched. The LayerCost and
+/// the AoS records are freed on return; only the SoA block (rows plus
+/// BlockScalars) is kept. Debug builds run the op-list invariant hook here
+/// (and lower_batched runs the SoA one), once per block.
+core::BatchedSignature lower_block(const model::TransformerConfig& mdl,
+                                   const parallel::ParallelConfig& cfg,
+                                   std::int64_t global_batch);
 
 }  // namespace tfpe::search

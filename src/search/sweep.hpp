@@ -58,22 +58,23 @@ struct SweepStats {
   /// SearchStats::placement_floor_pruned): bound, never timed, their
   /// placements still counted in `evaluated`.
   std::size_t placement_floor_pruned = 0;
-  /// Cross-sweep compile sharing: compiles is the number of distinct
-  /// signatures actually lowered; hits counts every reuse served by a
-  /// SignatureCache probe (across grid points and across the interleave
-  /// axis).
+  /// Cross-sweep tail sharing: compiles is the number of distinct
+  /// candidate tails compiled (core::compile_tail, one per SignatureKey);
+  /// hits counts every reuse served by a tail-cache probe (across chains
+  /// and across the interleave axis).
   std::size_t signature_compiles = 0;
   std::size_t signature_cache_hits = 0;
-  /// Candidate visits served by a chain-held signature with NO cache probe
-  /// (the engine keeps each candidate's compiled signature in its
-  /// ChainContext across the points of a chain). find_optimal probes the
-  /// cache on every visit, so these are the visits that would have been
-  /// cache hits there — compile_hit_rate() folds them in.
+  /// Candidate visits served by a chain-held tail with NO cache probe
+  /// (the engine keeps each candidate's tail in its ChainContext across
+  /// the points of a chain). find_optimal compiles a tail on every visit,
+  /// so these are the visits that would have been compiles there —
+  /// compile_hit_rate() folds them in.
   std::size_t signature_reuses = 0;
-  /// SoA lowerings (one per distinct signature) and their cross-point
-  /// reuses.
+  /// Block lowers: one per distinct LayerKey, each a build_layer +
+  /// compile_layer + lower_batched (so it equals build_layer_calls); the
+  /// layer counters below count the same block builds and their cache
+  /// hits.
   std::size_t signature_lowers = 0;
-  std::size_t batched_cache_hits = 0;
   std::size_t build_layer_calls = 0;
   std::size_t layer_cache_hits = 0;
   std::size_t placement_sets = 0;
@@ -96,7 +97,7 @@ struct SweepStats {
   /// concurrently. Schedule-dependent — excluded from determinism tests.
   struct StageProfile {
     double enumerate_s = 0;  ///< expand_candidates
-    double compile_s = 0;    ///< signature compile + SoA lower + bind_system
+    double compile_s = 0;    ///< tail compile + block lower + bind
     double time_s = 0;       ///< bounds screen + placement timing
     double wall_s = 0;
     double overlap() const {

@@ -156,6 +156,30 @@ TEST(AnalyzerMutation, DoubledFlopsFireFlopInvariance) {
   EXPECT_TRUE(only_rule_errors(r, "flop-invariance")) << r.summary();
 }
 
+TEST(AnalyzerMutation, ThinContractionShardsAreCleanDroppedFlopsFire) {
+  // GPT3-1T's 2048-token sequence over n2 = 2048: one token per GPU, so a
+  // wgrad GEMM contracts over a single token and its shards sum to half
+  // the serial (2k-1) count. The rule expects exactly that (per-shard
+  // (2k/s - 1) contraction terms), so the honest layers lint clean; a
+  // builder that drops half a GEMM's backward still fires.
+  const auto mdl = model::gpt3_1t();
+  ASSERT_EQ(mdl.seq_len, 2048);
+  for (const ParallelConfig& cfg : {cfg_of(TpStrategy::Summa2D, 1, 2048),
+                                    cfg_of(TpStrategy::TP2D, 1, 2048)}) {
+    auto layer = parallel::build_layer(mdl, cfg, 1);
+    const LintReport clean = lint_layer(mdl, cfg, 1, layer);
+    EXPECT_EQ(count_rule(clean, "flop-invariance"), 0u) << clean.summary();
+    EXPECT_EQ(count_rule(clean, "fwd-bwd-flops"), 0u) << clean.summary();
+    EXPECT_NO_THROW(assert_layer_invariants(mdl, cfg, 1, layer));
+
+    auto& op = op_named(layer, "mlp_fc1");
+    op.bwd_flops = op.bwd_flops * 0.5;
+    const LintReport r = lint_layer(mdl, cfg, 1, layer);
+    EXPECT_EQ(count_rule(r, "flop-invariance"), 1u) << r.summary();  // bwd
+    EXPECT_TRUE(only_rule_errors(r, "flop-invariance")) << r.summary();
+  }
+}
+
 TEST(AnalyzerMutation, ReorderedOpsFireOpSequence) {
   const auto mdl = model::gpt3_1t();
   const auto cfg = cfg_of(TpStrategy::TP1D, 8, 1);

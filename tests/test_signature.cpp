@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <random>
 #include <thread>
@@ -788,6 +789,176 @@ TEST(PlacementFloor, NoScreenAboveFullOverlap) {
   eval.tp_overlap = 1.0;
   EXPECT_GT(core::placement_floor(sig, bat, base, pricer, cfg, eval, scratch),
             0.0);
+}
+
+/// The engines' block/tail split against the whole-signature path, bit for
+/// bit: per (system, options), every candidate's block is lowered, bound
+/// and — where core::floor_walk_per_block allows — floor-walked ONCE and
+/// shared by every later candidate with the same LayerKey, exactly as
+/// find_optimal and scan_point share it; the candidate compiles its tail
+/// and finishes bind and floor from the block's sums. The reference is
+/// compile_signature -> lower_batched -> bind_system_batched ->
+/// placement_floor -> time_placements_batch on the same candidate. Every
+/// tail and SystemTiming field, the floor and every PlacementTiming must
+/// match exactly. GPT-MoE-1T at 1024 GPUs has MoE blocks (AllToAll over the
+/// DP group) shared by candidates of different nd, so a walk wrongly
+/// shared across nd is caught.
+TEST(BlockTail, MatchesWholeSignatureBitwise) {
+  constexpr std::int64_t kGpus = 1024;
+  constexpr std::int64_t kBatch = 1024;
+  const std::vector<model::TransformerConfig> models = {
+      model::gpt3_1t(), model::vit_64k(), model::gpt_moe_1t()};
+  const std::vector<parallel::TpStrategy> strategies = {
+      parallel::TpStrategy::TP1D, parallel::TpStrategy::TP2D,
+      parallel::TpStrategy::Summa2D};
+  std::vector<hw::SystemConfig> systems;
+  for (hw::GpuGeneration gen :
+       {hw::GpuGeneration::A100, hw::GpuGeneration::B200}) {
+    for (std::int64_t nvs : {4, 64}) {
+      systems.push_back(system_of(gen, nvs, kGpus));
+    }
+  }
+  std::vector<core::EvalOptions> evals;
+  for (double overlap : {0.0, 0.5, 1.0}) {
+    core::EvalOptions e;
+    e.tp_overlap = overlap;
+    evals.push_back(e);
+  }
+  {
+    core::EvalOptions e;
+    e.activation_recompute = true;
+    e.tp_overlap = 0.5;
+    evals.push_back(e);
+    e.activation_recompute = false;
+    e.activation_offload = 0.5;
+    evals.push_back(e);
+  }
+
+  struct Block {
+    core::BatchedSignature bat;
+    core::BlockTiming part;
+    core::FloorWalk walk;
+    std::int64_t first_nd = 0;
+  };
+  core::BatchScratch ref_scratch, scratch;
+  std::vector<core::PlacementTiming> ref_timings, timings;
+  std::size_t checked = 0, shared_walks = 0, moe_shared_across_nd = 0;
+  for (const model::TransformerConfig& mdl : models) {
+    for (parallel::TpStrategy strategy : strategies) {
+      search::SearchOptions sopts;
+      sopts.strategy = strategy;
+      sopts.global_batch = kBatch;
+      sopts.allow_zero3 = true;
+      sopts.allow_ring_attention = true;
+      sopts.interleave_candidates = {1, 2};
+      std::vector<parallel::ParallelConfig> configs;
+      {
+        const auto all = search::expand_candidates(mdl, systems[0], sopts);
+        // A deterministic spread plus every MoE candidate whose block is
+        // shared across nd (nd at or above the expert count).
+        const std::size_t stride = std::max<std::size_t>(1, all.size() / 40);
+        for (std::size_t i = 0; i < all.size(); ++i) {
+          if (i % stride == 0 ||
+              (mdl.is_moe() && all[i].nd >= mdl.moe_experts)) {
+            configs.push_back(all[i]);
+          }
+        }
+      }
+      for (const hw::SystemConfig& sys : systems) {
+        const hw::Topology fabric = sys.resolved_fabric();
+        const comm::FabricPricer pricer(fabric);
+        for (const core::EvalOptions& eval : evals) {
+          std::vector<std::pair<search::LayerKey, Block>> blocks;
+          for (const parallel::ParallelConfig& cfg : configs) {
+            if (cfg.invalid_reason(mdl, sys, kBatch)) continue;
+            const auto placements =
+                search::enumerate_placements(cfg, sys.nvs_domain);
+            if (placements.empty()) continue;
+            const std::string label = mdl.name + " " + cfg.describe() +
+                                      " on " + sys.gpu.name + " nvs" +
+                                      std::to_string(sys.nvs_domain);
+
+            const core::CostSignature sig =
+                core::compile_signature(mdl, cfg, kBatch, eval);
+            const core::BatchedSignature ref_bat = core::lower_batched(sig);
+            const core::SystemTiming ref_base = core::bind_system_batched(
+                sig, ref_bat, sys, eval, /*capture_fabric=*/false);
+            const double ref_floor = core::placement_floor(
+                sig, ref_bat, ref_base, pricer, cfg, eval, ref_scratch);
+            core::time_placements_batch(sig, ref_bat, ref_base, sys, cfg,
+                                        placements, eval, ref_timings,
+                                        &ref_scratch, &pricer);
+
+            const search::LayerKey key = search::layer_key(mdl, cfg, kBatch);
+            auto it = std::find_if(blocks.begin(), blocks.end(),
+                                   [&](const auto& b) { return b.first == key; });
+            if (it == blocks.end()) {
+              Block b;
+              b.bat = search::lower_block(mdl, cfg, kBatch);
+              b.part = core::bind_block(b.bat, sys, eval);
+              b.first_nd = cfg.nd;
+              if (core::floor_walk_per_block(b.bat)) {
+                b.walk = core::floor_comm_walk(b.bat, b.part.summa_panel_time,
+                                               fabric, cfg, eval,
+                                               scratch.row_floor);
+              }
+              blocks.emplace_back(key, std::move(b));
+              it = std::prev(blocks.end());
+            } else if (core::floor_walk_per_block(it->second.bat)) {
+              ++shared_walks;
+            } else if (cfg.nd != it->second.first_nd) {
+              ++moe_shared_across_nd;
+            }
+            const Block& blk = it->second;
+            const core::SignatureTail tail =
+                core::compile_tail(mdl, cfg, kBatch, blk.bat, eval);
+            core::SystemTiming base;
+            core::finish_bind(blk.part, tail, sys, base);
+            const core::FloorWalk walk =
+                core::floor_walk_per_block(blk.bat)
+                    ? blk.walk
+                    : core::floor_comm_walk(blk.bat, blk.part.summa_panel_time,
+                                            fabric, cfg, eval,
+                                            scratch.row_floor);
+            const double floor = core::finish_placement_floor(
+                walk, tail, blk.bat, base, cfg, eval);
+            core::time_placements_batch(tail, blk.bat, base, sys, cfg,
+                                        placements, eval, timings, &scratch,
+                                        &pricer);
+
+            EXPECT_EQ(tail.layers_per_stage, sig.layers_per_stage) << label;
+            EXPECT_EQ(tail.microbatches, sig.microbatches) << label;
+            EXPECT_EQ(tail.dp_size, sig.dp_size) << label;
+            EXPECT_EQ(tail.dp_grad_bytes.value(), sig.dp_grad_bytes.value())
+                << label;
+            EXPECT_EQ(tail.optimizer_traffic.value(),
+                      sig.optimizer_traffic.value())
+                << label;
+            EXPECT_EQ(tail.mem.weights.value(), sig.mem.weights.value())
+                << label;
+            EXPECT_EQ(tail.mem.gradients.value(), sig.mem.gradients.value())
+                << label;
+            EXPECT_EQ(tail.mem.optimizer.value(), sig.mem.optimizer.value())
+                << label;
+            EXPECT_EQ(tail.mem.activations.value(),
+                      sig.mem.activations.value())
+                << label;
+            expect_bind_bitwise(ref_base, base, label);
+            EXPECT_EQ(ref_floor, floor) << label;
+            ASSERT_EQ(ref_timings.size(), timings.size()) << label;
+            for (std::size_t i = 0; i < timings.size(); ++i) {
+              expect_pt_bitwise(ref_timings[i], timings[i],
+                                label + " placement " + std::to_string(i));
+            }
+            ++checked;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 10000u);
+  EXPECT_GT(shared_walks, 200u);
+  EXPECT_GT(moe_shared_across_nd, 1000u);
 }
 
 TEST(Sweep, MatchesFindOptimalPerPoint) {

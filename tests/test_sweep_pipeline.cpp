@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <random>
 #include <stdexcept>
@@ -15,6 +16,7 @@
 
 #include "core/batched_signature.hpp"
 #include "search/search.hpp"
+#include "search/point_scan.hpp"
 #include "search/search_cache.hpp"
 #include "search/sweep.hpp"
 
@@ -93,6 +95,34 @@ TEST(Sweep, WarmStartMatchesOnVit2d) {
   EXPECT_EQ(swept.stats.warm_seeded, 2u);
 }
 
+/// A chain keys on the GPU name, so what-if points can reuse a name with
+/// other rates. Each chain binds a block once per GPU roofline and host
+/// link: a point that changes either must rebind, or its candidates are
+/// timed against the previous point's rooflines.
+TEST(Sweep, RebindsBlocksWhenTheRooflineChangesInAChain) {
+  const auto mdl = model::gpt3_175b();
+  const hw::SystemConfig base = hw::make_system(hw::GpuGeneration::B200, 8, 128);
+  hw::SystemConfig slower = base;
+  slower.gpu = base.gpu.with_compute(base.gpu.tensor_flops * 0.5,
+                                     base.gpu.vector_flops * 0.5);
+  hw::SystemConfig thin_host = base;
+  thin_host.host_bandwidth = base.host_bandwidth * 0.25;
+  const std::vector<hw::SystemConfig> points = {base, slower, thin_host};
+  search::SweepOptions opts;
+  opts.search.strategy = parallel::TpStrategy::TP1D;
+  opts.search.global_batch = 512;
+  opts.search.eval.activation_offload = 0.5;
+  opts.threads = 1;
+  const auto swept = search::run_sweep(mdl, points, opts);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    ASSERT_EQ(points[i].gpu.name, base.gpu.name);
+    const auto direct = search::find_optimal(mdl, points[i], opts.search);
+    ASSERT_TRUE(direct.best.feasible) << i;
+    expect_same_optimum(direct.best, swept.best[i],
+                        "point " + std::to_string(i));
+  }
+}
+
 /// SweepOptions must reject the SearchOptions fields the sweep cannot
 /// honor, instead of silently ignoring them.
 TEST(Sweep, RejectsUnsupportedOptions) {
@@ -148,10 +178,10 @@ TEST(Sweep, WarmBatchCountersThreadInvariant) {
   EXPECT_EQ(one.stats.warm_seeded, 3u);
 }
 
-/// tsan target: hammer the SignatureCache -> BatchedCache chain from many
-/// threads the way concurrent pipeline stages do, in shuffled key orders.
-/// Every thread must observe the same shared signature and lowering per
-/// key, and each key must be built exactly once.
+/// tsan target: hammer the tail -> block cache chain of the scan engine
+/// from many threads the way concurrent chains do, in shuffled key orders.
+/// Every thread must observe the same shared tail and block per key, each
+/// key must be built exactly once, and the block ids must be dense.
 TEST(Signature, CacheHammerFromConcurrentStages) {
   const auto mdl = model::gpt3_175b();
   const auto sys = hw::make_system(hw::GpuGeneration::B200, 8, 128);
@@ -165,37 +195,46 @@ TEST(Signature, CacheHammerFromConcurrentStages) {
     if (keys.size() == 16) break;
   }
   ASSERT_GE(keys.size(), 8u);
+  std::vector<search::LayerKey> layers;
+  for (const auto& cfg : keys) {
+    const search::LayerKey k = search::layer_key(mdl, cfg, 512);
+    if (std::find(layers.begin(), layers.end(), k) == layers.end()) {
+      layers.push_back(k);
+    }
+  }
 
-  search::LayerCostCache layers;
-  search::SignatureCache signatures;
-  search::BatchedCache batched;
+  search::ShapeCaches caches;
   constexpr int kThreads = 8;
   constexpr int kRounds = 6;
-  std::vector<std::vector<const core::CostSignature*>> sig_seen(kThreads);
-  std::vector<std::vector<const core::BatchedSignature*>> bat_seen(kThreads);
+  std::vector<std::vector<const core::SignatureTail*>> tail_seen(kThreads);
+  std::vector<std::vector<const search::ScanBlock*>> block_seen(kThreads);
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&, t] {
       std::vector<std::size_t> order(keys.size());
       for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
       std::mt19937 rng(1234u + static_cast<unsigned>(t));
-      sig_seen[t].assign(keys.size(), nullptr);
-      bat_seen[t].assign(keys.size(), nullptr);
+      tail_seen[t].assign(keys.size(), nullptr);
+      block_seen[t].assign(keys.size(), nullptr);
       for (int round = 0; round < kRounds; ++round) {
         std::shuffle(order.begin(), order.end(), rng);
         for (const std::size_t i : order) {
-          const auto sig = signatures.get(mdl, keys[i], 512, {}, layers);
-          const auto bat = batched.get(sig);
-          // Exercise the timing stage on the shared lowering, as the
-          // pipelined scan does while other threads still compile.
-          const auto base = core::bind_system_batched(*sig, *bat, sys);
+          const auto tail =
+              caches.tails.get(search::signature_key(keys[i]), [&] {
+                return core::compile_tail(
+                    mdl, keys[i], 512, caches.block(mdl, keys[i], 512)->bat);
+              });
+          const auto blk = caches.block(mdl, keys[i], 512);
+          // Exercise the timing stage on the shared block, as the scan
+          // does while other threads still compile.
+          const auto base = core::bind_system_batched(*tail, blk->bat, sys);
           EXPECT_GT(base.fwd_cm.value(), 0.0);
-          if (sig_seen[t][i] == nullptr) {
-            sig_seen[t][i] = sig.get();
-            bat_seen[t][i] = bat.get();
+          if (tail_seen[t][i] == nullptr) {
+            tail_seen[t][i] = tail.get();
+            block_seen[t][i] = blk.get();
           } else {
-            EXPECT_EQ(sig_seen[t][i], sig.get());
-            EXPECT_EQ(bat_seen[t][i], bat.get());
+            EXPECT_EQ(tail_seen[t][i], tail.get());
+            EXPECT_EQ(block_seen[t][i], blk.get());
           }
         }
       }
@@ -203,16 +242,30 @@ TEST(Signature, CacheHammerFromConcurrentStages) {
   }
   for (auto& w : workers) w.join();
   for (int t = 1; t < kThreads; ++t) {
-    EXPECT_EQ(sig_seen[0], sig_seen[t]);
-    EXPECT_EQ(bat_seen[0], bat_seen[t]);
+    EXPECT_EQ(tail_seen[0], tail_seen[t]);
+    EXPECT_EQ(block_seen[0], block_seen[t]);
   }
-  // Shard mutexes are held across the build: exactly one compile/lower per
-  // distinct key, every other access a hit.
-  EXPECT_EQ(signatures.compiles(), keys.size());
-  EXPECT_EQ(batched.lowers(), keys.size());
+  // Shard mutexes are held across the build: exactly one compile per
+  // distinct tail key and one lower per distinct layer, every other access
+  // a hit; the block ids number the layers 0..n-1.
+  EXPECT_EQ(caches.tails.builds(), keys.size());
+  EXPECT_EQ(caches.blocks.builds(), layers.size());
   const std::size_t gets = keys.size() * kThreads * kRounds;
-  EXPECT_EQ(signatures.compiles() + signatures.hits(), gets);
-  EXPECT_EQ(batched.lowers() + batched.hits(), gets);
+  EXPECT_EQ(caches.tails.builds() + caches.tails.hits(), gets);
+  std::vector<char> id_seen(layers.size(), 0);
+  for (const search::ScanBlock* blk : block_seen[0]) {
+    ASSERT_LT(blk->id, layers.size());
+    id_seen[blk->id] = 1;
+  }
+  EXPECT_EQ(std::count(id_seen.begin(), id_seen.end(), 1),
+            static_cast<std::ptrdiff_t>(layers.size()));
+  // Each shared tail is the whole signature's tail, bit for bit.
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const core::CostSignature sig = core::compile_signature(mdl, keys[i], 512);
+    EXPECT_EQ(tail_seen[0][i]->mem.total().value(), sig.mem.total().value());
+    EXPECT_EQ(tail_seen[0][i]->optimizer_traffic.value(),
+              sig.optimizer_traffic.value());
+  }
 }
 
 /// tsan target: the full pipelined engine — several chains streaming over

@@ -63,7 +63,7 @@ int usage(const char* msg) {
       "  --top K             also print the K best configurations\n"
       "  --interleave        allow interleaved pipeline schedules\n"
       "  --zero3             allow ZeRO-3 weight sharding\n"
-      "  --tp-overlap F      hide fraction F of TP communication\n"
+      "  --tp-overlap F      hide fraction F (0..1) of TP communication\n"
       "  --offload F         offload fraction F of activations to host\n"
       "  --recompute         full activation checkpointing\n"
       "  --plan PATH         evaluate a saved plan instead of searching\n"
@@ -888,18 +888,45 @@ int main(int argc, char** argv) {
     return usage(("unknown model '" + model_name + "'").c_str());
   }
 
+  // --- numeric flags: malformed or out-of-range values go through usage()
+  // before anything is built from them ---
+  std::int64_t n_gpus = 0, nvs = 0, batch = 0, top = 0;
+  double tp_overlap = 0, offload = 0, tokens = 0, samples = 0, rate = 0;
+  try {
+    n_gpus = args.get_int_or(
+        "gpus", file_cfg.system ? file_cfg.system->n_gpus : 1024);
+    nvs = args.get_int_or(
+        "nvs", file_cfg.system ? file_cfg.system->nvs_domain : 8);
+    batch = args.get_int_or("batch", 4096);
+    top = args.get_int_or("top", 0);
+    tp_overlap = args.get_double_or("tp-overlap", 0.0);
+    offload = args.get_double_or("offload", 0.0);
+    tokens = args.get_double_or("tokens", 0.0);
+    samples = args.get_double_or("samples", 0.0);
+    rate = args.get_double_or("rate", 0.0);
+  } catch (const std::invalid_argument& e) {
+    return usage(e.what());
+  }
+  if (n_gpus < 1) return usage("--gpus must be >= 1");
+  if (batch < 1) return usage("--batch must be >= 1");
+  // Exposed TP communication is (1 - tp_overlap) of its time: outside
+  // [0, 1] it goes negative or grows, and the search's time floors stop
+  // being bounds.
+  if (!(tp_overlap >= 0.0 && tp_overlap <= 1.0)) {
+    return usage("--tp-overlap must lie in [0, 1]");
+  }
+
   // --- system ---
   hw::SystemConfig sys;
   if (file_cfg.system) {
     sys = *file_cfg.system;
-    if (args.has("gpus")) sys.n_gpus = args.get_int_or("gpus", sys.n_gpus);
-    if (args.has("nvs")) sys.nvs_domain = args.get_int_or("nvs", sys.nvs_domain);
+    sys.n_gpus = n_gpus;
+    sys.nvs_domain = nvs;
     (void)args.get("gpu");  // config file wins; mark as consumed
   } else {
     const auto gen = gen_by_name(args.get_or("gpu", "b200"));
     if (!gen) return usage("unknown --gpu (a100|h200|b200)");
-    sys = hw::make_system(*gen, args.get_int_or("nvs", 8),
-                          args.get_int_or("gpus", 1024));
+    sys = hw::make_system(*gen, nvs, n_gpus);
   }
 
   // --- search options ---
@@ -916,18 +943,15 @@ int main(int argc, char** argv) {
   }
 
   search::SearchOptions opts;
-  opts.global_batch = args.get_int_or("batch", 4096);
-  opts.top_k = static_cast<std::size_t>(args.get_int_or("top", 0));
+  opts.global_batch = batch;
+  opts.top_k = static_cast<std::size_t>(top);
   if (args.has("interleave")) opts.interleave_candidates = {1, 2, 4, 8};
   opts.allow_zero3 = args.has("zero3");
-  opts.eval.tp_overlap = args.get_double_or("tp-overlap", 0.0);
-  opts.eval.activation_offload = args.get_double_or("offload", 0.0);
+  opts.eval.tp_overlap = tp_overlap;
+  opts.eval.activation_offload = offload;
   opts.eval.activation_recompute = args.has("recompute");
   const std::string plan_path = args.get_or("plan", "");
   const std::string save_plan = args.get_or("save-plan", "");
-  const double tokens = args.get_double_or("tokens", 0.0);
-  const double samples = args.get_double_or("samples", 0.0);
-  const double rate = args.get_double_or("rate", 0.0);
   const bool want_ops = args.has("ops");
   const bool want_sens = args.has("sensitivity");
   const std::string csv = args.get_or("csv", "");
