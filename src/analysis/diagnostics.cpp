@@ -89,9 +89,6 @@ constexpr std::array<RuleInfo, kRuleCount> kRegistry{{
     {RuleId::kSweepOptions, "TFPE-SWEEP-001", "sweep-options",
      Severity::kError,
      "run_sweep rejects search.top_k / search.threads != 0"},
-    {RuleId::kSweepCacheKey, "TFPE-SWEEP-002", "sweep-cache-key",
-     Severity::kError,
-     "no placement- or interleave-dependent field may reach a cache key"},
     {RuleId::kSweepWarmChain, "TFPE-SWEEP-003", "sweep-warm-chain",
      Severity::kWarning,
      "points sharing a warm-start chain key should share one roofline"},

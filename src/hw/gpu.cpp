@@ -1,5 +1,7 @@
 #include "hw/gpu.hpp"
 
+#include <utility>
+
 namespace tfpe::hw {
 
 using util::kGB;
@@ -83,6 +85,17 @@ std::string to_string(GpuGeneration gen) {
     case GpuGeneration::B200: return "B200";
   }
   return "?";
+}
+
+std::optional<GpuGeneration> generation_by_name(const std::string& name) {
+  static constexpr std::pair<const char*, GpuGeneration> kNames[] = {
+      {"a100", GpuGeneration::A100},
+      {"h200", GpuGeneration::H200},
+      {"b200", GpuGeneration::B200}};
+  for (const auto& [key, gen] : kNames) {
+    if (name == key) return gen;
+  }
+  return std::nullopt;
 }
 
 }  // namespace tfpe::hw

@@ -8,6 +8,7 @@
 // t_sf modeling small-matrix inefficiency (first-order model from the CUDA
 // matmul guide).
 
+#include <optional>
 #include <string>
 
 #include "util/units.hpp"
@@ -41,5 +42,8 @@ GpuSpec b200();
 GpuSpec h100();
 GpuSpec gpu_preset(GpuGeneration gen);
 std::string to_string(GpuGeneration gen);
+/// The preset named by its lower-case key (a100 | h200 | b200), as config
+/// files and the CLI spell it.
+std::optional<GpuGeneration> generation_by_name(const std::string& name);
 
 }  // namespace tfpe::hw

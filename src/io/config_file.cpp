@@ -227,16 +227,16 @@ hw::SystemConfig system_from_section(const Section& s) {
                   "n_gpus", "host_gbs", "enable_tree", "pod_size",
                   "oversubscription"},
                  "system");
-  hw::SystemConfig sys = hw::make_system(hw::GpuGeneration::B200, 8, 1024);
+  hw::GpuGeneration gen = hw::GpuGeneration::B200;
   if (const auto it = s.find("gpu"); it != s.end()) {
-    if (it->second == "a100") sys = hw::make_system(hw::GpuGeneration::A100, 8, 1024);
-    else if (it->second == "h200") sys = hw::make_system(hw::GpuGeneration::H200, 8, 1024);
-    else if (it->second == "b200") sys = hw::make_system(hw::GpuGeneration::B200, 8, 1024);
-    else {
+    const auto named = hw::generation_by_name(it->second);
+    if (!named) {
       throw std::runtime_error("config: unknown gpu preset '" + it->second +
                                "' (a100|h200|b200)");
     }
+    gen = *named;
   }
+  hw::SystemConfig sys = hw::make_system(gen, 8, 1024);
   sys.gpu.tensor_flops = FlopsPerSec(
       to_double(s, "tensor_tflops", sys.gpu.tensor_flops.value() / 1e12) * 1e12);
   sys.gpu.vector_flops = FlopsPerSec(

@@ -22,7 +22,7 @@ using analysis::DiagnosticSink;
 using analysis::RuleId;
 
 /// Per-section key schemas — mirror the reject_unknown sets of the loaders
-/// (config_file.cpp / plan_io.cpp / tfpe_sweep.cpp).
+/// (config_file.cpp / plan_io.cpp / the sweep reader in tfpe_cli.cpp).
 const std::set<std::string>& section_keys(const std::string& section) {
   static const std::set<std::string> kModel{
       "name", "seq_len", "embed",       "heads",     "depth",
@@ -291,8 +291,7 @@ class ConfigLinter {
       }
     }
     if (const auto it = s->find("strategy"); it != s->end()) {
-      if (it->second != "1d" && it->second != "2d" &&
-          it->second != "summa") {
+      if (!parallel::strategy_by_name(it->second)) {
         emit(RuleId::kConfigValue, "plan", "strategy", 0, 0,
              "unknown strategy '" + it->second + "' (1d|2d|summa)");
       }
@@ -329,12 +328,12 @@ class ConfigLinter {
                "is not a known model preset");
     check_axis("gpu",
                [](const std::string& v) {
-                 return v == "a100" || v == "h200" || v == "b200";
+                 return hw::generation_by_name(v).has_value();
                },
                "is not a known gpu preset (a100|h200|b200)");
     check_axis("strategy",
                [](const std::string& v) {
-                 return v == "1d" || v == "2d" || v == "summa";
+                 return parallel::strategy_by_name(v).has_value();
                },
                "is not a strategy (1d|2d|summa)");
     const auto positive_int = [](const std::string& v) {

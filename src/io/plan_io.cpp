@@ -10,15 +10,6 @@ namespace tfpe::io {
 
 namespace {
 
-std::string strategy_key(parallel::TpStrategy s) {
-  switch (s) {
-    case parallel::TpStrategy::TP1D: return "1d";
-    case parallel::TpStrategy::TP2D: return "2d";
-    case parallel::TpStrategy::Summa2D: return "summa";
-  }
-  return "?";
-}
-
 std::int64_t require_int(const Section& s, const std::string& key) {
   const auto it = s.find(key);
   if (it == s.end()) {
@@ -48,7 +39,7 @@ void write_plan(std::ostream& os, const core::EvalResult& result,
        << util::format_bytes(result.mem.total()) << "\n";
   }
   os << "[plan]\n";
-  os << "strategy = " << strategy_key(c.strategy) << "\n";
+  os << "strategy = " << parallel::strategy_key(c.strategy) << "\n";
   os << "n1 = " << c.n1 << "\nn2 = " << c.n2 << "\nnp = " << c.np
      << "\nnd = " << c.nd << "\n";
   os << "microbatches = " << c.microbatches << "\n";
@@ -81,13 +72,11 @@ LoadedPlan plan_from_section(const Section& s) {
   LoadedPlan plan;
   const auto strat = s.find("strategy");
   if (strat == s.end()) throw std::runtime_error("plan: missing strategy");
-  if (strat->second == "1d") plan.cfg.strategy = parallel::TpStrategy::TP1D;
-  else if (strat->second == "2d") plan.cfg.strategy = parallel::TpStrategy::TP2D;
-  else if (strat->second == "summa") {
-    plan.cfg.strategy = parallel::TpStrategy::Summa2D;
-  } else {
+  const auto strategy = parallel::strategy_by_name(strat->second);
+  if (!strategy) {
     throw std::runtime_error("plan: unknown strategy '" + strat->second + "'");
   }
+  plan.cfg.strategy = *strategy;
   plan.cfg.n1 = require_int(s, "n1");
   plan.cfg.n2 = optional_int(s, "n2", 1);
   plan.cfg.np = require_int(s, "np");

@@ -1,6 +1,7 @@
 #include "parallel/parallel_config.hpp"
 
 #include <sstream>
+#include <utility>
 
 namespace tfpe::parallel {
 
@@ -19,6 +20,29 @@ std::string to_string(TpStrategy s) {
     case TpStrategy::Summa2D: return "2D TP SUMMA";
   }
   return "?";
+}
+
+namespace {
+
+constexpr std::pair<const char*, TpStrategy> kStrategyKeys[] = {
+    {"1d", TpStrategy::TP1D},
+    {"2d", TpStrategy::TP2D},
+    {"summa", TpStrategy::Summa2D}};
+
+}  // namespace
+
+std::string strategy_key(TpStrategy s) {
+  for (const auto& [key, strategy] : kStrategyKeys) {
+    if (strategy == s) return key;
+  }
+  return "?";
+}
+
+std::optional<TpStrategy> strategy_by_name(const std::string& key) {
+  for (const auto& [name, strategy] : kStrategyKeys) {
+    if (key == name) return strategy;
+  }
+  return std::nullopt;
 }
 
 std::int64_t ParallelConfig::local_microbatch(std::int64_t global_batch) const {

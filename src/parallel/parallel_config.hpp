@@ -21,6 +21,10 @@ namespace tfpe::parallel {
 enum class TpStrategy { TP1D, TP2D, Summa2D };
 
 std::string to_string(TpStrategy s);
+/// The short key plan files, sweep specs and the CLI use: 1d | 2d | summa.
+std::string strategy_key(TpStrategy s);
+/// Inverse of strategy_key.
+std::optional<TpStrategy> strategy_by_name(const std::string& key);
 
 /// How far the data-parallel group shards training state (paper §V
 /// limitations: "weights (and gradients) can also be partitioned using DP at

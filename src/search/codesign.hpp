@@ -145,7 +145,7 @@ struct CodesignOptions {
   /// cross-shape incumbent (see header). Winners are unaffected bit for
   /// bit; pruned (shape, point) entries are flagged instead of evaluated.
   /// Set false when the full exact per-shape matrix is the product wanted
-  /// (e.g. tfpe-sweep --arch CSV dumps).
+  /// (e.g. tfpe sweep --arch CSV dumps).
   bool prune_shapes = true;
 };
 

@@ -4,14 +4,6 @@
 //   sweep-options     run_sweep's loudly-rejected knobs (search.top_k,
 //                     search.threads) caught as diagnostics instead of a
 //                     mid-sweep throw
-//   sweep-cache-key   cache-key soundness, probed behaviorally: the
-//                     SignatureKey/LayerKey extractors must be invariant
-//                     under every placement (nvs1/nvs2/nvsp/nvsd) and
-//                     interleave mutation (those enter only at timing), and
-//                     must SEPARATE configs differing in a field the
-//                     compiled artifact depends on — a key that collapses
-//                     two such configs would serve one's signature for the
-//                     other across the whole sweep
 //   sweep-warm-chain  warm-start seeding chains key on (gpu.name, n_gpus);
 //                     grid points sharing a chain key but differing in
 //                     roofline or host link would seed from a predecessor
@@ -23,33 +15,18 @@
 // runs it on [sweep] configs and the fuzz harness on every fuzzed plan.
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "analysis/consistency.hpp"
 #include "analysis/invariants.hpp"
 #include "hw/system.hpp"
-#include "model/transformer.hpp"
-#include "search/search_cache.hpp"
 #include "search/sweep.hpp"
 
 namespace tfpe::search {
 
-/// Key extractors probed by the cache-key rule. Defaults to the production
-/// signature_key / layer_key; mutation tests inject corrupted extractors to
-/// prove the rule fires.
-struct SweepLintHooks {
-  std::function<SignatureKey(const parallel::ParallelConfig&)> signature_key;
-  std::function<LayerKey(const model::TransformerConfig&,
-                         const parallel::ParallelConfig&, std::int64_t)>
-      layer_key;
-};
-
 /// Lint a sweep plan: `points` is the grid, `opts` the engine options.
 analysis::LintReport lint_sweep_plan(
-    const model::TransformerConfig& mdl,
     const std::vector<hw::SystemConfig>& points, const SweepOptions& opts,
-    const analysis::LintOptions& lint_opts = {},
-    const SweepLintHooks* hooks = nullptr);
+    const analysis::LintOptions& lint_opts = {});
 
 }  // namespace tfpe::search

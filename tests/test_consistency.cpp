@@ -1,12 +1,15 @@
 // Cross-layer consistency passes: mutation tests proving every BATCH / SYS
 // / PLACE / SWEEP rule fires on exactly the corruption it guards against,
-// and stays silent on clean artifacts.
+// and stays silent on clean artifacts; plus the cache-key soundness probes.
 #include "analysis/consistency.hpp"
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
+#include <functional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "comm/collective_algorithm.hpp"
@@ -260,9 +263,8 @@ TEST(LintSweepPlan, CleanPlanFiresNothing) {
   const std::vector<hw::SystemConfig> points = {
       hw::make_system(hw::GpuGeneration::B200, 8, 64)};
   EXPECT_TRUE(analysis::lint_system(points[0]).clean());
-  EXPECT_TRUE(search::lint_sweep_plan(model::gpt3_1t(), points,
-                                      search::SweepOptions{})
-                  .clean());
+  EXPECT_TRUE(
+      search::lint_sweep_plan(points, search::SweepOptions{}).clean());
 }
 
 TEST(LintSweepPlan, RejectedEngineKnobsFireSweepOptions) {
@@ -270,39 +272,123 @@ TEST(LintSweepPlan, RejectedEngineKnobsFireSweepOptions) {
   opts.search.top_k = 3;
   const std::vector<hw::SystemConfig> points = {
       hw::make_system(hw::GpuGeneration::B200, 8, 64)};
-  expect_only(search::lint_sweep_plan(model::gpt3_1t(), points, opts),
+  expect_only(search::lint_sweep_plan(points, opts),
               RuleId::kSweepOptions, "top_k = 3");
 }
 
-TEST(LintSweepPlan, PlacementDependentKeyFiresSweepCacheKey) {
-  // A signature key that leaks nvs1 is not placement-invariant: the sweep
-  // would compile one signature per placement and the cache would thrash —
-  // or worse, serve stale artifacts. The behavioral probe must catch it.
-  search::SweepLintHooks hooks;
-  hooks.signature_key = [](const parallel::ParallelConfig& cfg) {
-    search::SignatureKey key = search::signature_key(cfg);
-    key.m = cfg.nvs1;  // leak a placement field into the key
-    return key;
-  };
-  const std::vector<hw::SystemConfig> points = {
-      hw::make_system(hw::GpuGeneration::B200, 8, 64)};
-  expect_only(search::lint_sweep_plan(model::gpt3_1t(), points,
-                                      search::SweepOptions{}, {}, &hooks),
-              RuleId::kSweepCacheKey, "key leaks nvs1");
+// ------------------------------------------------------- cache-key probes
+//
+// The engines key compiled artifacts on SignatureKey (whole signature) and
+// LayerKey (per-layer block). A sound key ignores placement (nvs1, nvs2,
+// nvsp, nvsd) and interleave, which enter only at timing, and separates
+// every field its artifact depends on: a key that collapses two such
+// configs would serve one's artifact for the other.
+
+using SignatureKeyFn =
+    std::function<search::SignatureKey(const parallel::ParallelConfig&)>;
+using LayerKeyFn = std::function<search::LayerKey(
+    const model::TransformerConfig&, const parallel::ParallelConfig&,
+    std::int64_t)>;
+using Mutation = std::pair<const char*,
+                           std::function<void(parallel::ParallelConfig&)>>;
+
+/// Every soundness violation of the two extractors, one line each; empty
+/// when both are sound. The probe config has every dim > 1 per strategy,
+/// so a key that ignores a dim is guaranteed to collapse its mutation.
+std::vector<std::string> cache_key_violations(const SignatureKeyFn& sig_key,
+                                              const LayerKeyFn& lay_key) {
+  const std::vector<Mutation> timing_only = {
+      {"nvs1", [](auto& c) { c.nvs1 = 2; }},
+      {"nvs2", [](auto& c) { c.nvs2 = 2; }},
+      {"nvsp", [](auto& c) { c.nvsp = 2; }},
+      {"nvsd", [](auto& c) { c.nvsd = 2; }},
+      {"interleave", [](auto& c) { c.interleave = 2; }}};
+  // np and the ZeRO stage shape the per-candidate tail, not the layer.
+  const std::vector<Mutation> layer_fields = {
+      {"n1", [](auto& c) { c.n1 *= 2; }},
+      {"nd", [](auto& c) { c.nd *= 2; }},
+      {"microbatches", [](auto& c) { c.microbatches *= 2; }},
+      {"ring_attention", [](auto& c) { c.ring_attention = !c.ring_attention; }}};
+  const std::vector<Mutation> tail_fields = {
+      {"np", [](auto& c) { c.np *= 2; }},
+      {"zero stage", [](auto& c) { c.zero = parallel::ZeroStage::kWeights; }}};
+
+  const model::TransformerConfig mdl = model::gpt3_1t();
+  std::vector<std::string> out;
+  for (const parallel::TpStrategy strategy :
+       {parallel::TpStrategy::TP1D, parallel::TpStrategy::TP2D,
+        parallel::TpStrategy::Summa2D}) {
+    parallel::ParallelConfig base;
+    base.strategy = strategy;
+    base.n1 = 2;
+    base.n2 = strategy == parallel::TpStrategy::TP1D ? 1 : 2;
+    base.np = 2;
+    base.nd = 2;
+    base.microbatches = 2;
+    base.nb = strategy == parallel::TpStrategy::Summa2D ? 2 : 1;
+    const std::int64_t batch = base.nd * base.microbatches * 2;
+    const std::string where = parallel::strategy_key(strategy) + ": ";
+    // A key must stay equal under `invariant` mutations and change under
+    // the others.
+    const auto check = [&](const std::string& key_name, const auto& key,
+                           const std::vector<Mutation>& mutations,
+                           bool invariant) {
+      for (const auto& [field, mutate] : mutations) {
+        parallel::ParallelConfig m = base;
+        mutate(m);
+        if ((key(m) == key(base)) != invariant) {
+          out.push_back(where + key_name +
+                        (invariant ? " depends on " : " ignores ") + field);
+        }
+      }
+    };
+    const auto lay = [&](const parallel::ParallelConfig& c) {
+      return lay_key(mdl, c, batch);
+    };
+    check("SignatureKey", sig_key, timing_only, true);
+    check("SignatureKey", sig_key, layer_fields, false);
+    check("SignatureKey", sig_key, tail_fields, false);
+    check("LayerKey", lay, timing_only, true);
+    check("LayerKey", lay, layer_fields, false);
+  }
+  return out;
 }
 
-TEST(LintSweepPlan, CollapsingKeyFiresSweepCacheKey) {
-  // A key that ignores n1 collapses configs whose compiled signatures
-  // differ — one config's signature would be served for the other.
-  search::SweepLintHooks hooks;
-  hooks.signature_key = [](const parallel::ParallelConfig&) {
-    return search::SignatureKey{};
-  };
-  const std::vector<hw::SystemConfig> points = {
-      hw::make_system(hw::GpuGeneration::B200, 8, 64)};
-  expect_only(search::lint_sweep_plan(model::gpt3_1t(), points,
-                                      search::SweepOptions{}, {}, &hooks),
-              RuleId::kSweepCacheKey, "constant key");
+TEST(CacheKeyProbe, ProductionKeysAreSound) {
+  const auto violations =
+      cache_key_violations(search::signature_key, search::layer_key);
+  EXPECT_TRUE(violations.empty()) << violations.front();
+}
+
+TEST(CacheKeyProbe, PlacementDependentKeyFires) {
+  // A signature key that leaks nvs1 is not placement-invariant: the sweep
+  // would compile one signature per placement and the cache would thrash —
+  // or worse, serve stale artifacts. The probe must catch it.
+  const auto violations = cache_key_violations(
+      [](const parallel::ParallelConfig& cfg) {
+        search::SignatureKey key = search::signature_key(cfg);
+        key.m = cfg.nvs1;  // leak a placement field into the key
+        return key;
+      },
+      search::layer_key);
+  ASSERT_FALSE(violations.empty());
+  EXPECT_EQ(violations.front(), "1d: SignatureKey depends on nvs1");
+}
+
+TEST(CacheKeyProbe, CollapsingKeyFires) {
+  // A key that ignores n1 collapses configs whose compiled artifacts
+  // differ — one config's artifact would be served for the other.
+  const auto constant_signature = cache_key_violations(
+      [](const parallel::ParallelConfig&) { return search::SignatureKey{}; },
+      search::layer_key);
+  ASSERT_FALSE(constant_signature.empty());
+  EXPECT_EQ(constant_signature.front(), "1d: SignatureKey ignores n1");
+  const auto constant_layer = cache_key_violations(
+      search::signature_key,
+      [](const model::TransformerConfig&, const parallel::ParallelConfig&,
+         std::int64_t) { return search::LayerKey{}; });
+  ASSERT_FALSE(constant_layer.empty());
+  EXPECT_EQ(constant_layer.front(), "1d: LayerKey ignores n1");
 }
 
 TEST(LintSweepPlan, RooflineDriftWithinChainWarnsSweepWarmChain) {
@@ -310,8 +396,7 @@ TEST(LintSweepPlan, RooflineDriftWithinChainWarnsSweepWarmChain) {
   auto b = a;
   b.gpu.hbm_bandwidth = b.gpu.hbm_bandwidth * 2.0;  // same name, same n_gpus
   const LintReport report =
-      search::lint_sweep_plan(model::gpt3_1t(), {a, b},
-                              search::SweepOptions{});
+      search::lint_sweep_plan({a, b}, search::SweepOptions{});
   expect_only(report, RuleId::kSweepWarmChain, "hbm drift in chain");
   for (const auto& d : report.diagnostics) {
     EXPECT_EQ(d.severity, Severity::kWarning) << d.message;
@@ -319,9 +404,8 @@ TEST(LintSweepPlan, RooflineDriftWithinChainWarnsSweepWarmChain) {
   // Different GPU counts start different chains: no warning.
   auto c = a;
   c.n_gpus = 128;
-  EXPECT_TRUE(search::lint_sweep_plan(model::gpt3_1t(), {a, c},
-                                      search::SweepOptions{})
-                  .clean());
+  EXPECT_TRUE(
+      search::lint_sweep_plan({a, c}, search::SweepOptions{}).clean());
 }
 
 }  // namespace

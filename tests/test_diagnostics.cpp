@@ -80,6 +80,11 @@ TEST(RuleRegistry, KnownAnchorCodesAreStable) {
             "TFPE-CFG-006");
   EXPECT_EQ(analysis::rule_info(RuleId::kCodesignEmptyFamily).code,
             "TFPE-CODESIGN-003");
+  // Retired codes are never reused.
+  EXPECT_EQ(analysis::rule_info(RuleId::kSweepWarmChain).code,
+            "TFPE-SWEEP-003");
+  EXPECT_FALSE(analysis::find_rule("TFPE-SWEEP-002").has_value());
+  EXPECT_FALSE(analysis::find_rule("sweep-cache-key").has_value());
 }
 
 // -------------------------------------------------------------------- sink

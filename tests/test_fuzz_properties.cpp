@@ -176,9 +176,9 @@ TEST(Fuzz, EvaluatorInvariantsOverRandomSpace) {
 }
 
 TEST(Fuzz, SweepPlansOverRandomGridsLintClean) {
-  // Every fuzzed hardware grid must pass the sweep-plan lint: the cache-key
-  // probes are hardware-independent, and the per-point system lint plus the
-  // warm-chain analysis must accept every grid hardware_grid can produce.
+  // Every fuzzed hardware grid must pass the sweep-plan lint: the per-point
+  // system lint plus the warm-chain analysis must accept every grid
+  // hardware_grid can produce.
   Lcg rng(0xFACADE);
   for (int trial = 0; trial < 20; ++trial) {
     const auto gen = rng.pick({hw::GpuGeneration::A100, hw::GpuGeneration::H200,
@@ -190,8 +190,7 @@ TEST(Fuzz, SweepPlansOverRandomGridsLintClean) {
     const auto points =
         search::hardware_grid({gen}, nvs, oversub, n, /*leaf_size=*/64);
     ASSERT_FALSE(points.empty()) << trial;
-    const analysis::LintReport lint = search::lint_sweep_plan(
-        random_model(rng), points, search::SweepOptions{});
+    const analysis::LintReport lint = search::lint_sweep_plan(points, search::SweepOptions{});
     EXPECT_EQ(lint.errors(), 0u) << trial << "\n" << lint.summary();
   }
 }

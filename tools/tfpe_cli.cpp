@@ -1,37 +1,49 @@
 // tfpe — command-line front end to the performance model.
 //
-// Examples:
-//   tfpe --model gpt3-1t --gpu b200 --gpus 16384 --nvs 8 --batch 4096
-//   tfpe --model vit-64k --gpu a100 --gpus 4096 --strategy 2d --top 5
+//   tfpe [plan] --model gpt3-1t --gpu b200 --gpus 16384 --nvs 8 --batch 4096
 //   tfpe --model llama3-405b --gpu b200 --gpus 2048 --strategy summa
 //        --interleave --zero3 --csv out.csv --ops --sensitivity
-//   tfpe --model custom --l 4096 --e 8192 --heads 64 --depth 32
-//        --gpu h200 --gpus 512
+//   tfpe --model custom --l 4096 --e 8192 --heads 64 --depth 32 --gpus 512
+//   tfpe sweep spec.tfpe --threads 4 --verify-legacy
+//   tfpe codesign --config family.tfpe --gpu a100,b200 --nvs 8,64
+//   tfpe serve-plan --model llama3-405b --gpu h200 --nvs 8
+//   tfpe lint [PATH] --format sarif --strict
 //
-// Prints the optimal configuration panel, optionally the top-k list, the
-// per-op roofline report, hardware elasticities, and a CSV mirror.
-
-#include <fstream>
-#include <iostream>
+// Every subcommand runs one prologue: it reads and checks each flag it
+// accepts (a --config file is loaded only once its schema lint is clean,
+// and every system it builds must pass analysis::lint_system), then main
+// rejects any flag nobody read, and only then does the work run. Exit
+// codes: 0 ok, 1 infeasible or a failed check, 2 usage or bad input
+// (`error: ...` plus the command's help, or a located TFPE-* report, on
+// stderr); `tfpe lint` adds 3 for warnings under --strict.
 
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <functional>
+#include <iostream>
+#include <map>
+#include <stdexcept>
 
 #include "analysis/consistency.hpp"
 #include "analysis/invariants.hpp"
 #include "core/batched_signature.hpp"
 #include "core/training_estimate.hpp"
+#include "hw/topology.hpp"
 #include "io/config_file.hpp"
 #include "io/config_lint.hpp"
 #include "io/plan_io.hpp"
-#include "search/codesign.hpp"
-#include "search/serve_plan.hpp"
-#include "search/sweep_lint.hpp"
 #include "report/breakdown_report.hpp"
 #include "report/markdown_report.hpp"
 #include "report/op_report.hpp"
 #include "report/sensitivity.hpp"
+#include "search/codesign.hpp"
 #include "search/search.hpp"
+#include "search/serve_plan.hpp"
+#include "search/sweep_lint.hpp"
 #include "util/args.hpp"
+#include "util/csv.hpp"
 #include "util/strings.hpp"
 #include "util/units.hpp"
 
@@ -39,15 +51,122 @@ namespace {
 
 using namespace tfpe;
 
-int usage(const char* msg) {
-  if (msg) std::cerr << "error: " << msg << "\n\n";
-  std::cerr <<
+// --- shared prologue -------------------------------------------------------
+
+std::string help_text(const std::string& cmd) {
+  if (cmd == "sweep") {
+    return
+        "usage: tfpe sweep SPEC [--output PATH] [--threads N] [--warm-start]\n"
+        "                       [--profile-stages] [--verify-legacy]\n"
+        "                       [--ablate-topology] [--arch]\n"
+        "\n"
+        "Batch experiment runner: the optimal configuration at every point\n"
+        "of the [sweep] section's cross product (model x gpu x nvs x oversub\n"
+        "x gpus x strategy x batch), one CSV row per point. The spec is\n"
+        "schema-linted first; its format is in docs/API.md.\n"
+        "\n"
+        "  --output PATH       CSV path (default: the spec's output, else\n"
+        "                      sweep.csv)\n"
+        "  --threads N         worker threads (0 = hardware concurrency)\n"
+        "  --warm-start        seed each point's incumbent from its chain\n"
+        "                      predecessor's optimum (throughput only)\n"
+        "  --profile-stages    per-stage busy seconds and their overlap\n"
+        "  --verify-legacy     re-solve every row with its own find_optimal\n"
+        "                      call; exits 1 unless all are bitwise identical\n"
+        "  --ablate-topology   re-run every two-level point under the\n"
+        "                      degenerate three-level fabric; exits 1 on any\n"
+        "                      difference\n"
+        "  --arch              expand each model into its iso-parameter shape\n"
+        "                      family ([codesign] section), a row per shape\n";
+  }
+  if (cmd == "codesign") {
+    return
+        "usage: tfpe codesign [--model NAME | --config PATH] [options]\n"
+        "\n"
+        "Enumerates every transformer shape within a tolerance of the base\n"
+        "model's parameter budget ([codesign] axes in the config file, or the\n"
+        "defaults), crosses the family with a gpu x nvs hardware grid and\n"
+        "reports, per grid point, the winning (shape, parallelization,\n"
+        "placement) triple. Every reported result is bitwise identical to\n"
+        "find_optimal on that (shape, point); shapes whose architecture-level\n"
+        "compute floor exceeds the cross-shape incumbent are pruned whole.\n"
+        "\n"
+        "  --model NAME        base preset the family is iso to (default gpt3-1t)\n"
+        "  --config PATH       load [model] and/or [codesign] from a file\n"
+        "  --target-params B   override the parameter budget [billions]\n"
+        "  --tolerance F       override the relative band (default 0.02)\n"
+        "  --gpu LIST          generations to grid (default a100,h200,b200)\n"
+        "  --nvs LIST          NVS-domain sizes to grid (default 8)\n"
+        "  --gpus N            total GPUs (default 1024)\n"
+        "  --batch B           global batch (default 4096)\n"
+        "  --threads N         worker threads (0 = hardware concurrency)\n"
+        "  --no-prune-shapes   keep the full exact per-shape matrix\n"
+        "  --no-warm-start     cold incumbents (A/B baseline)\n"
+        "  --verify-per-shape  cross-check every scanned (shape, point) and\n"
+        "                      winner bitwise against per-shape find_optimal;\n"
+        "                      exits nonzero on any mismatch\n"
+        "  --csv PATH          write per-point winners as CSV\n";
+  }
+  if (cmd == "serve-plan") {
+    return
+        "usage: tfpe serve-plan [--model NAME | --config PATH] [options]\n"
+        "\n"
+        "Sweeps serving replica shapes (tensor x pipeline parallelism x\n"
+        "resident batch) for a decode workload under a continuous-batching\n"
+        "scheduler and prints the latency/throughput Pareto front: the shapes\n"
+        "no other shape beats on both request latency and tok/s/GPU. Every\n"
+        "point holds its KV cache resident under the HBM cap ([serving]\n"
+        "kv_cap_fraction); the requested batch is clipped to what fits.\n"
+        "\n"
+        "  --model NAME        model preset (default llama3-405b)\n"
+        "  --config PATH       load [model]/[system]/[serving] from a file\n"
+        "  --gpu GEN           GPU generation preset (default h200)\n"
+        "  --nvs N             fast-domain size (default 8)\n"
+        "  --gpus N            total GPUs, for the replica-count line (default\n"
+        "                      one replica's worth)\n"
+        "  --prompt N          input tokens per request (default 2048)\n"
+        "  --output N          generated tokens per request (default 256)\n"
+        "  --tp LIST           tensor-parallel widths (default 1,2,4,8)\n"
+        "  --pp LIST           pipeline depths (default 1)\n"
+        "  --batch LIST        requested batches (default 1,...,256)\n"
+        "  --kv-cap F          HBM fraction for KV + weights (default 0.9)\n"
+        "  --all               print every feasible point, not just the front\n"
+        "  --csv PATH          write the evaluated grid as CSV\n";
+  }
+  if (cmd == "lint") {
+    return
+        "usage: tfpe lint [PATH] [--model NAME] [--batch N]\n"
+        "                 [--format text|json|sarif] [--strict]\n"
+        "                 [--suppress CODE,...]\n"
+        "\n"
+        "Structured diagnostics over the whole pipeline: the paper's op-graph\n"
+        "conservation laws, the compiled-signature and batched-SoA lowerings,\n"
+        "sweep-plan soundness, hardware-description sanity and config-file\n"
+        "schema checks. Every diagnostic carries a stable rule ID\n"
+        "(TFPE-OP-001 ...; see docs/API.md for the registry).\n"
+        "\n"
+        "  PATH            lint a .tfpe file: schema first, then the passes its\n"
+        "                  sections select ([plan] -> op graph + signature +\n"
+        "                  batched lowering, [sweep] -> sweep plan,\n"
+        "                  [model]/[system]/[topology] -> machine description)\n"
+        "  --model NAME    model preset a [plan] applies to (default gpt3-1t)\n"
+        "  --batch N       global batch for the plan (default: the plan's own);\n"
+        "                  with no PATH, the per-GPU microbatch (default 2)\n"
+        "  --format F      text (default) | json | sarif (SARIF 2.1.0)\n"
+        "  --strict        warnings also fail (exit 3)\n"
+        "  --suppress L    comma-separated rule codes or names to disable\n"
+        "\n"
+        "With no PATH, lints the built-in preset x strategy matrix plus the\n"
+        "default sweep plan. Exit codes: 0 clean, 1 errors, 2 usage or\n"
+        "unparseable input, 3 warnings under --strict.\n";
+  }
+  std::string text =
       "usage: tfpe --model NAME --gpu {a100|h200|b200} --gpus N [options]\n"
       "\n"
       "model selection:\n"
       "  --model NAME        one of:";
-  for (const auto& n : model::preset_names()) std::cerr << " " << n;
-  std::cerr <<
+  for (const auto& n : model::preset_names()) text += " " + n;
+  return text +
       " | custom\n"
       "  --l --e --heads --depth [--hidden --kv-heads --window]   (custom)\n"
       "  --config PATH       load [model] and/or [system] from a file\n"
@@ -64,7 +183,7 @@ int usage(const char* msg) {
       "  --interleave        allow interleaved pipeline schedules\n"
       "  --zero3             allow ZeRO-3 weight sharding\n"
       "  --tp-overlap F      hide fraction F (0..1) of TP communication\n"
-      "  --offload F         offload fraction F of activations to host\n"
+      "  --offload F         offload fraction F (0..1) of activations to host\n"
       "  --recompute         full activation checkpointing\n"
       "  --plan PATH         evaluate a saved plan instead of searching\n"
       "  --save-plan PATH    write the best configuration as a plan file\n"
@@ -79,53 +198,189 @@ int usage(const char* msg) {
       "  --markdown PATH     write a Markdown report\n"
       "\n"
       "subcommands:\n"
+      "  sweep SPEC          optimal configuration over a [sweep] grid, as CSV\n"
+      "                      (see: tfpe sweep --help)\n"
       "  lint [PLAN_PATH]    check built op lists against the paper's\n"
       "                      conservation laws (see: tfpe lint --help)\n"
       "  codesign            iso-parameter architecture x config search\n"
       "                      (see: tfpe codesign --help)\n"
       "  serve-plan          latency/throughput Pareto front for inference\n"
-      "                      serving (see: tfpe serve-plan --help)\n";
-  return msg ? 2 : 0;
+      "                      serving (see: tfpe serve-plan --help)\n"
+      "\n"
+      "exit codes: 0 ok, 1 infeasible or a failed check, 2 usage or bad input\n";
 }
 
-std::optional<hw::GpuGeneration> gen_by_name(const std::string& s) {
-  if (s == "a100") return hw::GpuGeneration::A100;
-  if (s == "h200") return hw::GpuGeneration::H200;
-  if (s == "b200") return hw::GpuGeneration::B200;
-  return std::nullopt;
+/// Print `error: msg` and the command's help to stderr; exit code 2.
+int usage(const std::string& cmd, const std::string& msg) {
+  std::cerr << "error: " << msg << "\n\n" << help_text(cmd);
+  return 2;
 }
+
+/// A flag or operand the prologue rejects: main turns it into usage().
+void require(bool ok, const std::string& msg) {
+  if (!ok) throw std::invalid_argument(msg);
+}
+
+/// Bad input a lint pass found: main prints the located report, exit 2.
+struct Rejected {
+  analysis::LintReport report;
+};
+
+void reject_errors(analysis::LintReport report) {
+  if (report.errors() > 0) throw Rejected{std::move(report)};
+}
+
+/// --config PATH, loaded only once its schema lint (the checks of
+/// `tfpe lint PATH`) finds no error.
+io::LoadedConfig load_config(const util::ArgParser& args) {
+  const auto path = args.get("config");
+  if (!path) return {};
+  reject_errors(io::lint_config_file(*path));
+  return io::load_config_file(*path);
+}
+
+/// The config file's [model] unless --model is given; else the named
+/// preset, or `custom` built from --l/--e/--heads/--depth/....
+model::TransformerConfig resolve_model(const util::ArgParser& args,
+                                       const io::LoadedConfig& file,
+                                       const std::string& fallback) {
+  const auto name = args.get("model");
+  if (!name && file.model) return *file.model;
+  if (name == "custom") {
+    model::TransformerConfig mdl;
+    mdl.name = "custom";
+    mdl.seq_len = args.get_int_or("l", 0);
+    mdl.embed = args.get_int_or("e", 0);
+    mdl.heads = args.get_int_or("heads", 0);
+    mdl.depth = args.get_int_or("depth", 0);
+    mdl.hidden = args.get_int_or("hidden", 4 * mdl.embed);
+    mdl.kv_heads = args.get_int_or("kv-heads", 0);
+    if (args.has("window")) {
+      mdl.attention = model::AttentionKind::kWindowed;
+      mdl.window = args.get_int_or("window", 0);
+    }
+    mdl.validate();
+    return mdl;
+  }
+  const auto preset = model::preset_by_name(name.value_or(fallback));
+  require(preset.has_value(), "unknown model '" + name.value_or(fallback) + "'");
+  return *preset;
+}
+
+hw::GpuGeneration generation(const std::string& name) {
+  const auto gen = hw::generation_by_name(name);
+  require(gen.has_value(), "unknown gpu '" + name + "' (a100|h200|b200)");
+  return *gen;
+}
+
+/// `sys`, once analysis::lint_system finds no error in it.
+hw::SystemConfig checked(hw::SystemConfig sys) {
+  reject_errors(analysis::lint_system(sys));
+  return sys;
+}
+
+unsigned read_threads(const util::ArgParser& args) {
+  const std::int64_t threads = args.get_int_or("threads", 0);
+  require(threads >= 0, "--threads must be >= 0");
+  return static_cast<unsigned>(threads);
+}
+
+/// --flag A,B,...: positive integers, or `fallback` when the flag is absent.
+std::vector<std::int64_t> int_list(const util::ArgParser& args,
+                                   const std::string& flag,
+                                   std::vector<std::int64_t> fallback) {
+  const auto list = args.get(flag);
+  if (!list) return fallback;
+  std::vector<std::int64_t> out;
+  for (const auto& item : util::split_list(*list)) {
+    char* end = nullptr;
+    out.push_back(std::strtoll(item.c_str(), &end, 10));
+    require(end != item.c_str() && *end == '\0' && out.back() >= 1,
+            "flag --" + flag + " expects positive integers, got '" + item +
+                "'");
+  }
+  require(!out.empty(), "flag --" + flag + " expects positive integers");
+  return out;
+}
+
+/// Re-solve every scanned (shape, point) of `run`, and every point's
+/// winner by the same shape-order reduction, with independent
+/// find_optimal calls; prints each mismatch and returns their count.
+std::size_t cross_check(const std::vector<model::TransformerConfig>& shapes,
+                        const std::vector<hw::SystemConfig>& points,
+                        const std::vector<std::string>& labels,
+                        const search::CodesignOptions& opts,
+                        const search::CodesignResult& run) {
+  search::SearchOptions reference = opts.sweep.search;
+  reference.threads = opts.sweep.threads;
+  std::size_t mismatches = 0;
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    core::EvalResult ref;
+    std::size_t ref_shape = search::CodesignResult::kNoShape;
+    for (std::size_t s = 0; s < shapes.size(); ++s) {
+      const core::EvalResult direct =
+          search::find_optimal(shapes[s], points[p], reference).best;
+      if (search::better_result(direct, ref)) {
+        ref = direct;
+        ref_shape = s;
+      }
+      if (run.pruned[s][p] ||
+          search::same_optimum(direct, run.per_shape[s][p])) {
+        continue;
+      }
+      ++mismatches;
+      std::cerr << "MISMATCH at " << shapes[s].name << " x " << labels[p]
+                << "\n";
+    }
+    if (ref_shape != run.best[p].shape ||
+        !search::same_optimum(ref, run.best[p].best)) {
+      ++mismatches;
+      std::cerr << "WINNER MISMATCH at " << labels[p] << "\n";
+    }
+  }
+  return mismatches;
+}
+
+/// A [sweep] section: its axes in spec nesting order, values as written
+/// (the CSV echoes them), defaults filled in.
+struct SweepSpec {
+  std::vector<std::string> model, gpu, nvs, oversub, gpus, strategy, batch;
+  std::int64_t leaf = 64;
+  std::string output = "sweep.csv";
+
+  explicit SweepSpec(const io::Section& s) {
+    const auto axis = [&](const char* key, const char* fallback) {
+      const auto it = s.find(key);
+      return util::split_list(it != s.end() ? it->second : fallback);
+    };
+    model = axis("model", "gpt3-1t");
+    gpu = axis("gpu", "b200");
+    nvs = axis("nvs", "8");
+    oversub = axis("oversub", "1");
+    gpus = axis("gpus", "1024");
+    strategy = axis("strategy", "1d");
+    batch = axis("batch", "4096");
+    if (const auto it = s.find("leaf"); it != s.end()) {
+      leaf = std::stoll(it->second);
+    }
+    if (const auto it = s.find("output"); it != s.end()) output = it->second;
+  }
+
+  /// One hardware point, through a one-point search::hardware_grid call so
+  /// the fabric (oversub 1 = two-level, > 1 = leaf/spine) stays in FP
+  /// lockstep with the grid builder.
+  hw::SystemConfig point(const std::string& g, const std::string& n,
+                         const std::string& os, const std::string& n_gpus) const {
+    return search::hardware_grid({generation(g)}, {std::stoll(n)},
+                                 {std::stod(os)}, std::stoll(n_gpus), leaf)[0];
+  }
+};
+
+/// A subcommand's work, returned by its prologue once every flag it
+/// accepts has been read and checked.
+using Work = std::function<int()>;
 
 // --- `tfpe lint`: op-graph invariant analyzer front end -------------------
-
-int lint_usage(const char* msg) {
-  if (msg) std::cerr << "error: " << msg << "\n\n";
-  std::cerr <<
-      "usage: tfpe lint [PATH] [--model NAME] [--batch N]\n"
-      "                 [--format text|json|sarif] [--strict]\n"
-      "                 [--suppress CODE,...]\n"
-      "\n"
-      "Structured diagnostics over the whole pipeline: the paper's op-graph\n"
-      "conservation laws, the compiled-signature and batched-SoA lowerings,\n"
-      "sweep cache-key soundness, hardware-description sanity and config-file\n"
-      "schema checks. Every diagnostic carries a stable rule ID\n"
-      "(TFPE-OP-001 ...; see docs/API.md for the registry).\n"
-      "\n"
-      "  PATH            lint a .tfpe file: schema first, then the passes its\n"
-      "                  sections select ([plan] -> op graph + signature +\n"
-      "                  batched lowering, [sweep] -> sweep plan,\n"
-      "                  [model]/[system]/[topology] -> machine description)\n"
-      "  --model NAME    model preset a [plan] applies to (default gpt3-1t)\n"
-      "  --batch N       global batch for the plan (default: the plan's own);\n"
-      "                  with no PATH, the per-GPU microbatch (default 2)\n"
-      "  --format F      text (default) | json | sarif (SARIF 2.1.0)\n"
-      "  --strict        warnings also fail (exit 3)\n"
-      "  --suppress L    comma-separated rule codes or names to disable\n"
-      "\n"
-      "With no PATH, lints the built-in preset x strategy matrix plus the\n"
-      "default sweep plan. Exit codes: 0 clean, 1 errors, 2 usage or\n"
-      "unparseable input, 3 warnings under --strict.\n";
-  return msg ? 2 : 0;
-}
 
 /// Render `report` in the requested format and map it to the exit code
 /// contract (0 clean / 1 errors / 3 strict warnings).
@@ -143,27 +398,6 @@ int finish_lint(const analysis::LintReport& report, const std::string& format,
   return 0;
 }
 
-/// Parse --format/--strict/--suppress into (format, strict, LintOptions).
-/// Returns false (after printing usage) on a bad flag value.
-bool parse_lint_flags(const util::ArgParser& args, std::string* format,
-                      bool* strict, analysis::LintOptions* opts) {
-  *format = args.get_or("format", "text");
-  if (*format != "text" && *format != "json" && *format != "sarif") {
-    lint_usage(("unknown --format '" + *format + "'").c_str());
-    return false;
-  }
-  *strict = args.has("strict");
-  if (const auto list = args.get("suppress")) {
-    for (const std::string& code : util::split_list(*list)) {
-      if (!opts->rules.suppress(code)) {
-        lint_usage(("unknown rule '" + code + "' in --suppress").c_str());
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 parallel::ParallelConfig lint_cfg(parallel::TpStrategy s, std::int64_t n1,
                                   std::int64_t n2, std::int64_t nb = 1,
                                   bool ring = false) {
@@ -177,13 +411,9 @@ parallel::ParallelConfig lint_cfg(parallel::TpStrategy s, std::int64_t n1,
 }
 
 /// Lint one .tfpe file: schema first, then the passes its sections select.
-int lint_file(const std::string& path, const util::ArgParser& args,
-              const std::string& format, bool strict,
+int lint_file(const std::string& path, const model::TransformerConfig& mdl,
+              std::int64_t batch, const std::string& format, bool strict,
               const analysis::LintOptions& opts) {
-  const std::string model_name = args.get_or("model", "gpt3-1t");
-  const auto mdl = model::preset_by_name(model_name);
-  if (!mdl) return lint_usage(("unknown model '" + model_name + "'").c_str());
-
   analysis::DiagnosticSink sink(opts.rules);
   const analysis::LintReport schema = io::lint_config_file(path, opts);
   bool unparseable = false;
@@ -210,7 +440,6 @@ int lint_file(const std::string& path, const util::ArgParser& args,
               std::nullopt, path, 0);
   };
 
-  std::int64_t batch = args.get_int_or("batch", 0);
   if (const auto it = sections.find("plan"); it != sections.end()) {
     try {
       const io::LoadedPlan plan = io::plan_from_section(it->second);
@@ -220,16 +449,16 @@ int lint_file(const std::string& path, const util::ArgParser& args,
       const auto sys = hw::make_system(hw::GpuGeneration::B200,
                                        plan.cfg.placement_product(),
                                        plan.cfg.total_gpus());
-      if (const auto why = plan.cfg.invalid_reason(*mdl, sys, batch)) {
+      if (const auto why = plan.cfg.invalid_reason(mdl, sys, batch)) {
         fail_section("plan", "invalid plan configuration: " + *why);
       } else {
         const std::int64_t b = plan.cfg.local_microbatch(batch);
         const parallel::LayerCost layer =
-            parallel::build_layer(*mdl, plan.cfg, b);
-        sink.merge(analysis::lint_layer(*mdl, plan.cfg, b, layer, opts));
+            parallel::build_layer(mdl, plan.cfg, b);
+        sink.merge(analysis::lint_layer(mdl, plan.cfg, b, layer, opts));
         const core::CostSignature sig =
-            core::compile_signature(*mdl, plan.cfg, batch, layer);
-        sink.merge(analysis::lint_signature(*mdl, plan.cfg, sig, layer, opts));
+            core::compile_signature(mdl, plan.cfg, batch, layer);
+        sink.merge(analysis::lint_signature(mdl, plan.cfg, sig, layer, opts));
         sink.merge(analysis::lint_batched(sig, core::lower_batched(sig), opts));
         sink.merge(analysis::lint_system(sys, sig, opts));
         const hw::Topology fab = sys.resolved_fabric();
@@ -249,37 +478,19 @@ int lint_file(const std::string& path, const util::ArgParser& args,
 
   if (const auto it = sections.find("sweep"); it != sections.end()) {
     try {
-      const io::Section& spec = it->second;
-      const auto axis = [&](const char* key, const char* fallback) {
-        const auto found = spec.find(key);
-        return util::split_list(found != spec.end() ? found->second
-                                                    : fallback);
-      };
-      std::vector<hw::GpuGeneration> gens;
-      for (const auto& name : axis("gpu", "b200")) {
-        if (const auto gen = gen_by_name(name)) gens.push_back(*gen);
-      }
-      std::vector<std::int64_t> nvs;
-      for (const auto& v : axis("nvs", "8")) nvs.push_back(std::stoll(v));
-      std::vector<double> oversub;
-      for (const auto& v : axis("oversub", "1")) {
-        oversub.push_back(std::stod(v));
-      }
-      const auto leaf_it = spec.find("leaf");
-      const std::int64_t leaf =
-          leaf_it != spec.end() ? std::stoll(leaf_it->second) : 64;
+      const SweepSpec spec(it->second);
       std::vector<hw::SystemConfig> points;
-      for (const auto& v : axis("gpus", "1024")) {
-        const auto grid = search::hardware_grid(gens, nvs, oversub,
-                                                std::stoll(v), leaf);
-        points.insert(points.end(), grid.begin(), grid.end());
+      for (const auto& n_gpus : spec.gpus) {
+        for (const auto& g : spec.gpu) {
+          for (const auto& n : spec.nvs) {
+            for (const auto& os : spec.oversub) {
+              points.push_back(spec.point(g, n, os, n_gpus));
+            }
+          }
+        }
       }
-      const auto model_axis = axis("model", "gpt3-1t");
-      const auto sweep_mdl = model::preset_by_name(
-          model_axis.empty() ? "gpt3-1t" : model_axis.front());
-      sink.merge(search::lint_sweep_plan(sweep_mdl ? *sweep_mdl : *mdl,
-                                         points, search::SweepOptions{},
-                                         opts));
+      sink.merge(
+          search::lint_sweep_plan(points, search::SweepOptions{}, opts));
     } catch (const std::exception& e) {
       fail_section("sweep", e.what());
     }
@@ -300,44 +511,11 @@ int lint_file(const std::string& path, const util::ArgParser& args,
   return finish_lint(sink.take(), format, strict);
 }
 
-int run_lint(const util::ArgParser& args) {
-  if (args.has("help")) return lint_usage(nullptr);
-  const auto& pos = args.positional();
-  if (pos.size() > 2) return lint_usage("too many arguments");
-
-  std::string format;
-  bool strict = false;
-  analysis::LintOptions opts;
-  if (!parse_lint_flags(args, &format, &strict, &opts)) return 2;
-
-  // --strict takes no value, but the parser's "--flag value" rule swallows
-  // a following PATH operand into it ("lint --strict plan.tfpe") — reclaim
-  // it so flag order never changes which artifact gets linted.
-  std::string path = pos.size() == 2 ? pos[1] : "";
-  if (const auto v = args.get("strict"); v && !v->empty()) {
-    if (!path.empty()) return lint_usage("too many arguments");
-    path = *v;
-  }
-
-  if (!path.empty()) {
-    const int rc = lint_file(path, args, format, strict, opts);
-    const auto stray = args.unused();
-    if (!stray.empty()) {
-      return lint_usage(("unknown flag --" + stray.front()).c_str());
-    }
-    return rc;
-  }
-
-  // No file: lint the preset x strategy matrix (op graph + signature +
-  // batched lowering per case), the default system and the default sweep
-  // plan, aggregated into one report.
-  const std::int64_t b = args.get_int_or("batch", 2);
-  const auto stray = args.unused();
-  if (!stray.empty()) {
-    return lint_usage(("unknown flag --" + stray.front()).c_str());
-  }
-  if (b < 1) return lint_usage("--batch must be >= 1");
-
+/// No file: lint the preset x strategy matrix (op graph + signature +
+/// batched lowering per case), the default system and the default sweep
+/// plan, aggregated into one report.
+int lint_matrix(std::int64_t b, const std::string& format, bool strict,
+                const analysis::LintOptions& opts) {
   using parallel::TpStrategy;
   struct Case {
     model::TransformerConfig mdl;
@@ -387,254 +565,410 @@ int run_lint(const util::ArgParser& args) {
   // families run on every bare `tfpe lint`.
   const auto sys = hw::make_system(hw::GpuGeneration::B200, 8, 1024);
   sink.merge(analysis::lint_system(sys, opts));
-  sink.merge(search::lint_sweep_plan(model::gpt3_1t(), {sys},
-                                     search::SweepOptions{}, opts));
+  sink.merge(search::lint_sweep_plan({sys}, search::SweepOptions{}, opts));
 
   if (text) std::cout << cases.size() << " op lists linted\n";
   return finish_lint(sink.take(), format, strict);
 }
 
-// --- `tfpe codesign`: architecture x configuration co-design search -------
+Work lint_cmd(const util::ArgParser& args) {
+  const auto& pos = args.positional();
+  require(pos.size() <= 2, "too many arguments");
+  const std::string format = args.get_or("format", "text");
+  require(format == "text" || format == "json" || format == "sarif",
+          "unknown --format '" + format + "'");
+  const bool strict = args.has("strict");
+  analysis::LintOptions opts;
+  for (const std::string& code :
+       util::split_list(args.get_or("suppress", ""))) {
+    require(opts.rules.suppress(code),
+            "unknown rule '" + code + "' in --suppress");
+  }
 
-int codesign_usage(const char* msg) {
-  if (msg) std::cerr << "error: " << msg << "\n\n";
-  std::cerr <<
-      "usage: tfpe codesign [--model NAME | --config PATH] [options]\n"
-      "\n"
-      "Enumerates every transformer shape within a tolerance of the base\n"
-      "model's parameter budget ([codesign] axes in the config file, or the\n"
-      "defaults), crosses the family with a gpu x nvs hardware grid and\n"
-      "reports, per grid point, the winning (shape, parallelization,\n"
-      "placement) triple. Every reported result is bitwise identical to\n"
-      "find_optimal on that (shape, point); shapes whose architecture-level\n"
-      "compute floor exceeds the cross-shape incumbent are pruned whole.\n"
-      "\n"
-      "  --model NAME        base preset the family is iso to (default gpt3-1t)\n"
-      "  --config PATH       load [model] and/or [codesign] from a file\n"
-      "  --target-params B   override the parameter budget [billions]\n"
-      "  --tolerance F       override the relative band (default 0.02)\n"
-      "  --gpu LIST          generations to grid (default a100,h200,b200)\n"
-      "  --nvs LIST          NVS-domain sizes to grid (default 8)\n"
-      "  --gpus N            total GPUs (default 1024)\n"
-      "  --batch B           global batch (default 4096)\n"
-      "  --threads N         worker threads (0 = hardware concurrency)\n"
-      "  --no-prune-shapes   keep the full exact per-shape matrix\n"
-      "  --no-warm-start     cold incumbents (A/B baseline)\n"
-      "  --verify-per-shape  cross-check every scanned (shape, point) and\n"
-      "                      winner bitwise against per-shape find_optimal;\n"
-      "                      exits nonzero on any mismatch\n"
-      "  --csv PATH          write per-point winners as CSV\n";
-  return msg ? 2 : 0;
+  // --strict takes no value, but the parser's "--flag value" rule swallows
+  // a following PATH operand into it ("lint --strict plan.tfpe") — reclaim
+  // it so flag order never changes which artifact gets linted.
+  std::string path = pos.size() == 2 ? pos[1] : "";
+  if (const auto v = args.get("strict"); v && !v->empty()) {
+    require(path.empty(), "too many arguments");
+    path = *v;
+  }
+  if (!path.empty()) {
+    const model::TransformerConfig mdl = resolve_model(args, {}, "gpt3-1t");
+    const std::int64_t batch = args.get_int_or("batch", 0);
+    return [=] { return lint_file(path, mdl, batch, format, strict, opts); };
+  }
+  const std::int64_t b = args.get_int_or("batch", 2);
+  require(b >= 1, "--batch must be >= 1");
+  return [=] { return lint_matrix(b, format, strict, opts); };
 }
 
-int run_codesign_cmd(const util::ArgParser& args) {
-  if (args.has("help")) return codesign_usage(nullptr);
+// --- `tfpe sweep`: batch experiment runner --------------------------------
 
-  io::LoadedConfig file_cfg;
-  if (const auto path = args.get("config")) {
-    try {
-      file_cfg = io::load_config_file(*path);
-    } catch (const std::exception& e) {
-      return codesign_usage(e.what());
+Work sweep_cmd(const util::ArgParser& args) {
+  require(args.positional().size() > 1, "missing sweep spec");
+  const std::string spec_path = args.positional()[1];
+  // Every axis value (model / gpu / strategy names, positive integers,
+  // oversubscription ratios) is validated here, before any work.
+  reject_errors(io::lint_config_file(spec_path));
+  io::ConfigSections sections;
+  {
+    std::ifstream in(spec_path);
+    sections = io::parse_config(in);
+  }
+  const auto it = sections.find("sweep");
+  require(it != sections.end(), "spec has no [sweep] section");
+  const SweepSpec spec(it->second);
+
+  /// One fully-resolved sweep point, in spec nesting order.
+  struct Point {
+    std::string model, gpu, nvs, oversub, gpus, strategy, batch;
+    hw::SystemConfig sys;
+  };
+  std::vector<Point> points;
+  for (const auto& m : spec.model) {
+    for (const auto& g : spec.gpu) {
+      for (const auto& n : spec.nvs) {
+        for (const auto& os : spec.oversub) {
+          for (const auto& n_gpus : spec.gpus) {
+            const hw::SystemConfig sys =
+                checked(spec.point(g, n, os, n_gpus));
+            for (const auto& s : spec.strategy) {
+              for (const auto& b : spec.batch) {
+                points.push_back({m, g, n, os, n_gpus, s, b, sys});
+              }
+            }
+          }
+        }
+      }
     }
   }
-  model::TransformerConfig base;
-  const std::string model_name =
-      args.get_or("model", file_cfg.model ? "from-config" : "gpt3-1t");
-  if (model_name == "from-config") {
-    base = *file_cfg.model;
-  } else if (const auto preset = model::preset_by_name(model_name)) {
-    base = *preset;
-  } else {
-    return codesign_usage(("unknown model '" + model_name + "'").c_str());
-  }
 
+  std::string output = args.get_or("output", "");
+  if (output.empty()) output = spec.output;
+  const bool verify_legacy = args.has("verify-legacy");
+  const bool ablate_topology = args.has("ablate-topology");
+  const bool arch = args.has("arch");
+  require(!(arch && ablate_topology),
+          "--arch and --ablate-topology are mutually exclusive");
+  const model::ShapeFamilyOptions family_opts =
+      sections.count("codesign")
+          ? io::codesign_from_section(sections.at("codesign"))
+          : model::ShapeFamilyOptions{};
+  const bool warm_start = args.has("warm-start");
+  const bool profile_stages = args.has("profile-stages");
+  const unsigned threads = read_threads(args);
+
+  return [=] {
+    // One CSV row: a sweep point (its model column naming the shape under
+    // --arch), its optimum, and the sequence length its throughput uses.
+    struct Row {
+      Point p;
+      core::EvalResult r;
+      std::int64_t seq_len = 0;
+    };
+    // Plain rows land at their point's index; --arch rows, one per (shape,
+    // hardware point), append slice by slice in spec nesting order.
+    std::vector<Row> rows(arch ? 0 : points.size());
+    search::SweepStats totals;
+    double sweep_seconds = 0.0;
+    std::size_t mismatches = 0;
+    std::size_t ablation_mismatches = 0;
+    std::size_t ablation_checked = 0;
+
+    for (const auto& model_name : spec.model) {
+      const auto mdl = *model::preset_by_name(model_name);
+      // The slice's shape family: the model itself, or under --arch its
+      // iso-parameter family.
+      std::vector<model::TransformerConfig> shapes{mdl};
+      if (arch) {
+        shapes = model::shape_family(mdl, family_opts);
+        require(!shapes.empty(),
+                "[codesign] enumerates zero shapes around " + model_name);
+      }
+      // Within one (model, gpus, strategy, batch) slice the gpu x nvs x
+      // oversub axes share candidates and compiled signatures, so each
+      // slice is one run_codesign call.
+      for (const auto& n_s : spec.gpus) {
+        for (const auto& strat_s : spec.strategy) {
+          for (const auto& b_s : spec.batch) {
+            std::vector<std::size_t> slice;  // indices into `points`
+            std::vector<hw::SystemConfig> grid;
+            std::vector<std::string> labels;
+            for (std::size_t i = 0; i < points.size(); ++i) {
+              const Point& p = points[i];
+              if (p.model != model_name || p.gpus != n_s ||
+                  p.strategy != strat_s || p.batch != b_s) {
+                continue;
+              }
+              slice.push_back(i);
+              grid.push_back(p.sys);
+              labels.push_back(p.gpu + " nvs" + p.nvs + " n" + p.gpus + " " +
+                               p.strategy + " b" + p.batch);
+            }
+
+            search::CodesignOptions opts;
+            opts.sweep.search.strategy = *parallel::strategy_by_name(strat_s);
+            opts.sweep.search.global_batch = std::stoll(b_s);
+            opts.sweep.search.n_gpus = std::stoll(n_s);
+            opts.sweep.threads = threads;
+            opts.sweep.warm_start = warm_start;
+            // Every row must be a true find_optimal result, so the full
+            // per-shape matrix is kept.
+            opts.prune_shapes = false;
+
+            const auto t0 = std::chrono::steady_clock::now();
+            const search::CodesignResult run =
+                search::run_codesign(shapes, grid, opts);
+            sweep_seconds += std::chrono::duration<double>(
+                                 std::chrono::steady_clock::now() - t0)
+                                 .count();
+            const search::SweepStats& st = run.stats;
+            totals.signature_compiles += st.signature_compiles;
+            totals.signature_cache_hits += st.signature_cache_hits;
+            totals.signature_reuses += st.signature_reuses;
+            totals.batch_calls += st.batch_calls;
+            totals.batch_placements += st.batch_placements;
+            totals.placement_floor_pruned += st.placement_floor_pruned;
+            totals.warm_seeded += st.warm_seeded;
+            totals.warm_seed_feasible += st.warm_seed_feasible;
+            totals.profile.enumerate_s += st.profile.enumerate_s;
+            totals.profile.compile_s += st.profile.compile_s;
+            totals.profile.time_s += st.profile.time_s;
+            totals.profile.wall_s += st.profile.wall_s;
+            if (verify_legacy) {
+              mismatches += cross_check(shapes, grid, labels, opts, run);
+            }
+
+            for (std::size_t s = 0; s < shapes.size(); ++s) {
+              for (std::size_t j = 0; j < slice.size(); ++j) {
+                Row row{points[slice[j]], run.per_shape[s][j],
+                        shapes[s].seq_len};
+                if (arch) {
+                  row.p.model = shapes[s].name;
+                  rows.push_back(std::move(row));
+                } else {
+                  rows[slice[j]] = std::move(row);
+                }
+              }
+            }
+
+            if (ablate_topology) {
+              // Swap every two-level point's fabric for the degenerate
+              // three-level preset (leaf pod = NVS domain, full bisection):
+              // walking one extra level with fan-in 1 must not change a
+              // single bit of the optimum.
+              std::vector<hw::SystemConfig> degenerate = grid;
+              std::vector<bool> swapped(grid.size(), false);
+              for (std::size_t j = 0; j < grid.size(); ++j) {
+                if (!grid[j].fabric.levels.empty()) continue;  // 3-level
+                degenerate[j].fabric = hw::leaf_spine_topology(
+                    grid[j].net, grid[j].nvs_domain, grid[j].nvs_domain,
+                    grid[j].n_gpus, 1.0);
+                swapped[j] = true;
+              }
+              const search::SweepResult check =
+                  search::run_sweep(mdl, degenerate, opts.sweep);
+              for (std::size_t j = 0; j < slice.size(); ++j) {
+                if (!swapped[j]) continue;
+                ++ablation_checked;
+                if (!search::same_optimum(rows[slice[j]].r, check.best[j])) {
+                  ++ablation_mismatches;
+                  std::cerr << "ABLATION MISMATCH at " << model_name << " "
+                            << labels[j] << "\n";
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+
+    util::CsvWriter csv(output);
+    csv.write_header({"model", "gpu", "nvs", "oversub", "gpus", "strategy",
+                      "batch", "feasible", "config", "iter_s",
+                      "tokens_per_s_per_gpu", "hbm_gb"});
+    std::size_t feasible = 0;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const auto& [p, r, seq_len] = rows[i];
+      if (r.feasible) ++feasible;
+      const auto n = static_cast<double>(std::stoll(p.gpus));
+      const double tps =
+          r.feasible ? static_cast<double>(std::stoll(p.batch)) *
+                           static_cast<double>(seq_len) / r.iteration() / n
+                     : 0.0;
+      csv.write_row(std::vector<std::string>{
+          p.model, p.gpu, p.nvs, p.oversub, p.gpus, p.strategy, p.batch,
+          r.feasible ? "1" : "0", r.feasible ? r.cfg.describe() : r.reason,
+          util::format_fixed(r.feasible ? r.iteration() : 0.0, 6),
+          util::format_fixed(tps, 1),
+          util::format_fixed(r.feasible ? r.mem.total().value() / 1e9 : 0.0,
+                             2)});
+      std::cout << "[" << (i + 1) << "] " << p.model << " " << p.gpu << " nvs"
+                << p.nvs << " os" << p.oversub << " n" << p.gpus << " "
+                << p.strategy << " b" << p.batch << ": "
+                << (r.feasible ? util::format_time(r.iteration())
+                               : "infeasible")
+                << "\n";
+    }
+
+    const std::size_t n_rows = rows.size();
+    std::cout << n_rows << " sweep points (" << feasible
+              << " feasible) written to " << output << "\n";
+    const double pps = sweep_seconds > 0.0
+                           ? static_cast<double>(n_rows) / sweep_seconds
+                           : 0.0;
+    std::printf("%.3fs  %.1f points/s  compiles=%zu  compile-cache hit "
+                "rate=%.1f%%  batch-occupancy=%.1f  placement-floor-pruned=%zu",
+                sweep_seconds, pps, totals.signature_compiles,
+                100.0 * totals.compile_hit_rate(), totals.batch_occupancy(),
+                totals.placement_floor_pruned);
+    if (warm_start) {
+      std::printf("  warm-seeds=%zu/%zu", totals.warm_seed_feasible,
+                  totals.warm_seeded);
+    }
+    std::printf("\n");
+    if (profile_stages) {
+      std::printf(
+          "stages: enumerate=%.3fs  compile=%.3fs  time=%.3fs  wall=%.3fs  "
+          "overlap=%.2fx\n",
+          totals.profile.enumerate_s, totals.profile.compile_s,
+          totals.profile.time_s, totals.profile.wall_s,
+          totals.profile.overlap());
+    }
+    if (verify_legacy) {
+      if (mismatches != 0) {
+        std::cerr << mismatches << " grid points differ between the sweep "
+                  << "engine and per-point find_optimal\n";
+        return 1;
+      }
+      std::cout << "verify-legacy: all " << n_rows
+                << " optima bitwise identical across engines\n";
+    }
+    if (ablate_topology) {
+      if (ablation_mismatches != 0) {
+        std::cerr << ablation_mismatches << " grid points differ between the "
+                  << "two-level fabric and the degenerate three-level preset\n";
+        return 1;
+      }
+      std::cout << "ablate-topology: " << ablation_checked
+                << " two-level optima bitwise identical under the degenerate "
+                << "three-level fabric\n";
+    }
+    return 0;
+  };
+}
+
+// --- `tfpe codesign`: architecture x configuration co-design search -------
+
+Work codesign_cmd(const util::ArgParser& args) {
+  const io::LoadedConfig file = load_config(args);
+  const model::TransformerConfig base = resolve_model(args, file, "gpt3-1t");
   model::ShapeFamilyOptions fam =
-      file_cfg.codesign ? *file_cfg.codesign : model::ShapeFamilyOptions{};
+      file.codesign.value_or(model::ShapeFamilyOptions{});
   std::vector<hw::GpuGeneration> gens;
   for (const auto& name :
        util::split_list(args.get_or("gpu", "a100,h200,b200"))) {
-    const auto gen = gen_by_name(name);
-    if (!gen) return codesign_usage(("unknown gpu '" + name + "'").c_str());
-    gens.push_back(*gen);
+    gens.push_back(generation(name));
   }
-  std::vector<std::int64_t> nvs;
-  for (const auto& v : util::split_list(args.get_or("nvs", "8"))) {
-    char* end = nullptr;
-    const std::int64_t domain = std::strtoll(v.c_str(), &end, 10);
-    if (end == v.c_str() || *end != '\0' || domain < 1) {
-      return codesign_usage(
-          ("flag --nvs expects positive integers, got '" + v + "'").c_str());
-    }
-    nvs.push_back(domain);
+  const std::vector<std::int64_t> nvs = int_list(args, "nvs", {8});
+  if (args.has("target-params")) {
+    fam.target_params = static_cast<std::int64_t>(
+        args.get_double_or("target-params", 0.0) * 1e9);
   }
-  std::int64_t n_gpus = 0;
-  std::int64_t threads = 0;
+  fam.tolerance = args.get_double_or("tolerance", fam.tolerance);
+  const std::int64_t n_gpus = args.get_int_or("gpus", 1024);
   search::CodesignOptions opts;
-  try {
-    if (args.has("target-params")) {
-      fam.target_params = static_cast<std::int64_t>(
-          args.get_double_or("target-params", 0.0) * 1e9);
-    }
-    fam.tolerance = args.get_double_or("tolerance", fam.tolerance);
-    n_gpus = args.get_int_or("gpus", 1024);
-    opts.sweep.search.global_batch = args.get_int_or("batch", 4096);
-    threads = args.get_int_or("threads", 0);
-  } catch (const std::exception& e) {
-    return codesign_usage(e.what());
-  }
-  if (threads < 0) return codesign_usage("--threads must be >= 0");
-  opts.sweep.threads = static_cast<unsigned>(threads);
+  opts.sweep.search.global_batch = args.get_int_or("batch", 4096);
+  require(opts.sweep.search.global_batch >= 1, "--batch must be >= 1");
+  opts.sweep.threads = read_threads(args);
   opts.sweep.warm_start = !args.has("no-warm-start");
   opts.prune_shapes = !args.has("no-prune-shapes");
   const bool verify = args.has("verify-per-shape");
   const std::string csv = args.get_or("csv", "");
-
-  const auto stray = args.unused();
-  if (!stray.empty()) {
-    return codesign_usage(("unknown flag --" + stray.front()).c_str());
+  const std::vector<model::TransformerConfig> shapes =
+      model::shape_family(base, fam);
+  std::vector<hw::SystemConfig> points;
+  for (const auto& p : search::hardware_grid(gens, nvs, n_gpus)) {
+    points.push_back(checked(p));
   }
 
-  std::vector<model::TransformerConfig> shapes;
-  try {
-    shapes = model::shape_family(base, fam);
-  } catch (const std::exception& e) {
-    return codesign_usage(e.what());
-  }
-  const std::int64_t target =
-      fam.target_params > 0 ? fam.target_params : base.total_params();
-  std::cout << "Family: " << shapes.size() << " shapes iso to "
-            << util::format_fixed(static_cast<double>(target) / 1e9, 1)
-            << "B params (+/-"
-            << util::format_fixed(100.0 * fam.tolerance, 1) << "%) around "
-            << base.name << "\n";
-  if (shapes.empty()) {
-    std::cerr << "empty shape family — widen the axes or the tolerance\n";
-    return 1;
-  }
-  const auto points = search::hardware_grid(gens, nvs, n_gpus);
-  std::cout << "Grid:   " << points.size() << " hardware points x "
-            << shapes.size() << " shapes, batch "
-            << opts.sweep.search.global_batch << ", " << n_gpus << " GPUs\n\n";
-
-  const auto t0 = std::chrono::steady_clock::now();
-  search::CodesignResult run;
-  try {
-    run = search::run_codesign(shapes, points, opts);
-  } catch (const std::exception& e) {
-    return codesign_usage(e.what());
-  }
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-
-  std::vector<report::LabeledResult> rows;
-  for (std::size_t p = 0; p < points.size(); ++p) {
-    const auto& w = run.best[p];
-    const std::string label = points[p].gpu.name + " nvs" +
-                              std::to_string(points[p].nvs_domain);
-    if (w.shape == search::CodesignResult::kNoShape) {
-      std::cout << label << ": no feasible shape\n";
-      continue;
-    }
-    std::cout << label << ": " << shapes[w.shape].name << " — "
-              << util::format_time(w.best.iteration()) << "/iteration, "
-              << w.best.cfg.describe() << "\n";
-    rows.push_back({label + " " + shapes[w.shape].name, w.best});
-  }
-
-  const auto& st = run.stats;
-  std::printf(
-      "\n%zu shape-points: %zu floor-pruned, %zu scanned (%zu feasible)  "
-      "%.3fs  %.1f shape-points/s\n",
-      st.shapes * st.points, st.shapes_pruned, st.shapes_evaluated,
-      st.feasible_shape_points, seconds,
-      seconds > 0 ? static_cast<double>(st.shapes * st.points) / seconds : 0.0);
-  std::printf(
-      "enumerations=%zu (%zu memo hits)  candidates=%zu  evaluated=%zu  "
-      "bound-pruned=%zu  placement-floor-pruned=%zu  warm-seeds=%zu/%zu\n",
-      st.enumerations, st.enumeration_hits, st.candidates, st.evaluated,
-      st.bound_pruned, st.placement_floor_pruned, st.warm_seed_feasible,
-      st.warm_seeded);
-
-  if (verify) {
-    // Legacy-style cross-check: one find_optimal per (shape, point), the
-    // winner re-derived by the same shape-order reduction. Every scanned
-    // matrix entry and every winner must match bitwise.
-    std::size_t mismatches = 0;
-    for (std::size_t p = 0; p < points.size(); ++p) {
-      core::EvalResult ref;
-      std::size_t ref_shape = search::CodesignResult::kNoShape;
-      for (std::size_t s = 0; s < shapes.size(); ++s) {
-        search::SearchOptions per_point = opts.sweep.search;
-        per_point.threads = opts.sweep.threads;
-        const auto direct =
-            search::find_optimal(shapes[s], points[p], per_point);
-        if (search::better_result(direct.best, ref)) {
-          ref = direct.best;
-          ref_shape = s;
-        }
-        if (run.pruned[s][p]) continue;
-        if (!search::same_optimum(direct.best, run.per_shape[s][p])) {
-          ++mismatches;
-          std::cerr << "MISMATCH at " << shapes[s].name << " x "
-                    << points[p].gpu.name << " nvs" << points[p].nvs_domain
-                    << "\n";
-        }
-      }
-      const auto& w = run.best[p];
-      if (ref_shape != w.shape || !search::same_optimum(ref, w.best)) {
-        ++mismatches;
-        std::cerr << "WINNER MISMATCH at " << points[p].gpu.name << " nvs"
-                  << points[p].nvs_domain << "\n";
-      }
-    }
-    if (mismatches != 0) {
-      std::cerr << mismatches
-                << " results differ from per-shape find_optimal\n";
+  return [=] {
+    const std::int64_t target =
+        fam.target_params > 0 ? fam.target_params : base.total_params();
+    std::cout << "Family: " << shapes.size() << " shapes iso to "
+              << util::format_fixed(static_cast<double>(target) / 1e9, 1)
+              << "B params (+/-"
+              << util::format_fixed(100.0 * fam.tolerance, 1) << "%) around "
+              << base.name << "\n";
+    if (shapes.empty()) {
+      std::cerr << "empty shape family — widen the axes or the tolerance\n";
       return 1;
     }
-    std::cout << "verify-per-shape: all scanned results and winners bitwise "
-                 "identical to find_optimal\n";
-  }
+    std::cout << "Grid:   " << points.size() << " hardware points x "
+              << shapes.size() << " shapes, batch "
+              << opts.sweep.search.global_batch << ", " << n_gpus
+              << " GPUs\n\n";
 
-  if (!csv.empty()) {
-    report::write_results_csv(csv, rows);
-    std::cout << "CSV written to " << csv << "\n";
-  }
-  return 0;
+    const auto t0 = std::chrono::steady_clock::now();
+    const search::CodesignResult run =
+        search::run_codesign(shapes, points, opts);
+    const double seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+
+    std::vector<report::LabeledResult> rows;
+    std::vector<std::string> labels;
+    for (std::size_t p = 0; p < points.size(); ++p) {
+      const auto& w = run.best[p];
+      labels.push_back(points[p].gpu.name + " nvs" +
+                       std::to_string(points[p].nvs_domain));
+      if (w.shape == search::CodesignResult::kNoShape) {
+        std::cout << labels[p] << ": no feasible shape\n";
+        continue;
+      }
+      std::cout << labels[p] << ": " << shapes[w.shape].name << " — "
+                << util::format_time(w.best.iteration()) << "/iteration, "
+                << w.best.cfg.describe() << "\n";
+      rows.push_back({labels[p] + " " + shapes[w.shape].name, w.best});
+    }
+
+    const auto& st = run.stats;
+    std::printf(
+        "\n%zu shape-points: %zu floor-pruned, %zu scanned (%zu feasible)  "
+        "%.3fs  %.1f shape-points/s\n",
+        st.shapes * st.points, st.shapes_pruned, st.shapes_evaluated,
+        st.feasible_shape_points, seconds,
+        seconds > 0 ? static_cast<double>(st.shapes * st.points) / seconds
+                    : 0.0);
+    std::printf(
+        "enumerations=%zu (%zu memo hits)  candidates=%zu  evaluated=%zu  "
+        "bound-pruned=%zu  placement-floor-pruned=%zu  warm-seeds=%zu/%zu\n",
+        st.enumerations, st.enumeration_hits, st.candidates, st.evaluated,
+        st.bound_pruned, st.placement_floor_pruned, st.warm_seed_feasible,
+        st.warm_seeded);
+
+    if (verify) {
+      const std::size_t mismatches =
+          cross_check(shapes, points, labels, opts, run);
+      if (mismatches != 0) {
+        std::cerr << mismatches
+                  << " results differ from per-shape find_optimal\n";
+        return 1;
+      }
+      std::cout << "verify-per-shape: all scanned results and winners "
+                   "bitwise identical to find_optimal\n";
+    }
+
+    if (!csv.empty()) {
+      report::write_results_csv(csv, rows);
+      std::cout << "CSV written to " << csv << "\n";
+    }
+    return 0;
+  };
 }
 
 // --- `tfpe serve-plan`: inference latency/throughput Pareto search --------
-
-int serve_usage(const char* msg) {
-  if (msg) std::cerr << "error: " << msg << "\n\n";
-  std::cerr <<
-      "usage: tfpe serve-plan [--model NAME | --config PATH] [options]\n"
-      "\n"
-      "Sweeps serving replica shapes (tensor x pipeline parallelism x\n"
-      "resident batch) for a decode workload under a continuous-batching\n"
-      "scheduler and prints the latency/throughput Pareto front: the shapes\n"
-      "no other shape beats on both request latency and tok/s/GPU. Every\n"
-      "point holds its KV cache resident under the HBM cap ([serving]\n"
-      "kv_cap_fraction); the requested batch is clipped to what fits.\n"
-      "\n"
-      "  --model NAME        model preset (default llama3-405b)\n"
-      "  --config PATH       load [model]/[system]/[serving] from a file\n"
-      "  --gpu GEN           GPU generation preset (default h200)\n"
-      "  --nvs N             fast-domain size (default 8)\n"
-      "  --gpus N            total GPUs, for the replica-count line (default\n"
-      "                      one replica's worth)\n"
-      "  --prompt N          input tokens per request (default 2048)\n"
-      "  --output N          generated tokens per request (default 256)\n"
-      "  --tp LIST           tensor-parallel widths (default 1,2,4,8)\n"
-      "  --pp LIST           pipeline depths (default 1)\n"
-      "  --batch LIST        requested batches (default 1,...,256)\n"
-      "  --kv-cap F          HBM fraction for KV + weights (default 0.9)\n"
-      "  --all               print every feasible point, not just the front\n"
-      "  --csv PATH          write the evaluated grid as CSV\n";
-  return msg ? 2 : 0;
-}
 
 /// One printed row of the serve-plan table.
 void print_serve_row(const core::InferenceEstimate& e, bool on_front) {
@@ -650,305 +984,187 @@ void print_serve_row(const core::InferenceEstimate& e, bool on_front) {
               100.0 * e.prefill_fraction, e.mem.kv_cache.value() / 1e9);
 }
 
-int run_serve_plan_cmd(const util::ArgParser& args) {
-  if (args.has("help")) return serve_usage(nullptr);
-
-  io::LoadedConfig file_cfg;
-  if (const auto path = args.get("config")) {
-    try {
-      file_cfg = io::load_config_file(*path);
-    } catch (const std::exception& e) {
-      return serve_usage(e.what());
-    }
-  }
-  model::TransformerConfig mdl;
-  const std::string model_name =
-      args.get_or("model", file_cfg.model ? "from-config" : "llama3-405b");
-  if (model_name == "from-config") {
-    mdl = *file_cfg.model;
-  } else if (const auto preset = model::preset_by_name(model_name)) {
-    mdl = *preset;
-  } else {
-    return serve_usage(("unknown model '" + model_name + "'").c_str());
-  }
-
-  hw::SystemConfig sys;
-  if (file_cfg.system) {
-    sys = *file_cfg.system;
-  } else {
-    sys = hw::make_system(hw::GpuGeneration::H200, 8, 8);
-  }
+Work serve_plan_cmd(const util::ArgParser& args) {
+  const io::LoadedConfig file = load_config(args);
+  const model::TransformerConfig mdl =
+      resolve_model(args, file, "llama3-405b");
+  hw::SystemConfig sys = file.system.value_or(
+      hw::make_system(hw::GpuGeneration::H200, 8, 8));
   if (const auto name = args.get("gpu")) {
-    const auto gen = gen_by_name(*name);
-    if (!gen) return serve_usage("unknown --gpu (a100|h200|b200)");
-    const auto fresh = hw::make_system(*gen, sys.nvs_domain, sys.n_gpus);
+    const auto fresh =
+        hw::make_system(generation(*name), sys.nvs_domain, sys.n_gpus);
     sys.gpu = fresh.gpu;
     sys.net = fresh.net;
   }
-  if (args.has("nvs")) sys.nvs_domain = args.get_int_or("nvs", sys.nvs_domain);
-  if (args.has("gpus")) sys.n_gpus = args.get_int_or("gpus", sys.n_gpus);
+  sys.nvs_domain = args.get_int_or("nvs", sys.nvs_domain);
+  sys.n_gpus = args.get_int_or("gpus", sys.n_gpus);
+  sys = checked(sys);
 
-  core::ServingSpec spec =
-      file_cfg.serving ? *file_cfg.serving : core::ServingSpec{};
-  if (args.has("prompt")) {
-    spec.prompt_len = args.get_int_or("prompt", spec.prompt_len);
-  }
-  if (args.has("output")) {
-    spec.output_len = args.get_int_or("output", spec.output_len);
-  }
-  const auto int_list_flag = [&](const char* flag,
-                                 std::vector<std::int64_t>& axis) -> bool {
-    const auto v = args.get(flag);
-    if (!v) return true;
-    axis.clear();
-    for (const auto& item : util::split_list(*v)) {
-      try {
-        axis.push_back(std::stoll(item));
-      } catch (const std::exception&) {
-        return false;
-      }
-      if (axis.back() < 1) return false;
-    }
-    return !axis.empty();
-  };
-  if (!int_list_flag("tp", spec.tp)) {
-    return serve_usage("--tp needs positive integers");
-  }
-  if (!int_list_flag("pp", spec.pp)) {
-    return serve_usage("--pp needs positive integers");
-  }
-  if (!int_list_flag("batch", spec.batch)) {
-    return serve_usage("--batch needs positive integers");
-  }
-  if (args.has("kv-cap")) {
-    spec.kv_cap_fraction = args.get_double_or("kv-cap", spec.kv_cap_fraction);
-    if (!(spec.kv_cap_fraction > 0.0) || spec.kv_cap_fraction > 1.0) {
-      return serve_usage("--kv-cap must lie in (0, 1]");
-    }
-  }
+  core::ServingSpec spec = file.serving.value_or(core::ServingSpec{});
+  spec.prompt_len = args.get_int_or("prompt", spec.prompt_len);
+  spec.output_len = args.get_int_or("output", spec.output_len);
+  require(spec.prompt_len >= 1 && spec.output_len >= 1,
+          "--prompt and --output must be >= 1");
+  spec.tp = int_list(args, "tp", spec.tp);
+  spec.pp = int_list(args, "pp", spec.pp);
+  spec.batch = int_list(args, "batch", spec.batch);
+  spec.kv_cap_fraction = args.get_double_or("kv-cap", spec.kv_cap_fraction);
+  require(spec.kv_cap_fraction > 0.0 && spec.kv_cap_fraction <= 1.0,
+          "--kv-cap must lie in (0, 1]");
   const bool show_all = args.has("all");
   const std::string csv = args.get_or("csv", "");
-  const auto stray = args.unused();
-  if (!stray.empty()) {
-    return serve_usage(("unknown flag --" + stray.front()).c_str());
-  }
 
-  std::cout << "Serving " << mdl.name << " on " << sys.gpu.name << " nvs"
-            << sys.nvs_domain << ": prompt " << spec.prompt_len << " + "
-            << spec.output_len << " output tokens, KV cap "
-            << util::format_fixed(100.0 * spec.kv_cap_fraction, 0)
-            << "% of HBM\n\n";
+  return [=] {
+    std::cout << "Serving " << mdl.name << " on " << sys.gpu.name << " nvs"
+              << sys.nvs_domain << ": prompt " << spec.prompt_len << " + "
+              << spec.output_len << " output tokens, KV cap "
+              << util::format_fixed(100.0 * spec.kv_cap_fraction, 0)
+              << "% of HBM\n\n";
 
-  search::ServePlanOptions opts;
-  opts.spec = spec;
-  search::ServePlanResult run;
-  try {
-    run = search::run_serve_plan(mdl, sys, opts);
-  } catch (const std::exception& e) {
-    return serve_usage(e.what());
-  }
+    search::ServePlanOptions opts;
+    opts.spec = spec;
+    const search::ServePlanResult run = search::run_serve_plan(mdl, sys, opts);
 
-  // Re-assert the KV-residency contract on every point we are about to
-  // report: the estimator must have kept weights + activations + R
-  // reservations inside HBM and inside the cap. A violation is a bug, not
-  // a user error — fail loudly.
-  std::size_t violations = 0;
-  for (const auto& e : run.points) {
-    if (!e.feasible) continue;
-    const double hbm = sys.gpu.hbm_capacity.value();
-    const bool resident = e.mem.total().value() <= hbm &&
-                          e.mem.kv_cache.value() <=
-                              spec.kv_cap_fraction * hbm &&
-                          e.admitted_batch >= 1 &&
-                          e.admitted_batch <= e.cfg.batch;
-    if (!resident) {
-      ++violations;
-      std::cerr << "KV residency violated at tp" << e.cfg.tp << " pp"
-                << e.cfg.pp << " batch " << e.cfg.batch << "\n";
+    // Re-assert the KV-residency contract on every point we are about to
+    // report: the estimator must have kept weights + activations + R
+    // reservations inside HBM and inside the cap. A violation is a bug, not
+    // a user error — fail loudly.
+    std::size_t violations = 0;
+    for (const auto& e : run.points) {
+      if (!e.feasible) continue;
+      const double hbm = sys.gpu.hbm_capacity.value();
+      const bool resident = e.mem.total().value() <= hbm &&
+                            e.mem.kv_cache.value() <=
+                                spec.kv_cap_fraction * hbm &&
+                            e.admitted_batch >= 1 &&
+                            e.admitted_batch <= e.cfg.batch;
+      if (!resident) {
+        ++violations;
+        std::cerr << "KV residency violated at tp" << e.cfg.tp << " pp"
+                  << e.cfg.pp << " batch " << e.cfg.batch << "\n";
+      }
     }
-  }
-  if (violations != 0) {
-    std::cerr << violations << " reported points violate KV residency\n";
-    return 1;
-  }
+    if (violations != 0) {
+      std::cerr << violations << " reported points violate KV residency\n";
+      return 1;
+    }
 
-  std::vector<bool> on_front(run.points.size(), false);
-  for (const std::size_t i : run.front) on_front[i] = true;
-  const auto write_csv = [&] {
-    if (csv.empty()) return;
-    std::ofstream out(csv);
-    out << "tp,pp,batch,admitted,feasible,on_front,ttft_s,tpot_s,"
-           "request_latency_s,tok_s,tok_s_gpu,prefill_fraction,kv_gb,"
-           "total_gb,decode_floor_s,reason\n";
-    for (std::size_t i = 0; i < run.points.size(); ++i) {
-      const auto& e = run.points[i];
-      out << e.cfg.tp << ',' << e.cfg.pp << ',' << e.cfg.batch << ','
-          << e.admitted_batch << ',' << (e.feasible ? 1 : 0) << ','
-          << (on_front[i] ? 1 : 0) << ',' << e.ttft << ',' << e.tpot << ','
-          << e.request_latency << ',' << e.tokens_per_sec << ','
-          << e.tokens_per_sec_per_gpu << ',' << e.prefill_fraction << ','
-          << e.mem.kv_cache.value() / 1e9 << ','
-          << e.mem.total().value() / 1e9 << ',' << e.decode_floor << ",\""
-          << e.reason << "\"\n";
+    std::vector<bool> on_front(run.points.size(), false);
+    for (const std::size_t i : run.front) on_front[i] = true;
+    const auto write_csv = [&] {
+      if (csv.empty()) return;
+      std::ofstream out(csv);
+      out << "tp,pp,batch,admitted,feasible,on_front,ttft_s,tpot_s,"
+             "request_latency_s,tok_s,tok_s_gpu,prefill_fraction,kv_gb,"
+             "total_gb,decode_floor_s,reason\n";
+      for (std::size_t i = 0; i < run.points.size(); ++i) {
+        const auto& e = run.points[i];
+        out << e.cfg.tp << ',' << e.cfg.pp << ',' << e.cfg.batch << ','
+            << e.admitted_batch << ',' << (e.feasible ? 1 : 0) << ','
+            << (on_front[i] ? 1 : 0) << ',' << e.ttft << ',' << e.tpot << ','
+            << e.request_latency << ',' << e.tokens_per_sec << ','
+            << e.tokens_per_sec_per_gpu << ',' << e.prefill_fraction << ','
+            << e.mem.kv_cache.value() / 1e9 << ','
+            << e.mem.total().value() / 1e9 << ',' << e.decode_floor << ",\""
+            << e.reason << "\"\n";
+      }
+      std::cout << "CSV written to " << csv << "\n";
+    };
+    if (show_all) {
+      for (std::size_t i = 0; i < run.points.size(); ++i) {
+        if (run.points[i].feasible) print_serve_row(run.points[i], on_front[i]);
+      }
+    } else {
+      for (const std::size_t i : run.front) {
+        print_serve_row(run.points[i], true);
+      }
     }
-    std::cout << "CSV written to " << csv << "\n";
-  };
-  if (show_all) {
-    for (std::size_t i = 0; i < run.points.size(); ++i) {
-      if (run.points[i].feasible) print_serve_row(run.points[i], on_front[i]);
+    if (run.front.empty()) {
+      write_csv();
+      std::cerr << "no feasible serving shape — the KV budget admits no "
+                   "resident request on this system\n";
+      return 1;
     }
-  } else {
-    for (const std::size_t i : run.front) {
-      print_serve_row(run.points[i], true);
-    }
-  }
-  if (run.front.empty()) {
+    const auto& fastest = run.points[run.front.front()];
+    const auto& densest = run.points[run.front.back()];
+    const std::int64_t replicas =
+        std::max<std::int64_t>(1, sys.n_gpus / (densest.cfg.tp *
+                                                densest.cfg.pp));
+    std::printf(
+        "\n%zu/%zu grid points feasible, %zu on the front "
+        "(%zu prefill lowerings, %zu cache hits)\n",
+        run.stats.feasible, run.stats.evaluated, run.front.size(),
+        run.stats.signature_compiles, run.stats.signature_reuses);
+    std::printf(
+        "fastest: tp%lld pp%lld @ %s/request   densest: tp%lld pp%lld @ %.1f "
+        "tok/s/gpu (%lld replicas -> %.0f tok/s)\n",
+        static_cast<long long>(fastest.cfg.tp),
+        static_cast<long long>(fastest.cfg.pp),
+        util::format_time(fastest.request_latency).c_str(),
+        static_cast<long long>(densest.cfg.tp),
+        static_cast<long long>(densest.cfg.pp),
+        densest.tokens_per_sec_per_gpu, static_cast<long long>(replicas),
+        densest.tokens_per_sec * static_cast<double>(replicas));
+
     write_csv();
-    std::cerr << "no feasible serving shape — the KV budget admits no "
-                 "resident request on this system\n";
-    return 1;
-  }
-  const auto& fastest = run.points[run.front.front()];
-  const auto& densest = run.points[run.front.back()];
-  const std::int64_t replicas =
-      std::max<std::int64_t>(1, sys.n_gpus / (densest.cfg.tp *
-                                              densest.cfg.pp));
-  std::printf(
-      "\n%zu/%zu grid points feasible, %zu on the front "
-      "(%zu prefill lowerings, %zu cache hits)\n",
-      run.stats.feasible, run.stats.evaluated, run.front.size(),
-      run.stats.signature_compiles, run.stats.signature_reuses);
-  std::printf(
-      "fastest: tp%lld pp%lld @ %s/request   densest: tp%lld pp%lld @ %.1f "
-      "tok/s/gpu (%lld replicas -> %.0f tok/s)\n",
-      static_cast<long long>(fastest.cfg.tp),
-      static_cast<long long>(fastest.cfg.pp),
-      util::format_time(fastest.request_latency).c_str(),
-      static_cast<long long>(densest.cfg.tp),
-      static_cast<long long>(densest.cfg.pp),
-      densest.tokens_per_sec_per_gpu, static_cast<long long>(replicas),
-      densest.tokens_per_sec * static_cast<double>(replicas));
-
-  write_csv();
-  return 0;
+    return 0;
+  };
 }
 
-}  // namespace
+// --- `tfpe [plan]`: the optimal configuration for one model and system ----
 
-int main(int argc, char** argv) {
-  util::ArgParser args(argc, argv);
-  if (!args.positional().empty() && args.positional().front() == "lint") {
-    return run_lint(args);
-  }
-  if (!args.positional().empty() && args.positional().front() == "codesign") {
-    return run_codesign_cmd(args);
-  }
-  if (!args.positional().empty() &&
-      args.positional().front() == "serve-plan") {
-    return run_serve_plan_cmd(args);
-  }
-  if (args.has("help")) return usage(nullptr);
+bool in_unit_interval(double x) { return x >= 0.0 && x <= 1.0; }
 
-  // --- config file (flags still override the GPU-count style fields) ---
-  io::LoadedConfig file_cfg;
-  if (const auto path = args.get("config")) {
-    try {
-      file_cfg = io::load_config_file(*path);
-    } catch (const std::exception& e) {
-      return usage(e.what());
-    }
-  }
+Work plan_cmd(const util::ArgParser& args) {
+  const io::LoadedConfig file = load_config(args);
+  const model::TransformerConfig mdl = resolve_model(args, file, "gpt3-1t");
 
-  // --- model ---
-  const std::string model_name =
-      args.get_or("model", file_cfg.model ? "from-config" : "gpt3-1t");
-  model::TransformerConfig mdl;
-  if (model_name == "from-config") {
-    mdl = *file_cfg.model;
-  } else if (model_name == "custom") {
-    mdl.name = "custom";
-    mdl.seq_len = args.get_int_or("l", 0);
-    mdl.embed = args.get_int_or("e", 0);
-    mdl.heads = args.get_int_or("heads", 0);
-    mdl.depth = args.get_int_or("depth", 0);
-    mdl.hidden = args.get_int_or("hidden", 4 * mdl.embed);
-    mdl.kv_heads = args.get_int_or("kv-heads", 0);
-    if (args.has("window")) {
-      mdl.attention = model::AttentionKind::kWindowed;
-      mdl.window = args.get_int_or("window", 0);
-    }
-    try {
-      mdl.validate();
-    } catch (const std::exception& e) {
-      return usage(e.what());
-    }
-  } else if (auto preset = model::preset_by_name(model_name)) {
-    mdl = *preset;
-  } else {
-    return usage(("unknown model '" + model_name + "'").c_str());
-  }
-
-  // --- numeric flags: malformed or out-of-range values go through usage()
-  // before anything is built from them ---
-  std::int64_t n_gpus = 0, nvs = 0, batch = 0, top = 0;
-  double tp_overlap = 0, offload = 0, tokens = 0, samples = 0, rate = 0;
-  try {
-    n_gpus = args.get_int_or(
-        "gpus", file_cfg.system ? file_cfg.system->n_gpus : 1024);
-    nvs = args.get_int_or(
-        "nvs", file_cfg.system ? file_cfg.system->nvs_domain : 8);
-    batch = args.get_int_or("batch", 4096);
-    top = args.get_int_or("top", 0);
-    tp_overlap = args.get_double_or("tp-overlap", 0.0);
-    offload = args.get_double_or("offload", 0.0);
-    tokens = args.get_double_or("tokens", 0.0);
-    samples = args.get_double_or("samples", 0.0);
-    rate = args.get_double_or("rate", 0.0);
-  } catch (const std::invalid_argument& e) {
-    return usage(e.what());
-  }
-  if (n_gpus < 1) return usage("--gpus must be >= 1");
-  if (batch < 1) return usage("--batch must be >= 1");
+  search::SearchOptions opts;
+  const std::int64_t n_gpus = args.get_int_or(
+      "gpus", file.system ? file.system->n_gpus : 1024);
+  const std::int64_t nvs = args.get_int_or(
+      "nvs", file.system ? file.system->nvs_domain : 8);
+  opts.global_batch = args.get_int_or("batch", 4096);
+  const std::int64_t top = args.get_int_or("top", 0);
+  opts.eval.tp_overlap = args.get_double_or("tp-overlap", 0.0);
+  opts.eval.activation_offload = args.get_double_or("offload", 0.0);
+  const double tokens = args.get_double_or("tokens", 0.0);
+  const double samples = args.get_double_or("samples", 0.0);
+  const double rate = args.get_double_or("rate", 0.0);
+  require(n_gpus >= 1, "--gpus must be >= 1");
+  require(opts.global_batch >= 1, "--batch must be >= 1");
+  require(top >= 0, "--top must be >= 0");
   // Exposed TP communication is (1 - tp_overlap) of its time: outside
   // [0, 1] it goes negative or grows, and the search's time floors stop
-  // being bounds.
-  if (!(tp_overlap >= 0.0 && tp_overlap <= 1.0)) {
-    return usage("--tp-overlap must lie in [0, 1]");
-  }
+  // being bounds. The offloaded share of activations is a fraction too.
+  require(in_unit_interval(opts.eval.tp_overlap),
+          "--tp-overlap must lie in [0, 1]");
+  require(in_unit_interval(opts.eval.activation_offload),
+          "--offload must lie in [0, 1]");
+  opts.top_k = static_cast<std::size_t>(top);
 
-  // --- system ---
   hw::SystemConfig sys;
-  if (file_cfg.system) {
-    sys = *file_cfg.system;
+  if (file.system) {
+    sys = *file.system;
     sys.n_gpus = n_gpus;
     sys.nvs_domain = nvs;
     (void)args.get("gpu");  // config file wins; mark as consumed
   } else {
-    const auto gen = gen_by_name(args.get_or("gpu", "b200"));
-    if (!gen) return usage("unknown --gpu (a100|h200|b200)");
-    sys = hw::make_system(*gen, nvs, n_gpus);
+    sys = hw::make_system(generation(args.get_or("gpu", "b200")), nvs, n_gpus);
   }
+  sys = checked(sys);
 
-  // --- search options ---
   const std::string strat = args.get_or("strategy", "1d");
-  std::vector<parallel::TpStrategy> strategies;
-  if (strat == "1d") strategies = {parallel::TpStrategy::TP1D};
-  else if (strat == "2d") strategies = {parallel::TpStrategy::TP2D};
-  else if (strat == "summa") strategies = {parallel::TpStrategy::Summa2D};
-  else if (strat == "all") {
-    strategies = {parallel::TpStrategy::TP1D, parallel::TpStrategy::TP2D,
-                  parallel::TpStrategy::Summa2D};
-  } else {
-    return usage("unknown --strategy (1d|2d|summa|all)");
+  std::vector<parallel::TpStrategy> strategies = {
+      parallel::TpStrategy::TP1D, parallel::TpStrategy::TP2D,
+      parallel::TpStrategy::Summa2D};
+  if (strat != "all") {
+    const auto one = parallel::strategy_by_name(strat);
+    require(one.has_value(), "unknown --strategy (1d|2d|summa|all)");
+    strategies = {*one};
   }
-
-  search::SearchOptions opts;
-  opts.global_batch = batch;
-  opts.top_k = static_cast<std::size_t>(top);
   if (args.has("interleave")) opts.interleave_candidates = {1, 2, 4, 8};
   opts.allow_zero3 = args.has("zero3");
-  opts.eval.tp_overlap = tp_overlap;
-  opts.eval.activation_offload = offload;
   opts.eval.activation_recompute = args.has("recompute");
   const std::string plan_path = args.get_or("plan", "");
   const std::string save_plan = args.get_or("save-plan", "");
@@ -957,114 +1173,144 @@ int main(int argc, char** argv) {
   const std::string csv = args.get_or("csv", "");
   const std::string markdown = args.get_or("markdown", "");
 
-  const auto stray = args.unused();
-  if (!stray.empty()) {
-    return usage(("unknown flag --" + stray.front()).c_str());
-  }
+  return [=]() mutable {
+    std::cout << "Model:  " << mdl.name << " ("
+              << util::format_fixed(mdl.total_params() / 1e9, 1)
+              << "B params, l=" << mdl.seq_len << ", e=" << mdl.embed
+              << ", h=" << mdl.heads << ", d=" << mdl.depth << ")\n";
+    std::cout << "System: " << sys.describe() << "\n\n";
 
-  std::cout << "Model:  " << mdl.name << " ("
-            << util::format_fixed(mdl.total_params() / 1e9, 1)
-            << "B params, l=" << mdl.seq_len << ", e=" << mdl.embed
-            << ", h=" << mdl.heads << ", d=" << mdl.depth << ")\n";
-  std::cout << "System: " << sys.describe() << "\n\n";
-
-  std::vector<report::LabeledResult> rows;
-  core::EvalResult best;
-  parallel::TpStrategy best_strategy = strategies.front();
-  if (!plan_path.empty()) {
-    // Evaluate a saved plan directly, skipping the search.
-    try {
+    std::vector<report::LabeledResult> rows;
+    core::EvalResult best;
+    parallel::TpStrategy best_strategy = strategies.front();
+    if (!plan_path.empty()) {
+      // Evaluate a saved plan directly, skipping the search.
       const io::LoadedPlan plan = io::load_plan_file(plan_path);
       opts.global_batch = plan.global_batch;
       best = core::evaluate(mdl, sys, plan.cfg, plan.global_batch, opts.eval);
       best_strategy = plan.cfg.strategy;
       rows.push_back({"plan", best});
-    } catch (const std::exception& e) {
-      return usage(e.what());
-    }
-  } else
-  for (auto s : strategies) {
-    opts.strategy = s;
-    const auto found = search::find_optimal(mdl, sys, opts);
-    rows.push_back({parallel::to_string(s), found.best});
-    if (found.best.feasible &&
-        (!best.feasible || found.best.iteration() < best.iteration())) {
-      best = found.best;
-      best_strategy = s;
-    } else if (!best.feasible) {
-      // Nothing feasible so far: carry each strategy's reason, so an
-      // all-infeasible search still says why.
-      if (!best.reason.empty()) best.reason += "; ";
-      best.reason += parallel::to_string(s) + ": " + found.best.reason;
-    }
-    if (opts.top_k > 0 && found.best.feasible) {
-      for (std::size_t i = 1; i < found.top.size(); ++i) {
-        rows.push_back({"  #" + std::to_string(i + 1), found.top[i]});
+    } else
+    for (auto s : strategies) {
+      opts.strategy = s;
+      const auto found = search::find_optimal(mdl, sys, opts);
+      rows.push_back({parallel::to_string(s), found.best});
+      if (found.best.feasible &&
+          (!best.feasible || found.best.iteration() < best.iteration())) {
+        best = found.best;
+        best_strategy = s;
+      } else if (!best.feasible) {
+        // Nothing feasible so far: carry each strategy's reason, so an
+        // all-infeasible search still says why.
+        if (!best.reason.empty()) best.reason += "; ";
+        best.reason += parallel::to_string(s) + ": " + found.best.reason;
+      }
+      if (opts.top_k > 0 && found.best.feasible) {
+        for (std::size_t i = 1; i < found.top.size(); ++i) {
+          rows.push_back({"  #" + std::to_string(i + 1), found.top[i]});
+        }
       }
     }
-  }
-  report::print_panels(std::cout, "optimal configurations", rows);
+    report::print_panels(std::cout, "optimal configurations", rows);
 
-  if (!best.feasible) {
-    std::cout << "No feasible configuration: " << best.reason << "\n";
-    return 1;
-  }
-  std::cout << "Best: " << best.cfg.describe() << " — "
-            << util::format_time(best.iteration()) << "/iteration\n";
-
-  auto report_budget = [&](const core::TrainingEstimate& est,
-                           const std::string& what) {
-    const core::CostEstimate cost = core::estimate_cost(
-        sys, sys.n_gpus, est.total_seconds, 1.3, rate);
-    std::cout << "Training on " << what << ": "
-              << util::format_fixed(est.days, 1) << " days, "
-              << util::format_fixed(cost.gpu_hours / 1e6, 2) << "M GPU-hours, "
-              << util::format_fixed(cost.energy_mwh, 0) << " MWh";
-    if (rate > 0) {
-      std::cout << ", $" << util::format_fixed(cost.cost_usd / 1e6, 1) << "M";
+    if (!best.feasible) {
+      std::cout << "No feasible configuration: " << best.reason << "\n";
+      return 1;
     }
-    std::cout << "\n";
+    std::cout << "Best: " << best.cfg.describe() << " — "
+              << util::format_time(best.iteration()) << "/iteration\n";
+
+    auto report_budget = [&](const core::TrainingEstimate& est,
+                             const std::string& what) {
+      const core::CostEstimate cost = core::estimate_cost(
+          sys, sys.n_gpus, est.total_seconds, 1.3, rate);
+      std::cout << "Training on " << what << ": "
+                << util::format_fixed(est.days, 1) << " days, "
+                << util::format_fixed(cost.gpu_hours / 1e6, 2)
+                << "M GPU-hours, " << util::format_fixed(cost.energy_mwh, 0)
+                << " MWh";
+      if (rate > 0) {
+        std::cout << ", $" << util::format_fixed(cost.cost_usd / 1e6, 1)
+                  << "M";
+      }
+      std::cout << "\n";
+    };
+    if (tokens > 0) {
+      report_budget(core::estimate_token_training(mdl, opts.global_batch,
+                                                  best.iteration(), tokens),
+                    std::to_string(tokens) + " tokens");
+    }
+    if (samples > 0) {
+      report_budget(core::estimate_sample_training(opts.global_batch,
+                                                   best.iteration(), samples),
+                    std::to_string(samples) + " samples");
+    }
+
+    if (want_ops) {
+      std::cout << '\n';
+      report::print_op_report(std::cout, mdl, sys, best.cfg,
+                              opts.global_batch);
+    }
+
+    if (want_sens) {
+      std::cout << "\nHardware elasticities (d log time / d log parameter):\n";
+      for (const auto& s : report::hardware_sensitivities(
+               mdl, sys, best_strategy, opts.global_batch)) {
+        std::cout << "  " << s.parameter << ": "
+                  << util::format_fixed(s.elasticity, 3) << "\n";
+      }
+    }
+
+    if (!csv.empty()) {
+      report::write_results_csv(csv, rows);
+      std::cout << "\nCSV written to " << csv << "\n";
+    }
+    if (!save_plan.empty()) {
+      io::write_plan_file(save_plan, best, opts.global_batch);
+      std::cout << "Plan written to " << save_plan << "\n";
+    }
+    if (!markdown.empty()) {
+      report::write_markdown_report_file(
+          markdown, "tfpe plan: " + mdl.name,
+          {"Model: " + mdl.name, "System: " + sys.describe(),
+           "Global batch: " + std::to_string(opts.global_batch)},
+          rows);
+      std::cout << "Markdown report written to " << markdown << "\n";
+    }
+    return 0;
   };
-  if (tokens > 0) {
-    report_budget(core::estimate_token_training(mdl, opts.global_batch,
-                                                best.iteration(), tokens),
-                  std::to_string(tokens) + " tokens");
-  }
-  if (samples > 0) {
-    report_budget(core::estimate_sample_training(opts.global_batch,
-                                                 best.iteration(), samples),
-                  std::to_string(samples) + " samples");
-  }
+}
 
-  if (want_ops) {
-    std::cout << '\n';
-    report::print_op_report(std::cout, mdl, sys, best.cfg, opts.global_batch);
-  }
+}  // namespace
 
-  if (want_sens) {
-    std::cout << "\nHardware elasticities (d log time / d log parameter):\n";
-    for (const auto& s : report::hardware_sensitivities(
-             mdl, sys, best_strategy, opts.global_batch)) {
-      std::cout << "  " << s.parameter << ": "
-                << util::format_fixed(s.elasticity, 3) << "\n";
-    }
+int main(int argc, char** argv) {
+  const util::ArgParser args(argc, argv);
+  using Command = Work (*)(const util::ArgParser&);
+  static const std::map<std::string, Command> kCommands = {
+      {"plan", plan_cmd},
+      {"sweep", sweep_cmd},
+      {"codesign", codesign_cmd},
+      {"serve-plan", serve_plan_cmd},
+      {"lint", lint_cmd}};
+  const auto& pos = args.positional();
+  auto it = pos.empty() ? kCommands.end() : kCommands.find(pos.front());
+  if (it == kCommands.end()) it = kCommands.find("plan");
+  const std::string& cmd = it->first;
+  if (args.has("help")) {
+    std::cerr << help_text(cmd);
+    return 0;
   }
-
-  if (!csv.empty()) {
-    report::write_results_csv(csv, rows);
-    std::cout << "\nCSV written to " << csv << "\n";
+  try {
+    const Work work = it->second(args);
+    const auto stray = args.unused();
+    if (!stray.empty()) return usage(cmd, "unknown flag --" + stray.front());
+    return work();
+  } catch (const Rejected& rejected) {
+    std::cerr << analysis::render_text(rejected.report) << "\n";
+    return 2;
+  } catch (const std::invalid_argument& e) {
+    return usage(cmd, e.what());
+  } catch (const std::runtime_error& e) {
+    return usage(cmd, e.what());
   }
-  if (!save_plan.empty()) {
-    io::write_plan_file(save_plan, best, opts.global_batch);
-    std::cout << "Plan written to " << save_plan << "\n";
-  }
-  if (!markdown.empty()) {
-    report::write_markdown_report_file(
-        markdown, "tfpe plan: " + mdl.name,
-        {"Model: " + mdl.name, "System: " + sys.describe(),
-         "Global batch: " + std::to_string(opts.global_batch)},
-        rows);
-    std::cout << "Markdown report written to " << markdown << "\n";
-  }
-  return 0;
 }
