@@ -1,23 +1,24 @@
 // Microbenchmarks of the batched evaluation kernels in isolation — the
 // units the sweep/codesign hot path is built from — so a kernel-level
 // regression is visible without running a whole sweep:
-//   BM_ScalarPlacementWalk   — time_placement per enumerated placement (the
-//                              pre-batch baseline the kernels replace);
 //   BM_BatchedPlacements     — time_placements_batch, warm BatchScratch,
 //                              transient per-call pricer;
 //   BM_BatchedPlacementsPricer — the generation-major configuration: a
-//                              capture_fabric=false bind plus an external
-//                              FabricPricer whose place memo stays warm
-//                              across calls (what a sweep chain runs);
-//   BM_BindScalar / BM_BindBatched — the per-(signature, system) bind;
+//                              bind_block + finish_bind bind plus an
+//                              external FabricPricer whose place memo stays
+//                              warm across calls (what a sweep chain runs);
+//   BM_BindScalar / BM_BindBatched — the per-(signature, system) bind
+//                              (core::bind_system vs the engines'
+//                              bind_block + finish_bind);
 //   BM_FabricPricerPrice     — pricing one collective from cached
 //                              sub-results vs the full fabric walk.
 //
-// `--smoke` runs a fast bitwise lockstep check of every arm against the
-// scalar walk and exits nonzero on any mismatch; tests/CMakeLists-style
-// registration in bench/CMakeLists.txt wires it into ctest so the kernels
-// cannot drift from the scalar reference without failing the suite. The
-// exhaustive randomized twin lives in tests/test_signature.cpp.
+// `--smoke` runs a fast bitwise lockstep check of every kernel arm against
+// the core::evaluate_with_layer oracle, per placement, and exits nonzero on
+// any mismatch; tests/CMakeLists-style registration in bench/CMakeLists.txt
+// wires it into ctest so the kernels cannot drift from the oracle without
+// failing the suite. The exhaustive randomized twin lives in
+// tests/test_signature.cpp.
 
 #include <benchmark/benchmark.h>
 
@@ -28,6 +29,7 @@
 #include <vector>
 
 #include "core/batched_signature.hpp"
+#include "core/evaluator.hpp"
 #include "search/search.hpp"
 #include "search/sweep.hpp"
 
@@ -64,27 +66,6 @@ struct Fixture {
   }
 };
 
-void BM_ScalarPlacementWalk(benchmark::State& state) {
-  Fixture fx;
-  const core::CostSignature sig =
-      core::compile_signature(fx.mdl, fx.cfg, kBatch);
-  const core::SystemTiming base = core::bind_system(sig, fx.sys);
-  parallel::ParallelConfig cfg = fx.cfg;
-  for (auto _ : state) {
-    for (const auto& pl : fx.placements) {
-      cfg.nvs1 = pl[0];
-      cfg.nvs2 = pl[1];
-      cfg.nvsp = pl[2];
-      cfg.nvsd = pl[3];
-      benchmark::DoNotOptimize(core::time_placement(sig, base, fx.sys, cfg));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(fx.placements.size()));
-  state.counters["placements"] = static_cast<double>(fx.placements.size());
-}
-BENCHMARK(BM_ScalarPlacementWalk)->Unit(benchmark::kMicrosecond);
-
 void BM_BatchedPlacements(benchmark::State& state) {
   Fixture fx;
   const core::CostSignature sig =
@@ -111,8 +92,8 @@ void BM_BatchedPlacementsPricer(benchmark::State& state) {
   const core::BatchedSignature bat = core::lower_batched(sig);
   const hw::Topology fabric = fx.sys.resolved_fabric();
   const comm::FabricPricer pricer(fabric);
-  const core::SystemTiming base =
-      core::bind_system_batched(sig, bat, fx.sys, {}, /*capture_fabric=*/false);
+  core::SystemTiming base;
+  core::finish_bind(core::bind_block(bat, fx.sys), sig, fx.sys, base);
   core::BatchScratch scratch;
   std::vector<core::PlacementTiming> out;
   for (auto _ : state) {
@@ -141,9 +122,10 @@ void BM_BindBatched(benchmark::State& state) {
   const core::CostSignature sig =
       core::compile_signature(fx.mdl, fx.cfg, kBatch);
   const core::BatchedSignature bat = core::lower_batched(sig);
+  core::SystemTiming base;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::bind_system_batched(sig, bat, fx.sys, {}, false));
+    core::finish_bind(core::bind_block(bat, fx.sys), sig, fx.sys, base);
+    benchmark::DoNotOptimize(base);
   }
 }
 BENCHMARK(BM_BindBatched)->Unit(benchmark::kMicrosecond);
@@ -172,30 +154,34 @@ BENCHMARK(BM_FabricPricerPrice)
     ->ArgNames({"walk"})
     ->Unit(benchmark::kNanosecond);
 
-bool same_pt(const core::PlacementTiming& a, const core::PlacementTiming& b) {
+bool same_timing(const core::EvalResult& a, const core::PlacementTiming& b) {
   return a.time.compute == b.time.compute && a.time.memory == b.time.memory &&
          a.time.tp_comm == b.time.tp_comm && a.time.pp_comm == b.time.pp_comm &&
          a.time.dp_comm == b.time.dp_comm && a.time.bubble == b.time.bubble &&
          a.time.optimizer == b.time.optimizer &&
-         a.t_fwd_stage.value() == b.t_fwd_stage.value() &&
-         a.t_bwd_stage.value() == b.t_bwd_stage.value();
+         a.t_fwd_micro == b.t_fwd_stage.value() &&
+         a.t_bwd_micro == b.t_bwd_stage.value();
 }
 
-/// ctest smoke: every kernel arm bitwise against the scalar walk, on a few
-/// (generation, nvs) fixtures. Exit 0 only if every placement matches.
+/// ctest smoke: every kernel arm bitwise against the oracle, per placement,
+/// on a few (generation, nvs) fixtures. Exit 0 only if every placement
+/// matches.
 int run_smoke() {
   int mismatches = 0;
   std::size_t compared = 0;
   for (std::int64_t nvs : {4, 8, 16}) {
     Fixture fx(nvs);
+    const parallel::LayerCost layer = parallel::build_layer(
+        fx.mdl, fx.cfg, fx.cfg.local_microbatch(kBatch));
     const core::CostSignature sig =
-        core::compile_signature(fx.mdl, fx.cfg, kBatch);
+        core::compile_signature(fx.mdl, fx.cfg, kBatch, layer);
     const core::BatchedSignature bat = core::lower_batched(sig);
     const core::SystemTiming base = core::bind_system(sig, fx.sys);
     const hw::Topology fabric = fx.sys.resolved_fabric();
     const comm::FabricPricer pricer(fabric);
-    const core::SystemTiming lean = core::bind_system_batched(
-        sig, bat, fx.sys, {}, /*capture_fabric=*/false);
+    // The engines' bind: per-block sums finished per candidate, no fabric.
+    core::SystemTiming lean;
+    core::finish_bind(core::bind_block(bat, fx.sys), sig, fx.sys, lean);
     core::BatchScratch scratch;
     std::vector<core::PlacementTiming> plain, priced;
     core::time_placements_batch(sig, bat, base, fx.sys, fx.cfg, fx.placements,
@@ -208,10 +194,10 @@ int run_smoke() {
       cfg.nvs2 = fx.placements[p][1];
       cfg.nvsp = fx.placements[p][2];
       cfg.nvsd = fx.placements[p][3];
-      const core::PlacementTiming ref =
-          core::time_placement(sig, base, fx.sys, cfg);
+      const core::EvalResult ref =
+          core::evaluate_with_layer(fx.mdl, fx.sys, cfg, kBatch, layer);
       for (const auto* got : {&plain[p], &priced[p]}) {
-        if (!same_pt(ref, *got)) {
+        if (!same_timing(ref, *got)) {
           ++mismatches;
           std::fprintf(stderr, "MISMATCH nvs=%lld placement %zu (%s)\n",
                        static_cast<long long>(nvs), p,

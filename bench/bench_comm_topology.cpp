@@ -4,8 +4,9 @@
 //
 //  * the collective_time hot path itself (the per-candidate cost of the
 //    placement scan) over a mixed pool of collectives/volumes/groups;
-//  * the full two-phase evaluation (bind_system + time_placement) of the
-//    GPT3-1T paper optimum with each fabric attached to the system.
+//  * the full two-phase evaluation (bind_system + a one-placement
+//    time_placements_batch call) of the GPT3-1T paper optimum with each
+//    fabric attached to the system.
 //
 // The driver times each fabric with min-of-N repeats, writes
 // BENCH_comm.json, and asserts (exit 1 otherwise) that the degenerate
@@ -16,6 +17,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -23,7 +25,7 @@
 #include <vector>
 
 #include "comm/collective_algorithm.hpp"
-#include "core/cost_signature.hpp"
+#include "core/batched_signature.hpp"
 #include "hw/topology.hpp"
 
 namespace {
@@ -102,7 +104,13 @@ void BM_CollectiveTime(benchmark::State& state) {
 }
 BENCHMARK(BM_CollectiveTime)->DenseRange(0, 4)->Unit(benchmark::kMicrosecond);
 
-void BM_TimePlacement(benchmark::State& state) {
+/// The paper optimum's own placement, as the kernel's placement list.
+std::vector<std::array<std::int64_t, 4>> own_placement(
+    const parallel::ParallelConfig& cfg) {
+  return {{cfg.nvs1, cfg.nvs2, cfg.nvsp, cfg.nvsd}};
+}
+
+void BM_TimePlacementsBatch(benchmark::State& state) {
   const auto all = fabrics();
   const Fabric& f = all[static_cast<std::size_t>(state.range(0))];
   const auto mdl = model::gpt3_1t();
@@ -110,19 +118,27 @@ void BM_TimePlacement(benchmark::State& state) {
   hw::SystemConfig sys = hw::make_system(hw::GpuGeneration::B200, 8, kGpus);
   sys.fabric = f.topo;
   const auto sig = core::compile_signature(mdl, cfg, kBatch);
+  const auto bat = core::lower_batched(sig);
   const auto base = core::bind_system(sig, sys);
+  const auto placements = own_placement(cfg);
+  core::BatchScratch scratch;
+  std::vector<core::PlacementTiming> out;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::time_placement(sig, base, sys, cfg));
+    core::time_placements_batch(sig, bat, base, sys, cfg, placements, {}, out,
+                                &scratch);
+    benchmark::DoNotOptimize(out);
   }
   state.SetLabel(f.name);
 }
-BENCHMARK(BM_TimePlacement)->DenseRange(0, 4)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_TimePlacementsBatch)
+    ->DenseRange(0, 4)
+    ->Unit(benchmark::kMicrosecond);
 
 struct Sample {
   std::string fabric;
   std::size_t depth = 0;
   double collective_ns = 0;   ///< Per collective_time call.
-  double placement_us = 0;    ///< Per time_placement call.
+  double placement_us = 0;    ///< Per one-placement kernel call.
   double bind_us = 0;         ///< Per bind_system call.
   double iteration = 0;       ///< Timed iteration at the paper optimum.
 };
@@ -154,7 +170,7 @@ void write_json(const std::vector<Sample>& samples, bool identical,
        << ", \"depth\": " << s.depth
        << ", \"collective_time_ns\": " << s.collective_ns
        << ", \"bind_system_us\": " << s.bind_us
-       << ", \"time_placement_us\": " << s.placement_us
+       << ", \"time_placements_batch_us\": " << s.placement_us
        << ", \"iteration_s\": " << s.iteration << "}"
        << (i + 1 < samples.size() ? "," : "") << "\n";
   }
@@ -166,6 +182,10 @@ int run_driver() {
   const auto cfg = paper_optimum();
   const auto pool = request_pool();
   const auto sig = core::compile_signature(mdl, cfg, kBatch);
+  const auto bat = core::lower_batched(sig);
+  const auto placements = own_placement(cfg);
+  core::BatchScratch scratch;
+  std::vector<core::PlacementTiming> timed;
 
   std::vector<Sample> samples;
   for (const Fabric& f : fabrics()) {
@@ -185,18 +205,21 @@ int run_driver() {
                   benchmark::DoNotOptimize(core::bind_system(sig, sys));
                 }) *
                 1e6;
-    s.placement_us =
-        min_of_n(5, 200, [&] {
-          benchmark::DoNotOptimize(core::time_placement(sig, base, sys, cfg));
-        }) *
-        1e6;
-    const auto r = core::time_signature(sig, base, mdl, sys, cfg, kBatch);
-    s.iteration = r.feasible ? r.iteration() : -1.0;
+    s.placement_us = min_of_n(5, 200, [&] {
+                       core::time_placements_batch(sig, bat, base, sys, cfg,
+                                                   placements, {}, timed,
+                                                   &scratch);
+                       benchmark::DoNotOptimize(timed);
+                     }) *
+                     1e6;
+    s.iteration = sig.mem.total() > sys.gpu.hbm_capacity
+                      ? -1.0
+                      : timed.front().time.total();
     samples.push_back(s);
     std::cout << s.fabric << " depth=" << s.depth
               << "  collective_time=" << s.collective_ns << "ns"
               << "  bind=" << s.bind_us << "us"
-              << "  time_placement=" << s.placement_us << "us"
+              << "  time_placements_batch=" << s.placement_us << "us"
               << "  iteration=" << s.iteration << "s\n";
   }
 

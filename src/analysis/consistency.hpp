@@ -9,8 +9,8 @@
 //   batched-shape         every SoA array mirrors the AoS signature slot
 //                         for slot (sizes, values, comm begin/count ranges)
 //   batched-panel-scale   comm_panel_bytes is bitwise req.bytes * (1 /
-//                         panels) of the owning op — the exact product the
-//                         scalar exposed_comm feeds to collective_time
+//                         panels) of the owning op — the exact product
+//                         core::op_time feeds to collective_time
 //   batched-price-row     the pricing-row dedup preserves the request
 //                         multiset: every request maps to a row whose
 //                         representative carries the identical (collective,

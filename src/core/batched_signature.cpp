@@ -55,7 +55,7 @@ BatchedSignature lower_batched(const CostSignature& sig) {
   }
 
   // Per-request volume scaled by the owning op's 1 / panels — the exact
-  // product the scalar exposed_comm computes per call — resolved through
+  // product core::op_time feeds to collective_time — resolved through
   // the begin/count ranges so the packing is correct for any pool tiling.
   // A request no op range covers keeps the unit scale.
   b.comm_panel_bytes.resize(sig.comm.size());
@@ -193,22 +193,11 @@ void finish_bind(const BlockTiming& part, const SignatureTail& sig,
 SystemTiming bind_system_batched(const SignatureTail& sig,
                                  const BatchedSignature& bat,
                                  const hw::SystemConfig& sys,
-                                 const EvalOptions& opts, bool capture_fabric) {
+                                 const EvalOptions& opts) {
   SystemTiming bt;
-  if (capture_fabric) bt.fabric = sys.resolved_fabric();
+  bt.fabric = sys.resolved_fabric();
   finish_bind(bind_block(bat, sys, opts), sig, sys, bt);
   return bt;
-}
-
-std::vector<SystemTiming> bind_systems_batch(
-    const SignatureTail& sig, const BatchedSignature& bat,
-    const std::vector<hw::SystemConfig>& systems, const EvalOptions& opts) {
-  std::vector<SystemTiming> out;
-  out.reserve(systems.size());
-  for (const hw::SystemConfig& sys : systems) {
-    out.push_back(bind_system_batched(sig, bat, sys, opts));
-  }
-  return out;
 }
 
 void time_placements_batch(
@@ -266,7 +255,7 @@ void time_placements_batch(
   }
 
   // Pre-place every (used group, distinct nvs) pair once: the validation,
-  // clamp-and-fill placement and fabric walk that the scalar path re-runs
+  // clamp-and-fill placement and fabric walk that core::evaluate re-runs
   // inside every collective_time call are hoisted here, leaving each table
   // cell a handful of flops. Every column comes from an actual placement of
   // the batch, so nothing is placed speculatively.
@@ -283,7 +272,7 @@ void time_placements_batch(
   // Lay out the comm table: one row per DISTINCT pricing triple (see
   // comm_price_row — repeated per-op requests of the same volume share a
   // row), one column per distinct nvs of its group. Each cell is the exact
-  // collective_time call the scalar path makes for a placement mapping to
+  // collective_time call core::evaluate makes for a placement mapping to
   // that column — priced by one contiguous pass over the pricing rows on
   // each comm-block miss (price_columns below), so columns only ever read
   // through block hits are never priced. collective_time is pure, so
@@ -353,9 +342,9 @@ void time_placements_batch(
     }
     if (bi == s.block_keys.size()) {
       // First placement on these columns: price its column of every pricing
-      // row in one pass, then run the op walk — exactly the sums the scalar
-      // time_placement would compute for this placement, read from the
-      // table instead of priced mid-walk.
+      // row in one pass, then run the op walk — exactly the sums
+      // core::evaluate computes for this placement, read from the table
+      // instead of priced mid-walk.
       price_columns(p);
       Seconds fwd_comm, bwd_comm;
       std::size_t summa = 0;
@@ -495,11 +484,10 @@ double placement_floor(const SignatureTail& sig, const BatchedSignature& bat,
                        const comm::FabricPricer& pricer,
                        const parallel::ParallelConfig& cfg,
                        const EvalOptions& opts, BatchScratch& s) {
-  if (!(opts.tp_overlap <= 1)) return 0;
   return finish_placement_floor(
       floor_comm_walk(bat, base.summa_panel_time, pricer.fabric(), cfg, opts,
                       s.row_floor),
-      sig, bat, base, cfg, opts);
+      sig, bat, base, cfg);
 }
 
 FloorWalk floor_comm_walk(
@@ -572,9 +560,7 @@ FloorWalk floor_comm_walk(
 double finish_placement_floor(const FloorWalk& walk, const SignatureTail& sig,
                               const BatchedSignature& bat,
                               const SystemTiming& base,
-                              const parallel::ParallelConfig& cfg,
-                              const EvalOptions& opts) {
-  if (!(opts.tp_overlap <= 1)) return 0;
+                              const parallel::ParallelConfig& cfg) {
   const double Ld = static_cast<double>(sig.layers_per_stage);
   const double md = static_cast<double>(sig.microbatches);
   Seconds t_fwd_stage = (base.fwd_cm + walk.fwd_comm) * Ld;
@@ -592,22 +578,6 @@ double finish_placement_floor(const FloorWalk& walk, const SignatureTail& sig,
                  .value();
   t.optimizer = base.optimizer;
   return t.total();
-}
-
-std::vector<std::vector<PlacementTiming>> time_placements_systems_batch(
-    const SignatureTail& sig, const BatchedSignature& bat,
-    const std::vector<hw::SystemConfig>& systems,
-    const parallel::ParallelConfig& cfg,
-    const std::vector<std::array<std::int64_t, 4>>& placements,
-    const EvalOptions& opts) {
-  std::vector<std::vector<PlacementTiming>> out(systems.size());
-  BatchScratch scratch;
-  for (std::size_t k = 0; k < systems.size(); ++k) {
-    const SystemTiming base = bind_system_batched(sig, bat, systems[k], opts);
-    time_placements_batch(sig, bat, base, systems[k], cfg, placements, opts,
-                          out[k], &scratch);
-  }
-  return out;
 }
 
 }  // namespace tfpe::core

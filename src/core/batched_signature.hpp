@@ -1,16 +1,16 @@
 #pragma once
 // Batched structure-of-arrays lowering of a CostSignature: the evaluation
 // hot path restructured from per-op scalar walks into contiguous-array
-// kernels that time N placements (and M systems) per signature in one pass.
+// kernels that time N placements per signature in one pass.
 //
-// The scalar two-phase path (core/cost_signature.hpp) walks the AoS
-// SigOp/SigComm records once per placement, re-pricing every collective
-// request with a full fabric walk each time. Across the placements of one
-// candidate those walks are massively redundant: a request's
-// collective_time depends on the placement only through its group's
-// (size, nvs) pair, and across an enumerated placement set each group takes
-// just a handful of distinct nvs values. lower_batched() packs the operands
-// into flat arrays once per signature; time_placements_batch() then
+// A per-placement walk of the AoS SigOp/SigComm records (core::evaluate's
+// shape) re-prices every collective request with a full fabric walk each
+// time. Across the placements of one candidate those walks are massively
+// redundant: a request's collective_time depends on the placement only
+// through its group's (size, nvs) pair, and across an enumerated placement
+// set each group takes just a handful of distinct nvs values.
+// lower_batched() packs the operands into flat arrays once per signature;
+// time_placements_batch() then
 //   * dedupes the comm pool into one pricing row per distinct
 //     (collective, group, panel-bytes) triple and prices each row once
 //     per DISTINCT nvs value of its group, on first read (a small table
@@ -22,12 +22,14 @@
 //     and DP-collective terms (one per distinct DP-group nvs).
 //
 // BITWISE CONTRACT: every arithmetic statement evaluates the same pure
-// functions on the same operands in the same order as the scalar
-// time_placement/bind_system, so the results are bit-for-bit identical —
-// not approximately equal (guarded by the golden matrix and the randomized
-// property tests in tests/test_signature.cpp / tests/test_sweep_pipeline.cpp,
-// the same discipline as the two-phase split itself). Keep this file in FP
-// lockstep with core/cost_signature.cpp and core/evaluator.cpp.
+// functions on the same operands in the same order as the independent
+// oracle, core::evaluate_with_layer, so each placement's timing is
+// bit-for-bit the oracle's — not approximately equal (guarded by the golden
+// matrix and the randomized property tests in tests/test_signature.cpp /
+// tests/test_sweep_pipeline.cpp, which compare the kernel with the oracle
+// per placement). The oracle and this kernel are the two views of the
+// evaluation order: keep this file in FP lockstep with core/evaluator.cpp
+// (and the binds with core::bind_system).
 //
 // PER-BLOCK / PER-CANDIDATE SPLIT. The BatchedSignature is the block half
 // of a signature (see cost_signature.hpp); the kernels take the
@@ -80,7 +82,7 @@ struct BatchedSignature : BlockScalars {
   std::vector<ops::Collective> comm_kind;
   std::vector<std::uint8_t> comm_group;  ///< ops::CommGroup as an index.
   /// Pre-scaled per-panel volume: req.bytes * (1 / op.panels), the exact
-  /// product the scalar exposed_comm feeds to collective_time.
+  /// product core::op_time feeds to collective_time.
   std::vector<Bytes> comm_panel_bytes;
   /// Bitmask of the comm groups that actually appear in the pool
   /// (bit g set <=> some request has comm_group == g). The per-placement
@@ -181,33 +183,26 @@ void finish_bind(const BlockTiming& part, const SignatureTail& sig,
 /// SoA bind: bitwise-identical to bind_system(sig, sys, opts) — the same
 /// panel_roofline calls accumulated in the same op order, read from the
 /// packed arrays instead of the AoS records (bind_block, then
-/// finish_bind). `capture_fabric = false` skips the SystemTiming::fabric
-/// copy for callers that price collectives through an external
-/// FabricPricer — every other field is unaffected, but
-/// time_placement/time_signature must NOT be fed such a timing.
+/// finish_bind), plus the system's resolved fabric. The engines, which
+/// price through their own FabricPricer, call the two halves directly.
 SystemTiming bind_system_batched(const SignatureTail& sig,
                                  const BatchedSignature& bat,
                                  const hw::SystemConfig& sys,
-                                 const EvalOptions& opts = {},
-                                 bool capture_fabric = true);
-
-/// Bind one signature against M systems in one pass over the packed
-/// operands. out[k] is bitwise-identical to bind_system(sig, systems[k]).
-std::vector<SystemTiming> bind_systems_batch(
-    const SignatureTail& sig, const BatchedSignature& bat,
-    const std::vector<hw::SystemConfig>& systems, const EvalOptions& opts = {});
+                                 const EvalOptions& opts = {});
 
 /// Time N placements of one bound (signature, system) in one batched pass.
 /// placements[i] is (nvs1, nvs2, nvsp, nvsd), the enumerate_placements
 /// tuple order; out is resized to placements.size() and out[i] is
-/// bitwise-identical to time_placement(sig, base, sys, cfg_i, opts) where
-/// cfg_i is cfg with placements[i] applied. `scratch` may be reused across
-/// calls (and should be, on the hot path); pass nullptr to use a transient
-/// one. When `pricer` is non-null it performs ALL collective pricing and
-/// `base.fabric` is never read — the caller guarantees it is bound to the
-/// fabric these placements should be priced against (the generation-major
-/// chain keeps one pricer per grid point, so the per-candidate SystemTiming
-/// needs no fabric restamp). Null builds a transient pricer on base.fabric.
+/// bitwise the time breakdown and stage times of
+/// evaluate_with_layer(mdl, sys, cfg_i, b, layer, opts), where cfg_i is cfg
+/// with placements[i] applied and (sig, bat) were compiled from that layer
+/// and bound to sys. `scratch` may be reused across calls (and should be,
+/// on the hot path); pass nullptr to use a transient one. When `pricer` is
+/// non-null it performs ALL collective pricing and `base.fabric` is never
+/// read — the caller guarantees it is bound to the fabric these placements
+/// should be priced against (the generation-major chain keeps one pricer
+/// per grid point, so the per-candidate SystemTiming needs no fabric
+/// restamp). Null builds a transient pricer on base.fabric.
 void time_placements_batch(
     const SignatureTail& sig, const BatchedSignature& bat,
     const SystemTiming& base, const hw::SystemConfig& sys,
@@ -233,9 +228,10 @@ void time_placements_batch(
 ///   * bubble is pipeline::bubble_time on the floored stage times;
 ///   * pp_comm and dp_comm are 0.
 /// Every step is monotone in the row times, so floor <= total up to the
-/// rounding of the row floors against the prices. Returns 0 (no screen)
-/// when !(opts.tp_overlap <= 1): exposed communication is negative there
-/// and the walk is no longer monotone. Uses scratch.row_floor only.
+/// rounding of the row floors against the prices. Precondition: opts
+/// passes EvalOptions::validate() (tp_overlap in [0, 1]); above full
+/// overlap exposed communication is negative and the walk is no longer
+/// monotone. Uses scratch.row_floor only.
 /// It is floor_comm_walk followed by finish_placement_floor.
 double placement_floor(const SignatureTail& sig, const BatchedSignature& bat,
                        const SystemTiming& base,
@@ -274,21 +270,11 @@ inline bool floor_walk_per_block(const BatchedSignature& bat) {
 
 /// placement_floor's tail: the stage times, tp_comm, bubble and the total
 /// from a walk and the candidate's finished SystemTiming (only its scalar
-/// fields are read). Returns 0 when !(opts.tp_overlap <= 1).
+/// fields are read). Same precondition as placement_floor: the walk was
+/// taken under validated EvalOptions.
 double finish_placement_floor(const FloorWalk& walk, const SignatureTail& sig,
                               const BatchedSignature& bat,
                               const SystemTiming& base,
-                              const parallel::ParallelConfig& cfg,
-                              const EvalOptions& opts);
-
-/// N placements x M systems in one call: out[k] holds placements.size()
-/// timings against systems[k] (bound via bind_systems_batch). Convenience
-/// composition of the two kernels above for grid-shaped queries.
-std::vector<std::vector<PlacementTiming>> time_placements_systems_batch(
-    const SignatureTail& sig, const BatchedSignature& bat,
-    const std::vector<hw::SystemConfig>& systems,
-    const parallel::ParallelConfig& cfg,
-    const std::vector<std::array<std::int64_t, 4>>& placements,
-    const EvalOptions& opts = {});
+                              const parallel::ParallelConfig& cfg);
 
 }  // namespace tfpe::core

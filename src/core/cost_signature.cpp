@@ -255,121 +255,6 @@ SystemTiming bind_system(const CostSignature& sig, const hw::SystemConfig& sys,
   return bt;
 }
 
-PlacementTiming time_placement(const CostSignature& sig,
-                               const SystemTiming& base,
-                               const hw::SystemConfig& sys,
-                               const parallel::ParallelConfig& cfg,
-                               const EvalOptions& opts) {
-  PlacementTiming out;
-
-  const double Ld = static_cast<double>(sig.layers_per_stage);
-  const double md = static_cast<double>(sig.microbatches);
-
-  // Exposed communication per op, in op order — the only placement-
-  // dependent part of the per-microbatch stage time.
-  Seconds fwd_comm, bwd_comm;
-  std::size_t summa = 0;
-  for (const SigOp& op : sig.ops) {
-    std::array<Seconds, 2> panel{};
-    if (op.panels > 1) panel = base.summa_panel_time[summa++];
-    Seconds f_comm, b_comm;
-    if (op.fwd_comm_count > 0) {
-      f_comm = exposed_comm(sig, op.fwd_comm_begin, op.fwd_comm_count,
-                            op.panels, panel[0], base.fabric, cfg);
-    }
-    if (op.bwd_comm_count > 0) {
-      b_comm = exposed_comm(sig, op.bwd_comm_begin, op.bwd_comm_count,
-                            op.panels, panel[1], base.fabric, cfg);
-    }
-    if (op.panels <= 1 && opts.tp_overlap > 0) {
-      f_comm *= 1.0 - opts.tp_overlap;
-      b_comm *= 1.0 - opts.tp_overlap;
-    }
-    fwd_comm += f_comm;
-    bwd_comm += b_comm;
-    if (opts.activation_recompute) bwd_comm += f_comm;
-  }
-
-  const Seconds t_fwd_micro = (base.fwd_cm + fwd_comm) * Ld;
-  const Seconds t_bwd_micro = (base.bwd_cm + bwd_comm) * Ld;
-  Seconds t_fwd_stage = t_fwd_micro;
-  Seconds t_bwd_stage = t_bwd_micro;
-  if (!sig.head.empty()) {
-    t_fwd_stage += base.head_fwd_cm;
-    t_bwd_stage += base.head_bwd_cm;
-  }
-  out.t_fwd_stage = t_fwd_stage;
-  out.t_bwd_stage = t_bwd_stage;
-
-  out.time.compute = base.time_compute;
-  out.time.memory = base.time_memory;
-  out.time.tp_comm = ((fwd_comm + bwd_comm) * (md * Ld)).value();
-  out.time.bubble =
-      pipeline::bubble_time(cfg.np, t_fwd_stage, t_bwd_stage, cfg.interleave)
-          .value();
-  out.time.pp_comm =
-      pipeline::p2p_time(base.fabric, cfg.np, sig.microbatches,
-                         sig.pp_boundary_bytes, cfg.nvsp > 1 ? 2 : 1,
-                         cfg.interleave)
-          .value();
-
-  std::int64_t dp_nvs = cfg.nvsd;
-  if (sig.dp_group_includes_tp2) dp_nvs *= cfg.nvs2;
-  if (sig.dp_size > 1) {
-    const comm::GroupPlacement g{sig.dp_size, dp_nvs};
-    const Seconds t_rs = comm::collective_time(
-        base.fabric, ops::Collective::ReduceScatter, sig.dp_grad_bytes, g);
-    const Seconds t_ag = comm::collective_time(
-        base.fabric, ops::Collective::AllGather, sig.dp_grad_bytes, g);
-    if (cfg.zero == parallel::ZeroStage::kWeights) {
-      out.time.dp_comm = ((t_ag * 2.0 + t_rs) * (0.5 * md)).value();
-    } else {
-      out.time.dp_comm = (std::max(Seconds(0), t_rs - t_bwd_stage) +
-                          std::max(Seconds(0), t_ag - t_fwd_stage))
-                             .value();
-    }
-  }
-
-  out.time.optimizer = base.optimizer;
-  return out;
-}
-
-EvalResult time_signature(const CostSignature& sig, const SystemTiming& base,
-                          const model::TransformerConfig& mdl,
-                          const hw::SystemConfig& sys,
-                          const parallel::ParallelConfig& cfg,
-                          std::int64_t global_batch, const EvalOptions& opts) {
-  EvalResult res;
-  res.cfg = cfg;
-  if (auto why = cfg.invalid_reason(mdl, sys, global_batch)) {
-    res.reason = *why;
-    return res;
-  }
-
-  const PlacementTiming pt = time_placement(sig, base, sys, cfg, opts);
-  res.t_fwd_micro = pt.t_fwd_stage.value();
-  res.t_bwd_micro = pt.t_bwd_stage.value();
-  res.time = pt.time;
-
-  res.mem = sig.mem;
-  if (res.mem.total() > sys.gpu.hbm_capacity) {
-    res.reason = "exceeds HBM capacity";
-    return res;
-  }
-
-  res.feasible = true;
-  return res;
-}
-
-EvalResult time_signature(const CostSignature& sig,
-                          const model::TransformerConfig& mdl,
-                          const hw::SystemConfig& sys,
-                          const parallel::ParallelConfig& cfg,
-                          std::int64_t global_batch, const EvalOptions& opts) {
-  return time_signature(sig, bind_system(sig, sys, opts), mdl, sys, cfg,
-                        global_batch, opts);
-}
-
 CostSignature adapt_to_phase(CostSignature sig, ExecutionPhase phase) {
   sig.phase = phase;
   for (SigOp& op : sig.ops) {
@@ -492,8 +377,8 @@ CostSignature compile_signature(const model::TransformerConfig& mdl,
 PhaseTiming time_phase(const CostSignature& sig, const SystemTiming& base,
                        const parallel::ParallelConfig& cfg,
                        const EvalOptions& opts) {
-  // The forward arm of time_placement's exposed-comm walk, alone: decode
-  // and prefill signatures carry no backward records, and the bound
+  // The forward arm of the training kernel's exposed-comm walk, alone:
+  // decode and prefill signatures carry no backward records, and the bound
   // backward terms of `base` are never read (see the header note on the
   // zero-operand t_sf attribution).
   Seconds fwd_comm;

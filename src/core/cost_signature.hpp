@@ -18,14 +18,16 @@
 //   * bind_system() — per (signature, system): the roofline dot products
 //     that do not depend on the NVS placement (compute/HBM time, optimizer
 //     update, SUMMA panel times);
-//   * time_signature() — per placement: collective latencies, pipeline
-//     bubble/P2P and the DP exposure, producing an EvalResult that is
-//     BITWISE identical to core::evaluate_with_layer (guarded by
-//     tests/test_signature.cpp). Keep the floating-point evaluation order
-//     in this file in lockstep with core/evaluator.cpp AND with the SoA
-//     batch kernels in core/batched_signature.cpp — three views of one
-//     evaluation-order contract; a change to any of them must land in all
-//     three (the golden matrix + randomized property tests enforce it).
+//   * per placement: collective latencies, pipeline bubble/P2P and the DP
+//     exposure, timed by the SoA kernel (core/batched_signature.hpp,
+//     time_placements_batch) and BITWISE identical to
+//     core::evaluate_with_layer on the layer the signature was compiled
+//     from (guarded by tests/test_signature.cpp). The evaluator is the
+//     independent oracle and the kernel the engine: two views of one
+//     evaluation-order contract. Keep the floating-point evaluation order
+//     of this file and the kernel in lockstep with core/evaluator.cpp; a
+//     change to one must land in the other (the golden matrix + randomized
+//     property tests enforce it).
 //
 // BLOCK / TAIL SPLIT. A CostSignature is two halves with different keys:
 //   * the BLOCK (compile_layer) — op, comm and head records plus the
@@ -285,49 +287,25 @@ struct SystemTiming {
 SystemTiming bind_system(const CostSignature& sig, const hw::SystemConfig& sys,
                          const EvalOptions& opts = {});
 
-/// Placement-dependent timing terms: the full TimeBreakdown (base fields
-/// copied through, collective/pipeline/DP terms computed for cfg's NVS
-/// placement) plus the per-microbatch stage times. This is the inner body
-/// of time_signature without validity checks or EvalResult packaging — the
-/// placement scan calls it directly, so every statement must stay in FP
-/// lockstep with evaluate_with_layer.
+/// One placement's timing, as time_placements_batch produces it: the full
+/// TimeBreakdown (base fields copied through, collective/pipeline/DP terms
+/// computed for the placement) plus the per-microbatch stage times —
+/// bitwise the time, t_fwd_micro and t_bwd_micro evaluate_with_layer
+/// reports at that placement. search::scan_placements_batch packages the
+/// winner into an EvalResult.
 struct PlacementTiming {
   TimeBreakdown time;
   Seconds t_fwd_stage;
   Seconds t_bwd_stage;
 };
 
-PlacementTiming time_placement(const CostSignature& sig,
-                               const SystemTiming& base,
-                               const hw::SystemConfig& sys,
-                               const parallel::ParallelConfig& cfg,
-                               const EvalOptions& opts = {});
-
-/// Time a compiled signature for one concrete placement, reusing the bound
-/// system partial. Bitwise-identical to evaluate_with_layer on the layer
-/// the signature was compiled from (same mdl/cfg/batch/opts).
-EvalResult time_signature(const CostSignature& sig, const SystemTiming& base,
-                          const model::TransformerConfig& mdl,
-                          const hw::SystemConfig& sys,
-                          const parallel::ParallelConfig& cfg,
-                          std::int64_t global_batch,
-                          const EvalOptions& opts = {});
-
-/// One-shot convenience: bind + time.
-EvalResult time_signature(const CostSignature& sig,
-                          const model::TransformerConfig& mdl,
-                          const hw::SystemConfig& sys,
-                          const parallel::ParallelConfig& cfg,
-                          std::int64_t global_batch,
-                          const EvalOptions& opts = {});
-
 /// Forward-only per-stage time of one microbatch / decode group — the
 /// timing primitive of the inference phases. Reads ONLY the forward terms
 /// of `base` (fwd_cm, head_fwd_cm, summa panel budgets, fabric): the bound
 /// backward terms of a zeroed signature carry a spurious per-op
 /// FLOPs-latency t_sf (panel_roofline attributes t_sf even at zero
-/// operands), so phase timing never consumes them. time_placement — and
-/// the training lowering it times — is untouched by the phase refactor.
+/// operands), so phase timing never consumes them. The training kernel —
+/// and the lowering it times — is untouched by the phase refactor.
 struct PhaseTiming {
   Seconds t_stage;  ///< layers_per_stage x (fwd_cm + exposed comm) + head.
   Seconds comm;     ///< Exposed forward collective time per stage.

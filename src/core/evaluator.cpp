@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
+#include <stdexcept>
 
 #include "analysis/invariants.hpp"
 #include "comm/collective_algorithm.hpp"
@@ -39,6 +41,17 @@ Seconds comm_time(const std::vector<ops::CommRequest>& reqs,
 }
 
 }  // namespace
+
+void EvalOptions::validate() const {
+  const auto in_unit = [](const char* field, double v) {
+    if (v >= 0.0 && v <= 1.0) return;
+    std::ostringstream msg;
+    msg << "EvalOptions::" << field << " must lie in [0, 1], got " << v;
+    throw std::invalid_argument(msg.str());
+  };
+  in_unit("tp_overlap", tp_overlap);
+  in_unit("activation_offload", activation_offload);
+}
 
 OpTime op_time(const ops::Op& op, bool backward, const hw::SystemConfig& sys,
                const parallel::ParallelConfig& cfg) {

@@ -60,6 +60,13 @@ struct EvalOptions {
   /// boundaries at ~one extra forward of compute per layer. The paper's
   /// baseline only recomputes inside FlashAttention.
   bool activation_recompute = false;
+
+  /// Throws std::invalid_argument naming the field and its value when
+  /// tp_overlap or activation_offload lies outside [0, 1] (NaN included).
+  /// The search entry points call it first: above full overlap exposed
+  /// communication turns negative and the engines' time floors stop being
+  /// bounds.
+  void validate() const;
 };
 
 struct EvalResult {

@@ -99,6 +99,7 @@ CandidateCache::get(const model::TransformerConfig& mdl,
 CodesignResult run_codesign(const std::vector<model::TransformerConfig>& shapes,
                             const std::vector<hw::SystemConfig>& points,
                             const CodesignOptions& opts) {
+  opts.sweep.search.eval.validate();
   if (opts.sweep.search.top_k != 0) {
     throw std::invalid_argument(
         "run_sweep/run_codesign: search.top_k is not supported (the scan "

@@ -182,8 +182,7 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
     if (opts.search.search_placement) {
       const auto placements = sh.placement_cache.get(cfg, sys.nvs_domain);
       double floor = 0;
-      if (cutoff < std::numeric_limits<double>::infinity() &&
-          eval.tp_overlap <= 1) {
+      if (cutoff < std::numeric_limits<double>::infinity()) {
         core::FloorWalk walk;
         if (core::floor_walk_per_block(bat)) {
           if (cb.walk_point != chain.point) {
@@ -198,8 +197,8 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
                                        chain.fabric, cfg, eval,
                                        scratch.batch.row_floor);
         }
-        floor = core::finish_placement_floor(walk, tail, bat, scratch.base,
-                                             cfg, eval);
+        floor =
+            core::finish_placement_floor(walk, tail, bat, scratch.base, cfg);
       }
       bool screened = false;
       // prevalidated: the screening loop / capacity gates above already

@@ -55,54 +55,12 @@ core::EvalResult scan_placements_signature(
     const std::vector<std::array<std::int64_t, 4>>& placements,
     const core::EvalOptions& eval, std::size_t& evals,
     bool stop_after_infeasible) {
-  if (placements.empty()) {
-    core::EvalResult best;
-    best.cfg = cfg;
-    best.reason = "no valid placement";
-    return best;
-  }
-  const auto apply = [&](std::size_t idx) {
-    cfg.nvs1 = placements[idx][0];
-    cfg.nvs2 = placements[idx][1];
-    cfg.nvsp = placements[idx][2];
-    cfg.nvsd = placements[idx][3];
-  };
-
-  // Feasibility is placement-invariant over an enumerate_placements list:
-  // every tuple satisfies the nvs divisibility + domain constraints by
-  // construction, and the remaining checks (validity, HBM capacity) do not
-  // read the placement fields. So decide it once. When infeasible, the
-  // reference scan keeps the first placement's result under
-  // stop_after_infeasible and the last one's otherwise — reproduce that.
-  apply(0);
-  const bool invalid = cfg.invalid_reason(mdl, sys, global_batch).has_value();
-  const bool over_capacity =
-      !invalid && sig.mem.total() > sys.gpu.hbm_capacity;
-  if (invalid || over_capacity) {
-    evals += stop_after_infeasible ? 1 : placements.size();
-    apply(stop_after_infeasible ? 0 : placements.size() - 1);
-    return core::time_signature(sig, base, mdl, sys, cfg, global_batch, eval);
-  }
-
-  // All placements feasible: argmin of the breakdown total, first index
-  // winning ties — exactly better_result's ordering when time and memory
-  // (placement-invariant) are equal. Only the winner is materialized into
-  // a full EvalResult.
-  std::size_t best_idx = 0;
-  double best_total = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < placements.size(); ++i) {
-    apply(i);
-    const core::PlacementTiming pt =
-        core::time_placement(sig, base, sys, cfg, eval);
-    ++evals;
-    const double total = pt.time.total();
-    if (total < best_total) {
-      best_total = total;
-      best_idx = i;
-    }
-  }
-  apply(best_idx);
-  return core::time_signature(sig, base, mdl, sys, cfg, global_batch, eval);
+  core::BatchScratch scratch;
+  std::vector<core::PlacementTiming> timings;
+  return scan_placements_batch(mdl, sys, cfg, global_batch, sig,
+                               core::lower_batched(sig), base, placements,
+                               eval, evals, stop_after_infeasible, scratch,
+                               timings);
 }
 
 namespace {
@@ -142,8 +100,8 @@ core::EvalResult scan_placements_batch(
     cfg.nvsp = placements[idx][2];
     cfg.nvsd = placements[idx][3];
   };
-  // A timed placement's result: every field time_signature would compute
-  // (time_placement is pure, and validity and capacity are decided here).
+  // A timed placement's result: every field core::evaluate reports for it
+  // (the kernel is pure, and validity and capacity are decided here).
   const auto materialize = [&](const core::PlacementTiming& pt) {
     res.cfg = cfg;
     res.t_fwd_micro = pt.t_fwd_stage.value();
@@ -152,12 +110,17 @@ core::EvalResult scan_placements_batch(
     res.mem = sig.mem;
   };
 
-  // Same placement-invariant feasibility shortcut (and eval accounting) as
-  // the reference scan — the kernel never times a doomed set. A
-  // prevalidated caller has already decided both verdicts (valid, fits),
-  // so the probe is skipped, not merely predicted false. An over-HBM
-  // candidate still reports the kept placement's timing, as time_signature
-  // does, from a one-placement kernel call.
+  // Feasibility is placement-invariant over an enumerate_placements list:
+  // every tuple satisfies the nvs divisibility + domain constraints by
+  // construction, and validity and HBM capacity do not read the placement
+  // fields. So it is decided once and the kernel never times a doomed set;
+  // an infeasible set reports its first placement under
+  // stop_after_infeasible and its last otherwise, as a per-placement scan
+  // of core::evaluate would. A prevalidated caller has already decided
+  // both verdicts (valid, fits), so the probe is skipped, not merely
+  // predicted false. An over-HBM candidate still reports the kept
+  // placement's timing, as the evaluator does, from a one-placement kernel
+  // call.
   if (!prevalidated) {
     apply(0);
     const auto invalid = cfg.invalid_reason(mdl, sys, global_batch);
@@ -169,7 +132,7 @@ core::EvalResult scan_placements_batch(
           stop_after_infeasible ? 0 : placements.size() - 1;
       apply(kept);
       if (invalid) {
-        // The kept placement's own reason, as time_signature reports it.
+        // The kept placement's own reason, as the evaluator reports it.
         res.cfg = cfg;
         res.reason = cfg.invalid_reason(mdl, sys, global_batch).value_or(
             *invalid);
@@ -200,9 +163,10 @@ core::EvalResult scan_placements_batch(
                               timings, &scratch, pricer);
   evals += placements.size();
 
-  // The batched timings are bitwise equal to the scalar per-placement ones,
-  // so this argmin (first index winning ties) lands on the exact candidate
-  // the reference scan would pick.
+  // All placements feasible: argmin of the breakdown total, first index
+  // winning ties — exactly better_result's ordering, since memory is
+  // placement-invariant. The timings are bitwise the evaluator's, so this
+  // lands on the placement a per-placement core::evaluate scan would pick.
   std::size_t best_idx = 0;
   double best_total = std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < timings.size(); ++i) {
@@ -220,11 +184,10 @@ core::EvalResult scan_placements_batch(
 
 namespace {
 
-/// Single-phase variant of the reference scan, used by the
-/// exhaustive reference engine (one full evaluate_with_layer per
-/// placement). Kept deliberately on the legacy path so the pruned/
-/// exhaustive equivalence tests compare the two-phase pipeline against an
-/// independent evaluation, not against itself.
+/// The exhaustive reference engine's placement scan: one full
+/// evaluate_with_layer per placement. Kept deliberately on the oracle so
+/// the pruned/exhaustive equivalence tests compare the two-phase pipeline
+/// against an independent evaluation, not against itself.
 core::EvalResult scan_placements(
     const model::TransformerConfig& mdl, const hw::SystemConfig& sys,
     parallel::ParallelConfig cfg, std::int64_t global_batch,
@@ -413,8 +376,6 @@ SweepState sweep(const model::TransformerConfig& mdl,
   std::atomic<double> incumbent{std::numeric_limits<double>::infinity()};
   std::atomic<std::size_t> tails{0};
   std::atomic<std::size_t> floor_pruned{0};
-  // Only an incumbent search screens, and only where the floor bounds.
-  const bool screening = use_incumbent && opts.eval.tp_overlap <= 1;
 
   // The pruned engine evaluates a candidate as block lookup -> tail ->
   // capacity check -> floor screen -> placement kernel. The block (one per
@@ -435,7 +396,7 @@ SweepState sweep(const model::TransformerConfig& mdl,
           SearchBlock sb;
           sb.bat = lower_block(mdl, cfg, b);
           sb.part = core::bind_block(sb.bat, sys, opts.eval);
-          if (screening && core::floor_walk_per_block(sb.bat)) {
+          if (use_incumbent && core::floor_walk_per_block(sb.bat)) {
             std::vector<Seconds> row_floor;
             sb.walk = core::floor_comm_walk(sb.bat, sb.part.summa_panel_time,
                                             fabric, cfg, opts.eval, row_floor);
@@ -469,7 +430,8 @@ SweepState sweep(const model::TransformerConfig& mdl,
       } else {
         core::finish_bind(blk->part, tail, sys, w->base);
         double floor = 0;
-        if (screening && cutoff < std::numeric_limits<double>::infinity()) {
+        if (use_incumbent &&
+            cutoff < std::numeric_limits<double>::infinity()) {
           const core::FloorWalk walk =
               core::floor_walk_per_block(blk->bat)
                   ? blk->walk
@@ -477,7 +439,7 @@ SweepState sweep(const model::TransformerConfig& mdl,
                                           fabric, cfg, opts.eval,
                                           w->scratch.row_floor);
           floor = core::finish_placement_floor(walk, tail, blk->bat, w->base,
-                                               cfg, opts.eval);
+                                               cfg);
         }
         bool screened = false;
         r = scan_placements_batch(mdl, sys, cfg, b, tail, blk->bat, w->base,
@@ -574,6 +536,7 @@ core::EvalResult best_placement(const model::TransformerConfig& mdl,
                                 parallel::ParallelConfig cfg,
                                 std::int64_t global_batch,
                                 const core::EvalOptions& eval) {
+  eval.validate();
   core::EvalResult best;
   best.cfg = cfg;
   best.reason = "no valid placement";
@@ -602,6 +565,7 @@ core::EvalResult best_placement(const model::TransformerConfig& mdl,
 SearchResult find_optimal(const model::TransformerConfig& mdl,
                           const hw::SystemConfig& sys,
                           const SearchOptions& opts) {
+  opts.eval.validate();
   // Incumbent pruning discards everything provably slower than the optimum,
   // which is exactly what a top-k ranking must keep — bypass it there.
   SweepState st = sweep(mdl, sys, opts,
@@ -632,6 +596,7 @@ SearchResult find_optimal(const model::TransformerConfig& mdl,
 std::vector<core::EvalResult> pareto_frontier(
     const model::TransformerConfig& mdl, const hw::SystemConfig& sys,
     SearchOptions opts) {
+  opts.eval.validate();
   opts.top_k = 0;
   // Every feasible candidate must be inspected; the caches still apply.
   SweepState st = sweep(mdl, sys, opts, /*use_incumbent=*/false);

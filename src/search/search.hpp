@@ -177,18 +177,18 @@ std::vector<parallel::ParallelConfig> expand_candidates(
 /// give NVS GPUs to TP1 first, then TP2, PP, DP.
 void pack_placement(parallel::ParallelConfig& cfg, std::int64_t nvs_domain);
 
-/// The scalar reference scan: evaluate a compiled candidate under every
-/// placement in `placements` with one time_placement walk each (per
-/// placement only the collective/pipeline/DP terms are recomputed),
-/// returning the best result. `sig`/`base` must come from
+/// Whole-signature convenience scan over the kernel: lowers `sig`
+/// (lower_batched) and runs one non-prevalidated scan_placements_batch over
+/// `placements`, pricing on `base.fabric`. `sig`/`base` must come from
 /// compile_signature/bind_system for the same (mdl, cfg, batch, eval, sys).
-/// Increments `evals` once per placement evaluated. Infeasibility of a
-/// valid placement can only come from the placement-independent memory
-/// model, so `stop_after_infeasible` lets callers cut the scan short.
-/// Every production search times placements through scan_placements_batch;
-/// this scan is the scalar reference it is tested against
-/// (Search.ScalarScanMatchesBatchedScan) and the one the benchmark's traced
-/// replay of find_optimal times through.
+/// Returns the best placement's result — bitwise what a per-placement
+/// core::evaluate scan reports, reason included — and increments `evals`
+/// once per placement accounted for. Infeasibility of a valid placement
+/// can only come from the placement-independent memory model, so
+/// `stop_after_infeasible` lets callers cut the scan short. The engines
+/// keep block and tail apart and call scan_placements_batch directly; this
+/// scan packages one candidate, e.g. the benchmark's traced replay of
+/// find_optimal.
 core::EvalResult scan_placements_signature(
     const model::TransformerConfig& mdl, const hw::SystemConfig& sys,
     parallel::ParallelConfig cfg, std::int64_t global_batch,
@@ -197,12 +197,12 @@ core::EvalResult scan_placements_signature(
     const core::EvalOptions& eval, std::size_t& evals,
     bool stop_after_infeasible);
 
-/// Batched twin of the scalar reference scan: one time_placements_batch
-/// call over the whole placement set instead of a per-placement
-/// time_placement loop. Returns the bitwise-identical result and increments
-/// `evals` by the same counts (the batch kernel's timings equal the scalar
-/// ones bit for bit, so the argmin picks the same winner). `sig` is the
-/// candidate's tail (a whole CostSignature converts) and `bat` its block;
+/// Time a candidate's whole placement set in one time_placements_batch
+/// call and return its best result, bitwise what a per-placement
+/// core::evaluate scan reports (the kernel's timings equal the evaluator's
+/// bit for bit, so the argmin picks the same winner). `evals` is
+/// incremented once per placement accounted for. `sig` is the candidate's
+/// tail (a whole CostSignature converts) and `bat` its block;
 /// `base` is their bind. `scratch` and `timings` are caller-owned so a
 /// placement scan reuses their allocations across candidates. On return
 /// `timings` holds the batch actually timed (empty when the screen or the
@@ -216,7 +216,7 @@ core::EvalResult scan_placements_signature(
 /// and the signature fits HBM — both decided by the engine's screens
 /// before the call — so the placement-invariant shortcut is skipped.
 /// Together the two make `base.fabric` dead on this path, which is what
-/// lets the engines bind with capture_fabric = false.
+/// lets the engines finish their binds without a fabric copy.
 ///
 /// Placement-floor screen: `floor` is the candidate's placement floor
 /// (core::placement_floor, or the engines' block walk finished by the

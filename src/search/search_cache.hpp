@@ -128,7 +128,7 @@ class PlacementCache {
 /// — a hardware-free key, so one cache instance can be shared across every
 /// hw::SystemConfig of a sweep. Excluded on purpose: the NVS placement
 /// fields and the interleave factor (signatures are invariant to both; the
-/// schedule enters only at time_signature). The key does NOT capture the
+/// schedule enters only at placement timing). The key does NOT capture the
 /// model, the global batch or the EvalOptions: use one cache per
 /// (model, global batch, EvalOptions) tuple, as the search and the sweep
 /// engine do. It keys compile_tail's output too (the chain engine's tail
@@ -154,9 +154,10 @@ struct SignatureKeyHash {
 };
 
 /// Whole CostSignatures (block and tail in one object), for the callers
-/// that time through the scalar path: the serving planner and the
-/// benchmark's traced replay. The search engines keep the two halves apart
-/// (lower_block, core::compile_tail) and do not use it.
+/// that time whole signatures: the serving planner (bind_system +
+/// time_phase) and the benchmark's traced replay. The search engines keep
+/// the two halves apart (lower_block, core::compile_tail) and do not use
+/// it.
 class SignatureCache {
  public:
   /// The compiled CostSignature for cfg, compiling it on first use (the op

@@ -35,6 +35,7 @@ std::vector<std::size_t> pareto_front_serving(
 ServePlanResult run_serve_plan(const model::TransformerConfig& mdl,
                                const hw::SystemConfig& sys,
                                const ServePlanOptions& opts) {
+  opts.eval.validate();
   const core::ServingSpec& spec = opts.spec;
   const core::Workload w = spec.workload();
   model::TransformerConfig prompt = mdl;

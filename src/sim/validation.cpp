@@ -5,6 +5,7 @@
 
 #include "comm/collective_algorithm.hpp"
 #include "comm/collective_model.hpp"
+#include "core/batched_signature.hpp"
 #include "parallel/layer_builder.hpp"
 #include "pipeline/pipeline_model.hpp"
 #include "sim/pipeline_sim.hpp"
@@ -129,17 +130,21 @@ ValidationPoint validate_iteration(const model::TransformerConfig& mdl,
 PipelineParams pipeline_params_from_signature(
     const hw::SystemConfig& sys, const parallel::ParallelConfig& cfg,
     const core::CostSignature& sig, const core::EvalOptions& opts) {
-  const core::SystemTiming base = core::bind_system(sig, sys, opts);
-  const core::PlacementTiming pt =
-      core::time_placement(sig, base, sys, cfg, opts);
+  const core::BatchedSignature bat = core::lower_batched(sig);
+  std::vector<core::PlacementTiming> pt;
+  core::time_placements_batch(sig, bat,
+                              core::bind_system_batched(sig, bat, sys, opts),
+                              sys, cfg,
+                              {{cfg.nvs1, cfg.nvs2, cfg.nvsp, cfg.nvsd}}, opts,
+                              pt);
   PipelineParams params;
   params.stages = sig.np;
   params.microbatches = sig.microbatches;
-  params.t_fwd = pt.t_fwd_stage;
-  params.t_bwd = pt.t_bwd_stage;
+  params.t_fwd = pt.front().t_fwd_stage;
+  params.t_bwd = pt.front().t_bwd_stage;
   if (sig.np > 1) {
     // Same fabric the evaluator's pipeline term walks, so signature-driven
-    // pipeline simulation stays in lockstep with time_placement.
+    // pipeline simulation stays in lockstep with the evaluator.
     params.t_p2p = comm::collective_time(
         sys.resolved_fabric(), ops::Collective::PointToPoint,
         sig.pp_boundary_bytes, {.size = 2, .nvs = cfg.nvsp > 1 ? 2 : 1});

@@ -48,8 +48,8 @@ ValidationPoint validate_iteration(const model::TransformerConfig& mdl,
                                    std::string label);
 
 /// Derive the discrete-event pipeline simulator's inputs from a compiled
-/// cost signature: per-microbatch stage times via the two-phase bind/time
-/// path (so they match the analytic evaluator bitwise) and the analytic
+/// cost signature: per-microbatch stage times from the batched kernel
+/// (so they match the analytic evaluator bitwise) and the analytic
 /// point-to-point boundary transfer for one handoff message. Lets sweeps
 /// replay a candidate through simulate_pipeline without rebuilding its op
 /// list. `cfg` must carry the placement the signature should be timed at.

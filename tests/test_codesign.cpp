@@ -321,17 +321,25 @@ TEST(Codesign, PlacementFloorScreenKeepsOptima) {
 }
 
 /// Above full overlap (tp_overlap > 1) exposed communication is negative
-/// and the floor is not a bound, so the screen settles nothing.
-TEST(Codesign, PlacementFloorScreenOffAboveFullOverlap) {
+/// and the floor is not a bound: pruning then changed the answer (GPT3-175B
+/// at batch 512 on 128 GPUs gave PP=1 DP=4 m=128 against the exhaustive
+/// PP=4 DP=1 m=512). run_codesign, and run_sweep through it, reject such
+/// options — and any outside [0, 1] — before any work.
+TEST(Codesign, RejectsOutOfDomainEvalOptions) {
   const auto points = search::hardware_grid(
       {hw::GpuGeneration::A100, hw::GpuGeneration::B200}, {4, 16}, 128);
-  search::CodesignOptions opts;
-  opts.sweep.search.global_batch = 512;
-  opts.sweep.search.eval.tp_overlap = 1.5;
-  opts.sweep.threads = 2;
-  const auto run = search::run_codesign(small_family(), points, opts);
-  EXPECT_GT(run.stats.evaluated, 0u);
-  EXPECT_EQ(run.stats.placement_floor_pruned, 0u);
+  for (const double bad : {1.5, -0.1, std::nan("")}) {
+    search::CodesignOptions opts;
+    opts.sweep.search.global_batch = 512;
+    opts.sweep.search.eval.tp_overlap = bad;
+    opts.sweep.threads = 2;
+    EXPECT_THROW(search::run_codesign(small_family(), points, opts),
+                 std::invalid_argument)
+        << bad;
+    EXPECT_THROW(search::run_sweep(model::gpt3_175b(), points, opts.sweep),
+                 std::invalid_argument)
+        << bad;
+  }
 }
 
 /// The per-pair work matrix: a floor-pruned pair is never scanned, so it

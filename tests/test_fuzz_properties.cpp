@@ -139,10 +139,10 @@ TEST(Fuzz, EvaluatorInvariantsOverRandomSpace) {
     EXPECT_GT(r.mem.weights.value(), 0.0) << trial;
     if (cfg.np == 1) EXPECT_DOUBLE_EQ(t.bubble, 0.0) << trial;
 
-    // The two-phase path (compile -> bind -> time) must reproduce the
-    // single-phase evaluator bitwise on every feasible fuzz point, and the
-    // compiled signature must satisfy its own conservation laws against the
-    // layer it was lowered from.
+    // The two-phase path (compile -> bind -> one-placement kernel scan) must
+    // reproduce the single-phase evaluator bitwise on every feasible fuzz
+    // point, and the compiled signature must satisfy its own conservation
+    // laws against the layer it was lowered from.
     const parallel::LayerCost layer =
         parallel::build_layer(mdl, cfg, cfg.local_microbatch(b));
     const core::CostSignature sig =
@@ -155,8 +155,11 @@ TEST(Fuzz, EvaluatorInvariantsOverRandomSpace) {
     const analysis::LintReport blint =
         analysis::lint_batched(sig, core::lower_batched(sig), lopts);
     EXPECT_EQ(blint.errors(), 0u) << trial << "\n" << blint.summary();
-    const core::EvalResult two =
-        core::time_signature(sig, mdl, sys, cfg, b, eopts);
+    std::size_t evals = 0;
+    const core::EvalResult two = search::scan_placements_signature(
+        mdl, sys, cfg, b, sig, core::bind_system(sig, sys, eopts),
+        {{cfg.nvs1, cfg.nvs2, cfg.nvsp, cfg.nvsd}}, eopts, evals,
+        /*stop_after_infeasible=*/true);
     EXPECT_EQ(two.feasible, r.feasible) << trial;
     EXPECT_EQ(two.time.compute, t.compute) << trial;
     EXPECT_EQ(two.time.memory, t.memory) << trial;

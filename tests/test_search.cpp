@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <set>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -448,10 +450,6 @@ void expect_bitwise(const core::EvalResult& a, const core::EvalResult& b) {
   EXPECT_EQ(a.t_bwd_micro, b.t_bwd_micro);
 }
 
-/// The scalar reference scan (one time_placement walk per placement) and
-/// the batched scan return the same result bit for bit and charge the same
-/// evals: on a feasible multi-placement candidate, an over-HBM candidate
-/// under both stop modes, an invalid config and an empty placement list.
 TEST(PlacementFloorScreen, KeepsEveryExistingCounterOnSumma) {
   // GPT3-1T on 4096 B200s with SUMMA: the screen settles candidates the
   // kernel used to time, while every counter that existed before it —
@@ -524,28 +522,34 @@ TEST(PlacementFloorScreen, OffWhereEveryCandidateMustBeTimed) {
     EXPECT_TRUE(same_optimum(front[i], front_brute[i])) << i;
   }
 
-  // Above full overlap the floor is not a bound: the screen stays off.
-  opts.eval.tp_overlap = 1.5;
-  const SearchResult over = find_optimal(mdl, sys, opts);
-  EXPECT_EQ(over.stats.placement_floor_pruned, 0u);
-  opts.prune = false;
-  expect_same_optimum(over, find_optimal(mdl, sys, opts));
+  // Above full overlap the floor is not a bound, and outside [0, 1] the
+  // options are nonsense: both entry points reject them before any work.
+  for (const double bad : {1.5, -0.1, std::nan("")}) {
+    opts.eval.tp_overlap = bad;
+    EXPECT_THROW(find_optimal(mdl, sys, opts), std::invalid_argument) << bad;
+    EXPECT_THROW(pareto_frontier(mdl, sys, opts), std::invalid_argument)
+        << bad;
+  }
 }
 
-TEST(Search, ScalarScanMatchesBatchedScan) {
+/// The batched scan (one time_placements_batch call over the whole set),
+/// and the whole-signature scan_placements_signature over it, against the
+/// oracle scan (one evaluate_with_layer per placement, the best kept by
+/// better_result): the same result bit for bit and the same evals charge,
+/// on a feasible multi-placement candidate, an over-HBM candidate under
+/// both stop modes, an invalid config and an empty placement list.
+TEST(Search, BatchedScanMatchesOracleScan) {
   const auto mdl = model::gpt3_175b();
   const core::EvalOptions eval;
   constexpr std::int64_t kBatch = 512;
   const auto check = [&](const hw::SystemConfig& sys,
-                         const parallel::ParallelConfig& cfg,
+                         parallel::ParallelConfig cfg,
                          const std::vector<std::array<std::int64_t, 4>>& pls,
                          bool stop_after_infeasible) {
-    const auto sig = core::compile_signature(mdl, cfg, kBatch, eval);
+    const parallel::LayerCost layer =
+        parallel::build_layer(mdl, cfg, cfg.local_microbatch(kBatch));
+    const auto sig = core::compile_signature(mdl, cfg, kBatch, layer, eval);
     const auto bat = core::lower_batched(sig);
-    std::size_t scalar_evals = 0;
-    const core::EvalResult scalar = scan_placements_signature(
-        mdl, sys, cfg, kBatch, sig, core::bind_system(sig, sys, eval), pls,
-        eval, scalar_evals, stop_after_infeasible);
     std::size_t batched_evals = 0;
     core::BatchScratch scratch;
     std::vector<core::PlacementTiming> timings;
@@ -553,9 +557,34 @@ TEST(Search, ScalarScanMatchesBatchedScan) {
         mdl, sys, cfg, kBatch, sig, bat,
         core::bind_system_batched(sig, bat, sys, eval), pls, eval,
         batched_evals, stop_after_infeasible, scratch, timings);
-    EXPECT_EQ(scalar_evals, batched_evals);
-    expect_bitwise(scalar, batched);
-    return scalar;
+    std::size_t whole_evals = 0;
+    const core::EvalResult whole = scan_placements_signature(
+        mdl, sys, cfg, kBatch, sig, core::bind_system(sig, sys, eval), pls,
+        eval, whole_evals, stop_after_infeasible);
+
+    core::EvalResult oracle;
+    oracle.cfg = cfg;
+    oracle.reason = "no valid placement";
+    std::size_t oracle_evals = 0;
+    for (const auto& pl : pls) {
+      cfg.nvs1 = pl[0];
+      cfg.nvs2 = pl[1];
+      cfg.nvsp = pl[2];
+      cfg.nvsd = pl[3];
+      const core::EvalResult r =
+          core::evaluate_with_layer(mdl, sys, cfg, kBatch, layer, eval);
+      ++oracle_evals;
+      if (better_result(r, oracle)) oracle = r;
+      if (!r.feasible) {
+        if (!oracle.feasible) oracle = r;
+        if (stop_after_infeasible) break;
+      }
+    }
+    EXPECT_EQ(oracle_evals, batched_evals);
+    EXPECT_EQ(oracle_evals, whole_evals);
+    expect_bitwise(oracle, batched);
+    expect_bitwise(oracle, whole);
+    return oracle;
   };
   // First valid candidate with more than one placement whose compiled
   // footprint fits (or, with want_fit = false, exceeds) the system's HBM.

@@ -1,13 +1,16 @@
-// Two-phase evaluation: golden bitwise equivalence of
-// compile_signature + bind_system + time_signature against the single-phase
-// evaluate_with_layer, CostSignature invariants (analysis::lint_signature),
-// cross-sweep cache behaviour, and sweep-vs-find_optimal identity.
+// Two-phase evaluation: golden bitwise equivalence of the batched kernel
+// (compile_signature + lower_batched + bind + time_placements_batch) against
+// the single-phase oracle evaluate_with_layer, per placement;
+// CostSignature invariants (analysis::lint_signature), cross-sweep cache
+// behaviour, and sweep-vs-find_optimal identity.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <random>
+#include <sstream>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -17,6 +20,7 @@
 #include "core/evaluator.hpp"
 #include "search/search.hpp"
 #include "search/search_cache.hpp"
+#include "search/serve_plan.hpp"
 #include "search/sweep.hpp"
 #include "sim/validation.hpp"
 
@@ -28,26 +32,38 @@ hw::SystemConfig system_of(hw::GpuGeneration gen, std::int64_t nvs,
   return hw::make_system(gen, nvs, n);
 }
 
-/// Exact double-for-double comparison of two evaluation results — the
-/// two-phase pipeline must reproduce the reference evaluator bitwise, not
-/// approximately.
-void expect_bitwise(const core::EvalResult& ref, const core::EvalResult& two,
-                    const std::string& label) {
-  ASSERT_EQ(ref.feasible, two.feasible) << label;
-  EXPECT_EQ(ref.reason, two.reason) << label;
-  EXPECT_EQ(ref.time.compute, two.time.compute) << label;
-  EXPECT_EQ(ref.time.memory, two.time.memory) << label;
-  EXPECT_EQ(ref.time.tp_comm, two.time.tp_comm) << label;
-  EXPECT_EQ(ref.time.pp_comm, two.time.pp_comm) << label;
-  EXPECT_EQ(ref.time.dp_comm, two.time.dp_comm) << label;
-  EXPECT_EQ(ref.time.bubble, two.time.bubble) << label;
-  EXPECT_EQ(ref.time.optimizer, two.time.optimizer) << label;
-  EXPECT_EQ(ref.t_fwd_micro, two.t_fwd_micro) << label;
-  EXPECT_EQ(ref.t_bwd_micro, two.t_bwd_micro) << label;
-  EXPECT_EQ(ref.mem.weights.value(), two.mem.weights.value()) << label;
-  EXPECT_EQ(ref.mem.gradients.value(), two.mem.gradients.value()) << label;
-  EXPECT_EQ(ref.mem.optimizer.value(), two.mem.optimizer.value()) << label;
-  EXPECT_EQ(ref.mem.activations.value(), two.mem.activations.value()) << label;
+void expect_pt_bitwise(const core::PlacementTiming& ref,
+                       const core::PlacementTiming& got,
+                       const std::string& label) {
+  EXPECT_EQ(ref.time.compute, got.time.compute) << label;
+  EXPECT_EQ(ref.time.memory, got.time.memory) << label;
+  EXPECT_EQ(ref.time.tp_comm, got.time.tp_comm) << label;
+  EXPECT_EQ(ref.time.pp_comm, got.time.pp_comm) << label;
+  EXPECT_EQ(ref.time.dp_comm, got.time.dp_comm) << label;
+  EXPECT_EQ(ref.time.bubble, got.time.bubble) << label;
+  EXPECT_EQ(ref.time.optimizer, got.time.optimizer) << label;
+  EXPECT_EQ(ref.t_fwd_stage.value(), got.t_fwd_stage.value()) << label;
+  EXPECT_EQ(ref.t_bwd_stage.value(), got.t_bwd_stage.value()) << label;
+}
+
+/// The kernel's timing of one placement against the oracle's result at
+/// that placement, bitwise: every time field and both stage times, plus
+/// the signature's memory breakdown and the HBM verdict a scan derives
+/// from it.
+void expect_oracle_bitwise(const core::EvalResult& ref,
+                           const core::PlacementTiming& got,
+                           const core::SignatureTail& sig,
+                           const hw::SystemConfig& sys,
+                           const std::string& label) {
+  expect_pt_bitwise({ref.time, Seconds(ref.t_fwd_micro),
+                     Seconds(ref.t_bwd_micro)},
+                    got, label);
+  EXPECT_EQ(ref.mem.weights.value(), sig.mem.weights.value()) << label;
+  EXPECT_EQ(ref.mem.gradients.value(), sig.mem.gradients.value()) << label;
+  EXPECT_EQ(ref.mem.optimizer.value(), sig.mem.optimizer.value()) << label;
+  EXPECT_EQ(ref.mem.activations.value(), sig.mem.activations.value())
+      << label;
+  EXPECT_EQ(ref.feasible, !(sig.mem.total() > sys.gpu.hbm_capacity)) << label;
 }
 
 struct Case {
@@ -81,11 +97,14 @@ std::vector<core::EvalOptions> eval_variants() {
   return {core::EvalOptions{}, overlap, offload, recompute, all};
 }
 
-/// Every candidate (stride-sampled) at every placement, compared bitwise.
+/// Every candidate (stride-sampled) at every placement: the kernel's timing
+/// of the whole placement set against the oracle per placement, bitwise.
 /// Covers the microbatch axis (enumeration expands every valid m), the
 /// interleave/ZeRO/ring extension axes and both vocab and vocab-free models.
 TEST(Signature, GoldenEquivalenceMatrix) {
   const auto sys = system_of(hw::GpuGeneration::B200, 8, 512);
+  core::BatchScratch scratch;
+  std::vector<core::PlacementTiming> batched;
   std::size_t compared = 0;
   for (const Case& c : preset_matrix()) {
     search::SearchOptions sopts;
@@ -104,18 +123,24 @@ TEST(Signature, GoldenEquivalenceMatrix) {
             c.mdl, cfg, cfg.local_microbatch(c.global_batch));
         const core::CostSignature sig =
             core::compile_signature(c.mdl, cfg, c.global_batch, layer, eval);
-        const core::SystemTiming base = core::bind_system(sig, sys, eval);
-        for (const auto& pl :
-             search::enumerate_placements(cfg, sys.nvs_domain)) {
-          cfg.nvs1 = pl[0];
-          cfg.nvs2 = pl[1];
-          cfg.nvsp = pl[2];
-          cfg.nvsd = pl[3];
+        const core::BatchedSignature bat = core::lower_batched(sig);
+        const auto placements =
+            search::enumerate_placements(cfg, sys.nvs_domain);
+        core::time_placements_batch(sig, bat,
+                                    core::bind_system_batched(sig, bat, sys,
+                                                              eval),
+                                    sys, cfg, placements, eval, batched,
+                                    &scratch);
+        ASSERT_EQ(batched.size(), placements.size());
+        for (std::size_t p = 0; p < placements.size(); ++p) {
+          cfg.nvs1 = placements[p][0];
+          cfg.nvs2 = placements[p][1];
+          cfg.nvsp = placements[p][2];
+          cfg.nvsd = placements[p][3];
           const core::EvalResult ref = core::evaluate_with_layer(
               c.mdl, sys, cfg, c.global_batch, layer, eval);
-          const core::EvalResult two = core::time_signature(
-              sig, base, c.mdl, sys, cfg, c.global_batch, eval);
-          expect_bitwise(ref, two, c.name + " " + cfg.describe());
+          expect_oracle_bitwise(ref, batched[p], sig, sys,
+                                c.name + " " + cfg.describe());
           ++compared;
         }
       }
@@ -123,49 +148,6 @@ TEST(Signature, GoldenEquivalenceMatrix) {
   }
   // Guard against the matrix silently collapsing to nothing.
   EXPECT_GT(compared, 500u);
-}
-
-/// The one-shot convenience overloads must agree with the staged calls.
-TEST(Signature, ConvenienceOverloads) {
-  const auto mdl = model::gpt3_1t();
-  const auto sys = system_of(hw::GpuGeneration::A100, 8, 512);
-  search::SearchOptions sopts;
-  sopts.strategy = parallel::TpStrategy::TP1D;
-  sopts.global_batch = 4096;
-  for (auto cfg : search::expand_candidates(mdl, sys, sopts)) {
-    if (cfg.invalid_reason(mdl, sys, 4096)) continue;
-    search::pack_placement(cfg, sys.nvs_domain);
-    const auto sig = core::compile_signature(mdl, cfg, 4096);
-    const auto ref = core::evaluate(mdl, sys, cfg, 4096);
-    const auto two = core::time_signature(sig, mdl, sys, cfg, 4096);
-    expect_bitwise(ref, two, cfg.describe());
-    break;
-  }
-}
-
-/// time_placement is the inner body of time_signature: its breakdown total
-/// must equal the packaged result's iteration time exactly.
-TEST(Signature, PlacementTimingMatchesFullResult) {
-  const auto mdl = model::gpt3_175b();
-  const auto sys = system_of(hw::GpuGeneration::H200, 8, 256);
-  search::SearchOptions sopts;
-  sopts.strategy = parallel::TpStrategy::TP1D;
-  sopts.global_batch = 512;
-  std::size_t checked = 0;
-  for (auto cfg : search::expand_candidates(mdl, sys, sopts)) {
-    if (cfg.invalid_reason(mdl, sys, 512)) continue;
-    search::pack_placement(cfg, sys.nvs_domain);
-    const auto sig = core::compile_signature(mdl, cfg, 512);
-    const auto base = core::bind_system(sig, sys);
-    const auto pt = core::time_placement(sig, base, sys, cfg);
-    const auto full = core::time_signature(sig, base, mdl, sys, cfg, 512);
-    if (!full.feasible) continue;
-    EXPECT_EQ(pt.time.total(), full.iteration()) << cfg.describe();
-    EXPECT_EQ(pt.t_fwd_stage.value(), full.t_fwd_micro) << cfg.describe();
-    EXPECT_EQ(pt.t_bwd_stage.value(), full.t_bwd_micro) << cfg.describe();
-    if (++checked == 24) break;
-  }
-  EXPECT_GT(checked, 0u);
 }
 
 /// The simulator bridge: pipeline parameters derived from a signature must
@@ -361,22 +343,8 @@ void expect_bind_bitwise(const core::SystemTiming& ref,
   }
 }
 
-void expect_pt_bitwise(const core::PlacementTiming& ref,
-                       const core::PlacementTiming& got,
-                       const std::string& label) {
-  EXPECT_EQ(ref.time.compute, got.time.compute) << label;
-  EXPECT_EQ(ref.time.memory, got.time.memory) << label;
-  EXPECT_EQ(ref.time.tp_comm, got.time.tp_comm) << label;
-  EXPECT_EQ(ref.time.pp_comm, got.time.pp_comm) << label;
-  EXPECT_EQ(ref.time.dp_comm, got.time.dp_comm) << label;
-  EXPECT_EQ(ref.time.bubble, got.time.bubble) << label;
-  EXPECT_EQ(ref.time.optimizer, got.time.optimizer) << label;
-  EXPECT_EQ(ref.t_fwd_stage.value(), got.t_fwd_stage.value()) << label;
-  EXPECT_EQ(ref.t_bwd_stage.value(), got.t_bwd_stage.value()) << label;
-}
-
-/// The SoA bind must reproduce the scalar bind_system bitwise, both the
-/// one-system entry point and the M-system batch, across the preset matrix.
+/// The SoA bind must reproduce the scalar bind_system bitwise across the
+/// preset matrix.
 TEST(Signature, BatchedBindMatchesScalar) {
   const std::vector<hw::SystemConfig> systems = {
       system_of(hw::GpuGeneration::A100, 4, 512),
@@ -395,14 +363,10 @@ TEST(Signature, BatchedBindMatchesScalar) {
       const core::BatchedSignature bat = core::lower_batched(sig);
       ASSERT_EQ(bat.op_count(), sig.ops.size()) << c.name;
       ASSERT_EQ(bat.comm_count(), sig.comm.size()) << c.name;
-      const auto multi = core::bind_systems_batch(sig, bat, systems);
-      ASSERT_EQ(multi.size(), systems.size());
-      for (std::size_t k = 0; k < systems.size(); ++k) {
-        const std::string label = c.name + " " + cfg.describe();
-        const core::SystemTiming ref = core::bind_system(sig, systems[k]);
-        expect_bind_bitwise(ref, core::bind_system_batched(sig, bat, systems[k]),
-                            label);
-        expect_bind_bitwise(ref, multi[k], label + " [multi]");
+      for (const hw::SystemConfig& sys : systems) {
+        expect_bind_bitwise(core::bind_system(sig, sys),
+                            core::bind_system_batched(sig, bat, sys),
+                            c.name + " " + cfg.describe());
       }
       ++compared;
     }
@@ -411,10 +375,10 @@ TEST(Signature, BatchedBindMatchesScalar) {
 }
 
 /// Randomized property (fixed seed): time_placements_batch over a full
-/// enumerated placement set must equal the scalar time_placement call per
+/// enumerated placement set must equal the oracle evaluate_with_layer per
 /// placement, bit for bit, across random candidates, systems and
-/// EvalOptions variants — the batched twin of GoldenEquivalenceMatrix.
-TEST(Signature, BatchedTimingMatchesScalarRandomized) {
+/// EvalOptions variants — the randomized twin of GoldenEquivalenceMatrix.
+TEST(Signature, BatchedTimingMatchesOracleRandomized) {
   std::mt19937 rng(0x5157eeu);
   const auto variants = eval_variants();
   const std::vector<hw::SystemConfig> systems = {
@@ -441,13 +405,15 @@ TEST(Signature, BatchedTimingMatchesScalarRandomized) {
       const hw::SystemConfig& sys = systems[pick_sys(rng)];
       const core::EvalOptions& eval = variants[pick_eval(rng)];
       if (cfg.invalid_reason(c.mdl, sys, c.global_batch)) continue;
-      const core::CostSignature sig =
-          core::compile_signature(c.mdl, cfg, c.global_batch, eval);
-      const core::BatchedSignature bat = core::lower_batched(sig);
-      const core::SystemTiming base = core::bind_system(sig, sys, eval);
       const auto placements =
           search::enumerate_placements(cfg, sys.nvs_domain);
       if (placements.empty()) continue;
+      const parallel::LayerCost layer = parallel::build_layer(
+          c.mdl, cfg, cfg.local_microbatch(c.global_batch));
+      const core::CostSignature sig =
+          core::compile_signature(c.mdl, cfg, c.global_batch, layer, eval);
+      const core::BatchedSignature bat = core::lower_batched(sig);
+      const core::SystemTiming base = core::bind_system(sig, sys, eval);
       core::time_placements_batch(sig, bat, base, sys, cfg, placements, eval,
                                   batched, &scratch);
       ASSERT_EQ(batched.size(), placements.size());
@@ -456,57 +422,16 @@ TEST(Signature, BatchedTimingMatchesScalarRandomized) {
         cfg.nvs2 = placements[p][1];
         cfg.nvsp = placements[p][2];
         cfg.nvsd = placements[p][3];
-        const core::PlacementTiming ref =
-            core::time_placement(sig, base, sys, cfg, eval);
-        expect_pt_bitwise(ref, batched[p],
-                          c.name + " " + cfg.describe() + " placement " +
-                              std::to_string(p));
+        const core::EvalResult ref = core::evaluate_with_layer(
+            c.mdl, sys, cfg, c.global_batch, layer, eval);
+        expect_oracle_bitwise(ref, batched[p], sig, sys,
+                              c.name + " " + cfg.describe() + " placement " +
+                                  std::to_string(p));
         ++compared;
       }
     }
   }
   EXPECT_GT(compared, 200u);
-}
-
-/// The N placements x M systems composition must match the nested scalar
-/// loops (bind per system, then time per placement).
-TEST(Signature, BatchedSystemsGridMatchesScalar) {
-  const auto mdl = model::gpt3_175b();
-  const std::vector<hw::SystemConfig> systems = {
-      system_of(hw::GpuGeneration::A100, 8, 256),
-      system_of(hw::GpuGeneration::H200, 8, 256),
-      system_of(hw::GpuGeneration::B200, 8, 256)};
-  search::SearchOptions sopts;
-  sopts.strategy = parallel::TpStrategy::TP1D;
-  sopts.global_batch = 512;
-  std::size_t checked = 0;
-  for (parallel::ParallelConfig cfg :
-       search::expand_candidates(mdl, systems[0], sopts)) {
-    if (cfg.invalid_reason(mdl, systems[0], 512)) continue;
-    const core::CostSignature sig = core::compile_signature(mdl, cfg, 512);
-    const core::BatchedSignature bat = core::lower_batched(sig);
-    const auto placements =
-        search::enumerate_placements(cfg, systems[0].nvs_domain);
-    if (placements.empty()) continue;
-    const auto grid =
-        core::time_placements_systems_batch(sig, bat, systems, cfg, placements);
-    ASSERT_EQ(grid.size(), systems.size());
-    for (std::size_t k = 0; k < systems.size(); ++k) {
-      ASSERT_EQ(grid[k].size(), placements.size());
-      const core::SystemTiming base = core::bind_system(sig, systems[k]);
-      for (std::size_t p = 0; p < placements.size(); ++p) {
-        cfg.nvs1 = placements[p][0];
-        cfg.nvs2 = placements[p][1];
-        cfg.nvsp = placements[p][2];
-        cfg.nvsd = placements[p][3];
-        expect_pt_bitwise(core::time_placement(sig, base, systems[k], cfg),
-                          grid[k][p], cfg.describe());
-        ++checked;
-      }
-    }
-    if (checked >= 64) break;
-  }
-  EXPECT_GT(checked, 0u);
 }
 
 /// Randomized property (fixed seed): FabricPricer::place/place_ref/price
@@ -584,12 +509,12 @@ TEST(Signature, FabricPricerMatchesCollectiveTimeFuzz) {
 }
 
 /// Randomized property (fixed seed): the generation-major kernel path — a
-/// capture_fabric=false bind plus an external FabricPricer bound to the
-/// point's resolved fabric — must equal the scalar time_placement walk
-/// bitwise across random candidates, systems and EvalOptions. This is the
-/// exact configuration the sweep chain runs (point_scan.cpp), where
-/// base.fabric is never populated and every collective prices through the
-/// chain's pricer.
+/// bind_block + finish_bind bind plus an external FabricPricer bound to the
+/// point's resolved fabric — must equal the oracle evaluate_with_layer per
+/// placement, bitwise, across random candidates, systems and EvalOptions.
+/// This is the exact configuration the sweep chain runs (point_scan.cpp),
+/// where base.fabric is never populated and every collective prices
+/// through the chain's pricer.
 TEST(Signature, BatchedExternalPricerMatchesScalarFuzz) {
   std::mt19937 rng(0x9e4e7au);
   const auto variants = eval_variants();
@@ -618,31 +543,32 @@ TEST(Signature, BatchedExternalPricerMatchesScalarFuzz) {
       const hw::SystemConfig& sys = systems[pick_sys(rng)];
       const core::EvalOptions& eval = variants[pick_eval(rng)];
       if (cfg.invalid_reason(c.mdl, sys, c.global_batch)) continue;
-      const core::CostSignature sig =
-          core::compile_signature(c.mdl, cfg, c.global_batch, eval);
-      const core::BatchedSignature bat = core::lower_batched(sig);
-      // The chain configuration: fabric held by the caller, pricer rebound
-      // to it, bind skips the SystemTiming::fabric copy entirely.
-      const hw::Topology fabric = sys.resolved_fabric();
-      pricer.rebind(fabric);
-      const core::SystemTiming base = core::bind_system_batched(
-          sig, bat, sys, eval, /*capture_fabric=*/false);
       const auto placements = search::enumerate_placements(cfg, sys.nvs_domain);
       if (placements.empty()) continue;
+      const parallel::LayerCost layer = parallel::build_layer(
+          c.mdl, cfg, cfg.local_microbatch(c.global_batch));
+      const core::CostSignature sig =
+          core::compile_signature(c.mdl, cfg, c.global_batch, layer, eval);
+      const core::BatchedSignature bat = core::lower_batched(sig);
+      // The chain configuration: fabric held by the caller, pricer rebound
+      // to it, the bind finished from the block's sums with no fabric copy.
+      const hw::Topology fabric = sys.resolved_fabric();
+      pricer.rebind(fabric);
+      core::SystemTiming base;
+      core::finish_bind(core::bind_block(bat, sys, eval), sig, sys, base);
       core::time_placements_batch(sig, bat, base, sys, cfg, placements, eval,
                                   batched, &scratch, &pricer);
       ASSERT_EQ(batched.size(), placements.size());
-      const core::SystemTiming full = core::bind_system(sig, sys, eval);
       for (std::size_t p = 0; p < placements.size(); ++p) {
         cfg.nvs1 = placements[p][0];
         cfg.nvs2 = placements[p][1];
         cfg.nvsp = placements[p][2];
         cfg.nvsd = placements[p][3];
-        const core::PlacementTiming ref =
-            core::time_placement(sig, full, sys, cfg, eval);
-        expect_pt_bitwise(ref, batched[p],
-                          c.name + " " + cfg.describe() + " placement " +
-                              std::to_string(p));
+        const core::EvalResult ref = core::evaluate_with_layer(
+            c.mdl, sys, cfg, c.global_batch, layer, eval);
+        expect_oracle_bitwise(ref, batched[p], sig, sys,
+                              c.name + " " + cfg.describe() + " placement " +
+                                  std::to_string(p));
         ++compared;
       }
     }
@@ -741,8 +667,8 @@ TEST(PlacementFloor, BelowEveryTimedPlacement) {
         const core::BatchedSignature bat = core::lower_batched(sig);
         const hw::Topology fabric = sys.resolved_fabric();
         pricer.rebind(fabric);
-        const core::SystemTiming base = core::bind_system_batched(
-            sig, bat, sys, eval, /*capture_fabric=*/false);
+        const core::SystemTiming base =
+            core::bind_system_batched(sig, bat, sys, eval);
         core::time_placements_batch(sig, bat, base, sys, cfg, placements, eval,
                                     timings, &scratch, &pricer);
         const double floor =
@@ -764,9 +690,12 @@ TEST(PlacementFloor, BelowEveryTimedPlacement) {
   EXPECT_GT(with_comm, 50u);
 }
 
-TEST(PlacementFloor, NoScreenAboveFullOverlap) {
-  // tp_overlap > 1 makes exposed communication negative, so the op walk is
-  // no longer monotone in the collective times: the floor turns itself off.
+/// EvalOptions outside [0, 1] are rejected before any work, naming the
+/// field and the value: above full overlap exposed communication turns
+/// negative and the placement floor stops being a bound. The boundaries
+/// are in the domain. (find_optimal, pareto_frontier, run_sweep and
+/// run_codesign are checked beside their own screen tests.)
+TEST(EvalOptions, RejectedOutsideUnitInterval) {
   const auto mdl = model::gpt3_175b();
   const hw::SystemConfig sys = system_of(hw::GpuGeneration::B200, 8, 256);
   parallel::ParallelConfig cfg;
@@ -774,21 +703,37 @@ TEST(PlacementFloor, NoScreenAboveFullOverlap) {
   cfg.np = 8;
   cfg.nd = 4;
   cfg.microbatches = 8;
-  core::EvalOptions eval;
-  eval.tp_overlap = 1.5;
-  ASSERT_FALSE(cfg.invalid_reason(mdl, sys, 1024));
-  const core::CostSignature sig = core::compile_signature(mdl, cfg, 1024, eval);
-  const core::BatchedSignature bat = core::lower_batched(sig);
-  const hw::Topology fabric = sys.resolved_fabric();
-  const comm::FabricPricer pricer(fabric);
-  const core::SystemTiming base =
-      core::bind_system_batched(sig, bat, sys, eval, /*capture_fabric=*/false);
-  core::BatchScratch scratch;
-  EXPECT_EQ(core::placement_floor(sig, bat, base, pricer, cfg, eval, scratch),
-            0.0);
-  eval.tp_overlap = 1.0;
-  EXPECT_GT(core::placement_floor(sig, bat, base, pricer, cfg, eval, scratch),
-            0.0);
+  for (const bool overlap : {true, false}) {
+    const std::string field = overlap ? "tp_overlap" : "activation_offload";
+    for (const double bad : {1.5, -0.1, std::nan("")}) {
+      core::EvalOptions eval;
+      (overlap ? eval.tp_overlap : eval.activation_offload) = bad;
+      std::ostringstream value;
+      value << bad;
+      try {
+        eval.validate();
+        ADD_FAILURE() << field << " = " << bad << " accepted";
+      } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(field), std::string::npos) << what;
+        EXPECT_NE(what.find(value.str()), std::string::npos) << what;
+      }
+      EXPECT_THROW(search::best_placement(mdl, sys, cfg, 1024, eval),
+                   std::invalid_argument)
+          << field << " = " << bad;
+      search::ServePlanOptions serve;
+      serve.eval = eval;
+      EXPECT_THROW(search::run_serve_plan(mdl, sys, serve),
+                   std::invalid_argument)
+          << field << " = " << bad;
+    }
+  }
+  for (const double edge : {0.0, 1.0}) {
+    core::EvalOptions eval;
+    eval.tp_overlap = edge;
+    eval.activation_offload = edge;
+    EXPECT_NO_THROW(eval.validate()) << edge;
+  }
 }
 
 /// The engines' block/tail split against the whole-signature path, bit for
@@ -881,8 +826,8 @@ TEST(BlockTail, MatchesWholeSignatureBitwise) {
             const core::CostSignature sig =
                 core::compile_signature(mdl, cfg, kBatch, eval);
             const core::BatchedSignature ref_bat = core::lower_batched(sig);
-            const core::SystemTiming ref_base = core::bind_system_batched(
-                sig, ref_bat, sys, eval, /*capture_fabric=*/false);
+            const core::SystemTiming ref_base =
+                core::bind_system_batched(sig, ref_bat, sys, eval);
             const double ref_floor = core::placement_floor(
                 sig, ref_bat, ref_base, pricer, cfg, eval, ref_scratch);
             core::time_placements_batch(sig, ref_bat, ref_base, sys, cfg,
@@ -920,8 +865,8 @@ TEST(BlockTail, MatchesWholeSignatureBitwise) {
                     : core::floor_comm_walk(blk.bat, blk.part.summa_panel_time,
                                             fabric, cfg, eval,
                                             scratch.row_floor);
-            const double floor = core::finish_placement_floor(
-                walk, tail, blk.bat, base, cfg, eval);
+            const double floor =
+                core::finish_placement_floor(walk, tail, blk.bat, base, cfg);
             core::time_placements_batch(tail, blk.bat, base, sys, cfg,
                                         placements, eval, timings, &scratch,
                                         &pricer);

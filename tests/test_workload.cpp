@@ -43,6 +43,21 @@ void expect_bitwise(const core::EvalResult& ref, const core::EvalResult& got,
   EXPECT_EQ(ref.mem.kv_cache.value(), got.mem.kv_cache.value()) << label;
 }
 
+/// A compiled signature timed at cfg's own placement through the batched
+/// kernel, packaged as an EvalResult: a one-placement scan.
+core::EvalResult time_at_placement(const core::CostSignature& sig,
+                                   const model::TransformerConfig& mdl,
+                                   const hw::SystemConfig& sys,
+                                   const parallel::ParallelConfig& cfg,
+                                   std::int64_t batch,
+                                   const core::EvalOptions& opts) {
+  std::size_t evals = 0;
+  return search::scan_placements_signature(
+      mdl, sys, cfg, batch, sig, core::bind_system(sig, sys, opts),
+      {{cfg.nvs1, cfg.nvs2, cfg.nvsp, cfg.nvsd}}, opts, evals,
+      /*stop_after_infeasible=*/true);
+}
+
 TEST(Workload, FactoriesCarryThePhase) {
   EXPECT_EQ(core::Workload::training().phase,
             core::ExecutionPhase::kTraining);
@@ -124,10 +139,10 @@ TEST(Workload, TrainingAdapterBitwiseMatrix) {
         EXPECT_EQ(phased.phase, core::ExecutionPhase::kTraining) << label;
         const auto ref = core::evaluate(mdl, sys, c.cfg, c.batch, opts);
         expect_bitwise(
-            ref, core::time_signature(legacy, mdl, sys, c.cfg, c.batch, opts),
+            ref, time_at_placement(legacy, mdl, sys, c.cfg, c.batch, opts),
             label + " legacy");
         expect_bitwise(
-            ref, core::time_signature(phased, mdl, sys, c.cfg, c.batch, opts),
+            ref, time_at_placement(phased, mdl, sys, c.cfg, c.batch, opts),
             label + " workload");
       }
     }
@@ -147,8 +162,8 @@ TEST(Workload, SearchOptimumSurvivesWorkloadPath) {
   const auto sig = core::compile_signature(
       mdl, run.best.cfg, opts.global_batch, core::Workload::training(), {});
   expect_bitwise(run.best,
-                 core::time_signature(sig, mdl, sys, run.best.cfg,
-                                      opts.global_batch, {}),
+                 time_at_placement(sig, mdl, sys, run.best.cfg,
+                                   opts.global_batch, {}),
                  "optimum");
 }
 
