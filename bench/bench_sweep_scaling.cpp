@@ -4,10 +4,12 @@
 //                reference the engine must reproduce);
 //   batch      — search::run_sweep, the chain engine;
 //   batch-warm — run_sweep with warm-started incumbents along each chain;
-// on the paper-style generation x NVS-domain grid for GPT3-1T.
+// on the paper-style generation x NVS-domain grid for GPT3-1T. The engine
+// arms always prune; the legacy arm also runs find_optimal's exhaustive
+// sweep (prune = false).
 //
 // Two outputs:
-//  * google-benchmark cases (BM_Sweep/<mode>/<prune>) for wall-clock
+//  * google-benchmark cases (BM_Sweep/<mode>, all pruned) for wall-clock
 //    comparisons under the standard benchmark harness;
 //  * a driver that times each (mode, prune, threads) combination over the
 //    A100/H200/B200 x NVS{4,8,16,32,64} grid at 4096 GPUs — the thread axis
@@ -109,10 +111,9 @@ search::SweepResult run_mode(Mode mode, const model::TransformerConfig& mdl,
 
 void BM_Sweep(benchmark::State& state) {
   const Mode mode = kModes[state.range(0)];
-  const bool prune = state.range(1) != 0;
   const auto mdl = model::gpt3_1t();
   const auto points = grid();
-  const auto opts = sweep_opts(mode, prune, 1);
+  const auto opts = sweep_opts(mode, /*prune=*/true, 1);
   search::SweepStats stats;
   for (auto _ : state) {
     const auto r = run_mode(mode, mdl, points, opts);
@@ -126,8 +127,8 @@ void BM_Sweep(benchmark::State& state) {
   state.counters["batch_occupancy"] = stats.batch_occupancy();
 }
 BENCHMARK(BM_Sweep)
-    ->ArgsProduct({{0, 1, 2}, {0, 1}})
-    ->ArgNames({"mode", "prune"})
+    ->DenseRange(0, 2)
+    ->ArgName("mode")
     ->Unit(benchmark::kMillisecond);
 
 struct Sample {
@@ -282,6 +283,8 @@ int run_driver(bool quick) {
   for (bool prune : {false, true}) {
     for (unsigned threads : thread_axis) {
       for (Mode mode : kModes) {
+        // The engine arms always prune (run_sweep rejects prune = false).
+        if (!prune && mode != Mode::kLegacy) continue;
         samples.push_back(run_once(mode, prune, threads, repeats));
         const Sample& s = samples.back();
         std::printf(
@@ -292,7 +295,8 @@ int run_driver(bool quick) {
             s.stats.signature_compiles, s.stats.batch_occupancy(),
             s.stats.warm_seeded);
       }
-      // The last three samples are this (prune, threads) row's arms, in
+      if (!prune) continue;
+      // The last three samples are this threads row's pruned arms, in
       // kModes order.
       const Sample* row = &samples[samples.size() - 3];
       std::printf("  -> batch vs legacy %.2fx, batch-warm vs legacy %.2fx\n",

@@ -11,19 +11,6 @@ namespace tfpe::core {
 
 namespace {
 
-/// Largest divisor of n that is <= cap — the packing primitive shared (by
-/// value, not by code: search/ sits above core/) with the training
-/// search's pack_placement; tests/test_serving.cpp pins the agreement.
-std::int64_t largest_divisor_leq(std::int64_t n, std::int64_t cap) {
-  std::int64_t best = 1;
-  for (std::int64_t d = 1; d * d <= n; ++d) {
-    if (n % d) continue;
-    if (d <= cap) best = std::max(best, d);
-    if (n / d <= cap) best = std::max(best, n / d);
-  }
-  return best;
-}
-
 model::TransformerConfig prompt_model(const model::TransformerConfig& mdl,
                                       const Workload& w) {
   model::TransformerConfig prompt = mdl;
@@ -41,10 +28,7 @@ parallel::ParallelConfig serving_parallel_config(const hw::SystemConfig& sys,
   cfg.np = sc.pp;
   cfg.nd = 1;
   cfg.microbatches = 1;
-  std::int64_t budget = sys.nvs_domain;
-  cfg.nvs1 = largest_divisor_leq(cfg.n1, budget);
-  budget /= cfg.nvs1;
-  cfg.nvsp = largest_divisor_leq(cfg.np, budget);
+  cfg.pack_placement(sys.nvs_domain);
   return cfg;
 }
 

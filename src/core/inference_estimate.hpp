@@ -72,7 +72,7 @@ std::optional<std::string> serve_invalid_reason(
 
 /// The ParallelConfig a serving replica evaluates under: 1D TP of sc.tp,
 /// sc.pp stages, nd = 1, one prompt microbatch, NVS placement packed
-/// innermost-group-first (the same packing rule the training search uses).
+/// innermost-group-first (ParallelConfig::pack_placement).
 parallel::ParallelConfig serving_parallel_config(const hw::SystemConfig& sys,
                                                  const ServingConfig& sc);
 

@@ -21,6 +21,14 @@ GpuSpec GpuSpec::with_compute(FlopsPerSec tensor, FlopsPerSec vector) const {
   return out;
 }
 
+bool same_roofline(const GpuSpec& a, const GpuSpec& b) {
+  return a.tensor_flops.value() == b.tensor_flops.value() &&
+         a.vector_flops.value() == b.vector_flops.value() &&
+         a.flops_latency.value() == b.flops_latency.value() &&
+         a.hbm_bandwidth.value() == b.hbm_bandwidth.value() &&
+         a.hbm_capacity.value() == b.hbm_capacity.value();
+}
+
 GpuSpec a100() {
   return GpuSpec{
       .name = "A100",

@@ -30,6 +30,12 @@ struct GpuSpec {
   GpuSpec with_compute(FlopsPerSec tensor, FlopsPerSec vector) const;
 };
 
+/// True when `a` and `b` have bitwise-equal rates, latency and HBM
+/// capacity (name and TDP are ignored). with_memory / with_compute grids
+/// can reuse a GPU name with different rates, so state bound to one
+/// roofline is reused only under this check.
+bool same_roofline(const GpuSpec& a, const GpuSpec& b);
+
 enum class GpuGeneration { A100, H200, B200 };
 
 /// Table A3 presets.

@@ -1,5 +1,6 @@
 #include "parallel/parallel_config.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <utility>
 
@@ -47,6 +48,26 @@ std::optional<TpStrategy> strategy_by_name(const std::string& key) {
 
 std::int64_t ParallelConfig::local_microbatch(std::int64_t global_batch) const {
   return global_batch / (nd * microbatches);
+}
+
+void ParallelConfig::pack_placement(std::int64_t nvs_domain) {
+  const auto largest_divisor_leq = [](std::int64_t n, std::int64_t cap) {
+    std::int64_t best = 1;
+    for (std::int64_t d = 1; d * d <= n; ++d) {
+      if (n % d) continue;
+      if (d <= cap) best = std::max(best, d);
+      if (n / d <= cap) best = std::max(best, n / d);
+    }
+    return best;
+  };
+  std::int64_t budget = nvs_domain;
+  nvs1 = largest_divisor_leq(n1, budget);
+  budget /= nvs1;
+  nvs2 = largest_divisor_leq(n2, budget);
+  budget /= nvs2;
+  nvsp = largest_divisor_leq(np, budget);
+  budget /= nvsp;
+  nvsd = largest_divisor_leq(nd, budget);
 }
 
 std::optional<std::string> ParallelConfig::invalid_reason(

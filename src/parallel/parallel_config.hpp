@@ -74,6 +74,12 @@ struct ParallelConfig {
   /// Per-GPU microbatch size for global batch `b`: b / (nd * m).
   std::int64_t local_microbatch(std::int64_t global_batch) const;
 
+  /// Greedy placement onto a fast domain of `nvs_domain` GPUs: give TP1 the
+  /// largest divisor of n1 that fits, then TP2, PP and DP from what is
+  /// left. The serving planner places this way; the training search
+  /// enumerates placements instead.
+  void pack_placement(std::int64_t nvs_domain);
+
   /// Checks every divisibility/feasibility constraint from S3 against the
   /// model, system and global batch. Returns an explanation when invalid.
   std::optional<std::string> invalid_reason(const model::TransformerConfig& mdl,

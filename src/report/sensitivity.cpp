@@ -4,18 +4,13 @@
 #include <functional>
 #include <stdexcept>
 
-#include "search/search.hpp"
-
 namespace tfpe::report {
 
 namespace {
 
 double optimal_time(const model::TransformerConfig& mdl,
                     const hw::SystemConfig& sys,
-                    parallel::TpStrategy strategy, std::int64_t b) {
-  search::SearchOptions opts;
-  opts.strategy = strategy;
-  opts.global_batch = b;
+                    const search::SearchOptions& opts) {
   const auto r = search::find_optimal(mdl, sys, opts);
   if (!r.best.feasible) return std::nan("");
   return r.best.iteration();
@@ -25,7 +20,7 @@ double optimal_time(const model::TransformerConfig& mdl,
 
 std::vector<Sensitivity> hardware_sensitivities(
     const model::TransformerConfig& mdl, const hw::SystemConfig& sys,
-    parallel::TpStrategy strategy, std::int64_t global_batch, double step) {
+    const search::SearchOptions& opts, double step) {
   if (step <= 0 || step >= 1) {
     throw std::invalid_argument("hardware_sensitivities: step in (0,1)");
   }
@@ -55,8 +50,8 @@ std::vector<Sensitivity> hardware_sensitivities(
     hw::SystemConfig up = sys, down = sys;
     knob.scale(up, 1.0 + step);
     knob.scale(down, 1.0 - step);
-    const double t_up = optimal_time(mdl, up, strategy, global_batch);
-    const double t_down = optimal_time(mdl, down, strategy, global_batch);
+    const double t_up = optimal_time(mdl, up, opts);
+    const double t_down = optimal_time(mdl, down, opts);
     Sensitivity s;
     s.parameter = knob.name;
     if (std::isnan(t_up) || std::isnan(t_down)) {

@@ -15,7 +15,7 @@
 
 #include "hw/system.hpp"
 #include "model/transformer.hpp"
-#include "parallel/parallel_config.hpp"
+#include "search/search.hpp"
 
 namespace tfpe::report {
 
@@ -26,10 +26,10 @@ struct Sensitivity {
 
 /// Elasticities for {tensor FLOPs, vector FLOPs, HBM bandwidth, HBM
 /// capacity, NVS bandwidth, IB bandwidth}, each via a symmetric +/- `step`
-/// relative perturbation with a full configuration re-search.
+/// relative perturbation with a full configuration re-search under `opts`
+/// (its strategy, global batch, candidate space and modeling extensions).
 std::vector<Sensitivity> hardware_sensitivities(
     const model::TransformerConfig& mdl, const hw::SystemConfig& sys,
-    parallel::TpStrategy strategy, std::int64_t global_batch,
-    double step = 0.25);
+    const search::SearchOptions& opts, double step = 0.25);
 
 }  // namespace tfpe::report

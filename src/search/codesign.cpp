@@ -111,6 +111,11 @@ CodesignResult run_codesign(const std::vector<model::TransformerConfig>& shapes,
         "run_sweep/run_codesign: search.threads is not supported (the scan "
         "owns the thread budget) — set SweepOptions::threads instead");
   }
+  if (!opts.sweep.search.prune) {
+    throw std::invalid_argument(
+        "run_sweep/run_codesign: search.prune = false is not supported (the "
+        "scan always prunes) — run find_optimal for the exhaustive sweep");
+  }
 
   CodesignResult out;
   const std::size_t ns = shapes.size();

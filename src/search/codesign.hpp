@@ -46,8 +46,9 @@
 //     reported as such, never with a fabricated optimum. The first shape
 //     has no incumbent, so a one-shape run never prunes.
 //   * Per point, candidates scan cheapest-lower-bound-first with a point-
-//     local incumbent, and all placements of a candidate are timed by one
-//     core::time_placements_batch call over the SoA arrays.
+//     local incumbent (the scan always prunes), and all placements of a
+//     candidate are timed by one core::time_placements_batch call over the
+//     SoA arrays.
 //
 // EXACTNESS CONTRACT: for every (shape, point) pair the driver scans, the
 // reported result is BITWISE identical — configuration, time and memory —
@@ -138,7 +139,8 @@ class CandidateCache {
 struct CodesignOptions {
   /// Scan knobs: `sweep.search` fixes the candidate space and global batch
   /// for every shape; `sweep.warm_start` / `sweep.threads` tune the scan.
-  /// search.top_k and search.threads must stay 0 (see SweepOptions).
+  /// search.top_k and search.threads must stay 0 and search.prune true
+  /// (see SweepOptions).
   SweepOptions sweep;
 
   /// Screen whole shapes with core::shape_time_floor against the per-point
@@ -195,7 +197,8 @@ struct CodesignResult {
 };
 
 /// Driver run over `shapes` x `points`. Throws std::invalid_argument when
-/// opts.sweep.search.top_k or .threads is nonzero (see SweepOptions).
+/// opts.sweep.search.top_k or .threads is nonzero or .prune is false (see
+/// SweepOptions).
 CodesignResult run_codesign(const std::vector<model::TransformerConfig>& shapes,
                             const std::vector<hw::SystemConfig>& points,
                             const CodesignOptions& opts);

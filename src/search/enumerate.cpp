@@ -26,18 +26,12 @@ std::vector<parallel::ParallelConfig> enumerate_parallel(
     nb_candidates = {1, 2, 4, 8, 16};
   }
 
-  auto keep = [](std::int64_t fixed, std::int64_t v) {
-    return fixed == 0 || fixed == v;
-  };
-
   for (std::int64_t n1 : divisors(n)) {
-    if (!keep(opts.fixed_n1, n1)) continue;
     if (mdl.heads % n1 || mdl.hidden % n1 || mdl.embed % n1) continue;
     if (mdl.kv_heads_or_default() % n1) continue;
     const std::int64_t rem1 = n / n1;
     for (std::int64_t n2 : divisors(rem1)) {
       if (opts.strategy == parallel::TpStrategy::TP1D && n2 != 1) continue;
-      if (!keep(opts.fixed_n2, n2)) continue;
       if (mdl.seq_len % (n1 * n2)) continue;
       if (opts.strategy == parallel::TpStrategy::Summa2D &&
           (mdl.embed % n2 || mdl.hidden % n2)) {
@@ -45,10 +39,8 @@ std::vector<parallel::ParallelConfig> enumerate_parallel(
       }
       const std::int64_t rem2 = rem1 / n2;
       for (std::int64_t np : divisors(rem2)) {
-        if (!keep(opts.fixed_np, np)) continue;
         if (mdl.depth % np) continue;
         const std::int64_t nd = rem2 / np;
-        if (!keep(opts.fixed_nd, nd)) continue;
         if (b % nd) continue;
         if (mdl.is_moe() &&
             (nd <= mdl.moe_experts ? mdl.moe_experts % nd != 0
@@ -57,12 +49,6 @@ std::vector<parallel::ParallelConfig> enumerate_parallel(
         }
         const std::int64_t local_batch = b / nd;
         for (std::int64_t m : divisors(local_batch)) {
-          if (!keep(opts.fixed_m, m)) continue;
-          const std::int64_t b_loc = local_batch / m;
-          if (opts.fixed_local_microbatch != 0 &&
-              b_loc != opts.fixed_local_microbatch) {
-            continue;
-          }
           for (std::int64_t nb : nb_candidates) {
             if (opts.strategy == parallel::TpStrategy::Summa2D &&
                 (mdl.embed % nb || mdl.hidden % nb)) {

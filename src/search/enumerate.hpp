@@ -23,15 +23,6 @@ struct EnumerationOptions {
   std::int64_t global_batch = 4096;
   std::int64_t n_gpus = 0;  ///< 0 -> use sys.n_gpus.
 
-  // 0 = unconstrained; otherwise pin that factor.
-  std::int64_t fixed_n1 = 0;
-  std::int64_t fixed_n2 = 0;
-  std::int64_t fixed_np = 0;
-  std::int64_t fixed_nd = 0;
-  std::int64_t fixed_m = 0;
-  /// Pin b/(nd*m) (the paper's "microbatch size 1" sweeps). 0 = free.
-  std::int64_t fixed_local_microbatch = 0;
-
   /// SUMMA panel counts to try; empty -> {1, 2, 4, 8, 16} (filtered by
   /// divisibility).
   std::vector<std::int64_t> nb_candidates;

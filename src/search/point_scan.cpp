@@ -10,23 +10,14 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-bool same_roofline(const hw::GpuSpec& a, const hw::GpuSpec& b) {
-  return a.tensor_flops.value() == b.tensor_flops.value() &&
-         a.vector_flops.value() == b.vector_flops.value() &&
-         a.flops_latency.value() == b.flops_latency.value() &&
-         a.hbm_bandwidth.value() == b.hbm_bandwidth.value() &&
-         a.hbm_capacity.value() == b.hbm_capacity.value();
-}
-
 }  // namespace
 
 PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
                         const std::vector<parallel::ParallelConfig>& configs,
                         std::size_t seed_index, ScanScratch& scratch,
                         ChainContext& chain) {
-  const SweepOptions& opts = sh.opts;
-  const std::int64_t b = opts.search.global_batch;
-  const core::EvalOptions& eval = opts.search.eval;
+  const std::int64_t b = sh.opts.search.global_batch;
+  const core::EvalOptions& eval = sh.opts.search.eval;
   const std::size_t n = configs.size();
   std::vector<core::PlacementTiming>& timings = scratch.timings;
   PointOutcome out;
@@ -40,7 +31,7 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
   // Rebind AFTER the fabric assignment: the pricer points at chain.fabric
   // (stable address) and precomputes its per-level terms.
   chain.pricer.rebind(chain.fabric);
-  if (chain.point == 0 || !same_roofline(chain.gpu, sys.gpu) ||
+  if (chain.point == 0 || !hw::same_roofline(chain.gpu, sys.gpu) ||
       chain.host_bw.value() != sys.host_bandwidth.value()) {
     for (ChainEntry& e : chain.entries) e.lb_ready = 0;
     for (ChainBlock& cb : chain.blocks) cb.bound = 0;
@@ -74,8 +65,7 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
     } else if (cfg.invalid_reason(sh.mdl, sys, b)) {
       continue;
     }
-    if (opts.search.search_placement && e.tail &&
-        e.tail->mem.total() > sys.gpu.hbm_capacity) {
+    if (e.tail && e.tail->mem.total() > sys.gpu.hbm_capacity) {
       // Screen-level capacity gate: a candidate compiled on an earlier
       // point of the chain whose tail already exceeds this point's
       // HBM is charged its one capacity probe right here and never enters
@@ -91,19 +81,17 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
       ++out.evaluated;
       continue;
     }
-    if (opts.search.prune) {
-      if (!e.lb_ready) {
-        e.lb_base = core::search_bounds_base(sh.mdl, sys, cfg, b, eval);
-        e.lb_ready = 1;
-      }
-      const core::SearchBounds bounds =
-          core::finish_search_bounds(e.lb_base, sh.mdl, chain.fabric, cfg);
-      if (Bytes(bounds.memory_floor) > sys.gpu.hbm_capacity) {
-        ++out.memory_pruned;
-        continue;
-      }
-      lb[i] = bounds.time_floor;
+    if (!e.lb_ready) {
+      e.lb_base = core::search_bounds_base(sh.mdl, sys, cfg, b, eval);
+      e.lb_ready = 1;
     }
+    const core::SearchBounds bounds =
+        core::finish_search_bounds(e.lb_base, sh.mdl, chain.fabric, cfg);
+    if (Bytes(bounds.memory_floor) > sys.gpu.hbm_capacity) {
+      ++out.memory_pruned;
+      continue;
+    }
+    lb[i] = bounds.time_floor;
     pending[i] = 1;
   }
 
@@ -113,11 +101,9 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
   for (std::size_t i = 0; i < n; ++i) {
     if (pending[i]) order.push_back(i);
   }
-  if (opts.search.prune) {
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t c) {
-      return lb[a] != lb[c] ? lb[a] < lb[c] : a < c;
-    });
-  }
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t c) {
+    return lb[a] != lb[c] ? lb[a] < lb[c] : a < c;
+  });
   time_ns += ns_since(screen_t0);
 
   std::vector<char>& done = scratch.done;
@@ -138,7 +124,7 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
   // point are too small to bracket with the stage clock; the stage profile
   // counts the heavyweight stage bodies.
   const auto evaluate = [&](std::size_t i, double cutoff) -> double {
-    parallel::ParallelConfig cfg = configs[i];
+    const parallel::ParallelConfig& cfg = configs[i];
     ChainEntry& e = chain.entries[i];
     auto compile_t0 = Clock::now();
     if (!e.tail) {
@@ -151,8 +137,7 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
       ++out.signature_reuses;
     }
     const core::SignatureTail& tail = *e.tail;
-    if (opts.search.search_placement &&
-        tail.mem.total() > sys.gpu.hbm_capacity) {
+    if (tail.mem.total() > sys.gpu.hbm_capacity) {
       // One capacity probe — the candidate's placements are never
       // enumerated, looked up, or timed, so the evaluation counters report
       // the work the scan actually did (the exhaustive reference charges
@@ -179,48 +164,38 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
     const auto time_t0 = Clock::now();
     core::EvalResult r;
     std::size_t evals = 0;
-    if (opts.search.search_placement) {
-      const auto placements = sh.placement_cache.get(cfg, sys.nvs_domain);
-      double floor = 0;
-      if (cutoff < std::numeric_limits<double>::infinity()) {
-        core::FloorWalk walk;
-        if (core::floor_walk_per_block(bat)) {
-          if (cb.walk_point != chain.point) {
-            cb.walk = core::floor_comm_walk(bat, cb.part.summa_panel_time,
-                                            chain.fabric, cfg, eval,
-                                            scratch.batch.row_floor);
-            cb.walk_point = chain.point;
-          }
-          walk = cb.walk;
-        } else {
-          walk = core::floor_comm_walk(bat, cb.part.summa_panel_time,
-                                       chain.fabric, cfg, eval,
-                                       scratch.batch.row_floor);
+    const auto placements = sh.placement_cache.get(cfg, sys.nvs_domain);
+    double floor = 0;
+    if (cutoff < std::numeric_limits<double>::infinity()) {
+      core::FloorWalk walk;
+      if (core::floor_walk_per_block(bat)) {
+        if (cb.walk_point != chain.point) {
+          cb.walk = core::floor_comm_walk(bat, cb.part.summa_panel_time,
+                                          chain.fabric, cfg, eval,
+                                          scratch.batch.row_floor);
+          cb.walk_point = chain.point;
         }
-        floor =
-            core::finish_placement_floor(walk, tail, bat, scratch.base, cfg);
+        walk = cb.walk;
+      } else {
+        walk = core::floor_comm_walk(bat, cb.part.summa_panel_time,
+                                     chain.fabric, cfg, eval,
+                                     scratch.batch.row_floor);
       }
-      bool screened = false;
-      // prevalidated: the screening loop / capacity gates above already
-      // decided validity and HBM fit for this candidate, so the scan's
-      // placement-invariant shortcut is provably dead.
-      r = scan_placements_batch(sh.mdl, sys, cfg, b, tail, bat, scratch.base,
-                                *placements, eval, evals,
-                                /*stop_after_infeasible=*/opts.search.prune,
-                                scratch.batch, timings, &chain.pricer,
-                                /*prevalidated=*/true, floor, cutoff,
-                                &screened);
-      if (screened) ++out.placement_floor_pruned;
-      if (!timings.empty()) {
-        ++out.batch_calls;
-        out.batch_placements += timings.size();
-      }
-    } else {
-      pack_placement(cfg, sys.nvs_domain);
-      r = scan_placements_batch(sh.mdl, sys, cfg, b, tail, bat, scratch.base,
-                                {{cfg.nvs1, cfg.nvs2, cfg.nvsp, cfg.nvsd}},
-                                eval, evals, /*stop_after_infeasible=*/true,
-                                scratch.batch, timings, &chain.pricer);
+      floor = core::finish_placement_floor(walk, tail, bat, scratch.base, cfg);
+    }
+    bool screened = false;
+    // prevalidated: the screening loop / capacity gates above already
+    // decided validity and HBM fit for this candidate, so the scan's
+    // placement-invariant shortcut is provably dead.
+    r = scan_placements_batch(sh.mdl, sys, cfg, b, tail, bat, scratch.base,
+                              *placements, eval, evals,
+                              /*stop_after_infeasible=*/true, scratch.batch,
+                              timings, &chain.pricer, /*prevalidated=*/true,
+                              floor, cutoff, &screened);
+    if (screened) ++out.placement_floor_pruned;
+    if (!timings.empty()) {
+      ++out.batch_calls;
+      out.batch_placements += timings.size();
     }
     out.evaluated += evals;
     time_ns += ns_since(time_t0);
@@ -252,7 +227,7 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
   for (std::size_t pos = 0; pos < order.size(); ++pos) {
     const std::size_t i = order[pos];
     if (done[i]) continue;
-    if (opts.search.prune && lb[i] > incumbent) {
+    if (lb[i] > incumbent) {
       // The order is lb-sorted: everything from here on is provably slower
       // than an achieved time (and a pruned candidate cannot tie, so the
       // index-order reduction below still picks find_optimal's answer).
@@ -264,10 +239,7 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
     // The placement-floor screen runs against the same running incumbent:
     // a screened candidate is slower than an achieved time, so it can
     // neither be nor tie the optimum.
-    const double t =
-        evaluate(i, opts.search.prune
-                        ? incumbent
-                        : std::numeric_limits<double>::infinity());
+    const double t = evaluate(i, incumbent);
     if (t < incumbent) incumbent = t;
   }
 

@@ -11,8 +11,7 @@
 // caches, groups points into chains and aggregates PointOutcome counters
 // into its stats. Everything here preserves the bitwise contract:
 // scan_point's best result equals find_optimal's optimum at the same
-// point, with or without a warm seed and pruning (see codesign.hpp for the
-// argument).
+// point, with or without a warm seed (see codesign.hpp for the argument).
 
 #include <atomic>
 #include <chrono>
@@ -171,9 +170,9 @@ struct ScanScratch {
 
 /// One grid point: scan the shared candidate list sequentially,
 /// cheapest-lower-bound-first with a point-local incumbent — optionally
-/// seeded by re-timing the chain parent's optimal candidate first. With
-/// pruning on, the running incumbent is also the cutoff of the
-/// placement-floor screen (see scan_placements_batch).
+/// seeded by re-timing the chain parent's optimal candidate first. The
+/// running incumbent cuts off the lb-sorted suffix and is also the cutoff
+/// of the placement-floor screen (see scan_placements_batch).
 /// Sequential on purpose: the callers' parallelism is across chains, and a
 /// sequential scan both updates the incumbent after every single candidate
 /// (tighter than find_optimal's round barriers) and keeps the per-point

@@ -28,26 +28,6 @@ bool same_optimum(const core::EvalResult& a, const core::EvalResult& b) {
          a.mem.total().value() == b.mem.total().value();
 }
 
-void pack_placement(parallel::ParallelConfig& cfg, std::int64_t nvs_domain) {
-  auto largest_divisor_leq = [](std::int64_t n, std::int64_t cap) {
-    std::int64_t best = 1;
-    for (std::int64_t d = 1; d * d <= n; ++d) {
-      if (n % d) continue;
-      if (d <= cap) best = std::max(best, d);
-      if (n / d <= cap) best = std::max(best, n / d);
-    }
-    return best;
-  };
-  std::int64_t budget = nvs_domain;
-  cfg.nvs1 = largest_divisor_leq(cfg.n1, budget);
-  budget /= cfg.nvs1;
-  cfg.nvs2 = largest_divisor_leq(cfg.n2, budget);
-  budget /= cfg.nvs2;
-  cfg.nvsp = largest_divisor_leq(cfg.np, budget);
-  budget /= cfg.nvsp;
-  cfg.nvsd = largest_divisor_leq(cfg.nd, budget);
-}
-
 core::EvalResult scan_placements_signature(
     const model::TransformerConfig& mdl, const hw::SystemConfig& sys,
     parallel::ParallelConfig cfg, std::int64_t global_batch,
@@ -193,8 +173,7 @@ core::EvalResult scan_placements(
     parallel::ParallelConfig cfg, std::int64_t global_batch,
     const parallel::LayerCost& layer,
     const std::vector<std::array<std::int64_t, 4>>& placements,
-    const core::EvalOptions& eval, std::size_t& evals,
-    bool stop_after_infeasible) {
+    const core::EvalOptions& eval, std::size_t& evals) {
   core::EvalResult best;
   best.cfg = cfg;
   best.reason = "no valid placement";
@@ -207,10 +186,7 @@ core::EvalResult scan_placements(
         core::evaluate_with_layer(mdl, sys, cfg, global_batch, layer, eval);
     ++evals;
     if (better_result(r, best)) best = r;
-    if (!r.feasible) {
-      if (!best.feasible) best = r;  // keep a concrete reason
-      if (stop_after_infeasible) break;
-    }
+    if (!r.feasible && !best.feasible) best = r;  // keep a concrete reason
   }
   return best;
 }
@@ -308,21 +284,15 @@ SweepState sweep(const model::TransformerConfig& mdl,
     // Exhaustive brute force (the seed engine): one op list per candidate,
     // one placement enumeration per candidate, no rejection.
     util::parallel_for_dynamic(pool, n, [&](std::size_t i) {
-      parallel::ParallelConfig cfg = st.configs[i];
-      if (opts.search_placement) {
-        const parallel::LayerCost layer =
-            parallel::build_layer(mdl, cfg, cfg.local_microbatch(b));
-        st.best_per_config[i] = scan_placements(
-            mdl, sys, cfg, b, layer, enumerate_placements(cfg, sys.nvs_domain),
-            opts.eval, st.evals_per_config[i], /*stop_after_infeasible=*/false);
-      } else {
-        pack_placement(cfg, sys.nvs_domain);
-        st.best_per_config[i] = core::evaluate(mdl, sys, cfg, b, opts.eval);
-        st.evals_per_config[i] = 1;
-      }
+      const parallel::ParallelConfig& cfg = st.configs[i];
+      const parallel::LayerCost layer =
+          parallel::build_layer(mdl, cfg, cfg.local_microbatch(b));
+      st.best_per_config[i] = scan_placements(
+          mdl, sys, cfg, b, layer, enumerate_placements(cfg, sys.nvs_domain),
+          opts.eval, st.evals_per_config[i]);
     });
     st.stats.build_layer_calls = n;
-    st.stats.placement_sets = opts.search_placement ? n : 0;
+    st.stats.placement_sets = n;
     return st;
   }
 
@@ -390,7 +360,7 @@ SweepState sweep(const model::TransformerConfig& mdl,
   // timing (infeasible results never reach the reduction's answer).
   // `cutoff` is the placement-floor screen's incumbent (+inf: no screen).
   auto evaluate_candidate = [&](std::size_t i, double cutoff) {
-    parallel::ParallelConfig cfg = st.configs[i];
+    const parallel::ParallelConfig& cfg = st.configs[i];
     const std::shared_ptr<const SearchBlock> blk =
         blocks.get(layer_key(mdl, cfg, b), [&] {
           SearchBlock sb;
@@ -409,48 +379,35 @@ SweepState sweep(const model::TransformerConfig& mdl,
     util::ObjectPool<ScanWorker>::Lease w = workers.acquire();
     if (!w->pricer.bound()) w->pricer.rebind(fabric);
     core::EvalResult r;
-    if (!opts.search_placement) {
-      pack_placement(cfg, sys.nvs_domain);
-      core::finish_bind(blk->part, tail, sys, w->base);
-      r = scan_placements_batch(mdl, sys, cfg, b, tail, blk->bat, w->base,
-                                {{cfg.nvs1, cfg.nvs2, cfg.nvsp, cfg.nvsd}},
-                                opts.eval, st.evals_per_config[i],
-                                /*stop_after_infeasible=*/true, w->scratch,
-                                w->timings, &w->pricer);
+    const auto placements = placement_cache.get(cfg, sys.nvs_domain);
+    if (placements->empty()) {
+      r.cfg = cfg;
+      r.reason = "no valid placement";
+    } else if (tail.mem.total() > sys.gpu.hbm_capacity) {
+      r.cfg = cfg;
+      r.mem = tail.mem;
+      r.reason = "exceeds HBM capacity";
+      st.evals_per_config[i] = 1;
     } else {
-      const auto placements = placement_cache.get(cfg, sys.nvs_domain);
-      if (placements->empty()) {
-        r.cfg = cfg;
-        r.reason = "no valid placement";
-      } else if (tail.mem.total() > sys.gpu.hbm_capacity) {
-        r.cfg = cfg;
-        r.mem = tail.mem;
-        r.reason = "exceeds HBM capacity";
-        st.evals_per_config[i] = 1;
-      } else {
-        core::finish_bind(blk->part, tail, sys, w->base);
-        double floor = 0;
-        if (use_incumbent &&
-            cutoff < std::numeric_limits<double>::infinity()) {
-          const core::FloorWalk walk =
-              core::floor_walk_per_block(blk->bat)
-                  ? blk->walk
-                  : core::floor_comm_walk(blk->bat, blk->part.summa_panel_time,
-                                          fabric, cfg, opts.eval,
-                                          w->scratch.row_floor);
-          floor = core::finish_placement_floor(walk, tail, blk->bat, w->base,
-                                               cfg);
-        }
-        bool screened = false;
-        r = scan_placements_batch(mdl, sys, cfg, b, tail, blk->bat, w->base,
-                                  *placements, opts.eval,
-                                  st.evals_per_config[i],
-                                  /*stop_after_infeasible=*/true, w->scratch,
-                                  w->timings, &w->pricer,
-                                  /*prevalidated=*/true, floor, cutoff,
-                                  &screened);
-        if (screened) floor_pruned.fetch_add(1, std::memory_order_relaxed);
+      core::finish_bind(blk->part, tail, sys, w->base);
+      double floor = 0;
+      if (use_incumbent && cutoff < std::numeric_limits<double>::infinity()) {
+        const core::FloorWalk walk =
+            core::floor_walk_per_block(blk->bat)
+                ? blk->walk
+                : core::floor_comm_walk(blk->bat, blk->part.summa_panel_time,
+                                        fabric, cfg, opts.eval,
+                                        w->scratch.row_floor);
+        floor =
+            core::finish_placement_floor(walk, tail, blk->bat, w->base, cfg);
       }
+      bool screened = false;
+      r = scan_placements_batch(mdl, sys, cfg, b, tail, blk->bat, w->base,
+                                *placements, opts.eval, st.evals_per_config[i],
+                                /*stop_after_infeasible=*/true, w->scratch,
+                                w->timings, &w->pricer, /*prevalidated=*/true,
+                                floor, cutoff, &screened);
+      if (screened) floor_pruned.fetch_add(1, std::memory_order_relaxed);
     }
     if (r.feasible) atomic_min(incumbent, r.iteration());
     st.best_per_config[i] = std::move(r);
@@ -470,7 +427,6 @@ SweepState sweep(const model::TransformerConfig& mdl,
     // neither the optimum nor its memory tie-break. The placement-floor
     // screen inside a round uses the same barrier incumbent t_best (not the
     // live atomic), so which candidates it settles is thread-invariant too.
-    const std::size_t round_size = std::max<std::size_t>(1, opts.round_size);
     std::size_t pos = 0;
     std::size_t active_end = order.size();
     while (pos < active_end) {
@@ -489,7 +445,8 @@ SweepState sweep(const model::TransformerConfig& mdl,
       active_end = new_end;
       if (pos >= active_end) break;
 
-      const std::size_t round_end = std::min(pos + round_size, active_end);
+      const std::size_t round_end =
+          std::min(pos + SearchOptions::round_size, active_end);
       util::parallel_for_dynamic(pool, round_end - pos,
                                  [&, pos, t_best](std::size_t j) {
                                    evaluate_candidate(order[pos + j], t_best);

@@ -27,7 +27,8 @@
 //     that is slower than the round's incumbent under every placement.
 // Pruning is conservative: the returned optimum is identical — same
 // configuration, same iteration time — to the exhaustive sweep's
-// (SearchOptions::prune = false).
+// (SearchOptions::prune = false, which evaluates every placement of every
+// candidate through the core::evaluate_with_layer oracle).
 
 #include <cstdint>
 #include <limits>
@@ -40,9 +41,6 @@
 namespace tfpe::search {
 
 struct SearchOptions : EnumerationOptions {
-  /// Search the NVS-domain placement of each group (S3 item 2). When false,
-  /// the fast domain is packed greedily onto TP1, then TP2, PP, DP.
-  bool search_placement = true;
   /// Worker threads; 0 -> hardware concurrency.
   unsigned threads = 0;
 
@@ -51,14 +49,14 @@ struct SearchOptions : EnumerationOptions {
   /// performed (SearchStats) differs. Incumbent-based pruning is
   /// automatically bypassed when top_k > 0, because near-optimal
   /// configurations must then survive to be ranked (the memory-floor
-  /// rejection and both caches still apply).
+  /// rejection and both caches still apply). run_sweep rejects false.
   bool prune = true;
 
   /// Candidates evaluated between incumbent re-reads in the pruned engine.
   /// Pruning decisions happen only at these round barriers, which keeps the
   /// evaluated/pruned counts — not just the optimum — invariant to the
   /// thread count.
-  std::size_t round_size = 64;
+  static constexpr std::size_t round_size = 64;
 
   /// Interleaved-pipeline chunk counts to try (extension; {1} = the paper's
   /// non-interleaved schedule).
@@ -172,10 +170,6 @@ bool same_optimum(const core::EvalResult& a, const core::EvalResult& b);
 std::vector<parallel::ParallelConfig> expand_candidates(
     const model::TransformerConfig& mdl, const hw::SystemConfig& sys,
     const SearchOptions& opts);
-
-/// Greedy packing of the fast domain when placement search is disabled:
-/// give NVS GPUs to TP1 first, then TP2, PP, DP.
-void pack_placement(parallel::ParallelConfig& cfg, std::int64_t nvs_domain);
 
 /// Whole-signature convenience scan over the kernel: lowers `sig`
 /// (lower_batched) and runs one non-prevalidated scan_placements_batch over

@@ -22,13 +22,15 @@
 namespace tfpe::search {
 
 struct SweepOptions {
-  /// Candidate space + evaluation extensions, shared by every grid point.
-  /// `search.prune` selects bounds + incumbent pruning per point.
+  /// Candidate space + evaluation extensions, shared by every grid point;
+  /// every point is scanned with bounds + incumbent pruning.
   /// UNSUPPORTED here and rejected loudly: `search.top_k` (run_sweep keeps
-  /// only the per-point optimum — rank with find_optimal instead) and
+  /// only the per-point optimum — rank with find_optimal instead),
   /// `search.threads` (the sweep owns the thread budget via `threads`
-  /// below; a nested per-point pool would silently oversubscribe). Leave
-  /// both at 0 or run_sweep throws std::invalid_argument.
+  /// below; a nested per-point pool would silently oversubscribe) and
+  /// `search.prune = false` (the exhaustive sweep is find_optimal's
+  /// reference mode). Leave them at their defaults or run_sweep throws
+  /// std::invalid_argument.
   SearchOptions search;
 
   /// Workers across chains of grid points; 0 = hardware concurrency.
@@ -136,7 +138,8 @@ struct SweepResult {
 
 /// Optimal configuration of `mdl` at every system in `points`.
 /// Throws std::invalid_argument when opts.search.top_k or
-/// opts.search.threads is nonzero (unsupported here; see SweepOptions).
+/// opts.search.threads is nonzero or opts.search.prune is false
+/// (unsupported here; see SweepOptions).
 SweepResult run_sweep(const model::TransformerConfig& mdl,
                       const std::vector<hw::SystemConfig>& points,
                       const SweepOptions& opts);

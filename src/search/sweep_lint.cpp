@@ -17,14 +17,6 @@ struct ChainKey {
   bool operator==(const ChainKey&) const = default;
 };
 
-bool same_roofline(const hw::GpuSpec& a, const hw::GpuSpec& b) {
-  return a.tensor_flops.value() == b.tensor_flops.value() &&
-         a.vector_flops.value() == b.vector_flops.value() &&
-         a.flops_latency.value() == b.flops_latency.value() &&
-         a.hbm_bandwidth.value() == b.hbm_bandwidth.value() &&
-         a.hbm_capacity.value() == b.hbm_capacity.value();
-}
-
 }  // namespace
 
 analysis::LintReport lint_sweep_plan(const std::vector<hw::SystemConfig>& points,
@@ -45,6 +37,11 @@ analysis::LintReport lint_sweep_plan(const std::vector<hw::SystemConfig>& points
               "search.threads is unsupported under run_sweep (the sweep "
               "owns the thread budget via SweepOptions::threads)");
   }
+  if (!opts.search.prune) {
+    sink.emit(RuleId::kSweepOptions, "<options>", 1.0, 0.0,
+              "search.prune = false is unsupported under run_sweep (it "
+              "always prunes; run find_optimal for the exhaustive sweep)");
+  }
 
   // --- sweep-warm-chain + per-point system sanity. ---
   std::vector<ChainKey> chain_keys;
@@ -64,7 +61,7 @@ analysis::LintReport lint_sweep_plan(const std::vector<hw::SystemConfig>& points
       continue;
     }
     const hw::SystemConfig& head = points[chain_first[c]];
-    if (!same_roofline(head.gpu, sys.gpu) ||
+    if (!hw::same_roofline(head.gpu, sys.gpu) ||
         head.host_bandwidth.value() != sys.host_bandwidth.value()) {
       std::ostringstream msg;
       msg << "grid point " << i << " shares warm-start chain (gpu=\""

@@ -2,8 +2,8 @@
 // Sweep-plan lint: static soundness checks on a sweep BEFORE it runs.
 //
 //   sweep-options     run_sweep's loudly-rejected knobs (search.top_k,
-//                     search.threads) caught as diagnostics instead of a
-//                     mid-sweep throw
+//                     search.threads, search.prune = false) caught as
+//                     diagnostics instead of a mid-sweep throw
 //   sweep-warm-chain  warm-start seeding chains key on (gpu.name, n_gpus);
 //                     grid points sharing a chain key but differing in
 //                     roofline or host link would seed from a predecessor

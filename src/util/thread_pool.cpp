@@ -63,35 +63,26 @@ void ThreadPool::worker_loop() {
   }
 }
 
-std::size_t parallel_for_dynamic(ThreadPool& pool, std::size_t count,
-                                 const std::function<void(std::size_t)>& body,
-                                 std::size_t grain,
-                                 const std::function<bool()>& stop) {
-  if (count == 0) return 0;
+void parallel_for_dynamic(ThreadPool& pool, std::size_t count,
+                          const std::function<void(std::size_t)>& body,
+                          std::size_t grain) {
+  if (count == 0) return;
   if (grain == 0) grain = 1;
   if (pool.size() == 1) {
     // One worker would claim every chunk in order anyway: run them on the
     // calling thread and skip the cross-thread submit/wait.
-    std::size_t executed = 0;
-    while (executed < count && !(stop && stop())) {
-      const std::size_t end = std::min(count, executed + grain);
-      for (std::size_t i = executed; i < end; ++i) body(i);
-      executed = end;
-    }
-    return executed;
+    for (std::size_t i = 0; i < count; ++i) body(i);
+    return;
   }
   std::atomic<std::size_t> cursor{0};
-  std::atomic<std::size_t> executed{0};
   std::atomic<bool> failed{false};
   const std::size_t chunks = (count + grain - 1) / grain;
   const std::size_t workers =
       std::min<std::size_t>(pool.size(), chunks);
   for (std::size_t w = 0; w < workers; ++w) {
-    pool.submit([&cursor, &executed, &failed, &body, &stop, count, grain] {
+    pool.submit([&cursor, &failed, &body, count, grain] {
       for (;;) {
-        if (failed.load(std::memory_order_relaxed) || (stop && stop())) {
-          return;
-        }
+        if (failed.load(std::memory_order_relaxed)) return;
         const std::size_t begin =
             cursor.fetch_add(grain, std::memory_order_relaxed);
         if (begin >= count) return;
@@ -104,25 +95,7 @@ std::size_t parallel_for_dynamic(ThreadPool& pool, std::size_t count,
           failed.store(true, std::memory_order_relaxed);
           throw;
         }
-        executed.fetch_add(end - begin, std::memory_order_relaxed);
       }
-    });
-  }
-  pool.wait_idle();
-  return executed.load();
-}
-
-void parallel_for_index(ThreadPool& pool, std::size_t count,
-                        const std::function<void(std::size_t)>& body) {
-  if (count == 0) return;
-  const std::size_t chunks = std::min<std::size_t>(count, pool.size() * 4);
-  const std::size_t per_chunk = (count + chunks - 1) / chunks;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t begin = c * per_chunk;
-    const std::size_t end = std::min(count, begin + per_chunk);
-    if (begin >= end) break;
-    pool.submit([begin, end, &body] {
-      for (std::size_t i = begin; i < end; ++i) body(i);
     });
   }
   pool.wait_idle();

@@ -1,10 +1,11 @@
 #pragma once
-// Fixed-size thread pool used by the brute-force configuration search (S3).
+// Fixed-size thread pool used by the configuration search (S3) and the
+// scan driver.
 //
 // The search evaluates hundreds of thousands of independent configurations;
-// parallel_for_index() splits an index range into contiguous chunks and runs
-// the body on pool threads. The pool is also exercised directly by the unit
-// tests as a standalone substrate.
+// parallel_for_dynamic() hands an index range to the pool threads in
+// dynamically claimed chunks. The pool is also exercised directly by the
+// unit tests as a standalone substrate.
 
 #include <condition_variable>
 #include <cstddef>
@@ -51,30 +52,17 @@ class ThreadPool {
 };
 
 /// Run body(i) for i in [0, count) across the pool, blocking until done.
-/// The body must be safe to invoke concurrently for distinct i. If a body
-/// throws, the first exception is rethrown here once every chunk has
-/// finished (as in parallel_for_dynamic).
-/// Splits the range into fixed contiguous chunks up-front; prefer
-/// parallel_for_dynamic when per-index cost is uneven.
-void parallel_for_index(ThreadPool& pool, std::size_t count,
-                        const std::function<void(std::size_t)>& body);
-
-/// Dynamically scheduled parallel-for: workers claim chunks of `grain`
-/// consecutive indices from a shared atomic cursor, so uneven per-index
-/// work (e.g. configurations with very different placement counts) cannot
-/// straggle one statically assigned worker.
-///
-/// If `stop` is provided, it is polled before each chunk claim; once it
-/// returns true no further chunks are claimed (in-flight chunks finish),
-/// abandoning the rest of the range. Returns the number of indices executed
-/// (== count when the loop was not stopped). A single-worker pool runs the
-/// body on the calling thread, in the same claim order.
+/// The body must be safe to invoke concurrently for distinct i. Workers
+/// claim chunks of `grain` consecutive indices from a shared atomic
+/// cursor, so uneven per-index work (e.g. configurations with very
+/// different placement counts) cannot straggle one statically assigned
+/// worker. A single-worker pool runs the body on the calling thread, in
+/// the same claim order.
 ///
 /// If a body throws, no further chunks are claimed, the in-flight ones
 /// finish, and the first exception is rethrown on the calling thread.
-std::size_t parallel_for_dynamic(ThreadPool& pool, std::size_t count,
-                                 const std::function<void(std::size_t)>& body,
-                                 std::size_t grain = 1,
-                                 const std::function<bool()>& stop = {});
+void parallel_for_dynamic(ThreadPool& pool, std::size_t count,
+                          const std::function<void(std::size_t)>& body,
+                          std::size_t grain = 1);
 
 }  // namespace tfpe::util

@@ -158,30 +158,26 @@ TEST(Codesign, ShapeFloorBelowEveryConfigFloor) {
 }
 
 /// Golden satellite: a single-shape co-design run IS find_optimal, bit for
-/// bit, with prune on and off (warm starts exercised too — with one shape
-/// they reduce to the PR 6 chain seeds).
+/// bit (warm starts exercised too — with one shape they reduce to the
+/// chain seeds).
 TEST(Codesign, SingleShapeReproducesFindOptimal) {
   const auto mdl = model::gpt3_175b();
   const auto points = search::hardware_grid(
       {hw::GpuGeneration::A100, hw::GpuGeneration::B200}, {4, 16}, 256);
-  for (bool prune : {false, true}) {
-    search::CodesignOptions opts;
-    opts.sweep.search.global_batch = 1024;
-    opts.sweep.search.prune = prune;
-    opts.sweep.warm_start = true;
-    opts.sweep.threads = 2;
-    const auto run = search::run_codesign({mdl}, points, opts);
-    ASSERT_EQ(run.best.size(), points.size());
-    for (std::size_t p = 0; p < points.size(); ++p) {
-      ASSERT_FALSE(run.pruned[0][p]);
-      const auto direct = search::find_optimal(mdl, points[p],
-                                               opts.sweep.search);
-      const std::string label =
-          "point " + std::to_string(p) + " prune=" + std::to_string(prune);
-      expect_same_optimum(direct.best, run.per_shape[0][p], label);
-      expect_same_optimum(direct.best, run.best[p].best, label);
-      if (direct.best.feasible) EXPECT_EQ(run.best[p].shape, 0u) << label;
-    }
+  search::CodesignOptions opts;
+  opts.sweep.search.global_batch = 1024;
+  opts.sweep.warm_start = true;
+  opts.sweep.threads = 2;
+  const auto run = search::run_codesign({mdl}, points, opts);
+  ASSERT_EQ(run.best.size(), points.size());
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    ASSERT_FALSE(run.pruned[0][p]);
+    const auto direct = search::find_optimal(mdl, points[p],
+                                             opts.sweep.search);
+    const std::string label = "point " + std::to_string(p);
+    expect_same_optimum(direct.best, run.per_shape[0][p], label);
+    expect_same_optimum(direct.best, run.best[p].best, label);
+    if (direct.best.feasible) EXPECT_EQ(run.best[p].shape, 0u) << label;
   }
 }
 
@@ -297,7 +293,8 @@ TEST(Codesign, StatsAreThreadInvariant) {
 }
 
 /// The placement-floor screen leaves every per-shape optimum bit-identical
-/// to the unscreened scan (prune = false, which also never screens).
+/// to find_optimal's exhaustive sweep (prune = false: no bounds, no screen,
+/// every placement through the evaluate_with_layer oracle).
 TEST(Codesign, PlacementFloorScreenKeepsOptima) {
   const auto shapes = small_family();
   const auto points = search::hardware_grid(
@@ -307,14 +304,13 @@ TEST(Codesign, PlacementFloorScreenKeepsOptima) {
   opts.sweep.threads = 2;
   opts.prune_shapes = false;
   const auto screened = search::run_codesign(shapes, points, opts);
-  opts.sweep.search.prune = false;
-  const auto full = search::run_codesign(shapes, points, opts);
   EXPECT_GT(screened.stats.placement_floor_pruned, 0u);
-  EXPECT_EQ(full.stats.placement_floor_pruned, 0u);
+  search::SearchOptions exhaustive = opts.sweep.search;
+  exhaustive.prune = false;
   for (std::size_t s = 0; s < shapes.size(); ++s) {
     for (std::size_t p = 0; p < points.size(); ++p) {
-      EXPECT_TRUE(search::same_optimum(screened.per_shape[s][p],
-                                       full.per_shape[s][p]))
+      const auto full = search::find_optimal(shapes[s], points[p], exhaustive);
+      EXPECT_TRUE(search::same_optimum(screened.per_shape[s][p], full.best))
           << "shape " << s << " point " << p;
     }
   }
@@ -445,6 +441,11 @@ TEST(Codesign, RejectsUnsupportedOptions) {
       std::invalid_argument);
   opts.sweep.search.top_k = 0;
   opts.sweep.search.threads = 2;
+  EXPECT_THROW(
+      search::run_codesign({model::gpt3_175b()}, points, opts),
+      std::invalid_argument);
+  opts.sweep.search.threads = 0;
+  opts.sweep.search.prune = false;
   EXPECT_THROW(
       search::run_codesign({model::gpt3_175b()}, points, opts),
       std::invalid_argument);

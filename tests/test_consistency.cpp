@@ -274,6 +274,10 @@ TEST(LintSweepPlan, RejectedEngineKnobsFireSweepOptions) {
       hw::make_system(hw::GpuGeneration::B200, 8, 64)};
   expect_only(search::lint_sweep_plan(points, opts),
               RuleId::kSweepOptions, "top_k = 3");
+  opts.search.top_k = 0;
+  opts.search.prune = false;
+  expect_only(search::lint_sweep_plan(points, opts),
+              RuleId::kSweepOptions, "prune = false");
 }
 
 // ------------------------------------------------------- cache-key probes

@@ -21,6 +21,33 @@ ParallelConfig base() {
   return c;
 }
 
+TEST(ParallelConfig, PackPlacementTable) {
+  // (nvs_domain, n1, n2, np, nd) -> (nvs1, nvs2, nvsp, nvsd): TP1 takes the
+  // largest divisor that fits, then TP2, PP and DP share what is left.
+  struct Row {
+    std::int64_t domain, n1, n2, np, nd, nvs1, nvs2, nvsp, nvsd;
+  };
+  const Row rows[] = {
+      {8, 8, 1, 16, 4, 8, 1, 1, 1},  {8, 4, 1, 16, 4, 4, 1, 2, 1},
+      {8, 2, 2, 1, 8, 2, 2, 1, 2},   {8, 6, 1, 3, 4, 6, 1, 1, 1},
+      {8, 3, 1, 5, 16, 3, 1, 1, 2},  {8, 4, 1, 4, 1, 4, 1, 2, 1},
+      {72, 8, 1, 8, 4, 8, 1, 8, 1},  {4, 1, 1, 1, 1, 1, 1, 1, 1},
+      {1, 8, 1, 8, 8, 1, 1, 1, 1},
+  };
+  for (const Row& r : rows) {
+    ParallelConfig c;
+    c.n1 = r.n1;
+    c.n2 = r.n2;
+    c.np = r.np;
+    c.nd = r.nd;
+    c.pack_placement(r.domain);
+    EXPECT_EQ(c.nvs1, r.nvs1) << c.describe();
+    EXPECT_EQ(c.nvs2, r.nvs2) << c.describe();
+    EXPECT_EQ(c.nvsp, r.nvsp) << c.describe();
+    EXPECT_EQ(c.nvsd, r.nvsd) << c.describe();
+  }
+}
+
 TEST(ParallelConfig, PaperFig1OptimumIsValid) {
   EXPECT_EQ(base().invalid_reason(mdl(), sys(), 4096), std::nullopt);
 }

@@ -51,11 +51,18 @@ TEST(OpReport, RejectsInvalidConfig) {
       std::invalid_argument);
 }
 
+search::SearchOptions search_opts(std::int64_t global_batch) {
+  search::SearchOptions opts;
+  opts.strategy = parallel::TpStrategy::TP1D;
+  opts.global_batch = global_batch;
+  return opts;
+}
+
 TEST(Sensitivity, TensorFlopsDominateForGpt) {
   // Paper Fig. A5a: FLOP rate is the primary factor for GPT3-1T.
   const auto sens = report::hardware_sensitivities(
       model::gpt3_175b(), hw::make_system(hw::GpuGeneration::B200, 8, 256),
-      parallel::TpStrategy::TP1D, 512);
+      search_opts(512));
   double tensor = 0, hbm_bw = 0;
   for (const auto& s : sens) {
     if (s.parameter == "tensor_flops") tensor = s.elasticity;
@@ -70,7 +77,7 @@ TEST(Sensitivity, ElasticitiesAreNonPositive) {
   // More of any resource never slows the optimum down.
   const auto sens = report::hardware_sensitivities(
       model::gpt3_175b(), hw::make_system(hw::GpuGeneration::A100, 4, 128),
-      parallel::TpStrategy::TP1D, 256);
+      search_opts(256));
   for (const auto& s : sens) {
     if (std::isnan(s.elasticity)) continue;
     EXPECT_LE(s.elasticity, 1e-9) << s.parameter;
@@ -81,8 +88,34 @@ TEST(Sensitivity, RejectsBadStep) {
   EXPECT_THROW(report::hardware_sensitivities(
                    model::gpt3_175b(),
                    hw::make_system(hw::GpuGeneration::B200, 8, 64),
-                   parallel::TpStrategy::TP1D, 64, 1.5),
+                   search_opts(64), 1.5),
                std::invalid_argument);
+}
+
+/// The elasticities describe the plan that was searched: every
+/// re-search runs under the caller's options (here tp_overlap = 0.9), so
+/// each elasticity is the central difference of two find_optimal calls
+/// under those options — not under the defaults.
+TEST(Sensitivity, ReSearchesUnderThePlanOptions) {
+  const auto mdl = model::gpt3_175b();
+  const auto sys = hw::make_system(hw::GpuGeneration::B200, 8, 256);
+  search::SearchOptions opts = search_opts(512);
+  opts.eval.tp_overlap = 0.9;
+  const auto sens = report::hardware_sensitivities(mdl, sys, opts);
+  ASSERT_EQ(sens.size(), 6u);
+  ASSERT_EQ(sens[4].parameter, "nvs_bandwidth");
+
+  const auto elasticity = [&](const search::SearchOptions& o) {
+    hw::SystemConfig up = sys, down = sys;
+    up.net.nvs_bandwidth *= 1.25;
+    down.net.nvs_bandwidth *= 0.75;
+    const double t_up = search::find_optimal(mdl, up, o).best.iteration();
+    const double t_down = search::find_optimal(mdl, down, o).best.iteration();
+    return (std::log(t_up) - std::log(t_down)) /
+           (std::log(1.25) - std::log(0.75));
+  };
+  EXPECT_EQ(sens[4].elasticity, elasticity(opts));
+  EXPECT_NE(sens[4].elasticity, elasticity(search_opts(512)));
 }
 
 TEST(ChromeTrace, EmitsOneEventPerTask) {

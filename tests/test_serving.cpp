@@ -14,7 +14,6 @@
 #include "io/config_lint.hpp"
 #include "memory/memory_model.hpp"
 #include "ops/op_factory.hpp"
-#include "search/search.hpp"
 #include "search/serve_plan.hpp"
 
 namespace tfpe {
@@ -189,30 +188,6 @@ TEST(Serving, CachedSignatureOverloadMatchesSelfCompile) {
   EXPECT_EQ(direct.tokens_per_sec_per_gpu, cached.tokens_per_sec_per_gpu);
   EXPECT_EQ(direct.admitted_batch, cached.admitted_batch);
   EXPECT_EQ(direct.mem.total().value(), cached.mem.total().value());
-}
-
-TEST(Serving, PlacementPackerAgreesWithTheTrainingSearch) {
-  // core cannot link against search/, so serving_parallel_config re-states
-  // pack_placement's divisor rule; this pins the two implementations
-  // together.
-  const auto sys = h200x8();
-  for (const std::int64_t tp : {1, 2, 4, 8}) {
-    for (const std::int64_t pp : {1, 2, 4}) {
-      core::ServingConfig sc;
-      sc.tp = tp;
-      sc.pp = pp;
-      const auto cfg = core::serving_parallel_config(sys, sc);
-      parallel::ParallelConfig ref;
-      ref.strategy = parallel::TpStrategy::TP1D;
-      ref.n1 = tp;
-      ref.np = pp;
-      ref.nd = 1;
-      ref.microbatches = 1;
-      search::pack_placement(ref, sys.nvs_domain);
-      EXPECT_EQ(cfg.nvs1, ref.nvs1) << "tp" << tp << " pp" << pp;
-      EXPECT_EQ(cfg.nvsp, ref.nvsp) << "tp" << tp << " pp" << pp;
-    }
-  }
 }
 
 TEST(Serving, ServePlanFrontIsAParetoFront) {

@@ -163,7 +163,7 @@ TEST(Signature, PipelineParamsFeedSimulator) {
   cfg.np = 8;
   cfg.nd = 2;
   cfg.microbatches = 16;
-  search::pack_placement(cfg, sys.nvs_domain);
+  cfg.pack_placement(sys.nvs_domain);
   const core::EvalResult ref = core::evaluate(mdl, sys, cfg, 256);
   ASSERT_TRUE(ref.feasible) << ref.reason;
 
@@ -298,9 +298,6 @@ TEST(Signature, CacheIsThreadSafe) {
   for (std::size_t t = 1; t < 4; ++t) EXPECT_EQ(seen[t], seen[0]);
 }
 
-/// The sweep engine must return, at every grid point, exactly the result
-/// find_optimal computes at that point — configuration, placement, time and
-/// memory bits — for both engine arms and both prune settings.
 /// PanelRoofline must construct with both attribution fields (and the panel
 /// budget) reading exactly Seconds(0): panel_roofline assigns only the
 /// dominant side, so the other is whatever construction left there.
@@ -906,34 +903,33 @@ TEST(BlockTail, MatchesWholeSignatureBitwise) {
   EXPECT_GT(moe_shared_across_nd, 1000u);
 }
 
+/// The sweep engine must return, at every grid point, exactly the result
+/// find_optimal computes at that point — configuration, placement, time and
+/// memory bits.
 TEST(Sweep, MatchesFindOptimalPerPoint) {
   const auto mdl = model::gpt3_175b();
   const auto points = search::hardware_grid(
       {hw::GpuGeneration::A100, hw::GpuGeneration::B200}, {4, 16}, 256);
   ASSERT_EQ(points.size(), 4u);
-  for (bool prune : {false, true}) {
-    search::SweepOptions opts;
-    opts.search.strategy = parallel::TpStrategy::TP1D;
-    opts.search.global_batch = 1024;
-    opts.search.prune = prune;
-    opts.threads = 2;
-    const auto swept = search::run_sweep(mdl, points, opts);
-    ASSERT_EQ(swept.best.size(), points.size());
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      search::SearchOptions po = opts.search;
-      const auto direct = search::find_optimal(mdl, points[i], po);
-      ASSERT_EQ(swept.best[i].feasible, direct.best.feasible) << i;
-      if (!direct.best.feasible) continue;
-      EXPECT_EQ(swept.best[i].cfg.describe(), direct.best.cfg.describe());
-      EXPECT_EQ(swept.best[i].iteration(), direct.best.iteration());
-      EXPECT_EQ(swept.best[i].mem.total().value(),
-                direct.best.mem.total().value());
-    }
-    EXPECT_EQ(swept.stats.points, points.size());
-    if (prune) EXPECT_GT(swept.stats.bound_pruned, 0u);
-    EXPECT_GT(swept.stats.signature_cache_hits, 0u);
-    EXPECT_GT(swept.stats.signature_compiles, 0u);
+  search::SweepOptions opts;
+  opts.search.strategy = parallel::TpStrategy::TP1D;
+  opts.search.global_batch = 1024;
+  opts.threads = 2;
+  const auto swept = search::run_sweep(mdl, points, opts);
+  ASSERT_EQ(swept.best.size(), points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const auto direct = search::find_optimal(mdl, points[i], opts.search);
+    ASSERT_EQ(swept.best[i].feasible, direct.best.feasible) << i;
+    if (!direct.best.feasible) continue;
+    EXPECT_EQ(swept.best[i].cfg.describe(), direct.best.cfg.describe());
+    EXPECT_EQ(swept.best[i].iteration(), direct.best.iteration());
+    EXPECT_EQ(swept.best[i].mem.total().value(),
+              direct.best.mem.total().value());
   }
+  EXPECT_EQ(swept.stats.points, points.size());
+  EXPECT_GT(swept.stats.bound_pruned, 0u);
+  EXPECT_GT(swept.stats.signature_cache_hits, 0u);
+  EXPECT_GT(swept.stats.signature_compiles, 0u);
 }
 
 /// Per-point counters must not depend on the worker count.

@@ -34,43 +34,39 @@ void expect_same_optimum(const core::EvalResult& ref,
 }
 
 /// The sweep engine — cold and warm-started — must land on find_optimal's
-/// optimum bit for bit, pruned or exhaustive.
+/// optimum bit for bit.
 TEST(Sweep, BatchedWarmStartedMatchesFindOptimal) {
   const auto mdl = model::gpt3_175b();
   const auto points = search::hardware_grid(
       {hw::GpuGeneration::A100, hw::GpuGeneration::B200}, {4, 16}, 256);
-  for (bool prune : {false, true}) {
-    for (bool warm : {false, true}) {
-      search::SweepOptions opts;
-      opts.search.strategy = parallel::TpStrategy::TP1D;
-      opts.search.global_batch = 1024;
-      opts.search.prune = prune;
-      opts.warm_start = warm;
-      opts.threads = 2;
-      const auto swept = search::run_sweep(mdl, points, opts);
-      ASSERT_EQ(swept.best.size(), points.size());
-      for (std::size_t i = 0; i < points.size(); ++i) {
-        const auto direct = search::find_optimal(mdl, points[i], opts.search);
-        expect_same_optimum(direct.best, swept.best[i],
-                            "point " + std::to_string(i) + " warm=" +
-                                std::to_string(warm) + " prune=" +
-                                std::to_string(prune));
-      }
-      if (warm) {
-        // Two chains (A100, B200) of two points each: exactly the second
-        // point of each chain is seeded.
-        EXPECT_EQ(swept.stats.warm_seeded, 2u);
-        EXPECT_LE(swept.stats.warm_seed_feasible, swept.stats.warm_seeded);
-      } else {
-        EXPECT_EQ(swept.stats.warm_seeded, 0u);
-      }
-      EXPECT_GT(swept.stats.batch_calls, 0u);
-      EXPECT_GT(swept.stats.signature_lowers, 0u);
-      // The batch kernel runs once per feasible candidate scan; the
-      // capacity gates and pruning keep some evals out of batches.
-      EXPECT_LE(swept.stats.batch_placements, swept.stats.evaluated);
-      EXPECT_GE(swept.stats.batch_occupancy(), 1.0);
+  for (bool warm : {false, true}) {
+    search::SweepOptions opts;
+    opts.search.strategy = parallel::TpStrategy::TP1D;
+    opts.search.global_batch = 1024;
+    opts.warm_start = warm;
+    opts.threads = 2;
+    const auto swept = search::run_sweep(mdl, points, opts);
+    ASSERT_EQ(swept.best.size(), points.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      const auto direct = search::find_optimal(mdl, points[i], opts.search);
+      expect_same_optimum(
+          direct.best, swept.best[i],
+          "point " + std::to_string(i) + " warm=" + std::to_string(warm));
     }
+    if (warm) {
+      // Two chains (A100, B200) of two points each: exactly the second
+      // point of each chain is seeded.
+      EXPECT_EQ(swept.stats.warm_seeded, 2u);
+      EXPECT_LE(swept.stats.warm_seed_feasible, swept.stats.warm_seeded);
+    } else {
+      EXPECT_EQ(swept.stats.warm_seeded, 0u);
+    }
+    EXPECT_GT(swept.stats.batch_calls, 0u);
+    EXPECT_GT(swept.stats.signature_lowers, 0u);
+    // The batch kernel runs once per feasible candidate scan; the
+    // capacity gates and pruning keep some evals out of batches.
+    EXPECT_LE(swept.stats.batch_placements, swept.stats.evaluated);
+    EXPECT_GE(swept.stats.batch_occupancy(), 1.0);
   }
 }
 
@@ -140,6 +136,11 @@ TEST(Sweep, RejectsUnsupportedOptions) {
   search::SweepOptions threads = opts;
   threads.search.threads = 2;
   EXPECT_THROW(search::run_sweep(mdl, points, threads), std::invalid_argument);
+
+  search::SweepOptions exhaustive = opts;
+  exhaustive.search.prune = false;
+  EXPECT_THROW(search::run_sweep(mdl, points, exhaustive),
+               std::invalid_argument);
 
   // And the supported surface still runs (empty grid short-circuits after
   // validation).

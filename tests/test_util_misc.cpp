@@ -140,60 +140,28 @@ TEST(ThreadPool, RunsAllTasks) {
   EXPECT_EQ(counter.load(), 100);
 }
 
-TEST(ThreadPool, ParallelForCoversRange) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(257);
-  parallel_for_index(pool, hits.size(),
-                     [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForEmptyRange) {
-  ThreadPool pool(2);
-  bool called = false;
-  parallel_for_index(pool, 0, [&](std::size_t) { called = true; });
-  EXPECT_FALSE(called);
-}
-
 TEST(ThreadPool, DynamicForCoversRangeOncePerIndex) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(1003);
-  const std::size_t executed = parallel_for_dynamic(
-      pool, hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
-  EXPECT_EQ(executed, hits.size());
+  parallel_for_dynamic(pool, hits.size(),
+                       [&](std::size_t i) { hits[i].fetch_add(1); });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, DynamicForGrainedChunks) {
   ThreadPool pool(3);
   std::vector<std::atomic<int>> hits(130);  // not a multiple of the grain
-  const std::size_t executed = parallel_for_dynamic(
+  parallel_for_dynamic(
       pool, hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); },
       /*grain=*/32);
-  EXPECT_EQ(executed, hits.size());
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, DynamicForEmptyRange) {
   ThreadPool pool(2);
   bool called = false;
-  const std::size_t executed =
-      parallel_for_dynamic(pool, 0, [&](std::size_t) { called = true; });
-  EXPECT_EQ(executed, 0u);
+  parallel_for_dynamic(pool, 0, [&](std::size_t) { called = true; });
   EXPECT_FALSE(called);
-}
-
-TEST(ThreadPool, DynamicForStopsEarly) {
-  // A single worker (deterministic claim order) with grain 1: stop after
-  // the 10th index -> exactly the first 10 run, and the return value says
-  // how many were executed.
-  ThreadPool pool(1);
-  std::atomic<int> ran{0};
-  const std::size_t executed = parallel_for_dynamic(
-      pool, 1000, [&](std::size_t) { ran.fetch_add(1); },
-      /*grain=*/1, /*stop=*/[&] { return ran.load() >= 10; });
-  EXPECT_EQ(executed, 10u);
-  EXPECT_EQ(ran.load(), 10);
 }
 
 TEST(ThreadPool, DynamicForCarriesWorkerExceptionToCaller) {
@@ -228,62 +196,32 @@ TEST(ThreadPool, WaitIdleRethrowsTaskExceptionOnce) {
   EXPECT_THROW(pool.wait_idle(), std::runtime_error);
   EXPECT_EQ(ran.load(), 20);
   EXPECT_NO_THROW(pool.wait_idle());
-  EXPECT_THROW(parallel_for_index(pool, 100,
-                                  [](std::size_t i) {
-                                    if (i == 7) {
-                                      throw std::runtime_error("index 7");
-                                    }
-                                  }),
+  EXPECT_THROW(parallel_for_dynamic(pool, 100,
+                                    [](std::size_t i) {
+                                      if (i == 7) {
+                                        throw std::runtime_error("index 7");
+                                      }
+                                    }),
                std::runtime_error);
 }
 
 TEST(ThreadPool, DynamicForSingleWorkerRunsInlineInClaimOrder) {
   // A one-worker pool runs the body on the calling thread, index by index
-  // in claim order; stop is polled before each grain-sized chunk, so a
-  // stop raised mid-chunk still finishes that chunk and is counted.
+  // in claim order.
   ThreadPool pool(1);
   const std::thread::id caller = std::this_thread::get_id();
   std::vector<std::size_t> order;
   bool on_caller = true;
-  std::size_t executed = parallel_for_dynamic(
+  parallel_for_dynamic(
       pool, 10,
       [&](std::size_t i) {
         order.push_back(i);
         on_caller = on_caller && std::this_thread::get_id() == caller;
       },
       /*grain=*/3);
-  EXPECT_EQ(executed, 10u);
   EXPECT_TRUE(on_caller);
   ASSERT_EQ(order.size(), 10u);
   for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
-
-  order.clear();
-  executed = parallel_for_dynamic(
-      pool, 10, [&](std::size_t i) { order.push_back(i); }, /*grain=*/3,
-      /*stop=*/[&] { return order.size() >= 4; });
-  EXPECT_EQ(executed, 6u);
-  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));
-}
-
-TEST(ThreadPool, DynamicForStopNeverLosesInFlightWork) {
-  // With many workers, stopping must still count every executed index.
-  ThreadPool pool(8);
-  std::atomic<int> ran{0};
-  std::vector<std::atomic<int>> hits(512);
-  const std::size_t executed = parallel_for_dynamic(
-      pool, hits.size(),
-      [&](std::size_t i) {
-        hits[i].fetch_add(1);
-        ran.fetch_add(1);
-      },
-      /*grain=*/4, /*stop=*/[&] { return ran.load() >= 64; });
-  int total = 0;
-  for (auto& h : hits) {
-    EXPECT_LE(h.load(), 1);
-    total += h.load();
-  }
-  EXPECT_EQ(executed, static_cast<std::size_t>(total));
-  EXPECT_GE(executed, 64u);
 }
 
 TEST(AsciiHeatmap, RendersAndScales) {

@@ -128,7 +128,7 @@ TEST(Workload, TrainingAdapterBitwiseMatrix) {
     for (const auto gen : {hw::GpuGeneration::A100, hw::GpuGeneration::B200}) {
       const auto sys = hw::make_system(gen, 8, 64);
       for (Case c : cases) {
-        search::pack_placement(c.cfg, sys.nvs_domain);
+        c.cfg.pack_placement(sys.nvs_domain);
         if (c.cfg.invalid_reason(mdl, sys, c.batch)) continue;
         const std::string label =
             mdl.name + "/" + sys.gpu.name + "/" + c.cfg.describe();

@@ -1254,8 +1254,8 @@ Work plan_cmd(const util::ArgParser& args) {
 
     if (want_sens) {
       std::cout << "\nHardware elasticities (d log time / d log parameter):\n";
-      for (const auto& s : report::hardware_sensitivities(
-               mdl, sys, best_strategy, opts.global_batch)) {
+      opts.strategy = best_strategy;
+      for (const auto& s : report::hardware_sensitivities(mdl, sys, opts)) {
         std::cout << "  " << s.parameter << ": "
                   << util::format_fixed(s.elasticity, 3) << "\n";
       }
