@@ -45,7 +45,83 @@ constexpr double kAttentionFwdBwd = 3.5;
 /// 3 backward at FP16. The roofline charges at least the HBM side.
 constexpr double kVectorBytesPerElement = 5.0 * ops::kBytesPerElement;
 
+/// Relative slack on the TP communication floor. The volumes are summed
+/// in a different order than the builders' per-request byte counts, so the
+/// floor can land a few ulps above the kernel's walk of the same requests.
+constexpr double kTpCommFloorSlack = 1e-9;
+
+/// Fill base.tp1_bytes / tp2_bytes: the per-layer, per-microbatch TP
+/// collective bytes (forward + conjugate backward) every placement moves
+/// on TP1 and TP2, with the builders' own Table A2 volumes, scaled to what
+/// the evaluator exposes. A single-panel op exposes (1 - tp_overlap) of
+/// its comm; an op split into nb > 1 panels exposes at least one panel's
+/// comm per panel step, t + max(0, t - t_panel)(nb - 1) >= t, so it counts
+/// bytes/nb. Ring attention, the MoE MLP and recompute's repeated forward
+/// are left out (floors only shrink).
+void tp_comm_volumes(const model::TransformerConfig& mdl,
+                     const parallel::ParallelConfig& cfg, double b_loc,
+                     const EvalOptions& opts, SearchBoundsBase& out) {
+  constexpr double kb = ops::kBytesPerElement;
+  const double exposed = 1.0 - opts.tp_overlap;
+  const double l = static_cast<double>(mdl.seq_len);
+  const double e = static_cast<double>(mdl.embed);
+  const double f = static_cast<double>(mdl.hidden);
+  const double ekv = static_cast<double>(mdl.kv_embed());
+  const double n1 = static_cast<double>(cfg.n1);
+  const double n2 = static_cast<double>(cfg.n2);
+  const double bl = b_loc * l;
+
+  // Attention K/V over n2 (2D and SUMMA): two AllGathers forward and their
+  // ReduceScatters backward, or the linear-attention state AllReduce.
+  const auto kv_bytes = [&] {
+    if (mdl.attention == model::AttentionKind::kLinear) {
+      const double eh = static_cast<double>(mdl.head_dim());
+      const double hkv = static_cast<double>(mdl.kv_heads_or_default());
+      return 2.0 * kb * b_loc * (hkv / n1) * eh * eh;
+    }
+    if (cfg.ring_attention) return 0.0;
+    const double gather_len =
+        mdl.attention == model::AttentionKind::kWindowed
+            ? std::min(l, l / n2 + static_cast<double>(mdl.window))
+            : l;
+    return 4.0 * kb * b_loc * gather_len * ekv / n1;
+  };
+  // AG/RS pairs on the residual stream over n1: ln1, out_proj, ln2 and
+  // (dense only) mlp_fc2.
+  const double pairs = mdl.is_moe() ? 3.0 : 4.0;
+
+  switch (cfg.strategy) {
+    case parallel::TpStrategy::TP1D:
+      out.tp1_bytes = pairs * 2.0 * kb * bl * e * exposed;
+      break;
+    case parallel::TpStrategy::TP2D:
+      out.tp1_bytes = pairs * 2.0 * kb * (bl / n2) * e * exposed;
+      out.tp2_bytes = kv_bytes() * exposed;
+      break;
+    case parallel::TpStrategy::Summa2D: {
+      // LN AllReduce x2 and the out_proj ReduceScatter over n1, then the
+      // three SUMMA multiplies: per summa_matmul 3 M*K/n2 elements over n1
+      // (forward broadcast, backward broadcast + reduce) and 3 K*N/n1
+      // over n2, with M = bl.
+      const double panel = cfg.nb > 1 ? 1.0 / static_cast<double>(cfg.nb)
+                                      : exposed;
+      out.tp1_bytes = 3.0 * 2.0 * kb * (bl / n2) * e * exposed +
+                      3.0 * kb * bl * (e + e + f) / n2 * panel;
+      out.tp2_bytes = kv_bytes() * exposed +
+                      3.0 * kb * (e * (e + 2.0 * ekv) + e * f + f * e) / n1 *
+                          panel;
+      break;
+    }
+  }
+}
+
 }  // namespace
+
+Seconds tp_comm_floor(const SearchBoundsBase& base, const hw::Topology& fabric,
+                      const parallel::ParallelConfig& cfg) {
+  return comm::collective_time_floor(fabric, cfg.n1, Bytes(base.tp1_bytes)) +
+         comm::collective_time_floor(fabric, cfg.n2, Bytes(base.tp2_bytes));
+}
 
 SearchBounds search_bounds(const model::TransformerConfig& mdl,
                            const hw::SystemConfig& sys,
@@ -113,8 +189,9 @@ SearchBoundsBase search_bounds_base(const model::TransformerConfig& mdl,
   const double micros = static_cast<double>(cfg.microbatches) +
                         static_cast<double>(cfg.np - 1) /
                             static_cast<double>(cfg.interleave);
+  out.micro_layers = micros * layers;
   out.compute_floor =
-      micros * layers *
+      out.micro_layers *
       ((Flops(flops) / sys.gpu.tensor_flops).value() + t_vec);
 
   // Distributed Adam reads/writes ~28 B per locally updated parameter at
@@ -147,6 +224,7 @@ SearchBoundsBase search_bounds_base(const model::TransformerConfig& mdl,
   out.stage_params_floor = stage_params_floor;
   out.bl = bl;
   out.tp = tp;
+  tp_comm_volumes(mdl, cfg, b_loc, opts, out);
   return out;
 }
 
@@ -157,6 +235,12 @@ SearchBounds finish_search_bounds(const SearchBoundsBase& base,
   SearchBounds out;
   out.time_floor = base.compute_floor;
   out.memory_floor = base.memory_floor;
+
+  // Exposed TP collectives: every op adds its comm to its roofline time,
+  // and the stage times (comm included) feed the 1F1B bubble.
+  out.time_floor += (tp_comm_floor(base, fabric, cfg) *
+                     (base.micro_layers * (1.0 - kTpCommFloorSlack)))
+                        .value();
 
   // --- Network floors from the fabric's bottleneck levels. ---
   // Bandwidth-only (latency dropped), so they hold for every placement and

@@ -3,10 +3,10 @@
 //
 // For a parallelization configuration these bound, WITHOUT building the op
 // list (no build_layer call):
-//   * time_floor   — a compute-only FLOP-time floor on the iteration time,
-//                    valid for every NVS placement and every EvalOptions
-//                    setting (overlap/offload/recompute only add time or
-//                    move communication, never reduce the matmul FLOPs).
+//   * time_floor   — a FLOP-time plus exposed-TP-communication floor on
+//                    the iteration time, valid for every NVS placement
+//                    under the EvalOptions passed (the TP term reads
+//                    tp_overlap; offload/recompute only add time).
 //   * memory_floor — a placement-independent floor on the busiest GPU's
 //                    resident bytes, valid for every placement.
 //
@@ -41,7 +41,27 @@
 //     element counts summing to the unsharded totals; the roofline charges
 //     at least their HBM traffic (5 element reads+writes fwd+bwd at FP16).
 //   * 1F1B iteration time is at least (m + (np-1)/v) per-stage microbatch
-//     times, and each of those is at least the stage's FLOP + vector time.
+//     times, and each of those is at least the stage's FLOP + vector time
+//     plus its exposed TP communication.
+//   * TP communication: every placement moves the builders' Table A2
+//     volumes on the n1 and n2 groups — 1D the AG/RS pairs on the full
+//     activation (4 dense, 3 MoE: the MoE MLP is skipped); 2D the same
+//     pairs on the l/n2 shard over n1 and the K/V AllGathers (or the
+//     linear-attention AllReduce) over n2; SUMMA the two LN AllReduces and
+//     the out_proj ReduceScatter over n1, the K/V gathers over n2, and per
+//     summa_matmul 3 M*K/n2 bytes over n1 and 3 K*N/n1 over n2. Single-
+//     panel ops count (1 - tp_overlap) of their bytes and nb-panel ops
+//     bytes/nb (their exposure t + max(0, t - t_panel)(nb - 1) is >= the
+//     first panel's t). Ring attention, the MoE MLP, DP/PP traffic and
+//     recompute's repeated forward comm are left out.
+//     Why this stays a lower bound: the evaluator's op time is roofline
+//     compute PLUS exposed comm (they add, not max), and the stage times,
+//     comm included, feed the bubble, so iteration() >= (m + (np-1)/v) *
+//     layers * (compute floor + comm floor) plus the Adam, P2P and ZeRO-3
+//     terms. comm::collective_time_floor is a max of per-level terms each
+//     linear in the bytes, so one call on a group's summed volume equals
+//     the sum of the per-request floors up to rounding, which a 1e-9
+//     relative slack absorbs (as the placement-floor screen's does).
 //   * Network floors walk the resolved hw::Topology: the pipeline handoff
 //     pays at least the boundary-tensor wire time over the fabric's fastest
 //     single link, and ZeRO-3's per-microbatch weight-gather/grad-scatter
@@ -66,13 +86,14 @@ struct SearchBounds {
 
 /// Bounds for `cfg` on `sys`. `cfg` must satisfy the divisibility
 /// constraints (invalid_reason() == nullopt with unit placement); the
-/// placement fields are ignored. `opts` is consulted for the extensions
-/// that change the memory floor (activation offload).
+/// placement fields are ignored. The bounds hold for evaluations under
+/// `opts` (tp_overlap scales the TP floor, activation offload the memory
+/// floor) and no others: it must be the options the search times with.
 SearchBounds search_bounds(const model::TransformerConfig& mdl,
                            const hw::SystemConfig& sys,
                            const parallel::ParallelConfig& cfg,
                            std::int64_t global_batch,
-                           const EvalOptions& opts = {});
+                           const EvalOptions& opts);
 
 /// Same bounds, with the fabric resolved by the caller. The convenience
 /// overload above calls sys.resolved_fabric() internally; a screen that
@@ -84,7 +105,7 @@ SearchBounds search_bounds(const model::TransformerConfig& mdl,
                            const hw::Topology& fabric,
                            const parallel::ParallelConfig& cfg,
                            std::int64_t global_batch,
-                           const EvalOptions& opts = {});
+                           const EvalOptions& opts);
 
 /// The fabric-independent prefix of search_bounds: the compute/optimizer
 /// time floor, the memory floor, and the intermediates the network terms
@@ -96,13 +117,23 @@ struct SearchBoundsBase {
   double stage_params_floor = 0; ///< reused by the ZeRO-3 collective floor
   double bl = 0;                 ///< local batch x seq_len (P2P volume)
   double tp = 0;                 ///< n1 * n2 (P2P volume divisor)
+  double micro_layers = 0;       ///< (m + (np-1)/v) * layers per stage
+  /// Exposed TP bytes per layer per microbatch (fwd + bwd) on n1 / n2.
+  double tp1_bytes = 0, tp2_bytes = 0;
 };
 
 SearchBoundsBase search_bounds_base(const model::TransformerConfig& mdl,
                                     const hw::SystemConfig& sys,
                                     const parallel::ParallelConfig& cfg,
                                     std::int64_t global_batch,
-                                    const EvalOptions& opts = {});
+                                    const EvalOptions& opts);
+
+/// The per-layer, per-microbatch exposed TP communication floor (fwd +
+/// bwd) of a base on `fabric`: collective_time_floor of tp1_bytes over n1
+/// plus that of tp2_bytes over n2. finish_search_bounds adds it times
+/// micro_layers; it is at most the block's floor_comm_walk fwd + bwd.
+Seconds tp_comm_floor(const SearchBoundsBase& base, const hw::Topology& fabric,
+                      const parallel::ParallelConfig& cfg);
 
 /// Add the fabric-dependent network floors to a base. search_bounds(...)
 /// is exactly finish_search_bounds(search_bounds_base(...), ...) — the

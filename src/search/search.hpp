@@ -6,8 +6,8 @@
 // The default engine is a prune-and-memoize branch-and-bound over the
 // enumerated space:
 //   * cheap analytic lower bounds (core/lower_bounds.hpp) reject
-//     configurations whose compute-only FLOP floor already exceeds the
-//     shared incumbent (best achieved iteration time) or whose
+//     configurations whose FLOP + exposed-TP-communication floor already
+//     exceeds the shared incumbent (best achieved iteration time) or whose
 //     placement-independent memory floor exceeds HBM, before any op list
 //     is built;
 //   * a concurrent block cache shares one lowered layer across all

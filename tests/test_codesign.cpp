@@ -150,7 +150,7 @@ TEST(Codesign, ShapeFloorBelowEveryConfigFloor) {
     for (const auto& cfg : configs) {
       if (cfg.invalid_reason(shape, sys, opts.global_batch)) continue;
       const auto bounds =
-          core::search_bounds(shape, sys, cfg, opts.global_batch);
+          core::search_bounds(shape, sys, cfg, opts.global_batch, opts.eval);
       EXPECT_LE(floor, bounds.time_floor * (1.0 + 1e-12))
           << shape.name << " " << cfg.describe();
     }

@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/batched_signature.hpp"
 #include "core/lower_bounds.hpp"
 #include "hw/topology.hpp"
 #include "search/search.hpp"
@@ -358,7 +359,7 @@ TEST(FindOptimal, BatchedEngineMatchesExhaustive) {
   for (const auto& cfg : expand_candidates(mdl, small, opts)) {
     if (cfg.invalid_reason(mdl, small, opts.global_batch)) continue;
     const auto bounds =
-        core::search_bounds(mdl, small, cfg, opts.global_batch);
+        core::search_bounds(mdl, small, cfg, opts.global_batch, opts.eval);
     if (Bytes(bounds.memory_floor) > small.gpu.hbm_capacity) continue;
     const auto sig = core::compile_signature(mdl, cfg, opts.global_batch);
     if (sig.mem.total() > small.gpu.hbm_capacity) {
@@ -404,10 +405,12 @@ void expect_bitwise(const core::EvalResult& a, const core::EvalResult& b) {
 }
 
 TEST(PlacementFloorScreen, KeepsEveryExistingCounterOnSumma) {
-  // GPT3-1T on 4096 B200s with SUMMA: the screen settles candidates the
-  // kernel used to time, while every counter that existed before it —
-  // placements accounted for, bound and memory prunes, rounds, compiles,
-  // op-list builds, placement sets — stays at its pre-screen value.
+  // GPT3-1T on 4096 B200s with SUMMA: pins every work counter of the
+  // search. The phase-1 bound includes the TP communication floor, so the
+  // comm-bound candidates are bound-pruned before any tail is compiled or
+  // block built, and the placement-floor screen still settles some of the
+  // candidates that reach the kernel. A counter that moves means the
+  // screens or the bound changed.
   const auto mdl = model::gpt3_1t();
   const auto sys = b200(8, 4096);
   SearchOptions opts;
@@ -415,13 +418,13 @@ TEST(PlacementFloorScreen, KeepsEveryExistingCounterOnSumma) {
   opts.global_batch = 4096;
   const SearchResult r = find_optimal(mdl, sys, opts);
   ASSERT_TRUE(r.best.feasible);
-  EXPECT_EQ(r.evaluated, 89240u);
-  EXPECT_EQ(r.stats.bound_pruned, 5470u);
+  EXPECT_EQ(r.evaluated, 4212u);
+  EXPECT_EQ(r.stats.bound_pruned, 14189u);
   EXPECT_EQ(r.stats.memory_pruned, 700u);
-  EXPECT_EQ(r.stats.rounds, 143u);
-  EXPECT_EQ(r.stats.signature_compiles, 9135u);
-  EXPECT_EQ(r.stats.build_layer_calls, 2055u);
-  EXPECT_EQ(r.stats.placement_sets, 290u);
+  EXPECT_EQ(r.stats.rounds, 7u);
+  EXPECT_EQ(r.stats.signature_compiles, 416u);
+  EXPECT_EQ(r.stats.build_layer_calls, 150u);
+  EXPECT_EQ(r.stats.placement_sets, 97u);
   EXPECT_GT(r.stats.placement_floor_pruned, 0u);
 }
 
@@ -589,23 +592,48 @@ TEST(Search, BatchedScanMatchesOracleScan) {
 
 // Property test for the analytic bounds: the floors must never exceed the
 // achieved iteration time / HBM footprint of any valid configuration,
-// across strategies, models (incl. MoE) and the expansion axes.
+// across strategies (SUMMA with one panel and with several), models (incl.
+// MoE on 1D and 2D), the expansion axes and partially overlapped TP comm.
 TEST(LowerBounds, FloorsNeverExceedActuals) {
   struct Case {
     model::TransformerConfig mdl;
     hw::SystemConfig sys;
     parallel::TpStrategy strategy;
     std::int64_t batch;
+    std::vector<std::int64_t> nb_candidates;  ///< empty: the default set
+    double tp_overlap;
   };
   const Case cases[] = {
-      {model::gpt3_175b(), b200(8, 64), parallel::TpStrategy::TP1D, 256},
-      {model::vit_32k(), b200(8, 64), parallel::TpStrategy::TP2D, 4096},
-      {model::gpt_moe_1t(), b200(8, 64), parallel::TpStrategy::TP1D, 256},
+      {model::gpt3_175b(), b200(8, 64), parallel::TpStrategy::TP1D, 256, {},
+       0.0},
+      {model::vit_32k(), b200(8, 64), parallel::TpStrategy::TP2D, 4096, {},
+       0.0},
+      {model::gpt_moe_1t(), b200(8, 64), parallel::TpStrategy::TP1D, 256, {},
+       0.0},
+      {model::gpt3_175b(), b200(8, 64), parallel::TpStrategy::Summa2D, 256,
+       {1}, 0.0},
+      {model::gpt3_175b(), b200(8, 64), parallel::TpStrategy::Summa2D, 256,
+       {2, 8}, 0.0},
+      {model::gpt3_175b(), b200(8, 64), parallel::TpStrategy::TP2D, 256, {},
+       0.0},
+      {model::gpt_moe_1t(), b200(8, 64), parallel::TpStrategy::TP2D, 256, {},
+       0.0},
+      {model::gpt3_175b(), b200(8, 64), parallel::TpStrategy::TP1D, 256, {},
+       0.7},
+      {model::vit_32k(), b200(8, 64), parallel::TpStrategy::TP2D, 4096, {},
+       0.7},
+      {model::gpt3_175b(), b200(8, 64), parallel::TpStrategy::Summa2D, 256,
+       {1, 4}, 0.7},
   };
   for (const auto& cs : cases) {
+    SCOPED_TRACE(cs.mdl.name + " " + parallel::to_string(cs.strategy) +
+                 " tp_overlap=" + std::to_string(cs.tp_overlap));
+    core::EvalOptions eval;
+    eval.tp_overlap = cs.tp_overlap;
     EnumerationOptions eopts;
     eopts.strategy = cs.strategy;
     eopts.global_batch = cs.batch;
+    eopts.nb_candidates = cs.nb_candidates;
     const auto base = enumerate_parallel(cs.mdl, cs.sys, eopts);
     ASSERT_FALSE(base.empty());
     std::size_t checked = 0;
@@ -630,8 +658,8 @@ TEST(LowerBounds, FloorsNeverExceedActuals) {
         valid.nvs1 = valid.nvs2 = valid.nvsp = valid.nvsd = 1;
         if (valid.invalid_reason(cs.mdl, cs.sys, cs.batch)) continue;
         const auto bounds =
-            core::search_bounds(cs.mdl, cs.sys, cfg, cs.batch);
-        const auto r = best_placement(cs.mdl, cs.sys, cfg, cs.batch);
+            core::search_bounds(cs.mdl, cs.sys, cfg, cs.batch, eval);
+        const auto r = best_placement(cs.mdl, cs.sys, cfg, cs.batch, eval);
         if (!r.feasible) {
           continue;  // memory floor <= actual is only meaningful if it fits
         }
@@ -644,6 +672,59 @@ TEST(LowerBounds, FloorsNeverExceedActuals) {
     }
     EXPECT_GT(checked, 0u);
   }
+}
+
+// The TP term of search_bounds restates the builders' collective volumes
+// by hand. The placement-floor walk prices the real op lists with the same
+// collective_time_floor per request, and it keeps every term the TP floor
+// drops (ring attention, the MoE AllToAll and fc2), so the hand-written
+// per-layer floor must never exceed it, for any candidate or fabric.
+TEST(LowerBounds, TpCommFloorBelowBlockWalk) {
+  constexpr std::int64_t kGpus = 256;
+  constexpr std::int64_t kBatch = 512;
+  const hw::SystemConfig two_level = b200(8, kGpus);
+  hw::SystemConfig leaf_spine = two_level;
+  leaf_spine.fabric =
+      hw::leaf_spine_topology(two_level.net, 8, 32, kGpus, 4.0);
+  const hw::Topology fabrics[] = {two_level.resolved_fabric(),
+                                  leaf_spine.resolved_fabric()};
+  std::vector<Seconds> row_floor;
+  std::size_t checked = 0;
+  for (const auto& mdl :
+       {model::gpt3_1t(), model::vit_64k(), model::gpt_moe_1t()}) {
+    for (auto strategy :
+         {parallel::TpStrategy::TP1D, parallel::TpStrategy::TP2D,
+          parallel::TpStrategy::Summa2D}) {
+      SearchOptions opts;
+      opts.strategy = strategy;
+      opts.global_batch = kBatch;
+      opts.allow_ring_attention = true;
+      for (const auto& cfg : expand_candidates(mdl, two_level, opts)) {
+        if (cfg.invalid_reason(mdl, two_level, kBatch)) continue;
+        const core::BatchedSignature bat =
+            core::lower_batched(core::compile_signature(mdl, cfg, kBatch));
+        for (double overlap : {0.0, 0.5, 1.0}) {
+          core::EvalOptions eval;
+          eval.tp_overlap = overlap;
+          const core::BlockTiming part =
+              core::bind_block(bat, two_level, eval);
+          const core::SearchBoundsBase base =
+              core::search_bounds_base(mdl, two_level, cfg, kBatch, eval);
+          for (const hw::Topology& fabric : fabrics) {
+            const core::FloorWalk walk = core::floor_comm_walk(
+                bat, part.summa_panel_time, fabric, cfg, eval, row_floor);
+            const Seconds tp = core::tp_comm_floor(base, fabric, cfg);
+            ++checked;
+            EXPECT_LE(tp.value(),
+                      (walk.fwd_comm + walk.bwd_comm).value() * (1 + 1e-12))
+                << mdl.name << " " << cfg.describe()
+                << " tp_overlap=" << overlap;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 0u);
 }
 
 TEST(FindOptimal, ReportsInfeasibleWhenNothingFits) {

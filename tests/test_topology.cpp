@@ -736,9 +736,10 @@ TEST(TopologyBounds, TimeFloorStaysBelowEvaluationOnDeepFabrics) {
     c.zero = parallel::ZeroStage::kWeights;
     cfgs.push_back(c);
   }
+  const core::EvalOptions opts;
   for (const auto& cfg : cfgs) {
-    const auto bounds = core::search_bounds(mdl, sys, cfg, batch);
-    const auto r = core::evaluate(mdl, sys, cfg, batch);
+    const auto bounds = core::search_bounds(mdl, sys, cfg, batch, opts);
+    const auto r = core::evaluate(mdl, sys, cfg, batch, opts);
     if (!r.feasible) continue;
     EXPECT_LE(bounds.time_floor, r.iteration()) << cfg.describe();
     EXPECT_LE(bounds.memory_floor, r.mem.total().value()) << cfg.describe();
