@@ -51,6 +51,8 @@ void BM_FindOptimal(benchmark::State& state) {
   state.counters["evaluations"] = static_cast<double>(evaluated);
   state.counters["build_layer"] = static_cast<double>(stats.build_layer_calls);
   state.counters["bound_pruned"] = static_cast<double>(stats.bound_pruned);
+  state.counters["subtree_pruned"] =
+      static_cast<double>(stats.subtree_pruned);
 }
 BENCHMARK(BM_FindOptimal)
     ->ArgsProduct({{512, 2048, 8192}, {0, 1}})
@@ -102,6 +104,7 @@ void write_json(const std::vector<Sample>& samples, const std::string& path) {
        << ", \"placement_cache_hits\": " << s.stats.placement_cache_hits
        << ", \"signature_compiles\": " << s.stats.signature_compiles
        << ", \"bound_pruned\": " << s.stats.bound_pruned
+       << ", \"subtree_pruned\": " << s.stats.subtree_pruned
        << ", \"memory_pruned\": " << s.stats.memory_pruned
        << ", \"rounds\": " << s.stats.rounds << "}"
        << (i + 1 < samples.size() ? "," : "") << "\n";
@@ -122,6 +125,7 @@ void run_driver() {
                 << "  evaluations=" << s.evaluated
                 << "  build_layer=" << s.stats.build_layer_calls
                 << "  bound_pruned=" << s.stats.bound_pruned
+                << "  subtree_pruned=" << s.stats.subtree_pruned
                 << "  memory_pruned=" << s.stats.memory_pruned << "\n";
     }
     const Sample& brute = samples[samples.size() - 2];

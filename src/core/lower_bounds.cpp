@@ -23,11 +23,15 @@ double matmul_floor(double m, double n, double k, double tp) {
 /// (contraction C) and wgrad (contraction bl) in ops::matmul, but SUMMA
 /// prices its backward as exactly twice the forward-contraction form, so
 /// the valid cross-builder backward floor is the min of the two
-/// accountings.
-double projection_floor(double bl, double C, double K, double tp) {
+/// accountings. `wgrad_split` caps how many parts the wgrad's token
+/// contraction is split into: min(tp, bl) for one microbatch (matmul_floor's
+/// saturation), min(B * tp, bl) summed over the microbatches of a B-sample
+/// local batch (the prefix floor's relaxation).
+double projection_floor(double bl, double C, double K, double tp,
+                        double wgrad_split) {
   const double fwd = matmul_floor(bl, C, K, tp);
-  const double bwd = std::min(2.0 * fwd, matmul_floor(bl, K, C, tp) +
-                                              matmul_floor(C, K, bl, tp));
+  const double wgrad = (2.0 * bl - wgrad_split) * C * K / tp;
+  const double bwd = std::min(2.0 * fwd, matmul_floor(bl, K, C, tp) + wgrad);
   return fwd + bwd;
 }
 
@@ -49,6 +53,74 @@ constexpr double kVectorBytesPerElement = 5.0 * ops::kBytesPerElement;
 /// in a different order than the builders' per-request byte counts, so the
 /// floor can land a few ulps above the kernel's walk of the same requests.
 constexpr double kTpCommFloorSlack = 1e-9;
+
+/// Relative slack on the prefix floor: it sums the same terms as
+/// search_bounds in other groupings (one B-sample batch against m
+/// microbatches of B/m), so a floor that is mathematically <= a child's
+/// bound could otherwise round a few ulps above it.
+constexpr double kPrefixFloorSlack = 1e-9;
+
+/// Per-GPU FLOP floor of one layer's fwd + bwd over `bl` tokens (see the
+/// header): the projections, the fused attention and the dense MLP.
+double layer_flops(const model::TransformerConfig& mdl, double bl, double tp,
+                   double wgrad_split) {
+  const double e = static_cast<double>(mdl.embed);
+  const double f = static_cast<double>(mdl.hidden);
+  const double eh = static_cast<double>(mdl.head_dim());
+  const double ekv = static_cast<double>(mdl.kv_embed());
+  // Attention projections: Q and output (e x e), K and V (e x kv_embed),
+  // each with its dgrad/wgrad backward (see projection_floor).
+  double flops = 2.0 * projection_floor(bl, e, e, tp, wgrad_split) +
+                 2.0 * projection_floor(bl, ekv, e, tp, wgrad_split);
+  // Logit + Attend: the fused attention kernel, head dim never sharded.
+  // The attended length covers full/windowed/linear attention uniformly,
+  // and ring attention moves the same FLOPs.
+  const double lkv = static_cast<double>(mdl.attended_len());
+  flops += kAttentionFwdBwd * static_cast<double>(mdl.heads) * bl * lkv *
+           (4.0 * eh + 3.0) / tp;
+  // Dense MLP: (bl x e)(e x f) and (bl x f)(f x e). MoE routing and
+  // capacity factors are strategy-dependent; the floor skips the MLP there.
+  if (!mdl.is_moe()) {
+    flops += projection_floor(bl, f, e, tp, wgrad_split) +
+             projection_floor(bl, e, f, tp, wgrad_split);
+  }
+  return flops;
+}
+
+/// HBM time of the mandatory vector ops on `bl` tokens: per-GPU element
+/// counts are bl*e/tp (LN/dropout/residual x2 each) plus bl*f/tp (dense
+/// GeLU) in every builder; the roofline charges at least the HBM side.
+double layer_vector_time(const model::TransformerConfig& mdl,
+                         const hw::SystemConfig& sys, double bl, double tp) {
+  const double e = static_cast<double>(mdl.embed);
+  const double f = static_cast<double>(mdl.hidden);
+  const double vec_elems = (6.0 * e + (mdl.is_moe() ? 0.0 : f)) * bl / tp;
+  return (Bytes(kVectorBytesPerElement * vec_elems) / sys.gpu.hbm_bandwidth)
+      .value();
+}
+
+/// Floor on one stage's parameters: the layer's weights over at most the
+/// tp GPUs (and the experts over at most min(nd, E) ranks) times the layers
+/// per stage.
+double stage_params_floor(const model::TransformerConfig& mdl,
+                          const parallel::ParallelConfig& cfg) {
+  const double tp = static_cast<double>(cfg.n1 * cfg.n2);
+  const double layers = static_cast<double>(mdl.depth / cfg.np);
+  const double moe_shard =
+      mdl.is_moe() ? static_cast<double>(std::min(cfg.nd, mdl.moe_experts))
+                   : 1.0;
+  return static_cast<double>(mdl.params_per_layer()) / (tp * moe_shard) *
+         layers;
+}
+
+/// Distributed Adam reads/writes ~28 B per locally updated parameter at
+/// HBM bandwidth; it never overlaps in the model.
+double adam_time(const hw::SystemConfig& sys,
+                 const parallel::ParallelConfig& cfg, double params_floor) {
+  const double shard_max = static_cast<double>(cfg.nd * cfg.n2);
+  return (Bytes(28.0 * params_floor / shard_max) / sys.gpu.hbm_bandwidth)
+      .value();
+}
 
 /// Fill base.tp1_bytes / tp2_bytes: the per-layer, per-microbatch TP
 /// collective bytes (forward + conjugate backward) every placement moves
@@ -151,81 +223,88 @@ SearchBoundsBase search_bounds_base(const model::TransformerConfig& mdl,
   SearchBoundsBase out;
   const double tp = static_cast<double>(cfg.n1 * cfg.n2);
   const double b_loc = static_cast<double>(cfg.local_microbatch(global_batch));
-  const double l = static_cast<double>(mdl.seq_len);
-  const double e = static_cast<double>(mdl.embed);
-  const double f = static_cast<double>(mdl.hidden);
-  const double eh = static_cast<double>(mdl.head_dim());
-  const double ekv = static_cast<double>(mdl.kv_embed());
-  const double bl = b_loc * l;
-
-  // --- FLOP floor per block, per microbatch, per GPU (fwd + bwd). ---
-  // Attention projections: Q and output (e x e), K and V (e x kv_embed),
-  // each with its dgrad/wgrad backward (see projection_floor).
-  double flops = 2.0 * projection_floor(bl, e, e, tp) +
-                 2.0 * projection_floor(bl, ekv, e, tp);
-  // Logit + Attend: the fused attention kernel, head dim never sharded.
-  // The attended length covers full/windowed/linear attention uniformly,
-  // and ring attention moves the same FLOPs.
-  const double lkv = static_cast<double>(mdl.attended_len());
-  flops += kAttentionFwdBwd * static_cast<double>(mdl.heads) * bl * lkv *
-           (4.0 * eh + 3.0) / tp;
-  // Dense MLP: (bl x e)(e x f) and (bl x f)(f x e). MoE routing and
-  // capacity factors are strategy-dependent; the floor skips the MLP there.
-  if (!mdl.is_moe()) {
-    flops += projection_floor(bl, f, e, tp) + projection_floor(bl, e, f, tp);
-  }
-
-  // Mandatory vector ops on the residual stream: per-GPU element counts
-  // are bl*e/tp (LN/dropout/residual x2 each) plus bl*f/tp (dense GeLU) in
-  // every builder; the roofline charges at least the HBM side.
-  const double vec_elems = (6.0 * e + (mdl.is_moe() ? 0.0 : f)) * bl / tp;
-  const double t_vec =
-      (Bytes(kVectorBytesPerElement * vec_elems) / sys.gpu.hbm_bandwidth)
-          .value();
+  const double bl = b_loc * static_cast<double>(mdl.seq_len);
 
   // 1F1B: m steady microbatches plus the (np-1)/v bubble, each at least the
-  // per-stage FLOP + vector time.
+  // per-stage FLOP + vector time of one microbatch.
   const double layers = static_cast<double>(mdl.depth / cfg.np);
   const double micros = static_cast<double>(cfg.microbatches) +
                         static_cast<double>(cfg.np - 1) /
                             static_cast<double>(cfg.interleave);
   out.micro_layers = micros * layers;
+  const Flops flops(layer_flops(mdl, bl, tp, std::min(tp, bl)));
   out.compute_floor =
-      out.micro_layers *
-      ((Flops(flops) / sys.gpu.tensor_flops).value() + t_vec);
+      out.micro_layers * ((flops / sys.gpu.tensor_flops).value() +
+                          layer_vector_time(mdl, sys, bl, tp));
+  out.stage_params_floor = stage_params_floor(mdl, cfg);
+  out.compute_floor += adam_time(sys, cfg, out.stage_params_floor);
+  out.memory_floor = memory_floor(mdl, cfg, global_batch, opts);
+  out.bl = bl;
+  out.tp = tp;
+  tp_comm_volumes(mdl, cfg, b_loc, opts, out);
+  return out;
+}
 
-  // Distributed Adam reads/writes ~28 B per locally updated parameter at
-  // HBM bandwidth; it never overlaps in the model.
-  const double moe_shard =
-      mdl.is_moe() ? static_cast<double>(std::min(cfg.nd, mdl.moe_experts))
-                   : 1.0;
-  const double stage_params_floor =
-      static_cast<double>(mdl.params_per_layer()) / (tp * moe_shard) * layers;
-  const double shard_max = static_cast<double>(cfg.nd * cfg.n2);
-  out.compute_floor +=
-      (Bytes(28.0 * stage_params_floor / shard_max) / sys.gpu.hbm_bandwidth)
-          .value();
-
-  // --- Placement-independent memory floor. ---
+double memory_floor(const model::TransformerConfig& mdl,
+                    const parallel::ParallelConfig& cfg,
+                    std::int64_t global_batch, const EvalOptions& opts) {
   // FP16 weights + gradients (ZeRO-3 additionally shards them over at most
   // nd * n2), optimizer states sharded over at most nd * n2, and at least
   // the block-boundary activation (b_loc x l x e over at most tp GPUs) per
   // layer per in-flight microbatch — the floor both with and without full
   // activation recompute.
+  const double params_floor = stage_params_floor(mdl, cfg);
+  const double shard_max = static_cast<double>(cfg.nd * cfg.n2);
   const double wg = cfg.zero == parallel::ZeroStage::kWeights
-                        ? 4.0 * stage_params_floor / shard_max
-                        : 4.0 * stage_params_floor;
-  const double opt_states = 12.0 * stage_params_floor / shard_max;
+                        ? 4.0 * params_floor / shard_max
+                        : 4.0 * params_floor;
+  const double opt_states = 12.0 * params_floor / shard_max;
   const double in_flight =
       static_cast<double>(std::min(cfg.np, cfg.microbatches));
-  const double act = 2.0 * bl * e / tp * layers * in_flight *
+  const double bl = static_cast<double>(cfg.local_microbatch(global_batch)) *
+                    static_cast<double>(mdl.seq_len);
+  const double act = 2.0 * bl * static_cast<double>(mdl.embed) /
+                     static_cast<double>(cfg.n1 * cfg.n2) *
+                     static_cast<double>(mdl.depth / cfg.np) * in_flight *
                      (1.0 - opts.activation_offload);
-  out.memory_floor = wg + opt_states + act;
-  out.stage_params_floor = stage_params_floor;
-  out.bl = bl;
-  out.tp = tp;
-  tp_comm_volumes(mdl, cfg, b_loc, opts, out);
-  return out;
+  return wg + opt_states + act;
+}
+
+double prefix_time_floor(const model::TransformerConfig& mdl,
+                         const hw::SystemConfig& sys,
+                         const hw::Topology& fabric,
+                         const parallel::ParallelConfig& cfg,
+                         std::int64_t global_batch, const EvalOptions& opts) {
+  const double tp = static_cast<double>(cfg.n1 * cfg.n2);
+  const double batch = static_cast<double>(global_batch / cfg.nd);
+  const double bl = batch * static_cast<double>(mdl.seq_len);
+  const double layers = static_cast<double>(mdl.depth / cfg.np);
+
+  // m microbatches of B/m samples: every per-microbatch term but the SUMMA
+  // weight traffic is linear in the tokens, so m of them cost at least one
+  // B-sample microbatch; the wgrad split is capped at min(B * tp, B * l)
+  // over the m microbatches; the bubble is dropped.
+  const Flops flops(layer_flops(mdl, bl, tp, std::min(batch * tp, bl)));
+  double t = layers * ((flops / sys.gpu.tensor_flops).value() +
+                       layer_vector_time(mdl, sys, bl, tp));
+  t += adam_time(sys, cfg, stage_params_floor(mdl, cfg));
+
+  // TP collectives at b_loc = B: collective_time_floor is linear in the
+  // bytes, and the per-microbatch SUMMA weight broadcasts counted once are
+  // at most their m copies. A ring child exposes no K/V gathers, which
+  // cfg.ring_attention carries.
+  SearchBoundsBase volumes;
+  tp_comm_volumes(mdl, cfg, batch, opts, volumes);
+  t += tp_comm_floor(volumes, fabric, cfg).value() * layers;
+
+  // The pipeline handoffs of all m microbatches at v = 1 carry at least the
+  // whole local batch's boundary tensor twice. ZeRO-3 only adds.
+  if (cfg.np > 1) {
+    const Bytes boundary =
+        Bytes(2.0 * bl * static_cast<double>(mdl.embed) / tp);
+    t += (boundary / comm::best_p2p_bandwidth(fabric)).value() * 2.0;
+  }
+  return t * (1.0 - kPrefixFloorSlack);
 }
 
 SearchBounds finish_search_bounds(const SearchBoundsBase& base,

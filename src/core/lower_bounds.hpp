@@ -67,6 +67,12 @@
 //     single link, and ZeRO-3's per-microbatch weight-gather/grad-scatter
 //     at least comm::collective_time_floor — the algorithm-independent
 //     ingress/bisection bound of the bottleneck level.
+//   * One level up, prefix_time_floor bounds every candidate below an
+//     (n1, n2, np, nd, nb) prefix of the search tree at once: the same
+//     terms relaxed over m, interleave, ZeRO stage and ring attention (see
+//     its comment), so the search skips the prefix unexpanded when the floor
+//     is above the incumbent. Its leaves' memory floors need no expansion
+//     either: memory_floor reads only m and the ZeRO stage below the prefix.
 
 #include <cstdint>
 
@@ -127,6 +133,39 @@ SearchBoundsBase search_bounds_base(const model::TransformerConfig& mdl,
                                     const parallel::ParallelConfig& cfg,
                                     std::int64_t global_batch,
                                     const EvalOptions& opts);
+
+/// search_bounds(...).memory_floor, bitwise, without the time terms. It
+/// reads n1, n2, np, nd, m and the ZeRO stage of `cfg`, and neither nb,
+/// interleave nor ring attention, so the search classifies the leaves of a
+/// candidate-tree prefix it never expands per (m, ZeRO stage).
+double memory_floor(const model::TransformerConfig& mdl,
+                    const parallel::ParallelConfig& cfg,
+                    std::int64_t global_batch, const EvalOptions& opts);
+
+/// Time floor of a candidate-tree prefix (search/enumerate.hpp): `cfg`
+/// fixes the strategy, n1, n2, np, nd and nb; its microbatch count,
+/// interleave and ZeRO stage are ignored, and its ring_attention is set when
+/// any leaf of the prefix runs ring attention. The result is <= the
+/// search_bounds time floor of every leaf (m | b/nd, any interleave, either
+/// ZeRO stage, ring on or off as allowed) under `opts` on `fabric`.
+///
+/// Relaxation, with B = b/nd the local batch: a leaf runs m microbatches of
+/// B/m samples, and its 1F1B floor is at least m (not m + (np-1)/v) of
+/// them — the bubble is dropped. Every per-microbatch term except SUMMA's
+/// weight broadcasts is linear in the tokens, so m of them cost at least
+/// one microbatch of B samples: the FLOP floor at bl = B*l with the wgrad
+/// contraction split capped at min(B*tp, B*l) (m * min(tp, B*l/m) is at
+/// most that, as in shape_time_floor), the vector ops, and the TP
+/// collectives (collective_time_floor is linear in the bytes). The SUMMA
+/// weight traffic does not shrink with B/m and is counted once, not m
+/// times. The pipeline handoff is priced at v = 1, the ZeRO-3 gathers are
+/// dropped, and the Adam term is the leaves' own. The sum is scaled by
+/// (1 - 1e-9) against the different floating-point groupings.
+double prefix_time_floor(const model::TransformerConfig& mdl,
+                         const hw::SystemConfig& sys,
+                         const hw::Topology& fabric,
+                         const parallel::ParallelConfig& cfg,
+                         std::int64_t global_batch, const EvalOptions& opts);
 
 /// The per-layer, per-microbatch exposed TP communication floor (fwd +
 /// bwd) of a base on `fabric`: collective_time_floor of tp1_bytes over n1

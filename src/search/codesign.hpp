@@ -86,11 +86,11 @@
 namespace tfpe::search {
 
 /// The architecture slice expand_candidates reads (every divisibility
-/// constraint of enumerate_parallel plus the MoE/GQA widths and the
+/// constraint of the candidate tree plus the MoE/GQA widths and the
 /// interleave depth filter), plus the GPU count — the full memoization key.
 /// Two different shapes at the same scale MUST miss each other (the
 /// regression test pins this; see the expand_candidates comment in
-/// search.hpp for why keying on the count alone would alias them).
+/// enumerate.hpp for why keying on the count alone would alias them).
 struct ShapeKey {
   std::int64_t seq_len = 0;
   std::int64_t embed = 0;

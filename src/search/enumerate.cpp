@@ -9,35 +9,53 @@ namespace tfpe::search {
 
 using util::divisors;
 
-std::vector<parallel::ParallelConfig> enumerate_parallel(
-    const model::TransformerConfig& mdl, const hw::SystemConfig& sys,
-    const EnumerationOptions& opts) {
-  const std::int64_t n = opts.n_gpus > 0 ? opts.n_gpus : sys.n_gpus;
+CandidateTree::CandidateTree(const model::TransformerConfig& mdl,
+                             std::int64_t n_gpus,
+                             const EnumerationOptions& opts)
+    : zero3_(opts.allow_zero3) {
   const std::int64_t b = opts.global_batch;
-  std::vector<parallel::ParallelConfig> out;
-  if (mdl.is_moe() && opts.strategy == parallel::TpStrategy::Summa2D) {
-    return out;  // MoE is not supported with SUMMA.
-  }
+  const parallel::TpStrategy strategy = opts.strategy;
+  const bool summa = strategy == parallel::TpStrategy::Summa2D;
+  if (mdl.is_moe() && summa) return;  // MoE is not supported with SUMMA.
 
-  std::vector<std::int64_t> nb_candidates = opts.nb_candidates;
-  if (opts.strategy != parallel::TpStrategy::Summa2D) {
-    nb_candidates = {1};
-  } else if (nb_candidates.empty()) {
-    nb_candidates = {1, 2, 4, 8, 16};
+  std::vector<std::int64_t> panels{1};
+  if (summa) {
+    panels.clear();
+    for (std::int64_t nb : opts.nb_candidates.empty()
+                               ? std::vector<std::int64_t>{1, 2, 4, 8, 16}
+                               : opts.nb_candidates) {
+      if (mdl.embed % nb == 0 && mdl.hidden % nb == 0) panels.push_back(nb);
+    }
   }
+  std::vector<std::int64_t> interleave_opts = opts.interleave_candidates;
+  if (interleave_opts.empty()) interleave_opts = {1};
+  const bool ring_ok = opts.allow_ring_attention &&
+                       mdl.attention != model::AttentionKind::kLinear;
+  // One list per distinct local batch / stage count, shared by its
+  // prefixes.
+  const auto slot = [](std::vector<std::vector<std::int64_t>>& lists,
+                       std::vector<std::int64_t>& keys, std::int64_t key,
+                       const auto& make) {
+    const auto it = std::find(keys.begin(), keys.end(), key);
+    if (it != keys.end()) {
+      return static_cast<std::uint32_t>(it - keys.begin());
+    }
+    keys.push_back(key);
+    lists.push_back(make());
+    return static_cast<std::uint32_t>(lists.size() - 1);
+  };
+  std::vector<std::int64_t> m_keys, v_keys;
 
-  for (std::int64_t n1 : divisors(n)) {
+  for (std::int64_t n1 : divisors(n_gpus)) {
     if (mdl.heads % n1 || mdl.hidden % n1 || mdl.embed % n1) continue;
     if (mdl.kv_heads_or_default() % n1) continue;
-    const std::int64_t rem1 = n / n1;
+    const std::int64_t rem1 = n_gpus / n1;
     for (std::int64_t n2 : divisors(rem1)) {
-      if (opts.strategy == parallel::TpStrategy::TP1D && n2 != 1) continue;
+      if (strategy == parallel::TpStrategy::TP1D && n2 != 1) continue;
       if (mdl.seq_len % (n1 * n2)) continue;
-      if (opts.strategy == parallel::TpStrategy::Summa2D &&
-          (mdl.embed % n2 || mdl.hidden % n2)) {
-        continue;
-      }
+      if (summa && (mdl.embed % n2 || mdl.hidden % n2)) continue;
       const std::int64_t rem2 = rem1 / n2;
+      const bool ring = ring_ok && n2 > 1;
       for (std::int64_t np : divisors(rem2)) {
         if (mdl.depth % np) continue;
         const std::int64_t nd = rem2 / np;
@@ -47,26 +65,66 @@ std::vector<parallel::ParallelConfig> enumerate_parallel(
                                    : nd % mdl.moe_experts != 0)) {
           continue;
         }
-        const std::int64_t local_batch = b / nd;
-        for (std::int64_t m : divisors(local_batch)) {
-          for (std::int64_t nb : nb_candidates) {
-            if (opts.strategy == parallel::TpStrategy::Summa2D &&
-                (mdl.embed % nb || mdl.hidden % nb)) {
-              continue;
-            }
-            parallel::ParallelConfig cfg;
-            cfg.strategy = opts.strategy;
-            cfg.n1 = n1;
-            cfg.n2 = n2;
-            cfg.np = np;
-            cfg.nd = nd;
-            cfg.microbatches = m;
-            cfg.nb = nb;
-            out.push_back(cfg);
+        const std::uint32_t m_list =
+            slot(m_lists_, m_keys, b / nd, [&] { return divisors(b / nd); });
+        const std::uint32_t v_list = slot(v_lists_, v_keys, np, [&] {
+          std::vector<std::int64_t> vs;
+          for (std::int64_t v : interleave_opts) {
+            if (v < 1) continue;  // never valid
+            if (v > 1 && (np <= 1 || (mdl.depth / np) % v != 0)) continue;
+            vs.push_back(v);
           }
+          return vs;
+        });
+        const std::size_t per_m =
+            v_lists_[v_list].size() * (ring ? 2 : 1) * zero3_stages();
+        const std::size_t m_stride = panels.size() * per_m;
+        if (m_stride == 0) continue;
+        for (std::size_t j = 0; j < panels.size(); ++j) {
+          CandidatePrefix p;
+          p.cfg.strategy = strategy;
+          p.cfg.n1 = n1;
+          p.cfg.n2 = n2;
+          p.cfg.np = np;
+          p.cfg.nd = nd;
+          p.cfg.nb = panels[j];
+          p.cfg.ring_attention = ring;
+          p.first = size_ + j * per_m;
+          p.m_stride = m_stride;
+          p.m_list = m_list;
+          p.v_list = v_list;
+          prefixes_.push_back(p);
         }
+        size_ += m_lists_[m_list].size() * m_stride;
       }
     }
+  }
+}
+
+parallel::ParallelConfig CandidateTree::leaf(const CandidatePrefix& p,
+                                             std::size_t index) const {
+  const std::size_t local = index - p.first;
+  std::size_t k = local % p.m_stride;  // position in its m row
+  parallel::ParallelConfig cfg = p.cfg;
+  cfg.microbatches = microbatches(p)[local / p.m_stride];
+  cfg.zero = k % zero3_stages() != 0 ? parallel::ZeroStage::kWeights
+                                     : parallel::ZeroStage::kOptimizer;
+  k /= zero3_stages();
+  const std::size_t rings = p.cfg.ring_attention ? 2 : 1;
+  cfg.ring_attention = k % rings != 0;
+  cfg.interleave = v_lists_[p.v_list][k / rings];
+  return cfg;
+}
+
+std::vector<parallel::ParallelConfig> expand_candidates(
+    const model::TransformerConfig& mdl, const hw::SystemConfig& sys,
+    const EnumerationOptions& opts) {
+  const CandidateTree tree(mdl, opts.n_gpus > 0 ? opts.n_gpus : sys.n_gpus,
+                           opts);
+  std::vector<parallel::ParallelConfig> out(tree.size());
+  for (const CandidatePrefix& p : tree.prefixes()) {
+    tree.for_each_leaf(p, [&](const parallel::ParallelConfig& cfg,
+                              std::size_t index) { out[index] = cfg; });
   }
   return out;
 }

@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <memory>
+#include <thread>
 
 #include "core/lower_bounds.hpp"
 #include "parallel/layer_builder.hpp"
@@ -193,38 +196,6 @@ core::EvalResult scan_placements(
 
 }  // namespace
 
-// Expands the enumerated parallelizations by the extension axes
-// (interleave chunks, ZeRO stage, ring attention).
-std::vector<parallel::ParallelConfig> expand_candidates(
-    const model::TransformerConfig& mdl, const hw::SystemConfig& sys,
-    const SearchOptions& opts) {
-  const auto base_configs = enumerate_parallel(mdl, sys, opts);
-  std::vector<std::int64_t> interleaves = opts.interleave_candidates;
-  if (interleaves.empty()) interleaves = {1};
-  std::vector<parallel::ParallelConfig> configs;
-  configs.reserve(base_configs.size() * interleaves.size() *
-                  (opts.allow_zero3 ? 2 : 1));
-  for (const auto& base : base_configs) {
-    for (std::int64_t v : interleaves) {
-      if (v > 1 && (base.np <= 1 || (mdl.depth / base.np) % v != 0)) continue;
-      parallel::ParallelConfig cfg = base;
-      cfg.interleave = v;
-      const bool ring_ok = opts.allow_ring_attention && cfg.n2 > 1 &&
-                           mdl.attention != model::AttentionKind::kLinear;
-      for (int ring = 0; ring <= (ring_ok ? 1 : 0); ++ring) {
-        cfg.ring_attention = ring != 0;
-        configs.push_back(cfg);
-        if (opts.allow_zero3) {
-          cfg.zero = parallel::ZeroStage::kWeights;
-          configs.push_back(cfg);
-          cfg.zero = parallel::ZeroStage::kOptimizer;
-        }
-      }
-    }
-  }
-  return configs;
-}
-
 namespace {
 
 void atomic_min(std::atomic<double>& target, double value) {
@@ -254,94 +225,128 @@ struct SearchBlock {
   core::FloorWalk walk;
 };
 
-/// Per-candidate results of one sweep over the configuration space.
+/// One evaluated candidate: its index in the flattened candidate tree, its
+/// best result and the placements it was charged.
+struct Evaluated {
+  std::size_t index = 0;
+  core::EvalResult result;
+  std::size_t evals = 0;
+};
+
+/// The evaluated candidates of one sweep over the configuration space, in
+/// index order, and the work counters.
 struct SweepState {
-  std::vector<parallel::ParallelConfig> configs;
-  std::vector<core::EvalResult> best_per_config;
-  std::vector<std::size_t> evals_per_config;
+  std::vector<Evaluated> results;
   SearchStats stats;
 };
 
+/// A candidate awaiting evaluation, ordered by (bound, index).
+struct Pending {
+  double lb = 0;
+  std::size_t index = 0;
+  std::uint32_t prefix = 0;  ///< its CandidateTree prefix
+};
+
+/// Min-heap order on (lb, index): std::push_heap keeps the largest first.
+bool pops_later(const Pending& a, const Pending& c) {
+  return a.lb != c.lb ? a.lb > c.lb : a.index > c.index;
+}
+
 /// Evaluate the candidate space. With opts.prune, uses the memoization
 /// caches and the memory-floor rejection; `use_incumbent` additionally
-/// enables the branch-and-bound incumbent (disabled when every feasible
-/// candidate must survive, i.e. top-k ranking and Pareto frontiers).
+/// enables the branch-and-bound incumbent and the prefix floors (disabled
+/// when every feasible candidate must survive, i.e. top-k ranking and
+/// Pareto frontiers).
 SweepState sweep(const model::TransformerConfig& mdl,
                  const hw::SystemConfig& sys, const SearchOptions& opts,
                  bool use_incumbent) {
   SweepState st;
-  st.configs = expand_candidates(mdl, sys, opts);
-  const std::size_t n = st.configs.size();
-  st.best_per_config.resize(n);
-  st.evals_per_config.assign(n, 0);
-  st.stats.candidates = n;
-  if (n == 0) return st;
+  const CandidateTree tree(mdl, opts.n_gpus > 0 ? opts.n_gpus : sys.n_gpus,
+                           opts);
+  st.stats.candidates = tree.size();
+  if (tree.size() == 0) return st;
 
   const std::int64_t b = opts.global_batch;
-  util::ThreadPool pool(opts.threads);
+  // One worker runs every loop inline, with no pool thread to spawn.
+  const unsigned workers =
+      opts.threads != 0 ? opts.threads
+                        : std::max(1u, std::thread::hardware_concurrency());
+  std::unique_ptr<util::ThreadPool> pool;
+  if (workers > 1) pool = std::make_unique<util::ThreadPool>(opts.threads);
+  const auto for_each = [&](std::size_t count,
+                            const std::function<void(std::size_t)>& body) {
+    if (pool) {
+      util::parallel_for_dynamic(*pool, count, body);
+    } else {
+      for (std::size_t i = 0; i < count; ++i) body(i);
+    }
+  };
 
   if (!opts.prune) {
     // Exhaustive brute force (the seed engine): one op list per candidate,
     // one placement enumeration per candidate, no rejection.
-    util::parallel_for_dynamic(pool, n, [&](std::size_t i) {
-      const parallel::ParallelConfig& cfg = st.configs[i];
+    const std::vector<parallel::ParallelConfig> configs =
+        expand_candidates(mdl, sys, opts);
+    st.results.resize(configs.size());
+    for_each(configs.size(), [&](std::size_t i) {
+      const parallel::ParallelConfig& cfg = configs[i];
       const parallel::LayerCost layer =
           parallel::build_layer(mdl, cfg, cfg.local_microbatch(b));
-      st.best_per_config[i] = scan_placements(
-          mdl, sys, cfg, b, layer, enumerate_placements(cfg, sys.nvs_domain),
-          opts.eval, st.evals_per_config[i]);
+      Evaluated& e = st.results[i];
+      e.index = i;
+      e.result = scan_placements(mdl, sys, cfg, b, layer,
+                                 enumerate_placements(cfg, sys.nvs_domain),
+                                 opts.eval, e.evals);
     });
-    st.stats.build_layer_calls = n;
-    st.stats.placement_sets = n;
+    st.stats.build_layer_calls = configs.size();
+    st.stats.placement_sets = configs.size();
     return st;
   }
 
   ShardedMemo<LayerKey, SearchBlock, LayerKeyHash> blocks;
   PlacementCache placement_cache;
-  // One fabric for the whole search: the screen bounds against it and
+  // One fabric for the whole search: the screens bound against it and
   // every worker's pricer is bound to it.
   const hw::Topology fabric = sys.resolved_fabric();
-  util::ObjectPool<ScanWorker> workers;
-  enum : std::uint8_t { kPending, kInvalid, kMemPruned };
-  std::vector<std::uint8_t> state(n, kPending);
-  std::vector<double> lb(n, 0.0);
+  util::ObjectPool<ScanWorker> workers_pool;
 
-  // Phase 1: divisibility checks and analytic bounds — no op lists built.
-  util::parallel_for_dynamic(
-      pool, n,
-      [&](std::size_t i) {
-        const parallel::ParallelConfig& cfg = st.configs[i];
-        core::EvalResult& slot = st.best_per_config[i];
-        slot.cfg = cfg;
-        if (auto why = cfg.invalid_reason(mdl, sys, b)) {
-          slot.reason = *why;
-          state[i] = kInvalid;
-          return;
-        }
-        const core::SearchBounds bounds =
-            core::search_bounds(mdl, sys, fabric, cfg, b, opts.eval);
-        if (Bytes(bounds.memory_floor) > sys.gpu.hbm_capacity) {
-          slot.reason = "exceeds HBM capacity";
-          state[i] = kMemPruned;
-          return;
-        }
-        lb[i] = bounds.time_floor;
-      },
-      /*grain=*/64);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (state[i] == kMemPruned) ++st.stats.memory_pruned;
+  // Prefix screen: validity is decided per prefix (the leaves' own axes
+  // are valid by construction), and each valid prefix gets its floor. No
+  // leaf is materialized here.
+  const std::vector<CandidatePrefix>& prefixes = tree.prefixes();
+  std::vector<double> prefix_floor(prefixes.size(), 0.0);
+  std::vector<std::uint32_t> live;
+  for (std::uint32_t p = 0; p < prefixes.size(); ++p) {
+    const parallel::ParallelConfig& cfg = prefixes[p].cfg;
+    if (cfg.invalid_reason(mdl, sys, b)) continue;
+    if (use_incumbent) {
+      prefix_floor[p] =
+          core::prefix_time_floor(mdl, sys, fabric, cfg, b, opts.eval);
+    }
+    live.push_back(p);
   }
-
-  std::vector<std::size_t> order;
-  order.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (state[i] == kPending) order.push_back(i);
-  }
-  // Cheapest bound first, so early rounds likely contain the optimum and
-  // the incumbent tightens as fast as possible.
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t c) {
-    return lb[a] != lb[c] ? lb[a] < lb[c] : a < c;
+  // Cheapest floor first: the merge below expands prefixes in this order.
+  std::sort(live.begin(), live.end(), [&](std::uint32_t a, std::uint32_t c) {
+    const double fa = prefix_floor[a], fc = prefix_floor[c];
+    return fa != fc ? fa < fc : a < c;
   });
+
+  // Expanding a prefix bounds each of its leaves: one over HBM under every
+  // placement is memory-pruned, the rest join the (lb, index) heap.
+  std::vector<Pending> heap;
+  const auto expand = [&](std::uint32_t p) {
+    tree.for_each_leaf(prefixes[p], [&](const parallel::ParallelConfig& cfg,
+                                        std::size_t index) {
+      const core::SearchBounds bounds =
+          core::search_bounds(mdl, sys, fabric, cfg, b, opts.eval);
+      if (Bytes(bounds.memory_floor) > sys.gpu.hbm_capacity) {
+        ++st.stats.memory_pruned;
+        return;
+      }
+      heap.push_back({bounds.time_floor, index, p});
+      std::push_heap(heap.begin(), heap.end(), pops_later);
+    });
+  };
 
   std::atomic<double> incumbent{std::numeric_limits<double>::infinity()};
   std::atomic<std::size_t> tails{0};
@@ -353,14 +358,17 @@ SweepState sweep(const model::TransformerConfig& mdl,
   // bound to the system and, where it is per block, floor-walked once, at
   // its build; the candidate compiles only its scalar tail and finishes
   // the bind and the floor from the block's sums with the same statements
-  // the one-shot forms run, so every result is bitwise unchanged. Phase 1
-  // already decided validity, so a candidate that fits in HBM is
-  // prevalidated. One over capacity is infeasible under every placement: it
-  // gets its reason and a single capacity probe's eval charge, and no
-  // timing (infeasible results never reach the reduction's answer).
-  // `cutoff` is the placement-floor screen's incumbent (+inf: no screen).
-  auto evaluate_candidate = [&](std::size_t i, double cutoff) {
-    const parallel::ParallelConfig& cfg = st.configs[i];
+  // the one-shot forms run, so every result is bitwise unchanged. The
+  // prefix screen already decided validity, so a candidate that fits in
+  // HBM is prevalidated. One over capacity is infeasible under every
+  // placement: it gets its reason and a single capacity probe's eval
+  // charge, and no timing (infeasible results never reach the reduction's
+  // answer). `cutoff` is the placement-floor screen's incumbent (+inf: no
+  // screen).
+  auto evaluate_candidate = [&](const Pending& c, double cutoff,
+                                Evaluated& out) {
+    const parallel::ParallelConfig cfg =
+        tree.leaf(prefixes[c.prefix], c.index);
     const std::shared_ptr<const SearchBlock> blk =
         blocks.get(layer_key(mdl, cfg, b), [&] {
           SearchBlock sb;
@@ -376,9 +384,10 @@ SweepState sweep(const model::TransformerConfig& mdl,
     const core::SignatureTail tail =
         core::compile_tail(mdl, cfg, b, blk->bat, opts.eval);
     tails.fetch_add(1, std::memory_order_relaxed);
-    util::ObjectPool<ScanWorker>::Lease w = workers.acquire();
+    util::ObjectPool<ScanWorker>::Lease w = workers_pool.acquire();
     if (!w->pricer.bound()) w->pricer.rebind(fabric);
-    core::EvalResult r;
+    out.index = c.index;
+    core::EvalResult& r = out.result;
     const auto placements = placement_cache.get(cfg, sys.nvs_domain);
     if (placements->empty()) {
       r.cfg = cfg;
@@ -387,7 +396,7 @@ SweepState sweep(const model::TransformerConfig& mdl,
       r.cfg = cfg;
       r.mem = tail.mem;
       r.reason = "exceeds HBM capacity";
-      st.evals_per_config[i] = 1;
+      out.evals = 1;
     } else {
       core::finish_bind(blk->part, tail, sys, w->base);
       double floor = 0;
@@ -403,58 +412,92 @@ SweepState sweep(const model::TransformerConfig& mdl,
       }
       bool screened = false;
       r = scan_placements_batch(mdl, sys, cfg, b, tail, blk->bat, w->base,
-                                *placements, opts.eval, st.evals_per_config[i],
+                                *placements, opts.eval, out.evals,
                                 /*stop_after_infeasible=*/true, w->scratch,
                                 w->timings, &w->pricer, /*prevalidated=*/true,
                                 floor, cutoff, &screened);
       if (screened) floor_pruned.fetch_add(1, std::memory_order_relaxed);
     }
     if (r.feasible) atomic_min(incumbent, r.iteration());
-    st.best_per_config[i] = std::move(r);
   };
 
   if (!use_incumbent) {
-    util::parallel_for_dynamic(pool, order.size(), [&](std::size_t j) {
-      evaluate_candidate(order[j], std::numeric_limits<double>::infinity());
+    // No incumbent: every leaf that fits is evaluated, in any order.
+    for (const std::uint32_t p : live) expand(p);
+    st.results.resize(heap.size());
+    for_each(heap.size(), [&](std::size_t j) {
+      evaluate_candidate(heap[j], std::numeric_limits<double>::infinity(),
+                         st.results[j]);
     });
   } else {
-    // Branch-and-bound rounds: evaluate round_size candidates, re-read the
-    // incumbent at the barrier, and cut off the sorted suffix whose lower
-    // bound it beats. The incumbent after a barrier is a min over a
-    // completed set of evaluations, so the pruning decisions — and all
-    // counters — are independent of the thread count. A pruned candidate
-    // satisfies time >= lb > incumbent >= optimum, so it can change
-    // neither the optimum nor its memory tie-break. The placement-floor
-    // screen inside a round uses the same barrier incumbent t_best (not the
-    // live atomic), so which candidates it settles is thread-invariant too.
-    std::size_t pos = 0;
-    std::size_t active_end = order.size();
-    while (pos < active_end) {
+    // Branch-and-bound rounds. Each round pops up to round_size candidates
+    // in (lb, index) order among those with lb <= the barrier incumbent.
+    // A prefix is expanded before any pop that its leaves could precede:
+    // while its floor is <= both the incumbent and the heap's smallest lb
+    // (floor <= every leaf's lb, so a leaf that ties the top on lb is in
+    // the heap before the tie is broken by index). The pops are therefore
+    // the prefix of one global (lb, index) sort, and a prefix whose floor
+    // stays above the incumbent is never expanded. The incumbent after a
+    // barrier is a min over a completed set of evaluations, so the pruning
+    // decisions — and all counters — are independent of the thread count.
+    // A pruned candidate satisfies time >= lb > incumbent >= optimum, so it
+    // can change neither the optimum nor its memory tie-break. The
+    // placement-floor screen inside a round uses the same barrier incumbent
+    // t_best (not the live atomic), so which candidates it settles is
+    // thread-invariant too.
+    std::size_t next = 0;  // first unexpanded entry of `live`
+    std::vector<Pending> round;
+    round.reserve(SearchOptions::round_size);
+    for (;;) {
       const double t_best = incumbent.load();
-      const auto cut = std::upper_bound(
-          order.begin() + static_cast<std::ptrdiff_t>(pos),
-          order.begin() + static_cast<std::ptrdiff_t>(active_end), t_best,
-          [&](double t, std::size_t idx) { return t < lb[idx]; });
-      const std::size_t new_end =
-          static_cast<std::size_t>(cut - order.begin());
-      for (std::size_t j = new_end; j < active_end; ++j) {
-        st.best_per_config[order[j]].reason =
-            "pruned: lower bound above incumbent";
-        ++st.stats.bound_pruned;
+      round.clear();
+      while (round.size() < SearchOptions::round_size) {
+        while (next < live.size() && prefix_floor[live[next]] <= t_best &&
+               (heap.empty() || prefix_floor[live[next]] <= heap.front().lb)) {
+          expand(live[next++]);
+        }
+        if (heap.empty() || heap.front().lb > t_best) break;
+        std::pop_heap(heap.begin(), heap.end(), pops_later);
+        round.push_back(heap.back());
+        heap.pop_back();
       }
-      active_end = new_end;
-      if (pos >= active_end) break;
-
-      const std::size_t round_end =
-          std::min(pos + SearchOptions::round_size, active_end);
-      util::parallel_for_dynamic(pool, round_end - pos,
-                                 [&, pos, t_best](std::size_t j) {
-                                   evaluate_candidate(order[pos + j], t_best);
-                                 });
-      pos = round_end;
+      if (round.empty()) break;
+      const std::size_t base = st.results.size();
+      st.results.resize(base + round.size());
+      for_each(round.size(), [&](std::size_t j) {
+        evaluate_candidate(round[j], t_best, st.results[base + j]);
+      });
       ++st.stats.rounds;
     }
+
+    // Everything left is above the final incumbent: the expanded leaves
+    // one by one, the unexpanded prefixes whole. A skipped prefix's leaves
+    // are classified without materializing them: the memory floor reads
+    // only m and the ZeRO stage below the prefix.
+    std::size_t subtree = 0;
+    for (; next < live.size(); ++next) {
+      const CandidatePrefix& prefix = prefixes[live[next]];
+      const std::size_t per_stage =  // leaves per (m, ZeRO stage)
+          tree.leaves_per_m(prefix) / tree.zero3_stages();
+      parallel::ParallelConfig cfg = prefix.cfg;
+      for (const std::int64_t m : tree.microbatches(prefix)) {
+        cfg.microbatches = m;
+        for (std::size_t z = 0; z < tree.zero3_stages(); ++z) {
+          cfg.zero = z != 0 ? parallel::ZeroStage::kWeights
+                            : parallel::ZeroStage::kOptimizer;
+          const Bytes floor(core::memory_floor(mdl, cfg, b, opts.eval));
+          (floor > sys.gpu.hbm_capacity ? st.stats.memory_pruned : subtree) +=
+              per_stage;
+        }
+      }
+    }
+    st.stats.subtree_pruned = subtree;
+    st.stats.bound_pruned = heap.size() + subtree;
   }
+  std::sort(st.results.begin(), st.results.end(),
+            [](const Evaluated& a, const Evaluated& c) {
+              return a.index < c.index;
+            });
 
   st.stats.placement_floor_pruned = floor_pruned.load();
   st.stats.build_layer_calls = blocks.builds();
@@ -465,25 +508,29 @@ SweepState sweep(const model::TransformerConfig& mdl,
   return st;
 }
 
-/// Feasible candidate indices sorted best-first (time, then memory, then
+/// Feasible results sorted best-first (time, then memory, then candidate
 /// index for a deterministic order on exact ties).
-std::vector<std::size_t> feasible_by_rank(const SweepState& st) {
-  std::vector<std::size_t> idx;
-  for (std::size_t i = 0; i < st.best_per_config.size(); ++i) {
-    if (st.best_per_config[i].feasible) idx.push_back(i);
+std::vector<core::EvalResult*> feasible_by_rank(SweepState& st) {
+  std::vector<Evaluated*> ranked;
+  for (Evaluated& e : st.results) {
+    if (e.result.feasible) ranked.push_back(&e);
   }
-  std::sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t c) {
-    const core::EvalResult& ra = st.best_per_config[a];
-    const core::EvalResult& rc = st.best_per_config[c];
-    if (ra.iteration() != rc.iteration()) {
-      return ra.iteration() < rc.iteration();
-    }
-    if (ra.mem.total() != rc.mem.total()) {
-      return ra.mem.total() < rc.mem.total();
-    }
-    return a < c;
-  });
-  return idx;
+  std::sort(ranked.begin(), ranked.end(),
+            [](const Evaluated* a, const Evaluated* c) {
+              const core::EvalResult& ra = a->result;
+              const core::EvalResult& rc = c->result;
+              if (ra.iteration() != rc.iteration()) {
+                return ra.iteration() < rc.iteration();
+              }
+              if (ra.mem.total() != rc.mem.total()) {
+                return ra.mem.total() < rc.mem.total();
+              }
+              return a->index < c->index;
+            });
+  std::vector<core::EvalResult*> out;
+  out.reserve(ranked.size());
+  for (Evaluated* e : ranked) out.push_back(&e->result);
+  return out;
 }
 
 }  // namespace
@@ -531,21 +578,17 @@ SearchResult find_optimal(const model::TransformerConfig& mdl,
   SearchResult result;
   result.best.reason = "no feasible configuration";
   result.stats = st.stats;
-  for (std::size_t i = 0; i < st.best_per_config.size(); ++i) {
-    result.evaluated += st.evals_per_config[i];
-    if (st.best_per_config[i].feasible) ++result.feasible;
-    if (better_result(st.best_per_config[i], result.best)) {
-      result.best = st.best_per_config[i];
-    }
+  for (const Evaluated& e : st.results) {
+    result.evaluated += e.evals;
+    if (e.result.feasible) ++result.feasible;
+    if (better_result(e.result, result.best)) result.best = e.result;
   }
 
   if (opts.top_k > 0) {
-    std::vector<std::size_t> idx = feasible_by_rank(st);
-    if (idx.size() > opts.top_k) idx.resize(opts.top_k);
-    result.top.reserve(idx.size());
-    for (std::size_t i : idx) {
-      result.top.push_back(std::move(st.best_per_config[i]));
-    }
+    std::vector<core::EvalResult*> ranked = feasible_by_rank(st);
+    if (ranked.size() > opts.top_k) ranked.resize(opts.top_k);
+    result.top.reserve(ranked.size());
+    for (core::EvalResult* r : ranked) result.top.push_back(std::move(*r));
   }
   return result;
 }
@@ -558,14 +601,14 @@ std::vector<core::EvalResult> pareto_frontier(
   // Every feasible candidate must be inspected; the caches still apply.
   SweepState st = sweep(mdl, sys, opts, /*use_incumbent=*/false);
   // Walk the ranking fastest-first, keeping strictly lighter entries —
-  // the frontier is streamed out of the per-candidate slots rather than
+  // the frontier is streamed out of the evaluated results rather than
   // materializing a copy of the whole feasible set.
   std::vector<core::EvalResult> frontier;
   double best_mem = std::numeric_limits<double>::infinity();
-  for (std::size_t i : feasible_by_rank(st)) {
-    if (st.best_per_config[i].mem.total().value() < best_mem) {
-      best_mem = st.best_per_config[i].mem.total().value();
-      frontier.push_back(std::move(st.best_per_config[i]));
+  for (core::EvalResult* r : feasible_by_rank(st)) {
+    if (r->mem.total().value() < best_mem) {
+      best_mem = r->mem.total().value();
+      frontier.push_back(std::move(*r));
     }
   }
   return frontier;

@@ -4,20 +4,29 @@
 // iteration time.
 //
 // The default engine is a prune-and-memoize branch-and-bound over the
-// enumerated space:
+// candidate tree (search/enumerate.hpp):
+//   * each (n1, n2, np, nd, nb) prefix carries core::prefix_time_floor, a
+//     floor on every leaf's bound; a prefix is expanded only when its floor
+//     is <= both the incumbent and the smallest pending leaf bound, so a
+//     prefix above the incumbent is never materialized (its leaves count as
+//     subtree_pruned, their memory verdicts decided per (m, ZeRO stage));
 //   * cheap analytic lower bounds (core/lower_bounds.hpp) reject
-//     configurations whose FLOP + exposed-TP-communication floor already
-//     exceeds the shared incumbent (best achieved iteration time) or whose
-//     placement-independent memory floor exceeds HBM, before any op list
-//     is built;
+//     expanded configurations whose FLOP + exposed-TP-communication floor
+//     already exceeds the shared incumbent (best achieved iteration time)
+//     or whose placement-independent memory floor exceeds HBM, before any
+//     op list is built;
 //   * a concurrent block cache shares one lowered layer across all
 //     (np, nd, m) combinations with the same tensor shapes, and a
 //     placement cache shares the non-dominated placement sets across the
 //     interleave/ZeRO/ring expansion axes;
 //   * candidates are evaluated cheapest-bound-first in fixed-size rounds
-//     with dynamically scheduled workers; the incumbent is re-read at each
+//     with dynamically scheduled workers, popped from a merge of the
+//     expanded leaves and the unexpanded prefixes in exactly the (bound,
+//     index) order a full sort would give; the incumbent is re-read at each
 //     round barrier, which keeps the pruning decisions (and therefore
-//     SearchResult::evaluated) independent of the thread count;
+//     SearchResult::evaluated) independent of the thread count; a search
+//     that resolves to one worker runs inline, with no thread pool;
+//   * only evaluated candidates keep a result, reduced in index order;
 //   * the fabric is resolved once per search; each candidate that fits in
 //     HBM has its whole placement set timed by one batched kernel call
 //     (scan_placements_batch), priced by its worker's own FabricPricer;
@@ -58,13 +67,6 @@ struct SearchOptions : EnumerationOptions {
   /// thread count.
   static constexpr std::size_t round_size = 64;
 
-  /// Interleaved-pipeline chunk counts to try (extension; {1} = the paper's
-  /// non-interleaved schedule).
-  std::vector<std::int64_t> interleave_candidates{1};
-  /// Also try ZeRO-3 weight sharding per configuration (extension).
-  bool allow_zero3 = false;
-  /// Also try ring attention for n2 > 1 configurations (extension).
-  bool allow_ring_attention = false;
   /// Modeling extensions applied to every evaluation.
   core::EvalOptions eval;
 
@@ -82,6 +84,10 @@ struct SearchStats {
   /// Candidates rejected because their iteration-time lower bound exceeded
   /// the incumbent.
   std::size_t bound_pruned = 0;
+  /// The part of bound_pruned settled a whole prefix at a time: leaves of
+  /// candidate-tree prefixes whose core::prefix_time_floor was above the
+  /// incumbent, so they were never materialized or bounded one by one.
+  std::size_t subtree_pruned = 0;
   /// Candidates rejected because their placement-independent memory floor
   /// exceeded HBM capacity.
   std::size_t memory_pruned = 0;
@@ -157,19 +163,6 @@ bool better_result(const core::EvalResult& a, const core::EvalResult& b);
 /// feasibility and, when feasible, the same configuration, iteration time
 /// and HBM total — the comparison every engine-vs-find_optimal check uses.
 bool same_optimum(const core::EvalResult& a, const core::EvalResult& b);
-
-/// The candidate parallelizations find_optimal scans: enumerate_parallel
-/// expanded by the interleave / ZeRO-3 / ring-attention axes. Depends on
-/// the SYSTEM only through its GPU count (or opts.n_gpus), never on the
-/// GPU type or NVS domain size — a hardware sweep at fixed scale enumerates
-/// once and reuses the list for every grid point. It does depend on the
-/// MODEL shape (divisibility of heads/hidden/depth/seq_len, GQA and MoE
-/// widths, the interleave filter on depth/np), so any memo shared across
-/// architectures must key on the full (shape, GPU count) pair — see
-/// search::CandidateCache in search/codesign.hpp.
-std::vector<parallel::ParallelConfig> expand_candidates(
-    const model::TransformerConfig& mdl, const hw::SystemConfig& sys,
-    const SearchOptions& opts);
 
 /// Whole-signature convenience scan over the kernel: lowers `sig`
 /// (lower_batched) and runs one non-prevalidated scan_placements_batch over

@@ -159,7 +159,7 @@ TEST(MoeSearch, SummaSpaceIsEmpty) {
   search::EnumerationOptions opts;
   opts.strategy = TpStrategy::Summa2D;
   opts.global_batch = 64;
-  EXPECT_TRUE(search::enumerate_parallel(m, sys, opts).empty());
+  EXPECT_TRUE(search::expand_candidates(m, sys, opts).empty());
 }
 
 TEST(MoeVsDense, ActiveComputeAdvantage) {

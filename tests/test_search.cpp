@@ -13,6 +13,7 @@
 #include "core/lower_bounds.hpp"
 #include "hw/topology.hpp"
 #include "search/search.hpp"
+#include "util/math.hpp"
 
 namespace tfpe::search {
 namespace {
@@ -27,7 +28,7 @@ TEST(Enumerate, AllConfigsSatisfyConstraints) {
   EnumerationOptions opts;
   opts.strategy = parallel::TpStrategy::TP1D;
   opts.global_batch = 4096;
-  const auto configs = enumerate_parallel(mdl, sys, opts);
+  const auto configs = expand_candidates(mdl, sys, opts);
   EXPECT_FALSE(configs.empty());
   for (const auto& c : configs) {
     EXPECT_EQ(c.invalid_reason(mdl, sys, 4096), std::nullopt)
@@ -45,7 +46,7 @@ TEST(Enumerate, CoversAllFactorizations) {
   EnumerationOptions opts;
   opts.strategy = parallel::TpStrategy::TP1D;
   opts.global_batch = 64;
-  const auto configs = enumerate_parallel(mdl, sys, opts);
+  const auto configs = expand_candidates(mdl, sys, opts);
   std::set<std::tuple<std::int64_t, std::int64_t, std::int64_t>> seen;
   for (const auto& c : configs) {
     if (c.microbatches == 1) seen.insert({c.n1, c.np, c.nd});
@@ -68,7 +69,7 @@ TEST(Enumerate, SummaGeneratesPanelVariants) {
   EnumerationOptions opts;
   opts.strategy = parallel::TpStrategy::Summa2D;
   opts.global_batch = 64;
-  const auto configs = enumerate_parallel(mdl, sys, opts);
+  const auto configs = expand_candidates(mdl, sys, opts);
   std::set<std::int64_t> nbs;
   for (const auto& c : configs) {
     if (c.n1 == 4 && c.n2 == 4 && c.np == 1 && c.microbatches == 1) {
@@ -83,8 +84,113 @@ TEST(Enumerate, NonSummaHasSinglePanel) {
   EnumerationOptions opts;
   opts.strategy = parallel::TpStrategy::TP2D;
   opts.global_batch = 64;
-  const auto configs = enumerate_parallel(mdl, b200(8, 64), opts);
+  const auto configs = expand_candidates(mdl, b200(8, 64), opts);
   for (const auto& c : configs) EXPECT_EQ(c.nb, 1);
+}
+
+/// The parallelization + expansion loops as they were written before the
+/// candidate tree existed: n1 -> n2 -> np -> m -> nb, then interleave ->
+/// ring -> ZeRO. The tree's flattening must reproduce this order exactly;
+/// it is the index order the engines tie-break on.
+std::vector<parallel::ParallelConfig> reference_candidates(
+    const model::TransformerConfig& mdl, std::int64_t n,
+    const EnumerationOptions& opts) {
+  std::vector<parallel::ParallelConfig> out;
+  const bool summa = opts.strategy == parallel::TpStrategy::Summa2D;
+  if (mdl.is_moe() && summa) return out;
+  std::vector<std::int64_t> nbs = opts.nb_candidates;
+  if (!summa) {
+    nbs = {1};
+  } else if (nbs.empty()) {
+    nbs = {1, 2, 4, 8, 16};
+  }
+  std::vector<std::int64_t> vs = opts.interleave_candidates;
+  if (vs.empty()) vs = {1};
+  const std::int64_t b = opts.global_batch;
+  for (std::int64_t n1 : util::divisors(n)) {
+    if (mdl.heads % n1 || mdl.hidden % n1 || mdl.embed % n1) continue;
+    if (mdl.kv_heads_or_default() % n1) continue;
+    for (std::int64_t n2 : util::divisors(n / n1)) {
+      if (opts.strategy == parallel::TpStrategy::TP1D && n2 != 1) continue;
+      if (mdl.seq_len % (n1 * n2)) continue;
+      if (summa && (mdl.embed % n2 || mdl.hidden % n2)) continue;
+      for (std::int64_t np : util::divisors(n / n1 / n2)) {
+        if (mdl.depth % np) continue;
+        const std::int64_t nd = n / n1 / n2 / np;
+        if (b % nd) continue;
+        if (mdl.is_moe() &&
+            (nd <= mdl.moe_experts ? mdl.moe_experts % nd != 0
+                                   : nd % mdl.moe_experts != 0)) {
+          continue;
+        }
+        for (std::int64_t m : util::divisors(b / nd)) {
+          for (std::int64_t nb : nbs) {
+            if (summa && (mdl.embed % nb || mdl.hidden % nb)) continue;
+            for (std::int64_t v : vs) {
+              if (v > 1 && (np <= 1 || (mdl.depth / np) % v != 0)) continue;
+              parallel::ParallelConfig cfg;
+              cfg.strategy = opts.strategy;
+              cfg.n1 = n1;
+              cfg.n2 = n2;
+              cfg.np = np;
+              cfg.nd = nd;
+              cfg.microbatches = m;
+              cfg.nb = nb;
+              cfg.interleave = v;
+              const bool ring_ok =
+                  opts.allow_ring_attention && n2 > 1 &&
+                  mdl.attention != model::AttentionKind::kLinear;
+              for (int ring = 0; ring <= (ring_ok ? 1 : 0); ++ring) {
+                cfg.ring_attention = ring != 0;
+                out.push_back(cfg);
+                if (opts.allow_zero3) {
+                  cfg.zero = parallel::ZeroStage::kWeights;
+                  out.push_back(cfg);
+                  cfg.zero = parallel::ZeroStage::kOptimizer;
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
+
+TEST(Enumerate, TreeFlattenMatchesReference) {
+  constexpr std::int64_t kGpus = 256;
+  const hw::SystemConfig sys = b200(8, kGpus);
+  std::size_t checked = 0;
+  for (const auto& mdl :
+       {model::gpt3_1t(), model::vit_64k(), model::gpt_moe_1t()}) {
+    for (auto strategy :
+         {parallel::TpStrategy::TP1D, parallel::TpStrategy::TP2D,
+          parallel::TpStrategy::Summa2D}) {
+      for (const bool extensions : {false, true}) {
+        SCOPED_TRACE(mdl.name + " " + parallel::to_string(strategy) +
+                     (extensions ? " v/ZeRO-3/ring" : ""));
+        EnumerationOptions opts;
+        opts.strategy = strategy;
+        opts.global_batch = 512;
+        if (extensions) {
+          opts.interleave_candidates = {1, 2, 4, 8};
+          opts.allow_zero3 = true;
+          opts.allow_ring_attention = true;
+        }
+        const auto want = reference_candidates(mdl, kGpus, opts);
+        const auto got = expand_candidates(mdl, sys, opts);
+        ASSERT_EQ(got.size(), want.size());
+        EXPECT_EQ(CandidateTree(mdl, kGpus, opts).size(), want.size());
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          ASSERT_EQ(got[i].describe(), want[i].describe()) << "index " << i;
+          ASSERT_EQ(got[i].strategy, want[i].strategy) << "index " << i;
+        }
+        checked += want.size();
+      }
+    }
+  }
+  EXPECT_GT(checked, 0u);
 }
 
 TEST(Placements, AllValidAndNonDominated) {
@@ -232,6 +338,7 @@ TEST(Pruning, CountersInvariantAcrossThreadCounts) {
   expect_same_optimum(a, b);
   EXPECT_EQ(a.evaluated, b.evaluated);
   EXPECT_EQ(a.stats.bound_pruned, b.stats.bound_pruned);
+  EXPECT_EQ(a.stats.subtree_pruned, b.stats.subtree_pruned);
   EXPECT_EQ(a.stats.memory_pruned, b.stats.memory_pruned);
   EXPECT_EQ(a.stats.build_layer_calls, b.stats.build_layer_calls);
   EXPECT_EQ(a.stats.layer_cache_hits, b.stats.layer_cache_hits);
@@ -267,6 +374,7 @@ void expect_same_work(const SearchResult& a, const SearchResult& b) {
   EXPECT_EQ(a.feasible, b.feasible);
   EXPECT_EQ(a.stats.candidates, b.stats.candidates);
   EXPECT_EQ(a.stats.bound_pruned, b.stats.bound_pruned);
+  EXPECT_EQ(a.stats.subtree_pruned, b.stats.subtree_pruned);
   EXPECT_EQ(a.stats.memory_pruned, b.stats.memory_pruned);
   EXPECT_EQ(a.stats.build_layer_calls, b.stats.build_layer_calls);
   EXPECT_EQ(a.stats.layer_cache_hits, b.stats.layer_cache_hits);
@@ -290,10 +398,10 @@ void expect_same_ranking(const std::vector<core::EvalResult>& got,
 /// against the exhaustive sweep, which evaluates every placement through
 /// the independent evaluate_with_layer path: same optimum, top-5 ranking
 /// and Pareto frontier bit for bit, and the same work at 1 and 4 threads.
-void expect_batched_matches_exhaustive(const model::TransformerConfig& mdl,
-                                       const hw::SystemConfig& sys,
-                                       parallel::TpStrategy strategy,
-                                       std::int64_t batch) {
+/// Returns the candidates the pruned search skipped a prefix at a time.
+std::size_t expect_batched_matches_exhaustive(
+    const model::TransformerConfig& mdl, const hw::SystemConfig& sys,
+    parallel::TpStrategy strategy, std::int64_t batch) {
   SearchOptions opts;
   opts.strategy = strategy;
   opts.global_batch = batch;
@@ -318,6 +426,8 @@ void expect_batched_matches_exhaustive(const model::TransformerConfig& mdl,
   expect_same_optimum(one, brute);
   expect_same_optimum(four, brute);
   expect_same_work(one, four);
+  EXPECT_LE(one.stats.subtree_pruned, one.stats.bound_pruned);
+  return one.stats.subtree_pruned;
 }
 
 TEST(FindOptimal, BatchedEngineMatchesExhaustive) {
@@ -325,6 +435,7 @@ TEST(FindOptimal, BatchedEngineMatchesExhaustive) {
   // the leaf tier and the three fabrics price them differently.
   const auto mdl = model::gpt3_175b();
   constexpr std::int64_t kGpus = 256;
+  std::size_t subtree_pruned = 0;  // the matrix must exercise prefix skips
   for (auto gen : {hw::GpuGeneration::A100, hw::GpuGeneration::H200,
                    hw::GpuGeneration::B200}) {
     const hw::SystemConfig base = hw::make_system(gen, 4, kGpus);
@@ -341,10 +452,12 @@ TEST(FindOptimal, BatchedEngineMatchesExhaustive) {
             parallel::TpStrategy::Summa2D}) {
         SCOPED_TRACE(sys.gpu.name + " " + fabric_name + " " +
                      parallel::to_string(strategy));
-        expect_batched_matches_exhaustive(mdl, sys, strategy, 512);
+        subtree_pruned +=
+            expect_batched_matches_exhaustive(mdl, sys, strategy, 512);
       }
     }
   }
+  EXPECT_GT(subtree_pruned, 0u);
 
   // A 40 GB system where candidates pass the placement-free memory floor
   // but compile over capacity: those get a direct infeasible result, which
@@ -426,6 +539,13 @@ TEST(PlacementFloorScreen, KeepsEveryExistingCounterOnSumma) {
   EXPECT_EQ(r.stats.build_layer_calls, 150u);
   EXPECT_EQ(r.stats.placement_sets, 97u);
   EXPECT_GT(r.stats.placement_floor_pruned, 0u);
+  // Whole prefixes above the incumbent are skipped unexpanded; their
+  // leaves are part of bound_pruned. Every candidate is accounted for once.
+  EXPECT_GT(r.stats.subtree_pruned, 0u);
+  EXPECT_LE(r.stats.subtree_pruned, r.stats.bound_pruned);
+  EXPECT_EQ(r.stats.candidates, r.stats.signature_compiles +
+                                    r.stats.bound_pruned +
+                                    r.stats.memory_pruned);
 }
 
 TEST(PlacementFloorScreen, CounterInvariantAcrossThreadCounts) {
@@ -634,7 +754,7 @@ TEST(LowerBounds, FloorsNeverExceedActuals) {
     eopts.strategy = cs.strategy;
     eopts.global_batch = cs.batch;
     eopts.nb_candidates = cs.nb_candidates;
-    const auto base = enumerate_parallel(cs.mdl, cs.sys, eopts);
+    const auto base = expand_candidates(cs.mdl, cs.sys, eopts);
     ASSERT_FALSE(base.empty());
     std::size_t checked = 0;
     const std::size_t step = std::max<std::size_t>(1, base.size() / 32);
@@ -724,6 +844,71 @@ TEST(LowerBounds, TpCommFloorBelowBlockWalk) {
       }
     }
   }
+  EXPECT_GT(checked, 0u);
+}
+
+// The candidate tree skips a prefix whose floor is above the incumbent
+// without expanding it, and merges the expanded leaves in (bound, index)
+// order on the premise that no leaf bounds below its prefix. So every
+// prefix floor must be <= every leaf's search_bounds time floor, bitwise
+// (no tolerance here: the floor's own 1e-9 slack is all the engine has),
+// on every strategy, model, GPU, fabric, overlap and expansion axis.
+TEST(LowerBounds, PrefixFloorBelowEveryChildBound) {
+  constexpr std::int64_t kGpus = 256;
+  constexpr std::int64_t kBatch = 512;
+  std::size_t checked = 0;
+  std::size_t violations = 0;
+  for (auto gen : {hw::GpuGeneration::A100, hw::GpuGeneration::H200,
+                   hw::GpuGeneration::B200}) {
+    const hw::SystemConfig sys = hw::make_system(gen, 8, kGpus);
+    const hw::Topology fabrics[] = {
+        sys.resolved_fabric(),
+        hw::leaf_spine_topology(sys.net, 8, 32, kGpus, 4.0),
+        hw::rail_optimized_topology(sys.net, 8, 32, kGpus)};
+    for (const auto& mdl :
+         {model::gpt3_1t(), model::vit_64k(), model::gpt_moe_1t()}) {
+      for (auto strategy :
+           {parallel::TpStrategy::TP1D, parallel::TpStrategy::TP2D,
+            parallel::TpStrategy::Summa2D}) {
+        EnumerationOptions opts;
+        opts.strategy = strategy;
+        opts.global_batch = kBatch;
+        opts.interleave_candidates = {1, 2, 4, 8};
+        opts.allow_zero3 = true;
+        opts.allow_ring_attention = true;
+        const CandidateTree tree(mdl, kGpus, opts);
+        for (double overlap : {0.0, 0.5, 1.0}) {
+          core::EvalOptions eval;
+          eval.tp_overlap = overlap;
+          eval.activation_offload = 0.5;
+          for (const hw::Topology& fabric : fabrics) {
+            for (const CandidatePrefix& p : tree.prefixes()) {
+              if (p.cfg.invalid_reason(mdl, sys, kBatch)) continue;
+              const double floor = core::prefix_time_floor(
+                  mdl, sys, fabric, p.cfg, kBatch, eval);
+              tree.for_each_leaf(p, [&](const parallel::ParallelConfig& cfg,
+                                        std::size_t) {
+                const double lb =
+                    core::search_bounds(mdl, sys, fabric, cfg, kBatch, eval)
+                        .time_floor;
+                ++checked;
+                if (floor <= lb) return;
+                if (++violations <= 5) {
+                  ADD_FAILURE() << mdl.name << " " << sys.gpu.name << " "
+                                << fabric.describe() << " "
+                                << cfg.describe()
+                                << " tp_overlap=" << overlap
+                                << ": prefix floor " << floor
+                                << " > leaf bound " << lb;
+                }
+              });
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(violations, 0u);
   EXPECT_GT(checked, 0u);
 }
 

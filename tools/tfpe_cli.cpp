@@ -18,6 +18,7 @@
 // stderr); `tfpe lint` adds 3 for warnings under --strict.
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -1114,6 +1115,7 @@ Work serve_plan_cmd(const util::ArgParser& args) {
 // --- `tfpe [plan]`: the optimal configuration for one model and system ----
 
 bool in_unit_interval(double x) { return x >= 0.0 && x <= 1.0; }
+bool finite_non_negative(double x) { return std::isfinite(x) && x >= 0.0; }
 
 Work plan_cmd(const util::ArgParser& args) {
   const io::LoadedConfig file = load_config(args);
@@ -1141,6 +1143,11 @@ Work plan_cmd(const util::ArgParser& args) {
           "--tp-overlap must lie in [0, 1]");
   require(in_unit_interval(opts.eval.activation_offload),
           "--offload must lie in [0, 1]");
+  // Budgets and the price are amounts: a negative or non-finite one would
+  // silently drop its report line.
+  require(finite_non_negative(tokens), "--tokens must be finite and >= 0");
+  require(finite_non_negative(samples), "--samples must be finite and >= 0");
+  require(finite_non_negative(rate), "--rate must be finite and >= 0");
   opts.top_k = static_cast<std::size_t>(top);
 
   hw::SystemConfig sys;
