@@ -114,6 +114,7 @@ search::CodesignResult run_naive(
       st.candidates += r.stats.candidates;
       st.evaluated += r.evaluated;
       st.bound_pruned += r.stats.bound_pruned;
+      st.subtree_pruned += r.stats.subtree_pruned;
       st.memory_pruned += r.stats.memory_pruned;
       st.signature_compiles += r.stats.signature_compiles;
       if (r.best.feasible) ++st.feasible_shape_points;
@@ -251,6 +252,7 @@ void write_json(const std::vector<Sample>& samples, std::size_t n_shapes,
        << ", \"candidates\": " << st.candidates
        << ", \"evaluations\": " << st.evaluated
        << ", \"bound_pruned\": " << st.bound_pruned
+       << ", \"subtree_pruned\": " << st.subtree_pruned
        << ", \"memory_pruned\": " << st.memory_pruned
        << ", \"warm_seeded\": " << st.warm_seeded
        << ", \"warm_seed_feasible\": " << st.warm_seed_feasible

@@ -90,6 +90,7 @@ search::SweepResult run_legacy(const model::TransformerConfig& mdl,
     out.stats.candidates += r.stats.candidates;
     out.stats.evaluated += r.evaluated;
     out.stats.bound_pruned += r.stats.bound_pruned;
+    out.stats.subtree_pruned += r.stats.subtree_pruned;
     out.stats.memory_pruned += r.stats.memory_pruned;
     out.stats.build_layer_calls += r.stats.build_layer_calls;
     out.stats.layer_cache_hits += r.stats.layer_cache_hits;
@@ -190,6 +191,7 @@ void write_json(const std::vector<Sample>& samples, std::size_t n_points,
        << ", \"candidates\": " << s.stats.candidates
        << ", \"evaluations\": " << s.stats.evaluated
        << ", \"bound_pruned\": " << s.stats.bound_pruned
+       << ", \"subtree_pruned\": " << s.stats.subtree_pruned
        << ", \"memory_pruned\": " << s.stats.memory_pruned
        << ", \"build_layer_calls\": " << s.stats.build_layer_calls
        << ", \"layer_cache_hits\": " << s.stats.layer_cache_hits
@@ -259,6 +261,7 @@ bool counters_thread_invariant(const std::vector<Sample>& samples) {
       check("candidates", a.stats.candidates, b.stats.candidates);
       check("evaluated", a.stats.evaluated, b.stats.evaluated);
       check("bound_pruned", a.stats.bound_pruned, b.stats.bound_pruned);
+      check("subtree_pruned", a.stats.subtree_pruned, b.stats.subtree_pruned);
       check("memory_pruned", a.stats.memory_pruned, b.stats.memory_pruned);
       check("batch_calls", a.stats.batch_calls, b.stats.batch_calls);
       check("batch_placements", a.stats.batch_placements,

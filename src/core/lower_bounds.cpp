@@ -270,41 +270,58 @@ double memory_floor(const model::TransformerConfig& mdl,
   return wg + opt_states + act;
 }
 
-double prefix_time_floor(const model::TransformerConfig& mdl,
-                         const hw::SystemConfig& sys,
-                         const hw::Topology& fabric,
-                         const parallel::ParallelConfig& cfg,
-                         std::int64_t global_batch, const EvalOptions& opts) {
+PrefixFloorBase prefix_floor_base(const model::TransformerConfig& mdl,
+                                  const hw::SystemConfig& sys,
+                                  const parallel::ParallelConfig& cfg,
+                                  std::int64_t global_batch,
+                                  const EvalOptions& opts) {
+  PrefixFloorBase out;
   const double tp = static_cast<double>(cfg.n1 * cfg.n2);
   const double batch = static_cast<double>(global_batch / cfg.nd);
   const double bl = batch * static_cast<double>(mdl.seq_len);
-  const double layers = static_cast<double>(mdl.depth / cfg.np);
+  out.layers = static_cast<double>(mdl.depth / cfg.np);
 
   // m microbatches of B/m samples: every per-microbatch term but the SUMMA
   // weight traffic is linear in the tokens, so m of them cost at least one
   // B-sample microbatch; the wgrad split is capped at min(B * tp, B * l)
   // over the m microbatches; the bubble is dropped.
   const Flops flops(layer_flops(mdl, bl, tp, std::min(batch * tp, bl)));
-  double t = layers * ((flops / sys.gpu.tensor_flops).value() +
-                       layer_vector_time(mdl, sys, bl, tp));
-  t += adam_time(sys, cfg, stage_params_floor(mdl, cfg));
+  out.compute_floor = out.layers * ((flops / sys.gpu.tensor_flops).value() +
+                                    layer_vector_time(mdl, sys, bl, tp));
+  out.compute_floor += adam_time(sys, cfg, stage_params_floor(mdl, cfg));
 
   // TP collectives at b_loc = B: collective_time_floor is linear in the
   // bytes, and the per-microbatch SUMMA weight broadcasts counted once are
   // at most their m copies. A ring child exposes no K/V gathers, which
   // cfg.ring_attention carries.
-  SearchBoundsBase volumes;
-  tp_comm_volumes(mdl, cfg, batch, opts, volumes);
-  t += tp_comm_floor(volumes, fabric, cfg).value() * layers;
+  tp_comm_volumes(mdl, cfg, batch, opts, out.volumes);
 
   // The pipeline handoffs of all m microbatches at v = 1 carry at least the
   // whole local batch's boundary tensor twice. ZeRO-3 only adds.
+  out.boundary_bytes = 2.0 * bl * static_cast<double>(mdl.embed) / tp;
+  return out;
+}
+
+double finish_prefix_floor(const PrefixFloorBase& base,
+                           const hw::Topology& fabric,
+                           const parallel::ParallelConfig& cfg) {
+  double t = base.compute_floor;
+  t += tp_comm_floor(base.volumes, fabric, cfg).value() * base.layers;
   if (cfg.np > 1) {
-    const Bytes boundary =
-        Bytes(2.0 * bl * static_cast<double>(mdl.embed) / tp);
-    t += (boundary / comm::best_p2p_bandwidth(fabric)).value() * 2.0;
+    t += (Bytes(base.boundary_bytes) / comm::best_p2p_bandwidth(fabric))
+             .value() *
+         2.0;
   }
   return t * (1.0 - kPrefixFloorSlack);
+}
+
+double prefix_time_floor(const model::TransformerConfig& mdl,
+                         const hw::SystemConfig& sys,
+                         const hw::Topology& fabric,
+                         const parallel::ParallelConfig& cfg,
+                         std::int64_t global_batch, const EvalOptions& opts) {
+  return finish_prefix_floor(
+      prefix_floor_base(mdl, sys, cfg, global_batch, opts), fabric, cfg);
 }
 
 SearchBounds finish_search_bounds(const SearchBoundsBase& base,

@@ -167,6 +167,29 @@ double prefix_time_floor(const model::TransformerConfig& mdl,
                          const parallel::ParallelConfig& cfg,
                          std::int64_t global_batch, const EvalOptions& opts);
 
+/// The fabric-free part of prefix_time_floor: the FLOP, vector and Adam
+/// terms, the TP volumes and the pipeline boundary volume. Valid for every
+/// fabric on a system with the same GPU roofline, so the scan driver
+/// computes it once per chain and prefix and finishes it per point.
+struct PrefixFloorBase {
+  double compute_floor = 0;   ///< the floor before the network terms
+  double layers = 0;          ///< layers per stage
+  double boundary_bytes = 0;  ///< local batch's boundary tensor (np > 1)
+  SearchBoundsBase volumes;   ///< tp1_bytes / tp2_bytes at b_loc = b/nd
+};
+
+PrefixFloorBase prefix_floor_base(const model::TransformerConfig& mdl,
+                                  const hw::SystemConfig& sys,
+                                  const parallel::ParallelConfig& cfg,
+                                  std::int64_t global_batch,
+                                  const EvalOptions& opts);
+
+/// Add the fabric-dependent terms to a base. prefix_time_floor(...) is
+/// exactly finish_prefix_floor(prefix_floor_base(...), ...), bitwise.
+double finish_prefix_floor(const PrefixFloorBase& base,
+                           const hw::Topology& fabric,
+                           const parallel::ParallelConfig& cfg);
+
 /// The per-layer, per-microbatch exposed TP communication floor (fwd +
 /// bwd) of a base on `fabric`: collective_time_floor of tp1_bytes over n1
 /// plus that of tp2_bytes over n2. finish_search_bounds adds it times

@@ -29,27 +29,6 @@ std::size_t hash_combine(std::size_t seed, std::size_t v) {
 constexpr const char* kShapePrunedReason =
     "shape pruned: architecture compute floor above cross-shape incumbent";
 
-/// Candidate identity inside one enumerated list: the parallelization /
-/// schedule fields expand_candidates varies (placements are searched later
-/// and enumerated lists carry unit placements).
-bool same_candidate(const parallel::ParallelConfig& a,
-                    const parallel::ParallelConfig& b) {
-  return a.strategy == b.strategy && a.n1 == b.n1 && a.n2 == b.n2 &&
-         a.np == b.np && a.nd == b.nd && a.microbatches == b.microbatches &&
-         a.nb == b.nb && a.interleave == b.interleave &&
-         a.ring_attention == b.ring_attention && a.zero == b.zero;
-}
-
-/// Index of `cfg` in `configs`, kNoSeed when absent — the by-value warm-
-/// seed lookup (candidate indices are not comparable across shapes).
-std::size_t find_candidate(const std::vector<parallel::ParallelConfig>& configs,
-                           const parallel::ParallelConfig& cfg) {
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    if (same_candidate(configs[i], cfg)) return i;
-  }
-  return kNoSeed;
-}
-
 }  // namespace
 
 ShapeKey shape_key(const model::TransformerConfig& mdl, std::int64_t n_gpus) {
@@ -85,14 +64,15 @@ std::size_t CandidateCache::KeyHash::operator()(const ShapeKey& k) const {
   return h;
 }
 
-std::shared_ptr<const std::vector<parallel::ParallelConfig>>
-CandidateCache::get(const model::TransformerConfig& mdl,
-                    const hw::SystemConfig& sys, const SearchOptions& opts) {
+std::shared_ptr<const CandidateSpace> CandidateCache::get(
+    const model::TransformerConfig& mdl, const hw::SystemConfig& sys,
+    const SearchOptions& opts) {
   const std::int64_t scale = opts.n_gpus > 0 ? opts.n_gpus : sys.n_gpus;
   return memo_.get(shape_key(mdl, scale), [&] {
-    auto configs = expand_candidates(mdl, sys, opts);
-    candidates_.fetch_add(configs.size(), std::memory_order_relaxed);
-    return configs;
+    CandidateSpace space{CandidateTree(mdl, scale, opts), {}};
+    space.configs = space.tree.leaves();
+    candidates_.fetch_add(space.configs.size(), std::memory_order_relaxed);
+    return space;
   });
 }
 
@@ -147,7 +127,7 @@ CodesignResult run_codesign(const std::vector<model::TransformerConfig>& shapes,
   // Chains: points sharing (GPU type, scale), in input order — the axis
   // along which a hardware_grid varies only the fabric, so within one
   // shape a predecessor's optimal candidate is a plausible (and index-
-  // compatible, since the candidate list is shared) seed for its
+  // compatible, since the candidate space is shared) seed for its
   // successor, and the ChainContext streams along it.
   std::map<std::pair<std::string, std::int64_t>, std::size_t> chain_ids;
   std::vector<std::vector<std::size_t>> chains;
@@ -167,7 +147,7 @@ CodesignResult run_codesign(const std::vector<model::TransformerConfig>& shapes,
 
   // Per-point cross-shape state, updated sequentially between shapes: the
   // last surviving shape's optimal configuration (the cross-shape warm
-  // seed, matched by value in the next shape's list).
+  // seed, looked up by value in the next shape's tree).
   std::vector<std::optional<parallel::ParallelConfig>> seed_cfg(np);
 
   // One pool of workers and one pool of scratch bundles for the WHOLE
@@ -215,7 +195,7 @@ CodesignResult run_codesign(const std::vector<model::TransformerConfig>& shapes,
     // seed; the leased ScanScratch persists across the chain (and, through
     // the pool, across chains) so the batch kernel allocates only on
     // growth. The ChainContext stays chain-local on purpose: its
-    // per-candidate entries are indexed into THIS chain's candidate list
+    // per-candidate entries are indexed into THIS chain's candidate space
     // and must not leak into the next one.
     const auto run_chain = [&](std::size_t c) {
       util::ObjectPool<ScanScratch>::Lease scratch = scratch_pool.acquire();
@@ -224,16 +204,15 @@ CodesignResult run_codesign(const std::vector<model::TransformerConfig>& shapes,
       for (const std::size_t p : chains[c]) {
         if (out.pruned[s][p]) continue;
         const auto enum_t0 = Clock::now();
-        const auto configs = cand_cache.get(shape, points[p],
-                                            opts.sweep.search);
+        const auto space = cand_cache.get(shape, points[p],
+                                          opts.sweep.search);
         enumerate_ns.fetch_add(ns_since(enum_t0), std::memory_order_relaxed);
         std::size_t seed = kNoSeed;
         if (opts.sweep.warm_start) {
-          if (seed_cfg[p]) seed = find_candidate(*configs, *seed_cfg[p]);
+          if (seed_cfg[p]) seed = space->tree.index_of(*seed_cfg[p]);
           if (seed == kNoSeed) seed = chain_seed;
         }
-        outcomes[p] = scan_point(scan, points[p], *configs, seed, *scratch,
-                                 ctx);
+        outcomes[p] = scan_point(scan, points[p], *space, seed, *scratch, ctx);
         chain_seed = outcomes[p].best_index;
       }
     };
@@ -253,6 +232,7 @@ CodesignResult run_codesign(const std::vector<model::TransformerConfig>& shapes,
       out.evaluated[s][p] = o.evaluated;
       out.stats.evaluated += o.evaluated;
       out.stats.bound_pruned += o.bound_pruned;
+      out.stats.subtree_pruned += o.subtree_pruned;
       out.stats.memory_pruned += o.memory_pruned;
       out.stats.placement_floor_pruned += o.placement_floor_pruned;
       out.stats.batch_calls += o.batch_calls;

@@ -7,12 +7,13 @@
 // a one-shape family. It runs as a branch-and-bound over the PRODUCT space
 // instead of a find_optimal loop per (shape, point):
 //
-//   * LAZY, MEMOIZED ENUMERATION — expand_candidates depends on the system
-//     only through the GPU count but on the model shape (see search.hpp),
-//     so CandidateCache memoizes it on the full (shape key, GPU count)
-//     pair and shares the lists across the grid. The first worker that
-//     needs a list builds it, so enumeration OVERLAPS other chains'
-//     compile and timing work instead of serializing ahead of the fan-out.
+//   * LAZY, MEMOIZED ENUMERATION — the candidate tree depends on the system
+//     only through the GPU count but on the model shape (see enumerate.hpp),
+//     so CandidateCache memoizes it and its leaves (a CandidateSpace) on
+//     the full (shape key, GPU count) pair and shares them across the grid.
+//     The first worker that needs a space builds it, so enumeration
+//     OVERLAPS other chains' compile and timing work instead of
+//     serializing ahead of the fan-out.
 //   * COMPILE PER LAYER — each distinct layer is lowered once into a
 //     hardware-invariant SoA block and each candidate compiles only its
 //     scalar tail against it (core/cost_signature.hpp, "block / tail
@@ -29,8 +30,9 @@
 //     per block and point).
 //   * WARM STARTS (SweepOptions::warm_start) — each scan first re-times a
 //     seed candidate: the previous surviving shape's optimum at the same
-//     point, looked up BY VALUE in this shape's list (indices are not
-//     comparable across shapes), else the chain predecessor's optimum.
+//     point, looked up BY VALUE in this shape's tree (CandidateTree::
+//     index_of; indices are not comparable across shapes), else the chain
+//     predecessor's optimum.
 //     That seeds the incumbent with an *achieved* time and lets the
 //     lower-bound prune cut deeper. A seed can only tighten the
 //     incumbent, never below the point's true optimum, so the optima are
@@ -45,10 +47,16 @@
 //     time, so it can neither win nor tie. Pruned (shape, point) pairs are
 //     reported as such, never with a fabricated optimum. The first shape
 //     has no incumbent, so a one-shape run never prunes.
-//   * Per point, candidates scan cheapest-lower-bound-first with a point-
-//     local incumbent (the scan always prunes), and all placements of a
-//     candidate are timed by one core::time_placements_batch call over the
-//     SoA arrays.
+//   * SUBTREE BOUNDS PER POINT — each point walks the shape's candidate
+//     tree cheapest-lower-bound-first with a point-local incumbent (the
+//     scan always prunes), in the (lb, index) order find_optimal pops in
+//     (one PrefixMerge): a (n1, n2, np, nd, nb) prefix is expanded only
+//     while its core::prefix_time_floor is <= both the incumbent and the
+//     smallest pending bound, and a prefix never expanded is classified
+//     whole, without screening its leaves (SweepStats::subtree_pruned;
+//     search/point_scan.hpp has the order and the exactness argument).
+//     All placements of a timed candidate go through one
+//     core::time_placements_batch call over the SoA arrays.
 //
 // EXACTNESS CONTRACT: for every (shape, point) pair the driver scans, the
 // reported result is BITWISE identical — configuration, time and memory —
@@ -110,18 +118,26 @@ struct ShapeKey {
 
 ShapeKey shape_key(const model::TransformerConfig& mdl, std::int64_t n_gpus);
 
-/// Memoized expand_candidates over (shape, GPU count), shared by every
-/// grid point and shape of one co-design run. Thread-safe (a ShardedMemo:
-/// each key enumerates exactly once, so builds() is deterministic, and
-/// readers share the immutable list).
+/// One (shape, GPU count)'s candidate space: the tree the scan walks and
+/// its leaves at their flattened indices (expand_candidates' list), so a
+/// leaf is read by index and never rebuilt.
+struct CandidateSpace {
+  CandidateTree tree;
+  std::vector<parallel::ParallelConfig> configs;  ///< tree.leaves()
+};
+
+/// Memoized candidate spaces over (shape, GPU count), shared by every grid
+/// point and shape of one co-design run. Thread-safe (a ShardedMemo: each
+/// key enumerates exactly once, so builds() is deterministic, and readers
+/// share the immutable space).
 class CandidateCache {
  public:
-  /// The expanded candidate list for `mdl` at the scale find_optimal would
-  /// use (opts.n_gpus when positive, else sys.n_gpus), enumerating on
-  /// first use.
-  std::shared_ptr<const std::vector<parallel::ParallelConfig>> get(
-      const model::TransformerConfig& mdl, const hw::SystemConfig& sys,
-      const SearchOptions& opts);
+  /// The candidate space for `mdl` at the scale find_optimal would use
+  /// (opts.n_gpus when positive, else sys.n_gpus), enumerating on first
+  /// use.
+  std::shared_ptr<const CandidateSpace> get(const model::TransformerConfig& mdl,
+                                            const hw::SystemConfig& sys,
+                                            const SearchOptions& opts);
 
   std::size_t builds() const { return memo_.builds(); }
   std::size_t hits() const { return memo_.hits(); }
@@ -132,7 +148,7 @@ class CandidateCache {
   struct KeyHash {
     std::size_t operator()(const ShapeKey& k) const;
   };
-  ShardedMemo<ShapeKey, std::vector<parallel::ParallelConfig>, KeyHash> memo_;
+  ShardedMemo<ShapeKey, CandidateSpace, KeyHash> memo_;
   std::atomic<std::size_t> candidates_{0};
 };
 

@@ -116,17 +116,91 @@ parallel::ParallelConfig CandidateTree::leaf(const CandidatePrefix& p,
   return cfg;
 }
 
+std::vector<parallel::ParallelConfig> CandidateTree::leaves() const {
+  std::vector<parallel::ParallelConfig> out(size_);
+  for (const CandidatePrefix& p : prefixes_) {
+    for_each_leaf(p, [&](const parallel::ParallelConfig& cfg,
+                         std::size_t index) { out[index] = cfg; });
+  }
+  return out;
+}
+
+std::size_t CandidateTree::prefix_of(
+    const parallel::ParallelConfig& cfg) const {
+  for (std::size_t i = 0; i < prefixes_.size(); ++i) {
+    const parallel::ParallelConfig& p = prefixes_[i].cfg;
+    if (p.strategy == cfg.strategy && p.n1 == cfg.n1 && p.n2 == cfg.n2 &&
+        p.np == cfg.np && p.nd == cfg.nd && p.nb == cfg.nb) {
+      return i;
+    }
+  }
+  return npos;
+}
+
+std::size_t CandidateTree::index_of(
+    const parallel::ParallelConfig& cfg) const {
+  const std::size_t i = prefix_of(cfg);
+  if (i == npos) return npos;
+  const CandidatePrefix& p = prefixes_[i];
+  const auto position = [](const std::vector<std::int64_t>& list,
+                           std::int64_t value) {
+    const auto it = std::find(list.begin(), list.end(), value);
+    return it == list.end() ? npos
+                            : static_cast<std::size_t>(it - list.begin());
+  };
+  const std::size_t m = position(microbatches(p), cfg.microbatches);
+  const std::size_t v = position(v_lists_[p.v_list], cfg.interleave);
+  const bool zero3 = cfg.zero == parallel::ZeroStage::kWeights;
+  if (m == npos || v == npos || (cfg.ring_attention && !p.cfg.ring_attention) ||
+      (zero3 && !zero3_)) {
+    return npos;
+  }
+  const std::size_t rings = p.cfg.ring_attention ? 2 : 1;
+  return p.first + m * p.m_stride +
+         ((v * rings + (cfg.ring_attention ? 1 : 0)) * zero3_stages() +
+          (zero3 ? 1 : 0));
+}
+
+void PrefixMerge::clear() {
+  prefixes_.clear();
+  next_ = 0;
+  heap_.clear();
+  cutoff_ = std::numeric_limits<double>::infinity();
+  dropped_ = 0;
+}
+
+void PrefixMerge::start() { std::sort(prefixes_.begin(), prefixes_.end()); }
+
+namespace {
+
+/// Min-heap order on (lb, index): std::push_heap keeps the largest first.
+bool pops_later(const PendingLeaf& a, const PendingLeaf& c) {
+  return a.lb != c.lb ? a.lb > c.lb : a.index > c.index;
+}
+
+}  // namespace
+
+void PrefixMerge::push(double lb, std::size_t index, std::uint32_t prefix) {
+  if (lb > cutoff_) {
+    ++dropped_;
+    return;
+  }
+  heap_.push_back({lb, index, prefix});
+  std::push_heap(heap_.begin(), heap_.end(), pops_later);
+}
+
+PendingLeaf PrefixMerge::pop_top() {
+  std::pop_heap(heap_.begin(), heap_.end(), pops_later);
+  const PendingLeaf top = heap_.back();
+  heap_.pop_back();
+  return top;
+}
+
 std::vector<parallel::ParallelConfig> expand_candidates(
     const model::TransformerConfig& mdl, const hw::SystemConfig& sys,
     const EnumerationOptions& opts) {
-  const CandidateTree tree(mdl, opts.n_gpus > 0 ? opts.n_gpus : sys.n_gpus,
-                           opts);
-  std::vector<parallel::ParallelConfig> out(tree.size());
-  for (const CandidatePrefix& p : tree.prefixes()) {
-    tree.for_each_leaf(p, [&](const parallel::ParallelConfig& cfg,
-                              std::size_t index) { out[index] = cfg; });
-  }
-  return out;
+  return CandidateTree(mdl, opts.n_gpus > 0 ? opts.n_gpus : sys.n_gpus, opts)
+      .leaves();
 }
 
 std::vector<std::array<std::int64_t, 4>> enumerate_placements(

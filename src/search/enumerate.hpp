@@ -20,6 +20,9 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "hw/system.hpp"
@@ -91,18 +94,42 @@ class CandidateTree {
   /// The leaf of `p` at flattened `index`, which must be one of p's.
   parallel::ParallelConfig leaf(const CandidatePrefix& p,
                                 std::size_t index) const;
+  /// Every leaf at its flattened index (what expand_candidates returns).
+  std::vector<parallel::ParallelConfig> leaves() const;
+
+  /// "Not in the tree", from prefix_of and index_of.
+  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+  /// Position in prefixes() of the prefix with cfg's n1, n2, np, nd and nb,
+  /// or npos.
+  std::size_t prefix_of(const parallel::ParallelConfig& cfg) const;
+  /// Flattened index of the leaf equal to cfg in every field the tree
+  /// varies (placements are ignored), or npos.
+  std::size_t index_of(const parallel::ParallelConfig& cfg) const;
+
+  /// The (m, ZeRO stage) group of leaf `index` of `p`:
+  /// m position * zero3_stages() + stage. core::memory_floor reads nothing
+  /// else below the prefix, so its leaves share it per group.
+  std::size_t group_of(const CandidatePrefix& p, std::size_t index) const {
+    const std::size_t local = index - p.first;
+    return local / p.m_stride * zero3_stages() +
+           local % p.m_stride % zero3_stages();
+  }
+
+  /// f(index) for every leaf of `p`, m-major in index order.
+  template <class F>
+  void for_each_index(const CandidatePrefix& p, F&& f) const {
+    const std::size_t per_m = leaves_per_m(p);
+    std::size_t row = p.first;
+    for (std::size_t i = 0; i < microbatches(p).size(); ++i) {
+      for (std::size_t index = row; index < row + per_m; ++index) f(index);
+      row += p.m_stride;
+    }
+  }
 
   /// f(cfg, index) for every leaf of `p`, m-major in index order.
   template <class F>
   void for_each_leaf(const CandidatePrefix& p, F&& f) const {
-    const std::size_t per_m = leaves_per_m(p);
-    std::size_t row = p.first;
-    for (std::size_t i = 0; i < microbatches(p).size(); ++i) {
-      for (std::size_t index = row; index < row + per_m; ++index) {
-        f(leaf(p, index), index);
-      }
-      row += p.m_stride;
-    }
+    for_each_index(p, [&](std::size_t index) { f(leaf(p, index), index); });
   }
 
  private:
@@ -111,6 +138,77 @@ class CandidateTree {
   std::vector<std::vector<std::int64_t>> v_lists_;
   std::size_t size_ = 0;
   bool zero3_ = false;
+};
+
+/// A leaf awaiting evaluation: its bound, flattened index and prefix.
+struct PendingLeaf {
+  double lb = 0;
+  std::size_t index = 0;
+  std::uint32_t prefix = 0;
+};
+
+/// The scan order both engines share: the leaves of a CandidateTree in
+/// (lb, index) order, as one sort of every leaf would give, with each
+/// prefix expanded only when a leaf of it could come next. A prefix carries
+/// a floor <= the lb of each of its leaves (core::prefix_time_floor). pop()
+/// expands a prefix while its floor is <= both the cutoff and the smallest
+/// pending lb, so a leaf that ties the top on lb is in the heap before the
+/// tie is broken by index, and a leaf with lb <= the cutoff is never left
+/// behind in an unexpanded prefix. A prefix whose floor stays above the
+/// cutoff is never expanded. The cutoffs passed to pop() must never
+/// increase (they are an incumbent), so a leaf pushed with its lb above the
+/// current cutoff can never be popped: it is counted, not kept.
+class PrefixMerge {
+ public:
+  /// Start over with no prefix and no leaf (capacity kept).
+  void clear();
+  /// Add prefix `p` (a position in CandidateTree::prefixes()) with floor
+  /// `floor`. Add every prefix before the first pop.
+  void add(std::uint32_t p, double floor) { prefixes_.emplace_back(floor, p); }
+  /// Order the added prefixes by (floor, position).
+  void start();
+  /// Add a leaf of the prefix being expanded.
+  void push(double lb, std::size_t index, std::uint32_t prefix);
+
+  /// Pop the next leaf into `out` if its lb is <= `cutoff`, first calling
+  /// expand(p) (which push()es p's leaves) for each prefix due. False when
+  /// no leaf at or below the cutoff is left.
+  template <class Expand>
+  bool pop(double cutoff, Expand&& expand, PendingLeaf& out) {
+    cutoff_ = cutoff;
+    while (next_ < prefixes_.size() && prefixes_[next_].first <= cutoff &&
+           (heap_.empty() || prefixes_[next_].first <= heap_.front().lb)) {
+      expand(prefixes_[next_++].second);
+    }
+    if (heap_.empty() || heap_.front().lb > cutoff) return false;
+    out = pop_top();
+    return true;
+  }
+  /// Expand every prefix, instead of popping: the pending leaves then hold
+  /// every leaf pushed, in no particular order.
+  template <class Expand>
+  void expand_all(Expand&& expand) {
+    while (next_ < prefixes_.size()) expand(prefixes_[next_++].second);
+  }
+
+  /// Leaves kept and not popped, in heap order (after expand_all: every
+  /// leaf pushed).
+  const std::vector<PendingLeaf>& pending() const { return heap_; }
+  /// Leaves pushed and not popped, kept or not.
+  std::size_t unpopped() const { return heap_.size() + dropped_; }
+  /// Prefixes never expanded, as (floor, position) in expansion order.
+  std::span<const std::pair<double, std::uint32_t>> unexpanded() const {
+    return std::span(prefixes_).subspan(next_);
+  }
+
+ private:
+  PendingLeaf pop_top();
+
+  std::vector<std::pair<double, std::uint32_t>> prefixes_;
+  std::size_t next_ = 0;  ///< first unexpanded entry of prefixes_
+  std::vector<PendingLeaf> heap_;
+  double cutoff_ = std::numeric_limits<double>::infinity();  ///< last pop's
+  std::size_t dropped_ = 0;  ///< leaves pushed above the cutoff
 };
 
 /// The candidate parallelizations find_optimal scans: the CandidateTree's

@@ -13,20 +13,25 @@ using Clock = std::chrono::steady_clock;
 }  // namespace
 
 PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
-                        const std::vector<parallel::ParallelConfig>& configs,
-                        std::size_t seed_index, ScanScratch& scratch,
-                        ChainContext& chain) {
+                        const CandidateSpace& space, std::size_t seed_index,
+                        ScanScratch& scratch, ChainContext& chain) {
   const std::int64_t b = sh.opts.search.global_batch;
   const core::EvalOptions& eval = sh.opts.search.eval;
-  const std::size_t n = configs.size();
+  const CandidateTree& tree = space.tree;
+  const std::vector<parallel::ParallelConfig>& configs = space.configs;
+  const std::vector<CandidatePrefix>& prefixes = tree.prefixes();
+  const Bytes hbm = sys.gpu.hbm_capacity;
   std::vector<core::PlacementTiming>& timings = scratch.timings;
   PointOutcome out;
+  // The stage clock: compile spans inside evaluate, and everything else
+  // the scan does (screens, merge, bounds, placement timing, the final
+  // classification) is time.
   std::int64_t compile_ns = 0;
-  std::int64_t time_ns = 0;
-  const auto screen_t0 = Clock::now();
+  const auto scan_t0 = Clock::now();
 
   chain.point = chain.point == kNoSeed ? 0 : chain.point + 1;
-  chain.entries.resize(n);
+  chain.entries.resize(configs.size());
+  chain.prefixes.resize(prefixes.size());
   chain.fabric = sys.resolved_fabric();
   // Rebind AFTER the fabric assignment: the pricer points at chain.fabric
   // (stable address) and precomputes its per-level terms.
@@ -34,6 +39,7 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
   if (chain.point == 0 || !hw::same_roofline(chain.gpu, sys.gpu) ||
       chain.host_bw.value() != sys.host_bandwidth.value()) {
     for (ChainEntry& e : chain.entries) e.lb_ready = 0;
+    for (ChainPrefix& cp : chain.prefixes) cp.floor_ready = 0;
     for (ChainBlock& cb : chain.blocks) cb.bound = 0;
     chain.gpu = sys.gpu;
     chain.host_bw = sys.host_bandwidth;
@@ -47,25 +53,35 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
   std::vector<std::pair<std::size_t, core::EvalResult>>& feasible =
       scratch.feasible;
   feasible.clear();
-  std::vector<double>& lb = scratch.lb;
-  lb.assign(n, 0.0);
-  std::vector<char>& pending = scratch.pending;
-  pending.assign(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
+
+  // Prefix screen: validity per prefix (every leaf of a prefix is valid
+  // exactly when the prefix is; the verdict reads only the cluster size, so
+  // it survives along the chain, stamped for safety) and each valid
+  // prefix's floor, finished on this point's fabric.
+  PrefixMerge& merge = scratch.merge;
+  merge.clear();
+  for (std::uint32_t p = 0; p < prefixes.size(); ++p) {
+    const parallel::ParallelConfig& cfg = prefixes[p].cfg;
+    ChainPrefix& cp = chain.prefixes[p];
+    if (cp.screen_n_gpus != sys.n_gpus) {
+      cp.valid = cfg.invalid_reason(sh.mdl, sys, b) ? 0 : 1;
+      cp.screen_n_gpus = sys.n_gpus;
+    }
+    if (!cp.valid) continue;
+    if (!cp.floor_ready) {
+      cp.floor_base = core::prefix_floor_base(sh.mdl, sys, cfg, b, eval);
+      cp.floor_ready = 1;
+    }
+    merge.add(p, core::finish_prefix_floor(cp.floor_base, chain.fabric, cfg));
+  }
+  merge.start();
+
+  // Screen leaf i of a valid prefix; true with its lower bound in `lb` when
+  // it joins the scan.
+  const auto screen = [&](std::size_t i, double& lb) {
     const parallel::ParallelConfig& cfg = configs[i];
     ChainEntry& e = chain.entries[i];
-    if (cfg.placement_product() == 1) {
-      // A unit-placement candidate's validity reads only the cluster size,
-      // so the verdict survives along the chain (stamped for safety).
-      if (e.screened == 0 || e.screen_n_gpus != sys.n_gpus) {
-        e.screened = cfg.invalid_reason(sh.mdl, sys, b) ? 2 : 1;
-        e.screen_n_gpus = sys.n_gpus;
-      }
-      if (e.screened == 2) continue;
-    } else if (cfg.invalid_reason(sh.mdl, sys, b)) {
-      continue;
-    }
-    if (e.tail && e.tail->mem.total() > sys.gpu.hbm_capacity) {
+    if (e.tail && e.tail->mem.total() > hbm) {
       // Screen-level capacity gate: a candidate compiled on an earlier
       // point of the chain whose tail already exceeds this point's
       // HBM is charged its one capacity probe right here and never enters
@@ -79,7 +95,7 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
       // chain-held tail (see signature_reuses).
       ++out.signature_reuses;
       ++out.evaluated;
-      continue;
+      return false;
     }
     if (!e.lb_ready) {
       e.lb_base = core::search_bounds_base(sh.mdl, sys, cfg, b, eval);
@@ -87,27 +103,27 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
     }
     const core::SearchBounds bounds =
         core::finish_search_bounds(e.lb_base, sh.mdl, chain.fabric, cfg);
-    if (Bytes(bounds.memory_floor) > sys.gpu.hbm_capacity) {
+    if (Bytes(bounds.memory_floor) > hbm) {
       ++out.memory_pruned;
-      continue;
+      return false;
     }
-    lb[i] = bounds.time_floor;
-    pending[i] = 1;
-  }
+    lb = bounds.time_floor;
+    return true;
+  };
 
-  std::vector<std::size_t>& order = scratch.order;
-  order.clear();
-  order.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (pending[i]) order.push_back(i);
+  // The warm seed is screened here, once; every later pass skips it.
+  std::size_t seed = kNoSeed;
+  std::size_t seed_prefix = kNoSeed;
+  bool seed_pending = false;
+  if (seed_index < configs.size()) {
+    const std::size_t sp = tree.prefix_of(configs[seed_index]);
+    if (chain.prefixes[sp].valid) {
+      seed = seed_index;
+      seed_prefix = sp;
+      double lb = 0;
+      seed_pending = screen(seed, lb);
+    }
   }
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t c) {
-    return lb[a] != lb[c] ? lb[a] < lb[c] : a < c;
-  });
-  time_ns += ns_since(screen_t0);
-
-  std::vector<char>& done = scratch.done;
-  done.assign(n, 0);
 
   // Evaluate candidate i as tail -> capacity check -> block bind -> floor
   // screen -> placement kernel, returning its achieved iteration time
@@ -120,34 +136,34 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
   // one-shot forms, so results are bitwise unchanged. Over-capacity
   // candidates (the bulk of a large-model grid) never touch their block:
   // better_result never prefers an infeasible result, so only the eval
-  // count must match the reference scan. Gated shortcuts after the first
-  // point are too small to bracket with the stage clock; the stage profile
-  // counts the heavyweight stage bodies.
-  const auto evaluate = [&](std::size_t i, double cutoff) -> double {
+  // count must match the reference scan. The tail compile and the block
+  // lookup and bind are the compile stage; the rest is the time stage.
+  const auto evaluate = [&](std::size_t i, std::size_t prefix,
+                            double cutoff) -> double {
     const parallel::ParallelConfig& cfg = configs[i];
     ChainEntry& e = chain.entries[i];
-    auto compile_t0 = Clock::now();
     if (!e.tail) {
+      const auto compile_t0 = Clock::now();
       e.tail = sh.caches.tails.get(signature_key(cfg), [&] {
         e.block = sh.caches.block(sh.mdl, cfg, b);
         return core::compile_tail(sh.mdl, cfg, b, e.block->bat, eval);
       });
+      chain.prefixes[prefix].compiled.push_back(i);
       compile_ns += ns_since(compile_t0);
     } else {
       ++out.signature_reuses;
     }
     const core::SignatureTail& tail = *e.tail;
-    if (tail.mem.total() > sys.gpu.hbm_capacity) {
+    if (tail.mem.total() > hbm) {
       // One capacity probe — the candidate's placements are never
       // enumerated, looked up, or timed, so the evaluation counters report
       // the work the scan actually did (the exhaustive reference charges
       // the whole placement set; optima are unaffected either way, only
       // the bookkeeping differs).
       ++out.evaluated;
-      done[i] = 1;
       return std::numeric_limits<double>::infinity();
     }
-    compile_t0 = Clock::now();
+    const auto bind_t0 = Clock::now();
     if (!e.block) e.block = sh.caches.block(sh.mdl, cfg, b);
     const core::BatchedSignature& bat = e.block->bat;
     if (chain.blocks.size() <= e.block->id) {
@@ -159,9 +175,8 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
       cb.bound = 1;
     }
     core::finish_bind(cb.part, tail, sys, scratch.base);
-    compile_ns += ns_since(compile_t0);
+    compile_ns += ns_since(bind_t0);
 
-    const auto time_t0 = Clock::now();
     core::EvalResult r;
     std::size_t evals = 0;
     const auto placements = sh.placement_cache.get(cfg, sys.nvs_domain);
@@ -198,8 +213,6 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
       out.batch_placements += timings.size();
     }
     out.evaluated += evals;
-    time_ns += ns_since(time_t0);
-    done[i] = 1;
     if (!r.feasible) return std::numeric_limits<double>::infinity();
     const double t = r.iteration();
     feasible.emplace_back(i, std::move(r));
@@ -208,40 +221,61 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
 
   double incumbent = std::numeric_limits<double>::infinity();
 
-  // Warm start: re-time the chain parent's optimal candidate first. Its
-  // time at THIS point is an achieved iteration time, so using it as the
-  // incumbent is exactly as conservative as any other achieved time — a
-  // candidate pruned against it satisfies time >= lb > incumbent >= optimum
-  // and can neither be nor tie the optimum. The optimum is therefore
-  // bitwise-unchanged; only the pruning (and eval counts) tighten.
-  if (seed_index != kNoSeed && seed_index < n && pending[seed_index]) {
+  // Warm start: re-time the seed first. Its time at THIS point is an
+  // achieved iteration time, so using it as the incumbent is exactly as
+  // conservative as any other achieved time — a candidate pruned against it
+  // satisfies time >= lb > incumbent >= optimum and can neither be nor tie
+  // the optimum. The optimum is therefore bitwise-unchanged; only the
+  // pruning (and eval counts) tighten.
+  if (seed_pending) {
     out.warm_seeded = true;
     const double t =
-        evaluate(seed_index, std::numeric_limits<double>::infinity());
+        evaluate(seed, seed_prefix, std::numeric_limits<double>::infinity());
     if (t < incumbent) {
       incumbent = t;
       out.warm_seed_feasible = true;
     }
   }
 
-  for (std::size_t pos = 0; pos < order.size(); ++pos) {
-    const std::size_t i = order[pos];
-    if (done[i]) continue;
-    if (lb[i] > incumbent) {
-      // The order is lb-sorted: everything from here on is provably slower
-      // than an achieved time (and a pruned candidate cannot tie, so the
-      // index-order reduction below still picks find_optimal's answer).
-      for (std::size_t j = pos; j < order.size(); ++j) {
-        if (!done[order[j]]) ++out.bound_pruned;
-      }
-      break;
-    }
-    // The placement-floor screen runs against the same running incumbent:
-    // a screened candidate is slower than an achieved time, so it can
-    // neither be nor tie the optimum.
-    const double t = evaluate(i, incumbent);
+  // Expanding a prefix screens each of its leaves into the merge.
+  const auto expand = [&](std::uint32_t p) {
+    tree.for_each_index(prefixes[p], [&](std::size_t i) {
+      double lb = 0;
+      if (i != seed && screen(i, lb)) merge.push(lb, i, p);
+    });
+  };
+  // Leaves in (lb, index) order until the next lb is above the running
+  // incumbent: everything left is provably slower than an achieved time
+  // (and cannot tie, so the index-order reduction below still picks
+  // find_optimal's answer). The placement-floor screen runs against the
+  // same running incumbent.
+  for (PendingLeaf c; merge.pop(incumbent, expand, c);) {
+    const double t = evaluate(c.index, c.prefix, incumbent);
     if (t < incumbent) incumbent = t;
   }
+
+  // What is left is above the incumbent: the expanded leaves one by one,
+  // the unexpanded prefixes whole (see the header for the order).
+  std::vector<std::size_t>& settled = scratch.settled;
+  for (const auto& [floor, p] : merge.unexpanded()) {
+    const CandidatePrefix& prefix = prefixes[p];
+    settled.assign(tree.microbatches(prefix).size() * tree.zero3_stages(), 0);
+    for (const std::size_t i : chain.prefixes[p].compiled) {
+      if (i != seed && chain.entries[i].tail->mem.total() > hbm) {
+        ++out.signature_reuses;
+        ++out.evaluated;
+        ++settled[tree.group_of(prefix, i)];
+      }
+    }
+    if (seed_prefix == p) ++settled[tree.group_of(prefix, seed)];
+    std::vector<double>& floors = chain.prefixes[p].memory_floors;
+    if (floors.empty()) {
+      group_memory_floors(sh.mdl, tree, prefix, b, eval, floors);
+    }
+    classify_unexpanded(tree, prefix, floors, hbm, settled, out.memory_pruned,
+                        out.subtree_pruned);
+  }
+  out.bound_pruned = merge.unpopped() + out.subtree_pruned;
 
   // Reduce in candidate-index order with the shared predicate — the same
   // tie-breaking walk find_optimal performs, so the two agree bitwise even
@@ -260,7 +294,8 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
   }
   if (!out.best.feasible) out.best_index = kNoSeed;
   sh.compile_ns.fetch_add(compile_ns, std::memory_order_relaxed);
-  sh.time_ns.fetch_add(time_ns, std::memory_order_relaxed);
+  sh.time_ns.fetch_add(ns_since(scan_t0) - compile_ns,
+                       std::memory_order_relaxed);
   return out;
 }
 

@@ -1,17 +1,39 @@
 #pragma once
 // The per-grid-point candidate scan of the scan driver (run_codesign in
 // search/codesign.hpp; run_sweep is its one-shape case): one system's
-// sequential, lower-bound-ordered scan of a candidate list with an
+// sequential, lower-bound-ordered walk of the shape's CandidateTree with an
 // achieved-time incumbent, warm seeding, and the ChainContext that
-// persists state across the points of one chain: per candidate its
-// compiled tail, block and screen / lower-bound caches; per block its bind
-// half (per GPU roofline) and floor walk (per point).
+// persists state across the points of one chain: per prefix its validity
+// and floor base; per candidate its compiled tail, block and lower-bound
+// base; per block its bind half (per GPU roofline) and floor walk (per
+// point).
+//
+// Scan order. Each valid (n1, n2, np, nd, nb) prefix gets its
+// core::prefix_time_floor, finished on the point's fabric from the chain's
+// base. The warm seed, if any, is screened and timed first. Then a
+// PrefixMerge (search/enumerate.hpp, the order find_optimal pops in too)
+// pops leaves in (lb, index) order, expanding a prefix only while its floor
+// is <= both the running incumbent and the smallest pending lb, and the
+// scan stops at the first leaf whose lb is above the incumbent.
+//
+// Exactness. The floor is <= the search_bounds time floor of each of its
+// leaves, so the pops are exactly the leaves a full (lb, index) sort would
+// visit, in that order, and each is screened as it would be there: a leaf
+// whose chain-held tail is over HBM is charged one evaluation, one whose
+// memory floor is over HBM is memory-pruned, the rest are bounded. A
+// prefix never expanded has a floor above the final incumbent, so every
+// leaf of it is slower than an achieved time; its leaves are classified
+// without being materialized, in the same order of verdicts: those with a
+// chain-held tail over HBM (the prefix keeps a list of its compiled leaves)
+// as evaluated, then per (m, ZeRO stage) the memory floor, the rest as
+// bound_pruned and subtree_pruned. So every counter equals a per-candidate
+// scan's, and scan_point's best result equals find_optimal's optimum at the
+// same point, with or without a warm seed (see codesign.hpp for the
+// argument).
 //
 // This is the search layer's internal engine room — run_codesign owns the
 // caches, groups points into chains and aggregates PointOutcome counters
-// into its stats. Everything here preserves the bitwise contract:
-// scan_point's best result equals find_optimal's optimum at the same
-// point, with or without a warm seed (see codesign.hpp for the argument).
+// into its stats.
 
 #include <atomic>
 #include <chrono>
@@ -22,13 +44,14 @@
 #include "core/cost_signature.hpp"
 #include "core/lower_bounds.hpp"
 #include "hw/system.hpp"
+#include "search/codesign.hpp"
 #include "search/search_cache.hpp"
 #include "search/sweep.hpp"
 
 namespace tfpe::search {
 
 /// Sentinel candidate index: "no warm seed" / "nothing feasible".
-inline constexpr std::size_t kNoSeed = static_cast<std::size_t>(-1);
+inline constexpr std::size_t kNoSeed = CandidateTree::npos;
 
 inline std::int64_t ns_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -84,6 +107,7 @@ struct PointOutcome {
   std::size_t best_index = kNoSeed;
   std::size_t evaluated = 0;
   std::size_t bound_pruned = 0;
+  std::size_t subtree_pruned = 0;  ///< part of bound_pruned
   std::size_t memory_pruned = 0;
   std::size_t placement_floor_pruned = 0;
   std::size_t batch_calls = 0;
@@ -110,9 +134,23 @@ struct ChainEntry {
   /// Fabric-independent half of the candidate's lower bounds; the screen
   /// finishes it with the current point's fabric.
   core::SearchBoundsBase lb_base;
-  std::int64_t screen_n_gpus = -1;     ///< cluster size the verdict is for
-  std::uint8_t screened = 0;           ///< 0 unknown, 1 valid, 2 invalid
   std::uint8_t lb_ready = 0;
+};
+
+/// Per-prefix state carried across the points of one chain: its validity
+/// (it reads only the cluster size), its floor base (it reads only the GPU
+/// roofline) and the leaves that hold a chain tail.
+struct ChainPrefix {
+  core::PrefixFloorBase floor_base;
+  /// group_memory_floors, filled the first time the prefix is skipped
+  /// (hardware-free, so never reset).
+  std::vector<double> memory_floors;
+  /// Leaves of the prefix whose ChainEntry::tail is set, in compile order:
+  /// the ones a skipped prefix must check against HBM.
+  std::vector<std::size_t> compiled;
+  std::int64_t screen_n_gpus = -1;  ///< cluster size `valid` is for
+  std::uint8_t valid = 0;
+  std::uint8_t floor_ready = 0;
 };
 
 /// Per-block state carried across the points of one chain, indexed by
@@ -128,11 +166,12 @@ struct ChainBlock {
 
 /// Chain context: state reused across the points of one chain. The tail
 /// (and the capacity verdict derived from it) never changes; a block's
-/// bind changes only with the GPU roofline; the validity screen of a
-/// unit-placement candidate reads only the GPU count. Each is cached with
-/// the stamp that invalidates it.
+/// bind and a prefix's floor base change only with the GPU roofline; a
+/// prefix's validity reads only the GPU count. Each is cached with the
+/// stamp that invalidates it.
 struct ChainContext {
-  std::vector<ChainEntry> entries;
+  std::vector<ChainEntry> entries;    ///< per candidate index
+  std::vector<ChainPrefix> prefixes;  ///< per CandidateTree prefix
   std::vector<ChainBlock> blocks;
   hw::Topology fabric;          ///< current point's fabric, resolved once
   /// Pricer bound to `fabric`, rebound once per point AFTER the fabric is
@@ -150,36 +189,32 @@ struct ChainContext {
 };
 
 /// Per-worker scratch bundle for scan_point: the batch-kernel scratch, the
-/// timing buffer, and scan_point's own per-candidate bookkeeping vectors.
-/// Reset capacity-preservingly at the top of every call, so a warm bundle
-/// makes the whole candidate scan allocation-free. Callers lease bundles
-/// from a util::ObjectPool so the warmth survives across chain tasks (and,
-/// in the co-design engine, across shapes) instead of dying with each
-/// worker lambda.
+/// timing buffer, and scan_point's own bookkeeping. Reset capacity-
+/// preservingly at the top of every call, so a warm bundle makes the whole
+/// scan allocation-free. Callers lease bundles from a util::ObjectPool so
+/// the warmth survives across chain tasks (and, in the co-design engine,
+/// across shapes) instead of dying with each worker lambda.
 struct ScanScratch {
   core::BatchScratch batch;
   std::vector<core::PlacementTiming> timings;
   core::SystemTiming base;  ///< the candidate's bind, finished per visit
-  // scan_point-internal per-candidate state (sized to the candidate list).
   std::vector<std::pair<std::size_t, core::EvalResult>> feasible;
-  std::vector<double> lb;
-  std::vector<char> pending;
-  std::vector<char> done;
-  std::vector<std::size_t> order;
+  PrefixMerge merge;
+  std::vector<std::size_t> settled;  ///< per (m, ZeRO stage) of a prefix
 };
 
-/// One grid point: scan the shared candidate list sequentially,
-/// cheapest-lower-bound-first with a point-local incumbent — optionally
-/// seeded by re-timing the chain parent's optimal candidate first. The
-/// running incumbent cuts off the lb-sorted suffix and is also the cutoff
-/// of the placement-floor screen (see scan_placements_batch).
-/// Sequential on purpose: the callers' parallelism is across chains, and a
-/// sequential scan both updates the incumbent after every single candidate
-/// (tighter than find_optimal's round barriers) and keeps the per-point
-/// counters independent of the worker count.
+/// One grid point: walk the shape's candidate space cheapest-lower-bound-
+/// first with a point-local incumbent (see the header for the order and
+/// why it is exact) — optionally seeded by re-timing `seed_index` (the
+/// chain parent's optimum, or the previous shape's) first. The running
+/// incumbent cuts off the rest of the walk and is also the cutoff of the
+/// placement-floor screen (see scan_placements_batch). Sequential on
+/// purpose: the callers' parallelism is across chains, and a sequential
+/// scan both updates the incumbent after every single candidate (tighter
+/// than find_optimal's round barriers) and keeps the per-point counters
+/// independent of the worker count.
 PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
-                        const std::vector<parallel::ParallelConfig>& configs,
-                        std::size_t seed_index, ScanScratch& scratch,
-                        ChainContext& chain);
+                        const CandidateSpace& space, std::size_t seed_index,
+                        ScanScratch& scratch, ChainContext& chain);
 
 }  // namespace tfpe::search

@@ -240,18 +240,6 @@ struct SweepState {
   SearchStats stats;
 };
 
-/// A candidate awaiting evaluation, ordered by (bound, index).
-struct Pending {
-  double lb = 0;
-  std::size_t index = 0;
-  std::uint32_t prefix = 0;  ///< its CandidateTree prefix
-};
-
-/// Min-heap order on (lb, index): std::push_heap keeps the largest first.
-bool pops_later(const Pending& a, const Pending& c) {
-  return a.lb != c.lb ? a.lb > c.lb : a.index > c.index;
-}
-
 /// Evaluate the candidate space. With opts.prune, uses the memoization
 /// caches and the memory-floor rejection; `use_incumbent` additionally
 /// enables the branch-and-bound incumbent and the prefix floors (disabled
@@ -314,26 +302,18 @@ SweepState sweep(const model::TransformerConfig& mdl,
   // are valid by construction), and each valid prefix gets its floor. No
   // leaf is materialized here.
   const std::vector<CandidatePrefix>& prefixes = tree.prefixes();
-  std::vector<double> prefix_floor(prefixes.size(), 0.0);
-  std::vector<std::uint32_t> live;
+  PrefixMerge merge;
   for (std::uint32_t p = 0; p < prefixes.size(); ++p) {
     const parallel::ParallelConfig& cfg = prefixes[p].cfg;
     if (cfg.invalid_reason(mdl, sys, b)) continue;
-    if (use_incumbent) {
-      prefix_floor[p] =
-          core::prefix_time_floor(mdl, sys, fabric, cfg, b, opts.eval);
-    }
-    live.push_back(p);
+    merge.add(p, use_incumbent ? core::prefix_time_floor(mdl, sys, fabric, cfg,
+                                                         b, opts.eval)
+                               : 0.0);
   }
-  // Cheapest floor first: the merge below expands prefixes in this order.
-  std::sort(live.begin(), live.end(), [&](std::uint32_t a, std::uint32_t c) {
-    const double fa = prefix_floor[a], fc = prefix_floor[c];
-    return fa != fc ? fa < fc : a < c;
-  });
+  merge.start();
 
   // Expanding a prefix bounds each of its leaves: one over HBM under every
-  // placement is memory-pruned, the rest join the (lb, index) heap.
-  std::vector<Pending> heap;
+  // placement is memory-pruned, the rest join the merge.
   const auto expand = [&](std::uint32_t p) {
     tree.for_each_leaf(prefixes[p], [&](const parallel::ParallelConfig& cfg,
                                         std::size_t index) {
@@ -343,8 +323,7 @@ SweepState sweep(const model::TransformerConfig& mdl,
         ++st.stats.memory_pruned;
         return;
       }
-      heap.push_back({bounds.time_floor, index, p});
-      std::push_heap(heap.begin(), heap.end(), pops_later);
+      merge.push(bounds.time_floor, index, p);
     });
   };
 
@@ -365,7 +344,7 @@ SweepState sweep(const model::TransformerConfig& mdl,
   // charge, and no timing (infeasible results never reach the reduction's
   // answer). `cutoff` is the placement-floor screen's incumbent (+inf: no
   // screen).
-  auto evaluate_candidate = [&](const Pending& c, double cutoff,
+  auto evaluate_candidate = [&](const PendingLeaf& c, double cutoff,
                                 Evaluated& out) {
     const parallel::ParallelConfig cfg =
         tree.leaf(prefixes[c.prefix], c.index);
@@ -423,43 +402,34 @@ SweepState sweep(const model::TransformerConfig& mdl,
 
   if (!use_incumbent) {
     // No incumbent: every leaf that fits is evaluated, in any order.
-    for (const std::uint32_t p : live) expand(p);
-    st.results.resize(heap.size());
-    for_each(heap.size(), [&](std::size_t j) {
-      evaluate_candidate(heap[j], std::numeric_limits<double>::infinity(),
+    merge.expand_all(expand);
+    const std::vector<PendingLeaf>& leaves = merge.pending();
+    st.results.resize(leaves.size());
+    for_each(leaves.size(), [&](std::size_t j) {
+      evaluate_candidate(leaves[j], std::numeric_limits<double>::infinity(),
                          st.results[j]);
     });
   } else {
     // Branch-and-bound rounds. Each round pops up to round_size candidates
-    // in (lb, index) order among those with lb <= the barrier incumbent.
-    // A prefix is expanded before any pop that its leaves could precede:
-    // while its floor is <= both the incumbent and the heap's smallest lb
-    // (floor <= every leaf's lb, so a leaf that ties the top on lb is in
-    // the heap before the tie is broken by index). The pops are therefore
-    // the prefix of one global (lb, index) sort, and a prefix whose floor
-    // stays above the incumbent is never expanded. The incumbent after a
-    // barrier is a min over a completed set of evaluations, so the pruning
-    // decisions — and all counters — are independent of the thread count.
-    // A pruned candidate satisfies time >= lb > incumbent >= optimum, so it
-    // can change neither the optimum nor its memory tie-break. The
-    // placement-floor screen inside a round uses the same barrier incumbent
-    // t_best (not the live atomic), so which candidates it settles is
-    // thread-invariant too.
-    std::size_t next = 0;  // first unexpanded entry of `live`
-    std::vector<Pending> round;
+    // from the merge in (lb, index) order among those with lb <= the
+    // barrier incumbent, so the pops are the prefix of one global
+    // (lb, index) sort and a prefix whose floor stays above the incumbent
+    // is never expanded. The incumbent after a barrier is a min over a
+    // completed set of evaluations, so the pruning decisions — and all
+    // counters — are independent of the thread count. A pruned candidate
+    // satisfies time >= lb > incumbent >= optimum, so it can change neither
+    // the optimum nor its memory tie-break. The placement-floor screen
+    // inside a round uses the same barrier incumbent t_best (not the live
+    // atomic), so which candidates it settles is thread-invariant too.
+    std::vector<PendingLeaf> round;
     round.reserve(SearchOptions::round_size);
     for (;;) {
       const double t_best = incumbent.load();
       round.clear();
-      while (round.size() < SearchOptions::round_size) {
-        while (next < live.size() && prefix_floor[live[next]] <= t_best &&
-               (heap.empty() || prefix_floor[live[next]] <= heap.front().lb)) {
-          expand(live[next++]);
-        }
-        if (heap.empty() || heap.front().lb > t_best) break;
-        std::pop_heap(heap.begin(), heap.end(), pops_later);
-        round.push_back(heap.back());
-        heap.pop_back();
+      PendingLeaf c;
+      while (round.size() < SearchOptions::round_size &&
+             merge.pop(t_best, expand, c)) {
+        round.push_back(c);
       }
       if (round.empty()) break;
       const std::size_t base = st.results.size();
@@ -471,28 +441,16 @@ SweepState sweep(const model::TransformerConfig& mdl,
     }
 
     // Everything left is above the final incumbent: the expanded leaves
-    // one by one, the unexpanded prefixes whole. A skipped prefix's leaves
-    // are classified without materializing them: the memory floor reads
-    // only m and the ZeRO stage below the prefix.
-    std::size_t subtree = 0;
-    for (; next < live.size(); ++next) {
-      const CandidatePrefix& prefix = prefixes[live[next]];
-      const std::size_t per_stage =  // leaves per (m, ZeRO stage)
-          tree.leaves_per_m(prefix) / tree.zero3_stages();
-      parallel::ParallelConfig cfg = prefix.cfg;
-      for (const std::int64_t m : tree.microbatches(prefix)) {
-        cfg.microbatches = m;
-        for (std::size_t z = 0; z < tree.zero3_stages(); ++z) {
-          cfg.zero = z != 0 ? parallel::ZeroStage::kWeights
-                            : parallel::ZeroStage::kOptimizer;
-          const Bytes floor(core::memory_floor(mdl, cfg, b, opts.eval));
-          (floor > sys.gpu.hbm_capacity ? st.stats.memory_pruned : subtree) +=
-              per_stage;
-        }
-      }
+    // one by one, the unexpanded prefixes whole.
+    std::vector<double> group_floors;
+    for (const auto& [floor, p] : merge.unexpanded()) {
+      group_floors.clear();
+      group_memory_floors(mdl, tree, prefixes[p], b, opts.eval, group_floors);
+      classify_unexpanded(tree, prefixes[p], group_floors,
+                          sys.gpu.hbm_capacity, {}, st.stats.memory_pruned,
+                          st.stats.subtree_pruned);
     }
-    st.stats.subtree_pruned = subtree;
-    st.stats.bound_pruned = heap.size() + subtree;
+    st.stats.bound_pruned = merge.unpopped() + st.stats.subtree_pruned;
   }
   std::sort(st.results.begin(), st.results.end(),
             [](const Evaluated& a, const Evaluated& c) {
@@ -534,6 +492,37 @@ std::vector<core::EvalResult*> feasible_by_rank(SweepState& st) {
 }
 
 }  // namespace
+
+void group_memory_floors(const model::TransformerConfig& mdl,
+                         const CandidateTree& tree,
+                         const CandidatePrefix& prefix,
+                         std::int64_t global_batch,
+                         const core::EvalOptions& eval,
+                         std::vector<double>& out) {
+  parallel::ParallelConfig cfg = prefix.cfg;
+  for (const std::int64_t m : tree.microbatches(prefix)) {
+    cfg.microbatches = m;
+    for (std::size_t z = 0; z < tree.zero3_stages(); ++z) {
+      cfg.zero = z != 0 ? parallel::ZeroStage::kWeights
+                        : parallel::ZeroStage::kOptimizer;
+      out.push_back(core::memory_floor(mdl, cfg, global_batch, eval));
+    }
+  }
+}
+
+void classify_unexpanded(const CandidateTree& tree,
+                         const CandidatePrefix& prefix,
+                         std::span<const double> group_floors, Bytes hbm,
+                         std::span<const std::size_t> settled,
+                         std::size_t& memory_pruned,
+                         std::size_t& subtree_pruned) {
+  const std::size_t per_group =
+      tree.leaves_per_m(prefix) / tree.zero3_stages();
+  for (std::size_t g = 0; g < group_floors.size(); ++g) {
+    const std::size_t leaves = per_group - (settled.empty() ? 0 : settled[g]);
+    (Bytes(group_floors[g]) > hbm ? memory_pruned : subtree_pruned) += leaves;
+  }
+}
 
 core::EvalResult best_placement(const model::TransformerConfig& mdl,
                                 const hw::SystemConfig& sys,

@@ -41,6 +41,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 
 #include "core/batched_signature.hpp"
 #include "core/cost_signature.hpp"
@@ -163,6 +164,29 @@ bool better_result(const core::EvalResult& a, const core::EvalResult& b);
 /// feasibility and, when feasible, the same configuration, iteration time
 /// and HBM total — the comparison every engine-vs-find_optimal check uses.
 bool same_optimum(const core::EvalResult& a, const core::EvalResult& b);
+
+/// core::memory_floor of each (m, ZeRO stage) group of `prefix`
+/// (CandidateTree::group_of), appended to `out` in group order. The floor
+/// reads nothing else below the prefix, so it holds for each leaf of the
+/// group; it reads no hardware.
+void group_memory_floors(const model::TransformerConfig& mdl,
+                         const CandidateTree& tree,
+                         const CandidatePrefix& prefix,
+                         std::int64_t global_batch,
+                         const core::EvalOptions& eval,
+                         std::vector<double>& out);
+
+/// Classify the leaves of a candidate-tree prefix the scan never expanded,
+/// without materializing them: a group whose floor in `group_floors`
+/// (group_memory_floors) exceeds `hbm` is memory-pruned, the others
+/// subtree-pruned, less `settled[g]` leaves of group g the caller has
+/// already counted (empty: none).
+void classify_unexpanded(const CandidateTree& tree,
+                         const CandidatePrefix& prefix,
+                         std::span<const double> group_floors, Bytes hbm,
+                         std::span<const std::size_t> settled,
+                         std::size_t& memory_pruned,
+                         std::size_t& subtree_pruned);
 
 /// Whole-signature convenience scan over the kernel: lowers `sig`
 /// (lower_batched) and runs one non-prevalidated scan_placements_batch over

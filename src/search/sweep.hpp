@@ -54,7 +54,14 @@ struct SweepStats {
   /// Placements accounted for over all points: timed by a batch kernel,
   /// or settled by the placement-floor screen.
   std::size_t evaluated = 0;
+  /// Candidates whose lower bound was above the point's incumbent when the
+  /// scan stopped; never compiled or timed at that point.
   std::size_t bound_pruned = 0;
+  /// The part of bound_pruned settled a whole prefix at a time: leaves of
+  /// candidate-tree prefixes whose prefix floor stayed above the incumbent,
+  /// so the scan never bounded them one by one (see search/point_scan.hpp).
+  std::size_t subtree_pruned = 0;
+  /// Candidates whose memory floor is above HBM (never compiled).
   std::size_t memory_pruned = 0;
   /// Candidates settled by the placement-floor screen (see
   /// SearchStats::placement_floor_pruned): bound, never timed, their
@@ -98,9 +105,9 @@ struct SweepStats {
   /// sweep's wall time. overlap() > 1 means stages genuinely ran
   /// concurrently. Schedule-dependent — excluded from determinism tests.
   struct StageProfile {
-    double enumerate_s = 0;  ///< expand_candidates
+    double enumerate_s = 0;  ///< candidate spaces (CandidateCache)
     double compile_s = 0;    ///< tail compile + block lower + bind
-    double time_s = 0;       ///< bounds screen + placement timing
+    double time_s = 0;       ///< the rest of the scan: screens, merge, timing
     double wall_s = 0;
     double overlap() const {
       return wall_s > 0 ? (enumerate_s + compile_s + time_s) / wall_s : 0.0;

@@ -279,6 +279,7 @@ TEST(Codesign, StatsAreThreadInvariant) {
   EXPECT_EQ(stats[0].candidates, stats[1].candidates);
   EXPECT_EQ(stats[0].evaluated, stats[1].evaluated);
   EXPECT_EQ(stats[0].bound_pruned, stats[1].bound_pruned);
+  EXPECT_EQ(stats[0].subtree_pruned, stats[1].subtree_pruned);
   EXPECT_EQ(stats[0].memory_pruned, stats[1].memory_pruned);
   EXPECT_GT(stats[0].placement_floor_pruned, 0u);
   EXPECT_EQ(stats[0].placement_floor_pruned, stats[1].placement_floor_pruned);
@@ -411,13 +412,14 @@ TEST(Codesign, CandidateCacheDoesNotAliasShapesAtEqualScale) {
   // Each memoized list is exactly the direct enumeration for its shape.
   const auto da = search::expand_candidates(a, sys, opts);
   const auto db = search::expand_candidates(b, sys, opts);
-  ASSERT_EQ(la->size(), da.size());
-  ASSERT_EQ(lb->size(), db.size());
+  ASSERT_EQ(la->configs.size(), da.size());
+  ASSERT_EQ(lb->configs.size(), db.size());
+  EXPECT_EQ(la->tree.size(), da.size());
   for (std::size_t i = 0; i < da.size(); ++i) {
-    EXPECT_EQ((*la)[i].describe(), da[i].describe());
+    EXPECT_EQ(la->configs[i].describe(), da[i].describe());
   }
   for (std::size_t i = 0; i < db.size(); ++i) {
-    EXPECT_EQ((*lb)[i].describe(), db[i].describe());
+    EXPECT_EQ(lb->configs[i].describe(), db[i].describe());
   }
   // Same shape, same scale: a hit sharing the same immutable list.
   const auto la2 = cache.get(a, sys, opts);

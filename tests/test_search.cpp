@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
 #include <set>
 #include <stdexcept>
@@ -187,6 +188,57 @@ TEST(Enumerate, TreeFlattenMatchesReference) {
           ASSERT_EQ(got[i].strategy, want[i].strategy) << "index " << i;
         }
         checked += want.size();
+      }
+    }
+  }
+  EXPECT_GT(checked, 0u);
+}
+
+// index_of inverts leaf over every leaf of every tree, ignores placements,
+// and rejects a configuration outside the tree.
+TEST(Enumerate, IndexOfInvertsLeaf) {
+  constexpr std::int64_t kGpus = 256;
+  std::size_t checked = 0;
+  for (const auto& mdl : {model::gpt3_1t(), model::vit_64k()}) {
+    for (auto strategy :
+         {parallel::TpStrategy::TP1D, parallel::TpStrategy::TP2D,
+          parallel::TpStrategy::Summa2D}) {
+      for (const bool extensions : {false, true}) {
+        EnumerationOptions opts;
+        opts.strategy = strategy;
+        opts.global_batch = 512;
+        if (extensions) {
+          opts.interleave_candidates = {1, 2, 4, 8};
+          opts.allow_zero3 = true;
+          opts.allow_ring_attention = true;
+        }
+        const CandidateTree tree(mdl, kGpus, opts);
+        for (std::size_t p = 0; p < tree.prefixes().size(); ++p) {
+          const CandidatePrefix& prefix = tree.prefixes()[p];
+          tree.for_each_leaf(prefix, [&](parallel::ParallelConfig cfg,
+                                         std::size_t index) {
+            cfg.nvs1 = cfg.n1;  // placements are not part of the identity
+            ASSERT_EQ(tree.prefix_of(cfg), p) << cfg.describe();
+            ASSERT_EQ(tree.index_of(cfg), index) << cfg.describe();
+            ++checked;
+          });
+        }
+        parallel::ParallelConfig absent = tree.prefixes().front().cfg;
+        absent.microbatches = 3;  // b / nd is a power of two here
+        EXPECT_EQ(tree.index_of(absent), CandidateTree::npos);
+        absent = tree.prefixes().front().cfg;
+        absent.interleave = 3;
+        EXPECT_EQ(tree.index_of(absent), CandidateTree::npos);
+        absent.interleave = 1;
+        absent.strategy = strategy == parallel::TpStrategy::TP1D
+                              ? parallel::TpStrategy::TP2D
+                              : parallel::TpStrategy::TP1D;
+        EXPECT_EQ(tree.prefix_of(absent), CandidateTree::npos);
+        if (!extensions) {
+          absent = tree.prefixes().front().cfg;
+          absent.zero = parallel::ZeroStage::kWeights;
+          EXPECT_EQ(tree.index_of(absent), CandidateTree::npos);
+        }
       }
     }
   }
@@ -909,6 +961,60 @@ TEST(LowerBounds, PrefixFloorBelowEveryChildBound) {
     }
   }
   EXPECT_EQ(violations, 0u);
+  EXPECT_GT(checked, 0u);
+}
+
+// The scan driver keeps a prefix floor's fabric-free base per chain and
+// finishes it per point; the composed floor must be prefix_time_floor bit
+// for bit, or the two engines would expand prefixes at different times.
+TEST(LowerBounds, PrefixFloorSplitIsBitwise) {
+  constexpr std::int64_t kGpus = 256;
+  constexpr std::int64_t kBatch = 512;
+  std::size_t checked = 0;
+  for (auto gen : {hw::GpuGeneration::A100, hw::GpuGeneration::H200,
+                   hw::GpuGeneration::B200}) {
+    const hw::SystemConfig sys = hw::make_system(gen, 8, kGpus);
+    const hw::Topology fabrics[] = {
+        sys.resolved_fabric(),
+        hw::leaf_spine_topology(sys.net, 8, 32, kGpus, 4.0),
+        hw::rail_optimized_topology(sys.net, 8, 32, kGpus)};
+    for (const auto& mdl :
+         {model::gpt3_1t(), model::vit_64k(), model::gpt_moe_1t()}) {
+      for (auto strategy :
+           {parallel::TpStrategy::TP1D, parallel::TpStrategy::TP2D,
+            parallel::TpStrategy::Summa2D}) {
+        EnumerationOptions opts;
+        opts.strategy = strategy;
+        opts.global_batch = kBatch;
+        opts.interleave_candidates = {1, 2, 4, 8};
+        opts.allow_zero3 = true;
+        opts.allow_ring_attention = true;
+        const CandidateTree tree(mdl, kGpus, opts);
+        for (double overlap : {0.0, 0.5, 1.0}) {
+          core::EvalOptions eval;
+          eval.tp_overlap = overlap;
+          eval.activation_offload = 0.5;
+          for (const CandidatePrefix& p : tree.prefixes()) {
+            if (p.cfg.invalid_reason(mdl, sys, kBatch)) continue;
+            const core::PrefixFloorBase base =
+                core::prefix_floor_base(mdl, sys, p.cfg, kBatch, eval);
+            for (const hw::Topology& fabric : fabrics) {
+              const double whole = core::prefix_time_floor(
+                  mdl, sys, fabric, p.cfg, kBatch, eval);
+              const double split =
+                  core::finish_prefix_floor(base, fabric, p.cfg);
+              ASSERT_EQ(std::bit_cast<std::uint64_t>(split),
+                        std::bit_cast<std::uint64_t>(whole))
+                  << mdl.name << " " << sys.gpu.name << " "
+                  << fabric.describe() << " " << p.cfg.describe()
+                  << " tp_overlap=" << overlap;
+              ++checked;
+            }
+          }
+        }
+      }
+    }
+  }
   EXPECT_GT(checked, 0u);
 }
 

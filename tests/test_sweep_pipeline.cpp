@@ -167,6 +167,7 @@ TEST(Sweep, WarmBatchCountersThreadInvariant) {
   EXPECT_EQ(one.evaluated_per_point, four.evaluated_per_point);
   EXPECT_EQ(one.stats.evaluated, four.stats.evaluated);
   EXPECT_EQ(one.stats.bound_pruned, four.stats.bound_pruned);
+  EXPECT_EQ(one.stats.subtree_pruned, four.stats.subtree_pruned);
   EXPECT_EQ(one.stats.memory_pruned, four.stats.memory_pruned);
   EXPECT_EQ(one.stats.batch_calls, four.stats.batch_calls);
   EXPECT_EQ(one.stats.batch_placements, four.stats.batch_placements);
@@ -272,6 +273,112 @@ TEST(Signature, CacheHammerFromConcurrentStages) {
 /// tsan target: the full pipelined engine — several chains streaming over
 /// the pool, all stages sharing the sweep-wide caches — under the batched,
 /// warm-started configuration.
+/// One row of the pinned scan-driver counters: a run_sweep over the Fig. 2
+/// grid at 4096 GPUs, cold or warm-started.
+struct PinnedSweep {
+  const char* label;
+  bool warm;
+  std::size_t evaluated, bound_pruned, memory_pruned, placement_floor_pruned;
+  std::size_t batch_calls, batch_placements, signature_compiles;
+  std::size_t signature_lowers, signature_reuses, warm_seed_feasible;
+  double iteration_sum;
+};
+
+/// The scan driver skips whole candidate-tree prefixes, classifying their
+/// leaves without visiting them; every work counter must stay what the
+/// per-candidate scan reported, at one and two workers, cold and warm, and
+/// every per-point optimum must equal find_optimal's bit for bit.
+TEST(Sweep, SubtreeBoundsKeepEveryCounter) {
+  const auto points = search::hardware_grid(
+      {hw::GpuGeneration::A100, hw::GpuGeneration::H200,
+       hw::GpuGeneration::B200},
+      {4, 8, 16, 32, 64}, 4096);
+  struct Case {
+    const char* label;
+    model::TransformerConfig mdl;
+    parallel::TpStrategy strategy;
+    bool ext;  // allow_zero3, allow_ring_attention, interleave {1, 2, 4}
+  };
+  const std::vector<Case> cases = {
+      {"GPT3-1T 1D", model::gpt3_1t(), parallel::TpStrategy::TP1D, false},
+      {"GPT3-1T 2D", model::gpt3_1t(), parallel::TpStrategy::TP2D, false},
+      {"ViT-64K SUMMA ext", model::vit_64k(), parallel::TpStrategy::Summa2D,
+       true},
+      {"GPT3-1T 2D ext", model::gpt3_1t(), parallel::TpStrategy::TP2D, true},
+  };
+  const std::vector<PinnedSweep> pinned = {
+      {"GPT3-1T 1D", false, 1348, 3740, 1110, 14, 97, 1123, 22, 4, 148, 0,
+       385.77772977511756},
+      {"GPT3-1T 1D", true, 1348, 3740, 1110, 14, 97, 1123, 22, 4, 148, 12,
+       385.77772977511756},
+      {"GPT3-1T 2D", false, 13240, 41169, 2835, 317, 364, 5479, 258, 67, 1709,
+       0, 355.97888732680644},
+      {"GPT3-1T 2D", true, 13272, 41167, 2835, 324, 359, 5308, 258, 67, 1711,
+       12, 355.97888732680644},
+      {"ViT-64K SUMMA ext", false, 141922, 231942, 19025, 2566, 2300, 22366,
+       6485, 857, 72879, 0, 1870.051695589118},
+      {"ViT-64K SUMMA ext", true, 141922, 231942, 19025, 2577, 2289, 22287,
+       6485, 857, 72879, 12, 1870.051695589118},
+      {"GPT3-1T 2D ext", false, 236140, 370779, 10160, 17791, 1904, 14930,
+       2184, 351, 41043, 0, 330.00149457182187},
+      {"GPT3-1T 2D ext", true, 236140, 370779, 10160, 18855, 840, 7909, 2184,
+       351, 41043, 12, 330.00149457182187},
+  };
+  std::size_t row = 0;
+  for (const Case& c : cases) {
+    search::SweepOptions opts;
+    opts.search.strategy = c.strategy;
+    opts.search.global_batch = 4096;
+    if (c.ext) {
+      opts.search.allow_zero3 = true;
+      opts.search.allow_ring_attention = true;
+      opts.search.interleave_candidates = {1, 2, 4};
+    }
+    std::vector<core::EvalResult> direct;
+    for (const auto& sys : points) {
+      direct.push_back(search::find_optimal(c.mdl, sys, opts.search).best);
+    }
+    for (const bool warm : {false, true}) {
+      const PinnedSweep& pin = pinned[row++];
+      ASSERT_EQ(std::string(pin.label), c.label);
+      ASSERT_EQ(pin.warm, warm);
+      for (const unsigned threads : {1u, 2u}) {
+        opts.warm_start = warm;
+        opts.threads = threads;
+        const auto swept = search::run_sweep(c.mdl, points, opts);
+        const search::SweepStats& s = swept.stats;
+        const std::string label = std::string(c.label) +
+                                  " warm=" + std::to_string(warm) +
+                                  " threads=" + std::to_string(threads);
+        EXPECT_EQ(s.evaluated, pin.evaluated) << label;
+        EXPECT_EQ(s.bound_pruned, pin.bound_pruned) << label;
+        EXPECT_EQ(s.memory_pruned, pin.memory_pruned) << label;
+        EXPECT_EQ(s.placement_floor_pruned, pin.placement_floor_pruned)
+            << label;
+        EXPECT_EQ(s.batch_calls, pin.batch_calls) << label;
+        EXPECT_EQ(s.batch_placements, pin.batch_placements) << label;
+        EXPECT_EQ(s.signature_compiles, pin.signature_compiles) << label;
+        EXPECT_EQ(s.signature_lowers, pin.signature_lowers) << label;
+        EXPECT_EQ(s.signature_reuses, pin.signature_reuses) << label;
+        EXPECT_EQ(s.warm_seed_feasible, pin.warm_seed_feasible) << label;
+        EXPECT_LE(s.subtree_pruned, s.bound_pruned) << label;
+        if (c.strategy != parallel::TpStrategy::TP1D) {
+          // 2D and SUMMA rows must exercise whole-prefix skips.
+          EXPECT_GT(s.subtree_pruned, 0u) << label;
+        }
+        double iteration_sum = 0;
+        ASSERT_EQ(swept.best.size(), points.size()) << label;
+        for (std::size_t p = 0; p < points.size(); ++p) {
+          expect_same_optimum(direct[p], swept.best[p],
+                              label + " point " + std::to_string(p));
+          iteration_sum += swept.best[p].iteration();
+        }
+        EXPECT_EQ(iteration_sum, pin.iteration_sum) << label;
+      }
+    }
+  }
+}
+
 TEST(Sweep, PipelinedEngineConcurrentChains) {
   const auto mdl = model::gpt3_175b();
   const auto points = search::hardware_grid(

@@ -731,6 +731,7 @@ Work sweep_cmd(const util::ArgParser& args) {
             totals.batch_calls += st.batch_calls;
             totals.batch_placements += st.batch_placements;
             totals.placement_floor_pruned += st.placement_floor_pruned;
+            totals.subtree_pruned += st.subtree_pruned;
             totals.warm_seeded += st.warm_seeded;
             totals.warm_seed_feasible += st.warm_seed_feasible;
             totals.profile.enumerate_s += st.profile.enumerate_s;
@@ -832,10 +833,10 @@ Work sweep_cmd(const util::ArgParser& args) {
     if (profile_stages) {
       std::printf(
           "stages: enumerate=%.3fs  compile=%.3fs  time=%.3fs  wall=%.3fs  "
-          "overlap=%.2fx\n",
+          "overlap=%.2fx  subtree-pruned=%zu\n",
           totals.profile.enumerate_s, totals.profile.compile_s,
           totals.profile.time_s, totals.profile.wall_s,
-          totals.profile.overlap());
+          totals.profile.overlap(), totals.subtree_pruned);
     }
     if (verify_legacy) {
       if (mismatches != 0) {
@@ -944,10 +945,11 @@ Work codesign_cmd(const util::ArgParser& args) {
                     : 0.0);
     std::printf(
         "enumerations=%zu (%zu memo hits)  candidates=%zu  evaluated=%zu  "
-        "bound-pruned=%zu  placement-floor-pruned=%zu  warm-seeds=%zu/%zu\n",
+        "bound-pruned=%zu  subtree-pruned=%zu  placement-floor-pruned=%zu  "
+        "warm-seeds=%zu/%zu\n",
         st.enumerations, st.enumeration_hits, st.candidates, st.evaluated,
-        st.bound_pruned, st.placement_floor_pruned, st.warm_seed_feasible,
-        st.warm_seeded);
+        st.bound_pruned, st.subtree_pruned, st.placement_floor_pruned,
+        st.warm_seed_feasible, st.warm_seeded);
 
     if (verify) {
       const std::size_t mismatches =
