@@ -20,8 +20,10 @@
 //  * a driver that runs each (mode, threads) combination over the full
 //    family, ASSERTS the exactness contract BEFORE writing any artifact —
 //    every scanned (shape, point) result and every per-point winner must
-//    be bitwise identical to the naive arm's find_optimal matrix, and the
-//    pruned arm must report nonzero shapes_pruned — and only then writes
+//    be bitwise identical to the naive arm's find_optimal matrix, every
+//    floor-pruned or cut pair's naive optimum must be infeasible or
+//    strictly slower than its point's winner, and the pruned arm must
+//    report nonzero shapes_pruned — and only then writes
 //    BENCH_codesign.json with the per-arm seconds, shape-points/sec and
 //    work counters plus the engine-vs-naive speedups, so the >= 5x
 //    per-shape throughput gain is machine-checkable.
@@ -158,6 +160,7 @@ void BM_Codesign(benchmark::State& state) {
   state.counters["shape_points"] =
       static_cast<double>(stats.shapes * stats.points);
   state.counters["shapes_pruned"] = static_cast<double>(stats.shapes_pruned);
+  state.counters["shapes_cut"] = static_cast<double>(stats.shapes_cut);
   state.counters["evaluations"] = static_cast<double>(stats.evaluated);
 }
 BENCHMARK(BM_Codesign)
@@ -195,22 +198,30 @@ Sample run_once(const std::vector<model::TransformerConfig>& shapes,
 }
 
 /// The exactness contract, checked against the naive reference BEFORE any
-/// artifact is written: every scanned (shape, point) entry matches the
-/// reference matrix bitwise, every pruned entry is flagged (never a
-/// fabricated optimum), and the per-point winners agree on both the shape
-/// index and the full result.
+/// artifact is written: every reported (shape, point) entry matches the
+/// reference matrix bitwise, every floor-pruned or cut entry is flagged
+/// (never a fabricated optimum) and its reference optimum is infeasible or
+/// strictly slower than the point's winner, and the per-point winners agree
+/// on both the shape index and the full result.
 bool verify_against(const search::CodesignResult& ref, const Sample& s) {
   bool ok = true;
   for (std::size_t i = 0; i < ref.shapes.size(); ++i) {
     for (std::size_t p = 0; p < ref.best.size(); ++p) {
-      if (s.result.pruned[i][p]) continue;
-      if (!search::same_optimum(ref.per_shape[i][p],
-                                s.result.per_shape[i][p])) {
-        ok = false;
-        std::cerr << "PER-SHAPE MISMATCH shape=" << ref.shapes[i].name
-                  << " point=" << p << " (" << mode_name(s.mode)
-                  << ", threads=" << s.threads << ")\n";
+      const core::EvalResult& direct = ref.per_shape[i][p];
+      const core::EvalResult& winner = ref.best[p].best;
+      if (s.result.pruned[i][p]
+              ? !s.result.per_shape[i][p].feasible &&
+                    (!direct.feasible ||
+                     (winner.feasible &&
+                      direct.iteration() > winner.iteration()))
+              : search::same_optimum(direct, s.result.per_shape[i][p])) {
+        continue;
       }
+      ok = false;
+      std::cerr << (s.result.pruned[i][p] ? "PRUNED PAIR COULD WIN"
+                                          : "PER-SHAPE MISMATCH")
+                << " shape=" << ref.shapes[i].name << " point=" << p << " ("
+                << mode_name(s.mode) << ", threads=" << s.threads << ")\n";
     }
   }
   for (std::size_t p = 0; p < ref.best.size(); ++p) {
@@ -246,6 +257,7 @@ void write_json(const std::vector<Sample>& samples, std::size_t n_shapes,
        << (s.seconds > 0 ? pairs / s.seconds : 0.0)
        << ", \"shapes_pruned\": " << st.shapes_pruned
        << ", \"shapes_evaluated\": " << st.shapes_evaluated
+       << ", \"shapes_cut\": " << st.shapes_cut
        << ", \"feasible_shape_points\": " << st.feasible_shape_points
        << ", \"enumerations\": " << st.enumerations
        << ", \"enumeration_hits\": " << st.enumeration_hits
@@ -322,10 +334,10 @@ int run_driver(bool quick) {
       const auto& st = s.result.stats;
       std::printf(
           "%-12s threads=%u  time=%.3fs  shape-points/s=%.1f  pruned=%zu"
-          "  evaluations=%zu  warm-seeds=%zu\n",
+          "  cut=%zu  evaluations=%zu  warm-seeds=%zu\n",
           mode_name(s.mode), s.threads, s.seconds,
           static_cast<double>(st.shapes * st.points) / s.seconds,
-          st.shapes_pruned, st.evaluated, st.warm_seeded);
+          st.shapes_pruned, st.shapes_cut, st.evaluated, st.warm_seeded);
     }
   }
 
@@ -345,7 +357,7 @@ int run_driver(bool quick) {
     std::cerr << "exactness contract violated — no artifact written\n";
     return 1;
   }
-  std::cout << "all scanned results and winners bitwise identical to the "
+  std::cout << "all reported results and winners bitwise identical to the "
                "naive per-shape arm\n";
 
   write_json(samples, shapes.size(), points.size(), "BENCH_codesign.json");

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -28,6 +29,8 @@ std::size_t hash_combine(std::size_t seed, std::size_t v) {
 
 constexpr const char* kShapePrunedReason =
     "shape pruned: architecture compute floor above cross-shape incumbent";
+constexpr const char* kShapeCutReason =
+    "shape pruned: no configuration at or below the cross-shape incumbent";
 
 }  // namespace
 
@@ -165,17 +168,22 @@ CodesignResult run_codesign(const std::vector<model::TransformerConfig>& shapes,
   if (!inline_run) pool = std::make_unique<util::ThreadPool>(opts.sweep.threads);
   util::ObjectPool<ScanScratch> scratch_pool;
   std::vector<PointOutcome> outcomes(np);
+  // Per point, the achieved time the current shape's scan starts from.
+  std::vector<double> incumbent(np);
   for (std::size_t s = 0; s < ns; ++s) {
     const model::TransformerConfig& shape = shapes[s];
 
     // Architecture-level screen, BEFORE any enumeration for this shape: a
     // floor above an achieved time means no configuration of this shape
-    // can win or tie at that point.
+    // can win or tie at that point. A surviving pair's scan starts at the
+    // same achieved time.
     bool any_scanned = false;
     for (std::size_t p = 0; p < np; ++p) {
-      if (opts.prune_shapes && out.best[p].best.feasible &&
-          core::shape_time_floor(shape, points[p], scale_of[p], b) >
-              out.best[p].best.iteration()) {
+      incumbent[p] = opts.prune_shapes && out.best[p].best.feasible
+                         ? out.best[p].best.iteration()
+                         : std::numeric_limits<double>::infinity();
+      if (core::shape_time_floor(shape, points[p], scale_of[p], b) >
+          incumbent[p]) {
         out.pruned[s][p] = 1;
         out.per_shape[s][p].reason = kShapePrunedReason;
         ++out.stats.shapes_pruned;
@@ -212,7 +220,8 @@ CodesignResult run_codesign(const std::vector<model::TransformerConfig>& shapes,
           if (seed_cfg[p]) seed = space->tree.index_of(*seed_cfg[p]);
           if (seed == kNoSeed) seed = chain_seed;
         }
-        outcomes[p] = scan_point(scan, points[p], *space, seed, *scratch, ctx);
+        outcomes[p] = scan_point(scan, points[p], *space, seed, incumbent[p],
+                                 *scratch, ctx);
         chain_seed = outcomes[p].best_index;
       }
     };
@@ -240,6 +249,15 @@ CodesignResult run_codesign(const std::vector<model::TransformerConfig>& shapes,
       out.stats.signature_reuses += o.signature_reuses;
       if (o.warm_seeded) ++out.stats.warm_seeded;
       if (o.warm_seed_feasible) ++out.stats.warm_seed_feasible;
+      // Cut: nothing at or below the incumbent, so the scan's best is not
+      // the shape's optimum and cannot win or tie. Its work stays charged.
+      if (incumbent[p] < std::numeric_limits<double>::infinity() &&
+          (!o.best.feasible || o.best.iteration() > incumbent[p])) {
+        out.pruned[s][p] = 2;
+        out.per_shape[s][p].reason = kShapeCutReason;
+        ++out.stats.shapes_cut;
+        continue;
+      }
       out.per_shape[s][p] = std::move(o.best);
       const core::EvalResult& r = out.per_shape[s][p];
       if (r.feasible) {

@@ -29,10 +29,10 @@
 //     tail per candidate, a bind per block and GPU roofline, a floor walk
 //     per block and point).
 //   * WARM STARTS (SweepOptions::warm_start) — each scan first re-times a
-//     seed candidate: the previous surviving shape's optimum at the same
-//     point, looked up BY VALUE in this shape's tree (CandidateTree::
-//     index_of; indices are not comparable across shapes), else the chain
-//     predecessor's optimum.
+//     seed candidate: the optimum of the latest shape reported (neither
+//     pruned nor cut) at the same point, looked up BY VALUE in this
+//     shape's tree (CandidateTree::index_of; indices are not comparable
+//     across shapes), else the chain predecessor's optimum.
 //     That seeds the incumbent with an *achieved* time and lets the
 //     lower-bound prune cut deeper. A seed can only tighten the
 //     incumbent, never below the point's true optimum, so the optima are
@@ -44,9 +44,17 @@
 //     the point's cross-shape incumbent (an achieved iteration time from
 //     an earlier shape) is skipped outright: floor > incumbent implies
 //     every one of its configurations is strictly slower than an achieved
-//     time, so it can neither win nor tie. Pruned (shape, point) pairs are
-//     reported as such, never with a fabricated optimum. The first shape
-//     has no incumbent, so a one-shape run never prunes.
+//     time, so it can neither win nor tie. A pair that survives the floor
+//     is scanned starting from that same incumbent (scan_point's starting
+//     incumbent, also the warm seed's cutoff), so the subtree and
+//     placement floors cut its candidates against the best time any shape
+//     has reached, not just its own. A scan that finds nothing at or below
+//     the incumbent is CUT: its best is not the shape's optimum, but that
+//     optimum is strictly slower than an achieved time, so it cannot win
+//     or tie either. Floor-pruned and cut pairs are reported as such
+//     (infeasible, reason "shape pruned: ..."), never with a fabricated
+//     optimum. The first shape has no incumbent, so a one-shape run never
+//     prunes or cuts.
 //   * SUBTREE BOUNDS PER POINT — each point walks the shape's candidate
 //     tree cheapest-lower-bound-first with a point-local incumbent (the
 //     scan always prunes), in the (lb, index) order find_optimal pops in
@@ -58,13 +66,21 @@
 //     All placements of a timed candidate go through one
 //     core::time_placements_batch call over the SoA arrays.
 //
-// EXACTNESS CONTRACT: for every (shape, point) pair the driver scans, the
-// reported result is BITWISE identical — configuration, time and memory —
-// to find_optimal(shape, point), with or without warm starts; per-point
-// winners equal the shape-order better_result reduction of those
+// EXACTNESS CONTRACT: for every (shape, point) pair the driver reports
+// unpruned, the result is BITWISE identical — configuration, time and
+// memory — to find_optimal(shape, point), with or without warm starts;
+// per-point winners equal the shape-order better_result reduction of those
 // per-shape optima. Shape-level pruning only ever removes pairs that
 // provably cannot affect a winner (their per-shape entry is flagged
-// pruned). With prune_shapes = false the full per-shape matrix is exact.
+// pruned): a floor-pruned or cut pair's find_optimal optimum is infeasible
+// or strictly slower than the point's winner. The cut is exact because the
+// starting incumbent is an achieved time: the scan stops only at a bound
+// strictly above it and the placement-floor screen is strict with slack,
+// so every candidate at or below it — ties included — is still timed, and
+// a pair whose optimum is at or below it keeps find_optimal's entry. The
+// cut is strictly-above, never at-or-above: better_result lets a later
+// shape of equal time and lower HBM take the point. With prune_shapes =
+// false nothing is pruned or cut and the full per-shape matrix is exact.
 // bench_sweep_scaling, bench_codesign and the sweep / codesign smoke
 // ctests assert this on every run.
 //
@@ -77,10 +93,10 @@
 //
 // Complexity: |family| x |grid| x |candidates| product points, of which
 // the driver evaluates only the shapes surviving the architecture floor,
-// and per surviving shape only the candidates surviving the warm-seeded
-// per-point incumbent — the bench's GPT3-1T-class family resolves a
-// 200-shape x 3-generation product at >= 5x the per-shape find_optimal
-// throughput.
+// and per surviving shape only the candidates surviving the cross-shape,
+// warm-seeded per-point incumbent — the bench's GPT3-1T-class family
+// resolves a 200-shape x 3-generation product at >= 5x the per-shape
+// find_optimal throughput.
 
 #include <atomic>
 #include <cstdint>
@@ -160,8 +176,10 @@ struct CodesignOptions {
   SweepOptions sweep;
 
   /// Screen whole shapes with core::shape_time_floor against the per-point
-  /// cross-shape incumbent (see header). Winners are unaffected bit for
-  /// bit; pruned (shape, point) entries are flagged instead of evaluated.
+  /// cross-shape incumbent, and start each surviving scan at it, cutting
+  /// the pairs that reach nothing at or below it (see header). Winners are
+  /// unaffected bit for bit; pruned and cut (shape, point) entries are
+  /// flagged instead of reported.
   /// Set false when the full exact per-shape matrix is the product wanted
   /// (e.g. tfpe sweep --arch CSV dumps).
   bool prune_shapes = true;
@@ -177,6 +195,11 @@ struct CodesignStats : SweepStats {
   std::size_t shapes_pruned = 0;
   /// …and pairs actually scanned (pruned + evaluated = shapes * points).
   std::size_t shapes_evaluated = 0;
+  /// Scanned pairs cut after the scan (part of shapes_evaluated): nothing
+  /// at or below the cross-shape incumbent the scan started from. Their
+  /// work is counted like any scanned pair's.
+  std::size_t shapes_cut = 0;
+  /// Feasible entries among the reported (neither pruned nor cut) pairs.
   std::size_t feasible_shape_points = 0;
   /// CandidateCache builds (distinct (shape, scale) lists enumerated) and
   /// hits; `candidates` is the summed size of the distinct lists.
@@ -201,12 +224,15 @@ struct CodesignResult {
   std::vector<Winner> best;
 
   /// per_shape[s][p]: find_optimal(shapes[s], points[p])'s exact result
-  /// when scanned; when pruned[s][p] (architecture floor above the
-  /// cross-shape incumbent) it is infeasible with the shape-pruned reason.
+  /// when pruned[s][p] == 0; otherwise it is infeasible with a reason
+  /// containing "shape pruned".
   std::vector<std::vector<core::EvalResult>> per_shape;
+  /// pruned[s][p]: 0 when the entry is exact, 1 when the architecture floor
+  /// was above the cross-shape incumbent (never scanned), 2 when the scan
+  /// found nothing at or below that incumbent (cut after the scan).
   std::vector<std::vector<std::uint8_t>> pruned;
   /// evaluated[s][p]: placement evaluations of that pair's scan (0 when
-  /// pruned); sums to stats.evaluated.
+  /// floor-pruned; a cut pair keeps its scan's); sums to stats.evaluated.
   std::vector<std::vector<std::size_t>> evaluated;
 
   CodesignStats stats;

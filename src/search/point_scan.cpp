@@ -14,7 +14,8 @@ using Clock = std::chrono::steady_clock;
 
 PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
                         const CandidateSpace& space, std::size_t seed_index,
-                        ScanScratch& scratch, ChainContext& chain) {
+                        double incumbent, ScanScratch& scratch,
+                        ChainContext& chain) {
   const std::int64_t b = sh.opts.search.global_batch;
   const core::EvalOptions& eval = sh.opts.search.eval;
   const CandidateTree& tree = space.tree;
@@ -219,18 +220,15 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
     return t;
   };
 
-  double incumbent = std::numeric_limits<double>::infinity();
-
-  // Warm start: re-time the seed first. Its time at THIS point is an
-  // achieved iteration time, so using it as the incumbent is exactly as
-  // conservative as any other achieved time — a candidate pruned against it
-  // satisfies time >= lb > incumbent >= optimum and can neither be nor tie
-  // the optimum. The optimum is therefore bitwise-unchanged; only the
-  // pruning (and eval counts) tighten.
+  // Warm start: re-time the seed first, against the starting incumbent.
+  // Its time at THIS point is an achieved iteration time, so using it as
+  // the incumbent is exactly as conservative as any other achieved time — a
+  // candidate pruned against it satisfies time >= lb > incumbent >= optimum
+  // and can neither be nor tie the optimum. The optimum is therefore
+  // bitwise-unchanged; only the pruning (and eval counts) tighten.
   if (seed_pending) {
     out.warm_seeded = true;
-    const double t =
-        evaluate(seed, seed_prefix, std::numeric_limits<double>::infinity());
+    const double t = evaluate(seed, seed_prefix, incumbent);
     if (t < incumbent) {
       incumbent = t;
       out.warm_seed_feasible = true;

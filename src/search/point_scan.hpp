@@ -10,7 +10,9 @@
 //
 // Scan order. Each valid (n1, n2, np, nd, nb) prefix gets its
 // core::prefix_time_floor, finished on the point's fabric from the chain's
-// base. The warm seed, if any, is screened and timed first. Then a
+// base. The running incumbent starts at the caller's achieved time (the
+// point's cross-shape incumbent in run_codesign, else infinity). The warm
+// seed, if any, is screened and timed first, against that incumbent. Then a
 // PrefixMerge (search/enumerate.hpp, the order find_optimal pops in too)
 // pops leaves in (lb, index) order, expanding a prefix only while its floor
 // is <= both the running incumbent and the smallest pending lb, and the
@@ -30,6 +32,14 @@
 // scan's, and scan_point's best result equals find_optimal's optimum at the
 // same point, with or without a warm seed (see codesign.hpp for the
 // argument).
+//
+// A finite starting incumbent I is an achieved time too. Every leaf whose
+// time is <= I (ties included) has lb <= I and passes the strict, slackened
+// placement-floor screen, so it is still popped and timed: when the
+// shape's optimum is <= I the best result is still find_optimal's, bit for
+// bit. When it is above I the best result is infeasible or above I, and
+// the caller must not report it as the shape's optimum (run_codesign cuts
+// such a pair).
 //
 // This is the search layer's internal engine room — run_codesign owns the
 // caches, groups points into chains and aggregates PointOutcome counters
@@ -120,6 +130,7 @@ struct PointOutcome {
   /// hits.
   std::size_t signature_reuses = 0;
   bool warm_seeded = false;
+  /// The seed beat the starting incumbent.
   bool warm_seed_feasible = false;
 };
 
@@ -206,15 +217,20 @@ struct ScanScratch {
 /// One grid point: walk the shape's candidate space cheapest-lower-bound-
 /// first with a point-local incumbent (see the header for the order and
 /// why it is exact) — optionally seeded by re-timing `seed_index` (the
-/// chain parent's optimum, or the previous shape's) first. The running
+/// chain parent's optimum, or the previous shape's) first. The incumbent
+/// starts at `incumbent`, an achieved iteration time or infinity; the seed
+/// counts as warm_seed_feasible only when it beats that start. The running
 /// incumbent cuts off the rest of the walk and is also the cutoff of the
-/// placement-floor screen (see scan_placements_batch). Sequential on
+/// placement-floor screen (see scan_placements_batch). The best result is
+/// find_optimal's optimum whenever that optimum is <= `incumbent`;
+/// otherwise it is infeasible or slower than `incumbent`. Sequential on
 /// purpose: the callers' parallelism is across chains, and a sequential
 /// scan both updates the incumbent after every single candidate (tighter
 /// than find_optimal's round barriers) and keeps the per-point counters
 /// independent of the worker count.
 PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
                         const CandidateSpace& space, std::size_t seed_index,
-                        ScanScratch& scratch, ChainContext& chain);
+                        double incumbent, ScanScratch& scratch,
+                        ChainContext& chain);
 
 }  // namespace tfpe::search

@@ -11,7 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -253,6 +255,111 @@ TEST(Codesign, ShapePruningPreservesWinnersBitwise) {
   }
 }
 
+/// Runs `shapes` x `points` with shape pruning on and off and checks the
+/// pruned run against the exhaustive one: the same winners, every
+/// unpruned entry bitwise equal, every floor-pruned or cut entry flagged
+/// and, by its exhaustive optimum, infeasible or strictly slower than the
+/// winner. Returns the pruned run.
+search::CodesignResult expect_cuts_exact(
+    const std::vector<model::TransformerConfig>& shapes,
+    const std::vector<hw::SystemConfig>& points,
+    const search::CodesignOptions& opts) {
+  search::CodesignOptions exhaustive = opts;
+  exhaustive.prune_shapes = false;
+  search::CodesignOptions pruned = opts;
+  pruned.prune_shapes = true;
+  const auto ref = search::run_codesign(shapes, points, exhaustive);
+  auto got = search::run_codesign(shapes, points, pruned);
+  std::size_t n_pruned = 0;
+  std::size_t n_cut = 0;
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    const std::string at = " point " + std::to_string(p);
+    EXPECT_EQ(ref.best[p].shape, got.best[p].shape) << at;
+    expect_same_optimum(ref.best[p].best, got.best[p].best, "winner" + at);
+    for (std::size_t s = 0; s < shapes.size(); ++s) {
+      const std::string label = shapes[s].name + at;
+      const core::EvalResult& direct = ref.per_shape[s][p];
+      if (got.pruned[s][p] == 0) {
+        expect_same_optimum(direct, got.per_shape[s][p], label);
+        continue;
+      }
+      n_pruned += got.pruned[s][p] == 1;
+      n_cut += got.pruned[s][p] == 2;
+      EXPECT_LE(got.pruned[s][p], 2) << label;
+      EXPECT_FALSE(got.per_shape[s][p].feasible) << label;
+      EXPECT_NE(got.per_shape[s][p].reason.find("shape pruned"),
+                std::string::npos)
+          << label;
+      if (direct.feasible) {
+        EXPECT_TRUE(ref.best[p].best.feasible &&
+                    direct.iteration() > ref.best[p].best.iteration())
+            << label;
+      }
+    }
+  }
+  EXPECT_EQ(n_pruned, got.stats.shapes_pruned);
+  EXPECT_EQ(n_cut, got.stats.shapes_cut);
+  EXPECT_LE(got.stats.shapes_cut, got.stats.shapes_evaluated);
+  EXPECT_EQ(got.stats.shapes_pruned + got.stats.shapes_evaluated,
+            shapes.size() * points.size());
+  return got;
+}
+
+/// Each scan starts at the point's cross-shape incumbent, and a pair that
+/// reaches nothing at or below it is cut. The cut is strictly-above: a
+/// duplicate of the winning shape (same dimensions, another name) ties the
+/// winner exactly, so its pairs there are scanned and reported bitwise
+/// equal to the original's, never cut. With the winner moved to the end
+/// of the family, a later shape wins from a finite starting incumbent.
+TEST(Codesign, IncumbentCutKeepsExactEntries) {
+  const auto points = search::hardware_grid(
+      {hw::GpuGeneration::A100, hw::GpuGeneration::B200}, {4, 16}, 128);
+  search::CodesignOptions opts;
+  opts.sweep.search.global_batch = 512;
+  opts.sweep.warm_start = true;
+  opts.sweep.threads = 2;
+  const auto family = small_family();
+  const auto base = expect_cuts_exact(family, points, opts);
+  EXPECT_GT(base.stats.shapes_cut, 0u);
+
+  // The shape that wins the most points.
+  std::vector<std::size_t> wins(family.size(), 0);
+  for (const auto& w : base.best) {
+    ASSERT_NE(w.shape, search::CodesignResult::kNoShape);
+    ++wins[w.shape];
+  }
+  const std::size_t top = static_cast<std::size_t>(
+      std::max_element(wins.begin(), wins.end()) - wins.begin());
+
+  auto with_dup = family;
+  with_dup.push_back(family[top]);
+  with_dup.back().name += "-dup";
+  const std::size_t dup = with_dup.size() - 1;
+  const auto run = expect_cuts_exact(with_dup, points, opts);
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    if (run.best[p].shape != top) continue;
+    const std::string at = "point " + std::to_string(p);
+    EXPECT_EQ(run.pruned[dup][p], 0) << at;
+    expect_same_optimum(run.per_shape[top][p], run.per_shape[dup][p],
+                        "duplicate " + at);
+  }
+
+  auto winner_last = family;
+  std::rotate(winner_last.begin() + static_cast<std::ptrdiff_t>(top),
+              winner_last.begin() + static_cast<std::ptrdiff_t>(top) + 1,
+              winner_last.end());
+  const auto later = expect_cuts_exact(winner_last, points, opts);
+  std::size_t later_wins = 0;
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    if (later.best[p].shape + 1 == winner_last.size()) {
+      // It won from the incumbent of the shapes before it.
+      EXPECT_EQ(later.pruned.back()[p], 0);
+      ++later_wins;
+    }
+  }
+  EXPECT_GT(later_wins, 0u);
+}
+
 /// Work counters are thread-invariant: shapes reduce sequentially, chains
 /// are sequential inside, so only the stage profile may differ.
 TEST(Codesign, StatsAreThreadInvariant) {
@@ -274,6 +381,7 @@ TEST(Codesign, StatsAreThreadInvariant) {
   EXPECT_EQ(stats[0].feasible_points, stats[1].feasible_points);
   EXPECT_EQ(stats[0].shapes_pruned, stats[1].shapes_pruned);
   EXPECT_EQ(stats[0].shapes_evaluated, stats[1].shapes_evaluated);
+  EXPECT_EQ(stats[0].shapes_cut, stats[1].shapes_cut);
   EXPECT_EQ(stats[0].feasible_shape_points, stats[1].feasible_shape_points);
   EXPECT_EQ(stats[0].enumerations, stats[1].enumerations);
   EXPECT_EQ(stats[0].candidates, stats[1].candidates);
@@ -339,8 +447,9 @@ TEST(Codesign, RejectsOutOfDomainEvalOptions) {
   }
 }
 
-/// The per-pair work matrix: a floor-pruned pair is never scanned, so it
-/// charges no evaluations, and the matrix sums to the run's counter.
+/// The per-pair work matrix: a floor-pruned pair (pruned == 1) is never
+/// scanned, so it charges no evaluations; a cut pair (pruned == 2) was
+/// scanned and keeps its work; the matrix sums to the run's counter.
 TEST(Codesign, PrunedPairsChargeNoWork) {
   // Dense + MoE variants of the tests/data/codesign_smoke.tfpe family: the
   // MoE shapes' floors sit above the dense incumbents, so pairs prune — on
@@ -368,14 +477,17 @@ TEST(Codesign, PrunedPairsChargeNoWork) {
   ASSERT_EQ(run.evaluated.size(), shapes.size());
   std::size_t total = 0;
   std::size_t pruned = 0;
+  std::size_t cut = 0;
   std::size_t partly_pruned_shapes = 0;
   for (std::size_t s = 0; s < shapes.size(); ++s) {
     ASSERT_EQ(run.evaluated[s].size(), points.size());
     std::size_t shape_pruned = 0;
     for (std::size_t p = 0; p < points.size(); ++p) {
-      if (run.pruned[s][p]) {
+      if (run.pruned[s][p] == 1) {
         ++shape_pruned;
         EXPECT_EQ(run.evaluated[s][p], 0u) << shapes[s].name << " point " << p;
+      } else if (run.pruned[s][p] == 2) {
+        ++cut;
       }
       total += run.evaluated[s][p];
     }
@@ -386,6 +498,7 @@ TEST(Codesign, PrunedPairsChargeNoWork) {
   }
   EXPECT_GT(partly_pruned_shapes, 0u);
   EXPECT_EQ(pruned, run.stats.shapes_pruned);
+  EXPECT_EQ(cut, run.stats.shapes_cut);
   EXPECT_EQ(total, run.stats.evaluated);
   std::size_t winners = 0;
   for (const auto& w : run.best) winners += w.best.feasible ? 1 : 0;

@@ -90,7 +90,8 @@ std::string help_text(const std::string& cmd) {
         "reports, per grid point, the winning (shape, parallelization,\n"
         "placement) triple. Every reported result is bitwise identical to\n"
         "find_optimal on that (shape, point); shapes whose architecture-level\n"
-        "compute floor exceeds the cross-shape incumbent are pruned whole.\n"
+        "compute floor exceeds the cross-shape incumbent are pruned whole,\n"
+        "and a shape that reaches nothing at or below it is cut.\n"
         "\n"
         "  --model NAME        base preset the family is iso to (default gpt3-1t)\n"
         "  --config PATH       load [model] and/or [codesign] from a file\n"
@@ -103,9 +104,10 @@ std::string help_text(const std::string& cmd) {
         "  --threads N         worker threads (0 = hardware concurrency)\n"
         "  --no-prune-shapes   keep the full exact per-shape matrix\n"
         "  --no-warm-start     cold incumbents (A/B baseline)\n"
-        "  --verify-per-shape  cross-check every scanned (shape, point) and\n"
-        "                      winner bitwise against per-shape find_optimal;\n"
-        "                      exits nonzero on any mismatch\n"
+        "  --verify-per-shape  cross-check every reported (shape, point) and\n"
+        "                      winner bitwise against per-shape find_optimal,\n"
+        "                      and every pruned or cut pair as slower than\n"
+        "                      the winner; exits nonzero on any mismatch\n"
         "  --csv PATH          write per-point winners as CSV\n";
   }
   if (cmd == "serve-plan") {
@@ -304,9 +306,11 @@ std::vector<std::int64_t> int_list(const util::ArgParser& args,
   return out;
 }
 
-/// Re-solve every scanned (shape, point) of `run`, and every point's
-/// winner by the same shape-order reduction, with independent
-/// find_optimal calls; prints each mismatch and returns their count.
+/// Re-solve every (shape, point) of `run`, and every point's winner by the
+/// same shape-order reduction, with independent find_optimal calls: a
+/// reported entry must match bitwise, and a floor-pruned or cut one must be
+/// infeasible or strictly slower than the point's winner. Prints each
+/// mismatch and returns their count.
 std::size_t cross_check(const std::vector<model::TransformerConfig>& shapes,
                         const std::vector<hw::SystemConfig>& points,
                         const std::vector<std::string>& labels,
@@ -325,13 +329,17 @@ std::size_t cross_check(const std::vector<model::TransformerConfig>& shapes,
         ref = direct;
         ref_shape = s;
       }
-      if (run.pruned[s][p] ||
-          search::same_optimum(direct, run.per_shape[s][p])) {
+      const core::EvalResult& winner = run.best[p].best;
+      if (run.pruned[s][p]
+              ? !direct.feasible || (winner.feasible &&
+                                     direct.iteration() > winner.iteration())
+              : search::same_optimum(direct, run.per_shape[s][p])) {
         continue;
       }
       ++mismatches;
-      std::cerr << "MISMATCH at " << shapes[s].name << " x " << labels[p]
-                << "\n";
+      std::cerr << (run.pruned[s][p] ? "PRUNED PAIR COULD WIN at "
+                                     : "MISMATCH at ")
+                << shapes[s].name << " x " << labels[p] << "\n";
     }
     if (ref_shape != run.best[p].shape ||
         !search::same_optimum(ref, run.best[p].best)) {
@@ -937,10 +945,10 @@ Work codesign_cmd(const util::ArgParser& args) {
 
     const auto& st = run.stats;
     std::printf(
-        "\n%zu shape-points: %zu floor-pruned, %zu scanned (%zu feasible)  "
-        "%.3fs  %.1f shape-points/s\n",
-        st.shapes * st.points, st.shapes_pruned, st.shapes_evaluated,
-        st.feasible_shape_points, seconds,
+        "\n%zu shape-points: %zu floor-pruned, %zu cut, %zu scanned (%zu "
+        "feasible)  %.3fs  %.1f shape-points/s\n",
+        st.shapes * st.points, st.shapes_pruned, st.shapes_cut,
+        st.shapes_evaluated, st.feasible_shape_points, seconds,
         seconds > 0 ? static_cast<double>(st.shapes * st.points) / seconds
                     : 0.0);
     std::printf(
@@ -959,8 +967,9 @@ Work codesign_cmd(const util::ArgParser& args) {
                   << " results differ from per-shape find_optimal\n";
         return 1;
       }
-      std::cout << "verify-per-shape: all scanned results and winners "
-                   "bitwise identical to find_optimal\n";
+      std::cout << "verify-per-shape: all reported results and winners "
+                   "bitwise identical to find_optimal, every pruned or cut "
+                   "pair slower than its point's winner\n";
     }
 
     if (!csv.empty()) {
