@@ -103,11 +103,7 @@ CostSignature compile_layer(const model::TransformerConfig& mdl,
                             const parallel::LayerCost& layer) {
   CostSignature sig;
   lower_ops(sig, layer);
-
-  sig.stored_activation_bytes = layer.stored_bytes();
-  sig.pp_boundary_bytes = layer.pp_boundary_bytes;
-  sig.weight_params = layer.weight_params;
-  sig.dp_group_includes_tp2 = layer.dp_group_includes_tp2;
+  static_cast<BlockScalars&>(sig) = block_scalars(mdl, cfg, layer);
 
   if (mdl.vocab > 0) {
     const double B = static_cast<double>(cfg.local_microbatch(global_batch));
@@ -128,11 +124,24 @@ CostSignature compile_layer(const model::TransformerConfig& mdl,
                           op->bwd_bytes,
                           op->unit == ops::ComputeUnit::TensorCore});
     }
-    sig.head_weight_params = static_cast<double>(mdl.vocab) *
-                             static_cast<double>(mdl.embed) /
-                             static_cast<double>(cfg.n1);
   }
   return sig;
+}
+
+BlockScalars block_scalars(const model::TransformerConfig& mdl,
+                           const parallel::ParallelConfig& cfg,
+                           const parallel::LayerCost& layer) {
+  BlockScalars s;
+  s.stored_activation_bytes = layer.stored_bytes();
+  s.pp_boundary_bytes = layer.pp_boundary_bytes;
+  s.weight_params = layer.weight_params;
+  s.dp_group_includes_tp2 = layer.dp_group_includes_tp2;
+  if (mdl.vocab > 0) {
+    s.head_weight_params = static_cast<double>(mdl.vocab) *
+                           static_cast<double>(mdl.embed) /
+                           static_cast<double>(cfg.n1);
+  }
+  return s;
 }
 
 SignatureTail compile_tail(const model::TransformerConfig& mdl,
@@ -173,6 +182,18 @@ SignatureTail compile_tail(const model::TransformerConfig& mdl,
     t.mem.optimizer += Bytes(12.0 * block.head_weight_params / opt_shard);
   }
   return t;
+}
+
+double token_memory_floor(const model::TransformerConfig& mdl,
+                          const parallel::ParallelConfig& cfg,
+                          std::int64_t global_batch, const BlockScalars& unit,
+                          const EvalOptions& opts) {
+  const double B = static_cast<double>(cfg.local_microbatch(global_batch));
+  BlockScalars block = unit;
+  block.stored_activation_bytes = unit.stored_activation_bytes * B;
+  block.pp_boundary_bytes = unit.pp_boundary_bytes * B;
+  return compile_tail(mdl, cfg, global_batch, block, opts).mem.total().value() *
+         (1.0 - 1e-9);
 }
 
 CostSignature compile_signature(const model::TransformerConfig& mdl,
@@ -302,9 +323,8 @@ CostSignature compile_decode_signature(const model::TransformerConfig& mdl,
 
   lower_ops(sig, layer);
 
+  static_cast<BlockScalars&>(sig) = block_scalars(mdl, cfg, layer);
   sig.stored_activation_bytes = Bytes(0);
-  sig.pp_boundary_bytes = layer.pp_boundary_bytes;
-  sig.weight_params = layer.weight_params;
   const double Ld = static_cast<double>(sig.layers_per_stage);
   sig.stage_params = layer.weight_params * Ld;
   // No data-parallel replica group, no optimizer: serving replicas are
@@ -328,9 +348,6 @@ CostSignature compile_decode_signature(const model::TransformerConfig& mdl,
                           op->bwd_bytes,
                           op->unit == ops::ComputeUnit::TensorCore});
     }
-    sig.head_weight_params = static_cast<double>(mdl.vocab) *
-                             static_cast<double>(mdl.embed) /
-                             static_cast<double>(cfg.n1);
   }
 
   // Transient working set: the double-buffered (R, e) stream plus the

@@ -209,6 +209,12 @@ CostSignature compile_layer(const model::TransformerConfig& mdl,
                             std::int64_t global_batch,
                             const parallel::LayerCost& layer);
 
+/// The BlockScalars half of compile_layer: the layer's stored, boundary
+/// and weight scalars and the vocabulary head's weight shard.
+BlockScalars block_scalars(const model::TransformerConfig& mdl,
+                           const parallel::ParallelConfig& cfg,
+                           const parallel::LayerCost& layer);
+
 /// The tail half of compile_signature, from the block's scalars alone:
 /// compile_signature(mdl, cfg, b, layer, opts) is compile_layer plus this,
 /// so a tail compiled against a shared block equals the signature's own
@@ -218,6 +224,22 @@ SignatureTail compile_tail(const model::TransformerConfig& mdl,
                            std::int64_t global_batch,
                            const BlockScalars& block,
                            const EvalOptions& opts = {});
+
+/// Per-token memory floor: a lower bound on compile_tail(mdl, cfg, b,
+/// block, opts).mem.total() for cfg's block, from `unit`, the
+/// block_scalars of the same layer built at local microbatch 1. Every
+/// builder's stored and pipeline-boundary bytes are linear in the local
+/// microbatch B (no ceil or min on it) and its weight scalars do not read
+/// B, so compile_tail's own statements on `unit` with those two bytes
+/// scaled by B give the tail's total up to rounding; the 1e-9 relative
+/// slack covers the different groupings. Unlike the analytic
+/// core::memory_floor it counts every stored activation (the gathered
+/// inputs every tensor-parallel GPU keeps whole), not just the block
+/// boundary, at the cost of one build_layer per layer family.
+double token_memory_floor(const model::TransformerConfig& mdl,
+                          const parallel::ParallelConfig& cfg,
+                          std::int64_t global_batch, const BlockScalars& unit,
+                          const EvalOptions& opts);
 
 /// Lower a built layer into its signature. `cfg` must satisfy the
 /// hardware-free divisibility constraints (np | depth, nd*m | b, ...);

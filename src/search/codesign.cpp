@@ -272,7 +272,8 @@ CodesignResult run_codesign(const std::vector<model::TransformerConfig>& shapes,
     out.stats.signature_compiles += caches.tails.builds();
     out.stats.signature_cache_hits += caches.tails.hits();
     out.stats.signature_lowers += caches.blocks.builds();
-    out.stats.build_layer_calls += caches.blocks.builds();
+    out.stats.build_layer_calls +=
+        caches.blocks.builds() + caches.units.builds();
     out.stats.layer_cache_hits += caches.blocks.hits();
   }
 

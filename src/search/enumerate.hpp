@@ -85,11 +85,15 @@ class CandidateTree {
   /// Leaves of `p` per microbatch count, zero3_stages() per (m, interleave,
   /// ring).
   std::size_t leaves_per_m(const CandidatePrefix& p) const {
-    return v_lists_[p.v_list].size() * (p.cfg.ring_attention ? 2 : 1) *
-           zero3_stages();
+    return v_lists_[p.v_list].size() * groups_per_m(p);
   }
-  /// ZeRO stages per leaf group: 2 when ZeRO-3 is searched, else 1.
+  /// ZeRO stages per (m, interleave, ring): 2 when ZeRO-3 is searched,
+  /// else 1.
   std::size_t zero3_stages() const { return zero3_ ? 2 : 1; }
+  /// (ring, ZeRO stage) leaf groups of `p` per microbatch count.
+  std::size_t groups_per_m(const CandidatePrefix& p) const {
+    return (p.cfg.ring_attention ? 2 : 1) * zero3_stages();
+  }
 
   /// The leaf of `p` at flattened `index`, which must be one of p's.
   parallel::ParallelConfig leaf(const CandidatePrefix& p,
@@ -106,13 +110,13 @@ class CandidateTree {
   /// varies (placements are ignored), or npos.
   std::size_t index_of(const parallel::ParallelConfig& cfg) const;
 
-  /// The (m, ZeRO stage) group of leaf `index` of `p`:
-  /// m position * zero3_stages() + stage. core::memory_floor reads nothing
-  /// else below the prefix, so its leaves share it per group.
+  /// The (m, ring, ZeRO stage) group of leaf `index` of `p`: m position *
+  /// groups_per_m(p) + ring * zero3_stages() + stage. A group's leaves
+  /// differ only in the interleave, which no memory floor reads.
   std::size_t group_of(const CandidatePrefix& p, std::size_t index) const {
     const std::size_t local = index - p.first;
-    return local / p.m_stride * zero3_stages() +
-           local % p.m_stride % zero3_stages();
+    return local / p.m_stride * groups_per_m(p) +
+           local % p.m_stride % groups_per_m(p);
   }
 
   /// f(index) for every leaf of `p`, m-major in index order.

@@ -77,38 +77,56 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
   }
   merge.start();
 
-  // Screen leaf i of a valid prefix; true with its lower bound in `lb` when
-  // it joins the scan.
-  const auto screen = [&](std::size_t i, double& lb) {
+  // A leaf of prefix p's memory floor (ChainEntry::memory_floor): the
+  // larger of the analytic floor and the per-token one, which counts every
+  // stored activation. Looking up the unit scalars may build them: the
+  // compile stage.
+  const auto memory_floor = [&](std::size_t p,
+                                const parallel::ParallelConfig& cfg) {
+    std::shared_ptr<const core::BlockScalars>& unit =
+        chain.prefixes[p].units[cfg.ring_attention ? 1 : 0];
+    if (!unit) {
+      const auto t0 = Clock::now();
+      unit = sh.caches.unit(sh.mdl, cfg, b);
+      compile_ns += ns_since(t0);
+    }
+    return std::max(core::memory_floor(sh.mdl, cfg, b, eval),
+                    core::token_memory_floor(sh.mdl, cfg, b, *unit, eval));
+  };
+
+  // Screen leaf i of valid prefix p; true with its lower bound in `lb`
+  // when it joins the scan.
+  const auto screen = [&](std::size_t i, std::size_t p, double& lb) {
     const parallel::ParallelConfig& cfg = configs[i];
     ChainEntry& e = chain.entries[i];
     if (e.tail && e.tail->mem.total() > hbm) {
-      // Screen-level capacity gate: a candidate compiled on an earlier
-      // point of the chain whose tail already exceeds this point's
-      // HBM is charged its one capacity probe right here and never enters
-      // the scan order — no bounds, no placement lookup, no reduction
-      // visit. (First-point candidates have no tail yet; they gate
-      // inside evaluate after compiling.) Relative to find_optimal this
-      // moves the candidate from memory_pruned / bound_pruned to
-      // evaluated, deterministically and thread-invariantly — chains are
-      // sequential — and the optima are untouched: an over-capacity
-      // candidate is infeasible under every placement. Served by the
-      // chain-held tail (see signature_reuses).
+      // A candidate compiled on an earlier point of the chain whose tail
+      // exceeds this point's HBM is charged its one capacity probe right
+      // here and never enters the scan order — no bounds, no placement
+      // lookup, no reduction visit. Relative to find_optimal this moves
+      // the candidate from memory_pruned / bound_pruned to evaluated,
+      // deterministically and thread-invariantly — chains are sequential —
+      // and the optima are untouched: an over-capacity candidate is
+      // infeasible under every placement. Served by the chain-held tail
+      // (see signature_reuses).
       ++out.signature_reuses;
       ++out.evaluated;
+      return false;
+    }
+    // The memory floors are <= the tail's total, so a leaf over HBM on
+    // either is never compiled; the tail check in evaluate stays the exact
+    // arbiter for the rest.
+    if (e.memory_floor < 0) e.memory_floor = memory_floor(p, cfg);
+    if (Bytes(e.memory_floor) > hbm) {
+      ++out.memory_pruned;
       return false;
     }
     if (!e.lb_ready) {
       e.lb_base = core::search_bounds_base(sh.mdl, sys, cfg, b, eval);
       e.lb_ready = 1;
     }
-    const core::SearchBounds bounds =
-        core::finish_search_bounds(e.lb_base, sh.mdl, chain.fabric, cfg);
-    if (Bytes(bounds.memory_floor) > hbm) {
-      ++out.memory_pruned;
-      return false;
-    }
-    lb = bounds.time_floor;
+    lb = core::finish_search_bounds(e.lb_base, sh.mdl, chain.fabric, cfg)
+             .time_floor;
     return true;
   };
 
@@ -122,7 +140,7 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
       seed = seed_index;
       seed_prefix = sp;
       double lb = 0;
-      seed_pending = screen(seed, lb);
+      seed_pending = screen(seed, sp, lb);
     }
   }
 
@@ -134,11 +152,13 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
   // its capacity verdict decided once; a block is bound once per GPU
   // roofline and floor-walked once per point, and every candidate of the
   // block finishes both from those sums with the statements of the
-  // one-shot forms, so results are bitwise unchanged. Over-capacity
-  // candidates (the bulk of a large-model grid) never touch their block:
-  // better_result never prefers an infeasible result, so only the eval
-  // count must match the reference scan. The tail compile and the block
-  // lookup and bind are the compile stage; the rest is the time stage.
+  // one-shot forms, so results are bitwise unchanged. The screen's memory
+  // floor already turned away every candidate over HBM but those within
+  // its 1e-9 slack; the tail is the exact verdict, and a candidate over
+  // capacity never binds its block (better_result never prefers an
+  // infeasible result, so only the eval count must match the reference
+  // scan). The tail compile and the block lookup and bind are the compile
+  // stage; the rest is the time stage.
   const auto evaluate = [&](std::size_t i, std::size_t prefix,
                             double cutoff) -> double {
     const parallel::ParallelConfig& cfg = configs[i];
@@ -239,7 +259,7 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
   const auto expand = [&](std::uint32_t p) {
     tree.for_each_index(prefixes[p], [&](std::size_t i) {
       double lb = 0;
-      if (i != seed && screen(i, lb)) merge.push(lb, i, p);
+      if (i != seed && screen(i, p, lb)) merge.push(lb, i, p);
     });
   };
   // Leaves in (lb, index) order until the next lb is above the running
@@ -257,7 +277,8 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
   std::vector<std::size_t>& settled = scratch.settled;
   for (const auto& [floor, p] : merge.unexpanded()) {
     const CandidatePrefix& prefix = prefixes[p];
-    settled.assign(tree.microbatches(prefix).size() * tree.zero3_stages(), 0);
+    settled.assign(tree.microbatches(prefix).size() * tree.groups_per_m(prefix),
+                   0);
     for (const std::size_t i : chain.prefixes[p].compiled) {
       if (i != seed && chain.entries[i].tail->mem.total() > hbm) {
         ++out.signature_reuses;
@@ -268,7 +289,12 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
     if (seed_prefix == p) ++settled[tree.group_of(prefix, seed)];
     std::vector<double>& floors = chain.prefixes[p].memory_floors;
     if (floors.empty()) {
-      group_memory_floors(sh.mdl, tree, prefix, b, eval, floors);
+      group_memory_floors(
+          tree, prefix,
+          [&](const parallel::ParallelConfig& cfg) {
+            return memory_floor(p, cfg);
+          },
+          floors);
     }
     classify_unexpanded(tree, prefix, floors, hbm, settled, out.memory_pruned,
                         out.subtree_pruned);

@@ -3,10 +3,10 @@
 // search/codesign.hpp; run_sweep is its one-shape case): one system's
 // sequential, lower-bound-ordered walk of the shape's CandidateTree with an
 // achieved-time incumbent, warm seeding, and the ChainContext that
-// persists state across the points of one chain: per prefix its validity
-// and floor base; per candidate its compiled tail, block and lower-bound
-// base; per block its bind half (per GPU roofline) and floor walk (per
-// point).
+// persists state across the points of one chain: per prefix its validity,
+// floor base and unit scalars; per candidate its compiled tail, block,
+// memory floor and lower-bound base; per block its bind half (per GPU
+// roofline) and floor walk (per point).
 //
 // Scan order. Each valid (n1, n2, np, nd, nb) prefix gets its
 // core::prefix_time_floor, finished on the point's fabric from the chain's
@@ -18,20 +18,32 @@
 // is <= both the running incumbent and the smallest pending lb, and the
 // scan stops at the first leaf whose lb is above the incumbent.
 //
-// Exactness. The floor is <= the search_bounds time floor of each of its
-// leaves, so the pops are exactly the leaves a full (lb, index) sort would
-// visit, in that order, and each is screened as it would be there: a leaf
-// whose chain-held tail is over HBM is charged one evaluation, one whose
-// memory floor is over HBM is memory-pruned, the rest are bounded. A
-// prefix never expanded has a floor above the final incumbent, so every
+// Memory floor. A leaf's memory floor is the larger of the analytic
+// core::memory_floor and the per-token core::token_memory_floor (its layer
+// family built once per shape at local microbatch 1, ShapeCaches::units,
+// scaled by its local microbatch). Both are <= the leaf's tail total, and
+// the per-token one equals it up to a 1e-9 slack, so a leaf over HBM is
+// turned away before its tail or block is built. find_optimal keeps the
+// analytic floor alone, so the scan's memory_pruned exceeds its, and
+// evaluated and bound_pruned fall short of its, by the leaves only the
+// per-token floor settles; the three sum to the same total.
+//
+// Exactness. The prefix floor is <= the search_bounds time floor of each
+// of its leaves, so the pops are exactly the leaves a full (lb, index) sort
+// would visit, in that order, and each is screened as it would be there: a
+// leaf whose chain-held tail is over HBM is charged one evaluation, one
+// whose memory floor is over HBM is memory-pruned, the rest are bounded.
+// The tail check in evaluate stays the exact verdict for the popped ones.
+// A prefix never expanded has a floor above the final incumbent, so every
 // leaf of it is slower than an achieved time; its leaves are classified
 // without being materialized, in the same order of verdicts: those with a
 // chain-held tail over HBM (the prefix keeps a list of its compiled leaves)
-// as evaluated, then per (m, ZeRO stage) the memory floor, the rest as
-// bound_pruned and subtree_pruned. So every counter equals a per-candidate
-// scan's, and scan_point's best result equals find_optimal's optimum at the
-// same point, with or without a warm seed (see codesign.hpp for the
-// argument).
+// as evaluated, then per (m, ring, ZeRO stage) group the same memory floor
+// (no memory floor reads the interleave), the rest as bound_pruned and
+// subtree_pruned. So a leaf gets one verdict whether or not its prefix was
+// expanded, and scan_point's best result equals find_optimal's optimum at
+// the same point, with or without a warm seed (see codesign.hpp for the
+// argument): a memory-pruned leaf is infeasible under every placement.
 //
 // A finite starting incumbent I is an achieved time too. Every leaf whose
 // time is <= I (ties included) has lb <= I and passes the strict, slackened
@@ -45,9 +57,11 @@
 // caches, groups points into chains and aggregates PointOutcome counters
 // into its stats.
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/batched_signature.hpp"
@@ -78,12 +92,26 @@ struct ScanBlock {
 };
 
 /// The per-shape engine caches (they key below the model): blocks per
-/// LayerKey and candidate tails per SignatureKey, shared by every grid
-/// point and chain of one shape.
+/// LayerKey, the BlockScalars of each layer family at local microbatch 1
+/// (the unit the per-token memory floor scales) and candidate tails per
+/// SignatureKey, shared by every grid point and chain of one shape.
 struct ShapeCaches {
   ShardedMemo<LayerKey, ScanBlock, LayerKeyHash> blocks;
+  ShardedMemo<LayerKey, core::BlockScalars, LayerKeyHash> units;
   ShardedMemo<SignatureKey, core::SignatureTail, SignatureKeyHash> tails;
   std::atomic<std::size_t> block_ids{0};
+
+  /// The unit scalars of cfg's layer family (core::token_memory_floor),
+  /// building them on first use. Thread-safe.
+  std::shared_ptr<const core::BlockScalars> unit(
+      const model::TransformerConfig& mdl, const parallel::ParallelConfig& cfg,
+      std::int64_t global_batch) {
+    LayerKey key = layer_key(mdl, cfg, global_batch);
+    key.local_microbatch = 1;
+    return units.get(key, [&] {
+      return core::block_scalars(mdl, cfg, parallel::build_layer(mdl, cfg, 1));
+    });
+  }
 
   /// cfg's block, lowering it on first use. Thread-safe.
   std::shared_ptr<const ScanBlock> block(const model::TransformerConfig& mdl,
@@ -145,20 +173,28 @@ struct ChainEntry {
   /// Fabric-independent half of the candidate's lower bounds; the screen
   /// finishes it with the current point's fabric.
   core::SearchBoundsBase lb_base;
+  /// The larger of core::memory_floor and core::token_memory_floor;
+  /// hardware-free, negative until computed.
+  double memory_floor = -1;
   std::uint8_t lb_ready = 0;
 };
 
 /// Per-prefix state carried across the points of one chain: its validity
 /// (it reads only the cluster size), its floor base (it reads only the GPU
-/// roofline) and the leaves that hold a chain tail.
+/// roofline), the leaves that hold a chain tail and its memory floors
+/// (hardware-free).
 struct ChainPrefix {
   core::PrefixFloorBase floor_base;
-  /// group_memory_floors, filled the first time the prefix is skipped
+  /// The leaves' memory floor (ChainEntry::memory_floor) per (m, ring,
+  /// ZeRO stage) group, filled the first time the prefix is skipped
   /// (hardware-free, so never reset).
   std::vector<double> memory_floors;
   /// Leaves of the prefix whose ChainEntry::tail is set, in compile order:
   /// the ones a skipped prefix must check against HBM.
   std::vector<std::size_t> compiled;
+  /// Its layer family's unit scalars (ShapeCaches::unit) with ring
+  /// attention off and on, looked up on first use.
+  std::array<std::shared_ptr<const core::BlockScalars>, 2> units;
   std::int64_t screen_n_gpus = -1;  ///< cluster size `valid` is for
   std::uint8_t valid = 0;
   std::uint8_t floor_ready = 0;
@@ -211,7 +247,7 @@ struct ScanScratch {
   core::SystemTiming base;  ///< the candidate's bind, finished per visit
   std::vector<std::pair<std::size_t, core::EvalResult>> feasible;
   PrefixMerge merge;
-  std::vector<std::size_t> settled;  ///< per (m, ZeRO stage) of a prefix
+  std::vector<std::size_t> settled;  ///< per (m, ring, ZeRO) of a prefix
 };
 
 /// One grid point: walk the shape's candidate space cheapest-lower-bound-

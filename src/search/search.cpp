@@ -445,7 +445,12 @@ SweepState sweep(const model::TransformerConfig& mdl,
     std::vector<double> group_floors;
     for (const auto& [floor, p] : merge.unexpanded()) {
       group_floors.clear();
-      group_memory_floors(mdl, tree, prefixes[p], b, opts.eval, group_floors);
+      group_memory_floors(
+          tree, prefixes[p],
+          [&](const parallel::ParallelConfig& cfg) {
+            return core::memory_floor(mdl, cfg, b, opts.eval);
+          },
+          group_floors);
       classify_unexpanded(tree, prefixes[p], group_floors,
                           sys.gpu.hbm_capacity, {}, st.stats.memory_pruned,
                           st.stats.subtree_pruned);
@@ -493,23 +498,6 @@ std::vector<core::EvalResult*> feasible_by_rank(SweepState& st) {
 
 }  // namespace
 
-void group_memory_floors(const model::TransformerConfig& mdl,
-                         const CandidateTree& tree,
-                         const CandidatePrefix& prefix,
-                         std::int64_t global_batch,
-                         const core::EvalOptions& eval,
-                         std::vector<double>& out) {
-  parallel::ParallelConfig cfg = prefix.cfg;
-  for (const std::int64_t m : tree.microbatches(prefix)) {
-    cfg.microbatches = m;
-    for (std::size_t z = 0; z < tree.zero3_stages(); ++z) {
-      cfg.zero = z != 0 ? parallel::ZeroStage::kWeights
-                        : parallel::ZeroStage::kOptimizer;
-      out.push_back(core::memory_floor(mdl, cfg, global_batch, eval));
-    }
-  }
-}
-
 void classify_unexpanded(const CandidateTree& tree,
                          const CandidatePrefix& prefix,
                          std::span<const double> group_floors, Bytes hbm,
@@ -517,7 +505,7 @@ void classify_unexpanded(const CandidateTree& tree,
                          std::size_t& memory_pruned,
                          std::size_t& subtree_pruned) {
   const std::size_t per_group =
-      tree.leaves_per_m(prefix) / tree.zero3_stages();
+      tree.leaves_per_m(prefix) / tree.groups_per_m(prefix);
   for (std::size_t g = 0; g < group_floors.size(); ++g) {
     const std::size_t leaves = per_group - (settled.empty() ? 0 : settled[g]);
     (Bytes(group_floors[g]) > hbm ? memory_pruned : subtree_pruned) += leaves;

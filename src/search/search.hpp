@@ -42,6 +42,7 @@
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <vector>
 
 #include "core/batched_signature.hpp"
 #include "core/cost_signature.hpp"
@@ -165,16 +166,29 @@ bool better_result(const core::EvalResult& a, const core::EvalResult& b);
 /// and HBM total — the comparison every engine-vs-find_optimal check uses.
 bool same_optimum(const core::EvalResult& a, const core::EvalResult& b);
 
-/// core::memory_floor of each (m, ZeRO stage) group of `prefix`
-/// (CandidateTree::group_of), appended to `out` in group order. The floor
-/// reads nothing else below the prefix, so it holds for each leaf of the
-/// group; it reads no hardware.
-void group_memory_floors(const model::TransformerConfig& mdl,
-                         const CandidateTree& tree,
-                         const CandidatePrefix& prefix,
-                         std::int64_t global_batch,
-                         const core::EvalOptions& eval,
-                         std::vector<double>& out);
+/// floor(cfg) of each (m, ring, ZeRO stage) group of `prefix`
+/// (CandidateTree::group_of), appended to `out` in group order, with cfg
+/// the group's leaf at the prefix's interleave field: `floor` must read no
+/// interleave (no memory floor does), so it holds for each leaf of the
+/// group.
+template <class Floor>
+void group_memory_floors(const CandidateTree& tree,
+                         const CandidatePrefix& prefix, Floor&& floor,
+                         std::vector<double>& out) {
+  parallel::ParallelConfig cfg = prefix.cfg;
+  const int rings = prefix.cfg.ring_attention ? 2 : 1;
+  for (const std::int64_t m : tree.microbatches(prefix)) {
+    cfg.microbatches = m;
+    for (int ring = 0; ring < rings; ++ring) {
+      cfg.ring_attention = ring != 0;
+      for (std::size_t z = 0; z < tree.zero3_stages(); ++z) {
+        cfg.zero = z != 0 ? parallel::ZeroStage::kWeights
+                          : parallel::ZeroStage::kOptimizer;
+        out.push_back(floor(cfg));
+      }
+    }
+  }
+}
 
 /// Classify the leaves of a candidate-tree prefix the scan never expanded,
 /// without materializing them: a group whose floor in `group_floors`

@@ -61,7 +61,10 @@ struct SweepStats {
   /// candidate-tree prefixes whose prefix floor stayed above the incumbent,
   /// so the scan never bounded them one by one (see search/point_scan.hpp).
   std::size_t subtree_pruned = 0;
-  /// Candidates whose memory floor is above HBM (never compiled).
+  /// Candidates whose memory floor — the analytic one or the exact
+  /// per-token one (see search/point_scan.hpp) — is above HBM (never
+  /// compiled). find_optimal screens on the analytic floor alone, so this
+  /// count is at least its at the same point.
   std::size_t memory_pruned = 0;
   /// Candidates settled by the placement-floor screen (see
   /// SearchStats::placement_floor_pruned): bound, never timed, their
@@ -80,9 +83,10 @@ struct SweepStats {
   /// compile_hit_rate() folds them in.
   std::size_t signature_reuses = 0;
   /// Block lowers: one per distinct LayerKey, each a build_layer +
-  /// compile_layer + lower_batched (so it equals build_layer_calls); the
-  /// layer counters below count the same block builds and their cache
-  /// hits.
+  /// compile_layer + lower_batched. build_layer_calls counts them plus the
+  /// per-token memory floor's unit builds (one build_layer at local
+  /// microbatch 1 per layer family, no lowering); layer_cache_hits counts
+  /// block reuses.
   std::size_t signature_lowers = 0;
   std::size_t build_layer_calls = 0;
   std::size_t layer_cache_hits = 0;

@@ -13,6 +13,8 @@
 #include "core/batched_signature.hpp"
 #include "core/lower_bounds.hpp"
 #include "hw/topology.hpp"
+#include "model/shape_family.hpp"
+#include "search/point_scan.hpp"
 #include "search/search.hpp"
 #include "util/math.hpp"
 
@@ -1015,6 +1017,83 @@ TEST(LowerBounds, PrefixFloorSplitIsBitwise) {
       }
     }
   }
+  EXPECT_GT(checked, 0u);
+}
+
+// The scan driver memory-prunes a leaf on core::token_memory_floor: the
+// tail's own memory statements on its layer family's scalars at local
+// microbatch 1, the stored and boundary bytes scaled by the leaf's local
+// microbatch. It must never exceed the tail's total, or the scan would drop
+// a leaf that fits. Every builder's stored and boundary bytes are linear in
+// the local microbatch, so the scaled statements give the total itself (on
+// these shapes bit for bit: every byte count is an integer far below 2^53),
+// and the floor is that times (1 - 1e-9). So the floor must sit in
+// [total * (1 - 2e-9), total * (1 - 5e-10)]: below the total by a margin a
+// few roundings of a future builder cannot eat, and close enough to prune
+// (a floor that lost the microbatch scaling would hold and prune almost
+// nothing).
+TEST(LowerBounds, TokenMemoryFloorIsTheTailTotal) {
+  constexpr std::int64_t kGpus = 256;
+  constexpr std::int64_t kBatch = 512;
+  const hw::SystemConfig sys = b200(8, kGpus);
+  model::ShapeFamilyOptions fam;
+  fam.tolerance = 0.04;
+  fam.head_dims = {128};
+  fam.moe_experts = {8};
+  const auto moe = model::shape_family(model::gpt3_1t(), fam);
+  ASSERT_FALSE(moe.empty());
+  ASSERT_EQ(moe.front().moe_experts, 8);
+  std::size_t checked = 0;
+  std::size_t scaled = 0;  // leaves with local microbatch > 1
+  std::size_t violations = 0;
+  for (const auto& mdl : {model::gpt3_1t(), model::vit_64k(),
+                          model::llama3_405b(), moe.front()}) {
+    ShapeCaches caches;
+    for (auto strategy :
+         {parallel::TpStrategy::TP1D, parallel::TpStrategy::TP2D,
+          parallel::TpStrategy::Summa2D}) {
+      EnumerationOptions opts;
+      opts.strategy = strategy;
+      opts.global_batch = kBatch;
+      opts.allow_zero3 = true;
+      opts.allow_ring_attention = true;
+      const CandidateTree tree(mdl, kGpus, opts);
+      for (const CandidatePrefix& p : tree.prefixes()) {
+        if (p.cfg.invalid_reason(mdl, sys, kBatch)) continue;
+        tree.for_each_leaf(p, [&](const parallel::ParallelConfig& cfg,
+                                  std::size_t) {
+          const auto blk = caches.block(mdl, cfg, kBatch);
+          if (cfg.local_microbatch(kBatch) > 1) ++scaled;
+          for (const bool recompute : {false, true}) {
+            for (const double offload : {0.0, 0.5}) {
+              core::EvalOptions eval;
+              eval.activation_recompute = recompute;
+              eval.activation_offload = offload;
+              const double total =
+                  core::compile_tail(mdl, cfg, kBatch, blk->bat, eval)
+                      .mem.total()
+                      .value();
+              const double floor = core::token_memory_floor(
+                  mdl, cfg, kBatch, *caches.unit(mdl, cfg, kBatch), eval);
+              ++checked;
+              if (floor <= total * (1.0 - 5e-10) &&
+                  floor >= total * (1.0 - 2e-9)) {
+                continue;
+              }
+              if (++violations <= 5) {
+                ADD_FAILURE() << mdl.name << " " << cfg.describe()
+                              << " recompute=" << recompute
+                              << " offload=" << offload << ": floor "
+                              << floor << " vs tail total " << total;
+              }
+            }
+          }
+        });
+      }
+    }
+  }
+  EXPECT_EQ(violations, 0u);
+  EXPECT_GT(scaled, 0u);
   EXPECT_GT(checked, 0u);
 }
 

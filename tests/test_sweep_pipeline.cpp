@@ -9,13 +9,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <random>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "core/batched_signature.hpp"
+#include "core/lower_bounds.hpp"
 #include "search/search.hpp"
+#include "search/enumerate.hpp"
 #include "search/point_scan.hpp"
 #include "search/search_cache.hpp"
 #include "search/sweep.hpp"
@@ -282,12 +285,18 @@ struct PinnedSweep {
   std::size_t batch_calls, batch_placements, signature_compiles;
   std::size_t signature_lowers, signature_reuses, warm_seed_feasible;
   double iteration_sum;
+  /// evaluated + bound_pruned + memory_pruned as pinned before the scan
+  /// memory-pruned on the per-token floor. An exact memory floor only
+  /// moves a leaf that is over HBM, which was charged one evaluation or
+  /// pruned, so the sum cannot move.
+  std::size_t verdicts;
 };
 
-/// The scan driver skips whole candidate-tree prefixes, classifying their
-/// leaves without visiting them; every work counter must stay what the
-/// per-candidate scan reported, at one and two workers, cold and warm, and
-/// every per-point optimum must equal find_optimal's bit for bit.
+/// The scan driver's work counters on the Fig. 2 grid, pinned at one and
+/// two workers, cold and warm; every per-point optimum must equal
+/// find_optimal's bit for bit. Sweep.SkippedPrefixesClassifyLikeLeaves
+/// checks that a skipped prefix gives its leaves a leaf-by-leaf screen's
+/// verdicts.
 TEST(Sweep, SubtreeBoundsKeepEveryCounter) {
   const auto points = search::hardware_grid(
       {hw::GpuGeneration::A100, hw::GpuGeneration::H200,
@@ -307,22 +316,22 @@ TEST(Sweep, SubtreeBoundsKeepEveryCounter) {
       {"GPT3-1T 2D ext", model::gpt3_1t(), parallel::TpStrategy::TP2D, true},
   };
   const std::vector<PinnedSweep> pinned = {
-      {"GPT3-1T 1D", false, 1348, 3740, 1110, 14, 97, 1123, 22, 4, 148, 0,
-       385.77772977511756},
-      {"GPT3-1T 1D", true, 1348, 3740, 1110, 14, 97, 1123, 22, 4, 148, 12,
-       385.77772977511756},
-      {"GPT3-1T 2D", false, 13240, 41169, 2835, 317, 364, 5479, 258, 67, 1709,
-       0, 355.97888732680644},
-      {"GPT3-1T 2D", true, 13272, 41167, 2835, 324, 359, 5308, 258, 67, 1711,
-       12, 355.97888732680644},
-      {"ViT-64K SUMMA ext", false, 141922, 231942, 19025, 2566, 2300, 22366,
-       6485, 857, 72879, 0, 1870.051695589118},
-      {"ViT-64K SUMMA ext", true, 141922, 231942, 19025, 2577, 2289, 22287,
-       6485, 857, 72879, 12, 1870.051695589118},
-      {"GPT3-1T 2D ext", false, 236140, 370779, 10160, 17791, 1904, 14930,
-       2184, 351, 41043, 0, 330.00149457182187},
-      {"GPT3-1T 2D ext", true, 236140, 370779, 10160, 18855, 840, 7909, 2184,
-       351, 41043, 12, 330.00149457182187},
+      {"GPT3-1T 1D", false, 1269, 454, 4475, 14, 97, 1123, 15, 3, 85, 0,
+       385.77772977511756, 6198},
+      {"GPT3-1T 1D", true, 1269, 454, 4475, 14, 97, 1123, 15, 3, 85, 12,
+       385.77772977511756, 6198},
+      {"GPT3-1T 2D", false, 11635, 6929, 38680, 317, 364, 5479, 122, 31, 444,
+       0, 355.97888732680644, 57244},
+      {"GPT3-1T 2D", true, 11667, 6927, 38680, 324, 359, 5308, 122, 31, 446,
+       12, 355.97888732680644, 57274},
+      {"ViT-64K SUMMA ext", false, 53655, 43759, 295475, 2566, 2300, 22366,
+       1012, 123, 2269, 0, 1870.051695589118, 392889},
+      {"ViT-64K SUMMA ext", true, 53655, 43759, 295475, 2577, 2289, 22287,
+       1012, 123, 2269, 12, 1870.051695589118, 392889},
+      {"GPT3-1T 2D ext", false, 203004, 120430, 293645, 17791, 1904, 14930,
+       1023, 260, 14616, 0, 330.00149457182187, 617079},
+      {"GPT3-1T 2D ext", true, 203004, 120430, 293645, 18855, 840, 7909, 1023,
+       260, 14616, 12, 330.00149457182187, 617079},
   };
   std::size_t row = 0;
   for (const Case& c : cases) {
@@ -361,6 +370,9 @@ TEST(Sweep, SubtreeBoundsKeepEveryCounter) {
         EXPECT_EQ(s.signature_lowers, pin.signature_lowers) << label;
         EXPECT_EQ(s.signature_reuses, pin.signature_reuses) << label;
         EXPECT_EQ(s.warm_seed_feasible, pin.warm_seed_feasible) << label;
+        EXPECT_EQ(s.evaluated + s.bound_pruned + s.memory_pruned,
+                  pin.verdicts)
+            << label;
         EXPECT_LE(s.subtree_pruned, s.bound_pruned) << label;
         if (c.strategy != parallel::TpStrategy::TP1D) {
           // 2D and SUMMA rows must exercise whole-prefix skips.
@@ -377,6 +389,78 @@ TEST(Sweep, SubtreeBoundsKeepEveryCounter) {
       }
     }
   }
+}
+
+/// scan_point settles skipped prefixes a whole (m, ring, ZeRO) group at a
+/// time. Brute-force reference for one cold grid point: every valid leaf
+/// screened on its own — memory-pruned when the larger of the analytic and
+/// per-token memory floors is over HBM, else popped when its bound is at or
+/// below the point's optimum (the scan pops in bound order and stops at the
+/// first bound above its running incumbent, which is the optimum once the
+/// optimum, bounded below it, has been timed), else bound-pruned — and a
+/// popped leaf charged one evaluation when its tail is over HBM, else its
+/// placement set. The scan's counters must equal it with every extension
+/// axis on (interleave, ring attention, ZeRO-3), so each group of a
+/// skipped prefix holds several leaves.
+TEST(Sweep, SkippedPrefixesClassifyLikeLeaves) {
+  const auto mdl = model::gpt3_1t();
+  constexpr std::int64_t kBatch = 4096;
+  search::SweepOptions opts;
+  opts.search.strategy = parallel::TpStrategy::TP2D;
+  opts.search.global_batch = kBatch;
+  opts.search.allow_zero3 = true;
+  opts.search.allow_ring_attention = true;
+  opts.search.interleave_candidates = {1, 2, 4};
+  opts.threads = 1;
+  const core::EvalOptions& eval = opts.search.eval;
+  std::size_t ring_leaves = 0;
+  for (const auto& sys : search::hardware_grid(
+           {hw::GpuGeneration::A100, hw::GpuGeneration::B200}, {8, 64},
+           4096)) {
+    const std::string label = sys.gpu.name + " nvs=" +
+                              std::to_string(sys.nvs_domain);
+    const auto swept = search::run_sweep(mdl, {sys}, opts);
+    const search::SweepStats& s = swept.stats;
+    ASSERT_EQ(swept.best.size(), 1u) << label;
+    const double optimum = swept.best[0].feasible
+                               ? swept.best[0].iteration()
+                               : std::numeric_limits<double>::infinity();
+    const Bytes hbm = sys.gpu.hbm_capacity;
+
+    search::ShapeCaches caches;
+    std::size_t evaluated = 0, bound_pruned = 0, memory_pruned = 0;
+    const search::CandidateTree tree(mdl, sys.n_gpus, opts.search);
+    for (const search::CandidatePrefix& p : tree.prefixes()) {
+      if (p.cfg.invalid_reason(mdl, sys, kBatch)) continue;
+      tree.for_each_leaf(p, [&](const parallel::ParallelConfig& cfg,
+                                std::size_t) {
+        if (cfg.ring_attention) ++ring_leaves;
+        const double floor = std::max(
+            core::memory_floor(mdl, cfg, kBatch, eval),
+            core::token_memory_floor(mdl, cfg, kBatch,
+                                     *caches.unit(mdl, cfg, kBatch), eval));
+        if (Bytes(floor) > hbm) {
+          ++memory_pruned;
+        } else if (core::search_bounds(mdl, sys, cfg, kBatch, eval)
+                       .time_floor > optimum) {
+          ++bound_pruned;
+        } else if (core::compile_signature(mdl, cfg, kBatch, eval)
+                       .mem.total() > hbm) {
+          ++evaluated;
+        } else {
+          evaluated += search::enumerate_placements(cfg, sys.nvs_domain).size();
+        }
+      });
+    }
+    EXPECT_EQ(s.memory_pruned, memory_pruned) << label;
+    EXPECT_EQ(s.bound_pruned, bound_pruned) << label;
+    EXPECT_EQ(s.evaluated, evaluated) << label;
+    // The point must exercise both paths: prefixes skipped whole and
+    // leaves memory-pruned.
+    EXPECT_GT(s.subtree_pruned, 0u) << label;
+    EXPECT_GT(s.memory_pruned, 0u) << label;
+  }
+  EXPECT_GT(ring_leaves, 0u);
 }
 
 TEST(Sweep, PipelinedEngineConcurrentChains) {
