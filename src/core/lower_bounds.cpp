@@ -60,8 +60,14 @@ constexpr double kTpCommFloorSlack = 1e-9;
 /// bound could otherwise round a few ulps above it.
 constexpr double kPrefixFloorSlack = 1e-9;
 
+/// Relative slack on the MoE expert MLP terms: they restate the FLOP and
+/// byte counts of parallel/moe_mlp.cpp's ops in another grouping, so the
+/// sum could otherwise land a few ulps above the kernel's own.
+constexpr double kMoeFloorSlack = 1e-9;
+
 /// Per-GPU FLOP floor of one layer's fwd + bwd over `bl` tokens (see the
-/// header): the projections, the fused attention and the dense MLP.
+/// header): the projections, the fused attention and the dense MLP (the
+/// MoE expert MLP is moe_mlp_time's).
 double layer_flops(const model::TransformerConfig& mdl, double bl, double tp,
                    double wgrad_split) {
   const double e = static_cast<double>(mdl.embed);
@@ -78,8 +84,7 @@ double layer_flops(const model::TransformerConfig& mdl, double bl, double tp,
   const double lkv = static_cast<double>(mdl.attended_len());
   flops += kAttentionFwdBwd * static_cast<double>(mdl.heads) * bl * lkv *
            (4.0 * eh + 3.0) / tp;
-  // Dense MLP: (bl x e)(e x f) and (bl x f)(f x e). MoE routing and
-  // capacity factors are strategy-dependent; the floor skips the MLP there.
+  // Dense MLP: (bl x e)(e x f) and (bl x f)(f x e).
   if (!mdl.is_moe()) {
     flops += projection_floor(bl, f, e, tp, wgrad_split) +
              projection_floor(bl, e, f, tp, wgrad_split);
@@ -89,7 +94,8 @@ double layer_flops(const model::TransformerConfig& mdl, double bl, double tp,
 
 /// HBM time of the mandatory vector ops on `bl` tokens: per-GPU element
 /// counts are bl*e/tp (LN/dropout/residual x2 each) plus bl*f/tp (dense
-/// GeLU) in every builder; the roofline charges at least the HBM side.
+/// GeLU) in every builder; the roofline charges at least the HBM side. The
+/// MoE GeLU runs on the routed tokens and is moe_mlp_time's.
 double layer_vector_time(const model::TransformerConfig& mdl,
                          const hw::SystemConfig& sys, double bl, double tp) {
   const double e = static_cast<double>(mdl.embed);
@@ -97,6 +103,47 @@ double layer_vector_time(const model::TransformerConfig& mdl,
   const double vec_elems = (6.0 * e + (mdl.is_moe() ? 0.0 : f)) * bl / tp;
   return (Bytes(kVectorBytesPerElement * vec_elems) / sys.gpu.hbm_bandwidth)
       .value();
+}
+
+/// MoE AllToAll volume of one layer over `bl` tokens: each of the bl/tp
+/// tokens a GPU owns goes to top_k experts (moe_dispatch; moe_combine
+/// returns the same volume).
+double moe_a2a_bytes(const model::TransformerConfig& mdl,
+                     const parallel::ParallelConfig& cfg, double bl) {
+  return ops::kBytesPerElement * (bl / static_cast<double>(cfg.n1 * cfg.n2)) *
+         static_cast<double>(mdl.embed) *
+         static_cast<double>(mdl.moe_top_k);
+}
+
+/// Roofline floor of the MoE expert MLP (parallel/moe_mlp.cpp) over `bl`
+/// tokens run as at most `micros` microbatches, fwd + bwd: the tensor-core
+/// FLOPs of moe_fc1 and moe_fc2 plus the HBM bytes of moe_gelu and of the
+/// dispatch and combine packing. Both matmuls run on R = bl*top_k/n2 routed
+/// tokens with F = f/n1 hidden columns, and ops::matmul counts the same
+/// three terms for each: forward (2e-1)RF / (2F-1)Re, dgrad (2F-1)Re /
+/// (2e-1)RF, wgrad (2R-1)eF per microbatch. Every term is linear in the
+/// tokens but the wgrad's -1, paid once per microbatch, so `micros`
+/// microbatches of bl/micros tokens cost exactly this with micros = their
+/// count, and at least this when micros bounds it. GeLU moves
+/// kVectorBytesPerElement per R*F element, dispatch and combine 2 x the
+/// AllToAll volume forward and backward each. The router is left out.
+double moe_mlp_time(const model::TransformerConfig& mdl,
+                    const hw::SystemConfig& sys,
+                    const parallel::ParallelConfig& cfg, double bl,
+                    double micros) {
+  const double e = static_cast<double>(mdl.embed);
+  const double F =
+      static_cast<double>(mdl.hidden) / static_cast<double>(cfg.n1);
+  const double R = bl * static_cast<double>(mdl.moe_top_k) /
+                   static_cast<double>(cfg.n2);
+  const double fc = (2.0 * e - 1.0) * R * F + (2.0 * F - 1.0) * R * e +
+                    (2.0 * R - micros) * e * F;
+  const Flops flops(2.0 * fc * (1.0 - kMoeFloorSlack));
+  const Bytes bytes((kVectorBytesPerElement * R * F +
+                     8.0 * moe_a2a_bytes(mdl, cfg, bl)) *
+                    (1.0 - kMoeFloorSlack));
+  return (flops / sys.gpu.tensor_flops).value() +
+         (bytes / sys.gpu.hbm_bandwidth).value();
 }
 
 /// Floor on one stage's parameters: the layer's weights over at most the
@@ -128,11 +175,13 @@ double adam_time(const hw::SystemConfig& sys,
 /// the evaluator exposes. A single-panel op exposes (1 - tp_overlap) of
 /// its comm; an op split into nb > 1 panels exposes at least one panel's
 /// comm per panel step, t + max(0, t - t_panel)(nb - 1) >= t, so it counts
-/// bytes/nb. Ring attention, the MoE MLP and recompute's repeated forward
-/// are left out (floors only shrink).
-void tp_comm_volumes(const model::TransformerConfig& mdl,
-                     const parallel::ParallelConfig& cfg, double b_loc,
-                     const EvalOptions& opts, SearchBoundsBase& out) {
+/// bytes/nb. The MoE MLP adds its moe_fc2 ReduceScatter pair on n1 and
+/// its four AllToAlls (dispatch and combine, fwd and bwd) on the nd DP
+/// group, all single-panel. Ring attention and recompute's repeated
+/// forward are left out (floors only shrink).
+void comm_volumes(const model::TransformerConfig& mdl,
+                  const parallel::ParallelConfig& cfg, double b_loc,
+                  const EvalOptions& opts, SearchBoundsBase& out) {
   constexpr double kb = ops::kBytesPerElement;
   const double exposed = 1.0 - opts.tp_overlap;
   const double l = static_cast<double>(mdl.seq_len);
@@ -159,8 +208,13 @@ void tp_comm_volumes(const model::TransformerConfig& mdl,
     return 4.0 * kb * b_loc * gather_len * ekv / n1;
   };
   // AG/RS pairs on the residual stream over n1: ln1, out_proj, ln2 and
-  // (dense only) mlp_fc2.
-  const double pairs = mdl.is_moe() ? 3.0 : 4.0;
+  // mlp_fc2, or for MoE moe_fc2's, whose R = bl*top_k/n2 routed tokens
+  // make it top_k pairs.
+  const double pairs =
+      mdl.is_moe() ? 3.0 + static_cast<double>(mdl.moe_top_k) : 4.0;
+  if (mdl.is_moe()) {
+    out.dp_bytes = 4.0 * moe_a2a_bytes(mdl, cfg, bl) * exposed;
+  }
 
   switch (cfg.strategy) {
     case parallel::TpStrategy::TP1D:
@@ -189,10 +243,17 @@ void tp_comm_volumes(const model::TransformerConfig& mdl,
 
 }  // namespace
 
-Seconds tp_comm_floor(const SearchBoundsBase& base, const hw::Topology& fabric,
-                      const parallel::ParallelConfig& cfg) {
-  return comm::collective_time_floor(fabric, cfg.n1, Bytes(base.tp1_bytes)) +
-         comm::collective_time_floor(fabric, cfg.n2, Bytes(base.tp2_bytes));
+Seconds layer_comm_floor(const SearchBoundsBase& base,
+                         const hw::Topology& fabric,
+                         const parallel::ParallelConfig& cfg) {
+  Seconds t =
+      comm::collective_time_floor(fabric, cfg.n1, Bytes(base.tp1_bytes)) +
+      comm::collective_time_floor(fabric, cfg.n2, Bytes(base.tp2_bytes));
+  // The kernel prices the DP-group AllToAlls at nd (any placement).
+  if (base.dp_bytes > 0) {
+    t += comm::collective_time_floor(fabric, cfg.nd, Bytes(base.dp_bytes));
+  }
+  return t;
 }
 
 SearchBounds search_bounds(const model::TransformerConfig& mdl,
@@ -233,15 +294,16 @@ SearchBoundsBase search_bounds_base(const model::TransformerConfig& mdl,
                             static_cast<double>(cfg.interleave);
   out.micro_layers = micros * layers;
   const Flops flops(layer_flops(mdl, bl, tp, std::min(tp, bl)));
-  out.compute_floor =
-      out.micro_layers * ((flops / sys.gpu.tensor_flops).value() +
-                          layer_vector_time(mdl, sys, bl, tp));
+  double layer_time = (flops / sys.gpu.tensor_flops).value() +
+                      layer_vector_time(mdl, sys, bl, tp);
+  if (mdl.is_moe()) layer_time += moe_mlp_time(mdl, sys, cfg, bl, 1.0);
+  out.compute_floor = out.micro_layers * layer_time;
   out.stage_params_floor = stage_params_floor(mdl, cfg);
   out.compute_floor += adam_time(sys, cfg, out.stage_params_floor);
   out.memory_floor = memory_floor(mdl, cfg, global_batch, opts);
   out.bl = bl;
   out.tp = tp;
-  tp_comm_volumes(mdl, cfg, b_loc, opts, out);
+  comm_volumes(mdl, cfg, b_loc, opts, out);
   return out;
 }
 
@@ -284,17 +346,20 @@ PrefixFloorBase prefix_floor_base(const model::TransformerConfig& mdl,
   // m microbatches of B/m samples: every per-microbatch term but the SUMMA
   // weight traffic is linear in the tokens, so m of them cost at least one
   // B-sample microbatch; the wgrad split is capped at min(B * tp, B * l)
-  // over the m microbatches; the bubble is dropped.
+  // over the m microbatches (the MoE wgrad's -1 is paid m <= B times); the
+  // bubble is dropped.
   const Flops flops(layer_flops(mdl, bl, tp, std::min(batch * tp, bl)));
-  out.compute_floor = out.layers * ((flops / sys.gpu.tensor_flops).value() +
-                                    layer_vector_time(mdl, sys, bl, tp));
+  double layer_time = (flops / sys.gpu.tensor_flops).value() +
+                      layer_vector_time(mdl, sys, bl, tp);
+  if (mdl.is_moe()) layer_time += moe_mlp_time(mdl, sys, cfg, bl, batch);
+  out.compute_floor = out.layers * layer_time;
   out.compute_floor += adam_time(sys, cfg, stage_params_floor(mdl, cfg));
 
   // TP collectives at b_loc = B: collective_time_floor is linear in the
   // bytes, and the per-microbatch SUMMA weight broadcasts counted once are
   // at most their m copies. A ring child exposes no K/V gathers, which
   // cfg.ring_attention carries.
-  tp_comm_volumes(mdl, cfg, batch, opts, out.volumes);
+  comm_volumes(mdl, cfg, batch, opts, out.volumes);
 
   // The pipeline handoffs of all m microbatches at v = 1 carry at least the
   // whole local batch's boundary tensor twice. ZeRO-3 only adds.
@@ -306,7 +371,7 @@ double finish_prefix_floor(const PrefixFloorBase& base,
                            const hw::Topology& fabric,
                            const parallel::ParallelConfig& cfg) {
   double t = base.compute_floor;
-  t += tp_comm_floor(base.volumes, fabric, cfg).value() * base.layers;
+  t += layer_comm_floor(base.volumes, fabric, cfg).value() * base.layers;
   if (cfg.np > 1) {
     t += (Bytes(base.boundary_bytes) / comm::best_p2p_bandwidth(fabric))
              .value() *
@@ -332,9 +397,9 @@ SearchBounds finish_search_bounds(const SearchBoundsBase& base,
   out.time_floor = base.compute_floor;
   out.memory_floor = base.memory_floor;
 
-  // Exposed TP collectives: every op adds its comm to its roofline time,
-  // and the stage times (comm included) feed the 1F1B bubble.
-  out.time_floor += (tp_comm_floor(base, fabric, cfg) *
+  // Exposed layer collectives: every op adds its comm to its roofline
+  // time, and the stage times (comm included) feed the 1F1B bubble.
+  out.time_floor += (layer_comm_floor(base, fabric, cfg) *
                      (base.micro_layers * (1.0 - kTpCommFloorSlack)))
                         .value();
 
@@ -396,6 +461,7 @@ double shape_time_floor(const model::TransformerConfig& mdl,
     return fwd + bwd;
   };
   double flops = 2.0 * pair(e, e) + 2.0 * pair(ekv, e);
+  // The MoE expert MLP is dropped here (see the header).
   if (!mdl.is_moe()) flops += pair(f, e) + pair(e, f);
   // Fused attention, head dim never sharded (no relaxation loss): the term
   // that separates iso-parameter shapes — it grows with e*d at fixed

@@ -3,9 +3,9 @@
 //
 // For a parallelization configuration these bound, WITHOUT building the op
 // list (no build_layer call):
-//   * time_floor   — a FLOP-time plus exposed-TP-communication floor on
-//                    the iteration time, valid for every NVS placement
-//                    under the EvalOptions passed (the TP term reads
+//   * time_floor   — a FLOP-time plus exposed-layer-communication floor
+//                    on the iteration time, valid for every NVS placement
+//                    under the EvalOptions passed (the comm term reads
 //                    tp_overlap; offload/recompute only add time).
 //   * memory_floor — a placement-independent floor on the busiest GPU's
 //                    resident bytes, valid for every placement.
@@ -40,19 +40,29 @@
 //     (bl x e) stream plus the dense GeLU on (bl x f), with sharded
 //     element counts summing to the unsharded totals; the roofline charges
 //     at least their HBM traffic (5 element reads+writes fwd+bwd at FP16).
+//   * The MoE expert MLP (1D and 2D only) is restated op for op from
+//     parallel/moe_mlp.cpp, exactly: with R = bl*top_k/n2 routed tokens and
+//     F = f/n1, moe_fc1 and moe_fc2 each run ops::matmul's (2e-1)RF,
+//     (2F-1)Re and (2R-1)eF FLOPs fwd + bwd, moe_gelu moves 5 FP16 element
+//     reads+writes per R*F element, and dispatch plus combine move 8x the
+//     AllToAll volume a2a = 2 * (bl/tp) * e * top_k bytes through HBM. The
+//     FLOP and byte sums carry a 1e-9 relative slack. The router is left
+//     out.
 //   * 1F1B iteration time is at least (m + (np-1)/v) per-stage microbatch
 //     times, and each of those is at least the stage's FLOP + vector time
 //     plus its exposed TP communication.
-//   * TP communication: every placement moves the builders' Table A2
+//   * Layer communication: every placement moves the builders' Table A2
 //     volumes on the n1 and n2 groups — 1D the AG/RS pairs on the full
-//     activation (4 dense, 3 MoE: the MoE MLP is skipped); 2D the same
-//     pairs on the l/n2 shard over n1 and the K/V AllGathers (or the
-//     linear-attention AllReduce) over n2; SUMMA the two LN AllReduces and
-//     the out_proj ReduceScatter over n1, the K/V gathers over n2, and per
-//     summa_matmul 3 M*K/n2 bytes over n1 and 3 K*N/n1 over n2. Single-
+//     activation (4 dense; MoE 3 plus moe_fc2's, top_k pairs on the
+//     routed tokens); 2D the same pairs on the l/n2 shard over n1 and the
+//     K/V AllGathers (or the linear-attention AllReduce) over n2; SUMMA the
+//     two LN AllReduces and the out_proj ReduceScatter over n1, the K/V
+//     gathers over n2, and per summa_matmul 3 M*K/n2 bytes over n1 and
+//     3 K*N/n1 over n2. MoE adds the four dispatch/combine AllToAlls of
+//     a2a bytes, which the kernel prices on the DP group at nd. Single-
 //     panel ops count (1 - tp_overlap) of their bytes and nb-panel ops
 //     bytes/nb (their exposure t + max(0, t - t_panel)(nb - 1) is >= the
-//     first panel's t). Ring attention, the MoE MLP, DP/PP traffic and
+//     first panel's t). Ring attention, the DP gradient and PP traffic and
 //     recompute's repeated forward comm are left out.
 //     Why this stays a lower bound: the evaluator's op time is roofline
 //     compute PLUS exposed comm (they add, not max), and the stage times,
@@ -118,14 +128,20 @@ SearchBounds search_bounds(const model::TransformerConfig& mdl,
 /// reuse. Valid for every fabric on a system with the same GPU roofline —
 /// the sweep computes it once per chain and re-finishes it per point.
 struct SearchBoundsBase {
-  double compute_floor = 0;      ///< time_floor before the network terms
+  /// time_floor before the network terms: the FLOP and vector floors
+  /// (the MoE expert MLP's included) times micro_layers, plus Adam.
+  double compute_floor = 0;
   double memory_floor = 0;
   double stage_params_floor = 0; ///< reused by the ZeRO-3 collective floor
   double bl = 0;                 ///< local batch x seq_len (P2P volume)
   double tp = 0;                 ///< n1 * n2 (P2P volume divisor)
   double micro_layers = 0;       ///< (m + (np-1)/v) * layers per stage
-  /// Exposed TP bytes per layer per microbatch (fwd + bwd) on n1 / n2.
+  /// Exposed TP bytes per layer per microbatch (fwd + bwd) on n1 / n2,
+  /// MoE's moe_fc2 ReduceScatter pair included in tp1_bytes.
   double tp1_bytes = 0, tp2_bytes = 0;
+  /// Exposed MoE AllToAll bytes per layer per microbatch (fwd + bwd) on
+  /// the nd DP group; 0 for dense models.
+  double dp_bytes = 0;
 };
 
 SearchBoundsBase search_bounds_base(const model::TransformerConfig& mdl,
@@ -155,8 +171,9 @@ double memory_floor(const model::TransformerConfig& mdl,
 /// weight broadcasts is linear in the tokens, so m of them cost at least
 /// one microbatch of B samples: the FLOP floor at bl = B*l with the wgrad
 /// contraction split capped at min(B*tp, B*l) (m * min(tp, B*l/m) is at
-/// most that, as in shape_time_floor), the vector ops, and the TP
-/// collectives (collective_time_floor is linear in the bytes). The SUMMA
+/// most that, as in shape_time_floor), the MoE expert MLP with its m wgrad
+/// -1 terms bounded by B, the vector ops, and the layer collectives
+/// (collective_time_floor is linear in the bytes). The SUMMA
 /// weight traffic does not shrink with B/m and is counted once, not m
 /// times. The pipeline handoff is priced at v = 1, the ZeRO-3 gathers are
 /// dropped, and the Adam term is the leaves' own. The sum is scaled by
@@ -168,14 +185,14 @@ double prefix_time_floor(const model::TransformerConfig& mdl,
                          std::int64_t global_batch, const EvalOptions& opts);
 
 /// The fabric-free part of prefix_time_floor: the FLOP, vector and Adam
-/// terms, the TP volumes and the pipeline boundary volume. Valid for every
+/// terms, the layer collective volumes and the pipeline boundary volume. Valid for every
 /// fabric on a system with the same GPU roofline, so the scan driver
 /// computes it once per chain and prefix and finishes it per point.
 struct PrefixFloorBase {
   double compute_floor = 0;   ///< the floor before the network terms
   double layers = 0;          ///< layers per stage
   double boundary_bytes = 0;  ///< local batch's boundary tensor (np > 1)
-  SearchBoundsBase volumes;   ///< tp1_bytes / tp2_bytes at b_loc = b/nd
+  SearchBoundsBase volumes;   ///< tp1/tp2/dp_bytes at b_loc = b/nd
 };
 
 PrefixFloorBase prefix_floor_base(const model::TransformerConfig& mdl,
@@ -190,12 +207,13 @@ double finish_prefix_floor(const PrefixFloorBase& base,
                            const hw::Topology& fabric,
                            const parallel::ParallelConfig& cfg);
 
-/// The per-layer, per-microbatch exposed TP communication floor (fwd +
-/// bwd) of a base on `fabric`: collective_time_floor of tp1_bytes over n1
-/// plus that of tp2_bytes over n2. finish_search_bounds adds it times
-/// micro_layers; it is at most the block's floor_comm_walk fwd + bwd.
-Seconds tp_comm_floor(const SearchBoundsBase& base, const hw::Topology& fabric,
-                      const parallel::ParallelConfig& cfg);
+/// The per-layer, per-microbatch exposed communication floor (fwd + bwd)
+/// of a base on `fabric`: collective_time_floor of tp1_bytes over n1, of
+/// tp2_bytes over n2 and of dp_bytes over nd. finish_search_bounds adds it
+/// times micro_layers; it is at most the block's floor_comm_walk fwd + bwd.
+Seconds layer_comm_floor(const SearchBoundsBase& base,
+                         const hw::Topology& fabric,
+                         const parallel::ParallelConfig& cfg);
 
 /// Add the fabric-dependent network floors to a base. search_bounds(...)
 /// is exactly finish_search_bounds(search_bounds_base(...), ...) — the
@@ -229,8 +247,9 @@ SearchBounds finish_search_bounds(const SearchBoundsBase& base,
 /// Iso-parameter shapes differ mainly through the fused-attention term
 /// (~e*d*l*lkv head-logit FLOPs, growing with e*d at fixed budget) and the
 /// vector-op HBM term (~(6e + f)*d bytes/token), which is what separates
-/// narrow-deep from wide-shallow shapes; architecture variants whose floor
-/// drops whole terms (e.g. MoE's strategy-dependent MLP) separate further.
+/// narrow-deep from wide-shallow shapes. This is the only floor that still
+/// drops the MoE expert MLP (search_bounds and prefix_time_floor restate
+/// it), so MoE shapes floor lower here than their dense peers.
 double shape_time_floor(const model::TransformerConfig& mdl,
                         const hw::SystemConfig& sys, std::int64_t n_gpus,
                         std::int64_t global_batch);

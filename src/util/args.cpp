@@ -28,6 +28,14 @@ ArgParser::ArgParser(int argc, const char* const* argv) {
 }
 
 std::optional<std::string> ArgParser::get(const std::string& name) const {
+  auto v = raw(name);
+  if (v && v->empty()) {
+    throw std::invalid_argument("flag --" + name + " expects a value");
+  }
+  return v;
+}
+
+std::optional<std::string> ArgParser::raw(const std::string& name) const {
   queried_[name] = true;
   const auto it = flags_.find(name);
   if (it == flags_.end()) return std::nullopt;

@@ -17,8 +17,15 @@ class ArgParser {
   /// in order and available via positional().
   ArgParser(int argc, const char* const* argv);
 
-  /// Value of --name, if present (boolean flags yield "").
+  /// Value of the value-taking flag --name, or nullopt when it is absent.
+  /// Throws std::invalid_argument when it is given without a value (bare,
+  /// last or before another flag, or `--name=`). get_or, get_int_or and
+  /// get_double_or read through it.
   std::optional<std::string> get(const std::string& name) const;
+
+  /// The token parsed as --name's value, "" for a bare flag: for a boolean
+  /// flag whose "--flag value" rule swallowed a following operand.
+  std::optional<std::string> raw(const std::string& name) const;
 
   std::string get_or(const std::string& name, const std::string& fallback) const;
   std::int64_t get_int_or(const std::string& name, std::int64_t fallback) const;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "util/args.hpp"
 
 namespace tfpe::util {
@@ -58,6 +60,21 @@ TEST(ArgParser, RejectsMalformedNumbers) {
 TEST(ArgParser, PositionalArguments) {
   const auto a = parse({"file1", "--flag", "v", "file2"});
   EXPECT_EQ(a.positional(), (std::vector<std::string>{"file1", "file2"}));
+}
+
+TEST(ArgParser, BareValueFlagThrows) {
+  // Given last, before another flag, or as --flag=, a value flag has no
+  // value; reading it must fail rather than read "" as "not given".
+  for (const auto& a : {parse({"--gpus", "64", "--csv"}),
+                        parse({"--csv", "--ops"}), parse({"--csv="})}) {
+    EXPECT_THROW(a.get_or("csv", ""), std::invalid_argument);
+    EXPECT_THROW(a.get("csv"), std::invalid_argument);
+    EXPECT_TRUE(a.has("csv"));
+  }
+  const auto b = parse({"--gpus"});
+  EXPECT_THROW(b.get_int_or("gpus", 1), std::invalid_argument);
+  const auto c = parse({"--tp-overlap"});
+  EXPECT_THROW(c.get_double_or("tp-overlap", 0), std::invalid_argument);
 }
 
 TEST(ArgParser, UnusedDetectsTypos) {

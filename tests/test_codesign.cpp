@@ -360,6 +360,48 @@ TEST(Codesign, IncumbentCutKeepsExactEntries) {
   EXPECT_GT(later_wins, 0u);
 }
 
+/// A MoE-only family, where the candidate and prefix floors carry the
+/// expert MLP terms: with shape pruning off every pair is find_optimal's
+/// optimum bit for bit, and with it on the winners stay and every pruned
+/// or cut pair is provably slower.
+TEST(Codesign, MoeFamilyMatchesFindOptimalPerShape) {
+  model::ShapeFamilyOptions fam;
+  fam.tolerance = 0.05;
+  fam.depths = {48, 96};
+  fam.heads = {64, 96, 128};
+  fam.head_dims = {128};
+  fam.aspect_min = 1.0;
+  fam.aspect_max = 8.0;
+  fam.moe_experts = {4};
+  const auto shapes = model::shape_family(model::gpt3_175b(), fam);
+  ASSERT_GE(shapes.size(), 2u);
+  const auto points = search::hardware_grid(
+      {hw::GpuGeneration::A100, hw::GpuGeneration::B200}, {4, 16}, 64);
+  for (auto strategy :
+       {parallel::TpStrategy::TP1D, parallel::TpStrategy::TP2D}) {
+    SCOPED_TRACE(parallel::to_string(strategy));
+    search::CodesignOptions opts;
+    opts.sweep.search.global_batch = 256;
+    opts.sweep.search.strategy = strategy;
+    opts.sweep.warm_start = true;
+    opts.sweep.threads = 2;
+    opts.prune_shapes = false;
+    const auto run = search::run_codesign(shapes, points, opts);
+    std::size_t feasible = 0;
+    for (std::size_t p = 0; p < points.size(); ++p) {
+      for (std::size_t s = 0; s < shapes.size(); ++s) {
+        const auto direct =
+            search::find_optimal(shapes[s], points[p], opts.sweep.search);
+        feasible += direct.best.feasible ? 1 : 0;
+        expect_same_optimum(direct.best, run.per_shape[s][p],
+                            shapes[s].name + " point " + std::to_string(p));
+      }
+    }
+    EXPECT_GT(feasible, 0u);
+    expect_cuts_exact(shapes, points, opts);
+  }
+}
+
 /// Work counters are thread-invariant: shapes reduce sequentially, chains
 /// are sequential inside, so only the stage profile may differ.
 TEST(Codesign, StatsAreThreadInvariant) {

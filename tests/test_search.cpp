@@ -25,6 +25,20 @@ hw::SystemConfig b200(std::int64_t nvs, std::int64_t n) {
   return hw::make_system(hw::GpuGeneration::B200, nvs, n);
 }
 
+/// The first 8-expert member of GPT3-1T's iso-parameter shape family: the
+/// kind of MoE shape the co-design scan spends its time on.
+model::TransformerConfig moe_family_shape() {
+  model::ShapeFamilyOptions fam;
+  fam.tolerance = 0.04;
+  fam.head_dims = {128};
+  fam.moe_experts = {8};
+  const auto moe = model::shape_family(model::gpt3_1t(), fam);
+  if (moe.empty() || moe.front().moe_experts != 8) {
+    throw std::logic_error("no 8-expert GPT3-1T family shape");
+  }
+  return moe.front();
+}
+
 TEST(Enumerate, AllConfigsSatisfyConstraints) {
   const auto mdl = model::gpt3_1t();
   const auto sys = b200(8, 512);
@@ -375,6 +389,29 @@ TEST(Pruning, MatchesExhaustiveOnVit32k) {
   const SearchResult pruned = find_optimal(mdl, sys, opts);
   expect_same_optimum(pruned, brute);
   EXPECT_LE(pruned.stats.build_layer_calls * 5, brute.stats.build_layer_calls);
+}
+
+TEST(Pruning, MatchesExhaustiveOnMoe) {
+  // The MoE expert MLP terms of the candidate and prefix floors bound-prune
+  // MoE candidates that the placement-floor screen used to settle; the
+  // optimum must not move, on 1D and 2D (R over n2) alike.
+  const auto mdl = moe_family_shape();
+  const auto sys = b200(8, 64);
+  for (auto strategy :
+       {parallel::TpStrategy::TP1D, parallel::TpStrategy::TP2D}) {
+    SCOPED_TRACE(parallel::to_string(strategy));
+    SearchOptions opts;
+    opts.strategy = strategy;
+    opts.global_batch = 256;
+    opts.prune = false;
+    const SearchResult brute = find_optimal(mdl, sys, opts);
+    opts.prune = true;
+    const SearchResult pruned = find_optimal(mdl, sys, opts);
+    ASSERT_TRUE(brute.best.feasible);
+    expect_same_optimum(pruned, brute);
+    EXPECT_GT(pruned.stats.bound_pruned, 0u);
+    EXPECT_LT(pruned.evaluated, brute.evaluated);
+  }
 }
 
 TEST(Pruning, CountersInvariantAcrossThreadCounts) {
@@ -848,11 +885,65 @@ TEST(LowerBounds, FloorsNeverExceedActuals) {
   }
 }
 
-// The TP term of search_bounds restates the builders' collective volumes
-// by hand. The placement-floor walk prices the real op lists with the same
-// collective_time_floor per request, and it keeps every term the TP floor
-// drops (ring attention, the MoE AllToAll and fc2), so the hand-written
-// per-layer floor must never exceed it, for any candidate or fabric.
+// search_bounds restates the MoE expert MLP op for op (moe_fc1/moe_fc2
+// FLOPs, moe_gelu and dispatch/combine HBM bytes, the moe_fc2 ReduceScatter
+// pair and the four AllToAlls). A floor above any one candidate's time can
+// prune the optimum, so this checks every candidate of both MoE shapes, not
+// a sample: 1D and 2D with every expansion axis, under every overlap and
+// recompute setting, the floor must be at or below the best placement's
+// time (an over-HBM candidate reports one placement's time, which the floor
+// bounds just the same). No tolerance: the floor's own slack is all the
+// search has.
+TEST(LowerBounds, MoeFloorsNeverExceedActuals) {
+  constexpr std::int64_t kGpus = 256;
+  constexpr std::int64_t kBatch = 512;
+  const hw::SystemConfig sys = b200(8, kGpus);
+  std::size_t checked = 0;
+  std::size_t violations = 0;
+  for (const auto& mdl : {moe_family_shape(), model::gpt_moe_1t()}) {
+    for (auto strategy :
+         {parallel::TpStrategy::TP1D, parallel::TpStrategy::TP2D}) {
+      EnumerationOptions opts;
+      opts.strategy = strategy;
+      opts.global_batch = kBatch;
+      opts.interleave_candidates = {1, 2};
+      opts.allow_zero3 = true;
+      opts.allow_ring_attention = true;
+      for (const auto& cfg : expand_candidates(mdl, sys, opts)) {
+        for (const double overlap : {0.0, 0.5, 1.0}) {
+          for (const bool recompute : {false, true}) {
+            core::EvalOptions eval;
+            eval.tp_overlap = overlap;
+            eval.activation_recompute = recompute;
+            const core::EvalResult r =
+                best_placement(mdl, sys, cfg, kBatch, eval);
+            if (!r.feasible && r.reason != "exceeds HBM capacity") continue;
+            const double floor =
+                core::search_bounds(mdl, sys, cfg, kBatch, eval).time_floor;
+            ++checked;
+            if (floor <= r.iteration()) continue;
+            if (++violations <= 5) {
+              ADD_FAILURE() << mdl.name << " " << cfg.describe()
+                            << " tp_overlap=" << overlap
+                            << " recompute=" << recompute << ": floor "
+                            << floor << " > " << r.iteration();
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(violations, 0u);
+  EXPECT_GT(checked, 0u);
+}
+
+// The comm term of search_bounds (core::layer_comm_floor) restates the
+// builders' collective volumes by hand: the TP pairs, and for MoE the
+// moe_fc2 ReduceScatter pair and the dispatch/combine AllToAlls on nd. The
+// placement-floor walk prices the real op lists with the same
+// collective_time_floor per request, and it keeps every term the floor
+// drops (ring attention), so the hand-written per-layer floor must never
+// exceed it, for any candidate or fabric.
 TEST(LowerBounds, TpCommFloorBelowBlockWalk) {
   constexpr std::int64_t kGpus = 256;
   constexpr std::int64_t kBatch = 512;
@@ -864,8 +955,8 @@ TEST(LowerBounds, TpCommFloorBelowBlockWalk) {
                                   leaf_spine.resolved_fabric()};
   std::vector<Seconds> row_floor;
   std::size_t checked = 0;
-  for (const auto& mdl :
-       {model::gpt3_1t(), model::vit_64k(), model::gpt_moe_1t()}) {
+  for (const auto& mdl : {model::gpt3_1t(), model::vit_64k(),
+                          model::gpt_moe_1t(), moe_family_shape()}) {
     for (auto strategy :
          {parallel::TpStrategy::TP1D, parallel::TpStrategy::TP2D,
           parallel::TpStrategy::Summa2D}) {
@@ -887,7 +978,7 @@ TEST(LowerBounds, TpCommFloorBelowBlockWalk) {
           for (const hw::Topology& fabric : fabrics) {
             const core::FloorWalk walk = core::floor_comm_walk(
                 bat, part.summa_panel_time, fabric, cfg, eval, row_floor);
-            const Seconds tp = core::tp_comm_floor(base, fabric, cfg);
+            const Seconds tp = core::layer_comm_floor(base, fabric, cfg);
             ++checked;
             EXPECT_LE(tp.value(),
                       (walk.fwd_comm + walk.bwd_comm).value() * (1 + 1e-12))
@@ -919,8 +1010,8 @@ TEST(LowerBounds, PrefixFloorBelowEveryChildBound) {
         sys.resolved_fabric(),
         hw::leaf_spine_topology(sys.net, 8, 32, kGpus, 4.0),
         hw::rail_optimized_topology(sys.net, 8, 32, kGpus)};
-    for (const auto& mdl :
-         {model::gpt3_1t(), model::vit_64k(), model::gpt_moe_1t()}) {
+    for (const auto& mdl : {model::gpt3_1t(), model::vit_64k(),
+                            model::gpt_moe_1t(), moe_family_shape()}) {
       for (auto strategy :
            {parallel::TpStrategy::TP1D, parallel::TpStrategy::TP2D,
             parallel::TpStrategy::Summa2D}) {
@@ -980,8 +1071,8 @@ TEST(LowerBounds, PrefixFloorSplitIsBitwise) {
         sys.resolved_fabric(),
         hw::leaf_spine_topology(sys.net, 8, 32, kGpus, 4.0),
         hw::rail_optimized_topology(sys.net, 8, 32, kGpus)};
-    for (const auto& mdl :
-         {model::gpt3_1t(), model::vit_64k(), model::gpt_moe_1t()}) {
+    for (const auto& mdl : {model::gpt3_1t(), model::vit_64k(),
+                            model::gpt_moe_1t(), moe_family_shape()}) {
       for (auto strategy :
            {parallel::TpStrategy::TP1D, parallel::TpStrategy::TP2D,
             parallel::TpStrategy::Summa2D}) {
@@ -1036,18 +1127,11 @@ TEST(LowerBounds, TokenMemoryFloorIsTheTailTotal) {
   constexpr std::int64_t kGpus = 256;
   constexpr std::int64_t kBatch = 512;
   const hw::SystemConfig sys = b200(8, kGpus);
-  model::ShapeFamilyOptions fam;
-  fam.tolerance = 0.04;
-  fam.head_dims = {128};
-  fam.moe_experts = {8};
-  const auto moe = model::shape_family(model::gpt3_1t(), fam);
-  ASSERT_FALSE(moe.empty());
-  ASSERT_EQ(moe.front().moe_experts, 8);
   std::size_t checked = 0;
   std::size_t scaled = 0;  // leaves with local microbatch > 1
   std::size_t violations = 0;
   for (const auto& mdl : {model::gpt3_1t(), model::vit_64k(),
-                          model::llama3_405b(), moe.front()}) {
+                          model::llama3_405b(), moe_family_shape()}) {
     ShapeCaches caches;
     for (auto strategy :
          {parallel::TpStrategy::TP1D, parallel::TpStrategy::TP2D,

@@ -598,7 +598,7 @@ Work lint_cmd(const util::ArgParser& args) {
   // a following PATH operand into it ("lint --strict plan.tfpe") — reclaim
   // it so flag order never changes which artifact gets linted.
   std::string path = pos.size() == 2 ? pos[1] : "";
-  if (const auto v = args.get("strict"); v && !v->empty()) {
+  if (const auto v = args.raw("strict"); v && !v->empty()) {
     require(path.empty(), "too many arguments");
     path = *v;
   }
