@@ -27,46 +27,11 @@
 //   nvs_domain = 8
 //   n_gpus = 4096
 //
-//   [codesign]                     # iso-parameter shape-family options
-//   target_params_b = 1000         # parameter budget [billions];
-//                                  # 0/absent = the [model]'s total
-//   tolerance = 0.02               # relative band around the target
-//   depth_min = 32                 # range axes (inclusive, with step)...
-//   depth_max = 160
-//   depth_step = 16
-//   depths = 48, 96, 192           # ...or an explicit list (wins over range)
-//   heads_min = 32
-//   heads_max = 256
-//   heads_step = 16
-//   heads = 64, 96
-//   head_dims = 128, 160
-//   aspect_min = 2.0               # admitted f/e window
-//   aspect_max = 6.0
-//   hidden_multiple = 128
-//   kv_heads = 0, 8                # 0 = MHA
-//   moe_experts = 0                # 0 = dense
+//   ...
 //
-//   [serving]                      # serve-plan grid (core::ServingSpec)
-//   prompt_len = 2048              # input sequence length (ISL)
-//   output_len = 256               # generated tokens per request (OSL)
-//   tp = 1, 2, 4, 8                # tensor-parallel widths to sweep
-//   pp = 1, 2                      # pipeline depths to sweep
-//   batch = 1, 8, 32, 128          # requested resident requests
-//   kv_cap_fraction = 0.9          # HBM share the KV cache may occupy
-//   max_batch = 0                  # scheduler cap; 0 = uncapped
-//
-//   [topology]                     # optional hierarchical fabric override
-//   levels = nvs, leaf, spine      # innermost first
-//   fan_in = 8, 4, 16              # children per element; 0 = unbounded top
-//   latency_us = 0.3, 2.5, 5.0     # per-hop latency [us]
-//   gbs = 900, 50, 50              # per-link bandwidth [GB/s]
-//   rails = 1, 8, 8                # optional NIC rails, default 1
-//   pod_size = 0, 0, 1024          # optional oversubscription gate
-//   oversubscription = 1, 1, 4     # optional taper ratio, default 1
-//   efficiency = 0.7               # scalar knobs (achievable fraction)
-//   enable_tree = 0
-//   enable_ll = 0
-//   enable_hierarchical = 0
+// plus [topology], [codesign] and [serving] (docs/API.md, `tfpe::io`). Each
+// section is a record whose keys, domains, defaults and units are the rows
+// of its table in io/schema.cpp.
 //
 // Unknown keys are errors (typo protection). Every section may be absent.
 // A [topology] section is attached to the [system] as its resolved fabric
@@ -77,6 +42,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "core/workload.hpp"
 #include "hw/system.hpp"
@@ -104,6 +70,9 @@ using ConfigLocations = std::map<std::string, SectionLocations>;
 /// (for line-accurate schema diagnostics; `locations` may be null).
 ConfigSections parse_config(std::istream& in, ConfigLocations* locations);
 
+// The *_from_section loaders (io/schema.cpp) throw std::runtime_error on
+// the first problem the schema lint reports for their section.
+
 /// Build a validated TransformerConfig from a [model] section.
 model::TransformerConfig model_from_section(const Section& s);
 
@@ -111,9 +80,7 @@ model::TransformerConfig model_from_section(const Section& s);
 /// overridden by explicit values.
 hw::SystemConfig system_from_section(const Section& s);
 
-/// Build a fabric Topology from a [topology] section. Throws
-/// std::runtime_error on mismatched list lengths, non-positive bandwidths /
-/// rails, oversubscription < 1 or depth > hw::Topology::kMaxDepth.
+/// Build a fabric Topology from a [topology] section.
 hw::Topology topology_from_section(const Section& s);
 
 /// Serialize a fabric back into [topology]-section form; round-trips
@@ -121,26 +88,30 @@ hw::Topology topology_from_section(const Section& s);
 Section topology_to_section(const hw::Topology& topo);
 
 /// Build shape-family options from a [codesign] section (target_params_b is
-/// given in BILLIONS of parameters). Throws std::runtime_error on values
-/// model::shape_family would reject — the same conditions io/config_lint
-/// reports as TFPE-CODESIGN diagnostics.
+/// given in BILLIONS of parameters).
 model::ShapeFamilyOptions codesign_from_section(const Section& s);
 
-/// Build a serve-plan grid from a [serving] section. Throws
-/// std::runtime_error on non-positive lengths/axis entries, an empty axis
-/// list, or kv_cap_fraction outside (0, 1] — the same conditions
-/// io/config_lint reports as TFPE-CFG-004 diagnostics.
+/// Build a serve-plan grid from a [serving] section.
 core::ServingSpec serving_from_section(const Section& s);
 
+/// A [sweep] section: its axes in spec nesting order, each value as written
+/// (the CSV echoes them), defaults filled in.
+struct SweepSpec {
+  std::vector<std::string> model, gpu, nvs, oversub, gpus, strategy, batch;
+  std::int64_t leaf = 0;
+  std::string output;
+};
+
+SweepSpec sweep_from_section(const Section& s);
+
 struct LoadedConfig {
+  ConfigSections sections;  ///< The file as parsed.
   std::optional<model::TransformerConfig> model;
   std::optional<hw::SystemConfig> system;
   /// Parsed [topology], also attached to system->fabric when both exist.
   std::optional<hw::Topology> topology;
   /// Parsed [codesign] shape-family options (tfpe codesign's --config path).
   std::optional<model::ShapeFamilyOptions> codesign;
-  /// Parsed [serving] grid (tfpe serve-plan's --config path).
-  std::optional<core::ServingSpec> serving;
 };
 
 /// Parse a whole file; throws std::runtime_error if it cannot be read.

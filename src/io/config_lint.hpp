@@ -14,14 +14,13 @@
 //                           not match the declared levels
 //   config-missing-key      a required key is absent
 //
-// Sections understood: [model], [system], [topology], [plan], [sweep],
-// [codesign] (iso-parameter shape-family options for `tfpe codesign`, with
-// its own TFPE-CODESIGN rules: budget band, enumeration axes, and an
-// empty-family warning when a [model] is present) and the forward-looking
-// [calibration] block (measured-run anchors for the calibration workflow:
-// compute_efficiency / bandwidth_efficiency in (0, 1], positive
-// global_batch / measured_seconds). Successfully built
-// [system]/[topology] objects are additionally run through
+// The sections and their keys are the records of io/schema.hpp: each key's
+// value is checked by its row, under the row's rule (TFPE-CFG-004,
+// TFPE-CODESIGN-001 or -002), at its own line. A [codesign] section
+// that enumerates no shape around the file's [model] warns
+// (TFPE-CODESIGN-003); a [serving] grid is screened against the file's
+// [model] and [system] (TFPE-SERVE-001/002). Successfully built
+// [system]/[topology] records are additionally run through
 // analysis::lint_system / lint_topology so a schema-clean file with an
 // unsound machine description still fails strict mode.
 

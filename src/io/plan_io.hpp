@@ -29,8 +29,9 @@ struct LoadedPlan {
   std::int64_t global_batch = 0;
 };
 
-/// Rebuild the configuration from a [plan] section. Throws
-/// std::runtime_error on unknown keys or malformed values.
+/// Rebuild the configuration from a [plan] section (its rows are in
+/// io/schema.cpp). Throws std::runtime_error on unknown keys or malformed
+/// values.
 LoadedPlan plan_from_section(const Section& s);
 
 /// Load a plan from a file containing a [plan] section.

@@ -1,7 +1,8 @@
 #include "util/args.hpp"
 
-#include <cstdlib>
 #include <stdexcept>
+
+#include "util/strings.hpp"
 
 namespace tfpe::util {
 
@@ -47,29 +48,31 @@ std::string ArgParser::get_or(const std::string& name,
   return get(name).value_or(fallback);
 }
 
+namespace {
+
+/// --name's value read by `parse`, or `fallback` when the flag is absent.
+template <class T>
+T number_or(const std::optional<std::string>& v, const std::string& name,
+            T fallback, std::optional<T> (*parse)(const std::string&),
+            const char* what) {
+  if (!v) return fallback;
+  const std::optional<T> out = parse(*v);
+  if (!out) {
+    throw std::invalid_argument("flag --" + name + " expects " + what +
+                                ", got '" + *v + "'");
+  }
+  return *out;
+}
+
+}  // namespace
+
 std::int64_t ArgParser::get_int_or(const std::string& name,
                                    std::int64_t fallback) const {
-  const auto v = get(name);
-  if (!v) return fallback;
-  char* end = nullptr;
-  const std::int64_t out = std::strtoll(v->c_str(), &end, 10);
-  if (end == v->c_str() || *end != '\0') {
-    throw std::invalid_argument("flag --" + name + " expects an integer, got '" +
-                                *v + "'");
-  }
-  return out;
+  return number_or(get(name), name, fallback, parse_int, "an integer");
 }
 
 double ArgParser::get_double_or(const std::string& name, double fallback) const {
-  const auto v = get(name);
-  if (!v) return fallback;
-  char* end = nullptr;
-  const double out = std::strtod(v->c_str(), &end);
-  if (end == v->c_str() || *end != '\0') {
-    throw std::invalid_argument("flag --" + name + " expects a number, got '" +
-                                *v + "'");
-  }
-  return out;
+  return number_or(get(name), name, fallback, parse_real, "a number");
 }
 
 bool ArgParser::has(const std::string& name) const {

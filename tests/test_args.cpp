@@ -1,10 +1,13 @@
-// Tests for the CLI flag parser.
+// Tests for the CLI flag parser and the numeric parser it reads through.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include "util/args.hpp"
+#include "util/strings.hpp"
 
 namespace tfpe::util {
 namespace {
@@ -55,6 +58,33 @@ TEST(ArgParser, RejectsMalformedNumbers) {
   EXPECT_THROW(a.get_int_or("gpus", 0), std::invalid_argument);
   const auto b = parse({"--tokens", "1e12x"});
   EXPECT_THROW(b.get_double_or("tokens", 0), std::invalid_argument);
+}
+
+TEST(ArgParser, RejectsOverflowingNumbers) {
+  // strtoll would saturate these to INT64_MAX/MIN; the flag must fail.
+  const auto a = parse({"--prompt", "99999999999999999999", "--gpus",
+                        "-99999999999999999999", "--tokens", "1e999"});
+  EXPECT_THROW(a.get_int_or("prompt", 0), std::invalid_argument);
+  EXPECT_THROW(a.get_int_or("gpus", 0), std::invalid_argument);
+  EXPECT_THROW(a.get_double_or("tokens", 0), std::invalid_argument);
+}
+
+TEST(ParseNumber, ReadsTheWholeStringOnly) {
+  EXPECT_EQ(parse_int("42"), 42);
+  EXPECT_EQ(parse_int("-7"), -7);
+  EXPECT_EQ(parse_int("9223372036854775807"), INT64_MAX);
+  EXPECT_EQ(parse_int("9223372036854775808"), std::nullopt);
+  EXPECT_EQ(parse_int(""), std::nullopt);
+  EXPECT_EQ(parse_int("4 "), std::nullopt);
+  EXPECT_EQ(parse_int("1e3"), std::nullopt);
+  EXPECT_EQ(parse_int("2.0"), std::nullopt);
+  EXPECT_EQ(parse_real("1e3"), 1000.0);
+  EXPECT_EQ(parse_real("0.25"), 0.25);
+  EXPECT_EQ(parse_real(""), std::nullopt);
+  EXPECT_EQ(parse_real("0.5x"), std::nullopt);
+  EXPECT_EQ(parse_real("1e999"), std::nullopt);
+  EXPECT_TRUE(std::isnan(*parse_real("nan")));
+  EXPECT_TRUE(std::isinf(*parse_real("inf")));
 }
 
 TEST(ArgParser, PositionalArguments) {

@@ -20,7 +20,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -35,6 +34,7 @@
 #include "io/config_file.hpp"
 #include "io/config_lint.hpp"
 #include "io/plan_io.hpp"
+#include "io/schema.hpp"
 #include "report/breakdown_report.hpp"
 #include "report/markdown_report.hpp"
 #include "report/op_report.hpp"
@@ -92,6 +92,10 @@ std::string help_text(const std::string& cmd) {
         "find_optimal on that (shape, point); shapes whose architecture-level\n"
         "compute floor exceeds the cross-shape incumbent are pruned whole,\n"
         "and a shape that reaches nothing at or below it is cut.\n"
+        "\n"
+        "Searches 1D tensor parallelism only. For 2D or SUMMA shape sweeps\n"
+        "run `tfpe sweep SPEC --arch` with strategy = 2d or summa in the\n"
+        "spec's [sweep] section.\n"
         "\n"
         "  --model NAME        base preset the family is iso to (default gpt3-1t)\n"
         "  --config PATH       load [model] and/or [codesign] from a file\n"
@@ -242,6 +246,17 @@ io::LoadedConfig load_config(const util::ArgParser& args) {
   return io::load_config_file(*path);
 }
 
+/// `sections`' [name] (empty when absent) with the value flags of the
+/// record's rows written over it, read by `load` as that record.
+template <class Load>
+auto read_record(const util::ArgParser& args, const io::ConfigSections& sections,
+                 const std::string& name, Load load) {
+  const auto it = sections.find(name);
+  return load(io::with_flags(
+      name, it != sections.end() ? it->second : io::Section{},
+      [&](const std::string& flag) { return args.get(flag); }));
+}
+
 /// The config file's [model] unless --model is given; else the named
 /// preset, or `custom` built from --l/--e/--heads/--depth/....
 model::TransformerConfig resolve_model(const util::ArgParser& args,
@@ -250,20 +265,10 @@ model::TransformerConfig resolve_model(const util::ArgParser& args,
   const auto name = args.get("model");
   if (!name && file.model) return *file.model;
   if (name == "custom") {
-    model::TransformerConfig mdl;
-    mdl.name = "custom";
-    mdl.seq_len = args.get_int_or("l", 0);
-    mdl.embed = args.get_int_or("e", 0);
-    mdl.heads = args.get_int_or("heads", 0);
-    mdl.depth = args.get_int_or("depth", 0);
-    mdl.hidden = args.get_int_or("hidden", 4 * mdl.embed);
-    mdl.kv_heads = args.get_int_or("kv-heads", 0);
-    if (args.has("window")) {
-      mdl.attention = model::AttentionKind::kWindowed;
-      mdl.window = args.get_int_or("window", 0);
-    }
-    mdl.validate();
-    return mdl;
+    io::Section custom{{"name", "custom"}};
+    if (args.has("window")) custom["attention"] = "windowed";
+    return read_record(args, {{"model", custom}}, "model",
+                       io::model_from_section);
   }
   const auto preset = model::preset_by_name(name.value_or(fallback));
   require(preset.has_value(), "unknown model '" + name.value_or(fallback) + "'");
@@ -296,11 +301,11 @@ std::vector<std::int64_t> int_list(const util::ArgParser& args,
   if (!list) return fallback;
   std::vector<std::int64_t> out;
   for (const auto& item : util::split_list(*list)) {
-    char* end = nullptr;
-    out.push_back(std::strtoll(item.c_str(), &end, 10));
-    require(end != item.c_str() && *end == '\0' && out.back() >= 1,
-            "flag --" + flag + " expects positive integers, got '" + item +
-                "'");
+    const auto v = util::parse_int(item);
+    require(v && *v >= 1, "flag --" + flag +
+                              " expects positive integers, got '" + item +
+                              "'");
+    out.push_back(*v);
   }
   require(!out.empty(), "flag --" + flag + " expects positive integers");
   return out;
@@ -350,40 +355,16 @@ std::size_t cross_check(const std::vector<model::TransformerConfig>& shapes,
   return mismatches;
 }
 
-/// A [sweep] section: its axes in spec nesting order, values as written
-/// (the CSV echoes them), defaults filled in.
-struct SweepSpec {
-  std::vector<std::string> model, gpu, nvs, oversub, gpus, strategy, batch;
-  std::int64_t leaf = 64;
-  std::string output = "sweep.csv";
-
-  explicit SweepSpec(const io::Section& s) {
-    const auto axis = [&](const char* key, const char* fallback) {
-      const auto it = s.find(key);
-      return util::split_list(it != s.end() ? it->second : fallback);
-    };
-    model = axis("model", "gpt3-1t");
-    gpu = axis("gpu", "b200");
-    nvs = axis("nvs", "8");
-    oversub = axis("oversub", "1");
-    gpus = axis("gpus", "1024");
-    strategy = axis("strategy", "1d");
-    batch = axis("batch", "4096");
-    if (const auto it = s.find("leaf"); it != s.end()) {
-      leaf = std::stoll(it->second);
-    }
-    if (const auto it = s.find("output"); it != s.end()) output = it->second;
-  }
-
-  /// One hardware point, through a one-point search::hardware_grid call so
-  /// the fabric (oversub 1 = two-level, > 1 = leaf/spine) stays in FP
-  /// lockstep with the grid builder.
-  hw::SystemConfig point(const std::string& g, const std::string& n,
-                         const std::string& os, const std::string& n_gpus) const {
-    return search::hardware_grid({generation(g)}, {std::stoll(n)},
-                                 {std::stod(os)}, std::stoll(n_gpus), leaf)[0];
-  }
-};
+/// One [sweep] hardware point, through a one-point search::hardware_grid
+/// call so the fabric (oversub 1 = two-level, > 1 = leaf/spine) stays in
+/// FP lockstep with the grid builder. The values passed its rows.
+hw::SystemConfig sweep_point(const io::SweepSpec& spec, const std::string& g,
+                             const std::string& n, const std::string& os,
+                             const std::string& n_gpus) {
+  return search::hardware_grid({generation(g)}, {*util::parse_int(n)},
+                               {*util::parse_real(os)},
+                               *util::parse_int(n_gpus), spec.leaf)[0];
+}
 
 /// A subcommand's work, returned by its prologue once every flag it
 /// accepts has been read and checked.
@@ -449,29 +430,40 @@ int lint_file(const std::string& path, const model::TransformerConfig& mdl,
               std::nullopt, path, 0);
   };
 
-  if (const auto it = sections.find("plan"); it != sections.end()) {
+  // A section the schema pass rejected is reported there; the passes below
+  // run on the records that load.
+  const auto load = [&](const std::string& name, auto loader) {
+    std::optional<decltype(loader(io::Section{}))> out;
+    const auto it = sections.find(name);
+    if (it != sections.end() &&
+        io::find_schema(name)->problems(it->second).empty()) {
+      out = loader(it->second);
+    }
+    return out;
+  };
+
+  if (const auto plan = load("plan", io::plan_from_section)) {
     try {
-      const io::LoadedPlan plan = io::plan_from_section(it->second);
-      if (batch == 0) batch = plan.global_batch;
+      if (batch == 0) batch = plan->global_batch;
       // Divisibility prechecks against a system just big enough for the
       // plan: the builders assume them, so a violated one is a diagnostic.
       const auto sys = hw::make_system(hw::GpuGeneration::B200,
-                                       plan.cfg.placement_product(),
-                                       plan.cfg.total_gpus());
-      if (const auto why = plan.cfg.invalid_reason(mdl, sys, batch)) {
+                                       plan->cfg.placement_product(),
+                                       plan->cfg.total_gpus());
+      if (const auto why = plan->cfg.invalid_reason(mdl, sys, batch)) {
         fail_section("plan", "invalid plan configuration: " + *why);
       } else {
-        const std::int64_t b = plan.cfg.local_microbatch(batch);
+        const std::int64_t b = plan->cfg.local_microbatch(batch);
         const parallel::LayerCost layer =
-            parallel::build_layer(mdl, plan.cfg, b);
-        sink.merge(analysis::lint_layer(mdl, plan.cfg, b, layer, opts));
+            parallel::build_layer(mdl, plan->cfg, b);
+        sink.merge(analysis::lint_layer(mdl, plan->cfg, b, layer, opts));
         const core::CostSignature sig =
-            core::compile_signature(mdl, plan.cfg, batch, layer);
-        sink.merge(analysis::lint_signature(mdl, plan.cfg, sig, layer, opts));
+            core::compile_signature(mdl, plan->cfg, batch, layer);
+        sink.merge(analysis::lint_signature(mdl, plan->cfg, sig, layer, opts));
         sink.merge(analysis::lint_batched(sig, core::lower_batched(sig), opts));
         sink.merge(analysis::lint_system(sys, sig, opts));
         const hw::Topology fab = sys.resolved_fabric();
-        const parallel::ParallelConfig& c = plan.cfg;
+        const parallel::ParallelConfig& c = plan->cfg;
         for (const comm::GroupPlacement g :
              {comm::GroupPlacement{c.n1, c.nvs1},
               comm::GroupPlacement{c.n2, c.nvs2},
@@ -485,15 +477,14 @@ int lint_file(const std::string& path, const model::TransformerConfig& mdl,
     }
   }
 
-  if (const auto it = sections.find("sweep"); it != sections.end()) {
+  if (const auto spec = load("sweep", io::sweep_from_section)) {
     try {
-      const SweepSpec spec(it->second);
       std::vector<hw::SystemConfig> points;
-      for (const auto& n_gpus : spec.gpus) {
-        for (const auto& g : spec.gpu) {
-          for (const auto& n : spec.nvs) {
-            for (const auto& os : spec.oversub) {
-              points.push_back(spec.point(g, n, os, n_gpus));
+      for (const auto& n_gpus : spec->gpus) {
+        for (const auto& g : spec->gpu) {
+          for (const auto& n : spec->nvs) {
+            for (const auto& os : spec->oversub) {
+              points.push_back(sweep_point(*spec, g, n, os, n_gpus));
             }
           }
         }
@@ -505,13 +496,15 @@ int lint_file(const std::string& path, const model::TransformerConfig& mdl,
     }
   }
 
-  if (!sections.count("plan") && !sections.count("sweep") &&
-      !sections.count("model") && !sections.count("system") &&
-      !sections.count("topology")) {
+  std::string records;
+  bool any = false;
+  for (const io::Schema& record : io::schemas()) {
+    records += (records.empty() ? "[" : ", [") + record.section + "]";
+    any = any || sections.count(record.section) > 0;
+  }
+  if (!any) {
     sink.emit(analysis::RuleId::kConfigMissingKey, "<file>", 0, 0,
-              "no [plan], [sweep], [model], [system] or [topology] section "
-              "to lint",
-              std::nullopt, path, 0);
+              "no " + records + " section to lint", std::nullopt, path, 0);
   }
 
   if (format == "text") {
@@ -627,7 +620,7 @@ Work sweep_cmd(const util::ArgParser& args) {
   }
   const auto it = sections.find("sweep");
   require(it != sections.end(), "spec has no [sweep] section");
-  const SweepSpec spec(it->second);
+  const io::SweepSpec spec = io::sweep_from_section(it->second);
 
   /// One fully-resolved sweep point, in spec nesting order.
   struct Point {
@@ -641,7 +634,7 @@ Work sweep_cmd(const util::ArgParser& args) {
         for (const auto& os : spec.oversub) {
           for (const auto& n_gpus : spec.gpus) {
             const hw::SystemConfig sys =
-                checked(spec.point(g, n, os, n_gpus));
+                checked(sweep_point(spec, g, n, os, n_gpus));
             for (const auto& s : spec.strategy) {
               for (const auto& b : spec.batch) {
                 points.push_back({m, g, n, os, n_gpus, s, b, sys});
@@ -718,8 +711,8 @@ Work sweep_cmd(const util::ArgParser& args) {
 
             search::CodesignOptions opts;
             opts.sweep.search.strategy = *parallel::strategy_by_name(strat_s);
-            opts.sweep.search.global_batch = std::stoll(b_s);
-            opts.sweep.search.n_gpus = std::stoll(n_s);
+            opts.sweep.search.global_batch = *util::parse_int(b_s);
+            opts.sweep.search.n_gpus = *util::parse_int(n_s);
             opts.sweep.threads = threads;
             opts.sweep.warm_start = warm_start;
             // Every row must be a true find_optimal result, so the full
@@ -794,17 +787,22 @@ Work sweep_cmd(const util::ArgParser& args) {
       }
     }
 
+    // The axis columns are the [sweep] list rows, in spec nesting order.
+    std::vector<std::string> header;
+    for (const io::Row& row : io::find_schema("sweep")->rows) {
+      if (io::is_list(row.kind)) header.push_back(row.key);
+    }
+    header.insert(header.end(), {"feasible", "config", "iter_s",
+                                 "tokens_per_s_per_gpu", "hbm_gb"});
     util::CsvWriter csv(output);
-    csv.write_header({"model", "gpu", "nvs", "oversub", "gpus", "strategy",
-                      "batch", "feasible", "config", "iter_s",
-                      "tokens_per_s_per_gpu", "hbm_gb"});
+    csv.write_header(header);
     std::size_t feasible = 0;
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const auto& [p, r, seq_len] = rows[i];
       if (r.feasible) ++feasible;
-      const auto n = static_cast<double>(std::stoll(p.gpus));
+      const auto n = static_cast<double>(*util::parse_int(p.gpus));
       const double tps =
-          r.feasible ? static_cast<double>(std::stoll(p.batch)) *
+          r.feasible ? static_cast<double>(*util::parse_int(p.batch)) *
                            static_cast<double>(seq_len) / r.iteration() / n
                      : 0.0;
       csv.write_row(std::vector<std::string>{
@@ -874,19 +872,14 @@ Work sweep_cmd(const util::ArgParser& args) {
 Work codesign_cmd(const util::ArgParser& args) {
   const io::LoadedConfig file = load_config(args);
   const model::TransformerConfig base = resolve_model(args, file, "gpt3-1t");
-  model::ShapeFamilyOptions fam =
-      file.codesign.value_or(model::ShapeFamilyOptions{});
+  const model::ShapeFamilyOptions fam =
+      read_record(args, file.sections, "codesign", io::codesign_from_section);
   std::vector<hw::GpuGeneration> gens;
   for (const auto& name :
        util::split_list(args.get_or("gpu", "a100,h200,b200"))) {
     gens.push_back(generation(name));
   }
   const std::vector<std::int64_t> nvs = int_list(args, "nvs", {8});
-  if (args.has("target-params")) {
-    fam.target_params = static_cast<std::int64_t>(
-        args.get_double_or("target-params", 0.0) * 1e9);
-  }
-  fam.tolerance = args.get_double_or("tolerance", fam.tolerance);
   const std::int64_t n_gpus = args.get_int_or("gpus", 1024);
   search::CodesignOptions opts;
   opts.sweep.search.global_batch = args.get_int_or("batch", 4096);
@@ -1012,17 +1005,8 @@ Work serve_plan_cmd(const util::ArgParser& args) {
   sys.n_gpus = args.get_int_or("gpus", sys.n_gpus);
   sys = checked(sys);
 
-  core::ServingSpec spec = file.serving.value_or(core::ServingSpec{});
-  spec.prompt_len = args.get_int_or("prompt", spec.prompt_len);
-  spec.output_len = args.get_int_or("output", spec.output_len);
-  require(spec.prompt_len >= 1 && spec.output_len >= 1,
-          "--prompt and --output must be >= 1");
-  spec.tp = int_list(args, "tp", spec.tp);
-  spec.pp = int_list(args, "pp", spec.pp);
-  spec.batch = int_list(args, "batch", spec.batch);
-  spec.kv_cap_fraction = args.get_double_or("kv-cap", spec.kv_cap_fraction);
-  require(spec.kv_cap_fraction > 0.0 && spec.kv_cap_fraction <= 1.0,
-          "--kv-cap must lie in (0, 1]");
+  const core::ServingSpec spec =
+      read_record(args, file.sections, "serving", io::serving_from_section);
   const bool show_all = args.has("all");
   const std::string csv = args.get_or("csv", "");
 
@@ -1184,7 +1168,12 @@ Work plan_cmd(const util::ArgParser& args) {
   if (args.has("interleave")) opts.interleave_candidates = {1, 2, 4, 8};
   opts.allow_zero3 = args.has("zero3");
   opts.eval.activation_recompute = args.has("recompute");
-  const std::string plan_path = args.get_or("plan", "");
+  // --plan PATH, loaded only once its schema lint finds no error.
+  std::optional<io::LoadedPlan> plan;
+  if (const auto path = args.get("plan")) {
+    reject_errors(io::lint_config_file(*path));
+    plan = io::load_plan_file(*path);
+  }
   const std::string save_plan = args.get_or("save-plan", "");
   const bool want_ops = args.has("ops");
   const bool want_sens = args.has("sensitivity");
@@ -1201,12 +1190,11 @@ Work plan_cmd(const util::ArgParser& args) {
     std::vector<report::LabeledResult> rows;
     core::EvalResult best;
     parallel::TpStrategy best_strategy = strategies.front();
-    if (!plan_path.empty()) {
+    if (plan) {
       // Evaluate a saved plan directly, skipping the search.
-      const io::LoadedPlan plan = io::load_plan_file(plan_path);
-      opts.global_batch = plan.global_batch;
-      best = core::evaluate(mdl, sys, plan.cfg, plan.global_batch, opts.eval);
-      best_strategy = plan.cfg.strategy;
+      opts.global_batch = plan->global_batch;
+      best = core::evaluate(mdl, sys, plan->cfg, plan->global_batch, opts.eval);
+      best_strategy = plan->cfg.strategy;
       rows.push_back({"plan", best});
     } else
     for (auto s : strategies) {
