@@ -7,9 +7,8 @@
 //                              bind_block + finish_bind bind plus an
 //                              external FabricPricer whose place memo stays
 //                              warm across calls (what a sweep chain runs);
-//   BM_BindScalar / BM_BindBatched — the per-(signature, system) bind
-//                              (core::bind_system vs the engines'
-//                              bind_block + finish_bind);
+//   BM_BindBatched           — the per-(signature, system) bind, the
+//                              engines' bind_block + finish_bind;
 //   BM_FabricPricerPrice     — pricing one collective from cached
 //                              sub-results vs the full fabric walk.
 //
@@ -71,7 +70,7 @@ void BM_BatchedPlacements(benchmark::State& state) {
   const core::CostSignature sig =
       core::compile_signature(fx.mdl, fx.cfg, kBatch);
   const core::BatchedSignature bat = core::lower_batched(sig);
-  const core::SystemTiming base = core::bind_system(sig, fx.sys);
+  const core::SystemTiming base = core::bind_system_batched(sig, bat, fx.sys);
   core::BatchScratch scratch;
   std::vector<core::PlacementTiming> out;
   for (auto _ : state) {
@@ -106,16 +105,6 @@ void BM_BatchedPlacementsPricer(benchmark::State& state) {
   state.counters["placements"] = static_cast<double>(fx.placements.size());
 }
 BENCHMARK(BM_BatchedPlacementsPricer)->Unit(benchmark::kMicrosecond);
-
-void BM_BindScalar(benchmark::State& state) {
-  Fixture fx;
-  const core::CostSignature sig =
-      core::compile_signature(fx.mdl, fx.cfg, kBatch);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::bind_system(sig, fx.sys));
-  }
-}
-BENCHMARK(BM_BindScalar)->Unit(benchmark::kMicrosecond);
 
 void BM_BindBatched(benchmark::State& state) {
   Fixture fx;
@@ -176,7 +165,8 @@ int run_smoke() {
     const core::CostSignature sig =
         core::compile_signature(fx.mdl, fx.cfg, kBatch, layer);
     const core::BatchedSignature bat = core::lower_batched(sig);
-    const core::SystemTiming base = core::bind_system(sig, fx.sys);
+    const core::SystemTiming base =
+        core::bind_system_batched(sig, bat, fx.sys);
     const hw::Topology fabric = fx.sys.resolved_fabric();
     const comm::FabricPricer pricer(fabric);
     // The engines' bind: per-block sums finished per candidate, no fabric.

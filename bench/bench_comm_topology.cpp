@@ -4,9 +4,9 @@
 //
 //  * the collective_time hot path itself (the per-candidate cost of the
 //    placement scan) over a mixed pool of collectives/volumes/groups;
-//  * the full two-phase evaluation (bind_system + a one-placement
-//    time_placements_batch call) of the GPT3-1T paper optimum with each
-//    fabric attached to the system.
+//  * the full two-phase evaluation (the SoA bind, bind_block +
+//    finish_bind, plus a one-placement time_placements_batch call) of the
+//    GPT3-1T paper optimum with each fabric attached to the system.
 //
 // The driver times each fabric with min-of-N repeats, writes
 // BENCH_comm.json, and asserts (exit 1 otherwise) that the degenerate
@@ -119,7 +119,7 @@ void BM_TimePlacementsBatch(benchmark::State& state) {
   sys.fabric = f.topo;
   const auto sig = core::compile_signature(mdl, cfg, kBatch);
   const auto bat = core::lower_batched(sig);
-  const auto base = core::bind_system(sig, sys);
+  const auto base = core::bind_system_batched(sig, bat, sys);
   const auto placements = own_placement(cfg);
   core::BatchScratch scratch;
   std::vector<core::PlacementTiming> out;
@@ -139,7 +139,7 @@ struct Sample {
   std::size_t depth = 0;
   double collective_ns = 0;   ///< Per collective_time call.
   double placement_us = 0;    ///< Per one-placement kernel call.
-  double bind_us = 0;         ///< Per bind_system call.
+  double bind_us = 0;         ///< Per bind_block + finish_bind.
   double iteration = 0;       ///< Timed iteration at the paper optimum.
 };
 
@@ -169,7 +169,7 @@ void write_json(const std::vector<Sample>& samples, bool identical,
     os << "    {\"fabric\": \"" << s.fabric << "\""
        << ", \"depth\": " << s.depth
        << ", \"collective_time_ns\": " << s.collective_ns
-       << ", \"bind_system_us\": " << s.bind_us
+       << ", \"bind_us\": " << s.bind_us
        << ", \"time_placements_batch_us\": " << s.placement_us
        << ", \"iteration_s\": " << s.iteration << "}"
        << (i + 1 < samples.size() ? "," : "") << "\n";
@@ -191,7 +191,7 @@ int run_driver() {
   for (const Fabric& f : fabrics()) {
     hw::SystemConfig sys = hw::make_system(hw::GpuGeneration::B200, 8, kGpus);
     sys.fabric = f.topo;
-    const auto base = core::bind_system(sig, sys);
+    const auto base = core::bind_system_batched(sig, bat, sys);
 
     Sample s;
     s.fabric = f.name;
@@ -201,8 +201,11 @@ int run_driver() {
           benchmark::DoNotOptimize(drain_pool(f.topo, pool));
         }) /
         static_cast<double>(pool.size()) * 1e9;
+    core::SystemTiming bound;
     s.bind_us = min_of_n(5, 50, [&] {
-                  benchmark::DoNotOptimize(core::bind_system(sig, sys));
+                  core::finish_bind(core::bind_block(bat, sys), sig, sys,
+                                    bound);
+                  benchmark::DoNotOptimize(bound);
                 }) *
                 1e6;
     s.placement_us = min_of_n(5, 200, [&] {

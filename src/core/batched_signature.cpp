@@ -22,6 +22,74 @@ namespace {
 /// (TP1, TP2, DP, PP).
 constexpr std::array<std::size_t, 4> kGroupSlot = {0, 1, 3, 2};
 
+/// The exposed-communication op walk of the kernel and the placement floor,
+/// evaluate_with_layer's statement for statement: per op pass the request
+/// sum and SUMMA panel exposure, per op the (1 - tp_overlap) scaling and
+/// the recompute re-run. `request_time(r)` is request r's priced cell in
+/// the kernel, its pricing row's floor in the screen. Forced inline: inlined
+/// late, the walk kept reloading the kernel's table pointers through the
+/// closure (+1.3% codesign request_cost).
+template <class RequestTime>
+[[gnu::always_inline]] inline CommWalk comm_walk(const BatchedSignature& bat,
+                   const std::vector<std::array<Seconds, 2>>& summa_panel_time,
+                   const EvalOptions& opts, const RequestTime& request_time) {
+  const auto exposed = [&](std::uint32_t begin, std::uint32_t count,
+                           std::int64_t panels, Seconds t_panel) {
+    Seconds t;
+    for (std::uint32_t r = begin; r < begin + count; ++r) t += request_time(r);
+    if (panels == 1) return t;
+    return t + std::max(Seconds(0), t - t_panel) *
+                   static_cast<double>(panels - 1);
+  };
+  CommWalk w;
+  std::size_t summa = 0;
+  for (std::size_t i = 0; i < bat.op_count(); ++i) {
+    const std::int64_t panels = bat.panels[i];
+    std::array<Seconds, 2> panel{};
+    if (panels > 1) panel = summa_panel_time[summa++];
+    Seconds f_comm, b_comm;
+    if (bat.fwd_comm_count[i] > 0) {
+      f_comm = exposed(bat.fwd_comm_begin[i], bat.fwd_comm_count[i], panels,
+                       panel[0]);
+    }
+    if (bat.bwd_comm_count[i] > 0) {
+      b_comm = exposed(bat.bwd_comm_begin[i], bat.bwd_comm_count[i], panels,
+                       panel[1]);
+    }
+    if (panels <= 1 && opts.tp_overlap > 0) {
+      f_comm *= 1.0 - opts.tp_overlap;
+      b_comm *= 1.0 - opts.tp_overlap;
+    }
+    w.fwd_comm += f_comm;
+    w.bwd_comm += b_comm;
+    if (opts.activation_recompute) w.bwd_comm += f_comm;
+  }
+  return w;
+}
+
+/// A walk's stage times, tp_comm and bubble under the candidate's tail and
+/// bound timing — shared by the kernel's comm blocks and the floor's tail.
+BatchScratch::CommBlock stage_terms(const CommWalk& walk,
+                                    const SignatureTail& sig,
+                                    const BatchedSignature& bat,
+                                    const SystemTiming& base,
+                                    const parallel::ParallelConfig& cfg) {
+  const double Ld = static_cast<double>(sig.layers_per_stage);
+  const double md = static_cast<double>(sig.microbatches);
+  BatchScratch::CommBlock blk;
+  blk.t_fwd_stage = (base.fwd_cm + walk.fwd_comm) * Ld;
+  blk.t_bwd_stage = (base.bwd_cm + walk.bwd_comm) * Ld;
+  if (bat.has_head()) {
+    blk.t_fwd_stage += base.head_fwd_cm;
+    blk.t_bwd_stage += base.head_bwd_cm;
+  }
+  blk.tp_comm = ((walk.fwd_comm + walk.bwd_comm) * (md * Ld)).value();
+  blk.bubble = pipeline::bubble_time(cfg.np, blk.t_fwd_stage, blk.t_bwd_stage,
+                                     cfg.interleave)
+                   .value();
+  return blk;
+}
+
 }  // namespace
 
 BatchedSignature lower_batched(const CostSignature& sig) {
@@ -303,13 +371,6 @@ void time_placements_batch(
       }
     }
   };
-  // Branch-free table read for the op walk (all cells for p are priced).
-  const auto comm_cell = [&](std::uint32_t r, std::size_t p) -> Seconds {
-    return s.comm_table[s.row_offset[bat.comm_price_row[r]] +
-                        s.nvs_column[bat.comm_group[r]][p]];
-  };
-
-  const double Ld = static_cast<double>(sig.layers_per_stage);
   const double md = static_cast<double>(sig.microbatches);
 
   // Placement-dependent but few-valued terms, memoized lazily in placement
@@ -328,7 +389,6 @@ void time_placements_batch(
   s.block_keys.clear();
   s.blocks.clear();
 
-  const std::size_t n_ops = bat.op_count();
   for (std::size_t p = 0; p < np; ++p) {
     PlacementTiming& o = out[p];
 
@@ -344,71 +404,15 @@ void time_placements_batch(
       // First placement on these columns: price its column of every pricing
       // row in one pass, then run the op walk — exactly the sums
       // core::evaluate computes for this placement, read from the table
-      // instead of priced mid-walk.
+      // (branch-free: every cell of p is priced) instead of priced mid-walk.
       price_columns(p);
-      Seconds fwd_comm, bwd_comm;
-      std::size_t summa = 0;
-      for (std::size_t i = 0; i < n_ops; ++i) {
-        const std::int64_t panels = bat.panels[i];
-        std::array<Seconds, 2> panel{};
-        if (panels > 1) panel = base.summa_panel_time[summa++];
-        Seconds f_comm, b_comm;
-        if (bat.fwd_comm_count[i] > 0) {
-          Seconds t_panel_comm;
-          const std::uint32_t begin = bat.fwd_comm_begin[i];
-          const std::uint32_t end = begin + bat.fwd_comm_count[i];
-          for (std::uint32_t r = begin; r < end; ++r) {
-            t_panel_comm += comm_cell(r, p);
-          }
-          if (panels == 1) {
-            f_comm = t_panel_comm;
-          } else {
-            f_comm = t_panel_comm +
-                     std::max(Seconds(0), t_panel_comm - panel[0]) *
-                         static_cast<double>(panels - 1);
-          }
-        }
-        if (bat.bwd_comm_count[i] > 0) {
-          Seconds t_panel_comm;
-          const std::uint32_t begin = bat.bwd_comm_begin[i];
-          const std::uint32_t end = begin + bat.bwd_comm_count[i];
-          for (std::uint32_t r = begin; r < end; ++r) {
-            t_panel_comm += comm_cell(r, p);
-          }
-          if (panels == 1) {
-            b_comm = t_panel_comm;
-          } else {
-            b_comm = t_panel_comm +
-                     std::max(Seconds(0), t_panel_comm - panel[1]) *
-                         static_cast<double>(panels - 1);
-          }
-        }
-        if (panels <= 1 && opts.tp_overlap > 0) {
-          f_comm *= 1.0 - opts.tp_overlap;
-          b_comm *= 1.0 - opts.tp_overlap;
-        }
-        fwd_comm += f_comm;
-        bwd_comm += b_comm;
-        if (opts.activation_recompute) bwd_comm += f_comm;
-      }
-
-      const Seconds t_fwd_micro = (base.fwd_cm + fwd_comm) * Ld;
-      const Seconds t_bwd_micro = (base.bwd_cm + bwd_comm) * Ld;
-      Seconds t_fwd_stage = t_fwd_micro;
-      Seconds t_bwd_stage = t_bwd_micro;
-      if (bat.has_head()) {
-        t_fwd_stage += base.head_fwd_cm;
-        t_bwd_stage += base.head_bwd_cm;
-      }
-      BatchScratch::CommBlock blk;
-      blk.t_fwd_stage = t_fwd_stage;
-      blk.t_bwd_stage = t_bwd_stage;
-      blk.tp_comm = ((fwd_comm + bwd_comm) * (md * Ld)).value();
-      blk.bubble = pipeline::bubble_time(cfg.np, t_fwd_stage, t_bwd_stage,
-                                         cfg.interleave)
-                       .value();
+      const CommWalk walk =
+          comm_walk(bat, base.summa_panel_time, opts, [&](std::uint32_t r) {
+            return s.comm_table[s.row_offset[bat.comm_price_row[r]] +
+                                s.nvs_column[bat.comm_group[r]][p]];
+          });
+      s.blocks.push_back(stage_terms(walk, sig, bat, base, cfg));
       s.block_keys.push_back(key);
-      s.blocks.push_back(blk);
     }
     const BatchScratch::CommBlock& blk = s.blocks[bi];
     const Seconds t_fwd_stage = blk.t_fwd_stage;
@@ -490,7 +494,7 @@ double placement_floor(const SignatureTail& sig, const BatchedSignature& bat,
       sig, bat, base, cfg);
 }
 
-FloorWalk floor_comm_walk(
+CommWalk floor_comm_walk(
     const BatchedSignature& bat,
     const std::vector<std::array<Seconds, 2>>& summa_panel_time,
     const hw::Topology& fabric, const parallel::ParallelConfig& cfg,
@@ -518,64 +522,21 @@ FloorWalk floor_comm_walk(
     }
     row_floor[u] = floor;
   }
-  const auto row_sum = [&](std::uint32_t begin, std::uint32_t count) {
-    Seconds t;
-    for (std::uint32_t r = begin; r < begin + count; ++r) {
-      t += row_floor[bat.comm_price_row[r]];
-    }
-    return t;
-  };
-
-  // The kernel's op walk, statement for statement, on the row floors.
-  FloorWalk w;
-  std::size_t summa = 0;
-  for (std::size_t i = 0; i < bat.op_count(); ++i) {
-    const std::int64_t panels = bat.panels[i];
-    std::array<Seconds, 2> panel{};
-    if (panels > 1) panel = summa_panel_time[summa++];
-    Seconds f_comm, b_comm;
-    if (bat.fwd_comm_count[i] > 0) {
-      const Seconds t = row_sum(bat.fwd_comm_begin[i], bat.fwd_comm_count[i]);
-      f_comm = panels == 1 ? t
-                           : t + std::max(Seconds(0), t - panel[0]) *
-                                     static_cast<double>(panels - 1);
-    }
-    if (bat.bwd_comm_count[i] > 0) {
-      const Seconds t = row_sum(bat.bwd_comm_begin[i], bat.bwd_comm_count[i]);
-      b_comm = panels == 1 ? t
-                           : t + std::max(Seconds(0), t - panel[1]) *
-                                     static_cast<double>(panels - 1);
-    }
-    if (panels <= 1 && opts.tp_overlap > 0) {
-      f_comm *= 1.0 - opts.tp_overlap;
-      b_comm *= 1.0 - opts.tp_overlap;
-    }
-    w.fwd_comm += f_comm;
-    w.bwd_comm += b_comm;
-    if (opts.activation_recompute) w.bwd_comm += f_comm;
-  }
-  return w;
+  return comm_walk(bat, summa_panel_time, opts, [&](std::uint32_t r) {
+    return row_floor[bat.comm_price_row[r]];
+  });
 }
 
-double finish_placement_floor(const FloorWalk& walk, const SignatureTail& sig,
+double finish_placement_floor(const CommWalk& walk, const SignatureTail& sig,
                               const BatchedSignature& bat,
                               const SystemTiming& base,
                               const parallel::ParallelConfig& cfg) {
-  const double Ld = static_cast<double>(sig.layers_per_stage);
-  const double md = static_cast<double>(sig.microbatches);
-  Seconds t_fwd_stage = (base.fwd_cm + walk.fwd_comm) * Ld;
-  Seconds t_bwd_stage = (base.bwd_cm + walk.bwd_comm) * Ld;
-  if (bat.has_head()) {
-    t_fwd_stage += base.head_fwd_cm;
-    t_bwd_stage += base.head_bwd_cm;
-  }
+  const BatchScratch::CommBlock blk = stage_terms(walk, sig, bat, base, cfg);
   TimeBreakdown t;
   t.compute = base.time_compute;
   t.memory = base.time_memory;
-  t.tp_comm = ((walk.fwd_comm + walk.bwd_comm) * (md * Ld)).value();
-  t.bubble = pipeline::bubble_time(cfg.np, t_fwd_stage, t_bwd_stage,
-                                   cfg.interleave)
-                 .value();
+  t.tp_comm = blk.tp_comm;
+  t.bubble = blk.bubble;
   t.optimizer = base.optimizer;
   return t.total();
 }

@@ -28,8 +28,10 @@
 // matrix and the randomized property tests in tests/test_signature.cpp /
 // tests/test_sweep_pipeline.cpp, which compare the kernel with the oracle
 // per placement). The oracle and this kernel are the two views of the
-// evaluation order: keep this file in FP lockstep with core/evaluator.cpp
-// (and the binds with core::bind_system).
+// evaluation order: keep this file in FP lockstep with core/evaluator.cpp.
+// Every phase times through it (the serving estimator's prefill and decode
+// stages too), and its exposed-comm op walk is written once, shared by the
+// kernel and the placement floor.
 //
 // PER-BLOCK / PER-CANDIDATE SPLIT. The BatchedSignature is the block half
 // of a signature (see cost_signature.hpp); the kernels take the
@@ -104,7 +106,6 @@ struct BatchedSignature : BlockScalars {
   std::vector<std::uint8_t> head_tensor_core;
 
   std::size_t op_count() const { return fwd_flops.size(); }
-  std::size_t comm_count() const { return comm_kind.size(); }
   bool has_head() const { return !head_fwd_flops.empty(); }
 };
 
@@ -180,11 +181,11 @@ BlockTiming bind_block(const BatchedSignature& bat, const hw::SystemConfig& sys,
 void finish_bind(const BlockTiming& part, const SignatureTail& sig,
                  const hw::SystemConfig& sys, SystemTiming& out);
 
-/// SoA bind: bitwise-identical to bind_system(sig, sys, opts) — the same
-/// panel_roofline calls accumulated in the same op order, read from the
-/// packed arrays instead of the AoS records (bind_block, then
-/// finish_bind), plus the system's resolved fabric. The engines, which
-/// price through their own FabricPricer, call the two halves directly.
+/// SoA bind: bind_block, then finish_bind, plus the system's resolved
+/// fabric — the same panel_roofline calls core::evaluate_with_layer makes,
+/// accumulated in the same op order. The engines, which price through
+/// their own FabricPricer, call the two halves directly;
+/// core::bind_system is this on lower_batched(sig).
 SystemTiming bind_system_batched(const SignatureTail& sig,
                                  const BatchedSignature& bat,
                                  const hw::SystemConfig& sys,
@@ -239,9 +240,10 @@ double placement_floor(const SignatureTail& sig, const BatchedSignature& bat,
                        const parallel::ParallelConfig& cfg,
                        const EvalOptions& opts, BatchScratch& scratch);
 
-/// The floor's exposed-communication sums per microbatch per block (the
-/// op walk over the row floors), before the tail scales them.
-struct FloorWalk {
+/// The op walk's exposed-communication sums per microbatch per block,
+/// before the tail scales them: over the priced cells in the kernel, over
+/// the row floors in floor_comm_walk.
+struct CommWalk {
   Seconds fwd_comm, bwd_comm;
 };
 
@@ -249,7 +251,7 @@ struct FloorWalk {
 /// (BlockTiming::summa_panel_time or SystemTiming::summa_panel_time, the
 /// same values), the fabric, the EvalOptions, and cfg only through the
 /// sizes of the groups its pricing rows use. `row_floor` is scratch.
-FloorWalk floor_comm_walk(
+CommWalk floor_comm_walk(
     const BatchedSignature& bat,
     const std::vector<std::array<Seconds, 2>>& summa_panel_time,
     const hw::Topology& fabric, const parallel::ParallelConfig& cfg,
@@ -272,7 +274,7 @@ inline bool floor_walk_per_block(const BatchedSignature& bat) {
 /// from a walk and the candidate's finished SystemTiming (only its scalar
 /// fields are read). Same precondition as placement_floor: the walk was
 /// taken under validated EvalOptions.
-double finish_placement_floor(const FloorWalk& walk, const SignatureTail& sig,
+double finish_placement_floor(const CommWalk& walk, const SignatureTail& sig,
                               const BatchedSignature& bat,
                               const SystemTiming& base,
                               const parallel::ParallelConfig& cfg);

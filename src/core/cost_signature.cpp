@@ -3,45 +3,13 @@
 #include <algorithm>
 
 #include "analysis/invariants.hpp"
-#include "comm/collective_algorithm.hpp"
-#include "comm/collective_model.hpp"
+#include "core/batched_signature.hpp"
 #include "ops/op_factory.hpp"
 #include "pipeline/pipeline_model.hpp"
 
 namespace tfpe::core {
 
 namespace {
-
-comm::GroupPlacement placement_for(const parallel::ParallelConfig& cfg,
-                                   ops::CommGroup group) {
-  switch (group) {
-    case ops::CommGroup::TP1: return {cfg.n1, cfg.nvs1};
-    case ops::CommGroup::TP2: return {cfg.n2, cfg.nvs2};
-    case ops::CommGroup::DP: return {cfg.nd, cfg.nvsd};
-    case ops::CommGroup::PP: return {cfg.np, cfg.nvsp};
-  }
-  return {1, 1};
-}
-
-/// Exposed collective time of one op pass: the request sum at per-panel
-/// volume, with the SUMMA prologue/overlap model against the panel's
-/// roofline time. Mirrors core::op_time's comm path bitwise.
-Seconds exposed_comm(const CostSignature& sig, std::uint32_t begin,
-                     std::uint32_t count, std::int64_t panels, Seconds t_panel,
-                     const hw::Topology& fabric,
-                     const parallel::ParallelConfig& cfg) {
-  const double inv_panels = 1.0 / static_cast<double>(panels);
-  Seconds t_panel_comm;
-  for (std::uint32_t i = begin; i < begin + count; ++i) {
-    const SigComm& req = sig.comm[i];
-    t_panel_comm +=
-        comm::collective_time(fabric, req.collective, req.bytes * inv_panels,
-                              placement_for(cfg, req.group));
-  }
-  if (panels == 1) return t_panel_comm;
-  return t_panel_comm + std::max(Seconds(0), t_panel_comm - t_panel) *
-                            static_cast<double>(panels - 1);
-}
 
 constexpr std::size_t group_index(ops::CommGroup g) {
   return static_cast<std::size_t>(g);
@@ -221,59 +189,7 @@ CostSignature compile_signature(const model::TransformerConfig& mdl,
 
 SystemTiming bind_system(const CostSignature& sig, const hw::SystemConfig& sys,
                          const EvalOptions& opts) {
-  SystemTiming bt;
-  bt.fabric = sys.resolved_fabric();
-  Seconds fwd_c, fwd_m, bwd_c, bwd_m;
-  for (const SigOp& op : sig.ops) {
-    const PanelRoofline f =
-        panel_roofline(op.fwd_flops, op.fwd_bytes, op.panels, op.tensor_core,
-                       sys.gpu);
-    const PanelRoofline b =
-        panel_roofline(op.bwd_flops, op.bwd_bytes, op.panels, op.tensor_core,
-                       sys.gpu);
-    fwd_c += f.compute;
-    fwd_m += f.memory;
-    bwd_c += b.compute;
-    bwd_m += b.memory;
-    if (opts.activation_recompute) {
-      bwd_c += f.compute;
-      bwd_m += f.memory;
-    }
-    if (op.panels > 1) bt.summa_panel_time.push_back({f.t_panel, b.t_panel});
-  }
-
-  if (opts.activation_offload > 0) {
-    const Seconds per_micro = sig.stored_activation_bytes *
-                              (2.0 * opts.activation_offload) /
-                              sys.host_bandwidth;
-    fwd_m += per_micro * 0.5;
-    bwd_m += per_micro * 0.5;
-  }
-
-  Seconds head_fwd_c, head_fwd_m, head_bwd_c, head_bwd_m;
-  for (const SigHeadOp& op : sig.head) {
-    const PanelRoofline f =
-        panel_roofline(op.fwd_flops, op.fwd_bytes, 1, op.tensor_core, sys.gpu);
-    const PanelRoofline b =
-        panel_roofline(op.bwd_flops, op.bwd_bytes, 1, op.tensor_core, sys.gpu);
-    head_fwd_c += f.compute;
-    head_fwd_m += f.memory;
-    head_bwd_c += b.compute;
-    head_bwd_m += b.memory;
-  }
-
-  const double Ld = static_cast<double>(sig.layers_per_stage);
-  const double md = static_cast<double>(sig.microbatches);
-  bt.time_compute =
-      (((fwd_c + bwd_c) * Ld + head_fwd_c + head_bwd_c) * md).value();
-  bt.time_memory =
-      (((fwd_m + bwd_m) * Ld + head_fwd_m + head_bwd_m) * md).value();
-  bt.optimizer = (sig.optimizer_traffic / sys.gpu.hbm_bandwidth).value();
-  bt.fwd_cm = fwd_c + fwd_m;
-  bt.bwd_cm = bwd_c + bwd_m;
-  bt.head_fwd_cm = head_fwd_c + head_fwd_m;
-  bt.head_bwd_cm = head_bwd_c + head_bwd_m;
-  return bt;
+  return bind_system_batched(sig, lower_batched(sig), sys, opts);
 }
 
 CostSignature adapt_to_phase(CostSignature sig, ExecutionPhase phase) {
@@ -315,7 +231,6 @@ CostSignature compile_decode_signature(const model::TransformerConfig& mdl,
 
   CostSignature sig;
   sig.phase = ExecutionPhase::kDecode;
-  sig.phase_tokens = tokens_per_group;
   sig.microbatches = cfg.np;  // np decode groups rotate around the stages
   sig.np = cfg.np;
   sig.layers_per_stage = mdl.depth / cfg.np;
@@ -389,36 +304,6 @@ CostSignature compile_signature(const model::TransformerConfig& mdl,
           workload.decode_kv_len());
   }
   return compile_signature(mdl, cfg, global_batch, opts);
-}
-
-PhaseTiming time_phase(const CostSignature& sig, const SystemTiming& base,
-                       const parallel::ParallelConfig& cfg,
-                       const EvalOptions& opts) {
-  // The forward arm of the training kernel's exposed-comm walk, alone:
-  // decode and prefill signatures carry no backward records, and the bound
-  // backward terms of `base` are never read (see the header note on the
-  // zero-operand t_sf attribution).
-  Seconds fwd_comm;
-  std::size_t summa = 0;
-  for (const SigOp& op : sig.ops) {
-    std::array<Seconds, 2> panel{};
-    if (op.panels > 1) panel = base.summa_panel_time[summa++];
-    Seconds f_comm;
-    if (op.fwd_comm_count > 0) {
-      f_comm = exposed_comm(sig, op.fwd_comm_begin, op.fwd_comm_count,
-                            op.panels, panel[0], base.fabric, cfg);
-    }
-    if (op.panels <= 1 && opts.tp_overlap > 0) {
-      f_comm *= 1.0 - opts.tp_overlap;
-    }
-    fwd_comm += f_comm;
-  }
-  const double Ld = static_cast<double>(sig.layers_per_stage);
-  PhaseTiming out;
-  out.comm = fwd_comm * Ld;
-  out.t_stage = (base.fwd_cm + fwd_comm) * Ld;
-  if (!sig.head.empty()) out.t_stage += base.head_fwd_cm;
-  return out;
 }
 
 }  // namespace tfpe::core

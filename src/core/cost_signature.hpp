@@ -14,20 +14,13 @@
 //     bytes,
 //   * the full hardware-free memory breakdown (weights, gradients, Adam
 //     shard, in-flight activations) and the DP/optimizer traffic scalars.
-// Timing then splits again:
-//   * bind_system() — per (signature, system): the roofline dot products
-//     that do not depend on the NVS placement (compute/HBM time, optimizer
-//     update, SUMMA panel times);
-//   * per placement: collective latencies, pipeline bubble/P2P and the DP
-//     exposure, timed by the SoA kernel (core/batched_signature.hpp,
-//     time_placements_batch) and BITWISE identical to
-//     core::evaluate_with_layer on the layer the signature was compiled
-//     from (guarded by tests/test_signature.cpp). The evaluator is the
-//     independent oracle and the kernel the engine: two views of one
-//     evaluation-order contract. Keep the floating-point evaluation order
-//     of this file and the kernel in lockstep with core/evaluator.cpp; a
-//     change to one must land in the other (the golden matrix + randomized
-//     property tests enforce it).
+// Timing is the SoA kernel's (core/batched_signature.hpp) for every phase
+// — training candidates, prefill and decode stages alike: the per-system
+// roofline bind, then the per-placement collective, pipeline and DP terms,
+// BITWISE identical to core::evaluate_with_layer, the independent oracle,
+// on the layer the signature was compiled from (guarded by the golden
+// matrix and randomized property tests). adapt_to_phase and
+// compile_decode_signature lower; they do not time.
 //
 // BLOCK / TAIL SPLIT. A CostSignature is two halves with different keys:
 //   * the BLOCK (compile_layer) — op, comm and head records plus the
@@ -47,8 +40,9 @@
 //
 // Thread-safety: CostSignature and SystemTiming are immutable after
 // construction; any number of threads may share them. The compile phase is
-// pure. Whole signatures are shared through search::SignatureCache (serve
-// planning); the engines share blocks and tails (search/search_cache.hpp).
+// pure. Whole signatures are shared through search::SignatureCache (the
+// serve planner's prefill signatures); the engines share blocks and tails
+// (search/search_cache.hpp).
 
 #include <array>
 #include <cstdint>
@@ -176,9 +170,6 @@ struct CostSignature : SignatureTail, BlockScalars {
   /// full fwd+bwd+optimizer records exactly as always; inference phases
   /// zero the backward dimension (ops, aggregates, DP/optimizer scalars).
   ExecutionPhase phase = ExecutionPhase::kTraining;
-  /// Decode only: single-token queries per pipeline decode group (may be
-  /// fractional — a resident batch split across np groups).
-  double phase_tokens = 0;
 
   std::vector<SigOp> ops;
   std::vector<SigComm> comm;   ///< Flattened fwd+bwd requests of all ops.
@@ -287,9 +278,10 @@ CostSignature compile_decode_signature(const model::TransformerConfig& mdl,
                                        const parallel::ParallelConfig& cfg,
                                        double tokens_per_group, double kv_len);
 
-/// Placement-independent part of timing a signature on one system: the
-/// roofline dot products over the op records. Amortizes across the NVS
-/// placement scan — per placement only the collective terms remain.
+/// Placement-independent part of timing a signature on one system (the SoA
+/// bind, bind_block + finish_bind): the roofline dot products over the op
+/// records. Amortizes across the NVS placement scan — per placement only
+/// the collective terms remain.
 struct SystemTiming {
   double time_compute = 0;  ///< TimeBreakdown::compute, all microbatches.
   double time_memory = 0;   ///< TimeBreakdown::memory.
@@ -306,6 +298,9 @@ struct SystemTiming {
   std::vector<std::array<Seconds, 2>> summa_panel_time;
 };
 
+/// Whole-signature bind: core::bind_system_batched(sig, lower_batched(sig),
+/// sys, opts). For callers holding only the AoS signature (the benchmark's
+/// plan replay); the engines bind the shared SoA block instead.
 SystemTiming bind_system(const CostSignature& sig, const hw::SystemConfig& sys,
                          const EvalOptions& opts = {});
 
@@ -320,21 +315,5 @@ struct PlacementTiming {
   Seconds t_fwd_stage;
   Seconds t_bwd_stage;
 };
-
-/// Forward-only per-stage time of one microbatch / decode group — the
-/// timing primitive of the inference phases. Reads ONLY the forward terms
-/// of `base` (fwd_cm, head_fwd_cm, summa panel budgets, fabric): the bound
-/// backward terms of a zeroed signature carry a spurious per-op
-/// FLOPs-latency t_sf (panel_roofline attributes t_sf even at zero
-/// operands), so phase timing never consumes them. The training kernel —
-/// and the lowering it times — is untouched by the phase refactor.
-struct PhaseTiming {
-  Seconds t_stage;  ///< layers_per_stage x (fwd_cm + exposed comm) + head.
-  Seconds comm;     ///< Exposed forward collective time per stage.
-};
-
-PhaseTiming time_phase(const CostSignature& sig, const SystemTiming& base,
-                       const parallel::ParallelConfig& cfg,
-                       const EvalOptions& opts = {});
 
 }  // namespace tfpe::core

@@ -23,10 +23,18 @@
 //   * Throughput: R tokens per TPOT; tok/s/GPU divides by tp*pp. The
 //     decode round is bounded below by the weights + KV HBM floor
 //     (core::decode_round_floor).
+//
+// An estimate is a SHAPE half (ServingShape: prefill timing, TTFT, KV
+// budget; once per (tp, pp)) and a POINT half (admit R, time the decode
+// step; once per batch). Both time a stage through the engine's own SoA
+// kernel, so serving has no timing code of its own.
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
+#include "comm/collective_algorithm.hpp"
+#include "core/batched_signature.hpp"
 #include "core/cost_signature.hpp"
 #include "core/workload.hpp"
 #include "hw/system.hpp"
@@ -65,7 +73,8 @@ struct InferenceEstimate {
 /// The serving-shape validity screen: the training divisibility contract
 /// (via ParallelConfig::invalid_reason on the prompt-length model) plus the
 /// serve-specific constraints (dense model, positive ISL/OSL, sane KV cap).
-/// nullopt = the shape can be estimated.
+/// It reads tp, pp and kv_cap_fraction, never the batch (the point half
+/// checks that). nullopt = the shape can be estimated.
 std::optional<std::string> serve_invalid_reason(
     const model::TransformerConfig& mdl, const hw::SystemConfig& sys,
     const Workload& w, const ServingConfig& sc);
@@ -76,18 +85,67 @@ std::optional<std::string> serve_invalid_reason(
 parallel::ParallelConfig serving_parallel_config(const hw::SystemConfig& sys,
                                                  const ServingConfig& sc);
 
-/// Full estimate for one grid point. Compiles the prefill signature
-/// internally; the serve-plan search passes a cached one to the overload
-/// below instead.
+/// The shape half of an estimate: what (tp, pp, kv_cap_fraction) fix for
+/// every batch point, plus the kernel state its points reuse. It keeps
+/// references to `mdl` and `sys`, which must outlive it, and copies of the
+/// workload and options, so its points and stage timings price against
+/// the values it was built from. The pricer references `fabric`, so a
+/// shape is not copied or moved, and its points run on one thread.
+struct ServingShape {
+  /// From the TRAINING-compiled prefill signature (seq_len = prompt_len,
+  /// serving_parallel_config, global batch 1) of a shape that passes
+  /// serve_invalid_reason.
+  ServingShape(const model::TransformerConfig& mdl,
+               const hw::SystemConfig& sys, const Workload& w,
+               const ServingConfig& shape_config,
+               const CostSignature& prefill_training_sig,
+               const EvalOptions& opts = {});
+  ServingShape(const ServingShape&) = delete;
+  ServingShape& operator=(const ServingShape&) = delete;
+
+  /// The point half: `batch` resident requests on this shape — admission
+  /// under the KV budget, the decode step timed by stage_time, TPOT,
+  /// throughput and residency. run_serve_plan calls it per batch point.
+  InferenceEstimate estimate(std::int64_t batch);
+
+  /// One microbatch (prompt or decode group) through one stage of a phase
+  /// signature: lower_batched, bind_block + finish_bind and one
+  /// time_placements_batch call at cfg's packed placement, t_fwd_stage.
+  Seconds stage_time(const CostSignature& sig);
+
+  const model::TransformerConfig& mdl;
+  const hw::SystemConfig& sys;
+  const Workload w;
+  const EvalOptions opts;
+  const ServingConfig sc;              ///< The shape (its batch is unused).
+  const parallel::ParallelConfig cfg;  ///< serving_parallel_config(sys, sc).
+  const hw::Topology fabric;           ///< sys.resolved_fabric().
+
+  Seconds prefill_stage;  ///< One prompt through one stage.
+  double ttft = 0;
+  Bytes kv_bytes_per_request;
+  Bytes kv_budget;  ///< Cap x HBM - weights - prefill working set.
+  memory::MemoryBreakdown prefill_mem;
+
+ private:
+  comm::FabricPricer pricer_;  ///< Bound to `fabric`.
+  BatchScratch scratch_;
+  std::vector<PlacementTiming> timing_;
+};
+
+/// Full estimate for one grid point: the validity screen, the shape half
+/// on a self-compiled prefill signature, then the point half.
 InferenceEstimate estimate_serving(const model::TransformerConfig& mdl,
                                    const hw::SystemConfig& sys,
                                    const Workload& w, const ServingConfig& sc,
                                    const EvalOptions& opts = {});
 
-/// Same, with the TRAINING-compiled prefill signature (model at seq_len =
-/// prompt_len, cfg = serving_parallel_config, global batch 1) supplied by
-/// the caller — search::SignatureCache shares it across the batch axis.
-/// The phase adaptation (adapt_to_phase) happens inside.
+/// Same, with the training-compiled prefill signature supplied by the
+/// caller (see ServingShape). Bitwise the self-compiling overload. Both
+/// build a whole ServingShape per call (a prefill kernel call, a pricer
+/// and a scratch), so a caller with many batch points per shape builds
+/// one ServingShape and calls estimate() per point, as run_serve_plan
+/// does.
 InferenceEstimate estimate_serving(const model::TransformerConfig& mdl,
                                    const hw::SystemConfig& sys,
                                    const Workload& w, const ServingConfig& sc,

@@ -285,8 +285,10 @@ const Table<Model> kModel{
     "model",
     {{{"name", kString, {}, "custom"}, set<&Model::name>},
      {flagged("l", {"seq_len", kInt, at_least(1)}), set<&Model::seq_len>},
-     // Bounded so the default hidden = 4 x embed fits int64.
-     {flagged("e", {"embed", kInt, range(1, kInt64Real / 4)}),
+     // Bounded so one block at the defaults (heads = kv_heads, hidden =
+     // 4 x embed: 12 e^2 + 13 e parameters) fits int64; validate() checks
+     // the products with the other keys.
+     {flagged("e", {"embed", kInt, range(1, 8.7e8)}),
       set<&Model::embed>},
      {flagged("heads", {"heads", kInt, at_least(1)}), set<&Model::heads>},
      {flagged("depth", {"depth", kInt, at_least(1)}), set<&Model::depth>},

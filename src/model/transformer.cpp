@@ -25,21 +25,58 @@ std::int64_t TransformerConfig::attended_len() const {
   return seq_len;
 }
 
-std::int64_t TransformerConfig::params_per_layer() const {
-  // WQ and Wp are (e, e); WK and WV are (e, kv_embed) under GQA.
-  const std::int64_t attn = 2 * embed * embed + 2 * embed * kv_embed() +
-                            2 * embed + 2 * kv_embed();
-  std::int64_t mlp = 2 * embed * hidden + hidden + embed;
-  if (is_moe()) {
-    // E expert copies plus the (e x E) router.
-    mlp = mlp * moe_experts + embed * moe_experts;
+namespace {
+
+/// int64 arithmetic that throws on overflow: validate() runs the
+/// parameter-count formulas in it, so every dimension it accepts keeps
+/// params_per_layer() and total_params() (plain int64) inside int64.
+struct CheckedInt {
+  std::int64_t v = 0;
+
+  friend CheckedInt operator+(CheckedInt a, CheckedInt b) {
+    return checked(__builtin_add_overflow(a.v, b.v, &a.v), a);
   }
-  const std::int64_t ln = 2 * 2 * embed;  // two LayerNorms, gain + offset
+  friend CheckedInt operator*(CheckedInt a, CheckedInt b) {
+    return checked(__builtin_mul_overflow(a.v, b.v, &a.v), a);
+  }
+  static CheckedInt checked(bool overflowed, CheckedInt result) {
+    if (overflowed) {
+      throw std::invalid_argument(
+          "TransformerConfig: dimensions overflow the int64 parameter count");
+    }
+    return result;
+  }
+};
+
+template <class Int>
+Int params_per_layer_in(const TransformerConfig& m) {
+  const Int two{2}, e{m.embed}, kv{m.kv_embed()}, f{m.hidden};
+  // WQ and Wp are (e, e); WK and WV are (e, kv_embed) under GQA.
+  const Int attn = two * e * e + two * e * kv + two * e + two * kv;
+  Int mlp = two * e * f + f + e;
+  if (m.is_moe()) {
+    // E expert copies plus the (e x E) router.
+    const Int experts{m.moe_experts};
+    mlp = mlp * experts + e * experts;
+  }
+  const Int ln = two * two * e;  // two LayerNorms, gain + offset
   return attn + mlp + ln;
 }
 
+template <class Int>
+Int total_params_in(const TransformerConfig& m) {
+  return params_per_layer_in<Int>(m) * Int{m.depth} +
+         Int{m.vocab} * Int{m.embed};  // tied embedding
+}
+
+}  // namespace
+
+std::int64_t TransformerConfig::params_per_layer() const {
+  return params_per_layer_in<std::int64_t>(*this);
+}
+
 std::int64_t TransformerConfig::total_params() const {
-  return params_per_layer() * depth + vocab * embed;  // tied embedding
+  return total_params_in<std::int64_t>(*this);
 }
 
 double TransformerConfig::mlp_flops(std::int64_t b) const {
@@ -80,6 +117,7 @@ void TransformerConfig::validate() const {
     throw std::invalid_argument(
         "TransformerConfig: moe_top_k must be in [1, moe_experts]");
   }
+  total_params_in<CheckedInt>(*this);
 }
 
 namespace {

@@ -79,7 +79,8 @@ struct TransformerConfig {
   double attention_flops(std::int64_t b) const;
 
   /// Throws std::invalid_argument when dimensions are inconsistent
-  /// (e.g. heads not dividing embed).
+  /// (e.g. heads not dividing embed) or so large that total_params() would
+  /// overflow int64.
   void validate() const;
 };
 

@@ -65,11 +65,6 @@ Seconds p2p_hop(const hw::Topology& fabric, Bytes boundary_bytes,
                                {.size = 2, .nvs = nvs_neighbors});
 }
 
-Seconds p2p_hop(const comm::FabricPricer& pricer,
-                const comm::FabricPricer::Placed& hop, Bytes boundary_bytes) {
-  return pricer.price(ops::Collective::PointToPoint, boundary_bytes, hop);
-}
-
 Seconds prefill_latency(std::int64_t np, std::int64_t m, Seconds t_stage,
                         Seconds t_hop) {
   return t_stage * static_cast<double>(m + np - 1) +

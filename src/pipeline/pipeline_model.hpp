@@ -67,11 +67,6 @@ Seconds iteration_time(std::int64_t np, std::int64_t m, Seconds t_fwd,
 Seconds p2p_hop(const hw::Topology& fabric, Bytes boundary_bytes,
                 std::int64_t nvs_neighbors);
 
-/// Same through a bound FabricPricer (`hop` = pricer.place({.size = 2,
-/// .nvs = nvs_neighbors}); bitwise identical to the Topology overload).
-Seconds p2p_hop(const comm::FabricPricer& pricer,
-                const comm::FabricPricer::Placed& hop, Bytes boundary_bytes);
-
 /// Prefill latency: m prompt microbatches streamed through np forward-only
 /// stages of `t_stage` each — (m + np - 1) stage slots plus the (np - 1)
 /// boundary hops on the first token's critical path.

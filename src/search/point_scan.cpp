@@ -203,7 +203,7 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
     const auto placements = sh.placement_cache.get(cfg, sys.nvs_domain);
     double floor = 0;
     if (cutoff < std::numeric_limits<double>::infinity()) {
-      core::FloorWalk walk;
+      core::CommWalk walk;
       if (core::floor_walk_per_block(bat)) {
         if (cb.walk_point != chain.point) {
           cb.walk = core::floor_comm_walk(bat, cb.part.summa_panel_time,

@@ -206,7 +206,7 @@ struct ChainPrefix {
 /// it is redone per point).
 struct ChainBlock {
   core::BlockTiming part;    ///< valid when `bound`
-  core::FloorWalk walk;      ///< valid when walk_point is the chain's point
+  core::CommWalk walk;      ///< valid when walk_point is the chain's point
   std::size_t walk_point = kNoSeed;
   std::uint8_t bound = 0;
 };

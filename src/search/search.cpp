@@ -222,7 +222,7 @@ struct ScanWorker {
 struct SearchBlock {
   core::BatchedSignature bat;
   core::BlockTiming part;
-  core::FloorWalk walk;
+  core::CommWalk walk;
 };
 
 /// One evaluated candidate: its index in the flattened candidate tree, its
@@ -380,7 +380,7 @@ SweepState sweep(const model::TransformerConfig& mdl,
       core::finish_bind(blk->part, tail, sys, w->base);
       double floor = 0;
       if (use_incumbent && cutoff < std::numeric_limits<double>::infinity()) {
-        const core::FloorWalk walk =
+        const core::CommWalk walk =
             core::floor_walk_per_block(blk->bat)
                 ? blk->walk
                 : core::floor_comm_walk(blk->bat, blk->part.summa_panel_time,

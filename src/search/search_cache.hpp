@@ -154,8 +154,8 @@ struct SignatureKeyHash {
 };
 
 /// Whole CostSignatures (block and tail in one object), for the callers
-/// that time whole signatures: the serving planner (bind_system +
-/// time_phase) and the benchmark's traced replay. The search engines keep
+/// that start from one: the serving planner (its per-shape prefill
+/// signature) and the benchmark's traced replay. The search engines keep
 /// the two halves apart (lower_block, core::compile_tail) and do not use
 /// it.
 class SignatureCache {

@@ -1,7 +1,7 @@
 #include "search/serve_plan.hpp"
 
 #include <algorithm>
-#include <numeric>
+#include <optional>
 
 #include "search/search_cache.hpp"
 
@@ -52,10 +52,12 @@ ServePlanResult run_serve_plan(const model::TransformerConfig& mdl,
       shape.kv_cap_fraction = spec.kv_cap_fraction;
       // One shape-validity screen covers the whole batch axis; the prefill
       // signature is compiled on the shape's first batch point and comes
-      // back as a SignatureCache hit for every later one.
+      // back as a SignatureCache hit for every later one; the estimate's
+      // shape half is built right after the first lookup.
       const auto shape_why = core::serve_invalid_reason(mdl, sys, w, shape);
       const parallel::ParallelConfig cfg =
           core::serving_parallel_config(sys, shape);
+      std::optional<core::ServingShape> half;
       for (const std::int64_t batch : spec.batch) {
         if (spec.max_batch > 0 && batch > spec.max_batch) continue;
         core::ServingConfig sc = shape;
@@ -70,8 +72,8 @@ ServePlanResult run_serve_plan(const model::TransformerConfig& mdl,
         }
         const std::shared_ptr<const core::CostSignature> sig =
             signatures.get(prompt, cfg, 1, opts.eval, layers);
-        res.points.push_back(
-            core::estimate_serving(mdl, sys, w, sc, *sig, opts.eval));
+        if (!half) half.emplace(mdl, sys, w, shape, *sig, opts.eval);
+        res.points.push_back(half->estimate(batch));
         if (res.points.back().feasible) ++res.stats.feasible;
       }
     }

@@ -4,10 +4,10 @@
 //
 // Enumerates the core::ServingSpec grid — (tp, pp, batch) at a KV
 // residency cap — and evaluates each point with the phase-generic
-// estimator (core/inference_estimate.hpp). The expensive lowering is
-// shared, not recomputed: one search::SignatureCache holds the
-// prompt-length prefill signature per (tp, pp), reused verbatim across
-// the whole batch axis (the adaptation to the prefill phase is O(ops)).
+// estimator (core/inference_estimate.hpp). Per (tp, pp) the prompt-length
+// prefill signature is compiled once (a search::SignatureCache hit at every
+// later batch point) and the estimate's shape half built once; each batch
+// point runs only the point half (admission and the decode step).
 // The result is the full evaluated grid plus the Pareto front over
 // (request latency, tok/s/GPU): a point is on the front iff no other
 // feasible point is at least as fast AND at least as efficient. Every

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include "model/transformer.hpp"
 
 namespace tfpe::model {
@@ -68,6 +72,42 @@ TEST(Validate, RejectsBadDimensions) {
   m = gpt3_1t();
   m.depth = 0;
   EXPECT_THROW(m.validate(), std::invalid_argument);
+}
+
+TEST(Validate, RejectsDimsThatOverflowTheParameterCount) {
+  // One overflowing product per case: embed x embed, embed x hidden,
+  // x moe_experts, x depth and vocab x embed.
+  const auto small = [] {
+    TransformerConfig m;
+    m.seq_len = 2048;
+    m.embed = 4096;
+    m.heads = 32;
+    m.depth = 4;
+    m.hidden = 16384;
+    return m;
+  };
+  std::vector<TransformerConfig> bad(5, small());
+  bad[0].embed = 2'000'000'000'000'000'000;  // heads = 1; past embed's row bound
+  bad[0].heads = 1;
+  bad[0].hidden = 1;
+  bad[1].hidden = std::int64_t{1} << 62;
+  bad[2].moe_experts = std::int64_t{1} << 40;
+  bad[3].depth = std::int64_t{1} << 40;
+  bad[4].vocab = std::int64_t{1} << 52;
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    EXPECT_THROW(bad[i].validate(), std::invalid_argument) << "case " << i;
+  }
+
+  // The bound is exact: the deepest stack whose count fits passes, one
+  // block more throws.
+  TransformerConfig edge = small();
+  edge.depth = std::numeric_limits<std::int64_t>::max() /
+               edge.params_per_layer();
+  EXPECT_NO_THROW(edge.validate());
+  EXPECT_EQ(edge.total_params(), edge.params_per_layer() * edge.depth);
+  ++edge.depth;
+  EXPECT_THROW(edge.validate(), std::invalid_argument);
+  EXPECT_NO_THROW(gpt_moe_1t().validate());
 }
 
 TEST(ParamsPerLayer, MatchesClosedForm) {

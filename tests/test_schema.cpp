@@ -28,7 +28,8 @@ using analysis::Severity;
 
 /// A schema-clean file per record: the lines before the record's section
 /// header, and its own keys. Every row's boundary value keeps the record
-/// valid across keys (heads = 1 divides any embed; no aspect or range
+/// valid across keys (heads = 1 divides any embed, and at depth 1 embed's
+/// largest keeps the parameter count inside int64; no aspect or range
 /// bounds in [codesign], so an out-of-order range fires at the row's own
 /// key).
 struct Fixture {
@@ -42,7 +43,7 @@ const std::map<std::string, Fixture>& fixtures() {
       {"model",
        {"",
         {{"name", "probe"}, {"seq_len", "64"}, {"embed", "64"},
-         {"heads", "1"}, {"depth", "2"}},
+         {"heads", "1"}, {"depth", "1"}},
         [](const Section& s) { (void)model_from_section(s); }}},
       {"system",
        {"",

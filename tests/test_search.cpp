@@ -976,7 +976,7 @@ TEST(LowerBounds, TpCommFloorBelowBlockWalk) {
           const core::SearchBoundsBase base =
               core::search_bounds_base(mdl, two_level, cfg, kBatch, eval);
           for (const hw::Topology& fabric : fabrics) {
-            const core::FloorWalk walk = core::floor_comm_walk(
+            const core::CommWalk walk = core::floor_comm_walk(
                 bat, part.summa_panel_time, fabric, cfg, eval, row_floor);
             const Seconds tp = core::layer_comm_floor(base, fabric, cfg);
             ++checked;

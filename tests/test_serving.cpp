@@ -6,14 +6,22 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <iterator>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "core/evaluator.hpp"
 #include "core/inference_estimate.hpp"
 #include "core/workload.hpp"
 #include "io/config_lint.hpp"
 #include "memory/memory_model.hpp"
 #include "ops/op_factory.hpp"
+#include "parallel/layer_builder.hpp"
 #include "search/serve_plan.hpp"
 
 namespace tfpe {
@@ -167,27 +175,191 @@ TEST(Serving, InvalidShapesCarryReasons) {
   EXPECT_FALSE(core::serve_invalid_reason(dense7b(), sys, w, ok).has_value());
 }
 
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+void expect_same_estimate(const core::InferenceEstimate& a,
+                          const core::InferenceEstimate& b,
+                          const std::string& label) {
+  EXPECT_EQ(a.feasible, b.feasible) << label;
+  EXPECT_EQ(a.reason, b.reason) << label;
+  EXPECT_EQ(a.cfg.tp, b.cfg.tp) << label;
+  EXPECT_EQ(a.cfg.pp, b.cfg.pp) << label;
+  EXPECT_EQ(a.cfg.batch, b.cfg.batch) << label;
+  EXPECT_TRUE(same_bits(a.cfg.kv_cap_fraction, b.cfg.kv_cap_fraction))
+      << label;
+  EXPECT_EQ(a.admitted_batch, b.admitted_batch) << label;
+  const std::pair<double, double> fields[] = {
+      {a.ttft, b.ttft},
+      {a.tpot, b.tpot},
+      {a.request_latency, b.request_latency},
+      {a.tokens_per_sec, b.tokens_per_sec},
+      {a.tokens_per_sec_per_gpu, b.tokens_per_sec_per_gpu},
+      {a.prefill_fraction, b.prefill_fraction},
+      {a.mem.weights.value(), b.mem.weights.value()},
+      {a.mem.gradients.value(), b.mem.gradients.value()},
+      {a.mem.optimizer.value(), b.mem.optimizer.value()},
+      {a.mem.activations.value(), b.mem.activations.value()},
+      {a.mem.kv_cache.value(), b.mem.kv_cache.value()},
+      {a.kv_bytes_per_request.value(), b.kv_bytes_per_request.value()},
+      {a.decode_floor, b.decode_floor}};
+  for (std::size_t i = 0; i < std::size(fields); ++i) {
+    EXPECT_TRUE(same_bits(fields[i].first, fields[i].second))
+        << label << " field " << i << ": " << fields[i].first << " vs "
+        << fields[i].second;
+  }
+}
+
 TEST(Serving, CachedSignatureOverloadMatchesSelfCompile) {
-  // The serve-plan search hands estimate_serving a SignatureCache'd prefill
-  // signature; the result must be identical to the self-compiling overload.
-  const auto m = dense7b();
-  const auto sys = h200x8();
-  const auto w = serve_load();
-  core::ServingConfig sc;
-  sc.tp = 2;
-  sc.batch = 32;
-  auto prompt = m;
-  prompt.seq_len = w.prompt_len;
-  const auto cfg = core::serving_parallel_config(sys, sc);
-  const auto sig =
-      core::compile_signature(prompt, cfg, 1, core::EvalOptions{});
-  const auto direct = core::estimate_serving(m, sys, w, sc);
-  const auto cached = core::estimate_serving(m, sys, w, sc, sig, {});
-  EXPECT_EQ(direct.ttft, cached.ttft);
-  EXPECT_EQ(direct.tpot, cached.tpot);
-  EXPECT_EQ(direct.tokens_per_sec_per_gpu, cached.tokens_per_sec_per_gpu);
-  EXPECT_EQ(direct.admitted_batch, cached.admitted_batch);
-  EXPECT_EQ(direct.mem.total().value(), cached.mem.total().value());
+  // run_serve_plan builds each (tp, pp) shape half once on a
+  // SignatureCache'd prefill signature and runs only the point half per
+  // batch; every field of every grid point must be bitwise the
+  // self-compiling estimate_serving's. The grid (a short prompt, a long
+  // output and the whole HBM as the KV cap) holds every outcome: shapes the
+  // divisibility contract rejects, KV-exhausted shapes, over-HBM points,
+  // feasible points at pp = 1..3, and a zero batch.
+  const auto m = model::llama3_405b();
+  const auto sys = hw::make_system(hw::GpuGeneration::H200, 8, 16);
+  search::ServePlanOptions opts;
+  opts.spec.prompt_len = 64;
+  opts.spec.output_len = 2048;
+  opts.spec.kv_cap_fraction = 1.0;
+  opts.spec.tp = {1, 2, 4, 8, 16};
+  opts.spec.pp = {1, 2, 3, 4};
+  opts.spec.batch = {0, 1, 7, 64, 1024, 4096};
+  std::set<std::string> outcomes;
+  for (const bool variant : {false, true}) {
+    opts.eval = core::EvalOptions{};
+    if (variant) {
+      opts.eval.tp_overlap = 0.25;
+      opts.eval.activation_recompute = true;
+    }
+    const auto run = search::run_serve_plan(m, sys, opts);
+    ASSERT_EQ(run.points.size(), 5u * 4u * 6u);
+    for (const auto& p : run.points) {
+      const std::string label = "tp" + std::to_string(p.cfg.tp) + " pp" +
+                                std::to_string(p.cfg.pp) + " batch " +
+                                std::to_string(p.cfg.batch) +
+                                (variant ? " overlap+recompute" : "");
+      expect_same_estimate(
+          p,
+          core::estimate_serving(m, sys, opts.spec.workload(), p.cfg,
+                                 opts.eval),
+          label);
+      outcomes.insert(p.feasible ? "feasible pp" + std::to_string(p.cfg.pp)
+                                 : p.reason);
+    }
+  }
+  for (const char* want :
+       {"feasible pp1", "feasible pp2", "feasible pp3",
+        "np must divide model depth", "n1 must divide kv heads",
+        "configuration exceeds available GPUs",
+        "KV budget admits no resident request", "exceeds HBM capacity",
+        "batch must be >= 1"}) {
+    EXPECT_EQ(outcomes.count(want), 1u) << "grid lacks outcome: " << want;
+  }
+}
+
+TEST(Serving, StageTimesMatchTheOracle) {
+  // Both serving phases time a stage through the engine's SoA bind and
+  // placement kernel (ServingShape::stage_time). Prefill must be the
+  // oracle's t_fwd_micro on the prompt model; decode the oracle's forward
+  // core::op_time over build_decode_layer's ops (tp_overlap applied per op
+  // as evaluate_with_layer does) x layers per stage, plus the decode head.
+  // Offload stays 0: adapt_to_phase drops the offload term.
+  auto headless = dense7b();
+  headless.vocab = 0;
+  headless.name = "dense-7b-novocab";
+  const std::vector<model::TransformerConfig> models = {
+      dense7b(), headless, model::llama3_405b()};
+  std::vector<core::EvalOptions> variants(4);
+  variants[1].tp_overlap = 0.3;
+  variants[2].activation_recompute = true;
+  variants[3].tp_overlap = 0.6;
+  variants[3].activation_recompute = true;
+  const core::Workload w = core::Workload::decode(512, 128);
+  std::size_t compared = 0;
+  for (const auto& mdl : models) {
+    auto prompt = mdl;
+    prompt.seq_len = w.prompt_len;
+    for (const auto gen : {hw::GpuGeneration::A100, hw::GpuGeneration::H200,
+                           hw::GpuGeneration::B200}) {
+      // nvs 4 puts the tp = 8 group across fast domains.
+      for (const std::int64_t nvs : {4, 8}) {
+        const auto sys = hw::make_system(gen, nvs, 64);
+        const hw::Topology fabric = sys.resolved_fabric();
+        for (const std::int64_t tp : {1, 2, 4, 8}) {
+          for (const std::int64_t pp : {1, 2}) {
+            core::ServingConfig sc;
+            sc.tp = tp;
+            sc.pp = pp;
+            if (core::serve_invalid_reason(mdl, sys, w, sc)) continue;
+            const auto cfg = core::serving_parallel_config(sys, sc);
+            const double Ld = static_cast<double>(mdl.depth / pp);
+            for (const auto& eval : variants) {
+              const std::string label =
+                  mdl.name + " " + hw::to_string(gen) + " nvs" +
+                  std::to_string(nvs) + " tp" + std::to_string(tp) + " pp" +
+                  std::to_string(pp) + " overlap " +
+                  std::to_string(eval.tp_overlap) +
+                  (eval.activation_recompute ? " recompute" : "");
+              core::ServingShape shape(
+                  mdl, sys, w, sc,
+                  core::compile_signature(prompt, cfg, 1, eval), eval);
+              const core::EvalResult ref =
+                  core::evaluate(prompt, sys, cfg, 1, eval);
+              EXPECT_TRUE(same_bits(shape.prefill_stage.value(),
+                                    ref.t_fwd_micro))
+                  << label << ": prefill " << shape.prefill_stage.value()
+                  << " vs " << ref.t_fwd_micro;
+
+              for (const double tokens : {1.0, 7.5, 64.0}) {
+                const double kv_len = w.decode_kv_len();
+                const Seconds engine = shape.stage_time(
+                    core::compile_decode_signature(mdl, cfg, tokens, kv_len));
+                core::OpTime fwd{};
+                for (const auto& op :
+                     parallel::build_decode_layer(mdl, tp, tokens, kv_len)
+                         .ops) {
+                  core::OpTime f = core::op_time(op, false, sys, fabric, cfg);
+                  if (op.summa_panels <= 1 && eval.tp_overlap > 0) {
+                    f.comm *= 1.0 - eval.tp_overlap;
+                  }
+                  fwd.compute += f.compute;
+                  fwd.memory += f.memory;
+                  fwd.comm += f.comm;
+                }
+                Seconds oracle = (fwd.compute + fwd.memory + fwd.comm) * Ld;
+                if (mdl.vocab > 0) {
+                  const double vshard = static_cast<double>(mdl.vocab) /
+                                        static_cast<double>(tp);
+                  const ops::Op logits = ops::forward_only(
+                      ops::matmul("lm_head", tokens, vshard,
+                                  static_cast<double>(mdl.embed)));
+                  const ops::Op soft = ops::forward_only(
+                      ops::vector_op("softmax", tokens * vshard, 5.0, 0.0));
+                  core::OpTime head{};
+                  for (const ops::Op* op : {&logits, &soft}) {
+                    const core::OpTime f =
+                        core::op_time(*op, false, sys, fabric, cfg);
+                    head.compute += f.compute;
+                    head.memory += f.memory;
+                  }
+                  oracle += head.compute + head.memory;
+                }
+                EXPECT_TRUE(same_bits(engine.value(), oracle.value()))
+                    << label << " tokens " << tokens << ": decode "
+                    << engine.value() << " vs " << oracle.value();
+                ++compared;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 500u);
 }
 
 TEST(Serving, ServePlanFrontIsAParetoFront) {

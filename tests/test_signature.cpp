@@ -340,37 +340,6 @@ void expect_bind_bitwise(const core::SystemTiming& ref,
   }
 }
 
-/// The SoA bind must reproduce the scalar bind_system bitwise across the
-/// preset matrix.
-TEST(Signature, BatchedBindMatchesScalar) {
-  const std::vector<hw::SystemConfig> systems = {
-      system_of(hw::GpuGeneration::A100, 4, 512),
-      system_of(hw::GpuGeneration::B200, 8, 512)};
-  std::size_t compared = 0;
-  for (const Case& c : preset_matrix()) {
-    search::SearchOptions sopts;
-    sopts.strategy = c.strategy;
-    sopts.global_batch = c.global_batch;
-    const auto configs = search::expand_candidates(c.mdl, systems[0], sopts);
-    for (std::size_t i = 0; i < configs.size(); i += 11) {
-      const parallel::ParallelConfig& cfg = configs[i];
-      if (cfg.invalid_reason(c.mdl, systems[0], c.global_batch)) continue;
-      const core::CostSignature sig =
-          core::compile_signature(c.mdl, cfg, c.global_batch);
-      const core::BatchedSignature bat = core::lower_batched(sig);
-      ASSERT_EQ(bat.op_count(), sig.ops.size()) << c.name;
-      ASSERT_EQ(bat.comm_count(), sig.comm.size()) << c.name;
-      for (const hw::SystemConfig& sys : systems) {
-        expect_bind_bitwise(core::bind_system(sig, sys),
-                            core::bind_system_batched(sig, bat, sys),
-                            c.name + " " + cfg.describe());
-      }
-      ++compared;
-    }
-  }
-  EXPECT_GT(compared, 8u);
-}
-
 /// Randomized property (fixed seed): time_placements_batch over a full
 /// enumerated placement set must equal the oracle evaluate_with_layer per
 /// placement, bit for bit, across random candidates, systems and
@@ -779,7 +748,7 @@ TEST(BlockTail, MatchesWholeSignatureBitwise) {
   struct Block {
     core::BatchedSignature bat;
     core::BlockTiming part;
-    core::FloorWalk walk;
+    core::CommWalk walk;
     std::int64_t first_nd = 0;
   };
   core::BatchScratch ref_scratch, scratch;
@@ -856,7 +825,7 @@ TEST(BlockTail, MatchesWholeSignatureBitwise) {
                 core::compile_tail(mdl, cfg, kBatch, blk.bat, eval);
             core::SystemTiming base;
             core::finish_bind(blk.part, tail, sys, base);
-            const core::FloorWalk walk =
+            const core::CommWalk walk =
                 core::floor_walk_per_block(blk.bat)
                     ? blk.walk
                     : core::floor_comm_walk(blk.bat, blk.part.summa_panel_time,
