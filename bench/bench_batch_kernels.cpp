@@ -10,7 +10,10 @@
 //   BM_BindBatched           — the per-(signature, system) bind, the
 //                              engines' bind_block + finish_bind;
 //   BM_FabricPricerPrice     — pricing one collective from cached
-//                              sub-results vs the full fabric walk.
+//                              sub-results vs the full fabric walk;
+//   BM_EnumeratePlacements   — building the placement frontier of every
+//                              GPT3-1T 2D prefix at 4096 GPUs, per NVS
+//                              domain size (calls/s and placements/s).
 //
 // `--smoke` runs a fast bitwise lockstep check of every kernel arm against
 // the core::evaluate_with_layer oracle, per placement, and exits nonzero on
@@ -142,6 +145,36 @@ BENCHMARK(BM_FabricPricerPrice)
     ->Arg(1)
     ->ArgNames({"walk"})
     ->Unit(benchmark::kNanosecond);
+
+void BM_EnumeratePlacements(benchmark::State& state) {
+  const std::int64_t nvs = state.range(0);
+  search::EnumerationOptions opts;
+  opts.strategy = parallel::TpStrategy::TP2D;
+  opts.global_batch = kBatch;
+  const search::CandidateTree tree(model::gpt3_1t(), 4096, opts);
+  std::size_t placements = 0;
+  for (auto _ : state) {
+    for (const search::CandidatePrefix& p : tree.prefixes()) {
+      const auto pls = search::enumerate_placements(p.cfg, nvs);
+      placements += pls.size();
+      benchmark::DoNotOptimize(pls.data());
+    }
+  }
+  const double calls =
+      static_cast<double>(state.iterations() * tree.prefixes().size());
+  state.counters["calls"] =
+      benchmark::Counter(calls, benchmark::Counter::kIsRate);
+  state.counters["placements"] = benchmark::Counter(
+      static_cast<double>(placements), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_EnumeratePlacements)
+    ->Arg(4)
+    ->Arg(8)
+    ->Arg(16)
+    ->Arg(32)
+    ->Arg(64)
+    ->ArgNames({"nvs"})
+    ->Unit(benchmark::kMicrosecond);
 
 bool same_timing(const core::EvalResult& a, const core::PlacementTiming& b) {
   return a.time.compute == b.time.compute && a.time.memory == b.time.memory &&

@@ -388,7 +388,16 @@ LintReport lint_system(const hw::SystemConfig& sys, const LintOptions& opts) {
          "host link bandwidth must be > 0");
   }
 
-  sink.merge(lint_topology(sys.resolved_fabric(), sys.n_gpus, opts));
+  const hw::Topology fabric = sys.resolved_fabric();
+  sink.merge(lint_topology(fabric, sys.n_gpus, opts));
+  // The search places groups within nvs_domain GPUs and times them on the
+  // fabric, whose collectives reject a span past its leaf fan-in.
+  const std::int64_t leaf = fabric.leaf_fan_in();
+  if (leaf > 0 && leaf != sys.nvs_domain) {
+    diag(RuleId::kTopologyLeafDomain, "<topology>",
+         static_cast<double>(sys.nvs_domain), static_cast<double>(leaf),
+         "fabric leaf fan-in must equal the NVS domain");
+  }
   return sink.take();
 }
 

@@ -56,7 +56,7 @@ LintReport lint_batch_scratch(const core::BatchedSignature& bat,
                               const LintOptions& opts = {});
 
 /// Lint a hardware description (system-compute, -network, -domain) and its
-/// resolved fabric (merges lint_topology).
+/// resolved fabric (merges lint_topology, plus topology-leaf-domain).
 LintReport lint_system(const hw::SystemConfig& sys,
                        const LintOptions& opts = {});
 

@@ -63,6 +63,9 @@ constexpr std::array<RuleInfo, kRuleCount> kRegistry{{
     {RuleId::kTopologyMonotoneBw, "TFPE-TOPO-004", "topology-monotone-bw",
      Severity::kWarning,
      "per-member tier bandwidth should not increase outward"},
+    {RuleId::kTopologyLeafDomain, "TFPE-TOPO-005", "topology-leaf-domain",
+     Severity::kError,
+     "a bounded leaf fan-in must equal the system's nvs_domain"},
     {RuleId::kPlacementValid, "TFPE-PLACE-001", "placement-valid",
      Severity::kError, "size >= 1, 0 < nvs <= size, nvs divides size"},
     {RuleId::kPlacementLeafFanIn, "TFPE-PLACE-002", "placement-leaf-fan-in",

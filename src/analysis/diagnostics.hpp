@@ -59,6 +59,7 @@ enum class RuleId : std::uint8_t {
   kTopologyPositive,
   kTopologyFanIn,
   kTopologyMonotoneBw,
+  kTopologyLeafDomain,
   // TFPE-PLACE: collective group placements.
   kPlacementValid,
   kPlacementLeafFanIn,
@@ -93,7 +94,7 @@ enum class RuleId : std::uint8_t {
   kServeBatchCap,
 };
 
-inline constexpr std::size_t kRuleCount = 46;
+inline constexpr std::size_t kRuleCount = 47;
 
 /// One registry row: the stable code, the short mnemonic name, the default
 /// severity and the one-line meaning (surfaced in docs and SARIF).

@@ -1,7 +1,6 @@
 #include "search/enumerate.hpp"
 
 #include <algorithm>
-#include <functional>
 
 #include "util/math.hpp"
 
@@ -205,62 +204,46 @@ std::vector<parallel::ParallelConfig> expand_candidates(
 
 std::vector<std::array<std::int64_t, 4>> enumerate_placements(
     const parallel::ParallelConfig& cfg, std::int64_t nvs_domain) {
-  auto group_divs = [&](std::int64_t size) {
-    std::vector<std::int64_t> ds;
-    for (std::int64_t d : divisors(size)) {
-      if (d <= nvs_domain) ds.push_back(d);
-    }
-    return ds;
+  const auto up_to = [&](std::int64_t n) { return divisors(n, nvs_domain); };
+  const auto d1 = up_to(cfg.n1), d2 = up_to(cfg.n2), dp = up_to(cfg.np),
+             dd = up_to(cfg.nd);
+  // Whether entry i of `ds` can step up to the next one with the other
+  // three coordinates' product `rest` staying within the budget.
+  const auto steps = [&](const std::vector<std::int64_t>& ds, std::size_t i,
+                         std::int64_t rest) {
+    return i + 1 < ds.size() && ds[i + 1] * rest <= nvs_domain;
   };
-  const auto d1 = group_divs(cfg.n1);
-  const auto d2 = group_divs(cfg.n2);
-  const auto dp = group_divs(cfg.np);
-  const auto dd = group_divs(cfg.nd);
 
-  std::vector<std::array<std::int64_t, 4>> all;
-  for (std::int64_t a1 : d1) {
-    if (a1 > nvs_domain) break;
-    for (std::int64_t a2 : d2) {
-      if (a1 * a2 > nvs_domain) break;
-      for (std::int64_t ap : dp) {
-        if (a1 * a2 * ap > nvs_domain) break;
-        for (std::int64_t ad : dd) {
-          if (a1 * a2 * ap * ad > nvs_domain) break;
-          all.push_back({a1, a2, ap, ad});
-        }
-      }
-    }
-  }
-  // Drop dominated placements: more fast-domain GPUs for any group never
-  // hurts in the time model. Sort-and-sweep instead of the all-pairs scan:
-  // in descending lexicographic order every dominator of c precedes c, and
-  // dominance is transitive, so c only needs to be compared against the
-  // non-dominated placements kept so far — O(n * frontier) not O(n^2).
-  std::sort(all.begin(), all.end(),
-            std::greater<std::array<std::int64_t, 4>>());
+  // The feasible placements are closed downward, so one is dominated
+  // exactly when some coordinate can step up to its next divisor within the
+  // budget (a dominator exceeds it in some coordinate, and that
+  // coordinate's next divisor lies between). ad is the largest that fits,
+  // so only a1, a2 and ap need the test; the (a1, a2, ap) loops emit the
+  // frontier in ascending lexicographic order. Every product divides the
+  // GPU count, so none overflows.
   std::vector<std::array<std::int64_t, 4>> keep;
-  for (const auto& c : all) {
-    bool dominated = false;
-    for (const auto& o : keep) {
-      if (o[0] >= c[0] && o[1] >= c[1] && o[2] >= c[2] && o[3] >= c[3] &&
-          (o[0] > c[0] || o[1] > c[1] || o[2] > c[2] || o[3] > c[3])) {
-        dominated = true;
-        break;
+  for (std::size_t i1 = 0; i1 < d1.size(); ++i1) {
+    const std::int64_t a1 = d1[i1];
+    for (std::size_t i2 = 0; i2 < d2.size(); ++i2) {
+      const std::int64_t a2 = d2[i2];
+      const std::int64_t p12 = a1 * a2;
+      if (p12 > nvs_domain) break;
+      std::size_t id = dd.size();  // one past ad; ad shrinks as ap grows
+      for (std::size_t ip = 0; ip < dp.size(); ++ip) {
+        const std::int64_t ap = dp[ip];
+        const std::int64_t p = p12 * ap;
+        if (p > nvs_domain) break;
+        while (dd[id - 1] * p > nvs_domain) --id;  // dd[0] = 1 always fits
+        const std::int64_t ad = dd[id - 1];
+        if (steps(d1, i1, a2 * ap * ad) || steps(d2, i2, a1 * ap * ad) ||
+            steps(dp, ip, p12 * ad)) {
+          continue;
+        }
+        keep.push_back({a1, a2, ap, ad});
       }
     }
-    if (!dominated) keep.push_back(c);
   }
-  // Restore generation order (ascending lexicographic) so downstream
-  // first-wins tie-breaking is unchanged.
-  std::sort(keep.begin(), keep.end());
   return keep;
-}
-
-std::vector<std::array<std::int64_t, 4>> enumerate_placements(
-    const parallel::ParallelConfig& cfg, const hw::Topology& fabric) {
-  const std::int64_t domain =
-      fabric.empty() ? 1 : std::max<std::int64_t>(1, fabric.levels[0].fan_in);
-  return enumerate_placements(cfg, domain);
 }
 
 }  // namespace tfpe::search

@@ -230,19 +230,13 @@ std::vector<parallel::ParallelConfig> expand_candidates(
     const model::TransformerConfig& mdl, const hw::SystemConfig& sys,
     const EnumerationOptions& opts);
 
-/// All non-dominated placements (nvs1, nvs2, nvsp, nvsd) for a configuration
-/// on a fast domain of `nvs_domain` GPUs. A placement is dominated when
-/// another placement is component-wise >=. Always contains (1,1,1,1)'s
-/// dominator set; every returned placement satisfies nvs_i | n_i and
-/// product <= nvs_domain.
+/// The non-dominated placements (nvs1, nvs2, nvsp, nvsd) for a
+/// configuration on a fast domain of `nvs_domain` GPUs, in ascending
+/// lexicographic order. Every returned placement satisfies nvs_i | n_i and
+/// product <= nvs_domain, and is maximal: no other such placement is
+/// component-wise >= it (more fast-domain GPUs for a group never hurts in
+/// the time model). Empty when nvs_domain < 1.
 std::vector<std::array<std::int64_t, 4>> enumerate_placements(
     const parallel::ParallelConfig& cfg, std::int64_t nvs_domain);
-
-/// Same against a resolved fabric: the fast-domain budget is the innermost
-/// level's fan-in (identical to the nvs_domain overload for the canonical
-/// two-level fabric; deeper fabrics do not change the placement space,
-/// only how placements are timed).
-std::vector<std::array<std::int64_t, 4>> enumerate_placements(
-    const parallel::ParallelConfig& cfg, const hw::Topology& fabric);
 
 }  // namespace tfpe::search

@@ -8,8 +8,9 @@
 // the many (np, nd, m) combinations that share those fields reuse one
 // layer (in the engines: one lowered block, see lower_block) instead of
 // rebuilding the op list per configuration. enumerate_placements()
-// similarly depends only on (n1, n2, np, nd) and the NVS-domain size, and
-// is shared across the interleave/ZeRO/ring expansion axes.
+// similarly depends only on (n1, n2, np, nd) and the NVS-domain size, so
+// PlacementCache builds each frontier once and shares it across the
+// interleave/ZeRO/ring expansion axes.
 //
 // Every cache is a ShardedMemo: a shard's mutex is held across the build
 // so each key is constructed exactly once (making the build counters

@@ -5,13 +5,13 @@
 
 namespace tfpe::util {
 
-std::vector<std::int64_t> divisors(std::int64_t n) {
+std::vector<std::int64_t> divisors(std::int64_t n, std::int64_t cap) {
   if (n < 1) throw std::invalid_argument("divisors: n must be >= 1");
   std::vector<std::int64_t> low, high;
-  for (std::int64_t d = 1; d * d <= n; ++d) {
+  for (std::int64_t d = 1; d * d <= n && d <= cap; ++d) {
     if (n % d == 0) {
       low.push_back(d);
-      if (d != n / d) high.push_back(n / d);
+      if (d != n / d && n / d <= cap) high.push_back(n / d);
     }
   }
   low.insert(low.end(), high.rbegin(), high.rend());

@@ -2,12 +2,16 @@
 // Small integer-math helpers used by the configuration enumeration (S3).
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 namespace tfpe::util {
 
-/// All positive divisors of n, ascending. n must be >= 1.
-std::vector<std::int64_t> divisors(std::int64_t n);
+/// The positive divisors of n that are <= cap (all of them by default),
+/// ascending, in O(min(sqrt(n), cap)) steps. n must be >= 1.
+std::vector<std::int64_t> divisors(
+    std::int64_t n,
+    std::int64_t cap = std::numeric_limits<std::int64_t>::max());
 
 /// All ordered k-tuples (f0,...,f{k-1}) of positive integers with
 /// f0*...*f{k-1} == n. Order matters: (2,4) and (4,2) are distinct.

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
+#include <ranges>
 #include <set>
 #include <stdexcept>
 #include <utility>
@@ -300,6 +302,98 @@ TEST(Placements, FullTpPackingAvailable) {
     if (p[0] == 8) has_full_tp = true;
   }
   EXPECT_TRUE(has_full_tp);
+}
+
+/// The placement frontier by brute force: every divisor tuple within the
+/// budget, an all-pairs dominance filter, sorted ascending.
+std::vector<std::array<std::int64_t, 4>> all_pairs_placements(
+    const parallel::ParallelConfig& c, std::int64_t nvs) {
+  const auto d1 = util::divisors(c.n1), d2 = util::divisors(c.n2),
+             dp = util::divisors(c.np), dd = util::divisors(c.nd);
+  std::vector<std::array<std::int64_t, 4>> all;
+  for (std::int64_t a1 : d1) {
+    for (std::int64_t a2 : d2) {
+      for (std::int64_t ap : dp) {
+        for (std::int64_t ad : dd) {
+          if (a1 <= nvs && a2 <= nvs && ap <= nvs && ad <= nvs &&
+              a1 * a2 * ap * ad <= nvs) {
+            all.push_back({a1, a2, ap, ad});
+          }
+        }
+      }
+    }
+  }
+  std::vector<std::array<std::int64_t, 4>> keep;
+  for (const auto& a : all) {
+    bool dominated = false;
+    for (const auto& b : std::views::reverse(all)) {  // big ones first
+      if (b != a && b[0] >= a[0] && b[1] >= a[1] && b[2] >= a[2] &&
+          b[3] >= a[3]) {
+        dominated = true;
+        break;
+      }
+    }
+    if (!dominated) keep.push_back(a);
+  }
+  std::sort(keep.begin(), keep.end());
+  return keep;
+}
+
+TEST(Placements, MatchAllPairsReference) {
+  std::vector<std::int64_t> sizes;
+  for (std::int64_t n = 1; n <= 72; ++n) sizes.push_back(n);
+  sizes.push_back(96);
+  for (std::int64_t n = 128; n <= 4096; n *= 2) sizes.push_back(n);
+  sizes.push_back(65521);   // prime
+  sizes.push_back(720720);  // 240 divisors
+  std::vector<std::int64_t> budgets{0};
+  for (std::int64_t nvs = 1; nvs <= 64; ++nvs) budgets.push_back(nvs);
+  budgets.push_back(128);
+  budgets.push_back(std::int64_t{1} << 20);
+
+  std::size_t compared = 0, nonempty = 0;
+  const auto check = [&](const std::array<std::int64_t, 4>& n,
+                         std::int64_t nvs) {
+    parallel::ParallelConfig c;
+    c.n1 = n[0];
+    c.n2 = n[1];
+    c.np = n[2];
+    c.nd = n[3];
+    const auto got = enumerate_placements(c, nvs);
+    ASSERT_EQ(got, all_pairs_placements(c, nvs))
+        << n[0] << "x" << n[1] << "x" << n[2] << "x" << n[3] << " nvs " << nvs;
+    ++compared;
+    nonempty += !got.empty();
+  };
+  // Each size in each group, the other three groups taking these in turn.
+  const std::vector<std::array<std::int64_t, 3>> others{
+      {1, 1, 1}, {2, 3, 4}, {6, 8, 5}, {16, 1, 9}};
+  std::size_t turn = 0;
+  for (std::int64_t nvs : budgets) {
+    for (std::size_t g = 0; g < 4; ++g) {
+      for (std::int64_t n : sizes) {
+        const auto& o = others[turn++ % others.size()];
+        std::array<std::int64_t, 4> groups{};
+        for (std::size_t i = 0, j = 0; i < 4; ++i) {
+          groups[i] = i == g ? n : o[j++];
+        }
+        check(groups, nvs);
+      }
+    }
+  }
+  // Every group mixed: all 4-tuples of a smaller set.
+  const std::vector<std::int64_t> mixed{1, 2, 3, 4, 12, 18};
+  for (std::int64_t nvs : {0, 1, 2, 3, 4, 6, 8, 9, 12, 16, 24, 36, 64, 128,
+                           1 << 20}) {
+    for (std::int64_t n1 : mixed) {
+      for (std::int64_t n2 : mixed) {
+        for (std::int64_t np : mixed) {
+          for (std::int64_t nd : mixed) check({n1, n2, np, nd}, nvs);
+        }
+      }
+    }
+  }
+  EXPECT_GT(nonempty, compared / 2);
 }
 
 TEST(FindOptimal, BeatsEveryManualConfig) {

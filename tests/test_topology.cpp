@@ -11,9 +11,11 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "analysis/consistency.hpp"
 #include "analysis/invariants.hpp"
 #include "comm/collective_algorithm.hpp"
 #include "comm/collective_model.hpp"
@@ -746,22 +748,39 @@ TEST(TopologyBounds, TimeFloorStaysBelowEvaluationOnDeepFabrics) {
   }
 }
 
-TEST(TopologyEnumerate, FabricOverloadMatchesNvsDomain) {
-  parallel::ParallelConfig cfg;
-  cfg.strategy = parallel::TpStrategy::TP1D;
-  cfg.n1 = 8;
-  cfg.np = 4;
-  cfg.nd = 8;
-  const hw::NetworkSpec net = hw::network_preset(hw::GpuGeneration::B200);
-  const auto by_domain = search::enumerate_placements(cfg, 8);
-  EXPECT_EQ(search::enumerate_placements(
-                cfg, hw::two_level_topology(net, 8, 1024)),
-            by_domain);
-  EXPECT_EQ(search::enumerate_placements(
-                cfg, hw::leaf_spine_topology(net, 8, 32, 1024, 4.0)),
-            by_domain);
-  EXPECT_EQ(search::enumerate_placements(cfg, hw::Topology{}),
-            search::enumerate_placements(cfg, 1));
+TEST(TopologyLint, LeafFanInMustEqualNvsDomain) {
+  // The placement search spends nvs_domain; the fabric's collectives reject
+  // a span past its leaf fan-in. A bounded leaf that disagrees is an error
+  // either way: too small fails mid-search, too large goes unsearched.
+  const auto loaded = [](const std::string& fan_in) {
+    const auto sections = parse(
+        "[system]\ngpu = b200\nnvs_domain = 8\nn_gpus = 64\n"
+        "[topology]\nlevels = nvs, ib\nfan_in = " +
+        fan_in + "\ngbs = 900, 50\n");
+    hw::SystemConfig sys = io::system_from_section(sections.at("system"));
+    sys.fabric = io::topology_from_section(sections.at("topology"));
+    return analysis::lint_system(sys);
+  };
+  EXPECT_TRUE(loaded("8, 0").clean());
+  EXPECT_TRUE(loaded("0, 0").clean());  // an unbounded leaf caps no span
+  for (const std::string fan_in : {"4, 0", "16, 0"}) {
+    const auto report = loaded(fan_in);
+    ASSERT_EQ(report.errors(), 1u) << fan_in;
+    EXPECT_EQ(report.diagnostics[0].rule, "topology-leaf-domain") << fan_in;
+  }
+
+  // The fabrics the sweep builds from nvs_domain: hardware_grid's leaf/spine
+  // points and --ablate-topology's degenerate three-level preset.
+  for (const hw::SystemConfig& sys : search::hardware_grid(
+           {hw::GpuGeneration::B200, hw::GpuGeneration::A100}, {4, 8, 16, 64},
+           {1.0, 4.0}, 1024, 64)) {
+    EXPECT_TRUE(analysis::lint_system(sys).clean()) << sys.describe();
+    hw::SystemConfig degenerate = sys;
+    degenerate.fabric = hw::leaf_spine_topology(sys.net, sys.nvs_domain,
+                                                sys.nvs_domain, sys.n_gpus,
+                                                1.0);
+    EXPECT_TRUE(analysis::lint_system(degenerate).clean()) << sys.describe();
+  }
 }
 
 TEST(TopologySweep, HardwareGridOversubscriptionAxis) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <numeric>
 
 #include "util/math.hpp"
@@ -29,6 +30,18 @@ TEST(Divisors, Sorted) {
   const auto d = divisors(64800);  // the ViT sequence length
   EXPECT_TRUE(std::is_sorted(d.begin(), d.end()));
   for (auto v : d) EXPECT_EQ(64800 % v, 0);
+}
+
+TEST(Divisors, CapKeepsThoseAtOrBelowIt) {
+  for (std::int64_t n : {1, 2, 12, 16, 36, 97, 720, 4096, 720720}) {
+    const auto all = divisors(n);
+    for (std::int64_t cap : {-1, 0, 1, 2, 5, 8, 26, 27, 64, 720, 1 << 20}) {
+      std::vector<std::int64_t> kept;
+      std::copy_if(all.begin(), all.end(), std::back_inserter(kept),
+                   [&](std::int64_t d) { return d <= cap; });
+      EXPECT_EQ(divisors(n, cap), kept) << n << " cap " << cap;
+    }
+  }
 }
 
 TEST(Divisors, ThrowsOnNonPositive) {
