@@ -65,23 +65,24 @@ std::vector<hw::SystemConfig> grid() {
       {4, 8, 16, 32, 64}, kGpus);
 }
 
-search::SweepOptions sweep_opts(Mode mode, bool prune, unsigned threads) {
+search::SweepOptions sweep_opts(Mode mode, unsigned threads) {
   search::SweepOptions opts;
   opts.search.strategy = parallel::TpStrategy::TP1D;
   opts.search.global_batch = kBatch;
-  opts.search.prune = prune;
   opts.warm_start = mode == Mode::kBatchedWarm;
   opts.threads = threads;
   return opts;
 }
 
 /// The reference arm: one independent find_optimal per grid point, given
-/// the sweep's thread budget, with its counters summed into SweepStats.
+/// the sweep's thread budget and the arm's prune setting, with its counters
+/// summed into SweepStats.
 search::SweepResult run_legacy(const model::TransformerConfig& mdl,
                                const std::vector<hw::SystemConfig>& points,
-                               const search::SweepOptions& opts) {
+                               const search::SweepOptions& opts, bool prune) {
   search::SearchOptions per_point = opts.search;
   per_point.threads = opts.threads;
+  per_point.prune = prune;
   search::SweepResult out;
   out.stats.points = points.size();
   for (const hw::SystemConfig& sys : points) {
@@ -105,8 +106,8 @@ search::SweepResult run_legacy(const model::TransformerConfig& mdl,
 
 search::SweepResult run_mode(Mode mode, const model::TransformerConfig& mdl,
                              const std::vector<hw::SystemConfig>& points,
-                             const search::SweepOptions& opts) {
-  return mode == Mode::kLegacy ? run_legacy(mdl, points, opts)
+                             const search::SweepOptions& opts, bool prune) {
+  return mode == Mode::kLegacy ? run_legacy(mdl, points, opts, prune)
                                : search::run_sweep(mdl, points, opts);
 }
 
@@ -114,10 +115,10 @@ void BM_Sweep(benchmark::State& state) {
   const Mode mode = kModes[state.range(0)];
   const auto mdl = model::gpt3_1t();
   const auto points = grid();
-  const auto opts = sweep_opts(mode, /*prune=*/true, 1);
+  const auto opts = sweep_opts(mode, 1);
   search::SweepStats stats;
   for (auto _ : state) {
-    const auto r = run_mode(mode, mdl, points, opts);
+    const auto r = run_mode(mode, mdl, points, opts, /*prune=*/true);
     stats = r.stats;
     benchmark::DoNotOptimize(r);
   }
@@ -144,7 +145,7 @@ struct Sample {
 Sample run_once(Mode mode, bool prune, unsigned threads, int repeats) {
   const auto mdl = model::gpt3_1t();
   const auto points = grid();
-  const auto opts = sweep_opts(mode, prune, threads);
+  const auto opts = sweep_opts(mode, threads);
   Sample s;
   s.mode = mode;
   s.prune = prune;
@@ -154,7 +155,7 @@ Sample run_once(Mode mode, bool prune, unsigned threads, int repeats) {
   // repeats stay honest about the compile work.
   for (int rep = 0; rep < repeats; ++rep) {
     const auto t0 = std::chrono::steady_clock::now();
-    auto r = run_mode(mode, mdl, points, opts);
+    auto r = run_mode(mode, mdl, points, opts, prune);
     const double sec =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
@@ -286,7 +287,7 @@ int run_driver(bool quick) {
   for (bool prune : {false, true}) {
     for (unsigned threads : thread_axis) {
       for (Mode mode : kModes) {
-        // The engine arms always prune (run_sweep rejects prune = false).
+        // The engine arms always prune (the scan has no exhaustive mode).
         if (!prune && mode != Mode::kLegacy) continue;
         samples.push_back(run_once(mode, prune, threads, repeats));
         const Sample& s = samples.back();

@@ -89,10 +89,6 @@ constexpr std::array<RuleInfo, kRuleCount> kRegistry{{
     {RuleId::kBatchedScratchShape, "TFPE-BATCH-006", "batched-scratch-shape",
      Severity::kError,
      "BatchScratch column/row shapes must agree with the pool and batch"},
-    {RuleId::kSweepOptions, "TFPE-SWEEP-001", "sweep-options",
-     Severity::kError,
-     "run_sweep rejects search.top_k / search.threads != 0 and "
-     "search.prune = false"},
     {RuleId::kSweepWarmChain, "TFPE-SWEEP-003", "sweep-warm-chain",
      Severity::kWarning,
      "points sharing a warm-start chain key should share one roofline"},

@@ -70,8 +70,8 @@ enum class RuleId : std::uint8_t {
   kBatchedGroupMask,
   kBatchedSummaOps,
   kBatchedScratchShape,
-  // TFPE-SWEEP: sweep-plan soundness (TFPE-SWEEP-002 is retired).
-  kSweepOptions,
+  // TFPE-SWEEP: sweep-plan soundness (TFPE-SWEEP-001 and -002 are
+  // retired).
   kSweepWarmChain,
   // TFPE-SYS: hardware description sanity.
   kSystemCompute,
@@ -94,7 +94,7 @@ enum class RuleId : std::uint8_t {
   kServeBatchCap,
 };
 
-inline constexpr std::size_t kRuleCount = 47;
+inline constexpr std::size_t kRuleCount = 46;
 
 /// One registry row: the stable code, the short mnemonic name, the default
 /// severity and the one-line meaning (surfaced in docs and SARIF).

@@ -281,29 +281,4 @@ CostSignature compile_decode_signature(const model::TransformerConfig& mdl,
   return sig;
 }
 
-CostSignature compile_signature(const model::TransformerConfig& mdl,
-                                const parallel::ParallelConfig& cfg,
-                                std::int64_t global_batch,
-                                const Workload& workload,
-                                const EvalOptions& opts) {
-  switch (workload.phase) {
-    case ExecutionPhase::kTraining:
-      // The Training-phase adapter: delegate to the historical lowering
-      // unchanged (bitwise-pinned by tests/test_workload.cpp).
-      return compile_signature(mdl, cfg, global_batch, opts);
-    case ExecutionPhase::kPrefill: {
-      model::TransformerConfig prompt = mdl;
-      if (workload.prompt_len > 0) prompt.seq_len = workload.prompt_len;
-      return adapt_to_phase(compile_signature(prompt, cfg, global_batch, opts),
-                            ExecutionPhase::kPrefill);
-    }
-    case ExecutionPhase::kDecode:
-      return compile_decode_signature(
-          mdl, cfg,
-          static_cast<double>(global_batch) / static_cast<double>(cfg.np),
-          workload.decode_kv_len());
-  }
-  return compile_signature(mdl, cfg, global_batch, opts);
-}
-
 }  // namespace tfpe::core

@@ -250,18 +250,6 @@ CostSignature compile_signature(const model::TransformerConfig& mdl,
                                 std::int64_t global_batch,
                                 const EvalOptions& opts = {});
 
-/// Phase-generic lowering (core/workload.hpp). The Training workload is a
-/// pure adapter over the overload above — bitwise-identical output, pinned
-/// by tests/test_workload.cpp. Prefill compiles the training lowering at
-/// seq_len = workload.prompt_len and strips the backward dimension
-/// (adapt_to_phase below). Decode lowers parallel::build_decode_layer with
-/// global_batch resident requests split across cfg.np rotating groups.
-CostSignature compile_signature(const model::TransformerConfig& mdl,
-                                const parallel::ParallelConfig& cfg,
-                                std::int64_t global_batch,
-                                const Workload& workload,
-                                const EvalOptions& opts = {});
-
 /// Re-emit a training-compiled signature as a forward-only inference
 /// phase: backward op records, aggregates and collectives zeroed, the
 /// DP-gradient and Adam-traffic scalars dropped, and the memory breakdown

@@ -13,10 +13,9 @@
 //     and HBM-bound: every step re-reads the stage weights and the
 //     accumulated K/V cache.
 // core::Workload names the phase plus the sequence-length parameters the
-// inference phases need. The Training workload is the exact adapter over
-// the existing lowering: compile_signature(mdl, cfg, b, Workload::
-// training(), opts) is bitwise-identical to the historical
-// compile_signature(mdl, cfg, b, opts) (pinned by tests/test_workload.cpp).
+// inference phases need. Training lowers through compile_signature as it
+// always has; prefill is that lowering at the prompt length with the
+// backward stripped (adapt_to_phase), decode compile_decode_signature.
 
 #include <cstdint>
 #include <vector>
@@ -40,15 +39,10 @@ struct Workload {
   /// context over a request's decode life: prompt_len + output_len / 2.
   double kv_len = 0;
 
-  static Workload training() { return {}; }
-  static Workload prefill(std::int64_t isl, std::int64_t osl) {
-    return {ExecutionPhase::kPrefill, isl, osl, 0};
-  }
   static Workload decode(std::int64_t isl, std::int64_t osl) {
     return {ExecutionPhase::kDecode, isl, osl, 0};
   }
 
-  bool is_training() const { return phase == ExecutionPhase::kTraining; }
   /// The kv_len default above, resolved.
   double decode_kv_len() const {
     if (kv_len > 0) return kv_len;

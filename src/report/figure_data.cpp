@@ -16,7 +16,6 @@ core::EvalResult optimal_at_scale(const model::TransformerConfig& mdl,
   search::SearchOptions opts;
   opts.strategy = strategy;
   opts.global_batch = global_batch;
-  opts.n_gpus = n;
   return search::find_optimal(mdl, sys, opts).best;
 }
 

@@ -4,24 +4,14 @@
 #include <functional>
 #include <stdexcept>
 
+#include "search/sweep.hpp"
+
 namespace tfpe::report {
-
-namespace {
-
-double optimal_time(const model::TransformerConfig& mdl,
-                    const hw::SystemConfig& sys,
-                    const search::SearchOptions& opts) {
-  const auto r = search::find_optimal(mdl, sys, opts);
-  if (!r.best.feasible) return std::nan("");
-  return r.best.iteration();
-}
-
-}  // namespace
 
 std::vector<Sensitivity> hardware_sensitivities(
     const model::TransformerConfig& mdl, const hw::SystemConfig& sys,
-    const search::SearchOptions& opts, double step) {
-  if (step <= 0 || step >= 1) {
+    const search::ScanOptions& opts, double step) {
+  if (!(step > 0 && step < 1)) {
     throw std::invalid_argument("hardware_sensitivities: step in (0,1)");
   }
 
@@ -44,21 +34,30 @@ std::vector<Sensitivity> hardware_sensitivities(
        [](hw::SystemConfig& s, double f) { s.net.ib_bandwidth *= f; }},
   };
 
+  // Each knob's up and down design, adjacent. They keep the GPU name and
+  // count, so the scan runs them as one chain sharing tails and blocks.
+  std::vector<hw::SystemConfig> points;
+  points.reserve(2 * knobs.size());
+  for (const Knob& knob : knobs) {
+    for (const double f : {1.0 + step, 1.0 - step}) {
+      knob.scale(points.emplace_back(sys), f);
+    }
+  }
+  const search::SweepResult run =
+      search::run_sweep(mdl, points, search::SweepOptions{opts});
+
   std::vector<Sensitivity> out;
   out.reserve(knobs.size());
-  for (const Knob& knob : knobs) {
-    hw::SystemConfig up = sys, down = sys;
-    knob.scale(up, 1.0 + step);
-    knob.scale(down, 1.0 - step);
-    const double t_up = optimal_time(mdl, up, opts);
-    const double t_down = optimal_time(mdl, down, opts);
+  for (std::size_t k = 0; k < knobs.size(); ++k) {
+    const core::EvalResult& up = run.best[2 * k];
+    const core::EvalResult& down = run.best[2 * k + 1];
     Sensitivity s;
-    s.parameter = knob.name;
-    if (std::isnan(t_up) || std::isnan(t_down)) {
+    s.parameter = knobs[k].name;
+    if (!up.feasible || !down.feasible) {
       s.elasticity = std::nan("");
     } else {
       // Central difference in log-log space.
-      s.elasticity = (std::log(t_up) - std::log(t_down)) /
+      s.elasticity = (std::log(up.iteration()) - std::log(down.iteration())) /
                      (std::log(1.0 + step) - std::log(1.0 - step));
     }
     out.push_back(std::move(s));

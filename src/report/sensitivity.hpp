@@ -8,7 +8,10 @@
 //
 // Because the optimal configuration is re-searched at each perturbed
 // design point, the elasticities include re-parallelization effects, not
-// just local roofline slopes.
+// just local roofline slopes. The 12 perturbed designs are re-searched by
+// one scan (search::run_sweep): they share the GPU name and count, so they
+// form one chain that compiles each candidate's tail and block once. Each
+// optimum is bitwise find_optimal's at that design.
 
 #include <string>
 #include <vector>
@@ -28,8 +31,10 @@ struct Sensitivity {
 /// capacity, NVS bandwidth, IB bandwidth}, each via a symmetric +/- `step`
 /// relative perturbation with a full configuration re-search under `opts`
 /// (its strategy, global batch, candidate space and modeling extensions).
+/// NaN when either perturbed design has no feasible configuration. Throws
+/// std::invalid_argument unless 0 < step < 1.
 std::vector<Sensitivity> hardware_sensitivities(
     const model::TransformerConfig& mdl, const hw::SystemConfig& sys,
-    const search::SearchOptions& opts, double step = 0.25);
+    const search::ScanOptions& opts, double step = 0.25);
 
 }  // namespace tfpe::report

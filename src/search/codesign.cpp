@@ -7,7 +7,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -69,10 +68,9 @@ std::size_t CandidateCache::KeyHash::operator()(const ShapeKey& k) const {
 
 std::shared_ptr<const CandidateSpace> CandidateCache::get(
     const model::TransformerConfig& mdl, const hw::SystemConfig& sys,
-    const SearchOptions& opts) {
-  const std::int64_t scale = opts.n_gpus > 0 ? opts.n_gpus : sys.n_gpus;
-  return memo_.get(shape_key(mdl, scale), [&] {
-    CandidateSpace space{CandidateTree(mdl, scale, opts), {}};
+    const ScanOptions& opts) {
+  return memo_.get(shape_key(mdl, sys.n_gpus), [&] {
+    CandidateSpace space{CandidateTree(mdl, sys.n_gpus, opts), {}};
     space.configs = space.tree.leaves();
     candidates_.fetch_add(space.configs.size(), std::memory_order_relaxed);
     return space;
@@ -83,22 +81,6 @@ CodesignResult run_codesign(const std::vector<model::TransformerConfig>& shapes,
                             const std::vector<hw::SystemConfig>& points,
                             const CodesignOptions& opts) {
   opts.sweep.search.eval.validate();
-  if (opts.sweep.search.top_k != 0) {
-    throw std::invalid_argument(
-        "run_sweep/run_codesign: search.top_k is not supported (the scan "
-        "keeps only the per-point optimum) — rank candidates with "
-        "find_optimal instead");
-  }
-  if (opts.sweep.search.threads != 0) {
-    throw std::invalid_argument(
-        "run_sweep/run_codesign: search.threads is not supported (the scan "
-        "owns the thread budget) — set SweepOptions::threads instead");
-  }
-  if (!opts.sweep.search.prune) {
-    throw std::invalid_argument(
-        "run_sweep/run_codesign: search.prune = false is not supported (the "
-        "scan always prunes) — run find_optimal for the exhaustive sweep");
-  }
 
   CodesignResult out;
   const std::size_t ns = shapes.size();
@@ -120,12 +102,6 @@ CodesignResult run_codesign(const std::vector<model::TransformerConfig>& shapes,
   const auto wall_t0 = Clock::now();
 
   const std::int64_t b = opts.sweep.search.global_batch;
-  std::vector<std::int64_t> scale_of(np);
-  for (std::size_t p = 0; p < np; ++p) {
-    scale_of[p] =
-        opts.sweep.search.n_gpus > 0 ? opts.sweep.search.n_gpus
-                                     : points[p].n_gpus;
-  }
 
   // Chains: points sharing (GPU type, scale), in input order — the axis
   // along which a hardware_grid varies only the fabric, so within one
@@ -135,7 +111,7 @@ CodesignResult run_codesign(const std::vector<model::TransformerConfig>& shapes,
   std::map<std::pair<std::string, std::int64_t>, std::size_t> chain_ids;
   std::vector<std::vector<std::size_t>> chains;
   for (std::size_t p = 0; p < np; ++p) {
-    const auto key = std::make_pair(points[p].gpu.name, scale_of[p]);
+    const auto key = std::make_pair(points[p].gpu.name, points[p].n_gpus);
     const auto [it, inserted] = chain_ids.try_emplace(key, chains.size());
     if (inserted) chains.emplace_back();
     chains[it->second].push_back(p);
@@ -182,7 +158,7 @@ CodesignResult run_codesign(const std::vector<model::TransformerConfig>& shapes,
       incumbent[p] = opts.prune_shapes && out.best[p].best.feasible
                          ? out.best[p].best.iteration()
                          : std::numeric_limits<double>::infinity();
-      if (core::shape_time_floor(shape, points[p], scale_of[p], b) >
+      if (core::shape_time_floor(shape, points[p], points[p].n_gpus, b) >
           incumbent[p]) {
         out.pruned[s][p] = 1;
         out.per_shape[s][p].reason = kShapePrunedReason;

@@ -148,12 +148,10 @@ struct CandidateSpace {
 /// share the immutable space).
 class CandidateCache {
  public:
-  /// The candidate space for `mdl` at the scale find_optimal would use
-  /// (opts.n_gpus when positive, else sys.n_gpus), enumerating on first
-  /// use.
+  /// The candidate space for `mdl` at sys.n_gpus, enumerating on first use.
   std::shared_ptr<const CandidateSpace> get(const model::TransformerConfig& mdl,
                                             const hw::SystemConfig& sys,
-                                            const SearchOptions& opts);
+                                            const ScanOptions& opts);
 
   std::size_t builds() const { return memo_.builds(); }
   std::size_t hits() const { return memo_.hits(); }
@@ -171,8 +169,6 @@ class CandidateCache {
 struct CodesignOptions {
   /// Scan knobs: `sweep.search` fixes the candidate space and global batch
   /// for every shape; `sweep.warm_start` / `sweep.threads` tune the scan.
-  /// search.top_k and search.threads must stay 0 and search.prune true
-  /// (see SweepOptions).
   SweepOptions sweep;
 
   /// Screen whole shapes with core::shape_time_floor against the per-point
@@ -238,9 +234,7 @@ struct CodesignResult {
   CodesignStats stats;
 };
 
-/// Driver run over `shapes` x `points`. Throws std::invalid_argument when
-/// opts.sweep.search.top_k or .threads is nonzero or .prune is false (see
-/// SweepOptions).
+/// Driver run over `shapes` x `points`.
 CodesignResult run_codesign(const std::vector<model::TransformerConfig>& shapes,
                             const std::vector<hw::SystemConfig>& points,
                             const CodesignOptions& opts);

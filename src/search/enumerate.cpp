@@ -198,8 +198,7 @@ PendingLeaf PrefixMerge::pop_top() {
 std::vector<parallel::ParallelConfig> expand_candidates(
     const model::TransformerConfig& mdl, const hw::SystemConfig& sys,
     const EnumerationOptions& opts) {
-  return CandidateTree(mdl, opts.n_gpus > 0 ? opts.n_gpus : sys.n_gpus, opts)
-      .leaves();
+  return CandidateTree(mdl, sys.n_gpus, opts).leaves();
 }
 
 std::vector<std::array<std::int64_t, 4>> enumerate_placements(

@@ -34,7 +34,6 @@ namespace tfpe::search {
 struct EnumerationOptions {
   parallel::TpStrategy strategy = parallel::TpStrategy::TP1D;
   std::int64_t global_batch = 4096;
-  std::int64_t n_gpus = 0;  ///< 0 -> use sys.n_gpus.
 
   /// SUMMA panel counts to try; empty -> {1, 2, 4, 8, 16} (filtered by
   /// divisibility).
@@ -218,14 +217,13 @@ class PrefixMerge {
 /// The candidate parallelizations find_optimal scans: the CandidateTree's
 /// leaves at their indices, i.e. the parallelization factorizations
 /// expanded by the interleave / ZeRO-3 / ring-attention axes (placement
-/// fields left at 1). Depends on the SYSTEM only through its GPU count (or
-/// opts.n_gpus), never on the GPU type or NVS domain size — a hardware
-/// sweep at fixed scale enumerates once and reuses the list for every grid
-/// point. It does depend on the MODEL shape (divisibility of
-/// heads/hidden/depth/seq_len, GQA and MoE widths, the interleave filter on
-/// depth/np), so any memo shared across architectures must key on the full
-/// (shape, GPU count) pair — see search::CandidateCache in
-/// search/codesign.hpp.
+/// fields left at 1). Depends on the SYSTEM only through its GPU count,
+/// never on the GPU type or NVS domain size — a hardware sweep at fixed
+/// scale enumerates once and reuses the list for every grid point. It does
+/// depend on the MODEL shape (divisibility of heads/hidden/depth/seq_len,
+/// GQA and MoE widths, the interleave filter on depth/np), so any memo
+/// shared across architectures must key on the full (shape, GPU count)
+/// pair — see search::CandidateCache in search/codesign.hpp.
 std::vector<parallel::ParallelConfig> expand_candidates(
     const model::TransformerConfig& mdl, const hw::SystemConfig& sys,
     const EnumerationOptions& opts);

@@ -249,8 +249,7 @@ SweepState sweep(const model::TransformerConfig& mdl,
                  const hw::SystemConfig& sys, const SearchOptions& opts,
                  bool use_incumbent) {
   SweepState st;
-  const CandidateTree tree(mdl, opts.n_gpus > 0 ? opts.n_gpus : sys.n_gpus,
-                           opts);
+  const CandidateTree tree(mdl, sys.n_gpus, opts);
   st.stats.candidates = tree.size();
   if (tree.size() == 0) return st;
 

@@ -51,7 +51,20 @@
 
 namespace tfpe::search {
 
-struct SearchOptions : EnumerationOptions {
+/// What the scan driver (search/codesign.hpp) reads: the candidate space
+/// and the modeling extensions. It always prunes, keeps only each point's
+/// optimum and owns its thread budget, so it takes none of SearchOptions'
+/// engine knobs.
+struct ScanOptions : EnumerationOptions {
+  /// Modeling extensions applied to every evaluation.
+  core::EvalOptions eval;
+};
+
+struct SearchOptions : ScanOptions {
+  SearchOptions() = default;
+  /// find_optimal under a scan's options, at the engine defaults.
+  SearchOptions(const ScanOptions& scan) : ScanOptions(scan) {}
+
   /// Worker threads; 0 -> hardware concurrency.
   unsigned threads = 0;
 
@@ -60,7 +73,7 @@ struct SearchOptions : EnumerationOptions {
   /// performed (SearchStats) differs. Incumbent-based pruning is
   /// automatically bypassed when top_k > 0, because near-optimal
   /// configurations must then survive to be ranked (the memory-floor
-  /// rejection and both caches still apply). run_sweep rejects false.
+  /// rejection and both caches still apply).
   bool prune = true;
 
   /// Candidates evaluated between incumbent re-reads in the pruned engine.
@@ -68,9 +81,6 @@ struct SearchOptions : EnumerationOptions {
   /// evaluated/pruned counts — not just the optimum — invariant to the
   /// thread count.
   static constexpr std::size_t round_size = 64;
-
-  /// Modeling extensions applied to every evaluation.
-  core::EvalOptions eval;
 
   /// Keep the k best distinct parallelizations in SearchResult::top
   /// (0 = just the optimum).

@@ -24,14 +24,7 @@ namespace tfpe::search {
 struct SweepOptions {
   /// Candidate space + evaluation extensions, shared by every grid point;
   /// every point is scanned with bounds + incumbent pruning.
-  /// UNSUPPORTED here and rejected loudly: `search.top_k` (run_sweep keeps
-  /// only the per-point optimum — rank with find_optimal instead),
-  /// `search.threads` (the sweep owns the thread budget via `threads`
-  /// below; a nested per-point pool would silently oversubscribe) and
-  /// `search.prune = false` (the exhaustive sweep is find_optimal's
-  /// reference mode). Leave them at their defaults or run_sweep throws
-  /// std::invalid_argument.
-  SearchOptions search;
+  ScanOptions search;
 
   /// Workers across chains of grid points; 0 = hardware concurrency.
   unsigned threads = 0;
@@ -148,9 +141,6 @@ struct SweepResult {
 };
 
 /// Optimal configuration of `mdl` at every system in `points`.
-/// Throws std::invalid_argument when opts.search.top_k or
-/// opts.search.threads is nonzero or opts.search.prune is false
-/// (unsupported here; see SweepOptions).
 SweepResult run_sweep(const model::TransformerConfig& mdl,
                       const std::vector<hw::SystemConfig>& points,
                       const SweepOptions& opts);

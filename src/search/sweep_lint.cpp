@@ -1,5 +1,6 @@
 #include "search/sweep_lint.hpp"
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 
@@ -20,28 +21,8 @@ struct ChainKey {
 }  // namespace
 
 analysis::LintReport lint_sweep_plan(const std::vector<hw::SystemConfig>& points,
-                                     const SweepOptions& opts,
                                      const analysis::LintOptions& lint_opts) {
   DiagnosticSink sink(lint_opts.rules);
-
-  // --- sweep-options: knobs run_sweep rejects with a throw. ---
-  if (opts.search.top_k != 0) {
-    sink.emit(RuleId::kSweepOptions, "<options>", 0.0,
-              static_cast<double>(opts.search.top_k),
-              "search.top_k is unsupported under run_sweep (it keeps only "
-              "the per-point optimum; rank with find_optimal instead)");
-  }
-  if (opts.search.threads != 0) {
-    sink.emit(RuleId::kSweepOptions, "<options>", 0.0,
-              static_cast<double>(opts.search.threads),
-              "search.threads is unsupported under run_sweep (the sweep "
-              "owns the thread budget via SweepOptions::threads)");
-  }
-  if (!opts.search.prune) {
-    sink.emit(RuleId::kSweepOptions, "<options>", 1.0, 0.0,
-              "search.prune = false is unsupported under run_sweep (it "
-              "always prunes; run find_optimal for the exhaustive sweep)");
-  }
 
   // --- sweep-warm-chain + per-point system sanity. ---
   std::vector<ChainKey> chain_keys;

@@ -1,9 +1,6 @@
 #pragma once
 // Sweep-plan lint: static soundness checks on a sweep BEFORE it runs.
 //
-//   sweep-options     run_sweep's loudly-rejected knobs (search.top_k,
-//                     search.threads, search.prune = false) caught as
-//                     diagnostics instead of a mid-sweep throw
 //   sweep-warm-chain  warm-start seeding chains key on (gpu.name, n_gpus);
 //                     grid points sharing a chain key but differing in
 //                     roofline or host link would seed from a predecessor
@@ -14,19 +11,17 @@
 // Also merges analysis::lint_system over every grid point. Pure; the CLI
 // runs it on [sweep] configs and the fuzz harness on every fuzzed plan.
 
-#include <cstdint>
 #include <vector>
 
 #include "analysis/consistency.hpp"
 #include "analysis/invariants.hpp"
 #include "hw/system.hpp"
-#include "search/sweep.hpp"
 
 namespace tfpe::search {
 
-/// Lint a sweep plan: `points` is the grid, `opts` the engine options.
+/// Lint a sweep plan: `points` is the grid.
 analysis::LintReport lint_sweep_plan(
-    const std::vector<hw::SystemConfig>& points, const SweepOptions& opts,
+    const std::vector<hw::SystemConfig>& points,
     const analysis::LintOptions& lint_opts = {});
 
 }  // namespace tfpe::search

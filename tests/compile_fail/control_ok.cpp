@@ -1,5 +1,7 @@
 // Positive control for the negative-compile harness: dimensionally sound
-// unit arithmetic must be ACCEPTED by the same compiler invocation.
+// unit arithmetic, and the scan options a sweep does take, must be ACCEPTED
+// by the same compiler invocation.
+#include "search/sweep.hpp"
 #include "util/units.hpp"
 
 int main() {
@@ -8,5 +10,7 @@ int main() {
   const Seconds u = Flops(1e12) / FlopsPerSec(1e15);
   const Bytes moved = BytesPerSec(1e12) * (t + u);
   const double ratio = moved / Bytes(2e9);  // dimensionless -> double
-  return ratio > 0.0 ? 0 : 1;
+  tfpe::search::SweepOptions o;
+  o.search.eval.tp_overlap = 0.5;
+  return ratio > 0.0 && o.search.eval.tp_overlap > 0.0 ? 0 : 1;
 }

@@ -587,26 +587,5 @@ TEST(Codesign, CandidateCacheDoesNotAliasShapesAtEqualScale) {
   EXPECT_EQ(cache.builds(), 3u);
 }
 
-TEST(Codesign, RejectsUnsupportedOptions) {
-  const auto points = search::hardware_grid({hw::GpuGeneration::A100}, {8},
-                                            64);
-  search::CodesignOptions opts;
-  opts.sweep.search.global_batch = 256;
-  opts.sweep.search.top_k = 3;
-  EXPECT_THROW(
-      search::run_codesign({model::gpt3_175b()}, points, opts),
-      std::invalid_argument);
-  opts.sweep.search.top_k = 0;
-  opts.sweep.search.threads = 2;
-  EXPECT_THROW(
-      search::run_codesign({model::gpt3_175b()}, points, opts),
-      std::invalid_argument);
-  opts.sweep.search.threads = 0;
-  opts.sweep.search.prune = false;
-  EXPECT_THROW(
-      search::run_codesign({model::gpt3_175b()}, points, opts),
-      std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace tfpe

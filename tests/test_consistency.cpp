@@ -263,21 +263,7 @@ TEST(LintSweepPlan, CleanPlanFiresNothing) {
   const std::vector<hw::SystemConfig> points = {
       hw::make_system(hw::GpuGeneration::B200, 8, 64)};
   EXPECT_TRUE(analysis::lint_system(points[0]).clean());
-  EXPECT_TRUE(
-      search::lint_sweep_plan(points, search::SweepOptions{}).clean());
-}
-
-TEST(LintSweepPlan, RejectedEngineKnobsFireSweepOptions) {
-  search::SweepOptions opts;
-  opts.search.top_k = 3;
-  const std::vector<hw::SystemConfig> points = {
-      hw::make_system(hw::GpuGeneration::B200, 8, 64)};
-  expect_only(search::lint_sweep_plan(points, opts),
-              RuleId::kSweepOptions, "top_k = 3");
-  opts.search.top_k = 0;
-  opts.search.prune = false;
-  expect_only(search::lint_sweep_plan(points, opts),
-              RuleId::kSweepOptions, "prune = false");
+  EXPECT_TRUE(search::lint_sweep_plan(points).clean());
 }
 
 // ------------------------------------------------------- cache-key probes
@@ -399,8 +385,7 @@ TEST(LintSweepPlan, RooflineDriftWithinChainWarnsSweepWarmChain) {
   auto a = hw::make_system(hw::GpuGeneration::B200, 8, 64);
   auto b = a;
   b.gpu.hbm_bandwidth = b.gpu.hbm_bandwidth * 2.0;  // same name, same n_gpus
-  const LintReport report =
-      search::lint_sweep_plan({a, b}, search::SweepOptions{});
+  const LintReport report = search::lint_sweep_plan({a, b});
   expect_only(report, RuleId::kSweepWarmChain, "hbm drift in chain");
   for (const auto& d : report.diagnostics) {
     EXPECT_EQ(d.severity, Severity::kWarning) << d.message;
@@ -408,8 +393,7 @@ TEST(LintSweepPlan, RooflineDriftWithinChainWarnsSweepWarmChain) {
   // Different GPU counts start different chains: no warning.
   auto c = a;
   c.n_gpus = 128;
-  EXPECT_TRUE(
-      search::lint_sweep_plan({a, c}, search::SweepOptions{}).clean());
+  EXPECT_TRUE(search::lint_sweep_plan({a, c}).clean());
 }
 
 }  // namespace

@@ -83,6 +83,8 @@ TEST(RuleRegistry, KnownAnchorCodesAreStable) {
   // Retired codes are never reused.
   EXPECT_EQ(analysis::rule_info(RuleId::kSweepWarmChain).code,
             "TFPE-SWEEP-003");
+  EXPECT_FALSE(analysis::find_rule("TFPE-SWEEP-001").has_value());
+  EXPECT_FALSE(analysis::find_rule("sweep-options").has_value());
   EXPECT_FALSE(analysis::find_rule("TFPE-SWEEP-002").has_value());
   EXPECT_FALSE(analysis::find_rule("sweep-cache-key").has_value());
 }

@@ -15,6 +15,7 @@
 #include "core/evaluator.hpp"
 #include "parallel/layer_builder.hpp"
 #include "search/search.hpp"
+#include "search/sweep.hpp"
 #include "search/sweep_lint.hpp"
 
 namespace tfpe {
@@ -193,7 +194,7 @@ TEST(Fuzz, SweepPlansOverRandomGridsLintClean) {
     const auto points =
         search::hardware_grid({gen}, nvs, oversub, n, /*leaf_size=*/64);
     ASSERT_FALSE(points.empty()) << trial;
-    const analysis::LintReport lint = search::lint_sweep_plan(points, search::SweepOptions{});
+    const analysis::LintReport lint = search::lint_sweep_plan(points);
     EXPECT_EQ(lint.errors(), 0u) << trial << "\n" << lint.summary();
   }
 }

@@ -6,6 +6,8 @@
 #include <cmath>
 #include <fstream>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "report/op_report.hpp"
 #include "report/sensitivity.hpp"
@@ -85,37 +87,70 @@ TEST(Sensitivity, ElasticitiesAreNonPositive) {
 }
 
 TEST(Sensitivity, RejectsBadStep) {
-  EXPECT_THROW(report::hardware_sensitivities(
-                   model::gpt3_175b(),
-                   hw::make_system(hw::GpuGeneration::B200, 8, 64),
-                   search_opts(64), 1.5),
-               std::invalid_argument);
+  // NaN fails every comparison, so it must be rejected as out of (0, 1),
+  // not let through to NaN elasticities.
+  for (const double bad : {1.5, 0.0, -0.25, std::nan("")}) {
+    EXPECT_THROW(report::hardware_sensitivities(
+                     model::gpt3_175b(),
+                     hw::make_system(hw::GpuGeneration::B200, 8, 64),
+                     search_opts(64), bad),
+                 std::invalid_argument)
+        << bad;
+  }
 }
 
-/// The elasticities describe the plan that was searched: every
-/// re-search runs under the caller's options (here tp_overlap = 0.9), so
-/// each elasticity is the central difference of two find_optimal calls
-/// under those options — not under the defaults.
+/// The elasticities describe the plan that was searched: every re-search
+/// runs under the caller's candidate space and modeling extensions (here
+/// tp_overlap = 0.9), so each elasticity is, bit for bit, the central
+/// difference of two independent find_optimal calls under those options —
+/// not under the defaults. The engine knobs of a plan's SearchOptions
+/// (top_k, threads) do not reach the re-searches, and change no optimum.
 TEST(Sensitivity, ReSearchesUnderThePlanOptions) {
   const auto mdl = model::gpt3_175b();
   const auto sys = hw::make_system(hw::GpuGeneration::B200, 8, 256);
   search::SearchOptions opts = search_opts(512);
   opts.eval.tp_overlap = 0.9;
+  opts.top_k = 3;
+  opts.threads = 2;
   const auto sens = report::hardware_sensitivities(mdl, sys, opts);
-  ASSERT_EQ(sens.size(), 6u);
-  ASSERT_EQ(sens[4].parameter, "nvs_bandwidth");
 
-  const auto elasticity = [&](const search::SearchOptions& o) {
+  using Scale = void (*)(hw::SystemConfig&, double);
+  const std::vector<std::pair<const char*, Scale>> knobs = {
+      {"tensor_flops",
+       [](hw::SystemConfig& s, double f) { s.gpu.tensor_flops *= f; }},
+      {"vector_flops",
+       [](hw::SystemConfig& s, double f) { s.gpu.vector_flops *= f; }},
+      {"hbm_bandwidth",
+       [](hw::SystemConfig& s, double f) { s.gpu.hbm_bandwidth *= f; }},
+      {"hbm_capacity",
+       [](hw::SystemConfig& s, double f) { s.gpu.hbm_capacity *= f; }},
+      {"nvs_bandwidth",
+       [](hw::SystemConfig& s, double f) { s.net.nvs_bandwidth *= f; }},
+      {"ib_bandwidth",
+       [](hw::SystemConfig& s, double f) { s.net.ib_bandwidth *= f; }},
+  };
+  const auto elasticity = [&](Scale scale, search::SearchOptions o) {
+    o.top_k = 0;
+    o.threads = 1;
     hw::SystemConfig up = sys, down = sys;
-    up.net.nvs_bandwidth *= 1.25;
-    down.net.nvs_bandwidth *= 0.75;
-    const double t_up = search::find_optimal(mdl, up, o).best.iteration();
-    const double t_down = search::find_optimal(mdl, down, o).best.iteration();
-    return (std::log(t_up) - std::log(t_down)) /
+    scale(up, 1.25);
+    scale(down, 0.75);
+    const auto t_up = search::find_optimal(mdl, up, o).best;
+    const auto t_down = search::find_optimal(mdl, down, o).best;
+    if (!t_up.feasible || !t_down.feasible) return std::nan("");
+    return (std::log(t_up.iteration()) - std::log(t_down.iteration())) /
            (std::log(1.25) - std::log(0.75));
   };
-  EXPECT_EQ(sens[4].elasticity, elasticity(opts));
-  EXPECT_NE(sens[4].elasticity, elasticity(search_opts(512)));
+
+  ASSERT_EQ(sens.size(), knobs.size());
+  for (std::size_t k = 0; k < knobs.size(); ++k) {
+    ASSERT_EQ(sens[k].parameter, knobs[k].first);
+    const double want = elasticity(knobs[k].second, opts);
+    ASSERT_FALSE(std::isnan(want)) << knobs[k].first;
+    EXPECT_EQ(sens[k].elasticity, want) << knobs[k].first;
+  }
+  EXPECT_NE(sens[4].elasticity,
+            elasticity(knobs[4].second, search_opts(512)));
 }
 
 TEST(ChromeTrace, EmitsOneEventPerTask) {

@@ -122,34 +122,6 @@ TEST(Sweep, RebindsBlocksWhenTheRooflineChangesInAChain) {
   }
 }
 
-/// SweepOptions must reject the SearchOptions fields the sweep cannot
-/// honor, instead of silently ignoring them.
-TEST(Sweep, RejectsUnsupportedOptions) {
-  const auto mdl = model::gpt3_175b();
-  const auto points =
-      search::hardware_grid({hw::GpuGeneration::B200}, {8}, 128);
-  search::SweepOptions opts;
-  opts.search.strategy = parallel::TpStrategy::TP1D;
-  opts.search.global_batch = 512;
-
-  search::SweepOptions top_k = opts;
-  top_k.search.top_k = 3;
-  EXPECT_THROW(search::run_sweep(mdl, points, top_k), std::invalid_argument);
-
-  search::SweepOptions threads = opts;
-  threads.search.threads = 2;
-  EXPECT_THROW(search::run_sweep(mdl, points, threads), std::invalid_argument);
-
-  search::SweepOptions exhaustive = opts;
-  exhaustive.search.prune = false;
-  EXPECT_THROW(search::run_sweep(mdl, points, exhaustive),
-               std::invalid_argument);
-
-  // And the supported surface still runs (empty grid short-circuits after
-  // validation).
-  EXPECT_NO_THROW(search::run_sweep(mdl, {}, opts));
-}
-
 /// The new counters — batch occupancy, warm seeds — must be invariant to
 /// the worker count, like every other work counter: chains are static and
 /// sequential, so the schedule cannot leak in.

@@ -1,8 +1,8 @@
-// Phase-generic execution model: the Workload axis and its Training-phase
-// adapter. The load-bearing contract is bitwise: compiling through
-// Workload::training() must reproduce the legacy training lowering —
-// signature, timing and search optimum — double for double, so the phase
-// refactor cannot move any published number.
+// Phase-generic execution model: the Workload axis and the training
+// lowering under it. The load-bearing contract is bitwise: the training
+// lowering timed through the batched kernel must reproduce the reference
+// evaluator and the search optimum double for double, so the phase axis
+// cannot move any published number.
 
 #include <gtest/gtest.h>
 
@@ -20,8 +20,8 @@ namespace {
 
 using parallel::TpStrategy;
 
-/// Exact double-for-double comparison — the Training adapter must be an
-/// identity on the evaluation pipeline, not an approximation of it.
+/// Exact double-for-double comparison — the kernel must reproduce the
+/// evaluation pipeline, not approximate it.
 void expect_bitwise(const core::EvalResult& ref, const core::EvalResult& got,
                     const std::string& label) {
   ASSERT_EQ(ref.feasible, got.feasible) << label;
@@ -59,16 +59,10 @@ core::EvalResult time_at_placement(const core::CostSignature& sig,
 }
 
 TEST(Workload, FactoriesCarryThePhase) {
-  EXPECT_EQ(core::Workload::training().phase,
-            core::ExecutionPhase::kTraining);
-  EXPECT_TRUE(core::Workload::training().is_training());
-  const auto p = core::Workload::prefill(2048, 256);
-  EXPECT_EQ(p.phase, core::ExecutionPhase::kPrefill);
-  EXPECT_EQ(p.prompt_len, 2048);
-  EXPECT_EQ(p.output_len, 256);
-  EXPECT_FALSE(p.is_training());
   const auto d = core::Workload::decode(2048, 256);
   EXPECT_EQ(d.phase, core::ExecutionPhase::kDecode);
+  EXPECT_EQ(d.prompt_len, 2048);
+  EXPECT_EQ(d.output_len, 256);
   // Steady-state decode sees the prompt plus half the generated tokens of
   // cache on average; an explicit kv_len overrides the midpoint.
   EXPECT_DOUBLE_EQ(d.decode_kv_len(), 2048.0 + 128.0);
@@ -83,9 +77,9 @@ TEST(Workload, PhaseNames) {
   EXPECT_STREQ(core::to_string(core::ExecutionPhase::kDecode), "decode");
 }
 
-/// The golden matrix: legacy compile vs Workload::training() compile vs the
-/// reference evaluator, over models x systems x strategies. All three must
-/// agree bitwise.
+/// The golden matrix: the training compile timed through the kernel vs the
+/// reference evaluator, over models x systems x strategies. They must agree
+/// bitwise.
 TEST(Workload, TrainingAdapterBitwiseMatrix) {
   struct Case {
     parallel::ParallelConfig cfg;
@@ -134,24 +128,18 @@ TEST(Workload, TrainingAdapterBitwiseMatrix) {
             mdl.name + "/" + sys.gpu.name + "/" + c.cfg.describe();
         const auto legacy =
             core::compile_signature(mdl, c.cfg, c.batch, opts);
-        const auto phased = core::compile_signature(
-            mdl, c.cfg, c.batch, core::Workload::training(), opts);
-        EXPECT_EQ(phased.phase, core::ExecutionPhase::kTraining) << label;
+        EXPECT_EQ(legacy.phase, core::ExecutionPhase::kTraining) << label;
         const auto ref = core::evaluate(mdl, sys, c.cfg, c.batch, opts);
         expect_bitwise(
             ref, time_at_placement(legacy, mdl, sys, c.cfg, c.batch, opts),
-            label + " legacy");
-        expect_bitwise(
-            ref, time_at_placement(phased, mdl, sys, c.cfg, c.batch, opts),
-            label + " workload");
+            label);
       }
     }
   }
 }
 
-/// The search optimum is unchanged by the refactor: re-timing the winner's
-/// configuration through the Workload::training() path reproduces the
-/// result the search itself reported, bitwise.
+/// Re-timing the search winner's configuration through the training
+/// lowering reproduces the result the search itself reported, bitwise.
 TEST(Workload, SearchOptimumSurvivesWorkloadPath) {
   const auto mdl = model::gpt3_175b();
   const auto sys = hw::make_system(hw::GpuGeneration::B200, 8, 64);
@@ -159,8 +147,8 @@ TEST(Workload, SearchOptimumSurvivesWorkloadPath) {
   opts.global_batch = 256;
   const auto run = search::find_optimal(mdl, sys, opts);
   ASSERT_TRUE(run.best.feasible);
-  const auto sig = core::compile_signature(
-      mdl, run.best.cfg, opts.global_batch, core::Workload::training(), {});
+  const auto sig =
+      core::compile_signature(mdl, run.best.cfg, opts.global_batch);
   expect_bitwise(run.best,
                  time_at_placement(sig, mdl, sys, run.best.cfg,
                                    opts.global_batch, {}),

@@ -489,8 +489,7 @@ int lint_file(const std::string& path, const model::TransformerConfig& mdl,
           }
         }
       }
-      sink.merge(
-          search::lint_sweep_plan(points, search::SweepOptions{}, opts));
+      sink.merge(search::lint_sweep_plan(points, opts));
     } catch (const std::exception& e) {
       fail_section("sweep", e.what());
     }
@@ -567,7 +566,7 @@ int lint_matrix(std::int64_t b, const std::string& format, bool strict,
   // families run on every bare `tfpe lint`.
   const auto sys = hw::make_system(hw::GpuGeneration::B200, 8, 1024);
   sink.merge(analysis::lint_system(sys, opts));
-  sink.merge(search::lint_sweep_plan({sys}, search::SweepOptions{}, opts));
+  sink.merge(search::lint_sweep_plan({sys}, opts));
 
   if (text) std::cout << cases.size() << " op lists linted\n";
   return finish_lint(sink.take(), format, strict);
@@ -712,7 +711,6 @@ Work sweep_cmd(const util::ArgParser& args) {
             search::CodesignOptions opts;
             opts.sweep.search.strategy = *parallel::strategy_by_name(strat_s);
             opts.sweep.search.global_batch = *util::parse_int(b_s);
-            opts.sweep.search.n_gpus = *util::parse_int(n_s);
             opts.sweep.threads = threads;
             opts.sweep.warm_start = warm_start;
             // Every row must be a true find_optimal result, so the full
