@@ -446,19 +446,24 @@ const Table<Plan> kPlan{
 
 using Sweep = SweepSpec;
 
-// The axes in spec nesting order (the CSV's column order).
+// The axes in spec nesting order (the CSV's column order). `tfpe codesign`
+// reads the record as its hardware grid, with the row flags over it.
 const Table<Sweep> kSweep{
     "sweep",
     {{{"model", kNames, names("a model preset", is_model_preset), "gpt3-1t"},
       set<&Sweep::model>},
-     {{"gpu", kNames, names("a100|h200|b200", is_gpu), "b200"},
+     {flagged("gpu",
+              {"gpu", kNames, names("a100|h200|b200", is_gpu), "b200"}),
       set<&Sweep::gpu>},
-     {{"nvs", kInts, at_least(1), "8"}, set<&Sweep::nvs>},
+     {flagged("nvs", {"nvs", kInts, at_least(1), "8"}), set<&Sweep::nvs>},
      {{"oversub", kReals, at_least(1), "1"}, set<&Sweep::oversub>},
-     {{"gpus", kInts, at_least(1), "1024"}, set<&Sweep::gpus>},
-     {{"strategy", kNames, names("1d|2d|summa", is_strategy), "1d"},
+     {flagged("gpus", {"gpus", kInts, at_least(1), "1024"}),
+      set<&Sweep::gpus>},
+     {flagged("strategy",
+              {"strategy", kNames, names("1d|2d|summa", is_strategy), "1d"}),
       set<&Sweep::strategy>},
-     {{"batch", kInts, at_least(1), "4096"}, set<&Sweep::batch>},
+     {flagged("batch", {"batch", kInts, at_least(1), "4096"}),
+      set<&Sweep::batch>},
      {{"leaf", kInt, at_least(1), "64"}, set<&Sweep::leaf>},
      {{"output", kString, {}, "sweep.csv"}, set<&Sweep::output>}}};
 

@@ -177,7 +177,7 @@ struct CodesignOptions {
   /// unaffected bit for bit; pruned and cut (shape, point) entries are
   /// flagged instead of reported.
   /// Set false when the full exact per-shape matrix is the product wanted
-  /// (e.g. tfpe sweep --arch CSV dumps).
+  /// (tfpe sweep's CSV rows, tfpe codesign --no-prune-shapes).
   bool prune_shapes = true;
 };
 

@@ -20,22 +20,8 @@ SweepResult run_sweep(const model::TransformerConfig& mdl,
 
 std::vector<hw::SystemConfig> hardware_grid(
     const std::vector<hw::GpuGeneration>& gens,
-    const std::vector<std::int64_t>& nvs_domains, std::int64_t n_gpus) {
-  std::vector<hw::SystemConfig> grid;
-  grid.reserve(gens.size() * nvs_domains.size());
-  for (hw::GpuGeneration gen : gens) {
-    for (std::int64_t nvs : nvs_domains) {
-      grid.push_back(hw::make_system(gen, nvs, n_gpus));
-    }
-  }
-  return grid;
-}
-
-std::vector<hw::SystemConfig> hardware_grid(
-    const std::vector<hw::GpuGeneration>& gens,
-    const std::vector<std::int64_t>& nvs_domains,
-    const std::vector<double>& oversubscriptions, std::int64_t n_gpus,
-    std::int64_t leaf_size) {
+    const std::vector<std::int64_t>& nvs_domains, std::int64_t n_gpus,
+    const std::vector<double>& oversubscriptions, std::int64_t leaf_size) {
   std::vector<hw::SystemConfig> grid;
   grid.reserve(gens.size() * nvs_domains.size() * oversubscriptions.size());
   for (hw::GpuGeneration gen : gens) {

@@ -145,22 +145,17 @@ SweepResult run_sweep(const model::TransformerConfig& mdl,
                       const std::vector<hw::SystemConfig>& points,
                       const SweepOptions& opts);
 
-/// The Fig. 2-style grid: every (generation, NVS-domain size) pair at a
-/// fixed GPU count, generations outer.
+/// The Fig. 2-style grid at a fixed GPU count: every (generation, NVS
+/// domain, spine oversubscription) triple, generations outer and
+/// oversubscription innermost. Ratio 1 keeps the canonical two-level
+/// fabric; ratios > 1 attach a three-level leaf/spine fabric (leaf pods of
+/// `leaf_size` GPUs, rounded down to a multiple of the NVS domain) with
+/// that spine oversubscription — so run_sweep sweeps oversubscription
+/// exactly like it sweeps the NVS-domain size.
 std::vector<hw::SystemConfig> hardware_grid(
     const std::vector<hw::GpuGeneration>& gens,
-    const std::vector<std::int64_t>& nvs_domains, std::int64_t n_gpus);
-
-/// Topology-axis grid: every (generation, NVS domain, spine
-/// oversubscription) triple, oversubscription innermost. Ratio 1 keeps the
-/// canonical two-level fabric; ratios > 1 attach a three-level leaf/spine
-/// fabric (leaf pods of `leaf_size` GPUs, rounded down to a multiple of the
-/// NVS domain) with that spine oversubscription — so run_sweep sweeps
-/// oversubscription exactly like it sweeps the NVS-domain size.
-std::vector<hw::SystemConfig> hardware_grid(
-    const std::vector<hw::GpuGeneration>& gens,
-    const std::vector<std::int64_t>& nvs_domains,
-    const std::vector<double>& oversubscriptions, std::int64_t n_gpus,
-    std::int64_t leaf_size);
+    const std::vector<std::int64_t>& nvs_domains, std::int64_t n_gpus,
+    const std::vector<double>& oversubscriptions = {1.0},
+    std::int64_t leaf_size = 64);
 
 }  // namespace tfpe::search

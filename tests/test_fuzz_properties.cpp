@@ -192,7 +192,7 @@ TEST(Fuzz, SweepPlansOverRandomGridsLintClean) {
                                            rng.pick({16L, 64L})};
     const std::vector<double> oversub = {1.0, rng.pick({2.0, 4.0})};
     const auto points =
-        search::hardware_grid({gen}, nvs, oversub, n, /*leaf_size=*/64);
+        search::hardware_grid({gen}, nvs, n, oversub, /*leaf_size=*/64);
     ASSERT_FALSE(points.empty()) << trial;
     const analysis::LintReport lint = search::lint_sweep_plan(points);
     EXPECT_EQ(lint.errors(), 0u) << trial << "\n" << lint.summary();

@@ -220,5 +220,66 @@ TEST(SchemaAgreement, LintFiresTheRowRuleIffTheLoaderThrows) {
   EXPECT_LT(rejected, cases);
 }
 
+/// A parser's answer to with_flags: the given flags' values, else nothing.
+std::function<std::optional<std::string>(const std::string&)> given(
+    std::map<std::string, std::string> flags) {
+  return [flags](const std::string& flag) -> std::optional<std::string> {
+    const auto it = flags.find(flag);
+    if (it == flags.end()) return std::nullopt;
+    return it->second;
+  };
+}
+
+using Texts = std::vector<std::string>;
+
+TEST(WithFlags, FlagOverridesTheSectionValue) {
+  const Section s = with_flags("sweep", {{"gpu", "a100"}, {"batch", "256"}},
+                               given({{"gpu", "h200"}, {"batch", "512"}}));
+  EXPECT_EQ(s.at("gpu"), "h200");
+  const SweepSpec spec = sweep_from_section(s);
+  EXPECT_EQ(spec.gpu, Texts{"h200"});
+  EXPECT_EQ(spec.batch, Texts{"512"});
+}
+
+TEST(WithFlags, AbsentFlagKeepsTheSectionValue) {
+  // Only the row flags are asked for: `model` and `oversub` have none.
+  const Section s =
+      with_flags("sweep", {{"gpu", "a100"}, {"oversub", "2"}},
+                 given({{"strategy", "2d"}, {"model", "gpt3-175b"},
+                        {"oversub", "4"}}));
+  EXPECT_EQ(s, (Section{{"gpu", "a100"}, {"oversub", "2"},
+                        {"strategy", "2d"}}));
+  const SweepSpec spec = sweep_from_section(s);
+  EXPECT_EQ(spec.gpu, Texts{"a100"});
+  EXPECT_EQ(spec.oversub, Texts{"2"});
+  EXPECT_EQ(spec.model, Texts{"gpt3-1t"});  // the row's default
+  EXPECT_EQ(spec.nvs, Texts{"8"});
+}
+
+TEST(WithFlags, ListFlagReadsAsTheRowsList) {
+  const SweepSpec spec = sweep_from_section(with_flags(
+      "sweep", {{"nvs", "64"}},
+      given({{"nvs", "4,8"}, {"gpu", "a100,b200"}, {"gpus", "64,128"}})));
+  EXPECT_EQ(spec.nvs, (Texts{"4", "8"}));
+  EXPECT_EQ(spec.gpu, (Texts{"a100", "b200"}));
+  EXPECT_EQ(spec.gpus, (Texts{"64", "128"}));
+}
+
+TEST(WithFlags, OutOfDomainValueThrowsNamingTheFlag) {
+  const std::vector<std::pair<std::string, std::string>> bad{
+      {"strategy", "3d"}, {"strategy", "all"}, {"nvs", "0"},
+      {"nvs", "4,"},      {"gpus", "abc"},     {"batch", "-5"},
+      {"gpu", "x100"}};
+  for (const auto& [flag, value] : bad) {
+    try {
+      (void)with_flags("sweep", {}, given({{flag, value}}));
+      ADD_FAILURE() << "--" << flag << " " << value << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("flag --" + flag + " ", 0), 0u)
+          << e.what();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace tfpe::io

@@ -773,7 +773,7 @@ TEST(TopologyLint, LeafFanInMustEqualNvsDomain) {
   // points and --ablate-topology's degenerate three-level preset.
   for (const hw::SystemConfig& sys : search::hardware_grid(
            {hw::GpuGeneration::B200, hw::GpuGeneration::A100}, {4, 8, 16, 64},
-           {1.0, 4.0}, 1024, 64)) {
+           1024, {1.0, 4.0}, 64)) {
     EXPECT_TRUE(analysis::lint_system(sys).clean()) << sys.describe();
     hw::SystemConfig degenerate = sys;
     degenerate.fabric = hw::leaf_spine_topology(sys.net, sys.nvs_domain,
@@ -785,8 +785,8 @@ TEST(TopologyLint, LeafFanInMustEqualNvsDomain) {
 
 TEST(TopologySweep, HardwareGridOversubscriptionAxis) {
   const auto grid = search::hardware_grid(
-      {hw::GpuGeneration::B200, hw::GpuGeneration::H200}, {4, 8}, {1.0, 4.0},
-      256, 32);
+      {hw::GpuGeneration::B200, hw::GpuGeneration::H200}, {4, 8}, 256,
+      {1.0, 4.0}, 32);
   ASSERT_EQ(grid.size(), 8u);
   // Oversubscription innermost: even entries keep the canonical two-level
   // fabric, odd entries attach a three-level leaf/spine.
@@ -807,8 +807,8 @@ TEST(TopologySweep, HardwareGridOversubscriptionAxis) {
 
 TEST(TopologySweep, OversubscribedPointIsNeverFaster) {
   const model::TransformerConfig mdl = model::gpt3_175b();
-  const auto grid = search::hardware_grid({hw::GpuGeneration::B200}, {8},
-                                          {1.0, 8.0}, 256, 32);
+  const auto grid = search::hardware_grid({hw::GpuGeneration::B200}, {8}, 256,
+                                          {1.0, 8.0}, 32);
   search::SweepOptions opts;
   opts.search.global_batch = 256;
   opts.threads = 2;

@@ -5,7 +5,7 @@
 //        --interleave --zero3 --csv out.csv --ops --sensitivity
 //   tfpe --model custom --l 4096 --e 8192 --heads 64 --depth 32 --gpus 512
 //   tfpe sweep spec.tfpe --threads 4 --verify-legacy
-//   tfpe codesign --config family.tfpe --gpu a100,b200 --nvs 8,64
+//   tfpe codesign --config family.tfpe --gpu a100,b200 --strategy 2d
 //   tfpe serve-plan --model llama3-405b --gpu h200 --nvs 8
 //   tfpe lint [PATH] --format sarif --strict
 //
@@ -17,6 +17,7 @@
 // (`error: ...` plus the command's help, or a located TFPE-* report, on
 // stderr); `tfpe lint` adds 3 for warnings under --strict.
 
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -59,12 +60,13 @@ std::string help_text(const std::string& cmd) {
     return
         "usage: tfpe sweep SPEC [--output PATH] [--threads N] [--warm-start]\n"
         "                       [--profile-stages] [--verify-legacy]\n"
-        "                       [--ablate-topology] [--arch]\n"
+        "                       [--ablate-topology]\n"
         "\n"
         "Batch experiment runner: the optimal configuration at every point\n"
         "of the [sweep] section's cross product (model x gpu x nvs x oversub\n"
         "x gpus x strategy x batch), one CSV row per point. The spec is\n"
-        "schema-linted first; its format is in docs/API.md.\n"
+        "schema-linted first; its format is in docs/API.md. `tfpe codesign`\n"
+        "runs the same grid over an iso-parameter shape family.\n"
         "\n"
         "  --output PATH       CSV path (default: the spec's output, else\n"
         "                      sweep.csv)\n"
@@ -76,9 +78,7 @@ std::string help_text(const std::string& cmd) {
         "                      call; exits 1 unless all are bitwise identical\n"
         "  --ablate-topology   re-run every two-level point under the\n"
         "                      degenerate three-level fabric; exits 1 on any\n"
-        "                      difference\n"
-        "  --arch              expand each model into its iso-parameter shape\n"
-        "                      family ([codesign] section), a row per shape\n";
+        "                      difference\n";
   }
   if (cmd == "codesign") {
     return
@@ -86,27 +86,27 @@ std::string help_text(const std::string& cmd) {
         "\n"
         "Enumerates every transformer shape within a tolerance of the base\n"
         "model's parameter budget ([codesign] axes in the config file, or the\n"
-        "defaults), crosses the family with a gpu x nvs hardware grid and\n"
-        "reports, per grid point, the winning (shape, parallelization,\n"
-        "placement) triple. Every reported result is bitwise identical to\n"
-        "find_optimal on that (shape, point); shapes whose architecture-level\n"
-        "compute floor exceeds the cross-shape incumbent are pruned whole,\n"
-        "and a shape that reaches nothing at or below it is cut.\n"
-        "\n"
-        "Searches 1D tensor parallelism only. For 2D or SUMMA shape sweeps\n"
-        "run `tfpe sweep SPEC --arch` with strategy = 2d or summa in the\n"
-        "spec's [sweep] section.\n"
+        "defaults), crosses the family with the [sweep] section's hardware\n"
+        "grid (gpu x nvs x oversub, at every gpus x strategy x batch; its\n"
+        "model axis is tfpe sweep's) and reports, per grid point, the winning\n"
+        "(shape, parallelization, placement) triple. Every reported result is\n"
+        "bitwise identical to find_optimal on that (shape, point); shapes\n"
+        "whose architecture-level compute floor exceeds the cross-shape\n"
+        "incumbent are pruned whole, and a shape that reaches nothing at or\n"
+        "below it is cut.\n"
         "\n"
         "  --model NAME        base preset the family is iso to (default gpt3-1t)\n"
-        "  --config PATH       load [model] and/or [codesign] from a file\n"
+        "  --config PATH       load [model], [codesign] and [sweep] from a file\n"
         "  --target-params B   override the parameter budget [billions]\n"
         "  --tolerance F       override the relative band (default 0.02)\n"
-        "  --gpu LIST          generations to grid (default a100,h200,b200)\n"
-        "  --nvs LIST          NVS-domain sizes to grid (default 8)\n"
-        "  --gpus N            total GPUs (default 1024)\n"
-        "  --batch B           global batch (default 4096)\n"
+        "  --gpu LIST          [sweep] generations (default b200)\n"
+        "  --nvs LIST          [sweep] NVS-domain sizes (default 8)\n"
+        "  --gpus LIST         [sweep] total GPU counts (default 1024)\n"
+        "  --strategy LIST     [sweep] 1d | 2d | summa (default 1d)\n"
+        "  --batch LIST        [sweep] global batches (default 4096)\n"
         "  --threads N         worker threads (0 = hardware concurrency)\n"
-        "  --no-prune-shapes   keep the full exact per-shape matrix\n"
+        "  --no-prune-shapes   keep the full exact per-shape matrix (with\n"
+        "                      --verify-per-shape: every pair bitwise checked)\n"
         "  --no-warm-start     cold incumbents (A/B baseline)\n"
         "  --verify-per-shape  cross-check every reported (shape, point) and\n"
         "                      winner bitwise against per-shape find_optimal,\n"
@@ -293,24 +293,6 @@ unsigned read_threads(const util::ArgParser& args) {
   return static_cast<unsigned>(threads);
 }
 
-/// --flag A,B,...: positive integers, or `fallback` when the flag is absent.
-std::vector<std::int64_t> int_list(const util::ArgParser& args,
-                                   const std::string& flag,
-                                   std::vector<std::int64_t> fallback) {
-  const auto list = args.get(flag);
-  if (!list) return fallback;
-  std::vector<std::int64_t> out;
-  for (const auto& item : util::split_list(*list)) {
-    const auto v = util::parse_int(item);
-    require(v && *v >= 1, "flag --" + flag +
-                              " expects positive integers, got '" + item +
-                              "'");
-    out.push_back(*v);
-  }
-  require(!out.empty(), "flag --" + flag + " expects positive integers");
-  return out;
-}
-
 /// Re-solve every (shape, point) of `run`, and every point's winner by the
 /// same shape-order reduction, with independent find_optimal calls: a
 /// reported entry must match bitwise, and a floor-pruned or cut one must be
@@ -355,15 +337,22 @@ std::size_t cross_check(const std::vector<model::TransformerConfig>& shapes,
   return mismatches;
 }
 
-/// One [sweep] hardware point, through a one-point search::hardware_grid
-/// call so the fabric (oversub 1 = two-level, > 1 = leaf/spine) stays in
-/// FP lockstep with the grid builder. The values passed its rows.
-hw::SystemConfig sweep_point(const io::SweepSpec& spec, const std::string& g,
-                             const std::string& n, const std::string& os,
-                             const std::string& n_gpus) {
-  return search::hardware_grid({generation(g)}, {*util::parse_int(n)},
-                               {*util::parse_real(os)},
-                               *util::parse_int(n_gpus), spec.leaf)[0];
+/// A [sweep] record's hardware grid at each of its GPU counts: gpu x nvs x
+/// oversub in search::hardware_grid's order, one call per count.
+std::vector<std::vector<hw::SystemConfig>> hardware_grids(
+    const io::SweepSpec& spec) {
+  std::vector<hw::GpuGeneration> gens;
+  for (const auto& g : spec.gpu) gens.push_back(generation(g));
+  std::vector<std::int64_t> nvs;
+  for (const auto& n : spec.nvs) nvs.push_back(*util::parse_int(n));
+  std::vector<double> oversub;
+  for (const auto& os : spec.oversub) oversub.push_back(*util::parse_real(os));
+  std::vector<std::vector<hw::SystemConfig>> out;
+  for (const auto& n_gpus : spec.gpus) {
+    out.push_back(search::hardware_grid(gens, nvs, *util::parse_int(n_gpus),
+                                        oversub, spec.leaf));
+  }
+  return out;
 }
 
 /// A subcommand's work, returned by its prologue once every flag it
@@ -480,14 +469,8 @@ int lint_file(const std::string& path, const model::TransformerConfig& mdl,
   if (const auto spec = load("sweep", io::sweep_from_section)) {
     try {
       std::vector<hw::SystemConfig> points;
-      for (const auto& n_gpus : spec->gpus) {
-        for (const auto& g : spec->gpu) {
-          for (const auto& n : spec->nvs) {
-            for (const auto& os : spec->oversub) {
-              points.push_back(sweep_point(*spec, g, n, os, n_gpus));
-            }
-          }
-        }
+      for (const auto& grid : hardware_grids(*spec)) {
+        points.insert(points.end(), grid.begin(), grid.end());
       }
       sink.merge(search::lint_sweep_plan(points, opts));
     } catch (const std::exception& e) {
@@ -594,17 +577,112 @@ Work lint_cmd(const util::ArgParser& args) {
     require(path.empty(), "too many arguments");
     path = *v;
   }
+  // With a PATH, an absent --batch (0) means the plan's own.
+  const std::int64_t batch = args.get_int_or("batch", path.empty() ? 2 : 0);
+  require(batch >= 1 || !args.has("batch"), "--batch must be >= 1");
   if (!path.empty()) {
     const model::TransformerConfig mdl = resolve_model(args, {}, "gpt3-1t");
-    const std::int64_t batch = args.get_int_or("batch", 0);
     return [=] { return lint_file(path, mdl, batch, format, strict, opts); };
   }
-  const std::int64_t b = args.get_int_or("batch", 2);
-  require(b >= 1, "--batch must be >= 1");
-  return [=] { return lint_matrix(b, format, strict, opts); };
+  return [=] { return lint_matrix(batch, format, strict, opts); };
 }
 
-// --- `tfpe sweep`: batch experiment runner --------------------------------
+// --- `tfpe sweep` and `tfpe codesign`: one slice loop over a [sweep] grid -
+
+/// The [sweep] grid a command runs: per GPU count one hardware grid, every
+/// system lint-checked, and each grid point's (gpu, nvs, oversub) as the
+/// spec writes them.
+struct SweepGrid {
+  io::SweepSpec spec;
+  std::vector<std::array<std::string, 3>> axes;
+  std::vector<std::vector<hw::SystemConfig>> systems;  ///< per spec.gpus
+};
+
+SweepGrid sweep_grid(const io::SweepSpec& spec) {
+  SweepGrid out{spec, {}, hardware_grids(spec)};
+  for (const auto& g : spec.gpu) {
+    for (const auto& n : spec.nvs) {
+      for (const auto& os : spec.oversub) out.axes.push_back({g, n, os});
+    }
+  }
+  for (auto& grid : out.systems) {
+    for (auto& sys : grid) sys = checked(sys);
+  }
+  return out;
+}
+
+/// One (gpus, strategy, batch) slice of a SweepGrid, as run_codesign ran it.
+struct Slice {
+  std::size_t index;  ///< over gpus x strategy x batch, batch innermost
+  std::string gpus, strategy, batch;
+  const std::vector<hw::SystemConfig>& systems;
+  /// Per grid point: `<gpu> nvs<N> os<R> n<G> <strategy> b<B>`.
+  std::vector<std::string> labels;
+  search::CodesignOptions opts;
+  search::CodesignResult run;
+};
+
+/// What a command's slices add up to.
+struct Totals {
+  search::CodesignStats stats;  ///< summed over slices (`shapes`: the last)
+  double seconds = 0.0;         ///< spent in run_codesign
+  std::size_t mismatches = 0;   ///< cross_check's
+};
+
+/// Run `shapes` over every slice of `grid`, one run_codesign call each
+/// under `base` with the slice's strategy and batch; sum its stats into
+/// `totals`, cross-check it when `verify`, and hand it to `each`.
+void run_slices(const SweepGrid& grid,
+                const std::vector<model::TransformerConfig>& shapes,
+                const search::CodesignOptions& base, bool verify,
+                Totals& totals, const std::function<void(const Slice&)>& each) {
+  using Stats = search::CodesignStats;
+  static constexpr std::size_t Stats::*kSummed[] = {
+      &Stats::points, &Stats::candidates, &Stats::evaluated,
+      &Stats::bound_pruned, &Stats::subtree_pruned,
+      &Stats::placement_floor_pruned, &Stats::signature_compiles,
+      &Stats::signature_cache_hits, &Stats::signature_reuses,
+      &Stats::batch_calls, &Stats::batch_placements, &Stats::warm_seeded,
+      &Stats::warm_seed_feasible, &Stats::shapes_pruned,
+      &Stats::shapes_evaluated, &Stats::shapes_cut,
+      &Stats::feasible_shape_points, &Stats::enumerations,
+      &Stats::enumeration_hits};
+  const io::SweepSpec& spec = grid.spec;
+  std::size_t index = 0;
+  for (std::size_t g = 0; g < spec.gpus.size(); ++g) {
+    for (const auto& strategy : spec.strategy) {
+      for (const auto& batch : spec.batch) {
+        Slice slice{index++, spec.gpus[g], strategy, batch, grid.systems[g],
+                    {}, base, {}};
+        for (const auto& [gpu, nvs, os] : grid.axes) {
+          slice.labels.push_back(gpu + " nvs" + nvs + " os" + os + " n" +
+                                 slice.gpus + " " + strategy + " b" + batch);
+        }
+        slice.opts.sweep.search.strategy =
+            *parallel::strategy_by_name(strategy);
+        slice.opts.sweep.search.global_batch = *util::parse_int(batch);
+
+        const auto t0 = std::chrono::steady_clock::now();
+        slice.run = search::run_codesign(shapes, slice.systems, slice.opts);
+        totals.seconds += std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+        const Stats& st = slice.run.stats;
+        for (const auto field : kSummed) totals.stats.*field += st.*field;
+        totals.stats.shapes = st.shapes;
+        totals.stats.profile.enumerate_s += st.profile.enumerate_s;
+        totals.stats.profile.compile_s += st.profile.compile_s;
+        totals.stats.profile.time_s += st.profile.time_s;
+        totals.stats.profile.wall_s += st.profile.wall_s;
+        if (verify) {
+          totals.mismatches += cross_check(shapes, slice.systems,
+                                           slice.labels, slice.opts, slice.run);
+        }
+        each(slice);
+      }
+    }
+  }
+}
 
 Work sweep_cmd(const util::ArgParser& args) {
   require(args.positional().size() > 1, "missing sweep spec");
@@ -619,170 +697,73 @@ Work sweep_cmd(const util::ArgParser& args) {
   }
   const auto it = sections.find("sweep");
   require(it != sections.end(), "spec has no [sweep] section");
-  const io::SweepSpec spec = io::sweep_from_section(it->second);
-
-  /// One fully-resolved sweep point, in spec nesting order.
-  struct Point {
-    std::string model, gpu, nvs, oversub, gpus, strategy, batch;
-    hw::SystemConfig sys;
-  };
-  std::vector<Point> points;
-  for (const auto& m : spec.model) {
-    for (const auto& g : spec.gpu) {
-      for (const auto& n : spec.nvs) {
-        for (const auto& os : spec.oversub) {
-          for (const auto& n_gpus : spec.gpus) {
-            const hw::SystemConfig sys =
-                checked(sweep_point(spec, g, n, os, n_gpus));
-            for (const auto& s : spec.strategy) {
-              for (const auto& b : spec.batch) {
-                points.push_back({m, g, n, os, n_gpus, s, b, sys});
-              }
-            }
-          }
-        }
-      }
-    }
-  }
+  const SweepGrid grid = sweep_grid(io::sweep_from_section(it->second));
 
   std::string output = args.get_or("output", "");
-  if (output.empty()) output = spec.output;
+  if (output.empty()) output = grid.spec.output;
   const bool verify_legacy = args.has("verify-legacy");
   const bool ablate_topology = args.has("ablate-topology");
-  const bool arch = args.has("arch");
-  require(!(arch && ablate_topology),
-          "--arch and --ablate-topology are mutually exclusive");
-  const model::ShapeFamilyOptions family_opts =
-      sections.count("codesign")
-          ? io::codesign_from_section(sections.at("codesign"))
-          : model::ShapeFamilyOptions{};
-  const bool warm_start = args.has("warm-start");
+  search::CodesignOptions opts;
+  opts.sweep.threads = read_threads(args);
+  opts.sweep.warm_start = args.has("warm-start");
+  // Every row must be a true find_optimal result, so the full per-shape
+  // matrix is kept.
+  opts.prune_shapes = false;
   const bool profile_stages = args.has("profile-stages");
-  const unsigned threads = read_threads(args);
 
   return [=] {
-    // One CSV row: a sweep point (its model column naming the shape under
-    // --arch), its optimum, and the sequence length its throughput uses.
+    const io::SweepSpec& spec = grid.spec;
+    // One CSV row: a sweep point's axis values in spec nesting order, its
+    // label, its optimum and the sequence length its throughput uses.
     struct Row {
-      Point p;
+      std::vector<std::string> axes;
+      std::string label;
       core::EvalResult r;
       std::int64_t seq_len = 0;
     };
-    // Plain rows land at their point's index; --arch rows, one per (shape,
-    // hardware point), append slice by slice in spec nesting order.
-    std::vector<Row> rows(arch ? 0 : points.size());
-    search::SweepStats totals;
-    double sweep_seconds = 0.0;
-    std::size_t mismatches = 0;
+    const std::size_t n_slices =
+        spec.gpus.size() * spec.strategy.size() * spec.batch.size();
+    std::vector<Row> rows(spec.model.size() * grid.axes.size() * n_slices);
+    Totals totals;
     std::size_t ablation_mismatches = 0;
     std::size_t ablation_checked = 0;
 
-    for (const auto& model_name : spec.model) {
-      const auto mdl = *model::preset_by_name(model_name);
-      // The slice's shape family: the model itself, or under --arch its
-      // iso-parameter family.
-      std::vector<model::TransformerConfig> shapes{mdl};
-      if (arch) {
-        shapes = model::shape_family(mdl, family_opts);
-        require(!shapes.empty(),
-                "[codesign] enumerates zero shapes around " + model_name);
-      }
-      // Within one (model, gpus, strategy, batch) slice the gpu x nvs x
-      // oversub axes share candidates and compiled signatures, so each
-      // slice is one run_codesign call.
-      for (const auto& n_s : spec.gpus) {
-        for (const auto& strat_s : spec.strategy) {
-          for (const auto& b_s : spec.batch) {
-            std::vector<std::size_t> slice;  // indices into `points`
-            std::vector<hw::SystemConfig> grid;
-            std::vector<std::string> labels;
-            for (std::size_t i = 0; i < points.size(); ++i) {
-              const Point& p = points[i];
-              if (p.model != model_name || p.gpus != n_s ||
-                  p.strategy != strat_s || p.batch != b_s) {
-                continue;
-              }
-              slice.push_back(i);
-              grid.push_back(p.sys);
-              labels.push_back(p.gpu + " nvs" + p.nvs + " n" + p.gpus + " " +
-                               p.strategy + " b" + p.batch);
-            }
-
-            search::CodesignOptions opts;
-            opts.sweep.search.strategy = *parallel::strategy_by_name(strat_s);
-            opts.sweep.search.global_batch = *util::parse_int(b_s);
-            opts.sweep.threads = threads;
-            opts.sweep.warm_start = warm_start;
-            // Every row must be a true find_optimal result, so the full
-            // per-shape matrix is kept.
-            opts.prune_shapes = false;
-
-            const auto t0 = std::chrono::steady_clock::now();
-            const search::CodesignResult run =
-                search::run_codesign(shapes, grid, opts);
-            sweep_seconds += std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() - t0)
-                                 .count();
-            const search::SweepStats& st = run.stats;
-            totals.signature_compiles += st.signature_compiles;
-            totals.signature_cache_hits += st.signature_cache_hits;
-            totals.signature_reuses += st.signature_reuses;
-            totals.batch_calls += st.batch_calls;
-            totals.batch_placements += st.batch_placements;
-            totals.placement_floor_pruned += st.placement_floor_pruned;
-            totals.subtree_pruned += st.subtree_pruned;
-            totals.warm_seeded += st.warm_seeded;
-            totals.warm_seed_feasible += st.warm_seed_feasible;
-            totals.profile.enumerate_s += st.profile.enumerate_s;
-            totals.profile.compile_s += st.profile.compile_s;
-            totals.profile.time_s += st.profile.time_s;
-            totals.profile.wall_s += st.profile.wall_s;
-            if (verify_legacy) {
-              mismatches += cross_check(shapes, grid, labels, opts, run);
-            }
-
-            for (std::size_t s = 0; s < shapes.size(); ++s) {
-              for (std::size_t j = 0; j < slice.size(); ++j) {
-                Row row{points[slice[j]], run.per_shape[s][j],
-                        shapes[s].seq_len};
-                if (arch) {
-                  row.p.model = shapes[s].name;
-                  rows.push_back(std::move(row));
-                } else {
-                  rows[slice[j]] = std::move(row);
-                }
-              }
-            }
-
-            if (ablate_topology) {
-              // Swap every two-level point's fabric for the degenerate
-              // three-level preset (leaf pod = NVS domain, full bisection):
-              // walking one extra level with fan-in 1 must not change a
-              // single bit of the optimum.
-              std::vector<hw::SystemConfig> degenerate = grid;
-              std::vector<bool> swapped(grid.size(), false);
-              for (std::size_t j = 0; j < grid.size(); ++j) {
-                if (!grid[j].fabric.levels.empty()) continue;  // 3-level
-                degenerate[j].fabric = hw::leaf_spine_topology(
-                    grid[j].net, grid[j].nvs_domain, grid[j].nvs_domain,
-                    grid[j].n_gpus, 1.0);
-                swapped[j] = true;
-              }
-              const search::SweepResult check =
-                  search::run_sweep(mdl, degenerate, opts.sweep);
-              for (std::size_t j = 0; j < slice.size(); ++j) {
-                if (!swapped[j]) continue;
-                ++ablation_checked;
-                if (!search::same_optimum(rows[slice[j]].r, check.best[j])) {
-                  ++ablation_mismatches;
-                  std::cerr << "ABLATION MISMATCH at " << model_name << " "
-                            << labels[j] << "\n";
-                }
-              }
-            }
+    for (std::size_t m = 0; m < spec.model.size(); ++m) {
+      const auto mdl = *model::preset_by_name(spec.model[m]);
+      run_slices(grid, {mdl}, opts, verify_legacy, totals, [&](const Slice& s) {
+        for (std::size_t j = 0; j < grid.axes.size(); ++j) {
+          const auto& [gpu, nvs, os] = grid.axes[j];
+          // Spec nesting order: the model, the grid point, the slice.
+          rows[(m * grid.axes.size() + j) * n_slices + s.index] = {
+              {spec.model[m], gpu, nvs, os, s.gpus, s.strategy, s.batch},
+              s.labels[j], s.run.per_shape[0][j], mdl.seq_len};
+        }
+        if (!ablate_topology) return;
+        // Swap every two-level point's fabric for the degenerate
+        // three-level preset (leaf pod = NVS domain, full bisection):
+        // walking one extra level with fan-in 1 must not change a single
+        // bit of the optimum.
+        std::vector<hw::SystemConfig> degenerate = s.systems;
+        std::vector<bool> swapped(degenerate.size(), false);
+        for (std::size_t j = 0; j < degenerate.size(); ++j) {
+          hw::SystemConfig& sys = degenerate[j];
+          if (!sys.fabric.levels.empty()) continue;  // 3-level
+          sys.fabric = hw::leaf_spine_topology(sys.net, sys.nvs_domain,
+                                               sys.nvs_domain, sys.n_gpus, 1.0);
+          swapped[j] = true;
+        }
+        const search::SweepResult check =
+            search::run_sweep(mdl, degenerate, s.opts.sweep);
+        for (std::size_t j = 0; j < degenerate.size(); ++j) {
+          if (!swapped[j]) continue;
+          ++ablation_checked;
+          if (!search::same_optimum(s.run.per_shape[0][j], check.best[j])) {
+            ++ablation_mismatches;
+            std::cerr << "ABLATION MISMATCH at " << mdl.name << " "
+                      << s.labels[j] << "\n";
           }
         }
-      }
+      });
     }
 
     // The axis columns are the [sweep] list rows, in spec nesting order.
@@ -796,23 +777,23 @@ Work sweep_cmd(const util::ArgParser& args) {
     csv.write_header(header);
     std::size_t feasible = 0;
     for (std::size_t i = 0; i < rows.size(); ++i) {
-      const auto& [p, r, seq_len] = rows[i];
+      const auto& [axes, label, r, seq_len] = rows[i];
       if (r.feasible) ++feasible;
-      const auto n = static_cast<double>(*util::parse_int(p.gpus));
+      const auto n = static_cast<double>(*util::parse_int(axes[4]));
       const double tps =
-          r.feasible ? static_cast<double>(*util::parse_int(p.batch)) *
+          r.feasible ? static_cast<double>(*util::parse_int(axes[6])) *
                            static_cast<double>(seq_len) / r.iteration() / n
                      : 0.0;
-      csv.write_row(std::vector<std::string>{
-          p.model, p.gpu, p.nvs, p.oversub, p.gpus, p.strategy, p.batch,
-          r.feasible ? "1" : "0", r.feasible ? r.cfg.describe() : r.reason,
-          util::format_fixed(r.feasible ? r.iteration() : 0.0, 6),
-          util::format_fixed(tps, 1),
-          util::format_fixed(r.feasible ? r.mem.total().value() / 1e9 : 0.0,
-                             2)});
-      std::cout << "[" << (i + 1) << "] " << p.model << " " << p.gpu << " nvs"
-                << p.nvs << " os" << p.oversub << " n" << p.gpus << " "
-                << p.strategy << " b" << p.batch << ": "
+      std::vector<std::string> cells = axes;
+      cells.insert(
+          cells.end(),
+          {r.feasible ? "1" : "0", r.feasible ? r.cfg.describe() : r.reason,
+           util::format_fixed(r.feasible ? r.iteration() : 0.0, 6),
+           util::format_fixed(tps, 1),
+           util::format_fixed(r.feasible ? r.mem.total().value() / 1e9 : 0.0,
+                              2)});
+      csv.write_row(cells);
+      std::cout << "[" << (i + 1) << "] " << axes[0] << " " << label << ": "
                 << (r.feasible ? util::format_time(r.iteration())
                                : "infeasible")
                 << "\n";
@@ -821,31 +802,31 @@ Work sweep_cmd(const util::ArgParser& args) {
     const std::size_t n_rows = rows.size();
     std::cout << n_rows << " sweep points (" << feasible
               << " feasible) written to " << output << "\n";
-    const double pps = sweep_seconds > 0.0
-                           ? static_cast<double>(n_rows) / sweep_seconds
+    const search::CodesignStats& st = totals.stats;
+    const double pps = totals.seconds > 0.0
+                           ? static_cast<double>(n_rows) / totals.seconds
                            : 0.0;
     std::printf("%.3fs  %.1f points/s  compiles=%zu  compile-cache hit "
                 "rate=%.1f%%  batch-occupancy=%.1f  placement-floor-pruned=%zu",
-                sweep_seconds, pps, totals.signature_compiles,
-                100.0 * totals.compile_hit_rate(), totals.batch_occupancy(),
-                totals.placement_floor_pruned);
-    if (warm_start) {
-      std::printf("  warm-seeds=%zu/%zu", totals.warm_seed_feasible,
-                  totals.warm_seeded);
+                totals.seconds, pps, st.signature_compiles,
+                100.0 * st.compile_hit_rate(), st.batch_occupancy(),
+                st.placement_floor_pruned);
+    if (opts.sweep.warm_start) {
+      std::printf("  warm-seeds=%zu/%zu", st.warm_seed_feasible,
+                  st.warm_seeded);
     }
     std::printf("\n");
     if (profile_stages) {
       std::printf(
           "stages: enumerate=%.3fs  compile=%.3fs  time=%.3fs  wall=%.3fs  "
           "overlap=%.2fx  subtree-pruned=%zu\n",
-          totals.profile.enumerate_s, totals.profile.compile_s,
-          totals.profile.time_s, totals.profile.wall_s,
-          totals.profile.overlap(), totals.subtree_pruned);
+          st.profile.enumerate_s, st.profile.compile_s, st.profile.time_s,
+          st.profile.wall_s, st.profile.overlap(), st.subtree_pruned);
     }
     if (verify_legacy) {
-      if (mismatches != 0) {
-        std::cerr << mismatches << " grid points differ between the sweep "
-                  << "engine and per-point find_optimal\n";
+      if (totals.mismatches != 0) {
+        std::cerr << totals.mismatches << " grid points differ between the "
+                  << "sweep engine and per-point find_optimal\n";
         return 1;
       }
       std::cout << "verify-legacy: all " << n_rows
@@ -865,23 +846,17 @@ Work sweep_cmd(const util::ArgParser& args) {
   };
 }
 
-// --- `tfpe codesign`: architecture x configuration co-design search -------
-
 Work codesign_cmd(const util::ArgParser& args) {
   const io::LoadedConfig file = load_config(args);
   const model::TransformerConfig base = resolve_model(args, file, "gpt3-1t");
   const model::ShapeFamilyOptions fam =
       read_record(args, file.sections, "codesign", io::codesign_from_section);
-  std::vector<hw::GpuGeneration> gens;
-  for (const auto& name :
-       util::split_list(args.get_or("gpu", "a100,h200,b200"))) {
-    gens.push_back(generation(name));
-  }
-  const std::vector<std::int64_t> nvs = int_list(args, "nvs", {8});
-  const std::int64_t n_gpus = args.get_int_or("gpus", 1024);
+  // The hardware grid is the [sweep] record; its model axis and output are
+  // sweep's alone.
+  const SweepGrid grid =
+      sweep_grid(read_record(args, file.sections, "sweep",
+                             io::sweep_from_section));
   search::CodesignOptions opts;
-  opts.sweep.search.global_batch = args.get_int_or("batch", 4096);
-  require(opts.sweep.search.global_batch >= 1, "--batch must be >= 1");
   opts.sweep.threads = read_threads(args);
   opts.sweep.warm_start = !args.has("no-warm-start");
   opts.prune_shapes = !args.has("no-prune-shapes");
@@ -889,10 +864,6 @@ Work codesign_cmd(const util::ArgParser& args) {
   const std::string csv = args.get_or("csv", "");
   const std::vector<model::TransformerConfig> shapes =
       model::shape_family(base, fam);
-  std::vector<hw::SystemConfig> points;
-  for (const auto& p : search::hardware_grid(gens, nvs, n_gpus)) {
-    points.push_back(checked(p));
-  }
 
   return [=] {
     const std::int64_t target =
@@ -906,42 +877,37 @@ Work codesign_cmd(const util::ArgParser& args) {
       std::cerr << "empty shape family — widen the axes or the tolerance\n";
       return 1;
     }
-    std::cout << "Grid:   " << points.size() << " hardware points x "
-              << shapes.size() << " shapes, batch "
-              << opts.sweep.search.global_batch << ", " << n_gpus
-              << " GPUs\n\n";
-
-    const auto t0 = std::chrono::steady_clock::now();
-    const search::CodesignResult run =
-        search::run_codesign(shapes, points, opts);
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
 
     std::vector<report::LabeledResult> rows;
-    std::vector<std::string> labels;
-    for (std::size_t p = 0; p < points.size(); ++p) {
-      const auto& w = run.best[p];
-      labels.push_back(points[p].gpu.name + " nvs" +
-                       std::to_string(points[p].nvs_domain));
-      if (w.shape == search::CodesignResult::kNoShape) {
-        std::cout << labels[p] << ": no feasible shape\n";
-        continue;
+    Totals totals;
+    run_slices(grid, shapes, opts, verify, totals, [&](const Slice& s) {
+      if (s.index > 0) std::cout << "\n";
+      std::cout << "Grid:   " << s.systems.size() << " hardware points x "
+                << shapes.size() << " shapes, " << s.strategy << ", batch "
+                << s.batch << ", " << s.gpus << " GPUs\n\n";
+      for (std::size_t p = 0; p < s.systems.size(); ++p) {
+        const auto& w = s.run.best[p];
+        if (w.shape == search::CodesignResult::kNoShape) {
+          std::cout << s.labels[p] << ": no feasible shape\n";
+          continue;
+        }
+        std::cout << s.labels[p] << ": " << shapes[w.shape].name << " — "
+                  << util::format_time(w.best.iteration()) << "/iteration, "
+                  << w.best.cfg.describe() << "\n";
+        rows.push_back({s.labels[p] + " " + shapes[w.shape].name, w.best});
       }
-      std::cout << labels[p] << ": " << shapes[w.shape].name << " — "
-                << util::format_time(w.best.iteration()) << "/iteration, "
-                << w.best.cfg.describe() << "\n";
-      rows.push_back({labels[p] + " " + shapes[w.shape].name, w.best});
-    }
+    });
 
-    const auto& st = run.stats;
+    const auto& st = totals.stats;
+    const std::size_t shape_points = st.shapes * st.points;
     std::printf(
         "\n%zu shape-points: %zu floor-pruned, %zu cut, %zu scanned (%zu "
         "feasible)  %.3fs  %.1f shape-points/s\n",
-        st.shapes * st.points, st.shapes_pruned, st.shapes_cut,
-        st.shapes_evaluated, st.feasible_shape_points, seconds,
-        seconds > 0 ? static_cast<double>(st.shapes * st.points) / seconds
-                    : 0.0);
+        shape_points, st.shapes_pruned, st.shapes_cut, st.shapes_evaluated,
+        st.feasible_shape_points, totals.seconds,
+        totals.seconds > 0
+            ? static_cast<double>(shape_points) / totals.seconds
+            : 0.0);
     std::printf(
         "enumerations=%zu (%zu memo hits)  candidates=%zu  evaluated=%zu  "
         "bound-pruned=%zu  subtree-pruned=%zu  placement-floor-pruned=%zu  "
@@ -951,10 +917,8 @@ Work codesign_cmd(const util::ArgParser& args) {
         st.warm_seed_feasible, st.warm_seeded);
 
     if (verify) {
-      const std::size_t mismatches =
-          cross_check(shapes, points, labels, opts, run);
-      if (mismatches != 0) {
-        std::cerr << mismatches
+      if (totals.mismatches != 0) {
+        std::cerr << totals.mismatches
                   << " results differ from per-shape find_optimal\n";
         return 1;
       }
