@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <type_traits>
@@ -22,15 +23,10 @@ constexpr double kInt64Real = 9.2e18;
 
 // --- domains ---------------------------------------------------------------
 
-Domain at_least(double lo) { return {lo}; }
 Domain above(double lo) { return {lo, kInf, true}; }
-Domain range(double lo, double hi) { return {lo, hi}; }
 Domain fraction() { return {0.0, 1.0, true}; }       // (0, 1]
 Domain open_band() { return {0.0, 1.0, true, true}; }  // (0, 1)
 Domain whole() { return {-kInt64Real, kInt64Real, false, false, true}; }
-Domain names(const char* set, bool (*known)(const std::string&) = nullptr) {
-  return {-kInf, kInf, false, false, false, set, known};
-}
 
 bool is_model_preset(const std::string& n) {
   return model::preset_by_name(n).has_value();
@@ -60,37 +56,6 @@ bool known_name(const Domain& d, const std::string& name) {
   const auto set = util::split_list(d.names, '|');
   return std::find(set.begin(), set.end(), name) != set.end();
 }
-
-/// "an integer >= 1", "a finite number in (0, 1]", "one of 1d|2d|summa", ...
-/// (text never fails to read).
-std::string describe(const Row& r) {
-  const Domain& d = r.domain;
-  std::ostringstream out;
-  const Kind k = entry_kind(r.kind);
-  if (k == kName) {
-    out << "one of " << d.names;
-  } else {
-    out << (k == kInt ? "an integer"
-                      : d.integral ? "a whole number" : "a finite number");
-    if (d.lo > -kInf && d.hi < kInf) {
-      out << " in " << (d.lo_open ? '(' : '[') << d.lo << ", " << d.hi
-          << (d.hi_open ? ')' : ']');
-    } else if (d.lo > -kInf) {
-      out << (d.lo_open ? " > " : " >= ") << d.lo;
-    }
-  }
-  if (is_list(r.kind)) out << " per entry";
-  return out.str();
-}
-
-/// A row's value, read: the text, its entries as written (one for a
-/// scalar) and their numbers (reals times the row's scale).
-struct Value {
-  std::string text;
-  std::vector<std::string> items;
-  std::vector<std::int64_t> ints;
-  std::vector<double> reals;
-};
 
 /// Read `text` by row `r` into `v`; why the row rejects it, or nullopt.
 std::optional<std::string> read_value(const Row& r, const std::string& text,
@@ -267,7 +232,11 @@ Rec load(const Table<Rec>& t, const Section& s) {
 Row required(Row r) { r.required = true; return r; }
 Row scaled(double scale, Row r) { r.scale = scale; return r; }
 Row ruled(RuleId rule, Row r) { r.rule = rule; return r; }
-Row flagged(const char* flag, Row r) { r.flag = flag; return r; }
+Row flagged(const char* flag, const char* help, Row r) {
+  r.flag = flag;
+  r.help = help;
+  return r;
+}
 
 using Model = model::TransformerConfig;
 
@@ -284,16 +253,22 @@ void finish_model(const Section& s, Model& m, std::vector<Problem>& out) {
 const Table<Model> kModel{
     "model",
     {{{"name", kString, {}, "custom"}, set<&Model::name>},
-     {flagged("l", {"seq_len", kInt, at_least(1)}), set<&Model::seq_len>},
+     {flagged("l", "sequence length", {"seq_len", kInt, at_least(1)}),
+      set<&Model::seq_len>},
      // Bounded so one block at the defaults (heads = kv_heads, hidden =
      // 4 x embed: 12 e^2 + 13 e parameters) fits int64; validate() checks
      // the products with the other keys.
-     {flagged("e", {"embed", kInt, range(1, 8.7e8)}),
+     {flagged("e", "embedding width", {"embed", kInt, range(1, 8.7e8)}),
       set<&Model::embed>},
-     {flagged("heads", {"heads", kInt, at_least(1)}), set<&Model::heads>},
-     {flagged("depth", {"depth", kInt, at_least(1)}), set<&Model::depth>},
-     {flagged("hidden", {"hidden", kInt, at_least(1)}), set<&Model::hidden>},
-     {flagged("kv-heads", {"kv_heads", kInt, at_least(0)}),
+     {flagged("heads", "attention heads", {"heads", kInt, at_least(1)}),
+      set<&Model::heads>},
+     {flagged("depth", "transformer blocks", {"depth", kInt, at_least(1)}),
+      set<&Model::depth>},
+     {flagged("hidden", "MLP width (default 4 x --e)",
+              {"hidden", kInt, at_least(1)}),
+      set<&Model::hidden>},
+     {flagged("kv-heads", "key/value heads, 0 = --heads",
+              {"kv_heads", kInt, at_least(0)}),
       set<&Model::kv_heads>},
      {{"vocab", kInt, at_least(0)}, set<&Model::vocab>},
      {{"attention", kName, names("full|windowed|linear")},
@@ -304,7 +279,8 @@ const Table<Model> kModel{
           if (model::to_string(kind) == v.text) m.attention = kind;
         }
       }},
-     {flagged("window", {"window", kInt, at_least(0)}), set<&Model::window>},
+     {flagged("window", "attention window", {"window", kInt, at_least(0)}),
+      set<&Model::window>},
      {{"moe_experts", kInt, at_least(0)}, set<&Model::moe_experts>},
      {{"moe_top_k", kInt, at_least(1)}, set<&Model::moe_top_k>},
      // Last: a preset replaces whatever the rows above set.
@@ -452,39 +428,24 @@ const Table<Sweep> kSweep{
     "sweep",
     {{{"model", kNames, names("a model preset", is_model_preset), "gpt3-1t"},
       set<&Sweep::model>},
-     {flagged("gpu",
+     {flagged("gpu", "[sweep] GPU generations",
               {"gpu", kNames, names("a100|h200|b200", is_gpu), "b200"}),
       set<&Sweep::gpu>},
-     {flagged("nvs", {"nvs", kInts, at_least(1), "8"}), set<&Sweep::nvs>},
+     {flagged("nvs", "[sweep] NVS-domain sizes",
+              {"nvs", kInts, at_least(1), "8"}),
+      set<&Sweep::nvs>},
      {{"oversub", kReals, at_least(1), "1"}, set<&Sweep::oversub>},
-     {flagged("gpus", {"gpus", kInts, at_least(1), "1024"}),
+     {flagged("gpus", "[sweep] total GPU counts",
+              {"gpus", kInts, at_least(1), "1024"}),
       set<&Sweep::gpus>},
-     {flagged("strategy",
+     {flagged("strategy", "[sweep] tensor-parallel strategies",
               {"strategy", kNames, names("1d|2d|summa", is_strategy), "1d"}),
       set<&Sweep::strategy>},
-     {flagged("batch", {"batch", kInts, at_least(1), "4096"}),
+     {flagged("batch", "[sweep] global batches",
+              {"batch", kInts, at_least(1), "4096"}),
       set<&Sweep::batch>},
      {{"leaf", kInt, at_least(1), "64"}, set<&Sweep::leaf>},
      {{"output", kString, {}, "sweep.csv"}, set<&Sweep::output>}}};
-
-/// The [calibration] block: measured-run anchors for the calibration
-/// workflow. The schema lint checks it; no command reads it yet.
-struct Calibration {
-  double compute_efficiency = 0;
-  double bandwidth_efficiency = 0;
-  std::int64_t global_batch = 0;
-  double measured_seconds = 0;
-};
-
-const Table<Calibration> kCalibration{
-    "calibration",
-    {{{"compute_efficiency", kReal, fraction()},
-      set<&Calibration::compute_efficiency>},
-     {{"bandwidth_efficiency", kReal, fraction()},
-      set<&Calibration::bandwidth_efficiency>},
-     {{"global_batch", kInt, at_least(1)}, set<&Calibration::global_batch>},
-     {{"measured_seconds", kReal, above(0)},
-      set<&Calibration::measured_seconds>}}};
 
 using Family = model::ShapeFamilyOptions;
 
@@ -518,12 +479,14 @@ const Table<Family> kCodesign{
     "codesign",
     // target_params_b is in billions; 0 = the [model]'s own total.
     {{flagged("target-params",
+              "parameter budget [billions], 0 = the base model's",
               ruled(kBudget, scaled(1e9, {"target_params_b", kReal,
                                           range(0, kInt64Real / 1e9)}))),
       [](Family& o, const Value& v) {
         o.target_params = static_cast<std::int64_t>(v.reals.front());
       }},
-     {flagged("tolerance", ruled(kBudget, {"tolerance", kReal, open_band()})),
+     {flagged("tolerance", "relative band around the budget",
+              ruled(kBudget, {"tolerance", kReal, open_band()})),
       set<&Family::tolerance>},
      {ruled(kAxis, {"depths", kInts, at_least(1)}), set<&Family::depths>},
      {ruled(kAxis, {"depth_min", kInt, at_least(1)}), set<&Family::depth_min>},
@@ -549,14 +512,20 @@ using Serving = core::ServingSpec;
 
 const Table<Serving> kServing{
     "serving",
-    {{flagged("prompt", {"prompt_len", kInt, at_least(1)}),
+    {{flagged("prompt", "input tokens per request",
+              {"prompt_len", kInt, at_least(1)}),
       set<&Serving::prompt_len>},
-     {flagged("output", {"output_len", kInt, at_least(1)}),
+     {flagged("output", "generated tokens per request",
+              {"output_len", kInt, at_least(1)}),
       set<&Serving::output_len>},
-     {flagged("tp", {"tp", kInts, at_least(1)}), set<&Serving::tp>},
-     {flagged("pp", {"pp", kInts, at_least(1)}), set<&Serving::pp>},
-     {flagged("batch", {"batch", kInts, at_least(1)}), set<&Serving::batch>},
-     {flagged("kv-cap", {"kv_cap_fraction", kReal, fraction()}),
+     {flagged("tp", "tensor-parallel widths", {"tp", kInts, at_least(1)}),
+      set<&Serving::tp>},
+     {flagged("pp", "pipeline depths", {"pp", kInts, at_least(1)}),
+      set<&Serving::pp>},
+     {flagged("batch", "requested batches", {"batch", kInts, at_least(1)}),
+      set<&Serving::batch>},
+     {flagged("kv-cap", "HBM fraction for KV cache + weights",
+              {"kv_cap_fraction", kReal, fraction()}),
       set<&Serving::kv_cap_fraction>},
      {{"max_batch", kInt, at_least(0)}, set<&Serving::max_batch>}}};
 
@@ -574,9 +543,9 @@ Schema schema_of(const Table<Rec>& t) {
 
 const std::vector<Schema>& schemas() {
   static const std::vector<Schema> all{
-      schema_of(kModel),       schema_of(kSystem), schema_of(kTopology),
-      schema_of(kPlan),        schema_of(kSweep),  schema_of(kCalibration),
-      schema_of(kCodesign),    schema_of(kServing)};
+      schema_of(kModel), schema_of(kSystem),   schema_of(kTopology),
+      schema_of(kPlan),  schema_of(kSweep),    schema_of(kCodesign),
+      schema_of(kServing)};
   return all;
 }
 
@@ -587,20 +556,35 @@ const Schema* find_schema(const std::string& section) {
   return nullptr;
 }
 
-Section with_flags(
-    const std::string& section, Section s,
-    const std::function<std::optional<std::string>(const std::string&)>&
-        flag_value) {
-  for (const Row& r : find_schema(section)->rows) {
-    const auto text = r.flag ? flag_value(r.flag) : std::nullopt;
-    if (!text) continue;
-    Value v;
-    if (const auto why = read_value(r, *text, v)) {
-      throw std::invalid_argument("flag --" + std::string(r.flag) + " " + *why);
+std::string describe(const Row& r) {
+  const Domain& d = r.domain;
+  std::ostringstream out;
+  const Kind k = entry_kind(r.kind);
+  if (k == kString || k == kBool) return "";
+  if (k == kName) {
+    out << "one of " << d.names;
+  } else {
+    out << (k == kInt ? "an integer"
+                      : d.integral ? "a whole number" : "a finite number");
+    if (d.lo > -kInf && d.hi < kInf) {
+      out << " in " << (d.lo_open ? '(' : '[') << d.lo << ", " << d.hi
+          << (d.hi_open ? ')' : ']');
+    } else if (d.lo > -kInf) {
+      out << (d.lo_open ? " > " : " >= ") << d.lo;
     }
-    s[r.key] = *text;
   }
-  return s;
+  if (is_list(r.kind)) out << " per entry";
+  return out.str();
+}
+
+Value read_flag(const Row& r, const std::string& text) {
+  Value v;
+  if (const auto why = read_value(r, text, v)) {
+    throw std::invalid_argument(
+        "flag --" + std::string(r.flag) + " " + *why + " (" +
+        std::string(analysis::rule_info(r.rule).code) + ")");
+  }
+  return v;
 }
 
 Section topology_to_section(const hw::Topology& topo) {

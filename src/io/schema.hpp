@@ -1,17 +1,19 @@
 #pragma once
 // One schema table per .tfpe record: [model], [system], [topology], [plan],
-// [sweep], [calibration], [codesign] and [serving]. A row names a key, its
-// kind, domain, default, unit scale and the record member it sets. The
-// loaders (*_from_section) throw on the first problem; the schema lint
+// [sweep], [codesign] and [serving]. A row names a key, its kind, domain,
+// default, unit scale and the record member it sets. The loaders
+// (*_from_section) throw on the first problem; the schema lint
 // (io::lint_config_text) reports each at its key's line under the row's
 // rule; a CLI flag that overrides a row is written into the section
-// (with_flags) and read by the same row. Checks that need several keys run
-// after the rows: TransformerConfig::validate(), [topology] list lengths
-// and depth, [codesign] range order and the model::shape_family probe.
+// (io::ArgParser::record) and read by the same row. Checks that need
+// several keys run after the rows: TransformerConfig::validate(),
+// [topology] list lengths and depth, [codesign] range order and the
+// model::shape_family probe. `tfpe` declares its subcommands' own flags as
+// rows too.
 
+#include <cstdint>
 #include <functional>
 #include <limits>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -24,9 +26,10 @@ namespace tfpe::io {
 enum class Kind {
   kInt, kReal, kName, kString,      // one value
   kInts, kReals, kNames, kStrings,  // a comma-separated list of them
+  kBool,  // a CLI switch: given bare, it never takes a value
 };
 
-inline bool is_list(Kind k) { return k >= Kind::kInts; }
+inline bool is_list(Kind k) { return k >= Kind::kInts && k != Kind::kBool; }
 
 /// The values a row admits (each entry's, for a list).
 struct Domain {
@@ -41,6 +44,13 @@ struct Domain {
   bool (*known)(const std::string&) = nullptr;
 };
 
+inline Domain at_least(double lo) { return {lo}; }
+inline Domain range(double lo, double hi) { return {lo, hi}; }
+inline Domain names(const char* set,
+                    bool (*known)(const std::string&) = nullptr) {
+  return {.names = set, .known = known};
+}
+
 /// One key of a record, apart from the member it sets.
 struct Row {
   const char* key;
@@ -51,8 +61,27 @@ struct Row {
   double scale = 1.0;  ///< Reals: the member holds value * scale.
   analysis::RuleId rule = analysis::RuleId::kConfigValue;  ///< Bad value.
   bool required = false;  ///< Absent -> TFPE-CFG-006.
-  const char* flag = nullptr;  ///< CLI value flag that overrides the row.
+  const char* flag = nullptr;  ///< CLI flag that sets the row.
+  const char* help = nullptr;  ///< The flag's --help line.
 };
+
+/// A row's value, read: the text, its entries as written (one for a
+/// scalar) and their numbers (reals times the row's scale).
+struct Value {
+  std::string text;
+  std::vector<std::string> items;
+  std::vector<std::int64_t> ints;
+  std::vector<double> reals;
+};
+
+/// What a row admits: "an integer >= 1", "one of 1d|2d|summa", ...; empty
+/// for text and switches, which any value (or none) reads as.
+std::string describe(const Row& r);
+
+/// `text` as flag `r.flag` gives it, read by row `r`. Throws
+/// std::invalid_argument naming the flag and the row's rule when the row
+/// rejects it.
+Value read_flag(const Row& r, const std::string& text);
 
 /// A schema problem at `key`'s line (the section's line when `key` is ""
 /// or absent from the file).
@@ -78,13 +107,5 @@ const std::vector<Schema>& schemas();
 
 /// The schema of record `section`, or nullptr when no record reads it.
 const Schema* find_schema(const std::string& section);
-
-/// `s` with each row flag of `section` that `flag_value` returns written
-/// over its key. Throws std::invalid_argument naming the flag when its row
-/// rejects the value.
-Section with_flags(
-    const std::string& section, Section s,
-    const std::function<std::optional<std::string>(const std::string&)>&
-        flag_value);
 
 }  // namespace tfpe::io

@@ -1,4 +1,5 @@
-// Tests for the CLI flag parser and the numeric parser it reads through.
+// Tests for the CLI flag parser, the flag rows its values are read by and
+// the numeric parser under them.
 
 #include <gtest/gtest.h>
 
@@ -6,33 +7,51 @@
 #include <cstdint>
 #include <stdexcept>
 
-#include "util/args.hpp"
+#include "io/args.hpp"
 #include "util/strings.hpp"
 
-namespace tfpe::util {
+namespace tfpe::io {
 namespace {
 
-ArgParser parse(std::initializer_list<const char*> argv) {
+using util::parse_int;
+using util::parse_real;
+
+/// A flag row of `kind` for --name.
+Row row(const char* name, Kind kind, Domain domain = {},
+        const char* fallback = nullptr) {
+  Row r{name, kind, domain, fallback};
+  r.flag = name;
+  return r;
+}
+
+/// The rows the tests read by: value flags of each kind, and switches.
+const std::vector<Row> kRows{
+    row("gpus", Kind::kInt, at_least(1), "1024"), row("prompt", Kind::kInt),
+    row("tokens", Kind::kReal), row("tp-overlap", Kind::kReal),
+    row("ops", Kind::kBool), row("strict", Kind::kBool)};
+
+ArgParser parse(std::initializer_list<const char*> argv,
+                const std::vector<Row>& rows = kRows) {
   std::vector<const char*> v{"prog"};
   v.insert(v.end(), argv);
-  return ArgParser(static_cast<int>(v.size()), v.data());
+  return ArgParser(rows, static_cast<int>(v.size()), v.data());
 }
 
 TEST(ArgParser, SpaceSeparatedValue) {
   const auto a = parse({"--model", "gpt3-1t"});
-  EXPECT_EQ(a.get_or("model", ""), "gpt3-1t");
+  EXPECT_EQ(a.get("model"), "gpt3-1t");
 }
 
 TEST(ArgParser, EqualsSeparatedValue) {
   const auto a = parse({"--gpus=4096"});
-  EXPECT_EQ(a.get_int_or("gpus", 0), 4096);
+  EXPECT_EQ(a.get("gpus"), "4096");
 }
 
 TEST(ArgParser, BooleanFlag) {
   const auto a = parse({"--ops", "--model", "x"});
   EXPECT_TRUE(a.has("ops"));
   EXPECT_FALSE(a.has("sensitivity"));
-  EXPECT_EQ(a.get_or("model", ""), "x");
+  EXPECT_EQ(a.get("model"), "x");
 }
 
 TEST(ArgParser, BooleanFollowedByFlag) {
@@ -43,30 +62,31 @@ TEST(ArgParser, BooleanFollowedByFlag) {
 
 TEST(ArgParser, DoubleParsing) {
   const auto a = parse({"--tokens", "1e12", "--tp-overlap=0.5"});
-  EXPECT_DOUBLE_EQ(a.get_double_or("tokens", 0), 1e12);
-  EXPECT_DOUBLE_EQ(a.get_double_or("tp-overlap", 0), 0.5);
+  EXPECT_DOUBLE_EQ(a.real("tokens"), 1e12);
+  EXPECT_DOUBLE_EQ(a.real("tp-overlap"), 0.5);
 }
 
 TEST(ArgParser, DefaultsApply) {
   const auto a = parse({});
-  EXPECT_EQ(a.get_int_or("gpus", 1024), 1024);
+  EXPECT_EQ(a.given("gpus"), std::nullopt);
+  EXPECT_EQ(a.integer("gpus"), 1024);
   EXPECT_EQ(a.get(std::string("missing")), std::nullopt);
 }
 
 TEST(ArgParser, RejectsMalformedNumbers) {
   const auto a = parse({"--gpus", "many"});
-  EXPECT_THROW(a.get_int_or("gpus", 0), std::invalid_argument);
+  EXPECT_THROW(a.integer("gpus"), std::invalid_argument);
   const auto b = parse({"--tokens", "1e12x"});
-  EXPECT_THROW(b.get_double_or("tokens", 0), std::invalid_argument);
+  EXPECT_THROW(b.real("tokens"), std::invalid_argument);
 }
 
 TEST(ArgParser, RejectsOverflowingNumbers) {
   // strtoll would saturate these to INT64_MAX/MIN; the flag must fail.
   const auto a = parse({"--prompt", "99999999999999999999", "--gpus",
                         "-99999999999999999999", "--tokens", "1e999"});
-  EXPECT_THROW(a.get_int_or("prompt", 0), std::invalid_argument);
-  EXPECT_THROW(a.get_int_or("gpus", 0), std::invalid_argument);
-  EXPECT_THROW(a.get_double_or("tokens", 0), std::invalid_argument);
+  EXPECT_THROW(a.integer("prompt"), std::invalid_argument);
+  EXPECT_THROW(a.integer("gpus"), std::invalid_argument);
+  EXPECT_THROW(a.real("tokens"), std::invalid_argument);
 }
 
 TEST(ParseNumber, ReadsTheWholeStringOnly) {
@@ -97,14 +117,23 @@ TEST(ArgParser, BareValueFlagThrows) {
   // value; reading it must fail rather than read "" as "not given".
   for (const auto& a : {parse({"--gpus", "64", "--csv"}),
                         parse({"--csv", "--ops"}), parse({"--csv="})}) {
-    EXPECT_THROW(a.get_or("csv", ""), std::invalid_argument);
     EXPECT_THROW(a.get("csv"), std::invalid_argument);
     EXPECT_TRUE(a.has("csv"));
   }
   const auto b = parse({"--gpus"});
-  EXPECT_THROW(b.get_int_or("gpus", 1), std::invalid_argument);
+  EXPECT_THROW(b.integer("gpus"), std::invalid_argument);
   const auto c = parse({"--tp-overlap"});
-  EXPECT_THROW(c.get_double_or("tp-overlap", 0), std::invalid_argument);
+  EXPECT_THROW(c.real("tp-overlap"), std::invalid_argument);
+}
+
+TEST(ArgParser, SwitchNeverTakesAnOperand) {
+  const auto a = parse({"--strict", "plan.tfpe", "--batch", "8"});
+  EXPECT_TRUE(a.has("strict"));
+  EXPECT_EQ(a.positional(), std::vector<std::string>{"plan.tfpe"});
+  EXPECT_EQ(a.get("batch"), "8");
+  // Without the declaration, "--flag value" reads the operand as its value.
+  EXPECT_TRUE(parse({"--strict", "plan.tfpe"}, {}).positional().empty());
+  EXPECT_THROW(parse({"--strict=yes"}), std::invalid_argument);
 }
 
 TEST(ArgParser, UnusedDetectsTypos) {
@@ -116,4 +145,4 @@ TEST(ArgParser, UnusedDetectsTypos) {
 }
 
 }  // namespace
-}  // namespace tfpe::util
+}  // namespace tfpe::io

@@ -174,26 +174,6 @@ TEST(ConfigLint, SweepAxisValuesAreValidated) {
       << report.summary();
 }
 
-TEST(ConfigLint, CalibrationSchemaIsChecked) {
-  const LintReport report = lint(
-      "[calibration]\n"
-      "compute_efficiency = 1.5\n"
-      "bandwidth_efficiency = 0.8\n"
-      "global_batch = 512\n"
-      "measured_seconds = -3\n");
-  EXPECT_EQ(count_rule(report, RuleId::kConfigValue), 2u)
-      << report.summary();
-  const auto& d = first(report, RuleId::kConfigValue);
-  EXPECT_EQ(d.line, 2);
-  const LintReport clean = lint(
-      "[calibration]\n"
-      "compute_efficiency = 0.45\n"
-      "bandwidth_efficiency = 0.8\n"
-      "global_batch = 512\n"
-      "measured_seconds = 31.5\n");
-  EXPECT_TRUE(clean.clean()) << clean.summary();
-}
-
 TEST(ConfigLint, UnreadableFileFiresConfigParse) {
   const LintReport report =
       io::lint_config_file("/nonexistent/nowhere.tfpe");

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "io/args.hpp"
 #include "io/config_lint.hpp"
 #include "io/plan_io.hpp"
 #include "util/strings.hpp"
@@ -62,15 +63,6 @@ const std::map<std::string, Fixture>& fixtures() {
        {"",
         {{"model", "gpt3-175b"}, {"gpus", "64"}},
         [](const Section& s) { (void)sweep_from_section(s); }}},
-      // No command loads [calibration] yet; its rows are its loader.
-      {"calibration",
-       {"",
-        {},
-        [](const Section& s) {
-          if (!find_schema("calibration")->problems(s).empty()) {
-            throw std::runtime_error("calibration");
-          }
-        }}},
       {"codesign",
        {"[model]\npreset = gpt3-175b\n",
         {{"tolerance", "0.05"}, {"depths", "48, 96"}, {"heads", "64, 96"},
@@ -220,21 +212,26 @@ TEST(SchemaAgreement, LintFiresTheRowRuleIffTheLoaderThrows) {
   EXPECT_LT(rejected, cases);
 }
 
-/// A parser's answer to with_flags: the given flags' values, else nothing.
-std::function<std::optional<std::string>(const std::string&)> given(
-    std::map<std::string, std::string> flags) {
-  return [flags](const std::string& flag) -> std::optional<std::string> {
-    const auto it = flags.find(flag);
-    if (it == flags.end()) return std::nullopt;
-    return it->second;
-  };
+/// `section` as [sweep] with `--flag value` for each of `flags` written
+/// over it by the parser's record().
+Section over_sweep(const Section& section,
+                   const std::map<std::string, std::string>& flags) {
+  std::vector<std::string> argv{"tfpe"};
+  for (const auto& [flag, value] : flags) {
+    argv.insert(argv.end(), {"--" + flag, value});
+  }
+  std::vector<const char*> ptrs;
+  for (const std::string& a : argv) ptrs.push_back(a.c_str());
+  const ArgParser args(find_schema("sweep")->rows,
+                       static_cast<int>(ptrs.size()), ptrs.data());
+  return args.record({{"sweep", section}}, "sweep");
 }
 
 using Texts = std::vector<std::string>;
 
 TEST(WithFlags, FlagOverridesTheSectionValue) {
-  const Section s = with_flags("sweep", {{"gpu", "a100"}, {"batch", "256"}},
-                               given({{"gpu", "h200"}, {"batch", "512"}}));
+  const Section s = over_sweep({{"gpu", "a100"}, {"batch", "256"}},
+                               {{"gpu", "h200"}, {"batch", "512"}});
   EXPECT_EQ(s.at("gpu"), "h200");
   const SweepSpec spec = sweep_from_section(s);
   EXPECT_EQ(spec.gpu, Texts{"h200"});
@@ -244,9 +241,9 @@ TEST(WithFlags, FlagOverridesTheSectionValue) {
 TEST(WithFlags, AbsentFlagKeepsTheSectionValue) {
   // Only the row flags are asked for: `model` and `oversub` have none.
   const Section s =
-      with_flags("sweep", {{"gpu", "a100"}, {"oversub", "2"}},
-                 given({{"strategy", "2d"}, {"model", "gpt3-175b"},
-                        {"oversub", "4"}}));
+      over_sweep({{"gpu", "a100"}, {"oversub", "2"}},
+                 {{"strategy", "2d"}, {"model", "gpt3-175b"},
+                  {"oversub", "4"}});
   EXPECT_EQ(s, (Section{{"gpu", "a100"}, {"oversub", "2"},
                         {"strategy", "2d"}}));
   const SweepSpec spec = sweep_from_section(s);
@@ -257,9 +254,9 @@ TEST(WithFlags, AbsentFlagKeepsTheSectionValue) {
 }
 
 TEST(WithFlags, ListFlagReadsAsTheRowsList) {
-  const SweepSpec spec = sweep_from_section(with_flags(
-      "sweep", {{"nvs", "64"}},
-      given({{"nvs", "4,8"}, {"gpu", "a100,b200"}, {"gpus", "64,128"}})));
+  const SweepSpec spec = sweep_from_section(over_sweep(
+      {{"nvs", "64"}},
+      {{"nvs", "4,8"}, {"gpu", "a100,b200"}, {"gpus", "64,128"}}));
   EXPECT_EQ(spec.nvs, (Texts{"4", "8"}));
   EXPECT_EQ(spec.gpu, (Texts{"a100", "b200"}));
   EXPECT_EQ(spec.gpus, (Texts{"64", "128"}));
@@ -272,7 +269,7 @@ TEST(WithFlags, OutOfDomainValueThrowsNamingTheFlag) {
       {"gpu", "x100"}};
   for (const auto& [flag, value] : bad) {
     try {
-      (void)with_flags("sweep", {}, given({{flag, value}}));
+      (void)over_sweep({}, {{flag, value}});
       ADD_FAILURE() << "--" << flag << " " << value << " accepted";
     } catch (const std::invalid_argument& e) {
       EXPECT_EQ(std::string(e.what()).rfind("flag --" + flag + " ", 0), 0u)

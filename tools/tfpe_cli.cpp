@@ -9,22 +9,24 @@
 //   tfpe serve-plan --model llama3-405b --gpu h200 --nvs 8
 //   tfpe lint [PATH] --format sarif --strict
 //
-// Every subcommand runs one prologue: it reads and checks each flag it
-// accepts (a --config file is loaded only once its schema lint is clean,
-// and every system it builds must pass analysis::lint_system), then main
-// rejects any flag nobody read, and only then does the work run. Exit
-// codes: 0 ok, 1 infeasible or a failed check, 2 usage or bad input
-// (`error: ...` plus the command's help, or a located TFPE-* report, on
-// stderr); `tfpe lint` adds 3 for warnings under --strict.
+// Each subcommand declares its flags once, in commands(): its own io::Row
+// entries plus the row flags of the .tfpe records it takes. The parser,
+// every value check (io::read_flag) and --help read them. A prologue reads
+// the flags (a --config file only once its schema lint is clean, every
+// system through analysis::lint_system), run() rejects any flag nobody
+// read, then the work runs. Exit codes: 0 ok, 1 infeasible or a failed
+// check, 2 usage or bad input (`error: ...` plus help, or a located TFPE-*
+// report, on stderr); `tfpe lint` adds 3 for warnings under --strict.
 
+#include "cli.hpp"
+
+#include <algorithm>
 #include <array>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <functional>
 #include <iostream>
-#include <map>
 #include <stdexcept>
 
 #include "analysis/consistency.hpp"
@@ -32,10 +34,10 @@
 #include "core/batched_signature.hpp"
 #include "core/training_estimate.hpp"
 #include "hw/topology.hpp"
+#include "io/args.hpp"
 #include "io/config_file.hpp"
 #include "io/config_lint.hpp"
 #include "io/plan_io.hpp"
-#include "io/schema.hpp"
 #include "report/breakdown_report.hpp"
 #include "report/markdown_report.hpp"
 #include "report/op_report.hpp"
@@ -44,191 +46,62 @@
 #include "search/search.hpp"
 #include "search/serve_plan.hpp"
 #include "search/sweep_lint.hpp"
-#include "util/args.hpp"
 #include "util/csv.hpp"
 #include "util/strings.hpp"
 #include "util/units.hpp"
 
+namespace tfpe::cli {
 namespace {
-
-using namespace tfpe;
 
 // --- shared prologue -------------------------------------------------------
 
-std::string help_text(const std::string& cmd) {
-  if (cmd == "sweep") {
-    return
-        "usage: tfpe sweep SPEC [--output PATH] [--threads N] [--warm-start]\n"
-        "                       [--profile-stages] [--verify-legacy]\n"
-        "                       [--ablate-topology]\n"
-        "\n"
-        "Batch experiment runner: the optimal configuration at every point\n"
-        "of the [sweep] section's cross product (model x gpu x nvs x oversub\n"
-        "x gpus x strategy x batch), one CSV row per point. The spec is\n"
-        "schema-linted first; its format is in docs/API.md. `tfpe codesign`\n"
-        "runs the same grid over an iso-parameter shape family.\n"
-        "\n"
-        "  --output PATH       CSV path (default: the spec's output, else\n"
-        "                      sweep.csv)\n"
-        "  --threads N         worker threads (0 = hardware concurrency)\n"
-        "  --warm-start        seed each point's incumbent from its chain\n"
-        "                      predecessor's optimum (throughput only)\n"
-        "  --profile-stages    per-stage busy seconds and their overlap\n"
-        "  --verify-legacy     re-solve every row with its own find_optimal\n"
-        "                      call; exits 1 unless all are bitwise identical\n"
-        "  --ablate-topology   re-run every two-level point under the\n"
-        "                      degenerate three-level fabric; exits 1 on any\n"
-        "                      difference\n";
+/// A subcommand's work, returned by its prologue once every flag it
+/// accepts has been read and checked.
+using Work = std::function<int()>;
+
+/// A subcommand: its usage line and prose, one row per flag it reads, and
+/// the prologue that reads them.
+struct Command {
+  std::string name;
+  const char* usage;
+  std::vector<io::Row> rows;
+  Work (*prologue)(const io::ArgParser&);
+};
+
+/// The usage and prose, then one entry per flag row: its help line, then
+/// what it admits and its default.
+std::string help_text(const Command& cmd) {
+  // Each io::Kind's placeholder, in enumerator order.
+  static constexpr const char* kMeta[] = {" N",    " X",    " NAME", " PATH",
+                                          " LIST", " LIST", " LIST", " LIST",
+                                          ""};
+  std::string out = std::string(cmd.usage) + "\n";
+  for (const io::Row& r : cmd.rows) {
+    std::string name = "  --" + std::string(r.flag) +
+                       kMeta[static_cast<int>(r.kind)];
+    name.resize(std::max<std::size_t>(name.size() + 1, 24), ' ');
+    out += name + r.help + "\n";
+    const std::string def = r.fallback ? r.fallback : "";
+    std::string note = io::describe(r);
+    if (r.fallback) note += (note.empty() ? "default " : "; default ") + def;
+    if (!note.empty()) out += std::string(24, ' ') + "(" + note + ")\n";
   }
-  if (cmd == "codesign") {
-    return
-        "usage: tfpe codesign [--model NAME | --config PATH] [options]\n"
-        "\n"
-        "Enumerates every transformer shape within a tolerance of the base\n"
-        "model's parameter budget ([codesign] axes in the config file, or the\n"
-        "defaults), crosses the family with the [sweep] section's hardware\n"
-        "grid (gpu x nvs x oversub, at every gpus x strategy x batch; its\n"
-        "model axis is tfpe sweep's) and reports, per grid point, the winning\n"
-        "(shape, parallelization, placement) triple. Every reported result is\n"
-        "bitwise identical to find_optimal on that (shape, point); shapes\n"
-        "whose architecture-level compute floor exceeds the cross-shape\n"
-        "incumbent are pruned whole, and a shape that reaches nothing at or\n"
-        "below it is cut.\n"
-        "\n"
-        "  --model NAME        base preset the family is iso to (default gpt3-1t)\n"
-        "  --config PATH       load [model], [codesign] and [sweep] from a file\n"
-        "  --target-params B   override the parameter budget [billions]\n"
-        "  --tolerance F       override the relative band (default 0.02)\n"
-        "  --gpu LIST          [sweep] generations (default b200)\n"
-        "  --nvs LIST          [sweep] NVS-domain sizes (default 8)\n"
-        "  --gpus LIST         [sweep] total GPU counts (default 1024)\n"
-        "  --strategy LIST     [sweep] 1d | 2d | summa (default 1d)\n"
-        "  --batch LIST        [sweep] global batches (default 4096)\n"
-        "  --threads N         worker threads (0 = hardware concurrency)\n"
-        "  --no-prune-shapes   keep the full exact per-shape matrix (with\n"
-        "                      --verify-per-shape: every pair bitwise checked)\n"
-        "  --no-warm-start     cold incumbents (A/B baseline)\n"
-        "  --verify-per-shape  cross-check every reported (shape, point) and\n"
-        "                      winner bitwise against per-shape find_optimal,\n"
-        "                      and every pruned or cut pair as slower than\n"
-        "                      the winner; exits nonzero on any mismatch\n"
-        "  --csv PATH          write per-point winners as CSV\n";
-  }
-  if (cmd == "serve-plan") {
-    return
-        "usage: tfpe serve-plan [--model NAME | --config PATH] [options]\n"
-        "\n"
-        "Sweeps serving replica shapes (tensor x pipeline parallelism x\n"
-        "resident batch) for a decode workload under a continuous-batching\n"
-        "scheduler and prints the latency/throughput Pareto front: the shapes\n"
-        "no other shape beats on both request latency and tok/s/GPU. Every\n"
-        "point holds its KV cache resident under the HBM cap ([serving]\n"
-        "kv_cap_fraction); the requested batch is clipped to what fits.\n"
-        "\n"
-        "  --model NAME        model preset (default llama3-405b)\n"
-        "  --config PATH       load [model]/[system]/[serving] from a file\n"
-        "  --gpu GEN           GPU generation preset (default h200)\n"
-        "  --nvs N             fast-domain size (default 8)\n"
-        "  --gpus N            total GPUs, for the replica-count line (default\n"
-        "                      one replica's worth)\n"
-        "  --prompt N          input tokens per request (default 2048)\n"
-        "  --output N          generated tokens per request (default 256)\n"
-        "  --tp LIST           tensor-parallel widths (default 1,2,4,8)\n"
-        "  --pp LIST           pipeline depths (default 1)\n"
-        "  --batch LIST        requested batches (default 1,...,256)\n"
-        "  --kv-cap F          HBM fraction for KV + weights (default 0.9)\n"
-        "  --all               print every feasible point, not just the front\n"
-        "  --csv PATH          write the evaluated grid as CSV\n";
-  }
-  if (cmd == "lint") {
-    return
-        "usage: tfpe lint [PATH] [--model NAME] [--batch N]\n"
-        "                 [--format text|json|sarif] [--strict]\n"
-        "                 [--suppress CODE,...]\n"
-        "\n"
-        "Structured diagnostics over the whole pipeline: the paper's op-graph\n"
-        "conservation laws, the compiled-signature and batched-SoA lowerings,\n"
-        "sweep-plan soundness, hardware-description sanity and config-file\n"
-        "schema checks. Every diagnostic carries a stable rule ID\n"
-        "(TFPE-OP-001 ...; see docs/API.md for the registry).\n"
-        "\n"
-        "  PATH            lint a .tfpe file: schema first, then the passes its\n"
-        "                  sections select ([plan] -> op graph + signature +\n"
-        "                  batched lowering, [sweep] -> sweep plan,\n"
-        "                  [model]/[system]/[topology] -> machine description)\n"
-        "  --model NAME    model preset a [plan] applies to (default gpt3-1t)\n"
-        "  --batch N       global batch for the plan (default: the plan's own);\n"
-        "                  with no PATH, the per-GPU microbatch (default 2)\n"
-        "  --format F      text (default) | json | sarif (SARIF 2.1.0)\n"
-        "  --strict        warnings also fail (exit 3)\n"
-        "  --suppress L    comma-separated rule codes or names to disable\n"
-        "\n"
-        "With no PATH, lints the built-in preset x strategy matrix plus the\n"
-        "default sweep plan. Exit codes: 0 clean, 1 errors, 2 usage or\n"
-        "unparseable input, 3 warnings under --strict.\n";
-  }
-  std::string text =
-      "usage: tfpe --model NAME --gpu {a100|h200|b200} --gpus N [options]\n"
-      "\n"
-      "model selection:\n"
-      "  --model NAME        one of:";
-  for (const auto& n : model::preset_names()) text += " " + n;
-  return text +
-      " | custom\n"
-      "  --l --e --heads --depth [--hidden --kv-heads --window]   (custom)\n"
-      "  --config PATH       load [model] and/or [system] from a file\n"
-      "\n"
-      "system:\n"
-      "  --gpu GEN           GPU generation preset (default b200)\n"
-      "  --gpus N            total GPUs (default 1024)\n"
-      "  --nvs N             fast-domain size (default 8)\n"
-      "\n"
-      "search:\n"
-      "  --strategy S        1d | 2d | summa | all (default 1d)\n"
-      "  --batch B           global batch (default 4096)\n"
-      "  --top K             also print the K best configurations\n"
-      "  --interleave        allow interleaved pipeline schedules\n"
-      "  --zero3             allow ZeRO-3 weight sharding\n"
-      "  --tp-overlap F      hide fraction F (0..1) of TP communication\n"
-      "  --offload F         offload fraction F (0..1) of activations to host\n"
-      "  --recompute         full activation checkpointing\n"
-      "  --plan PATH         evaluate a saved plan instead of searching\n"
-      "  --save-plan PATH    write the best configuration as a plan file\n"
-      "\n"
-      "output:\n"
-      "  --rate USD          $/GPU-hour for cost estimates (with --tokens/--samples)\n"
-      "  --tokens T          report days to train on T tokens\n"
-      "  --samples S         report days to train on S samples\n"
-      "  --ops               per-op roofline report for the optimum\n"
-      "  --sensitivity       hardware elasticities (re-searches 12 designs)\n"
-      "  --csv PATH          write results as CSV\n"
-      "  --markdown PATH     write a Markdown report\n"
-      "\n"
-      "subcommands:\n"
-      "  sweep SPEC          optimal configuration over a [sweep] grid, as CSV\n"
-      "                      (see: tfpe sweep --help)\n"
-      "  lint [PLAN_PATH]    check built op lists against the paper's\n"
-      "                      conservation laws (see: tfpe lint --help)\n"
-      "  codesign            iso-parameter architecture x config search\n"
-      "                      (see: tfpe codesign --help)\n"
-      "  serve-plan          latency/throughput Pareto front for inference\n"
-      "                      serving (see: tfpe serve-plan --help)\n"
-      "\n"
-      "exit codes: 0 ok, 1 infeasible or a failed check, 2 usage or bad input\n";
+  return out;
 }
 
 /// Print `error: msg` and the command's help to stderr; exit code 2.
-int usage(const std::string& cmd, const std::string& msg) {
+int usage(const Command& cmd, const std::string& msg) {
   std::cerr << "error: " << msg << "\n\n" << help_text(cmd);
   return 2;
 }
 
-/// A flag or operand the prologue rejects: main turns it into usage().
+/// An operand or a check across flags the prologue rejects: run() turns
+/// it into usage().
 void require(bool ok, const std::string& msg) {
   if (!ok) throw std::invalid_argument(msg);
 }
 
-/// Bad input a lint pass found: main prints the located report, exit 2.
+/// Bad input a lint pass found: run() prints the located report, exit 2.
 struct Rejected {
   analysis::LintReport report;
 };
@@ -237,48 +110,30 @@ void reject_errors(analysis::LintReport report) {
   if (report.errors() > 0) throw Rejected{std::move(report)};
 }
 
-/// --config PATH, loaded only once its schema lint (the checks of
-/// `tfpe lint PATH`) finds no error.
-io::LoadedConfig load_config(const util::ArgParser& args) {
-  const auto path = args.get("config");
-  if (!path) return {};
-  reject_errors(io::lint_config_file(*path));
-  return io::load_config_file(*path);
+/// The .tfpe file at `path`, loaded only once its schema lint (the checks
+/// of `tfpe lint PATH`) finds no error.
+io::LoadedConfig load_file(const std::string& path) {
+  reject_errors(io::lint_config_file(path));
+  return io::load_config_file(path);
 }
 
-/// `sections`' [name] (empty when absent) with the value flags of the
-/// record's rows written over it, read by `load` as that record.
-template <class Load>
-auto read_record(const util::ArgParser& args, const io::ConfigSections& sections,
-                 const std::string& name, Load load) {
-  const auto it = sections.find(name);
-  return load(io::with_flags(
-      name, it != sections.end() ? it->second : io::Section{},
-      [&](const std::string& flag) { return args.get(flag); }));
+io::LoadedConfig load_config(const io::ArgParser& args) {
+  const auto path = args.given("config");
+  return path ? load_file(path->text) : io::LoadedConfig{};
 }
 
 /// The config file's [model] unless --model is given; else the named
 /// preset, or `custom` built from --l/--e/--heads/--depth/....
-model::TransformerConfig resolve_model(const util::ArgParser& args,
-                                       const io::LoadedConfig& file,
-                                       const std::string& fallback) {
-  const auto name = args.get("model");
-  if (!name && file.model) return *file.model;
+model::TransformerConfig resolve_model(const io::ArgParser& args,
+                                       const io::LoadedConfig& file) {
+  if (!args.given("model") && file.model) return *file.model;
+  const std::string name = args.value("model").text;
   if (name == "custom") {
     io::Section custom{{"name", "custom"}};
     if (args.has("window")) custom["attention"] = "windowed";
-    return read_record(args, {{"model", custom}}, "model",
-                       io::model_from_section);
+    return io::model_from_section(args.record({{"model", custom}}, "model"));
   }
-  const auto preset = model::preset_by_name(name.value_or(fallback));
-  require(preset.has_value(), "unknown model '" + name.value_or(fallback) + "'");
-  return *preset;
-}
-
-hw::GpuGeneration generation(const std::string& name) {
-  const auto gen = hw::generation_by_name(name);
-  require(gen.has_value(), "unknown gpu '" + name + "' (a100|h200|b200)");
-  return *gen;
+  return *model::preset_by_name(name);
 }
 
 /// `sys`, once analysis::lint_system finds no error in it.
@@ -287,10 +142,20 @@ hw::SystemConfig checked(hw::SystemConfig sys) {
   return sys;
 }
 
-unsigned read_threads(const util::ArgParser& args) {
-  const std::int64_t threads = args.get_int_or("threads", 0);
-  require(threads >= 0, "--threads must be >= 0");
-  return static_cast<unsigned>(threads);
+/// The config file's [system] with each given --gpu (its GPU and network
+/// presets), --nvs and --gpus written over it; without one, the flags or
+/// their defaults.
+hw::SystemConfig system_of(const io::ArgParser& args,
+                           const io::LoadedConfig& file) {
+  hw::SystemConfig sys = file.system.value_or(hw::SystemConfig{});
+  if (!file.system || args.given("gpu")) {
+    const auto gen = *hw::generation_by_name(args.value("gpu").text);
+    sys.gpu = hw::gpu_preset(gen);
+    sys.net = hw::network_preset(gen);
+  }
+  if (!file.system || args.given("nvs")) sys.nvs_domain = args.integer("nvs");
+  if (!file.system || args.given("gpus")) sys.n_gpus = args.integer("gpus");
+  return checked(sys);
 }
 
 /// Re-solve every (shape, point) of `run`, and every point's winner by the
@@ -342,7 +207,7 @@ std::size_t cross_check(const std::vector<model::TransformerConfig>& shapes,
 std::vector<std::vector<hw::SystemConfig>> hardware_grids(
     const io::SweepSpec& spec) {
   std::vector<hw::GpuGeneration> gens;
-  for (const auto& g : spec.gpu) gens.push_back(generation(g));
+  for (const auto& g : spec.gpu) gens.push_back(*hw::generation_by_name(g));
   std::vector<std::int64_t> nvs;
   for (const auto& n : spec.nvs) nvs.push_back(*util::parse_int(n));
   std::vector<double> oversub;
@@ -354,10 +219,6 @@ std::vector<std::vector<hw::SystemConfig>> hardware_grids(
   }
   return out;
 }
-
-/// A subcommand's work, returned by its prologue once every flag it
-/// accepts has been read and checked.
-using Work = std::function<int()>;
 
 // --- `tfpe lint`: op-graph invariant analyzer front end -------------------
 
@@ -377,28 +238,15 @@ int finish_lint(const analysis::LintReport& report, const std::string& format,
   return 0;
 }
 
-parallel::ParallelConfig lint_cfg(parallel::TpStrategy s, std::int64_t n1,
-                                  std::int64_t n2, std::int64_t nb = 1,
-                                  bool ring = false) {
-  parallel::ParallelConfig c;
-  c.strategy = s;
-  c.n1 = n1;
-  c.n2 = n2;
-  c.nb = nb;
-  c.ring_attention = ring;
-  return c;
-}
-
 /// Lint one .tfpe file: schema first, then the passes its sections select.
 int lint_file(const std::string& path, const model::TransformerConfig& mdl,
               std::int64_t batch, const std::string& format, bool strict,
               const analysis::LintOptions& opts) {
   analysis::DiagnosticSink sink(opts.rules);
   const analysis::LintReport schema = io::lint_config_file(path, opts);
-  bool unparseable = false;
-  for (const auto& d : schema.diagnostics) {
-    if (d.id == analysis::RuleId::kConfigParse) unparseable = true;
-  }
+  const bool unparseable = std::any_of(
+      schema.diagnostics.begin(), schema.diagnostics.end(),
+      [](const auto& d) { return d.id == analysis::RuleId::kConfigParse; });
   sink.merge(schema);
   if (unparseable) {
     // A file that does not parse at all is a usage-level failure: render
@@ -408,11 +256,8 @@ int lint_file(const std::string& path, const model::TransformerConfig& mdl,
     return 2;
   }
 
-  io::ConfigSections sections;
-  {
-    std::ifstream in(path);
-    sections = io::parse_config(in);  // schema pass proved this parses
-  }
+  std::ifstream in(path);
+  const io::ConfigSections sections = io::parse_config(in);  // it parses
   const auto fail_section = [&](const std::string& section,
                                 const std::string& what) {
     sink.emit(analysis::RuleId::kConfigValue, "[" + section + "]", 0, 0, what,
@@ -500,22 +345,25 @@ int lint_file(const std::string& path, const model::TransformerConfig& mdl,
 /// plan, aggregated into one report.
 int lint_matrix(std::int64_t b, const std::string& format, bool strict,
                 const analysis::LintOptions& opts) {
-  using parallel::TpStrategy;
+  using enum parallel::TpStrategy;
   struct Case {
     model::TransformerConfig mdl;
     std::string label;
     parallel::ParallelConfig cfg;
   };
+  const parallel::ParallelConfig tp1d{.n1 = 8};
+  const parallel::ParallelConfig tp2d{.strategy = TP2D, .n1 = 8, .n2 = 2};
   std::vector<Case> cases;
   for (const auto& mdl : {model::gpt3_1t(), model::vit_64k()}) {
-    cases.push_back({mdl, "1d", lint_cfg(TpStrategy::TP1D, 8, 1)});
-    cases.push_back({mdl, "2d", lint_cfg(TpStrategy::TP2D, 8, 2)});
-    cases.push_back({mdl, "summa", lint_cfg(TpStrategy::Summa2D, 4, 4, 4)});
-    cases.push_back(
-        {mdl, "2d+ring", lint_cfg(TpStrategy::TP2D, 8, 2, 1, true)});
+    cases.push_back({mdl, "1d", tp1d});
+    cases.push_back({mdl, "2d", tp2d});
+    cases.push_back({mdl, "summa", {.strategy = Summa2D, .n1 = 4, .n2 = 4,
+                                    .nb = 4}});
+    cases.push_back({mdl, "2d+ring", {.strategy = TP2D, .n1 = 8, .n2 = 2,
+                                      .ring_attention = true}});
   }
-  cases.push_back({model::gpt_moe_1t(), "1d", lint_cfg(TpStrategy::TP1D, 8, 1)});
-  cases.push_back({model::gpt_moe_1t(), "2d", lint_cfg(TpStrategy::TP2D, 8, 2)});
+  cases.push_back({model::gpt_moe_1t(), "1d", tp1d});
+  cases.push_back({model::gpt_moe_1t(), "2d", tp2d});
 
   analysis::DiagnosticSink sink(opts.rules);
   const bool text = format == "text";
@@ -555,34 +403,24 @@ int lint_matrix(std::int64_t b, const std::string& format, bool strict,
   return finish_lint(sink.take(), format, strict);
 }
 
-Work lint_cmd(const util::ArgParser& args) {
+Work lint_cmd(const io::ArgParser& args) {
   const auto& pos = args.positional();
-  require(pos.size() <= 2, "too many arguments");
-  const std::string format = args.get_or("format", "text");
-  require(format == "text" || format == "json" || format == "sarif",
-          "unknown --format '" + format + "'");
+  require(pos.size() <= 1, "too many arguments");
+  const std::string format = args.value("format").text;
   const bool strict = args.has("strict");
   analysis::LintOptions opts;
-  for (const std::string& code :
-       util::split_list(args.get_or("suppress", ""))) {
-    require(opts.rules.suppress(code),
-            "unknown rule '" + code + "' in --suppress");
-  }
-
-  // --strict takes no value, but the parser's "--flag value" rule swallows
-  // a following PATH operand into it ("lint --strict plan.tfpe") — reclaim
-  // it so flag order never changes which artifact gets linted.
-  std::string path = pos.size() == 2 ? pos[1] : "";
-  if (const auto v = args.raw("strict"); v && !v->empty()) {
-    require(path.empty(), "too many arguments");
-    path = *v;
+  for (const std::string& code : args.value("suppress").items) {
+    opts.rules.suppress(code);
   }
   // With a PATH, an absent --batch (0) means the plan's own.
-  const std::int64_t batch = args.get_int_or("batch", path.empty() ? 2 : 0);
-  require(batch >= 1 || !args.has("batch"), "--batch must be >= 1");
-  if (!path.empty()) {
-    const model::TransformerConfig mdl = resolve_model(args, {}, "gpt3-1t");
-    return [=] { return lint_file(path, mdl, batch, format, strict, opts); };
+  const auto given_batch = args.given("batch");
+  const std::int64_t batch =
+      given_batch ? given_batch->ints.front() : pos.empty() ? 2 : 0;
+  if (!pos.empty()) {
+    const model::TransformerConfig mdl = resolve_model(args, {});
+    return [=, path = pos[0]] {
+      return lint_file(path, mdl, batch, format, strict, opts);
+    };
   }
   return [=] { return lint_matrix(batch, format, strict, opts); };
 }
@@ -684,27 +522,22 @@ void run_slices(const SweepGrid& grid,
   }
 }
 
-Work sweep_cmd(const util::ArgParser& args) {
-  require(args.positional().size() > 1, "missing sweep spec");
-  const std::string spec_path = args.positional()[1];
+Work sweep_cmd(const io::ArgParser& args) {
+  require(!args.positional().empty(), "missing sweep spec");
   // Every axis value (model / gpu / strategy names, positive integers,
   // oversubscription ratios) is validated here, before any work.
-  reject_errors(io::lint_config_file(spec_path));
-  io::ConfigSections sections;
-  {
-    std::ifstream in(spec_path);
-    sections = io::parse_config(in);
-  }
+  const io::ConfigSections sections =
+      load_file(args.positional()[0]).sections;
   const auto it = sections.find("sweep");
   require(it != sections.end(), "spec has no [sweep] section");
   const SweepGrid grid = sweep_grid(io::sweep_from_section(it->second));
 
-  std::string output = args.get_or("output", "");
+  std::string output = args.value("output").text;
   if (output.empty()) output = grid.spec.output;
   const bool verify_legacy = args.has("verify-legacy");
   const bool ablate_topology = args.has("ablate-topology");
   search::CodesignOptions opts;
-  opts.sweep.threads = read_threads(args);
+  opts.sweep.threads = static_cast<unsigned>(args.integer("threads"));
   opts.sweep.warm_start = args.has("warm-start");
   // Every row must be a true find_optimal result, so the full per-shape
   // matrix is kept.
@@ -846,22 +679,29 @@ Work sweep_cmd(const util::ArgParser& args) {
   };
 }
 
-Work codesign_cmd(const util::ArgParser& args) {
+Work codesign_cmd(const io::ArgParser& args) {
   const io::LoadedConfig file = load_config(args);
-  const model::TransformerConfig base = resolve_model(args, file, "gpt3-1t");
+  const model::TransformerConfig base = resolve_model(args, file);
   const model::ShapeFamilyOptions fam =
-      read_record(args, file.sections, "codesign", io::codesign_from_section);
+      io::codesign_from_section(args.record(file.sections, "codesign"));
   // The hardware grid is the [sweep] record; its model axis and output are
-  // sweep's alone.
+  // sweep's alone, so a model row there must name the family's base.
+  const auto sweep = file.sections.find("sweep");
+  if (sweep != file.sections.end() && sweep->second.count("model")) {
+    const std::string listed = sweep->second.at("model");
+    const auto preset = model::preset_by_name(listed);
+    require(preset && preset->name == base.name,
+            "[sweep] model = " + listed + " is not the family's base " +
+                base.name + "; set the base with --model or [model]");
+  }
   const SweepGrid grid =
-      sweep_grid(read_record(args, file.sections, "sweep",
-                             io::sweep_from_section));
+      sweep_grid(io::sweep_from_section(args.record(file.sections, "sweep")));
   search::CodesignOptions opts;
-  opts.sweep.threads = read_threads(args);
+  opts.sweep.threads = static_cast<unsigned>(args.integer("threads"));
   opts.sweep.warm_start = !args.has("no-warm-start");
   opts.prune_shapes = !args.has("no-prune-shapes");
   const bool verify = args.has("verify-per-shape");
-  const std::string csv = args.get_or("csv", "");
+  const std::string csv = args.value("csv").text;
   const std::vector<model::TransformerConfig> shapes =
       model::shape_family(base, fam);
 
@@ -951,26 +791,14 @@ void print_serve_row(const core::InferenceEstimate& e, bool on_front) {
               100.0 * e.prefill_fraction, e.mem.kv_cache.value() / 1e9);
 }
 
-Work serve_plan_cmd(const util::ArgParser& args) {
+Work serve_plan_cmd(const io::ArgParser& args) {
   const io::LoadedConfig file = load_config(args);
-  const model::TransformerConfig mdl =
-      resolve_model(args, file, "llama3-405b");
-  hw::SystemConfig sys = file.system.value_or(
-      hw::make_system(hw::GpuGeneration::H200, 8, 8));
-  if (const auto name = args.get("gpu")) {
-    const auto fresh =
-        hw::make_system(generation(*name), sys.nvs_domain, sys.n_gpus);
-    sys.gpu = fresh.gpu;
-    sys.net = fresh.net;
-  }
-  sys.nvs_domain = args.get_int_or("nvs", sys.nvs_domain);
-  sys.n_gpus = args.get_int_or("gpus", sys.n_gpus);
-  sys = checked(sys);
-
+  const model::TransformerConfig mdl = resolve_model(args, file);
+  const hw::SystemConfig sys = system_of(args, file);
   const core::ServingSpec spec =
-      read_record(args, file.sections, "serving", io::serving_from_section);
+      io::serving_from_section(args.record(file.sections, "serving"));
   const bool show_all = args.has("all");
-  const std::string csv = args.get_or("csv", "");
+  const std::string csv = args.value("csv").text;
 
   return [=] {
     std::cout << "Serving " << mdl.name << " on " << sys.gpu.name << " nvs"
@@ -1071,76 +899,42 @@ Work serve_plan_cmd(const util::ArgParser& args) {
 
 // --- `tfpe [plan]`: the optimal configuration for one model and system ----
 
-bool in_unit_interval(double x) { return x >= 0.0 && x <= 1.0; }
-bool finite_non_negative(double x) { return std::isfinite(x) && x >= 0.0; }
-
-Work plan_cmd(const util::ArgParser& args) {
+Work plan_cmd(const io::ArgParser& args) {
+  const auto& pos = args.positional();
+  require(pos.empty(), "unexpected operand '" +
+                           (pos.empty() ? "" : pos.front()) + "'");
   const io::LoadedConfig file = load_config(args);
-  const model::TransformerConfig mdl = resolve_model(args, file, "gpt3-1t");
+  const model::TransformerConfig mdl = resolve_model(args, file);
+  const hw::SystemConfig sys = system_of(args, file);
 
   search::SearchOptions opts;
-  const std::int64_t n_gpus = args.get_int_or(
-      "gpus", file.system ? file.system->n_gpus : 1024);
-  const std::int64_t nvs = args.get_int_or(
-      "nvs", file.system ? file.system->nvs_domain : 8);
-  opts.global_batch = args.get_int_or("batch", 4096);
-  const std::int64_t top = args.get_int_or("top", 0);
-  opts.eval.tp_overlap = args.get_double_or("tp-overlap", 0.0);
-  opts.eval.activation_offload = args.get_double_or("offload", 0.0);
-  const double tokens = args.get_double_or("tokens", 0.0);
-  const double samples = args.get_double_or("samples", 0.0);
-  const double rate = args.get_double_or("rate", 0.0);
-  require(n_gpus >= 1, "--gpus must be >= 1");
-  require(opts.global_batch >= 1, "--batch must be >= 1");
-  require(top >= 0, "--top must be >= 0");
-  // Exposed TP communication is (1 - tp_overlap) of its time: outside
-  // [0, 1] it goes negative or grows, and the search's time floors stop
-  // being bounds. The offloaded share of activations is a fraction too.
-  require(in_unit_interval(opts.eval.tp_overlap),
-          "--tp-overlap must lie in [0, 1]");
-  require(in_unit_interval(opts.eval.activation_offload),
-          "--offload must lie in [0, 1]");
-  // Budgets and the price are amounts: a negative or non-finite one would
-  // silently drop its report line.
-  require(finite_non_negative(tokens), "--tokens must be finite and >= 0");
-  require(finite_non_negative(samples), "--samples must be finite and >= 0");
-  require(finite_non_negative(rate), "--rate must be finite and >= 0");
-  opts.top_k = static_cast<std::size_t>(top);
+  opts.global_batch = args.integer("batch");
+  opts.top_k = static_cast<std::size_t>(args.integer("top"));
+  opts.eval.tp_overlap = args.real("tp-overlap");
+  opts.eval.activation_offload = args.real("offload");
+  const double tokens = args.real("tokens");
+  const double samples = args.real("samples");
+  const double rate = args.real("rate");
 
-  hw::SystemConfig sys;
-  if (file.system) {
-    sys = *file.system;
-    sys.n_gpus = n_gpus;
-    sys.nvs_domain = nvs;
-    (void)args.get("gpu");  // config file wins; mark as consumed
-  } else {
-    sys = hw::make_system(generation(args.get_or("gpu", "b200")), nvs, n_gpus);
-  }
-  sys = checked(sys);
-
-  const std::string strat = args.get_or("strategy", "1d");
+  const std::string strat = args.value("strategy").text;
   std::vector<parallel::TpStrategy> strategies = {
       parallel::TpStrategy::TP1D, parallel::TpStrategy::TP2D,
       parallel::TpStrategy::Summa2D};
-  if (strat != "all") {
-    const auto one = parallel::strategy_by_name(strat);
-    require(one.has_value(), "unknown --strategy (1d|2d|summa|all)");
-    strategies = {*one};
-  }
+  if (strat != "all") strategies = {*parallel::strategy_by_name(strat)};
   if (args.has("interleave")) opts.interleave_candidates = {1, 2, 4, 8};
   opts.allow_zero3 = args.has("zero3");
   opts.eval.activation_recompute = args.has("recompute");
   // --plan PATH, loaded only once its schema lint finds no error.
   std::optional<io::LoadedPlan> plan;
-  if (const auto path = args.get("plan")) {
-    reject_errors(io::lint_config_file(*path));
-    plan = io::load_plan_file(*path);
+  if (const auto path = args.given("plan")) {
+    reject_errors(io::lint_config_file(path->text));
+    plan = io::load_plan_file(path->text);
   }
-  const std::string save_plan = args.get_or("save-plan", "");
+  const std::string save_plan = args.value("save-plan").text;
   const bool want_ops = args.has("ops");
   const bool want_sens = args.has("sensitivity");
-  const std::string csv = args.get_or("csv", "");
-  const std::string markdown = args.get_or("markdown", "");
+  const std::string csv = args.value("csv").text;
+  const std::string markdown = args.value("markdown").text;
 
   return [=]() mutable {
     std::cout << "Model:  " << mdl.name << " ("
@@ -1249,36 +1043,199 @@ Work plan_cmd(const util::ArgParser& args) {
   };
 }
 
+/// A command's own flag: row key and flag name are both `name`.
+io::Row flag(const char* name, io::Kind kind, const char* help,
+             io::Domain domain = {}, const char* fallback = nullptr,
+             analysis::RuleId rule = analysis::RuleId::kConfigValue) {
+  return {name, kind, domain, fallback, 1.0, rule, false, name, help};
+}
+
+/// `own` rows, then the row flags of each of `records`, then --help.
+std::vector<io::Row> rows(std::vector<io::Row> own,
+                          const std::vector<std::string>& records) {
+  for (const std::string& record : records) {
+    for (const io::Row& r : io::find_schema(record)->rows) {
+      if (r.flag) own.push_back(r);
+    }
+  }
+  own.push_back(flag("help", io::Kind::kBool, "print this help"));
+  return own;
+}
+
+bool is_model(const std::string& name) {
+  return name == "custom" || model::preset_by_name(name).has_value();
+}
+
+const std::vector<Command>& commands() {
+  using enum io::Kind;
+  using io::at_least;
+  using io::names;
+  constexpr auto kDomain = analysis::RuleId::kSystemDomain;  // lint_system's
+  static const std::string models =
+      util::join(model::preset_names(), "|") + "|custom";
+  const auto model_row = [](const char* help, const char* preset) {
+    return flag("model", kName, help, names(models.c_str(), is_model), preset);
+  };
+  const io::Row threads =
+      flag("threads", kInt, "worker threads, 0 = hardware concurrency",
+           io::range(0, 1024), "0");
+  static const std::vector<Command> all{
+      {"plan",
+       "usage: tfpe [plan] [--model NAME | --config PATH] [options]\n"
+       "       tfpe sweep|codesign|serve-plan|lint ... (see tfpe CMD --help)\n"
+       "\n"
+       "The optimal configuration of one model on one system per strategy; a\n"
+       "--config [system] replaces the --gpu/--nvs/--gpus defaults. Exit\n"
+       "codes: 0 ok, 1 infeasible or a failed check, 2 usage or bad input.\n",
+       rows({model_row("model preset, or custom from the --l/--e/... rows",
+                       "gpt3-1t"),
+             flag("config", kString,
+                  "load [model] and/or [system] from a file"),
+             flag("gpu", kName, "GPU generation", names("a100|h200|b200"),
+                  "b200"),
+             flag("nvs", kInt, "fast-domain size", at_least(1), "8", kDomain),
+             flag("gpus", kInt, "total GPUs", at_least(1), "1024", kDomain),
+             flag("strategy", kName, "tensor-parallel strategy",
+                  names("1d|2d|summa|all"), "1d"),
+             flag("batch", kInt, "global batch", at_least(1), "4096"),
+             flag("top", kInt, "also print the N best", at_least(0), "0"),
+             flag("interleave", kBool, "allow interleaved pipeline schedules"),
+             flag("zero3", kBool, "allow ZeRO-3 weight sharding"),
+             flag("tp-overlap", kReal, "hidden fraction of TP communication",
+                  io::range(0, 1), "0"),
+             flag("offload", kReal, "fraction of activations offloaded to host",
+                  io::range(0, 1), "0"),
+             flag("recompute", kBool, "full activation checkpointing"),
+             flag("plan", kString,
+                  "evaluate a saved plan instead of searching"),
+             flag("save-plan", kString,
+                  "write the best configuration as a plan file"),
+             flag("rate", kReal,
+                  "$/GPU-hour for cost estimates (--tokens/--samples)",
+                  at_least(0), "0"),
+             flag("tokens", kReal, "report days to train on X tokens",
+                  at_least(0), "0"),
+             flag("samples", kReal, "report days to train on X samples",
+                  at_least(0), "0"),
+             flag("ops", kBool, "per-op roofline report for the optimum"),
+             flag("sensitivity", kBool,
+                  "hardware elasticities (re-searches 12 designs)"),
+             flag("csv", kString, "write results as CSV"),
+             flag("markdown", kString, "write a Markdown report")},
+            {"model"}),
+       plan_cmd},
+      {"sweep",
+       "usage: tfpe sweep SPEC [options]\n"
+       "\n"
+       "The optimal configuration at every point of the spec's [sweep] cross\n"
+       "product (model x gpu x nvs x oversub x gpus x strategy x batch), one\n"
+       "CSV row per point. The spec is schema-linted first (docs/API.md).\n",
+       rows({flag("output", kString, "CSV path, else the spec's output"),
+             threads,
+             flag("warm-start", kBool,
+                  "seed incumbents along each chain (throughput only)"),
+             flag("profile-stages", kBool,
+                  "per-stage busy seconds and their overlap"),
+             flag("verify-legacy", kBool,
+                  "exit 1 unless find_optimal agrees bitwise on every row"),
+             flag("ablate-topology", kBool,
+                  "exit 1 unless a degenerate 3-level fabric agrees")},
+            {}),
+       sweep_cmd},
+      {"codesign",
+       "usage: tfpe codesign [--model NAME | --config PATH] [options]\n"
+       "\n"
+       "Per point of the [sweep] hardware grid (its model axis is tfpe\n"
+       "sweep's), the best (shape, parallelization, placement) over every\n"
+       "shape within the [codesign] band of the base model's parameters,\n"
+       "bitwise equal to find_optimal; floor-bound shapes are pruned whole.\n",
+       rows({model_row("base preset the family is iso to", "gpt3-1t"),
+             flag("config", kString, "load [model], [codesign] and [sweep]"),
+             threads,
+             flag("no-prune-shapes", kBool,
+                  "scan every (shape, point) pair, no floor pruning"),
+             flag("no-warm-start", kBool, "cold incumbents (A/B baseline)"),
+             flag("verify-per-shape", kBool,
+                  "exit 1 unless find_optimal agrees, no pruned pair wins"),
+             flag("csv", kString, "write per-point winners as CSV")},
+            {"model", "codesign", "sweep"}),
+       codesign_cmd},
+      {"serve-plan",
+       "usage: tfpe serve-plan [--model NAME | --config PATH] [options]\n"
+       "\n"
+       "The latency/throughput Pareto front of serving replica shapes (tp x\n"
+       "pp x resident batch) under continuous batching, each holding its KV\n"
+       "cache inside the HBM cap; a batch is clipped to what fits.\n",
+       rows({model_row("model preset, or custom from the --l/--e/... rows",
+                       "llama3-405b"),
+             flag("config", kString, "load [model], [system] and [serving]"),
+             flag("gpu", kName, "GPU generation", names("a100|h200|b200"),
+                  "h200"),
+             flag("nvs", kInt, "fast-domain size", at_least(1), "8", kDomain),
+             flag("gpus", kInt, "total GPUs, for the replica-count line",
+                  at_least(1), "8", kDomain),
+             flag("all", kBool,
+                  "print every feasible point, not just the front"),
+             flag("csv", kString, "write the evaluated grid as CSV")},
+            {"model", "serving"}),
+       serve_plan_cmd},
+      {"lint",
+       "usage: tfpe lint [PATH] [options]\n"
+       "\n"
+       "Diagnostics with stable rule IDs (docs/API.md) on a .tfpe file,\n"
+       "schema first, or with no PATH on the preset x strategy matrix and the\n"
+       "default sweep plan. Exit codes: 0 clean, 1 errors, 2 usage or\n"
+       "unparseable input, 3 warnings under --strict.\n",
+       rows({model_row("model preset a [plan] applies to", "gpt3-1t"),
+             flag("batch", kInt,
+                  "plan's global batch, else its own (no PATH: 2 per GPU)",
+                  at_least(1)),
+             flag("format", kName, "report format", names("text|json|sarif"),
+                  "text"),
+             flag("strict", kBool, "warnings also fail (exit 3)"),
+             flag("suppress", kNames, "rule codes or names to disable",
+                  names("a rule code or name", [](const std::string& c) {
+                    return analysis::find_rule(c).has_value();
+                  }))},
+            {"model"}),
+       lint_cmd}};
+  return all;
+}
+
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::ArgParser args(argc, argv);
-  using Command = Work (*)(const util::ArgParser&);
-  static const std::map<std::string, Command> kCommands = {
-      {"plan", plan_cmd},
-      {"sweep", sweep_cmd},
-      {"codesign", codesign_cmd},
-      {"serve-plan", serve_plan_cmd},
-      {"lint", lint_cmd}};
-  const auto& pos = args.positional();
-  auto it = pos.empty() ? kCommands.end() : kCommands.find(pos.front());
-  if (it == kCommands.end()) it = kCommands.find("plan");
-  const std::string& cmd = it->first;
-  if (args.has("help")) {
-    std::cerr << help_text(cmd);
-    return 0;
-  }
+std::vector<std::pair<std::string, std::vector<io::Row>>> flag_tables() {
+  std::vector<std::pair<std::string, std::vector<io::Row>>> out;
+  for (const Command& cmd : commands()) out.emplace_back(cmd.name, cmd.rows);
+  return out;
+}
+
+int run(int argc, const char* const* argv) {
+  // The command is the first argument when it names one, else plan.
+  const auto& all = commands();
+  auto cmd = std::find_if(all.begin(), all.end(), [&](const Command& c) {
+    return argc > 1 && c.name == argv[1];
+  });
+  const int skip = cmd != all.end();
+  if (cmd == all.end()) cmd = all.begin();
   try {
-    const Work work = it->second(args);
+    const io::ArgParser args(cmd->rows, argc - skip, argv + skip);
+    if (args.has("help")) {
+      std::cerr << help_text(*cmd);
+      return 0;
+    }
+    const Work work = cmd->prologue(args);
     const auto stray = args.unused();
-    if (!stray.empty()) return usage(cmd, "unknown flag --" + stray.front());
+    if (!stray.empty()) return usage(*cmd, "unknown flag --" + stray.front());
     return work();
   } catch (const Rejected& rejected) {
     std::cerr << analysis::render_text(rejected.report) << "\n";
     return 2;
   } catch (const std::invalid_argument& e) {
-    return usage(cmd, e.what());
+    return usage(*cmd, e.what());
   } catch (const std::runtime_error& e) {
-    return usage(cmd, e.what());
+    return usage(*cmd, e.what());
   }
 }
+
+}  // namespace tfpe::cli
