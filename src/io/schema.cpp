@@ -1,6 +1,7 @@
 #include "io/schema.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <optional>
 #include <sstream>
@@ -238,6 +239,29 @@ Row flagged(const char* flag, const char* help, Row r) {
   return r;
 }
 
+/// A member's value as the shortest text its row reads back to it.
+std::string fallback_text(std::int64_t x, double) { return std::to_string(x); }
+std::string fallback_text(double x, double scale) {
+  char buf[32];
+  return {buf, std::to_chars(buf, buf + sizeof buf, x / scale).ptr};
+}
+std::string fallback_text(const std::vector<std::int64_t>& xs, double) {
+  std::vector<std::string> items;
+  for (const std::int64_t x : xs) items.push_back(std::to_string(x));
+  return util::join(items, ",");
+}
+
+/// The field of member M whose row falls back to the record's own default
+/// for it, so the default is stated once (in the record) and `--help`
+/// shows it.
+template <auto M>
+Field<typename MemberOf<decltype(M)>::Record> defaulted(Row r) {
+  static const std::string text =
+      fallback_text(typename MemberOf<decltype(M)>::Record{}.*M, r.scale);
+  r.fallback = text.c_str();
+  return {r, set<M>};
+}
+
 using Model = model::TransformerConfig;
 
 void finish_model(const Section& s, Model& m, std::vector<Problem>& out) {
@@ -341,7 +365,7 @@ void finish_topology(const Section& s, Topology& t, std::vector<Problem>& out) {
     const std::size_t got = util::split_list(it->second, ',', true).size();
     if (got != n) {
       out.push_back({RuleId::kConfigListLength, f.row.key,
-                     "'" + std::string(f.row.key) + "' has " +
+                     std::string("'") + f.row.key + "' has " +
                          std::to_string(got) + " entries, 'levels' names " +
                          std::to_string(n) + " levels",
                      static_cast<double>(n), static_cast<double>(got)});
@@ -485,9 +509,9 @@ const Table<Family> kCodesign{
       [](Family& o, const Value& v) {
         o.target_params = static_cast<std::int64_t>(v.reals.front());
       }},
-     {flagged("tolerance", "relative band around the budget",
-              ruled(kBudget, {"tolerance", kReal, open_band()})),
-      set<&Family::tolerance>},
+     defaulted<&Family::tolerance>(
+         flagged("tolerance", "relative band around the budget",
+                 ruled(kBudget, {"tolerance", kReal, open_band()}))),
      {ruled(kAxis, {"depths", kInts, at_least(1)}), set<&Family::depths>},
      {ruled(kAxis, {"depth_min", kInt, at_least(1)}), set<&Family::depth_min>},
      {ruled(kAxis, {"depth_max", kInt, at_least(1)}), set<&Family::depth_max>},
@@ -512,21 +536,21 @@ using Serving = core::ServingSpec;
 
 const Table<Serving> kServing{
     "serving",
-    {{flagged("prompt", "input tokens per request",
-              {"prompt_len", kInt, at_least(1)}),
-      set<&Serving::prompt_len>},
-     {flagged("output", "generated tokens per request",
-              {"output_len", kInt, at_least(1)}),
-      set<&Serving::output_len>},
-     {flagged("tp", "tensor-parallel widths", {"tp", kInts, at_least(1)}),
-      set<&Serving::tp>},
-     {flagged("pp", "pipeline depths", {"pp", kInts, at_least(1)}),
-      set<&Serving::pp>},
-     {flagged("batch", "requested batches", {"batch", kInts, at_least(1)}),
-      set<&Serving::batch>},
-     {flagged("kv-cap", "HBM fraction for KV cache + weights",
-              {"kv_cap_fraction", kReal, fraction()}),
-      set<&Serving::kv_cap_fraction>},
+    {defaulted<&Serving::prompt_len>(
+         flagged("prompt", "input tokens per request",
+                 {"prompt_len", kInt, at_least(1)})),
+     defaulted<&Serving::output_len>(
+         flagged("output", "generated tokens per request",
+                 {"output_len", kInt, at_least(1)})),
+     defaulted<&Serving::tp>(
+         flagged("tp", "tensor-parallel widths", {"tp", kInts, at_least(1)})),
+     defaulted<&Serving::pp>(
+         flagged("pp", "pipeline depths", {"pp", kInts, at_least(1)})),
+     defaulted<&Serving::batch>(
+         flagged("batch", "requested batches", {"batch", kInts, at_least(1)})),
+     defaulted<&Serving::kv_cap_fraction>(
+         flagged("kv-cap", "HBM fraction for KV cache + weights",
+                 {"kv_cap_fraction", kReal, fraction()})),
      {{"max_batch", kInt, at_least(0)}, set<&Serving::max_batch>}}};
 
 template <class Rec>

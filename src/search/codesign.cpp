@@ -175,6 +175,23 @@ CodesignResult run_codesign(const std::vector<model::TransformerConfig>& shapes,
     const ScanShared scan{shape, opts.sweep, caches, placement_cache,
                           compile_ns, time_ns};
 
+    // The candidate space of each GPU count the shape is scanned at, with
+    // its memory floors, built before the chains fan out: the chains only
+    // read them. Both are the enumerate stage.
+    const auto enum_t0 = Clock::now();
+    std::map<std::int64_t, std::pair<std::shared_ptr<const CandidateSpace>,
+                                     MemoryFloors>>
+        spaces;
+    for (std::size_t p = 0; p < np; ++p) {
+      if (out.pruned[s][p] || spaces.count(points[p].n_gpus)) continue;
+      auto space = cand_cache.get(shape, points[p], opts.sweep.search);
+      MemoryFloors floors(shape, space->tree, b, opts.sweep.search.eval,
+                          caches);
+      spaces.emplace(points[p].n_gpus,
+                     std::pair(std::move(space), std::move(floors)));
+    }
+    enumerate_ns.fetch_add(ns_since(enum_t0), std::memory_order_relaxed);
+
     // Within a chain the points run in input order, threading the warm
     // seed; the leased ScanScratch persists across the chain (and, through
     // the pool, across chains) so the batch kernel allocates only on
@@ -182,22 +199,21 @@ CodesignResult run_codesign(const std::vector<model::TransformerConfig>& shapes,
     // per-candidate entries are indexed into THIS chain's candidate space
     // and must not leak into the next one.
     const auto run_chain = [&](std::size_t c) {
+      const auto it = spaces.find(points[chains[c].front()].n_gpus);
+      if (it == spaces.end()) return;  // every point at this scale pruned
+      const auto& [space, floors] = it->second;
       util::ObjectPool<ScanScratch>::Lease scratch = scratch_pool.acquire();
       ChainContext ctx;
       std::size_t chain_seed = kNoSeed;
       for (const std::size_t p : chains[c]) {
         if (out.pruned[s][p]) continue;
-        const auto enum_t0 = Clock::now();
-        const auto space = cand_cache.get(shape, points[p],
-                                          opts.sweep.search);
-        enumerate_ns.fetch_add(ns_since(enum_t0), std::memory_order_relaxed);
         std::size_t seed = kNoSeed;
         if (opts.sweep.warm_start) {
           if (seed_cfg[p]) seed = space->tree.index_of(*seed_cfg[p]);
           if (seed == kNoSeed) seed = chain_seed;
         }
-        outcomes[p] = scan_point(scan, points[p], *space, seed, incumbent[p],
-                                 *scratch, ctx);
+        outcomes[p] = scan_point(scan, points[p], *space, floors, seed,
+                                 incumbent[p], *scratch, ctx);
         chain_seed = outcomes[p].best_index;
       }
     };

@@ -7,13 +7,13 @@
 // a one-shape family. It runs as a branch-and-bound over the PRODUCT space
 // instead of a find_optimal loop per (shape, point):
 //
-//   * LAZY, MEMOIZED ENUMERATION — the candidate tree depends on the system
+//   * MEMOIZED ENUMERATION — the candidate tree depends on the system
 //     only through the GPU count but on the model shape (see enumerate.hpp),
 //     so CandidateCache memoizes it and its leaves (a CandidateSpace) on
 //     the full (shape key, GPU count) pair and shares them across the grid.
-//     The first worker that needs a space builds it, so enumeration
-//     OVERLAPS other chains' compile and timing work instead of
-//     serializing ahead of the fan-out.
+//     Before a shape's chains fan out, each space it is scanned at is
+//     looked up once, with its hardware-free memory floors (MemoryFloors,
+//     search/point_scan.hpp); the chains only read both.
 //   * COMPILE PER LAYER — each distinct layer is lowered once into a
 //     hardware-invariant SoA block and each candidate compiles only its
 //     scalar tail against it (core/cost_signature.hpp, "block / tail
@@ -136,7 +136,9 @@ ShapeKey shape_key(const model::TransformerConfig& mdl, std::int64_t n_gpus);
 
 /// One (shape, GPU count)'s candidate space: the tree the scan walks and
 /// its leaves at their flattened indices (expand_candidates' list), so a
-/// leaf is read by index and never rebuilt.
+/// leaf is read by index and never rebuilt. Shared by every shape with the
+/// same ShapeKey; run_codesign keeps its memory floors (MemoryFloors)
+/// beside it, built per shape from that shape's own unit scalars.
 struct CandidateSpace {
   CandidateTree tree;
   std::vector<parallel::ParallelConfig> configs;  ///< tree.leaves()

@@ -12,8 +12,38 @@ using Clock = std::chrono::steady_clock;
 
 }  // namespace
 
+MemoryFloors::MemoryFloors(const model::TransformerConfig& mdl,
+                           const CandidateTree& tree,
+                           std::int64_t global_batch,
+                           const core::EvalOptions& eval,
+                           ShapeCaches& caches) {
+  first_.reserve(tree.prefixes().size() + 1);
+  prefix_min_.reserve(tree.prefixes().size());
+  first_.push_back(0);
+  for (const CandidatePrefix& prefix : tree.prefixes()) {
+    // The prefix's layer family with ring attention off and on.
+    std::shared_ptr<const core::BlockScalars> units[2];
+    group_memory_floors(
+        tree, prefix,
+        [&](const parallel::ParallelConfig& cfg) {
+          std::shared_ptr<const core::BlockScalars>& unit =
+              units[cfg.ring_attention ? 1 : 0];
+          if (!unit) unit = caches.unit(mdl, cfg, global_batch);
+          return std::max(
+              core::memory_floor(mdl, cfg, global_batch, eval),
+              core::token_memory_floor(mdl, cfg, global_batch, *unit, eval));
+        },
+        floors_);
+    prefix_min_.push_back(*std::min_element(
+        floors_.begin() + static_cast<std::ptrdiff_t>(first_.back()),
+        floors_.end()));
+    first_.push_back(floors_.size());
+  }
+}
+
 PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
-                        const CandidateSpace& space, std::size_t seed_index,
+                        const CandidateSpace& space,
+                        const MemoryFloors& floors, std::size_t seed_index,
                         double incumbent, ScanScratch& scratch,
                         ChainContext& chain) {
   const std::int64_t b = sh.opts.search.global_batch;
@@ -55,10 +85,36 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
       scratch.feasible;
   feasible.clear();
 
+  // Settle prefix p without expanding it: its leaves with a chain-held
+  // tail over HBM are evaluated, the warm seed (screened on its own) is
+  // left out, and each (m, ring, ZeRO) group is memory-pruned when its
+  // floor is over HBM, else subtree-pruned (see the header for the order).
+  const std::size_t seed_prefix =
+      seed_index < configs.size() ? tree.prefix_of(configs[seed_index])
+                                  : kNoSeed;
+  std::vector<std::size_t>& settled = scratch.settled;
+  const auto settle = [&](std::uint32_t p) {
+    const CandidatePrefix& prefix = prefixes[p];
+    settled.assign(tree.microbatches(prefix).size() * tree.groups_per_m(prefix),
+                   0);
+    for (const std::size_t i : chain.prefixes[p].compiled) {
+      if (i != seed_index && chain.entries[i].tail->mem.total() > hbm) {
+        ++out.signature_reuses;
+        ++out.evaluated;
+        ++settled[tree.group_of(prefix, i)];
+      }
+    }
+    if (seed_prefix == p) ++settled[tree.group_of(prefix, seed_index)];
+    classify_unexpanded(tree, prefix, floors.groups(p), hbm, settled,
+                        out.memory_pruned, out.subtree_pruned);
+  };
+
   // Prefix screen: validity per prefix (every leaf of a prefix is valid
   // exactly when the prefix is; the verdict reads only the cluster size, so
-  // it survives along the chain, stamped for safety) and each valid
-  // prefix's floor, finished on this point's fabric.
+  // it survives along the chain, stamped for safety), then the memory
+  // screen — a prefix all over HBM is settled here and never enters the
+  // merge — and each remaining prefix's floor, finished on this point's
+  // fabric.
   PrefixMerge& merge = scratch.merge;
   merge.clear();
   for (std::uint32_t p = 0; p < prefixes.size(); ++p) {
@@ -69,6 +125,10 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
       cp.screen_n_gpus = sys.n_gpus;
     }
     if (!cp.valid) continue;
+    if (floors.over(p, hbm)) {
+      settle(p);
+      continue;
+    }
     if (!cp.floor_ready) {
       cp.floor_base = core::prefix_floor_base(sh.mdl, sys, cfg, b, eval);
       cp.floor_ready = 1;
@@ -76,23 +136,6 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
     merge.add(p, core::finish_prefix_floor(cp.floor_base, chain.fabric, cfg));
   }
   merge.start();
-
-  // A leaf of prefix p's memory floor (ChainEntry::memory_floor): the
-  // larger of the analytic floor and the per-token one, which counts every
-  // stored activation. Looking up the unit scalars may build them: the
-  // compile stage.
-  const auto memory_floor = [&](std::size_t p,
-                                const parallel::ParallelConfig& cfg) {
-    std::shared_ptr<const core::BlockScalars>& unit =
-        chain.prefixes[p].units[cfg.ring_attention ? 1 : 0];
-    if (!unit) {
-      const auto t0 = Clock::now();
-      unit = sh.caches.unit(sh.mdl, cfg, b);
-      compile_ns += ns_since(t0);
-    }
-    return std::max(core::memory_floor(sh.mdl, cfg, b, eval),
-                    core::token_memory_floor(sh.mdl, cfg, b, *unit, eval));
-  };
 
   // Screen leaf i of valid prefix p; true with its lower bound in `lb`
   // when it joins the scan.
@@ -113,11 +156,10 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
       ++out.evaluated;
       return false;
     }
-    // The memory floors are <= the tail's total, so a leaf over HBM on
-    // either is never compiled; the tail check in evaluate stays the exact
-    // arbiter for the rest.
-    if (e.memory_floor < 0) e.memory_floor = memory_floor(p, cfg);
-    if (Bytes(e.memory_floor) > hbm) {
+    // The memory floor is <= the tail's total, so a leaf over HBM on it is
+    // never compiled; the tail check in evaluate stays the exact arbiter
+    // for the rest.
+    if (Bytes(floors.leaf(tree, p, i)) > hbm) {
       ++out.memory_pruned;
       return false;
     }
@@ -132,16 +174,11 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
 
   // The warm seed is screened here, once; every later pass skips it.
   std::size_t seed = kNoSeed;
-  std::size_t seed_prefix = kNoSeed;
   bool seed_pending = false;
-  if (seed_index < configs.size()) {
-    const std::size_t sp = tree.prefix_of(configs[seed_index]);
-    if (chain.prefixes[sp].valid) {
-      seed = seed_index;
-      seed_prefix = sp;
-      double lb = 0;
-      seed_pending = screen(seed, sp, lb);
-    }
+  if (seed_prefix != kNoSeed && chain.prefixes[seed_prefix].valid) {
+    seed = seed_index;
+    double lb = 0;
+    seed_pending = screen(seed, seed_prefix, lb);
   }
 
   // Evaluate candidate i as tail -> capacity check -> block bind -> floor
@@ -273,32 +310,8 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
   }
 
   // What is left is above the incumbent: the expanded leaves one by one,
-  // the unexpanded prefixes whole (see the header for the order).
-  std::vector<std::size_t>& settled = scratch.settled;
-  for (const auto& [floor, p] : merge.unexpanded()) {
-    const CandidatePrefix& prefix = prefixes[p];
-    settled.assign(tree.microbatches(prefix).size() * tree.groups_per_m(prefix),
-                   0);
-    for (const std::size_t i : chain.prefixes[p].compiled) {
-      if (i != seed && chain.entries[i].tail->mem.total() > hbm) {
-        ++out.signature_reuses;
-        ++out.evaluated;
-        ++settled[tree.group_of(prefix, i)];
-      }
-    }
-    if (seed_prefix == p) ++settled[tree.group_of(prefix, seed)];
-    std::vector<double>& floors = chain.prefixes[p].memory_floors;
-    if (floors.empty()) {
-      group_memory_floors(
-          tree, prefix,
-          [&](const parallel::ParallelConfig& cfg) {
-            return memory_floor(p, cfg);
-          },
-          floors);
-    }
-    classify_unexpanded(tree, prefix, floors, hbm, settled, out.memory_pruned,
-                        out.subtree_pruned);
-  }
+  // the unexpanded prefixes whole.
+  for (const auto& [floor, p] : merge.unexpanded()) settle(p);
   out.bound_pruned = merge.unpopped() + out.subtree_pruned;
 
   // Reduce in candidate-index order with the shared predicate — the same

@@ -4,9 +4,9 @@
 // sequential, lower-bound-ordered walk of the shape's CandidateTree with an
 // achieved-time incumbent, warm seeding, and the ChainContext that
 // persists state across the points of one chain: per prefix its validity,
-// floor base and unit scalars; per candidate its compiled tail, block,
-// memory floor and lower-bound base; per block its bind half (per GPU
-// roofline) and floor walk (per point).
+// floor base and compiled leaves; per candidate its compiled tail, block
+// and lower-bound base; per block its bind half (per GPU roofline) and
+// floor walk (per point).
 //
 // Scan order. Each valid (n1, n2, np, nd, nb) prefix gets its
 // core::prefix_time_floor, finished on the point's fabric from the chain's
@@ -18,12 +18,16 @@
 // is <= both the running incumbent and the smallest pending lb, and the
 // scan stops at the first leaf whose lb is above the incumbent.
 //
-// Memory floor. A leaf's memory floor is the larger of the analytic
+// Memory floor. A leaf's memory floor is its (m, ring, ZeRO stage) group's
+// entry in the space's MemoryFloors: the larger of the analytic
 // core::memory_floor and the per-token core::token_memory_floor (its layer
-// family built once per shape at local microbatch 1, ShapeCaches::units,
-// scaled by its local microbatch). Both are <= the leaf's tail total, and
-// the per-token one equals it up to a 1e-9 slack, so a leaf over HBM is
-// turned away before its tail or block is built. find_optimal keeps the
+// family built once per shape at local microbatch 1, ShapeCaches::unit,
+// scaled by the local microbatch). No memory floor reads the interleave,
+// so the group's floor is each of its leaves'. Both are <= the leaf's tail
+// total, and the per-token one equals it up to a 1e-9 slack, so a leaf
+// over HBM is turned away before its tail or block is built. The table is
+// hardware-free and built once per (shape, GPU count) space before the
+// shape's chains run; the scan only reads it. find_optimal keeps the
 // analytic floor alone, so the scan's memory_pruned exceeds its, and
 // evaluated and bound_pruned fall short of its, by the leaves only the
 // per-token floor settles; the three sum to the same total.
@@ -34,16 +38,22 @@
 // leaf whose chain-held tail is over HBM is charged one evaluation, one
 // whose memory floor is over HBM is memory-pruned, the rest are bounded.
 // The tail check in evaluate stays the exact verdict for the popped ones.
-// A prefix never expanded has a floor above the final incumbent, so every
-// leaf of it is slower than an achieved time; its leaves are classified
-// without being materialized, in the same order of verdicts: those with a
-// chain-held tail over HBM (the prefix keeps a list of its compiled leaves)
-// as evaluated, then per (m, ring, ZeRO stage) group the same memory floor
-// (no memory floor reads the interleave), the rest as bound_pruned and
-// subtree_pruned. So a leaf gets one verdict whether or not its prefix was
-// expanded, and scan_point's best result equals find_optimal's optimum at
-// the same point, with or without a warm seed (see codesign.hpp for the
-// argument): a memory-pruned leaf is infeasible under every placement.
+// Two kinds of prefix are settled without expanding them, by one
+// classification in the same order of verdicts: the leaves with a
+// chain-held tail over HBM (the prefix keeps a list of its compiled
+// leaves) as evaluated, the warm seed (already screened) left out, then per
+// group the memory floor, the rest as bound_pruned and subtree_pruned.
+//   * A prefix whose smallest group floor is over the point's HBM (the
+//     memory screen) is settled before the merge starts: every leaf of it
+//     is over HBM, so it never enters the merge, its time floor is never
+//     finished and none of its leaves is bound_pruned. Expanding it would
+//     push no leaf, so the merge pops the same leaves in the same order.
+//   * A prefix never expanded has a floor above the final incumbent, so
+//     every leaf of it is slower than an achieved time.
+// So a leaf gets one verdict whether or not its prefix was expanded, and
+// scan_point's best result equals find_optimal's optimum at the same
+// point, with or without a warm seed (see codesign.hpp for the argument):
+// a memory-pruned leaf is infeasible under every placement.
 //
 // A finite starting incumbent I is an achieved time too. Every leaf whose
 // time is <= I (ties included) has lb <= I and passes the strict, slackened
@@ -57,11 +67,11 @@
 // caches, groups points into chains and aggregates PointOutcome counters
 // into its stats.
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/batched_signature.hpp"
@@ -124,6 +134,43 @@ struct ShapeCaches {
   }
 };
 
+/// The scan's hardware-free memory screen of one (shape, GPU count)
+/// candidate space: per (m, ring, ZeRO stage) group of each prefix
+/// (CandidateTree::group_of, group_memory_floors) the larger of
+/// core::memory_floor and core::token_memory_floor, and per prefix the
+/// smallest of its groups'. run_codesign builds one per space before the
+/// shape's chains fan out (charged to the enumerate stage); scan_point only
+/// reads it.
+class MemoryFloors {
+ public:
+  /// The floors of every prefix of `tree` for the shape `mdl`; the
+  /// per-token floor's unit scalars come from `caches` (ShapeCaches::unit),
+  /// which builds them.
+  MemoryFloors(const model::TransformerConfig& mdl, const CandidateTree& tree,
+               std::int64_t global_batch, const core::EvalOptions& eval,
+               ShapeCaches& caches);
+
+  /// Prefix p's group floors, in group order.
+  std::span<const double> groups(std::size_t p) const {
+    return std::span(floors_).subspan(first_[p], first_[p + 1] - first_[p]);
+  }
+  /// The floor of leaf `index` of prefix p (its group's).
+  double leaf(const CandidateTree& tree, std::size_t p,
+              std::size_t index) const {
+    return floors_[first_[p] + tree.group_of(tree.prefixes()[p], index)];
+  }
+  /// True when every leaf of prefix p is over `hbm`: its smallest group
+  /// floor is.
+  bool over(std::size_t p, Bytes hbm) const {
+    return Bytes(prefix_min_[p]) > hbm;
+  }
+
+ private:
+  std::vector<double> floors_;      ///< every group, prefix by prefix
+  std::vector<std::size_t> first_;  ///< each prefix's first group, then end
+  std::vector<double> prefix_min_;  ///< per prefix
+};
+
 /// Everything scan_point reads and mutates, owned by the caller: the model
 /// and engine options the scan is for, the memoization caches (the shape's
 /// caches must be per (model, global batch, EvalOptions) tuple — see
@@ -173,28 +220,18 @@ struct ChainEntry {
   /// Fabric-independent half of the candidate's lower bounds; the screen
   /// finishes it with the current point's fabric.
   core::SearchBoundsBase lb_base;
-  /// The larger of core::memory_floor and core::token_memory_floor;
-  /// hardware-free, negative until computed.
-  double memory_floor = -1;
   std::uint8_t lb_ready = 0;
 };
 
 /// Per-prefix state carried across the points of one chain: its validity
 /// (it reads only the cluster size), its floor base (it reads only the GPU
-/// roofline), the leaves that hold a chain tail and its memory floors
-/// (hardware-free).
+/// roofline) and the leaves that hold a chain tail. Its memory floors are
+/// the space's (MemoryFloors), not the chain's.
 struct ChainPrefix {
   core::PrefixFloorBase floor_base;
-  /// The leaves' memory floor (ChainEntry::memory_floor) per (m, ring,
-  /// ZeRO stage) group, filled the first time the prefix is skipped
-  /// (hardware-free, so never reset).
-  std::vector<double> memory_floors;
   /// Leaves of the prefix whose ChainEntry::tail is set, in compile order:
-  /// the ones a skipped prefix must check against HBM.
+  /// the ones a settled prefix must check against HBM.
   std::vector<std::size_t> compiled;
-  /// Its layer family's unit scalars (ShapeCaches::unit) with ring
-  /// attention off and on, looked up on first use.
-  std::array<std::shared_ptr<const core::BlockScalars>, 2> units;
   std::int64_t screen_n_gpus = -1;  ///< cluster size `valid` is for
   std::uint8_t valid = 0;
   std::uint8_t floor_ready = 0;
@@ -252,7 +289,8 @@ struct ScanScratch {
 
 /// One grid point: walk the shape's candidate space cheapest-lower-bound-
 /// first with a point-local incumbent (see the header for the order and
-/// why it is exact) — optionally seeded by re-timing `seed_index` (the
+/// why it is exact), screening its prefixes and leaves on `floors` (the
+/// space's MemoryFloors) — optionally seeded by re-timing `seed_index` (the
 /// chain parent's optimum, or the previous shape's) first. The incumbent
 /// starts at `incumbent`, an achieved iteration time or infinity; the seed
 /// counts as warm_seed_feasible only when it beats that start. The running
@@ -265,7 +303,8 @@ struct ScanScratch {
 /// than find_optimal's round barriers) and keeps the per-point counters
 /// independent of the worker count.
 PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
-                        const CandidateSpace& space, std::size_t seed_index,
+                        const CandidateSpace& space,
+                        const MemoryFloors& floors, std::size_t seed_index,
                         double incumbent, ScanScratch& scratch,
                         ChainContext& chain);
 

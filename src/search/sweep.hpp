@@ -102,7 +102,9 @@ struct SweepStats {
   /// sweep's wall time. overlap() > 1 means stages genuinely ran
   /// concurrently. Schedule-dependent — excluded from determinism tests.
   struct StageProfile {
-    double enumerate_s = 0;  ///< candidate spaces (CandidateCache)
+    /// Candidate spaces (CandidateCache) and their memory floors
+    /// (MemoryFloors).
+    double enumerate_s = 0;
     double compile_s = 0;    ///< tail compile + block lower + bind
     double time_s = 0;       ///< the rest of the scan: screens, merge, timing
     double wall_s = 0;

@@ -6,13 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/workload.hpp"
 #include "io/args.hpp"
+#include "model/shape_family.hpp"
 
 namespace tfpe::cli {
 namespace {
@@ -147,6 +151,46 @@ TEST(CliFlags, SwitchLeavesTheNextOperandPositional) {
   const Ran ran = tfpe({"lint", "--strict", path});
   EXPECT_EQ(ran.code, 0) << ran.out;
   EXPECT_NE(ran.out.find("lint " + path), std::string::npos) << ran.out;
+}
+
+/// The [serving] and [codesign] row flags default to their records' own
+/// members (core::ServingSpec, model::ShapeFamilyOptions), and each flag's
+/// --help entry says so.
+TEST(CliFlags, RecordFlagsShowTheRecordsDefaults) {
+  const core::ServingSpec serving;
+  const model::ShapeFamilyOptions family;
+  const auto list = [](const std::vector<std::int64_t>& xs) {
+    std::string out;
+    for (const std::int64_t x : xs) {
+      out += (out.empty() ? "" : ",") + std::to_string(x);
+    }
+    return out;
+  };
+  const auto real = [](double x) {
+    std::ostringstream out;
+    out << x;
+    return out.str();
+  };
+  const std::vector<std::array<std::string, 3>> cases = {
+      {"serve-plan", "prompt", std::to_string(serving.prompt_len)},
+      {"serve-plan", "output", std::to_string(serving.output_len)},
+      {"serve-plan", "tp", list(serving.tp)},
+      {"serve-plan", "pp", list(serving.pp)},
+      {"serve-plan", "batch", list(serving.batch)},
+      {"serve-plan", "kv-cap", real(serving.kv_cap_fraction)},
+      {"codesign", "tolerance", real(family.tolerance)},
+  };
+  for (const auto& [cmd, flag, value] : cases) {
+    const Ran help = tfpe({cmd, "--help"});
+    ASSERT_EQ(help.code, 0) << cmd;
+    // The flag's entry: its help line and the note under it.
+    const std::size_t at = help.out.find("  --" + flag + " ");
+    ASSERT_NE(at, std::string::npos) << cmd << " --" << flag;
+    const std::size_t end = help.out.find("\n  --", at + 1);
+    const std::string entry = help.out.substr(at, end - at);
+    EXPECT_NE(entry.find("default " + value + ")"), std::string::npos)
+        << cmd << " --" << flag << ":\n" << entry;
+  }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <limits>
+#include <optional>
 #include <random>
 #include <stdexcept>
 #include <thread>
@@ -17,6 +18,7 @@
 
 #include "core/batched_signature.hpp"
 #include "core/lower_bounds.hpp"
+#include "model/shape_family.hpp"
 #include "search/search.hpp"
 #include "search/enumerate.hpp"
 #include "search/point_scan.hpp"
@@ -433,6 +435,125 @@ TEST(Sweep, SkippedPrefixesClassifyLikeLeaves) {
     EXPECT_GT(s.memory_pruned, 0u) << label;
   }
   EXPECT_GT(ring_leaves, 0u);
+}
+
+/// The scan's prefix memory screen. MemoryFloors holds one floor per
+/// (prefix, m, ring, ZeRO) group; each entry must equal, bit for bit, the
+/// larger of the analytic and per-token memory floors of every leaf of its
+/// group, with the per-token unit built here (block_scalars of the leaf's
+/// layer family at microbatch 1), never read from the table or its caches.
+/// A prefix is settled before expansion exactly when every leaf's floor is
+/// over HBM, and the scan's counters still equal a leaf-by-leaf screen's
+/// (as in Sweep.SkippedPrefixesClassifyLikeLeaves).
+TEST(Sweep, PrefixMemoryScreenSettlesAllOverHbmPrefixes) {
+  constexpr std::int64_t kBatch = 4096;
+  constexpr std::int64_t kGpus = 4096;
+  model::ShapeFamilyOptions fam;
+  fam.tolerance = 0.04;
+  fam.head_dims = {128};
+  fam.moe_experts = {8};
+  const auto family = model::shape_family(model::gpt3_1t(), fam);
+  ASSERT_FALSE(family.empty());
+  ASSERT_EQ(family.front().moe_experts, 8);
+  struct Case {
+    const char* label;
+    model::TransformerConfig mdl;
+    parallel::TpStrategy strategy;
+  };
+  const std::vector<Case> cases = {
+      {"GPT3-1T 1D", model::gpt3_1t(), parallel::TpStrategy::TP1D},
+      {"GPT3-1T 2D", model::gpt3_1t(), parallel::TpStrategy::TP2D},
+      {"8-expert 2D", family.front(), parallel::TpStrategy::TP2D},
+  };
+  const auto systems = search::hardware_grid(
+      {hw::GpuGeneration::A100, hw::GpuGeneration::B200}, {8, 64}, kGpus);
+  std::size_t settled = 0;  // prefixes every leaf of which is over HBM
+  std::size_t mixed = 0;    // prefixes with leaves on both sides of HBM
+  for (const Case& c : cases) {
+    search::SweepOptions opts;
+    opts.search.strategy = c.strategy;
+    opts.search.global_batch = kBatch;
+    opts.search.allow_zero3 = true;
+    opts.search.allow_ring_attention = true;
+    opts.search.interleave_candidates = {1, 2, 4};
+    opts.threads = 1;
+    const core::EvalOptions& eval = opts.search.eval;
+    const search::CandidateTree tree(c.mdl, kGpus, opts.search);
+    search::ShapeCaches caches;
+    const search::MemoryFloors floors(c.mdl, tree, kBatch, eval, caches);
+
+    // Every leaf's floor, from units built here.
+    std::vector<double> leaf_floor(tree.size());
+    for (std::size_t p = 0; p < tree.prefixes().size(); ++p) {
+      const search::CandidatePrefix& prefix = tree.prefixes()[p];
+      const auto groups = floors.groups(p);
+      ASSERT_EQ(groups.size(),
+                tree.microbatches(prefix).size() * tree.groups_per_m(prefix))
+          << c.label;
+      std::optional<core::BlockScalars> units[2];
+      tree.for_each_leaf(prefix, [&](const parallel::ParallelConfig& cfg,
+                                     std::size_t i) {
+        std::optional<core::BlockScalars>& unit =
+            units[cfg.ring_attention ? 1 : 0];
+        if (!unit) {
+          unit = core::block_scalars(c.mdl, cfg,
+                                     parallel::build_layer(c.mdl, cfg, 1));
+        }
+        leaf_floor[i] = std::max(
+            core::memory_floor(c.mdl, cfg, kBatch, eval),
+            core::token_memory_floor(c.mdl, cfg, kBatch, *unit, eval));
+        EXPECT_EQ(groups[tree.group_of(prefix, i)], leaf_floor[i])
+            << c.label << " " << cfg.describe();
+        EXPECT_EQ(floors.leaf(tree, p, i), leaf_floor[i]) << c.label;
+      });
+    }
+
+    for (const auto& sys : systems) {
+      const std::string label = std::string(c.label) + " " + sys.gpu.name +
+                                " nvs=" + std::to_string(sys.nvs_domain);
+      const Bytes hbm = sys.gpu.hbm_capacity;
+      const auto swept = search::run_sweep(c.mdl, {sys}, opts);
+      const search::SweepStats& s = swept.stats;
+      ASSERT_EQ(swept.best.size(), 1u) << label;
+      const double optimum = swept.best[0].feasible
+                                 ? swept.best[0].iteration()
+                                 : std::numeric_limits<double>::infinity();
+      std::size_t evaluated = 0, bound_pruned = 0, memory_pruned = 0;
+      for (std::size_t p = 0; p < tree.prefixes().size(); ++p) {
+        const search::CandidatePrefix& prefix = tree.prefixes()[p];
+        ASSERT_FALSE(prefix.cfg.invalid_reason(c.mdl, sys, kBatch)) << label;
+        std::size_t over = 0, leaves = 0;
+        tree.for_each_leaf(prefix, [&](const parallel::ParallelConfig& cfg,
+                                       std::size_t i) {
+          ++leaves;
+          if (Bytes(leaf_floor[i]) > hbm) {
+            ++over;
+            ++memory_pruned;
+          } else if (core::search_bounds(c.mdl, sys, cfg, kBatch, eval)
+                         .time_floor > optimum) {
+            ++bound_pruned;
+          } else if (core::compile_signature(c.mdl, cfg, kBatch, eval)
+                         .mem.total() > hbm) {
+            ++evaluated;
+          } else {
+            evaluated +=
+                search::enumerate_placements(cfg, sys.nvs_domain).size();
+          }
+        });
+        EXPECT_EQ(floors.over(p, hbm), over == leaves)
+            << label << " " << prefix.cfg.describe();
+        settled += over == leaves;
+        mixed += over > 0 && over < leaves;
+      }
+      EXPECT_EQ(s.memory_pruned, memory_pruned) << label;
+      EXPECT_EQ(s.bound_pruned, bound_pruned) << label;
+      EXPECT_EQ(s.evaluated, evaluated) << label;
+    }
+  }
+  // Both sides of the screen are exercised: prefixes settled whole, and
+  // prefixes it must expand although some of their leaves are over HBM.
+  EXPECT_GT(settled, 0u);
+  EXPECT_GT(mixed, 0u);
 }
 
 TEST(Sweep, PipelinedEngineConcurrentChains) {

@@ -239,9 +239,11 @@ int finish_lint(const analysis::LintReport& report, const std::string& format,
 }
 
 /// Lint one .tfpe file: schema first, then the passes its sections select.
+/// `mdl` and `batch` (0: the plan's own) are what a [plan] is linted for;
+/// a file without a [plan] rejects --model (`model_given`) and --batch.
 int lint_file(const std::string& path, const model::TransformerConfig& mdl,
-              std::int64_t batch, const std::string& format, bool strict,
-              const analysis::LintOptions& opts) {
+              bool model_given, std::int64_t batch, const std::string& format,
+              bool strict, const analysis::LintOptions& opts) {
   analysis::DiagnosticSink sink(opts.rules);
   const analysis::LintReport schema = io::lint_config_file(path, opts);
   const bool unparseable = std::any_of(
@@ -258,6 +260,12 @@ int lint_file(const std::string& path, const model::TransformerConfig& mdl,
 
   std::ifstream in(path);
   const io::ConfigSections sections = io::parse_config(in);  // it parses
+  const char* unused = model_given ? "model" : batch != 0 ? "batch" : nullptr;
+  if (unused && !sections.count("plan")) {
+    throw std::invalid_argument(std::string("flag --") + unused +
+                                " applies to a [plan] section, and " + path +
+                                " has none");
+  }
   const auto fail_section = [&](const std::string& section,
                                 const std::string& what) {
     sink.emit(analysis::RuleId::kConfigValue, "[" + section + "]", 0, 0, what,
@@ -418,8 +426,8 @@ Work lint_cmd(const io::ArgParser& args) {
       given_batch ? given_batch->ints.front() : pos.empty() ? 2 : 0;
   if (!pos.empty()) {
     const model::TransformerConfig mdl = resolve_model(args, {});
-    return [=, path = pos[0]] {
-      return lint_file(path, mdl, batch, format, strict, opts);
+    return [=, path = pos[0], model_given = args.given("model").has_value()] {
+      return lint_file(path, mdl, model_given, batch, format, strict, opts);
     };
   }
   return [=] { return lint_matrix(batch, format, strict, opts); };
