@@ -260,7 +260,6 @@ void write_json(const std::vector<Sample>& samples, std::size_t n_shapes,
        << ", \"shapes_cut\": " << st.shapes_cut
        << ", \"feasible_shape_points\": " << st.feasible_shape_points
        << ", \"enumerations\": " << st.enumerations
-       << ", \"enumeration_hits\": " << st.enumeration_hits
        << ", \"candidates\": " << st.candidates
        << ", \"evaluations\": " << st.evaluated
        << ", \"bound_pruned\": " << st.bound_pruned

@@ -68,9 +68,6 @@ LoadedConfig load_config_file(const std::string& path) {
     out.topology = topology_from_section(*s);
     if (out.system) out.system->fabric = *out.topology;
   }
-  if (const Section* s = section("codesign")) {
-    out.codesign = codesign_from_section(*s);
-  }
   return out;
 }
 

@@ -110,8 +110,6 @@ struct LoadedConfig {
   std::optional<hw::SystemConfig> system;
   /// Parsed [topology], also attached to system->fabric when both exist.
   std::optional<hw::Topology> topology;
-  /// Parsed [codesign] shape-family options (tfpe codesign's --config path).
-  std::optional<model::ShapeFamilyOptions> codesign;
 };
 
 /// Parse a whole file; throws std::runtime_error if it cannot be read.

@@ -22,60 +22,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-std::size_t hash_combine(std::size_t seed, std::size_t v) {
-  return seed ^ (v + 0x9e3779b97f4a7c15ull + (seed << 6) + (seed >> 2));
-}
-
 constexpr const char* kShapePrunedReason =
     "shape pruned: architecture compute floor above cross-shape incumbent";
 constexpr const char* kShapeCutReason =
     "shape pruned: no configuration at or below the cross-shape incumbent";
 
 }  // namespace
-
-ShapeKey shape_key(const model::TransformerConfig& mdl, std::int64_t n_gpus) {
-  ShapeKey k;
-  k.seq_len = mdl.seq_len;
-  k.embed = mdl.embed;
-  k.heads = mdl.heads;
-  k.depth = mdl.depth;
-  k.hidden = mdl.hidden;
-  k.kv_heads = mdl.kv_heads;
-  k.vocab = mdl.vocab;
-  k.window = mdl.window;
-  k.moe_experts = mdl.moe_experts;
-  k.moe_top_k = mdl.moe_top_k;
-  k.attention = mdl.attention;
-  k.n_gpus = n_gpus;
-  return k;
-}
-
-std::size_t CandidateCache::KeyHash::operator()(const ShapeKey& k) const {
-  std::size_t h = static_cast<std::size_t>(k.attention);
-  h = hash_combine(h, static_cast<std::size_t>(k.seq_len));
-  h = hash_combine(h, static_cast<std::size_t>(k.embed));
-  h = hash_combine(h, static_cast<std::size_t>(k.heads));
-  h = hash_combine(h, static_cast<std::size_t>(k.depth));
-  h = hash_combine(h, static_cast<std::size_t>(k.hidden));
-  h = hash_combine(h, static_cast<std::size_t>(k.kv_heads));
-  h = hash_combine(h, static_cast<std::size_t>(k.vocab));
-  h = hash_combine(h, static_cast<std::size_t>(k.window));
-  h = hash_combine(h, static_cast<std::size_t>(k.moe_experts));
-  h = hash_combine(h, static_cast<std::size_t>(k.moe_top_k));
-  h = hash_combine(h, static_cast<std::size_t>(k.n_gpus));
-  return h;
-}
-
-std::shared_ptr<const CandidateSpace> CandidateCache::get(
-    const model::TransformerConfig& mdl, const hw::SystemConfig& sys,
-    const ScanOptions& opts) {
-  return memo_.get(shape_key(mdl, sys.n_gpus), [&] {
-    CandidateSpace space{CandidateTree(mdl, sys.n_gpus, opts), {}};
-    space.configs = space.tree.leaves();
-    candidates_.fetch_add(space.configs.size(), std::memory_order_relaxed);
-    return space;
-  });
-}
 
 CodesignResult run_codesign(const std::vector<model::TransformerConfig>& shapes,
                             const std::vector<hw::SystemConfig>& points,
@@ -117,8 +69,7 @@ CodesignResult run_codesign(const std::vector<model::TransformerConfig>& shapes,
     chains[it->second].push_back(p);
   }
 
-  // Run-scoped caches (model-keyed or model-free).
-  CandidateCache cand_cache;
+  // Run-scoped cache (model-free).
   PlacementCache placement_cache;
   std::atomic<std::int64_t> enumerate_ns{0};
   std::atomic<std::int64_t> compile_ns{0};
@@ -179,14 +130,15 @@ CodesignResult run_codesign(const std::vector<model::TransformerConfig>& shapes,
     // its memory floors, built before the chains fan out: the chains only
     // read them. Both are the enumerate stage.
     const auto enum_t0 = Clock::now();
-    std::map<std::int64_t, std::pair<std::shared_ptr<const CandidateSpace>,
-                                     MemoryFloors>>
-        spaces;
+    std::map<std::int64_t, std::pair<CandidateSpace, MemoryFloors>> spaces;
     for (std::size_t p = 0; p < np; ++p) {
       if (out.pruned[s][p] || spaces.count(points[p].n_gpus)) continue;
-      auto space = cand_cache.get(shape, points[p], opts.sweep.search);
-      MemoryFloors floors(shape, space->tree, b, opts.sweep.search.eval,
-                          caches);
+      CandidateSpace space{
+          CandidateTree(shape, points[p].n_gpus, opts.sweep.search), {}};
+      space.configs = space.tree.leaves();
+      ++out.stats.enumerations;
+      out.stats.candidates += space.configs.size();
+      MemoryFloors floors(shape, space.tree, b, opts.sweep.search.eval, caches);
       spaces.emplace(points[p].n_gpus,
                      std::pair(std::move(space), std::move(floors)));
     }
@@ -209,10 +161,10 @@ CodesignResult run_codesign(const std::vector<model::TransformerConfig>& shapes,
         if (out.pruned[s][p]) continue;
         std::size_t seed = kNoSeed;
         if (opts.sweep.warm_start) {
-          if (seed_cfg[p]) seed = space->tree.index_of(*seed_cfg[p]);
+          if (seed_cfg[p]) seed = space.tree.index_of(*seed_cfg[p]);
           if (seed == kNoSeed) seed = chain_seed;
         }
-        outcomes[p] = scan_point(scan, points[p], *space, floors, seed,
+        outcomes[p] = scan_point(scan, points[p], space, floors, seed,
                                  incumbent[p], *scratch, ctx);
         chain_seed = outcomes[p].best_index;
       }
@@ -272,9 +224,6 @@ CodesignResult run_codesign(const std::vector<model::TransformerConfig>& shapes,
   for (const auto& w : out.best) {
     if (w.shape != CodesignResult::kNoShape) ++out.stats.feasible_points;
   }
-  out.stats.enumerations = cand_cache.builds();
-  out.stats.enumeration_hits = cand_cache.hits();
-  out.stats.candidates = cand_cache.candidates();
   out.stats.placement_sets = placement_cache.builds();
   out.stats.placement_cache_hits = placement_cache.hits();
   out.stats.profile.wall_s = static_cast<double>(ns_since(wall_t0)) * 1e-9;

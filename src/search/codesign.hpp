@@ -7,21 +7,20 @@
 // a one-shape family. It runs as a branch-and-bound over the PRODUCT space
 // instead of a find_optimal loop per (shape, point):
 //
-//   * MEMOIZED ENUMERATION — the candidate tree depends on the system
-//     only through the GPU count but on the model shape (see enumerate.hpp),
-//     so CandidateCache memoizes it and its leaves (a CandidateSpace) on
-//     the full (shape key, GPU count) pair and shares them across the grid.
-//     Before a shape's chains fan out, each space it is scanned at is
-//     looked up once, with its hardware-free memory floors (MemoryFloors,
-//     search/point_scan.hpp); the chains only read both.
+//   * ONE ENUMERATION PER (SHAPE, GPU COUNT) — the candidate tree depends
+//     on the system only through the GPU count but on the model shape (see
+//     enumerate.hpp). Before a shape's chains fan out, each space it is
+//     scanned at (a CandidateSpace: the tree and its leaves) is built once,
+//     with its hardware-free memory floors (MemoryFloors,
+//     search/point_scan.hpp), and shared by every grid point at that GPU
+//     count; the chains only read both.
 //   * COMPILE PER LAYER — each distinct layer is lowered once into a
 //     hardware-invariant SoA block and each candidate compiles only its
 //     scalar tail against it (core/cost_signature.hpp, "block / tail
 //     split"). The block and tail caches (ShapeCaches) key below the
 //     model, so the driver scopes one pair per shape, shared by all of
 //     that shape's grid points (and the interleave axis within a point);
-//     the PlacementCache and CandidateCache are model-keyed or model-free
-//     and live for the whole run.
+//     the PlacementCache is model-free and lives for the whole run.
 //   * CHAINS — grid points sharing a GPU type and scale (the NVS/bandwidth
 //     axis of a hardware_grid) form a chain, in input order. Chains stream
 //     over util::parallel_for_dynamic; within a chain the points run
@@ -98,74 +97,22 @@
 // resolves a 200-shape x 3-generation product at >= 5x the per-shape
 // find_optimal throughput.
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "model/shape_family.hpp"
-#include "search/search_cache.hpp"
 #include "search/sweep.hpp"
 
 namespace tfpe::search {
 
-/// The architecture slice expand_candidates reads (every divisibility
-/// constraint of the candidate tree plus the MoE/GQA widths and the
-/// interleave depth filter), plus the GPU count — the full memoization key.
-/// Two different shapes at the same scale MUST miss each other (the
-/// regression test pins this; see the expand_candidates comment in
-/// enumerate.hpp for why keying on the count alone would alias them).
-struct ShapeKey {
-  std::int64_t seq_len = 0;
-  std::int64_t embed = 0;
-  std::int64_t heads = 0;
-  std::int64_t depth = 0;
-  std::int64_t hidden = 0;
-  std::int64_t kv_heads = 0;
-  std::int64_t vocab = 0;
-  std::int64_t window = 0;
-  std::int64_t moe_experts = 0;
-  std::int64_t moe_top_k = 0;
-  model::AttentionKind attention = model::AttentionKind::kFull;
-  std::int64_t n_gpus = 0;
-
-  bool operator==(const ShapeKey&) const = default;
-};
-
-ShapeKey shape_key(const model::TransformerConfig& mdl, std::int64_t n_gpus);
-
 /// One (shape, GPU count)'s candidate space: the tree the scan walks and
 /// its leaves at their flattened indices (expand_candidates' list), so a
-/// leaf is read by index and never rebuilt. Shared by every shape with the
-/// same ShapeKey; run_codesign keeps its memory floors (MemoryFloors)
-/// beside it, built per shape from that shape's own unit scalars.
+/// leaf is read by index and never rebuilt. run_codesign keeps its memory
+/// floors (MemoryFloors) beside it, built from the shape's own unit
+/// scalars.
 struct CandidateSpace {
   CandidateTree tree;
   std::vector<parallel::ParallelConfig> configs;  ///< tree.leaves()
-};
-
-/// Memoized candidate spaces over (shape, GPU count), shared by every grid
-/// point and shape of one co-design run. Thread-safe (a ShardedMemo: each
-/// key enumerates exactly once, so builds() is deterministic, and readers
-/// share the immutable space).
-class CandidateCache {
- public:
-  /// The candidate space for `mdl` at sys.n_gpus, enumerating on first use.
-  std::shared_ptr<const CandidateSpace> get(const model::TransformerConfig& mdl,
-                                            const hw::SystemConfig& sys,
-                                            const ScanOptions& opts);
-
-  std::size_t builds() const { return memo_.builds(); }
-  std::size_t hits() const { return memo_.hits(); }
-  /// Summed size of the distinct lists built (not multiplied by reuse).
-  std::size_t candidates() const { return candidates_.load(); }
-
- private:
-  struct KeyHash {
-    std::size_t operator()(const ShapeKey& k) const;
-  };
-  ShardedMemo<ShapeKey, CandidateSpace, KeyHash> memo_;
-  std::atomic<std::size_t> candidates_{0};
 };
 
 struct CodesignOptions {
@@ -199,10 +146,9 @@ struct CodesignStats : SweepStats {
   std::size_t shapes_cut = 0;
   /// Feasible entries among the reported (neither pruned nor cut) pairs.
   std::size_t feasible_shape_points = 0;
-  /// CandidateCache builds (distinct (shape, scale) lists enumerated) and
-  /// hits; `candidates` is the summed size of the distinct lists.
+  /// Candidate spaces built, one per scanned (shape, GPU count);
+  /// `candidates` is their summed size.
   std::size_t enumerations = 0;
-  std::size_t enumeration_hits = 0;
 };
 
 struct CodesignResult {

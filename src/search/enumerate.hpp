@@ -159,8 +159,9 @@ struct PendingLeaf {
 /// tie is broken by index, and a leaf with lb <= the cutoff is never left
 /// behind in an unexpanded prefix. A prefix whose floor stays above the
 /// cutoff is never expanded. The cutoffs passed to pop() must never
-/// increase (they are an incumbent), so a leaf pushed with its lb above the
-/// current cutoff can never be popped: it is counted, not kept.
+/// increase (each is an achieved time: an incumbent, or a k-th best time),
+/// so a leaf pushed with its lb above the current cutoff can never be
+/// popped: it is counted, not kept.
 class PrefixMerge {
  public:
   /// Start over with no prefix and no leaf (capacity kept).
@@ -187,16 +188,6 @@ class PrefixMerge {
     out = pop_top();
     return true;
   }
-  /// Expand every prefix, instead of popping: the pending leaves then hold
-  /// every leaf pushed, in no particular order.
-  template <class Expand>
-  void expand_all(Expand&& expand) {
-    while (next_ < prefixes_.size()) expand(prefixes_[next_++].second);
-  }
-
-  /// Leaves kept and not popped, in heap order (after expand_all: every
-  /// leaf pushed).
-  const std::vector<PendingLeaf>& pending() const { return heap_; }
   /// Leaves pushed and not popped, kept or not.
   std::size_t unpopped() const { return heap_.size() + dropped_; }
   /// Prefixes never expanded, as (floor, position) in expansion order.
@@ -221,9 +212,9 @@ class PrefixMerge {
 /// never on the GPU type or NVS domain size — a hardware sweep at fixed
 /// scale enumerates once and reuses the list for every grid point. It does
 /// depend on the MODEL shape (divisibility of heads/hidden/depth/seq_len,
-/// GQA and MoE widths, the interleave filter on depth/np), so any memo
-/// shared across architectures must key on the full (shape, GPU count)
-/// pair — see search::CandidateCache in search/codesign.hpp.
+/// GQA and MoE widths, the interleave filter on depth/np), so a list
+/// shared across architectures would have to key on the full (shape, GPU
+/// count) pair; run_codesign builds one per shape and GPU count.
 std::vector<parallel::ParallelConfig> expand_candidates(
     const model::TransformerConfig& mdl, const hw::SystemConfig& sys,
     const EnumerationOptions& opts);

@@ -194,16 +194,6 @@ core::EvalResult scan_placements(
   return best;
 }
 
-}  // namespace
-
-namespace {
-
-void atomic_min(std::atomic<double>& target, double value) {
-  double cur = target.load();
-  while (value < cur && !target.compare_exchange_weak(cur, value)) {
-  }
-}
-
 /// One worker's share of the pruned engine's candidate evaluation: the
 /// fabric pricer (its memo is not reentrant, so workers cannot share one),
 /// the batch kernel's scratch and timing buffer, and the candidate's
@@ -217,8 +207,8 @@ struct ScanWorker {
 };
 
 /// One lowered layer, bound once to the search's single system: the
-/// block, its bind half and — when core::floor_walk_per_block holds and a
-/// screen can run — its floor walk on the search's fabric.
+/// block, its bind half and — when core::floor_walk_per_block holds — its
+/// floor walk on the search's fabric.
 struct SearchBlock {
   core::BatchedSignature bat;
   core::BlockTiming part;
@@ -240,14 +230,11 @@ struct SweepState {
   SearchStats stats;
 };
 
-/// Evaluate the candidate space. With opts.prune, uses the memoization
-/// caches and the memory-floor rejection; `use_incumbent` additionally
-/// enables the branch-and-bound incumbent and the prefix floors (disabled
-/// when every feasible candidate must survive, i.e. top-k ranking and
-/// Pareto frontiers).
+/// Evaluate the candidate space. With opts.prune, a branch-and-bound over
+/// the candidate tree against the k-th best achieved time, k =
+/// max(1, opts.top_k): every candidate of the top-k ranking is evaluated.
 SweepState sweep(const model::TransformerConfig& mdl,
-                 const hw::SystemConfig& sys, const SearchOptions& opts,
-                 bool use_incumbent) {
+                 const hw::SystemConfig& sys, const SearchOptions& opts) {
   SweepState st;
   const CandidateTree tree(mdl, sys.n_gpus, opts);
   st.stats.candidates = tree.size();
@@ -305,9 +292,7 @@ SweepState sweep(const model::TransformerConfig& mdl,
   for (std::uint32_t p = 0; p < prefixes.size(); ++p) {
     const parallel::ParallelConfig& cfg = prefixes[p].cfg;
     if (cfg.invalid_reason(mdl, sys, b)) continue;
-    merge.add(p, use_incumbent ? core::prefix_time_floor(mdl, sys, fabric, cfg,
-                                                         b, opts.eval)
-                               : 0.0);
+    merge.add(p, core::prefix_time_floor(mdl, sys, fabric, cfg, b, opts.eval));
   }
   merge.start();
 
@@ -326,7 +311,6 @@ SweepState sweep(const model::TransformerConfig& mdl,
     });
   };
 
-  std::atomic<double> incumbent{std::numeric_limits<double>::infinity()};
   std::atomic<std::size_t> tails{0};
   std::atomic<std::size_t> floor_pruned{0};
 
@@ -341,8 +325,7 @@ SweepState sweep(const model::TransformerConfig& mdl,
   // HBM is prevalidated. One over capacity is infeasible under every
   // placement: it gets its reason and a single capacity probe's eval
   // charge, and no timing (infeasible results never reach the reduction's
-  // answer). `cutoff` is the placement-floor screen's incumbent (+inf: no
-  // screen).
+  // answer). `cutoff` is the placement-floor screen's (+inf: no screen).
   auto evaluate_candidate = [&](const PendingLeaf& c, double cutoff,
                                 Evaluated& out) {
     const parallel::ParallelConfig cfg =
@@ -352,7 +335,7 @@ SweepState sweep(const model::TransformerConfig& mdl,
           SearchBlock sb;
           sb.bat = lower_block(mdl, cfg, b);
           sb.part = core::bind_block(sb.bat, sys, opts.eval);
-          if (use_incumbent && core::floor_walk_per_block(sb.bat)) {
+          if (core::floor_walk_per_block(sb.bat)) {
             std::vector<Seconds> row_floor;
             sb.walk = core::floor_comm_walk(sb.bat, sb.part.summa_panel_time,
                                             fabric, cfg, opts.eval, row_floor);
@@ -378,7 +361,7 @@ SweepState sweep(const model::TransformerConfig& mdl,
     } else {
       core::finish_bind(blk->part, tail, sys, w->base);
       double floor = 0;
-      if (use_incumbent && cutoff < std::numeric_limits<double>::infinity()) {
+      if (cutoff < std::numeric_limits<double>::infinity()) {
         const core::CommWalk walk =
             core::floor_walk_per_block(blk->bat)
                 ? blk->walk
@@ -396,66 +379,66 @@ SweepState sweep(const model::TransformerConfig& mdl,
                                 floor, cutoff, &screened);
       if (screened) floor_pruned.fetch_add(1, std::memory_order_relaxed);
     }
-    if (r.feasible) atomic_min(incumbent, r.iteration());
   };
 
-  if (!use_incumbent) {
-    // No incumbent: every leaf that fits is evaluated, in any order.
-    merge.expand_all(expand);
-    const std::vector<PendingLeaf>& leaves = merge.pending();
-    st.results.resize(leaves.size());
-    for_each(leaves.size(), [&](std::size_t j) {
-      evaluate_candidate(leaves[j], std::numeric_limits<double>::infinity(),
-                         st.results[j]);
+  // Branch-and-bound rounds. Each round pops up to round_size candidates
+  // from the merge in (lb, index) order among those with lb <= the barrier
+  // cutoff, so the pops are the prefix of one global (lb, index) sort and a
+  // prefix whose floor stays above the cutoff is never expanded. The cutoff
+  // is the k-th smallest feasible time of the rounds completed so far (+inf
+  // while fewer than k are feasible): k candidates already beat a leaf with
+  // time >= lb > cutoff, so it can enter neither the ranking nor the
+  // optimum's memory tie-break, and a leaf that ties the cutoff is still
+  // timed. It never rises, and it is a function of a completed set of
+  // evaluations, so the pruning decisions — and all counters — are
+  // independent of the thread count. The placement-floor screen inside a
+  // round uses the same barrier cutoff. For k = 1 it is the incumbent.
+  const std::size_t k = std::max<std::size_t>(1, opts.top_k);
+  std::vector<double> best_times;  // the k smallest so far, ascending
+  std::vector<PendingLeaf> round;
+  round.reserve(SearchOptions::round_size);
+  for (;;) {
+    const double cutoff = best_times.size() < k
+                              ? std::numeric_limits<double>::infinity()
+                              : best_times.back();
+    round.clear();
+    PendingLeaf c;
+    while (round.size() < SearchOptions::round_size &&
+           merge.pop(cutoff, expand, c)) {
+      round.push_back(c);
+    }
+    if (round.empty()) break;
+    const std::size_t base = st.results.size();
+    st.results.resize(base + round.size());
+    for_each(round.size(), [&](std::size_t j) {
+      evaluate_candidate(round[j], cutoff, st.results[base + j]);
     });
-  } else {
-    // Branch-and-bound rounds. Each round pops up to round_size candidates
-    // from the merge in (lb, index) order among those with lb <= the
-    // barrier incumbent, so the pops are the prefix of one global
-    // (lb, index) sort and a prefix whose floor stays above the incumbent
-    // is never expanded. The incumbent after a barrier is a min over a
-    // completed set of evaluations, so the pruning decisions — and all
-    // counters — are independent of the thread count. A pruned candidate
-    // satisfies time >= lb > incumbent >= optimum, so it can change neither
-    // the optimum nor its memory tie-break. The placement-floor screen
-    // inside a round uses the same barrier incumbent t_best (not the live
-    // atomic), so which candidates it settles is thread-invariant too.
-    std::vector<PendingLeaf> round;
-    round.reserve(SearchOptions::round_size);
-    for (;;) {
-      const double t_best = incumbent.load();
-      round.clear();
-      PendingLeaf c;
-      while (round.size() < SearchOptions::round_size &&
-             merge.pop(t_best, expand, c)) {
-        round.push_back(c);
-      }
-      if (round.empty()) break;
-      const std::size_t base = st.results.size();
-      st.results.resize(base + round.size());
-      for_each(round.size(), [&](std::size_t j) {
-        evaluate_candidate(round[j], t_best, st.results[base + j]);
-      });
-      ++st.stats.rounds;
+    for (std::size_t j = base; j < st.results.size(); ++j) {
+      const core::EvalResult& r = st.results[j].result;
+      if (!r.feasible) continue;
+      best_times.insert(std::upper_bound(best_times.begin(), best_times.end(),
+                                         r.iteration()),
+                        r.iteration());
+      if (best_times.size() > k) best_times.pop_back();
     }
-
-    // Everything left is above the final incumbent: the expanded leaves
-    // one by one, the unexpanded prefixes whole.
-    std::vector<double> group_floors;
-    for (const auto& [floor, p] : merge.unexpanded()) {
-      group_floors.clear();
-      group_memory_floors(
-          tree, prefixes[p],
-          [&](const parallel::ParallelConfig& cfg) {
-            return core::memory_floor(mdl, cfg, b, opts.eval);
-          },
-          group_floors);
-      classify_unexpanded(tree, prefixes[p], group_floors,
-                          sys.gpu.hbm_capacity, {}, st.stats.memory_pruned,
-                          st.stats.subtree_pruned);
-    }
-    st.stats.bound_pruned = merge.unpopped() + st.stats.subtree_pruned;
+    ++st.stats.rounds;
   }
+
+  // Everything left is above the final cutoff: the expanded leaves one by
+  // one, the unexpanded prefixes whole.
+  std::vector<double> group_floors;
+  for (const auto& [floor, p] : merge.unexpanded()) {
+    group_floors.clear();
+    group_memory_floors(
+        tree, prefixes[p],
+        [&](const parallel::ParallelConfig& cfg) {
+          return core::memory_floor(mdl, cfg, b, opts.eval);
+        },
+        group_floors);
+    classify_unexpanded(tree, prefixes[p], group_floors, sys.gpu.hbm_capacity,
+                        {}, st.stats.memory_pruned, st.stats.subtree_pruned);
+  }
+  st.stats.bound_pruned = merge.unpopped() + st.stats.subtree_pruned;
   std::sort(st.results.begin(), st.results.end(),
             [](const Evaluated& a, const Evaluated& c) {
               return a.index < c.index;
@@ -546,10 +529,7 @@ SearchResult find_optimal(const model::TransformerConfig& mdl,
                           const hw::SystemConfig& sys,
                           const SearchOptions& opts) {
   opts.eval.validate();
-  // Incumbent pruning discards everything provably slower than the optimum,
-  // which is exactly what a top-k ranking must keep — bypass it there.
-  SweepState st = sweep(mdl, sys, opts,
-                        /*use_incumbent=*/opts.prune && opts.top_k == 0);
+  SweepState st = sweep(mdl, sys, opts);
 
   SearchResult result;
   result.best.reason = "no feasible configuration";
@@ -567,27 +547,6 @@ SearchResult find_optimal(const model::TransformerConfig& mdl,
     for (core::EvalResult* r : ranked) result.top.push_back(std::move(*r));
   }
   return result;
-}
-
-std::vector<core::EvalResult> pareto_frontier(
-    const model::TransformerConfig& mdl, const hw::SystemConfig& sys,
-    SearchOptions opts) {
-  opts.eval.validate();
-  opts.top_k = 0;
-  // Every feasible candidate must be inspected; the caches still apply.
-  SweepState st = sweep(mdl, sys, opts, /*use_incumbent=*/false);
-  // Walk the ranking fastest-first, keeping strictly lighter entries —
-  // the frontier is streamed out of the evaluated results rather than
-  // materializing a copy of the whole feasible set.
-  std::vector<core::EvalResult> frontier;
-  double best_mem = std::numeric_limits<double>::infinity();
-  for (core::EvalResult* r : feasible_by_rank(st)) {
-    if (r->mem.total().value() < best_mem) {
-      best_mem = r->mem.total().value();
-      frontier.push_back(std::move(*r));
-    }
-  }
-  return frontier;
 }
 
 }  // namespace tfpe::search

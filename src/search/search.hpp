@@ -4,17 +4,18 @@
 // iteration time.
 //
 // The default engine is a prune-and-memoize branch-and-bound over the
-// candidate tree (search/enumerate.hpp):
+// candidate tree (search/enumerate.hpp) against a cutoff: the k-th best
+// iteration time achieved so far, k = max(1, SearchOptions::top_k), so a
+// plain search cuts at its incumbent and a top-k ranking at its k-th entry:
 //   * each (n1, n2, np, nd, nb) prefix carries core::prefix_time_floor, a
 //     floor on every leaf's bound; a prefix is expanded only when its floor
-//     is <= both the incumbent and the smallest pending leaf bound, so a
-//     prefix above the incumbent is never materialized (its leaves count as
+//     is <= both the cutoff and the smallest pending leaf bound, so a
+//     prefix above the cutoff is never materialized (its leaves count as
 //     subtree_pruned, their memory verdicts decided per (m, ZeRO stage));
 //   * cheap analytic lower bounds (core/lower_bounds.hpp) reject
 //     expanded configurations whose FLOP + exposed-TP-communication floor
-//     already exceeds the shared incumbent (best achieved iteration time)
-//     or whose placement-independent memory floor exceeds HBM, before any
-//     op list is built;
+//     already exceeds the cutoff or whose placement-independent memory
+//     floor exceeds HBM, before any op list is built;
 //   * a concurrent block cache shares one lowered layer across all
 //     (np, nd, m) combinations with the same tensor shapes, and a
 //     placement cache shares the non-dominated placement sets across the
@@ -22,7 +23,7 @@
 //   * candidates are evaluated cheapest-bound-first in fixed-size rounds
 //     with dynamically scheduled workers, popped from a merge of the
 //     expanded leaves and the unexpanded prefixes in exactly the (bound,
-//     index) order a full sort would give; the incumbent is re-read at each
+//     index) order a full sort would give; the cutoff is recomputed at each
 //     round barrier, which keeps the pruning decisions (and therefore
 //     SearchResult::evaluated) independent of the thread count; a search
 //     that resolves to one worker runs inline, with no thread pool;
@@ -33,9 +34,10 @@
 //     one over HBM is reported infeasible without being timed;
 //   * before that kernel call, a placement-independent floor built from
 //     the candidate's own bind (core::placement_floor) settles a candidate
-//     that is slower than the round's incumbent under every placement.
-// Pruning is conservative: the returned optimum is identical — same
-// configuration, same iteration time — to the exhaustive sweep's
+//     that is slower than the round's cutoff under every placement.
+// Pruning is conservative: every cut is strict (bound > cutoff), so the
+// returned optimum and top-k ranking are identical — same configurations,
+// iteration times and HBM totals — to the exhaustive sweep's
 // (SearchOptions::prune = false, which evaluates every placement of every
 // candidate through the core::evaluate_with_layer oracle).
 
@@ -69,21 +71,19 @@ struct SearchOptions : ScanOptions {
   unsigned threads = 0;
 
   /// Prune-and-memoize engine (default). Set false for the exhaustive
-  /// brute-force sweep; the optimum is identical either way, only the work
-  /// performed (SearchStats) differs. Incumbent-based pruning is
-  /// automatically bypassed when top_k > 0, because near-optimal
-  /// configurations must then survive to be ranked (the memory-floor
-  /// rejection and both caches still apply).
+  /// brute-force sweep; the optimum and the top_k ranking are identical
+  /// either way, only the work performed (SearchStats) differs.
   bool prune = true;
 
-  /// Candidates evaluated between incumbent re-reads in the pruned engine.
+  /// Candidates evaluated between cutoff updates in the pruned engine.
   /// Pruning decisions happen only at these round barriers, which keeps the
   /// evaluated/pruned counts — not just the optimum — invariant to the
   /// thread count.
   static constexpr std::size_t round_size = 64;
 
   /// Keep the k best distinct parallelizations in SearchResult::top
-  /// (0 = just the optimum).
+  /// (0 = just the optimum). The pruned engine cuts against the k-th best
+  /// achieved time, so a larger k prunes less.
   std::size_t top_k = 0;
 };
 
@@ -94,11 +94,11 @@ struct SearchStats {
   /// the candidate space before any pruning).
   std::size_t candidates = 0;
   /// Candidates rejected because their iteration-time lower bound exceeded
-  /// the incumbent.
+  /// the cutoff (the incumbent, or the k-th best time under top_k).
   std::size_t bound_pruned = 0;
   /// The part of bound_pruned settled a whole prefix at a time: leaves of
   /// candidate-tree prefixes whose core::prefix_time_floor was above the
-  /// incumbent, so they were never materialized or bounded one by one.
+  /// cutoff, so they were never materialized or bounded one by one.
   std::size_t subtree_pruned = 0;
   /// Candidates rejected because their placement-independent memory floor
   /// exceeded HBM capacity.
@@ -116,11 +116,11 @@ struct SearchStats {
   /// one bind against the search's system, so a search lowers and binds at
   /// most build_layer_calls times however many candidates share a block.
   std::size_t signature_compiles = 0;
-  /// Incumbent rounds executed by the pruned engine.
+  /// Cutoff rounds executed by the pruned engine.
   std::size_t rounds = 0;
   /// Candidates settled by the placement-floor screen: their tail compiled
   /// and finished against the block, but their placement set never timed
-  /// because their placement floor was above the round's incumbent. Their
+  /// because their placement floor was above the round's cutoff. Their
   /// placements still count in SearchResult::evaluated.
   std::size_t placement_floor_pruned = 0;
 };
@@ -138,20 +138,13 @@ struct SearchResult {
   SearchStats stats;
 };
 
+/// The optimum (and top_k ranking) of `mdl` on `sys`. The fastest plan
+/// under an HBM budget of X bytes is find_optimal at sys.gpu.hbm_capacity =
+/// X: capacity decides only feasibility, so that is the fastest
+/// configuration using at most X, ties going to the lighter one.
 SearchResult find_optimal(const model::TransformerConfig& mdl,
                           const hw::SystemConfig& sys,
                           const SearchOptions& opts);
-
-/// The (iteration time, HBM memory) Pareto frontier of the feasible space:
-/// configurations for which no other feasible configuration is both faster
-/// and lighter. Sorted fastest-first (memory strictly decreasing along the
-/// frontier). Answers "what is the fastest plan under X GB?" for system
-/// co-design. Runs without incumbent pruning (every feasible candidate must
-/// be inspected) and streams the frontier out of the per-candidate results
-/// instead of materializing the whole feasible set.
-std::vector<core::EvalResult> pareto_frontier(
-    const model::TransformerConfig& mdl, const hw::SystemConfig& sys,
-    SearchOptions opts);
 
 /// Best placement for a fixed parallelization configuration: evaluates every
 /// non-dominated placement and returns the fastest feasible result (used by

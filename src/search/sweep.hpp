@@ -10,8 +10,8 @@
 // asserts this on every run), and every SweepStats WORK counter is
 // invariant to the thread count.
 //
-// Supported per-point result is the optimum only (top_k / pareto still go
-// through find_optimal / pareto_frontier).
+// Supported per-point result is the optimum only (a top_k ranking goes
+// through find_optimal).
 
 #include <cstdint>
 #include <vector>
@@ -102,7 +102,7 @@ struct SweepStats {
   /// sweep's wall time. overlap() > 1 means stages genuinely ran
   /// concurrently. Schedule-dependent — excluded from determinism tests.
   struct StageProfile {
-    /// Candidate spaces (CandidateCache) and their memory floors
+    /// Candidate spaces (CandidateSpace) and their memory floors
     /// (MemoryFloors).
     double enumerate_s = 0;
     double compile_s = 0;    ///< tail compile + block lower + bind

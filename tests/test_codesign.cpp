@@ -3,9 +3,9 @@
 // architecture-level floor's soundness against the per-configuration
 // bounds, and the product search's bitwise contract against find_optimal —
 // single-shape golden runs across the engine arms, full-matrix equality
-// with shape pruning off, winner preservation with it on, the
-// (shape, n_gpus) candidate-memo aliasing regression, and thread-count
-// invariance of the CodesignStats work counters. Suites are named
+// with shape pruning off, winner preservation with it on, one candidate
+// space per (shape, n_gpus), and thread-count invariance of the
+// CodesignStats work counters. Suites are named
 // Codesign/ShapeFamily on purpose — the tsan CTest preset filters on
 // Codesign.
 
@@ -547,44 +547,37 @@ TEST(Codesign, PrunedPairsChargeNoWork) {
   EXPECT_EQ(winners, run.stats.feasible_points);
 }
 
-/// Satellite regression: the candidate memo keys on the FULL (shape,
-/// n_gpus) pair — two different shapes at the same scale must not alias.
-TEST(Codesign, CandidateCacheDoesNotAliasShapesAtEqualScale) {
+/// Every scanned (shape, GPU count) gets its own candidate space, the
+/// direct enumeration for that shape: two shapes at the same scale never
+/// share one, and one shape at two scales builds two.
+TEST(Codesign, EachShapeEnumeratesItsOwnSpace) {
   const auto shapes = small_family();
-  ASSERT_GE(shapes.size(), 2u);
-  const auto a = shapes.front();
-  const auto b = shapes.back();
-  ASSERT_NE(search::shape_key(a, 128), search::shape_key(b, 128));
-  const auto sys = hw::make_system(hw::GpuGeneration::A100, 8, 128);
-  search::SearchOptions opts;
-  opts.global_batch = 512;
-  search::CandidateCache cache;
-  const auto la = cache.get(a, sys, opts);
-  const auto lb = cache.get(b, sys, opts);
-  EXPECT_EQ(cache.builds(), 2u);
-  EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_NE(la.get(), lb.get());
-  // Each memoized list is exactly the direct enumeration for its shape.
-  const auto da = search::expand_candidates(a, sys, opts);
-  const auto db = search::expand_candidates(b, sys, opts);
-  ASSERT_EQ(la->configs.size(), da.size());
-  ASSERT_EQ(lb->configs.size(), db.size());
-  EXPECT_EQ(la->tree.size(), da.size());
-  for (std::size_t i = 0; i < da.size(); ++i) {
-    EXPECT_EQ(la->configs[i].describe(), da[i].describe());
+  std::vector<hw::SystemConfig> points;
+  for (const std::int64_t n : {128, 64}) {
+    points.push_back(hw::make_system(hw::GpuGeneration::A100, 8, n));
   }
-  for (std::size_t i = 0; i < db.size(); ++i) {
-    EXPECT_EQ(lb->configs[i].describe(), db[i].describe());
+  search::CodesignOptions opts;
+  opts.sweep.search.global_batch = 512;
+  opts.sweep.threads = 1;
+  opts.prune_shapes = false;
+  const auto run = search::run_codesign(shapes, points, opts);
+  std::size_t candidates = 0;
+  for (const auto& shape : shapes) {
+    for (const auto& sys : points) {
+      candidates += search::expand_candidates(shape, sys, opts.sweep.search)
+                        .size();
+    }
   }
-  // Same shape, same scale: a hit sharing the same immutable list.
-  const auto la2 = cache.get(a, sys, opts);
-  EXPECT_EQ(la2.get(), la.get());
-  EXPECT_EQ(cache.hits(), 1u);
-  // Same shape, different scale: a distinct entry.
-  const auto sys2 = hw::make_system(hw::GpuGeneration::A100, 8, 64);
-  const auto la64 = cache.get(a, sys2, opts);
-  EXPECT_NE(la64.get(), la.get());
-  EXPECT_EQ(cache.builds(), 3u);
+  EXPECT_EQ(run.stats.enumerations, shapes.size() * points.size());
+  EXPECT_EQ(run.stats.candidates, candidates);
+  // A space aliased across shapes would scan the wrong leaves.
+  for (const std::size_t s : {std::size_t{0}, shapes.size() - 1}) {
+    for (std::size_t p = 0; p < points.size(); ++p) {
+      expect_same_optimum(
+          search::find_optimal(shapes[s], points[p], opts.sweep.search).best,
+          run.per_shape[s][p], shapes[s].name + " point " + std::to_string(p));
+    }
+  }
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Tests for the Pareto-frontier search and the tree-AllReduce simulation.
+// Tests for the memory-budget search and the tree-AllReduce simulation.
 
 #include <gtest/gtest.h>
 
@@ -9,52 +9,28 @@
 namespace tfpe {
 namespace {
 
-TEST(Pareto, FrontierIsMonotoneAndNonDominated) {
-  const auto mdl = model::gpt3_1t();
-  const auto sys = hw::make_system(hw::GpuGeneration::B200, 8, 1024);
-  search::SearchOptions opts;
-  opts.strategy = parallel::TpStrategy::TP1D;
-  opts.global_batch = 4096;
-  const auto frontier = search::pareto_frontier(mdl, sys, opts);
-  ASSERT_GE(frontier.size(), 2u);
-  for (std::size_t i = 1; i < frontier.size(); ++i) {
-    // Time increases, memory strictly decreases along the frontier.
-    EXPECT_GE(frontier[i].iteration(), frontier[i - 1].iteration());
-    EXPECT_LT(frontier[i].mem.total(), frontier[i - 1].mem.total());
-  }
-}
-
-TEST(Pareto, FirstEntryIsTheOptimum) {
+TEST(Pareto, AnswersMemoryBudgetQuestions) {
+  // "Fastest configuration under half the HBM" is the search at half the
+  // capacity: capacity decides only feasibility, so the pruned engine must
+  // give the exhaustive engine's answer there, within the budget and no
+  // faster than the unconstrained optimum.
   const auto mdl = model::gpt3_175b();
-  const auto sys = hw::make_system(hw::GpuGeneration::B200, 8, 128);
+  const auto sys = hw::make_system(hw::GpuGeneration::B200, 8, 64);
   search::SearchOptions opts;
   opts.strategy = parallel::TpStrategy::TP1D;
   opts.global_batch = 512;
-  const auto best = search::find_optimal(mdl, sys, opts).best;
-  const auto frontier = search::pareto_frontier(mdl, sys, opts);
-  ASSERT_FALSE(frontier.empty());
-  EXPECT_DOUBLE_EQ(frontier.front().iteration(), best.iteration());
-}
-
-TEST(Pareto, AnswersMemoryBudgetQuestions) {
-  // "Fastest configuration under half the HBM": must exist on the frontier
-  // and be slower than (or equal to) the unconstrained optimum.
-  const auto mdl = model::gpt3_1t();
-  const auto sys = hw::make_system(hw::GpuGeneration::B200, 8, 1024);
-  search::SearchOptions opts;
-  opts.strategy = parallel::TpStrategy::TP1D;
-  opts.global_batch = 4096;
-  const auto frontier = search::pareto_frontier(mdl, sys, opts);
-  const Bytes budget = sys.gpu.hbm_capacity * 0.5;
-  const core::EvalResult* pick = nullptr;
-  for (const auto& r : frontier) {
-    if (r.mem.total() <= budget) {
-      pick = &r;
-      break;  // frontier is fastest-first
-    }
-  }
-  ASSERT_NE(pick, nullptr);
-  EXPECT_GE(pick->iteration(), frontier.front().iteration());
+  const auto free = search::find_optimal(mdl, sys, opts).best;
+  hw::SystemConfig half = sys;
+  half.gpu.hbm_capacity = sys.gpu.hbm_capacity * 0.5;
+  const auto budget = search::find_optimal(mdl, half, opts).best;
+  opts.prune = false;
+  const auto brute = search::find_optimal(mdl, half, opts).best;
+  ASSERT_TRUE(free.feasible);
+  ASSERT_TRUE(budget.feasible);
+  EXPECT_GT(free.mem.total(), half.gpu.hbm_capacity);  // the budget binds
+  EXPECT_TRUE(search::same_optimum(budget, brute));
+  EXPECT_LE(budget.mem.total(), half.gpu.hbm_capacity);
+  EXPECT_GE(budget.iteration(), free.iteration());
 }
 
 TEST(TreeSim, MatchesAnalyticTreeModel) {

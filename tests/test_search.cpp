@@ -533,8 +533,9 @@ TEST(Pruning, CountersInvariantAcrossThreadCounts) {
 }
 
 TEST(Pruning, TopKRankingUnaffected) {
-  // top_k > 0 bypasses incumbent pruning; the ranking must match the
-  // brute-force sweep exactly.
+  // top_k > 0 prunes against the k-th best achieved time, strictly, so
+  // every candidate of the ranking (ties included) is still timed: the
+  // ranking must match the brute-force sweep exactly.
   const auto mdl = model::gpt3_175b();
   const auto sys = b200(8, 64);
   SearchOptions opts;
@@ -550,6 +551,7 @@ TEST(Pruning, TopKRankingUnaffected) {
     EXPECT_EQ(pruned.top[i].cfg.describe(), brute.top[i].cfg.describe());
     EXPECT_EQ(pruned.top[i].iteration(), brute.top[i].iteration());
   }
+  EXPECT_GT(pruned.stats.bound_pruned, 0u);
 }
 
 // --- Batched placement scan vs the exhaustive reference ---
@@ -581,9 +583,11 @@ void expect_same_ranking(const std::vector<core::EvalResult>& got,
 
 /// The pruned engine (batched placement scan, one pricer per worker)
 /// against the exhaustive sweep, which evaluates every placement through
-/// the independent evaluate_with_layer path: same optimum, top-5 ranking
-/// and Pareto frontier bit for bit, and the same work at 1 and 4 threads.
-/// Returns the candidates the pruned search skipped a prefix at a time.
+/// the independent evaluate_with_layer path: same optimum and top-5
+/// ranking bit for bit, the top-5 search pruning against its 5th best
+/// time, and the same work at 1 and 4 threads with and without the
+/// ranking. Returns the candidates the pruned search skipped a prefix at a
+/// time.
 std::size_t expect_batched_matches_exhaustive(
     const model::TransformerConfig& mdl, const hw::SystemConfig& sys,
     parallel::TpStrategy strategy, std::int64_t batch) {
@@ -594,15 +598,19 @@ std::size_t expect_batched_matches_exhaustive(
   opts.threads = 4;
   opts.prune = false;
   const SearchResult brute = find_optimal(mdl, sys, opts);
-  const auto brute_front = pareto_frontier(mdl, sys, opts);
   opts.top_k = 5;
   const SearchResult brute_top = find_optimal(mdl, sys, opts);
 
   opts.prune = true;
   const SearchResult top = find_optimal(mdl, sys, opts);
   expect_same_ranking(top.top, brute_top.top);
-  expect_same_ranking(pareto_frontier(mdl, sys, opts), brute_front);
+  EXPECT_GT(top.stats.bound_pruned, 0u);
+  opts.threads = 1;
+  const SearchResult top_one = find_optimal(mdl, sys, opts);
+  expect_same_ranking(top_one.top, brute_top.top);
+  expect_same_work(top_one, top);
 
+  opts.threads = 4;
   opts.top_k = 0;
   const SearchResult four = find_optimal(mdl, sys, opts);
   opts.threads = 1;
@@ -668,14 +676,57 @@ TEST(FindOptimal, BatchedEngineMatchesExhaustive) {
     }
   }
   EXPECT_GT(over_capacity, 0u);
-  // A ranking search has no incumbent, so every screened candidate is
-  // evaluated and the eval count is exactly the tally above.
+  // A ranking as long as the candidate space never has k feasible times,
+  // so its cutoff stays +inf: every screened candidate is evaluated and
+  // the eval count is exactly the tally above.
   SearchOptions ranked = opts;
-  ranked.top_k = 1;
+  ranked.top_k = expand_candidates(mdl, small, opts).size();
   EXPECT_EQ(find_optimal(mdl, small, ranked).evaluated, screened_evals);
   SCOPED_TRACE("A100 40 GB two-level 1D TP");
   expect_batched_matches_exhaustive(mdl, small, opts.strategy,
                                     opts.global_batch);
+}
+
+TEST(Pruning, TopOneDoesThePlainSearchsWork) {
+  // For k = 1 the k-th best time is the incumbent, so a one-entry ranking
+  // prunes exactly like the plain search and ranks its optimum.
+  const auto mdl = model::gpt3_1t();
+  const auto sys = b200(8, 4096);
+  SearchOptions opts;
+  opts.strategy = parallel::TpStrategy::Summa2D;
+  opts.global_batch = 4096;
+  const SearchResult plain = find_optimal(mdl, sys, opts);
+  opts.top_k = 1;
+  const SearchResult one = find_optimal(mdl, sys, opts);
+  expect_same_optimum(one, plain);
+  expect_same_work(one, plain);
+  EXPECT_EQ(one.stats.placement_floor_pruned,
+            plain.stats.placement_floor_pruned);
+  ASSERT_EQ(one.top.size(), 1u);
+  EXPECT_TRUE(same_optimum(one.top.front(), plain.best));
+  EXPECT_TRUE(plain.top.empty());
+}
+
+TEST(Pruning, RankingLongerThanTheFeasibleSetPrunesNothing) {
+  // While fewer than k candidates are feasible the cutoff is +inf: a
+  // ranking as long as the space keeps every feasible candidate, in the
+  // exhaustive engine's order.
+  const auto mdl = model::gpt3_175b();
+  const auto sys = b200(8, 64);
+  SearchOptions opts;
+  opts.strategy = parallel::TpStrategy::TP1D;
+  opts.global_batch = 256;
+  opts.top_k = expand_candidates(mdl, sys, opts).size();
+  opts.prune = false;
+  const SearchResult brute = find_optimal(mdl, sys, opts);
+  opts.prune = true;
+  const SearchResult all = find_optimal(mdl, sys, opts);
+  ASSERT_GT(brute.feasible, 5u);
+  EXPECT_EQ(brute.top.size(), brute.feasible);
+  expect_same_ranking(all.top, brute.top);
+  EXPECT_EQ(all.feasible, brute.feasible);
+  EXPECT_EQ(all.stats.bound_pruned, 0u);
+  EXPECT_EQ(all.stats.placement_floor_pruned, 0u);
 }
 
 void expect_bitwise(const core::EvalResult& a, const core::EvalResult& b) {
@@ -752,7 +803,7 @@ TEST(PlacementFloorScreen, CounterInvariantAcrossThreadCounts) {
   EXPECT_EQ(a.feasible, b.feasible);
 }
 
-TEST(PlacementFloorScreen, OffWhereEveryCandidateMustBeTimed) {
+TEST(PlacementFloorScreen, KeepsTopKRankingExact) {
   const auto mdl = model::gpt3_175b();
   const auto sys = b200(8, 128);
   SearchOptions opts;
@@ -760,36 +811,27 @@ TEST(PlacementFloorScreen, OffWhereEveryCandidateMustBeTimed) {
   opts.global_batch = 512;
   opts.prune = false;
   const SearchResult brute = find_optimal(mdl, sys, opts);
+  opts.top_k = 3;
+  const SearchResult brute_top = find_optimal(mdl, sys, opts);
+  opts.top_k = 0;
   opts.prune = true;
   const SearchResult screened = find_optimal(mdl, sys, opts);
   ASSERT_GT(screened.stats.placement_floor_pruned, 0u);
   expect_same_optimum(screened, brute);
 
-  // top-k ranking keeps every feasible candidate: no screen.
+  // A top-k ranking screens against its k-th best time: a candidate above
+  // it is slower than k timed ones, so the ranking is the exhaustive one.
   opts.top_k = 3;
   const SearchResult top = find_optimal(mdl, sys, opts);
-  EXPECT_EQ(top.stats.placement_floor_pruned, 0u);
   expect_same_optimum(top, brute);
+  expect_same_ranking(top.top, brute_top.top);
   opts.top_k = 0;
 
-  // The Pareto frontier also inspects every feasible candidate; it matches
-  // the exhaustive engine's frontier entry for entry.
-  opts.prune = false;
-  const auto front_brute = pareto_frontier(mdl, sys, opts);
-  opts.prune = true;
-  const auto front = pareto_frontier(mdl, sys, opts);
-  ASSERT_EQ(front.size(), front_brute.size());
-  for (std::size_t i = 0; i < front.size(); ++i) {
-    EXPECT_TRUE(same_optimum(front[i], front_brute[i])) << i;
-  }
-
   // Above full overlap the floor is not a bound, and outside [0, 1] the
-  // options are nonsense: both entry points reject them before any work.
+  // options are nonsense: the search rejects them before any work.
   for (const double bad : {1.5, -0.1, std::nan("")}) {
     opts.eval.tp_overlap = bad;
     EXPECT_THROW(find_optimal(mdl, sys, opts), std::invalid_argument) << bad;
-    EXPECT_THROW(pareto_frontier(mdl, sys, opts), std::invalid_argument)
-        << bad;
   }
 }
 

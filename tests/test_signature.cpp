@@ -659,8 +659,8 @@ TEST(PlacementFloor, BelowEveryTimedPlacement) {
 /// EvalOptions outside [0, 1] are rejected before any work, naming the
 /// field and the value: above full overlap exposed communication turns
 /// negative and the placement floor stops being a bound. The boundaries
-/// are in the domain. (find_optimal, pareto_frontier, run_sweep and
-/// run_codesign are checked beside their own screen tests.)
+/// are in the domain. (find_optimal, run_sweep and run_codesign are
+/// checked beside their own screen tests.)
 TEST(EvalOptions, RejectedOutsideUnitInterval) {
   const auto mdl = model::gpt3_175b();
   const hw::SystemConfig sys = system_of(hw::GpuGeneration::B200, 8, 256);

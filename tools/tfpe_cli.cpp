@@ -491,8 +491,7 @@ void run_slices(const SweepGrid& grid,
       &Stats::batch_calls, &Stats::batch_placements, &Stats::warm_seeded,
       &Stats::warm_seed_feasible, &Stats::shapes_pruned,
       &Stats::shapes_evaluated, &Stats::shapes_cut,
-      &Stats::feasible_shape_points, &Stats::enumerations,
-      &Stats::enumeration_hits};
+      &Stats::feasible_shape_points, &Stats::enumerations};
   const io::SweepSpec& spec = grid.spec;
   std::size_t index = 0;
   for (std::size_t g = 0; g < spec.gpus.size(); ++g) {
@@ -757,10 +756,10 @@ Work codesign_cmd(const io::ArgParser& args) {
             ? static_cast<double>(shape_points) / totals.seconds
             : 0.0);
     std::printf(
-        "enumerations=%zu (%zu memo hits)  candidates=%zu  evaluated=%zu  "
+        "enumerations=%zu  candidates=%zu  evaluated=%zu  "
         "bound-pruned=%zu  subtree-pruned=%zu  placement-floor-pruned=%zu  "
         "warm-seeds=%zu/%zu\n",
-        st.enumerations, st.enumeration_hits, st.candidates, st.evaluated,
+        st.enumerations, st.candidates, st.evaluated,
         st.bound_pruned, st.subtree_pruned, st.placement_floor_pruned,
         st.warm_seed_feasible, st.warm_seeded);
 
