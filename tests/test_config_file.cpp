@@ -169,14 +169,6 @@ TEST(CodesignSection, BuildsShapeFamilyOptions) {
   EXPECT_EQ(ranged.depth_min, 32);
   EXPECT_EQ(ranged.depth_max, 64);
   EXPECT_TRUE(ranged.depths.empty());
-
-  // A [codesign] section as a config file holds it.
-  const model::ShapeFamilyOptions parsed = codesign_from_section(
-      parse("[model]\npreset = gpt3-1t\n\n"
-            "[codesign]\ntolerance = 0.04\ndepths = 96, 128\n")
-          .at("codesign"));
-  EXPECT_DOUBLE_EQ(parsed.tolerance, 0.04);
-  EXPECT_EQ(parsed.depths, (std::vector<std::int64_t>{96, 128}));
 }
 
 TEST(CodesignSection, RejectsBadValuesAndUnknownKeys) {
@@ -195,6 +187,25 @@ TEST(CodesignSection, RejectsBadValuesAndUnknownKeys) {
   s.clear();
   s["depth_planes"] = "4";
   EXPECT_THROW(codesign_from_section(s), std::runtime_error);
+}
+
+// A [codesign] section in a config file loads as a raw section beside the
+// typed model; codesign_from_section reads it from there.
+TEST(LoadConfigFile, ParsesCodesignSection) {
+  const std::string path = "tfpe_test_codesign.tfpe";
+  {
+    std::ofstream out(path);
+    out << "[model]\npreset = gpt3-1t\n\n"
+        << "[codesign]\ntolerance = 0.04\ndepths = 96, 128\n";
+  }
+  const LoadedConfig loaded = load_config_file(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.model.has_value());
+  ASSERT_EQ(loaded.sections.count("codesign"), 1u);
+  const model::ShapeFamilyOptions parsed =
+      codesign_from_section(loaded.sections.at("codesign"));
+  EXPECT_DOUBLE_EQ(parsed.tolerance, 0.04);
+  EXPECT_EQ(parsed.depths, (std::vector<std::int64_t>{96, 128}));
 }
 
 }  // namespace
