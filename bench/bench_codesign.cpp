@@ -3,8 +3,9 @@
 // hardware grid:
 //   naive         — one find_optimal per (shape, point), looped here: the
 //                   pre-engine flow and the verification reference;
-//   engine        — memoized enumeration + warm-start chains + batched
-//                   placement scan, full exact per-shape matrix
+//   engine        — one candidate tree per (shape, GPU count) + warm-start
+//                   chains + batched placement scan, full exact per-shape
+//                   matrix
 //                   (prune_shapes = false);
 //   engine-prune  — the same plus shape-level floor pruning against the
 //                   cross-shape incumbents (the production default).

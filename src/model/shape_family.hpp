@@ -18,8 +18,7 @@
 // Shapes inherit everything dimension-unrelated from the base config:
 // seq_len, vocab, attention kind/window and moe_top_k. Enumeration order is
 // deterministic (depth outer, then heads, head_dim, kv_heads, moe_experts)
-// so adjacent shapes differ in few dimensions — the order the co-design
-// engine's cross-shape warm starts exploit.
+// so adjacent shapes differ in few dimensions.
 
 #include <cstdint>
 #include <vector>

@@ -6,7 +6,6 @@
 #include <limits>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -58,7 +57,7 @@ CodesignResult run_codesign(const std::vector<model::TransformerConfig>& shapes,
   // Chains: points sharing (GPU type, scale), in input order — the axis
   // along which a hardware_grid varies only the fabric, so within one
   // shape a predecessor's optimal candidate is a plausible (and index-
-  // compatible, since the candidate space is shared) seed for its
+  // compatible, since the candidate tree is shared) seed for its
   // successor, and the ChainContext streams along it.
   std::map<std::pair<std::string, std::int64_t>, std::size_t> chain_ids;
   std::vector<std::vector<std::size_t>> chains;
@@ -74,11 +73,6 @@ CodesignResult run_codesign(const std::vector<model::TransformerConfig>& shapes,
   std::atomic<std::int64_t> enumerate_ns{0};
   std::atomic<std::int64_t> compile_ns{0};
   std::atomic<std::int64_t> time_ns{0};
-
-  // Per-point cross-shape state, updated sequentially between shapes: the
-  // last surviving shape's optimal configuration (the cross-shape warm
-  // seed, looked up by value in the next shape's tree).
-  std::vector<std::optional<parallel::ParallelConfig>> seed_cfg(np);
 
   // One pool of workers and one pool of scratch bundles for the WHOLE
   // product loop: the leased ScanScratch carries its warm capacity across
@@ -126,21 +120,19 @@ CodesignResult run_codesign(const std::vector<model::TransformerConfig>& shapes,
     const ScanShared scan{shape, opts.sweep, caches, placement_cache,
                           compile_ns, time_ns};
 
-    // The candidate space of each GPU count the shape is scanned at, with
+    // The candidate tree of each GPU count the shape is scanned at, with
     // its memory floors, built before the chains fan out: the chains only
     // read them. Both are the enumerate stage.
     const auto enum_t0 = Clock::now();
-    std::map<std::int64_t, std::pair<CandidateSpace, MemoryFloors>> spaces;
+    std::map<std::int64_t, std::pair<CandidateTree, MemoryFloors>> spaces;
     for (std::size_t p = 0; p < np; ++p) {
       if (out.pruned[s][p] || spaces.count(points[p].n_gpus)) continue;
-      CandidateSpace space{
-          CandidateTree(shape, points[p].n_gpus, opts.sweep.search), {}};
-      space.configs = space.tree.leaves();
+      CandidateTree tree(shape, points[p].n_gpus, opts.sweep.search);
       ++out.stats.enumerations;
-      out.stats.candidates += space.configs.size();
-      MemoryFloors floors(shape, space.tree, b, opts.sweep.search.eval, caches);
+      out.stats.candidates += tree.size();
+      MemoryFloors floors(shape, tree, b, opts.sweep.search.eval, caches);
       spaces.emplace(points[p].n_gpus,
-                     std::pair(std::move(space), std::move(floors)));
+                     std::pair(std::move(tree), std::move(floors)));
     }
     enumerate_ns.fetch_add(ns_since(enum_t0), std::memory_order_relaxed);
 
@@ -153,20 +145,19 @@ CodesignResult run_codesign(const std::vector<model::TransformerConfig>& shapes,
     const auto run_chain = [&](std::size_t c) {
       const auto it = spaces.find(points[chains[c].front()].n_gpus);
       if (it == spaces.end()) return;  // every point at this scale pruned
-      const auto& [space, floors] = it->second;
+      const auto& [tree, floors] = it->second;
       util::ObjectPool<ScanScratch>::Lease scratch = scratch_pool.acquire();
       ChainContext ctx;
-      std::size_t chain_seed = kNoSeed;
+      std::size_t seed = kNoSeed;
+      std::size_t seed_prefix = kNoSeed;
       for (const std::size_t p : chains[c]) {
         if (out.pruned[s][p]) continue;
-        std::size_t seed = kNoSeed;
+        outcomes[p] = scan_point(scan, points[p], tree, floors, seed,
+                                 seed_prefix, incumbent[p], *scratch, ctx);
         if (opts.sweep.warm_start) {
-          if (seed_cfg[p]) seed = space.tree.index_of(*seed_cfg[p]);
-          if (seed == kNoSeed) seed = chain_seed;
+          seed = outcomes[p].best_index;
+          seed_prefix = outcomes[p].best_prefix;
         }
-        outcomes[p] = scan_point(scan, points[p], space, floors, seed,
-                                 incumbent[p], *scratch, ctx);
-        chain_seed = outcomes[p].best_index;
       }
     };
     if (inline_run) {
@@ -175,8 +166,8 @@ CodesignResult run_codesign(const std::vector<model::TransformerConfig>& shapes,
       util::parallel_for_dynamic(*pool, chains.size(), run_chain);
     }
 
-    // Sequential cross-shape reduction in point order: winners, seeds and
-    // the work counters (deterministic — each scanned point was written by
+    // Sequential cross-shape reduction in point order: winners and the work
+    // counters (deterministic — each scanned point was written by
     // exactly the chain that owns it).
     for (std::size_t p = 0; p < np; ++p) {
       if (out.pruned[s][p]) continue;
@@ -204,10 +195,7 @@ CodesignResult run_codesign(const std::vector<model::TransformerConfig>& shapes,
       }
       out.per_shape[s][p] = std::move(o.best);
       const core::EvalResult& r = out.per_shape[s][p];
-      if (r.feasible) {
-        ++out.stats.feasible_shape_points;
-        seed_cfg[p] = r.cfg;
-      }
+      if (r.feasible) ++out.stats.feasible_shape_points;
       if (better_result(r, out.best[p].best)) {
         out.best[p].best = r;
         out.best[p].shape = s;

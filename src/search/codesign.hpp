@@ -9,11 +9,11 @@
 //
 //   * ONE ENUMERATION PER (SHAPE, GPU COUNT) — the candidate tree depends
 //     on the system only through the GPU count but on the model shape (see
-//     enumerate.hpp). Before a shape's chains fan out, each space it is
-//     scanned at (a CandidateSpace: the tree and its leaves) is built once,
-//     with its hardware-free memory floors (MemoryFloors,
-//     search/point_scan.hpp), and shared by every grid point at that GPU
-//     count; the chains only read both.
+//     enumerate.hpp). Before a shape's chains fan out, the CandidateTree of
+//     each GPU count it is scanned at is built once, with its hardware-free
+//     memory floors (MemoryFloors, search/point_scan.hpp), and shared by
+//     every grid point at that GPU count; the chains only read both, and
+//     read each leaf from the tree when they need it.
 //   * COMPILE PER LAYER — each distinct layer is lowered once into a
 //     hardware-invariant SoA block and each candidate compiles only its
 //     scalar tail against it (core/cost_signature.hpp, "block / tail
@@ -27,15 +27,15 @@
 //     sequentially through one ChainContext (search/point_scan.hpp: a
 //     tail per candidate, a bind per block and GPU roofline, a floor walk
 //     per block and point).
-//   * WARM STARTS (SweepOptions::warm_start) — each scan first re-times a
-//     seed candidate: the optimum of the latest shape reported (neither
-//     pruned nor cut) at the same point, looked up BY VALUE in this
-//     shape's tree (CandidateTree::index_of; indices are not comparable
-//     across shapes), else the chain predecessor's optimum.
-//     That seeds the incumbent with an *achieved* time and lets the
-//     lower-bound prune cut deeper. A seed can only tighten the
-//     incumbent, never below the point's true optimum, so the optima are
-//     unchanged — bit for bit — with or without warm starts.
+//   * WARM STARTS (SweepOptions::warm_start) — every scan after the first
+//     of its chain starts by re-timing a seed candidate: the chain
+//     predecessor's optimum in the same shape's tree, carried as its
+//     (index, prefix). Seeds never cross shapes: the cross-shape
+//     incumbent below already starts every scan at the best time an
+//     earlier shape reached. A seed puts an *achieved* time into the
+//     incumbent and lets the lower-bound prune cut deeper. A seed can only
+//     tighten the incumbent, never below the point's true optimum, so the
+//     optima are unchanged — bit for bit — with or without warm starts.
 //   * SHAPE-LEVEL PRUNING (CodesignOptions::prune_shapes) —
 //     core::shape_time_floor bounds every candidate of a shape from the
 //     architecture and the system peaks alone, BEFORE the shape's
@@ -105,16 +105,6 @@
 
 namespace tfpe::search {
 
-/// One (shape, GPU count)'s candidate space: the tree the scan walks and
-/// its leaves at their flattened indices (expand_candidates' list), so a
-/// leaf is read by index and never rebuilt. run_codesign keeps its memory
-/// floors (MemoryFloors) beside it, built from the shape's own unit
-/// scalars.
-struct CandidateSpace {
-  CandidateTree tree;
-  std::vector<parallel::ParallelConfig> configs;  ///< tree.leaves()
-};
-
 struct CodesignOptions {
   /// Scan knobs: `sweep.search` fixes the candidate space and global batch
   /// for every shape; `sweep.warm_start` / `sweep.threads` tune the scan.
@@ -146,7 +136,7 @@ struct CodesignStats : SweepStats {
   std::size_t shapes_cut = 0;
   /// Feasible entries among the reported (neither pruned nor cut) pairs.
   std::size_t feasible_shape_points = 0;
-  /// Candidate spaces built, one per scanned (shape, GPU count);
+  /// Candidate trees built, one per scanned (shape, GPU count);
   /// `candidates` is their summed size.
   std::size_t enumerations = 0;
 };

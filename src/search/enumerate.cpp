@@ -124,42 +124,6 @@ std::vector<parallel::ParallelConfig> CandidateTree::leaves() const {
   return out;
 }
 
-std::size_t CandidateTree::prefix_of(
-    const parallel::ParallelConfig& cfg) const {
-  for (std::size_t i = 0; i < prefixes_.size(); ++i) {
-    const parallel::ParallelConfig& p = prefixes_[i].cfg;
-    if (p.strategy == cfg.strategy && p.n1 == cfg.n1 && p.n2 == cfg.n2 &&
-        p.np == cfg.np && p.nd == cfg.nd && p.nb == cfg.nb) {
-      return i;
-    }
-  }
-  return npos;
-}
-
-std::size_t CandidateTree::index_of(
-    const parallel::ParallelConfig& cfg) const {
-  const std::size_t i = prefix_of(cfg);
-  if (i == npos) return npos;
-  const CandidatePrefix& p = prefixes_[i];
-  const auto position = [](const std::vector<std::int64_t>& list,
-                           std::int64_t value) {
-    const auto it = std::find(list.begin(), list.end(), value);
-    return it == list.end() ? npos
-                            : static_cast<std::size_t>(it - list.begin());
-  };
-  const std::size_t m = position(microbatches(p), cfg.microbatches);
-  const std::size_t v = position(v_lists_[p.v_list], cfg.interleave);
-  const bool zero3 = cfg.zero == parallel::ZeroStage::kWeights;
-  if (m == npos || v == npos || (cfg.ring_attention && !p.cfg.ring_attention) ||
-      (zero3 && !zero3_)) {
-    return npos;
-  }
-  const std::size_t rings = p.cfg.ring_attention ? 2 : 1;
-  return p.first + m * p.m_stride +
-         ((v * rings + (cfg.ring_attention ? 1 : 0)) * zero3_stages() +
-          (zero3 ? 1 : 0));
-}
-
 void PrefixMerge::clear() {
   prefixes_.clear();
   next_ = 0;

@@ -100,15 +100,6 @@ class CandidateTree {
   /// Every leaf at its flattened index (what expand_candidates returns).
   std::vector<parallel::ParallelConfig> leaves() const;
 
-  /// "Not in the tree", from prefix_of and index_of.
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-  /// Position in prefixes() of the prefix with cfg's n1, n2, np, nd and nb,
-  /// or npos.
-  std::size_t prefix_of(const parallel::ParallelConfig& cfg) const;
-  /// Flattened index of the leaf equal to cfg in every field the tree
-  /// varies (placements are ignored), or npos.
-  std::size_t index_of(const parallel::ParallelConfig& cfg) const;
-
   /// The (m, ring, ZeRO stage) group of leaf `index` of `p`: m position *
   /// groups_per_m(p) + ring * zero3_stages() + stage. A group's leaves
   /// differ only in the interleave, which no memory floor reads.

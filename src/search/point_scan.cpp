@@ -42,14 +42,12 @@ MemoryFloors::MemoryFloors(const model::TransformerConfig& mdl,
 }
 
 PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
-                        const CandidateSpace& space,
+                        const CandidateTree& tree,
                         const MemoryFloors& floors, std::size_t seed_index,
-                        double incumbent, ScanScratch& scratch,
-                        ChainContext& chain) {
+                        std::size_t seed_prefix, double incumbent,
+                        ScanScratch& scratch, ChainContext& chain) {
   const std::int64_t b = sh.opts.search.global_batch;
   const core::EvalOptions& eval = sh.opts.search.eval;
-  const CandidateTree& tree = space.tree;
-  const std::vector<parallel::ParallelConfig>& configs = space.configs;
   const std::vector<CandidatePrefix>& prefixes = tree.prefixes();
   const Bytes hbm = sys.gpu.hbm_capacity;
   std::vector<core::PlacementTiming>& timings = scratch.timings;
@@ -61,7 +59,7 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
   const auto scan_t0 = Clock::now();
 
   chain.point = chain.point == kNoSeed ? 0 : chain.point + 1;
-  chain.entries.resize(configs.size());
+  chain.entries.resize(tree.size());
   chain.prefixes.resize(prefixes.size());
   chain.fabric = sys.resolved_fabric();
   // Rebind AFTER the fabric assignment: the pricer points at chain.fabric
@@ -81,17 +79,13 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
   // the fixed "no feasible configuration" reason), so the scan keeps just
   // the sparse list of feasible results and skips every infeasible store —
   // reasons, cfg copies, a dense per-candidate vector.
-  std::vector<std::pair<std::size_t, core::EvalResult>>& feasible =
-      scratch.feasible;
+  auto& feasible = scratch.feasible;
   feasible.clear();
 
   // Settle prefix p without expanding it: its leaves with a chain-held
   // tail over HBM are evaluated, the warm seed (screened on its own) is
   // left out, and each (m, ring, ZeRO) group is memory-pruned when its
   // floor is over HBM, else subtree-pruned (see the header for the order).
-  const std::size_t seed_prefix =
-      seed_index < configs.size() ? tree.prefix_of(configs[seed_index])
-                                  : kNoSeed;
   std::vector<std::size_t>& settled = scratch.settled;
   const auto settle = [&](std::uint32_t p) {
     const CandidatePrefix& prefix = prefixes[p];
@@ -140,7 +134,6 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
   // Screen leaf i of valid prefix p; true with its lower bound in `lb`
   // when it joins the scan.
   const auto screen = [&](std::size_t i, std::size_t p, double& lb) {
-    const parallel::ParallelConfig& cfg = configs[i];
     ChainEntry& e = chain.entries[i];
     if (e.tail && e.tail->mem.total() > hbm) {
       // A candidate compiled on an earlier point of the chain whose tail
@@ -163,6 +156,7 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
       ++out.memory_pruned;
       return false;
     }
+    const parallel::ParallelConfig cfg = tree.leaf(prefixes[p], i);
     if (!e.lb_ready) {
       e.lb_base = core::search_bounds_base(sh.mdl, sys, cfg, b, eval);
       e.lb_ready = 1;
@@ -198,7 +192,7 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
   // stage; the rest is the time stage.
   const auto evaluate = [&](std::size_t i, std::size_t prefix,
                             double cutoff) -> double {
-    const parallel::ParallelConfig& cfg = configs[i];
+    const parallel::ParallelConfig cfg = tree.leaf(prefixes[prefix], i);
     ChainEntry& e = chain.entries[i];
     if (!e.tail) {
       const auto compile_t0 = Clock::now();
@@ -273,7 +267,7 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
     out.evaluated += evals;
     if (!r.feasible) return std::numeric_limits<double>::infinity();
     const double t = r.iteration();
-    feasible.emplace_back(i, std::move(r));
+    feasible.emplace_back(i, prefix, std::move(r));
     return t;
   };
 
@@ -322,14 +316,16 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
   // prefers.
   out.best.reason = "no feasible configuration";
   std::sort(feasible.begin(), feasible.end(),
-            [](const auto& a, const auto& c) { return a.first < c.first; });
-  for (const auto& [i, r] : feasible) {
+            [](const auto& a, const auto& c) {
+              return std::get<0>(a) < std::get<0>(c);
+            });
+  for (const auto& [i, p, r] : feasible) {
     if (better_result(r, out.best)) {
       out.best = r;
       out.best_index = i;
+      out.best_prefix = p;
     }
   }
-  if (!out.best.feasible) out.best_index = kNoSeed;
   sh.compile_ns.fetch_add(compile_ns, std::memory_order_relaxed);
   sh.time_ns.fetch_add(ns_since(scan_t0) - compile_ns,
                        std::memory_order_relaxed);

@@ -2,11 +2,13 @@
 // The per-grid-point candidate scan of the scan driver (run_codesign in
 // search/codesign.hpp; run_sweep is its one-shape case): one system's
 // sequential, lower-bound-ordered walk of the shape's CandidateTree with an
-// achieved-time incumbent, warm seeding, and the ChainContext that
-// persists state across the points of one chain: per prefix its validity,
-// floor base and compiled leaves; per candidate its compiled tail, block
-// and lower-bound base; per block its bind half (per GPU roofline) and
-// floor walk (per point).
+// achieved-time incumbent, warm seeding from the chain predecessor's
+// optimum, and the ChainContext that persists state across the points of
+// one chain: per prefix its validity, floor base and compiled leaves; per
+// candidate its compiled tail, block and lower-bound base; per block its
+// bind half (per GPU roofline) and floor walk (per point). Leaves are read
+// from the tree as they are needed (CandidateTree::leaf), never
+// materialized as a list.
 //
 // Scan order. Each valid (n1, n2, np, nd, nb) prefix gets its
 // core::prefix_time_floor, finished on the point's fabric from the chain's
@@ -72,20 +74,21 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <tuple>
 #include <vector>
 
 #include "core/batched_signature.hpp"
 #include "core/cost_signature.hpp"
 #include "core/lower_bounds.hpp"
 #include "hw/system.hpp"
-#include "search/codesign.hpp"
+#include "search/enumerate.hpp"
 #include "search/search_cache.hpp"
 #include "search/sweep.hpp"
 
 namespace tfpe::search {
 
-/// Sentinel candidate index: "no warm seed" / "nothing feasible".
-inline constexpr std::size_t kNoSeed = CandidateTree::npos;
+/// Sentinel candidate / prefix index: "no warm seed" / "nothing feasible".
+inline constexpr std::size_t kNoSeed = static_cast<std::size_t>(-1);
 
 inline std::int64_t ns_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -186,10 +189,11 @@ struct ScanShared {
 
 struct PointOutcome {
   core::EvalResult best;
-  /// Candidate index (into the scale's shared list) of the optimum — the
-  /// warm seed handed to the next point of the chain. kNoSeed when nothing
-  /// was feasible.
+  /// Candidate index of the optimum in the space's tree and the position of
+  /// its prefix in tree.prefixes() — the warm seed handed to the next point
+  /// of the chain. kNoSeed when nothing was feasible.
   std::size_t best_index = kNoSeed;
+  std::size_t best_prefix = kNoSeed;
   std::size_t evaluated = 0;
   std::size_t bound_pruned = 0;
   std::size_t subtree_pruned = 0;  ///< part of bound_pruned
@@ -282,16 +286,17 @@ struct ScanScratch {
   core::BatchScratch batch;
   std::vector<core::PlacementTiming> timings;
   core::SystemTiming base;  ///< the candidate's bind, finished per visit
-  std::vector<std::pair<std::size_t, core::EvalResult>> feasible;
+  /// The point's feasible results as (index, prefix, result).
+  std::vector<std::tuple<std::size_t, std::size_t, core::EvalResult>> feasible;
   PrefixMerge merge;
   std::vector<std::size_t> settled;  ///< per (m, ring, ZeRO) of a prefix
 };
 
-/// One grid point: walk the shape's candidate space cheapest-lower-bound-
+/// One grid point: walk the shape's candidate tree cheapest-lower-bound-
 /// first with a point-local incumbent (see the header for the order and
 /// why it is exact), screening its prefixes and leaves on `floors` (the
-/// space's MemoryFloors) — optionally seeded by re-timing `seed_index` (the
-/// chain parent's optimum, or the previous shape's) first. The incumbent
+/// tree's MemoryFloors) — optionally seeded by re-timing leaf `seed_index`
+/// of prefix `seed_prefix` (the chain parent's optimum) first. The incumbent
 /// starts at `incumbent`, an achieved iteration time or infinity; the seed
 /// counts as warm_seed_feasible only when it beats that start. The running
 /// incumbent cuts off the rest of the walk and is also the cutoff of the
@@ -303,9 +308,9 @@ struct ScanScratch {
 /// than find_optimal's round barriers) and keeps the per-point counters
 /// independent of the worker count.
 PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
-                        const CandidateSpace& space,
+                        const CandidateTree& tree,
                         const MemoryFloors& floors, std::size_t seed_index,
-                        double incumbent, ScanScratch& scratch,
-                        ChainContext& chain);
+                        std::size_t seed_prefix, double incumbent,
+                        ScanScratch& scratch, ChainContext& chain);
 
 }  // namespace tfpe::search

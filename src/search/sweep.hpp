@@ -102,7 +102,7 @@ struct SweepStats {
   /// sweep's wall time. overlap() > 1 means stages genuinely ran
   /// concurrently. Schedule-dependent — excluded from determinism tests.
   struct StageProfile {
-    /// Candidate spaces (CandidateSpace) and their memory floors
+    /// Candidate trees (CandidateTree) and their memory floors
     /// (MemoryFloors).
     double enumerate_s = 0;
     double compile_s = 0;    ///< tail compile + block lower + bind

@@ -580,5 +580,33 @@ TEST(Codesign, EachShapeEnumeratesItsOwnSpace) {
   }
 }
 
+/// A warm seed is only the chain predecessor's optimum: on a grid whose
+/// chains are one point long no scan is seeded, across however many
+/// shapes, and every entry equals the cold run's.
+TEST(Codesign, WarmSeedsStayOnTheirChain) {
+  const auto shapes = small_family();
+  const auto points = search::hardware_grid(
+      {hw::GpuGeneration::A100, hw::GpuGeneration::H200,
+       hw::GpuGeneration::B200},
+      {8}, 128);
+  search::CodesignOptions opts;
+  opts.sweep.search.global_batch = 512;
+  opts.sweep.threads = 1;
+  opts.prune_shapes = false;
+  const auto cold = search::run_codesign(shapes, points, opts);
+  opts.sweep.warm_start = true;
+  const auto warm = search::run_codesign(shapes, points, opts);
+  EXPECT_EQ(warm.stats.shapes_evaluated, shapes.size() * points.size());
+  EXPECT_GT(warm.stats.feasible_shape_points, points.size());
+  EXPECT_EQ(warm.stats.warm_seeded, 0u);
+  EXPECT_EQ(warm.stats.evaluated, cold.stats.evaluated);
+  for (std::size_t s = 0; s < shapes.size(); ++s) {
+    for (std::size_t p = 0; p < points.size(); ++p) {
+      expect_same_optimum(cold.per_shape[s][p], warm.per_shape[s][p],
+                          shapes[s].name + " point " + std::to_string(p));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace tfpe

@@ -401,11 +401,11 @@ int lint_matrix(std::int64_t b, const std::string& format, bool strict,
     sink.merge(std::move(report));
   }
 
-  // Default machine description + sweep plan, so the SYS/TOPO/SWEEP rule
-  // families run on every bare `tfpe lint`.
-  const auto sys = hw::make_system(hw::GpuGeneration::B200, 8, 1024);
-  sink.merge(analysis::lint_system(sys, opts));
-  sink.merge(search::lint_sweep_plan({sys}, opts));
+  // Default machine description as a one-point sweep plan, so the
+  // SYS/TOPO/SWEEP rule families run on every bare `tfpe lint` (the plan
+  // lints each of its systems).
+  sink.merge(search::lint_sweep_plan(
+      {hw::make_system(hw::GpuGeneration::B200, 8, 1024)}, opts));
 
   if (text) std::cout << cases.size() << " op lists linted\n";
   return finish_lint(sink.take(), format, strict);
