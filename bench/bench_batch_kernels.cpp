@@ -13,14 +13,20 @@
 //                              sub-results vs the full fabric walk;
 //   BM_EnumeratePlacements   — building the placement frontier of every
 //                              GPT3-1T 2D prefix at 4096 GPUs, per NVS
-//                              domain size (calls/s and placements/s).
+//                              domain size (calls/s and placements/s);
+//   BM_BuildLayer            — parallel::build_layer's op graph for one
+//                              GPT3-1T block per tensor-parallel strategy,
+//                              and one Llama3-405B decode block;
+//   BM_LowerBlock            — search::lower_block (build, compile_layer,
+//                              lower_batched) for the same training blocks.
 //
 // `--smoke` runs a fast bitwise lockstep check of every kernel arm against
-// the core::evaluate_with_layer oracle, per placement, and exits nonzero on
-// any mismatch; tests/CMakeLists-style registration in bench/CMakeLists.txt
-// wires it into ctest so the kernels cannot drift from the oracle without
-// failing the suite. The exhaustive randomized twin lives in
-// tests/test_signature.cpp.
+// the core::evaluate_with_layer oracle, per placement, then builds and
+// lowers every BM_BuildLayer / BM_LowerBlock block once, and exits nonzero
+// on any mismatch or empty block; tests/CMakeLists-style registration in
+// bench/CMakeLists.txt wires it into ctest so the kernels cannot drift from
+// the oracle without failing the suite. The exhaustive randomized twin
+// lives in tests/test_signature.cpp.
 
 #include <benchmark/benchmark.h>
 
@@ -32,7 +38,9 @@
 
 #include "core/batched_signature.hpp"
 #include "core/evaluator.hpp"
+#include "parallel/layer_builder.hpp"
 #include "search/search.hpp"
+#include "search/search_cache.hpp"
 #include "search/sweep.hpp"
 
 namespace {
@@ -176,6 +184,81 @@ BENCHMARK(BM_EnumeratePlacements)
     ->ArgNames({"nvs"})
     ->Unit(benchmark::kMicrosecond);
 
+/// The blocks of BM_BuildLayer / BM_LowerBlock: GPT3-1T under each
+/// tensor-parallel strategy at local microbatch 1 (kBatch over nd * m =
+/// 4096), as Tables I, II and A2 lay them out, and one Llama3-405B decode
+/// step (tp 8, 64 resident requests over the serving default's 2176-token
+/// mean context).
+enum class Block { k1D, k2D, kSumma, kDecode };
+
+constexpr Block kBlocks[] = {Block::k1D, Block::k2D, Block::kSumma,
+                             Block::kDecode};
+
+model::TransformerConfig block_model(Block b) {
+  return b == Block::kDecode ? model::llama3_405b() : model::gpt3_1t();
+}
+
+parallel::ParallelConfig block_config(Block b) {
+  parallel::ParallelConfig cfg;
+  cfg.nd = 8;
+  cfg.microbatches = 512;
+  switch (b) {
+    case Block::k1D:
+    case Block::kDecode:
+      cfg.n1 = 8;
+      break;
+    case Block::k2D:
+      cfg.strategy = parallel::TpStrategy::TP2D;
+      cfg.n1 = 4;
+      cfg.n2 = 2;
+      break;
+    case Block::kSumma:
+      cfg.strategy = parallel::TpStrategy::Summa2D;
+      cfg.n1 = 4;
+      cfg.n2 = 2;
+      cfg.nb = 4;
+      break;
+  }
+  return cfg;
+}
+
+parallel::LayerCost build_block(Block b, const model::TransformerConfig& mdl,
+                                const parallel::ParallelConfig& cfg) {
+  if (b == Block::kDecode) {
+    return parallel::build_decode_layer(mdl, cfg.n1, /*tokens=*/64.0,
+                                        /*kv_len=*/2176.0);
+  }
+  return parallel::build_layer(mdl, cfg, cfg.local_microbatch(kBatch));
+}
+
+void BM_BuildLayer(benchmark::State& state, Block b) {
+  const model::TransformerConfig mdl = block_model(b);
+  const parallel::ParallelConfig cfg = block_config(b);
+  for (auto _ : state) {
+    parallel::LayerCost layer = build_block(b, mdl, cfg);
+    benchmark::DoNotOptimize(layer.ops.data());
+  }
+}
+BENCHMARK_CAPTURE(BM_BuildLayer, 1d, Block::k1D)->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_BuildLayer, 2d, Block::k2D)->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_BuildLayer, summa, Block::kSumma)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_BuildLayer, decode, Block::kDecode)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_LowerBlock(benchmark::State& state, Block b) {
+  const model::TransformerConfig mdl = block_model(b);
+  const parallel::ParallelConfig cfg = block_config(b);
+  for (auto _ : state) {
+    core::BatchedSignature bat = search::lower_block(mdl, cfg, kBatch);
+    benchmark::DoNotOptimize(bat.fwd_flops.data());
+  }
+}
+BENCHMARK_CAPTURE(BM_LowerBlock, 1d, Block::k1D)->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_LowerBlock, 2d, Block::k2D)->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_LowerBlock, summa, Block::kSumma)
+    ->Unit(benchmark::kMicrosecond);
+
 bool same_timing(const core::EvalResult& a, const core::PlacementTiming& b) {
   return a.time.compute == b.time.compute && a.time.memory == b.time.memory &&
          a.time.tp_comm == b.time.tp_comm && a.time.pp_comm == b.time.pp_comm &&
@@ -232,7 +315,19 @@ int run_smoke() {
   }
   std::printf("smoke: %zu placement timings compared, %d mismatches\n",
               compared, mismatches);
-  return mismatches == 0 && compared > 0 ? 0 : 1;
+  // Each BM_BuildLayer / BM_LowerBlock block once: it must build ops.
+  int empty = 0;
+  for (Block b : kBlocks) {
+    const model::TransformerConfig mdl = block_model(b);
+    const parallel::ParallelConfig cfg = block_config(b);
+    if (build_block(b, mdl, cfg).ops.empty()) ++empty;
+    if (b != Block::kDecode &&
+        search::lower_block(mdl, cfg, kBatch).op_count() == 0) {
+      ++empty;
+    }
+  }
+  std::printf("smoke: built and lowered every bench block, %d empty\n", empty);
+  return mismatches == 0 && compared > 0 && empty == 0 ? 0 : 1;
 }
 
 }  // namespace

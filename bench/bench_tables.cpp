@@ -34,8 +34,9 @@ void print_layer_table(const std::string& caption,
     }
     if (colls.empty()) colls = "-";
     t.add_row(
-        {op.name, op.detail.empty() ? "-" : op.detail, ops::to_string(op.unit),
-         colls, util::format_fixed(vol.value() / ops::kBytesPerElement, 0),
+        {std::string(op.name), std::string(op.detail.empty() ? "-" : op.detail),
+         ops::to_string(op.unit), colls,
+         util::format_fixed(vol.value() / ops::kBytesPerElement, 0),
          util::format_fixed(op.stored_bytes.value() / ops::kBytesPerElement,
                             0)});
   }

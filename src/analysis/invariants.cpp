@@ -4,6 +4,7 @@
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "comm/collective_algorithm.hpp"
@@ -199,10 +200,11 @@ class Linter {
   }
 
  private:
-  void emit(RuleId rule, std::string op, double expected, double actual,
+  void emit(RuleId rule, std::string_view op, double expected, double actual,
             std::string message,
             std::optional<Severity> sev = std::nullopt) {
-    sink_.emit(rule, std::move(op), expected, actual, std::move(message), sev);
+    sink_.emit(rule, std::string(op), expected, actual, std::move(message),
+               sev);
   }
 
   bool check_sequence() {
@@ -219,8 +221,9 @@ class Linter {
     for (std::size_t i = 0; i < exp.size(); ++i) {
       if (layer_.ops[i].name != exp[i].name) {
         emit(RuleId::kOpSequence, layer_.ops[i].name, 0, 0,
-             "op #" + std::to_string(i) + " is '" + layer_.ops[i].name +
-                 "', expected '" + exp[i].name + "'");
+             "op #" + std::to_string(i) + " is '" +
+                 std::string(layer_.ops[i].name) + "', expected '" +
+                 exp[i].name + "'");
         aligned = false;
       }
     }

@@ -29,8 +29,7 @@ comm::GroupPlacement placement_for(const parallel::ParallelConfig& cfg,
 
 /// Sum of collective times for a request list, with volumes scaled by
 /// 1/panels (per-panel time; latency paid per panel).
-Seconds comm_time(const std::vector<ops::CommRequest>& reqs,
-                  const hw::Topology& fabric,
+Seconds comm_time(const ops::CommList& reqs, const hw::Topology& fabric,
                   const parallel::ParallelConfig& cfg, double inv_panels) {
   Seconds t;
   for (const auto& req : reqs) {

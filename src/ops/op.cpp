@@ -1,6 +1,13 @@
 #include "ops/op.hpp"
 
+#include <stdexcept>
+
 namespace tfpe::ops {
+
+void CommList::throw_full() {
+  throw std::logic_error(
+      "ops::CommList: an op pass holds at most 4 collectives");
+}
 
 std::string to_string(Collective c) {
   switch (c) {

@@ -7,9 +7,12 @@
 // into time with the roofline + collective models. All counts carry strong
 // unit types (util/units.hpp) so a bytes/flops mix-up cannot compile.
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
+#include <string_view>
+#include <type_traits>
 
 #include "util/units.hpp"
 
@@ -41,22 +44,56 @@ struct CommRequest {
   Bytes bytes;  ///< V: bytes per GPU entering the collective.
 };
 
+/// The collectives of one op pass, held inline: at most kCapacity
+/// requests, which is a SUMMA multiply's backward (a Broadcast and a Reduce
+/// for each of dA and dB). A push past the capacity throws
+/// std::logic_error, so a builder that outgrows the list fails loudly
+/// instead of dropping a collective.
+class CommList {
+ public:
+  static constexpr std::size_t kCapacity = 4;
+
+  void push_back(const CommRequest& req) {
+    if (size_ == kCapacity) throw_full();
+    reqs_[size_++] = req;
+  }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  void clear() { size_ = 0; }
+  CommRequest& operator[](std::size_t i) { return reqs_[i]; }
+  const CommRequest& operator[](std::size_t i) const { return reqs_[i]; }
+  CommRequest* begin() { return reqs_.data(); }
+  CommRequest* end() { return reqs_.data() + size_; }
+  const CommRequest* begin() const { return reqs_.data(); }
+  const CommRequest* end() const { return reqs_.data() + size_; }
+
+ private:
+  [[noreturn]] static void throw_full();
+
+  std::array<CommRequest, kCapacity> reqs_{};
+  std::size_t size_ = 0;
+};
+
+/// One op of a block. `name` and `detail` view string literals (the
+/// factories take the name as an ops::Label), so an Op owns no heap memory
+/// and copies as plain bytes.
 struct Op {
-  std::string name;
+  std::string_view name;
   /// Human-readable partitioned-shape description ("(b, l/n2, e) x (e, f/n1)")
-  /// used to regenerate the paper's Tables I / II / A2.
-  std::string detail;
+  /// used to regenerate the paper's Tables I / II / A2. Assign only string
+  /// literals.
+  std::string_view detail;
   ComputeUnit unit = ComputeUnit::Vector;
 
   // Forward pass counts (per GPU, per microbatch).
   Flops fwd_flops;
   Bytes fwd_bytes;
-  std::vector<CommRequest> fwd_comm;
+  CommList fwd_comm;
 
   // Backward pass counts (per GPU, per microbatch).
   Flops bwd_flops;
   Bytes bwd_bytes;
-  std::vector<CommRequest> bwd_comm;
+  CommList bwd_comm;
 
   /// Output elements of the op's GEMMs per GPU: m*n forward, m*k + k*n
   /// backward (dgrad and wgrad), 0 for every other op. A GEMM is counted
@@ -90,6 +127,8 @@ struct Op {
   std::int64_t summa_panels = 1;
   double summa_k = 0;
 };
+
+static_assert(std::is_trivially_copyable_v<Op>);
 
 std::string to_string(Collective c);
 std::string to_string(CommGroup g);

@@ -1,7 +1,5 @@
 #include "ops/op_factory.hpp"
 
-#include <utility>
-
 namespace tfpe::ops {
 
 namespace {
@@ -23,10 +21,10 @@ void add_conjugate_comm(Op& op, Collective coll, CommGroup group, Bytes bytes) {
   op.bwd_comm.push_back({conjugate(coll), group, bytes});
 }
 
-Op matmul(std::string name, double m, double n, double k, double batch,
+Op matmul(Label name, double m, double n, double k, double batch,
           bool store_a, bool store_b) {
   Op op;
-  op.name = std::move(name);
+  op.name = name.view();
   op.unit = ComputeUnit::TensorCore;
   op.fwd_flops = Flops(batch * (2.0 * k - 1.0) * m * n);
   op.fwd_bytes = Bytes(batch * kBytesPerElement * (m * k + k * n + m * n));
@@ -43,11 +41,11 @@ Op matmul(std::string name, double m, double n, double k, double batch,
   return op;
 }
 
-Op fused_attention(std::string name, double batch, double heads, double lq,
+Op fused_attention(Label name, double batch, double heads, double lq,
                    double lkv, double eh, double stored_elems,
                    double kv_heads) {
   Op op;
-  op.name = std::move(name);
+  op.name = name.view();
   op.unit = ComputeUnit::TensorCore;
   const double bh = batch * heads;
   const double bh_kv = batch * (kv_heads > 0 ? kv_heads : heads);
@@ -75,10 +73,10 @@ Op fused_attention(std::string name, double batch, double heads, double lq,
   return op;
 }
 
-Op vector_op(std::string name, double elements, double flops_per_element,
+Op vector_op(Label name, double elements, double flops_per_element,
              double stored_elems, double stored_mask_elems) {
   Op op;
-  op.name = std::move(name);
+  op.name = name.view();
   op.unit = ComputeUnit::Vector;
   op.fwd_flops = Flops(elements * flops_per_element);
   op.fwd_bytes = Bytes(2.0 * kBytesPerElement * elements);  // read + write
@@ -93,30 +91,30 @@ Op vector_op(std::string name, double elements, double flops_per_element,
   return op;
 }
 
-Op layernorm(std::string name, double elements) {
+Op layernorm(Label name, double elements) {
   // Mean, variance, normalize, scale + shift: ~5 FLOPs/element.
-  return vector_op(std::move(name), elements, 5.0, elements);
+  return vector_op(name, elements, 5.0, elements);
 }
 
-Op gelu(std::string name, double elements) {
+Op gelu(Label name, double elements) {
   // tanh-approximation GeLU: ~8 FLOPs/element.
-  return vector_op(std::move(name), elements, 8.0, elements);
+  return vector_op(name, elements, 8.0, elements);
 }
 
-Op dropout(std::string name, double elements) {
+Op dropout(Label name, double elements) {
   // Mask multiply; stores the 1-byte mask, not the activations.
-  return vector_op(std::move(name), elements, 2.0, 0.0, elements);
+  return vector_op(name, elements, 2.0, 0.0, elements);
 }
 
-Op residual_add(std::string name, double elements) {
+Op residual_add(Label name, double elements) {
   // x + y; nothing stored (gradient passes through unchanged).
-  return vector_op(std::move(name), elements, 1.0, 0.0);
+  return vector_op(name, elements, 1.0, 0.0);
 }
 
-Op summa_matmul(std::string name, double M, double N, double K, std::int64_t n1,
+Op summa_matmul(Label name, double M, double N, double K, std::int64_t n1,
                 std::int64_t n2, std::int64_t nb, bool store_a) {
   Op op;
-  op.name = std::move(name);
+  op.name = name.view();
   op.unit = ComputeUnit::TensorCore;
   const double p = static_cast<double>(n1) * static_cast<double>(n2);
   op.fwd_flops = Flops((2.0 * K - 1.0) * M * N / p);
@@ -156,20 +154,24 @@ Op summa_matmul(std::string name, double M, double N, double K, std::int64_t n1,
   return op;
 }
 
-Op forward_only(Op op) {
+void drop_backward(Op& op) {
   op.bwd_flops = Flops(0);
   op.bwd_gemm_outputs = 0;
   op.bwd_bytes = Bytes(0);
   op.bwd_comm.clear();
   op.stored_bytes = Bytes(0);
+}
+
+Op forward_only(Op op) {
+  drop_backward(op);
   return op;
 }
 
-Op decode_attention(std::string name, double batch, double heads,
+Op decode_attention(Label name, double batch, double heads,
                     double kv_len, double eh, double kv_heads) {
   // Single-token queries over the cache: the training counting with lq = 1
   // (GQA K/V shrink included), then the backward dimension stripped.
-  return forward_only(fused_attention(std::move(name), batch, heads,
+  return forward_only(fused_attention(name, batch, heads,
                                       /*lq=*/1.0, /*lkv=*/kv_len, eh,
                                       /*stored_elems=*/0.0, kv_heads));
 }

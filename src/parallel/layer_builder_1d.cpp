@@ -38,53 +38,51 @@ LayerCost build_layer_1d(const model::TransformerConfig& mdl,
 
   LayerCost lc;
   auto& v = lc.ops;
+  v.reserve(mdl.is_moe() ? 16 : 12);  // the MoE MLP: 7 ops for the dense 3
 
   // --- Self-attention ---
   {
-    auto ln = ops::layernorm("ln1", seq_local * e);
+    auto& ln = v.emplace_back(ops::layernorm("ln1", seq_local * e));
     ln.detail = "X~:(b,l,e) <- AG <- X:(b,l/nt,e)";
     ln.out_elems = ble;  // AllGather re-materializes the full activations
     add_conjugate_comm(ln, Collective::AllGather, CommGroup::TP1,
                        Bytes(kBytesPerElement * ble));
-    v.push_back(std::move(ln));
   }
   {
     // Q, K, V projections as one (b l, e) x (e, (e + 2 e_kv)/nt) multiply
     // (e_kv < e under grouped-query attention). The gathered X~ is stored
     // (replicated across nt) for backward.
-    auto qkv = ops::matmul("qkv_proj", B * l, (e + 2.0 * ekv) / nt, e);
+    auto& qkv = v.emplace_back(
+        ops::matmul("qkv_proj", B * l, (e + 2.0 * ekv) / nt, e));
     qkv.detail = "Q:(b,h/nt,l,eh) = X~:(b,l,e) x WQKV:(e,(e+2ekv)/nt)";
-    v.push_back(std::move(qkv));
   }
   {
     // Fused FlashAttention Logit/Attend over h/nt local heads; Q, K, V
     // shards are stored, the l x l map is recomputed. lkv reflects the
     // attention kind (full l, window w, or e_h for linear attention).
-    auto att = ops::fused_attention("attention", B, h / nt, l, lkv, eh,
-                                    B * l * (e + 2.0 * ekv) / nt, hkv / nt);
+    auto& att = v.emplace_back(
+        ops::fused_attention("attention", B, h / nt, l, lkv, eh,
+                             B * l * (e + 2.0 * ekv) / nt, hkv / nt));
     att.detail = "A=SM(QK^T), S=AV : (b,h/nt,l,lkv)";
     att.in_elems = B * l * (e + 2.0 * ekv) / nt;  // local Q/K/V shards
-    v.push_back(std::move(att));
   }
   {
-    auto proj = ops::matmul("out_proj", B * l, e, e / nt);
+    auto& proj = v.emplace_back(ops::matmul("out_proj", B * l, e, e / nt));
     proj.detail = "Y:(b,l/nt,e) <- RS <- S:(b,h/nt,l,eh) x Wp:(e/nt,e)";
     proj.out_elems = seq_local * e;  // ReduceScatter back to sequence shards
     add_conjugate_comm(proj, Collective::ReduceScatter, CommGroup::TP1,
                        Bytes(kBytesPerElement * ble));
-    v.push_back(std::move(proj));
   }
   v.push_back(ops::dropout("attn_dropout", seq_local * e));
   v.push_back(ops::residual_add("attn_residual", seq_local * e));
 
   // --- MLP ---
   {
-    auto ln = ops::layernorm("ln2", seq_local * e);
+    auto& ln = v.emplace_back(ops::layernorm("ln2", seq_local * e));
     ln.detail = "Y~:(b,l,e) <- AG <- Y:(b,l/nt,e)";
     ln.out_elems = ble;
     add_conjugate_comm(ln, Collective::AllGather, CommGroup::TP1,
                        Bytes(kBytesPerElement * ble));
-    v.push_back(std::move(ln));
   }
   double mlp_weight_params;
   if (mdl.is_moe()) {
@@ -92,18 +90,16 @@ LayerCost build_layer_1d(const model::TransformerConfig& mdl,
     mlp_weight_params = append_moe_mlp(v, mdl, cfg, B * l, seq_local);
   } else {
     {
-      auto mlp1 = ops::matmul("mlp_fc1", B * l, f / nt, e);
+      auto& mlp1 = v.emplace_back(ops::matmul("mlp_fc1", B * l, f / nt, e));
       mlp1.detail = "Z:(b,l,f/nt) = Y~:(b,l,e) x W1:(e,f/nt)";
-      v.push_back(std::move(mlp1));
     }
     v.push_back(ops::gelu("gelu", B * l * f / nt));
     {
-      auto mlp2 = ops::matmul("mlp_fc2", B * l, e, f / nt);
+      auto& mlp2 = v.emplace_back(ops::matmul("mlp_fc2", B * l, e, f / nt));
       mlp2.detail = "X:(b,l/nt,e) <- RS <- Z x W2:(f/nt,e)";
       mlp2.out_elems = seq_local * e;
       add_conjugate_comm(mlp2, Collective::ReduceScatter, CommGroup::TP1,
                          Bytes(kBytesPerElement * ble));
-      v.push_back(std::move(mlp2));
     }
     mlp_weight_params = (2.0 * e * f + f + e) / nt;
   }

@@ -47,26 +47,27 @@ LayerCost build_layer_2d(const model::TransformerConfig& mdl,
 
   LayerCost lc;
   auto& v = lc.ops;
+  v.reserve(mdl.is_moe() ? 16 : 12);  // the MoE MLP: 7 ops for the dense 3
 
   // --- Self-attention ---
   {
-    auto ln = ops::layernorm("ln1", B * l12 * e);
+    auto& ln = v.emplace_back(ops::layernorm("ln1", B * l12 * e));
     ln.detail = "X~:(b,l/n2,e) <- AG(n1) <- X:(b,l/n1n2,e)";
     ln.out_elems = B * l2 * e;  // AllGather over n1 restores the l/n2 shard
     add_conjugate_comm(ln, Collective::AllGather, CommGroup::TP1, vol_ag);
-    v.push_back(std::move(ln));
   }
   {
-    auto qkv = ops::matmul("qkv_proj", B * l2, (e + 2.0 * ekv) / n1, e);
+    auto& qkv = v.emplace_back(
+        ops::matmul("qkv_proj", B * l2, (e + 2.0 * ekv) / n1, e));
     qkv.detail = "Q:(b,h/n1,l/n2,eh) = X~:(b,l/n2,e) x WQKV:(e,(e+2ekv)/n1)";
-    v.push_back(std::move(qkv));
   }
   {
     // K and V are AllGathered across n2 so each GPU attends over the full
     // sequence (or the window halo); queries stay sharded at l/n2. Linear
     // attention AllReduces the per-head (e_h x e_h) state instead.
-    auto att = ops::fused_attention("attention", B, h / n1, l2, lkv, eh,
-                                    B * l2 * (e + 2.0 * ekv) / n1, hkv / n1);
+    auto& att = v.emplace_back(
+        ops::fused_attention("attention", B, h / n1, l2, lkv, eh,
+                             B * l2 * (e + 2.0 * ekv) / n1, hkv / n1));
     att.detail = "A:(b,h/n1,l/n2,lkv); K,V <- AG(n2)";
     att.in_elems = B * l2 * (e + 2.0 * ekv) / n1;  // pre-gather Q/K/V shards
     if (mdl.attention == model::AttentionKind::kLinear) {
@@ -84,25 +85,22 @@ LayerCost build_layer_2d(const model::TransformerConfig& mdl,
       add_conjugate_comm(att, Collective::AllGather, CommGroup::TP2, vol_kv);
       add_conjugate_comm(att, Collective::AllGather, CommGroup::TP2, vol_kv);
     }
-    v.push_back(std::move(att));
   }
   {
-    auto proj = ops::matmul("out_proj", B * l2, e, e / n1);
+    auto& proj = v.emplace_back(ops::matmul("out_proj", B * l2, e, e / n1));
     proj.detail = "Y:(b,l/n1n2,e) <- RS(n1) <- S x Wp:(e/n1,e)";
     proj.out_elems = B * l12 * e;  // ReduceScatter back to l/(n1 n2) shards
     add_conjugate_comm(proj, Collective::ReduceScatter, CommGroup::TP1, vol_ag);
-    v.push_back(std::move(proj));
   }
   v.push_back(ops::dropout("attn_dropout", B * l12 * e));
   v.push_back(ops::residual_add("attn_residual", B * l12 * e));
 
   // --- MLP ---
   {
-    auto ln = ops::layernorm("ln2", B * l12 * e);
+    auto& ln = v.emplace_back(ops::layernorm("ln2", B * l12 * e));
     ln.detail = "Y~:(b,l/n2,e) <- AG(n1) <- Y:(b,l/n1n2,e)";
     ln.out_elems = B * l2 * e;
     add_conjugate_comm(ln, Collective::AllGather, CommGroup::TP1, vol_ag);
-    v.push_back(std::move(ln));
   }
   double mlp_weight_params;
   if (mdl.is_moe()) {
@@ -110,18 +108,16 @@ LayerCost build_layer_2d(const model::TransformerConfig& mdl,
     mlp_weight_params = append_moe_mlp(v, mdl, cfg, B * l2, B * l12);
   } else {
     {
-      auto mlp1 = ops::matmul("mlp_fc1", B * l2, f / n1, e);
+      auto& mlp1 = v.emplace_back(ops::matmul("mlp_fc1", B * l2, f / n1, e));
       mlp1.detail = "Z:(b,l/n2,f/n1) = Y~ x W1:(e,f/n1)";
-      v.push_back(std::move(mlp1));
     }
     v.push_back(ops::gelu("gelu", B * l2 * f / n1));
     {
-      auto mlp2 = ops::matmul("mlp_fc2", B * l2, e, f / n1);
+      auto& mlp2 = v.emplace_back(ops::matmul("mlp_fc2", B * l2, e, f / n1));
       mlp2.detail = "X:(b,l/n1n2,e) <- RS(n1) <- Z x W2:(f/n1,e)";
       mlp2.out_elems = B * l12 * e;
       add_conjugate_comm(mlp2, Collective::ReduceScatter, CommGroup::TP1,
                          vol_ag);
-      v.push_back(std::move(mlp2));
     }
     mlp_weight_params = (2.0 * e * f + f + e) / n1;
   }

@@ -9,7 +9,7 @@
 // training builder:
 //   * no sequence parallelism (each query is one token) — the TP seam is a
 //     plain AllReduce after out_proj / mlp_fc2 instead of the AG/RS pair;
-//   * no dropout, no backward, no stored activations (ops::forward_only);
+//   * no dropout, no backward, no stored activations (ops::drop_backward);
 //   * a kv_append op accounts the cache write of the step's new K/V.
 // `tokens` is a double: the serving pipeline divides the resident batch
 // across np decode groups, and fractional group sizes keep the analytic
@@ -24,7 +24,6 @@ namespace tfpe::parallel {
 
 using ops::Collective;
 using ops::CommGroup;
-using ops::forward_only;
 using ops::kBytesPerElement;
 
 LayerCost build_decode_layer(const model::TransformerConfig& mdl,
@@ -60,66 +59,64 @@ LayerCost build_decode_layer(const model::TransformerConfig& mdl,
 
   LayerCost lc;
   auto& v = lc.ops;
+  v.reserve(11);
+  // Appends a training op with its backward dimension stripped in place.
+  const auto forward = [&v](const ops::Op& op) -> ops::Op& {
+    ops::Op& placed = v.emplace_back(op);
+    ops::drop_backward(placed);
+    return placed;
+  };
 
   // --- Self-attention ---
   {
-    auto ln = forward_only(ops::layernorm("ln1", R * e));
+    auto& ln = forward(ops::layernorm("ln1", R * e));
     ln.detail = "X:(R,e) replicated across nt";
-    v.push_back(std::move(ln));
   }
   {
-    auto qkv = forward_only(
-        ops::matmul("qkv_proj", R, (e + 2.0 * ekv) / nt, e, 1.0,
-                    /*store_a=*/false));
+    auto& qkv = forward(ops::matmul("qkv_proj", R, (e + 2.0 * ekv) / nt, e,
+                                    1.0, /*store_a=*/false));
     qkv.detail = "q:(R,h/nt,eh) = X:(R,e) x WQKV:(e,(e+2ekv)/nt)";
-    v.push_back(std::move(qkv));
   }
   {
     // Cache write of the step's new K/V rows (pure traffic, no FLOPs).
-    auto app = forward_only(
+    auto& app = forward(
         ops::vector_op("kv_append", R * 2.0 * hkv_local * eh, 0.0, 0.0));
     app.detail = "KV[:, kv_len] = k,v : (R,2,hkv/nt,eh)";
     app.in_elems = 0;  // sourced from qkv_proj, not the activation stream
     app.out_elems = 0;
-    v.push_back(std::move(app));
   }
   {
-    auto att = ops::decode_attention("attention", R, h / nt, lkv, eh,
-                                     hkv_local);
+    auto& att = v.emplace_back(
+        ops::decode_attention("attention", R, h / nt, lkv, eh, hkv_local));
     att.detail = "A=SM(qK^T), s=AV : (R,h/nt,1,kv_len)";
     att.in_elems = 0;  // reads the cache, not just the predecessor
-    v.push_back(std::move(att));
   }
   {
-    auto proj = forward_only(
+    auto& proj = forward(
         ops::matmul("out_proj", R, e, e / nt, 1.0, /*store_a=*/false));
     proj.detail = "Y:(R,e) <- AR <- s:(R,h/nt,eh) x Wp:(e/nt,e)";
     proj.fwd_comm.push_back({Collective::AllReduce, CommGroup::TP1, re_bytes});
-    v.push_back(std::move(proj));
   }
-  v.push_back(forward_only(ops::residual_add("attn_residual", R * e)));
+  forward(ops::residual_add("attn_residual", R * e));
 
   // --- MLP ---
   {
-    auto ln = forward_only(ops::layernorm("ln2", R * e));
+    auto& ln = forward(ops::layernorm("ln2", R * e));
     ln.detail = "Y:(R,e) replicated across nt";
-    v.push_back(std::move(ln));
   }
   {
-    auto mlp1 = forward_only(
+    auto& mlp1 = forward(
         ops::matmul("mlp_fc1", R, f / nt, e, 1.0, /*store_a=*/false));
     mlp1.detail = "Z:(R,f/nt) = Y:(R,e) x W1:(e,f/nt)";
-    v.push_back(std::move(mlp1));
   }
-  v.push_back(forward_only(ops::gelu("gelu", R * f / nt)));
+  forward(ops::gelu("gelu", R * f / nt));
   {
-    auto mlp2 = forward_only(
+    auto& mlp2 = forward(
         ops::matmul("mlp_fc2", R, e, f / nt, 1.0, /*store_a=*/false));
     mlp2.detail = "X:(R,e) <- AR <- Z x W2:(f/nt,e)";
     mlp2.fwd_comm.push_back({Collective::AllReduce, CommGroup::TP1, re_bytes});
-    v.push_back(std::move(mlp2));
   }
-  v.push_back(forward_only(ops::residual_add("mlp_residual", R * e)));
+  forward(ops::residual_add("mlp_residual", R * e));
 
   // Same resident weights as the 1D training builder's dense block:
   // attention + MLP matmuls and biases over nt, LayerNorm replicated.

@@ -46,25 +46,25 @@ LayerCost build_layer_summa(const model::TransformerConfig& mdl,
 
   LayerCost lc;
   auto& v = lc.ops;
+  v.reserve(12);
 
   // --- Self-attention ---
   {
     // X is sharded (b, l/n2, e/n1); the LayerNorm statistics need the full
     // embedding dimension, hence an AllReduce across n1 (Table A2).
-    auto ln = ops::layernorm("ln1", B * l2 * (e / n1));
+    auto& ln = v.emplace_back(ops::layernorm("ln1", B * l2 * (e / n1)));
     ln.detail = "X~:(b,l/n2,e/n1); stats <- AR(n1)";
     add_conjugate_comm(ln, Collective::AllReduce, CommGroup::TP1, vol_ln);
-    v.push_back(std::move(ln));
   }
   {
-    auto qkv = ops::summa_matmul("qkv_proj", B * l, e + 2.0 * ekv, e, cfg.n1,
-                                 cfg.n2, cfg.nb);
+    auto& qkv = v.emplace_back(ops::summa_matmul(
+        "qkv_proj", B * l, e + 2.0 * ekv, e, cfg.n1, cfg.n2, cfg.nb));
     qkv.detail = "SUMMA: Q = X~:(b,l/n2,e/n1) x WQKV:(e/n2,(e+2ekv)/n1), V1";
-    v.push_back(std::move(qkv));
   }
   {
-    auto att = ops::fused_attention("attention", B, h / n1, l2, lkv, eh,
-                                    B * l2 * (e + 2.0 * ekv) / n1, hkv / n1);
+    auto& att = v.emplace_back(
+        ops::fused_attention("attention", B, h / n1, l2, lkv, eh,
+                             B * l2 * (e + 2.0 * ekv) / n1, hkv / n1));
     att.detail = "A:(b,h/n1,l/n2,lkv); K,V <- AG(n2)";
     att.in_elems = B * l2 * (e + 2.0 * ekv) / n1;  // pre-gather Q/K/V shards
     if (mdl.attention == model::AttentionKind::kLinear) {
@@ -79,41 +79,36 @@ LayerCost build_layer_summa(const model::TransformerConfig& mdl,
       add_conjugate_comm(att, Collective::AllGather, CommGroup::TP2, vol_kv);
       add_conjugate_comm(att, Collective::AllGather, CommGroup::TP2, vol_kv);
     }
-    v.push_back(std::move(att));
   }
   {
     // Output projection stays a row-parallel multiply with ReduceScatter
     // (Table A2): Wp is sharded over n1 only.
-    auto proj = ops::matmul("out_proj", B * l2, e, e / n1);
+    auto& proj = v.emplace_back(ops::matmul("out_proj", B * l2, e, e / n1));
     proj.detail = "Y:(b,l/n1n2,e) <- RS(n1) <- S x Wp:(e/n1,e)";
     proj.out_elems = B * l2 * e / n1;  // ReduceScatter back to (e/n1) shards
     add_conjugate_comm(proj, Collective::ReduceScatter, CommGroup::TP1, vol_ln);
-    v.push_back(std::move(proj));
   }
   v.push_back(ops::dropout("attn_dropout", B * l2 * e / n1));
   v.push_back(ops::residual_add("attn_residual", B * l2 * e / n1));
 
   // --- MLP ---
   {
-    auto ln = ops::layernorm("ln2", B * l2 * (e / n1));
+    auto& ln = v.emplace_back(ops::layernorm("ln2", B * l2 * (e / n1)));
     ln.detail = "Y~:(b,l/n2,e/n1); stats <- AR(n1)";
     add_conjugate_comm(ln, Collective::AllReduce, CommGroup::TP1, vol_ln);
-    v.push_back(std::move(ln));
   }
   {
-    auto mlp1 =
-        ops::summa_matmul("mlp_fc1", B * l, f, e, cfg.n1, cfg.n2, cfg.nb);
+    auto& mlp1 = v.emplace_back(
+        ops::summa_matmul("mlp_fc1", B * l, f, e, cfg.n1, cfg.n2, cfg.nb));
     mlp1.detail = "SUMMA: Z = Y~ x W1:(e/n2,f/n1), V2 = ble/n2 + ef/n1";
-    v.push_back(std::move(mlp1));
   }
   v.push_back(ops::gelu("gelu", B * l2 * f / n1));
   {
     // Table A2 writes V3 = ble/n2 + ef/n1; the general SUMMA volume for a
     // (b l x f)(f x e) multiply is blf/n2 + fe/n1 — we use the general form.
-    auto mlp2 =
-        ops::summa_matmul("mlp_fc2", B * l, e, f, cfg.n1, cfg.n2, cfg.nb);
+    auto& mlp2 = v.emplace_back(
+        ops::summa_matmul("mlp_fc2", B * l, e, f, cfg.n1, cfg.n2, cfg.nb));
     mlp2.detail = "SUMMA: X = Z x W2:(f/n2,e/n1), V3";
-    v.push_back(std::move(mlp2));
   }
   v.push_back(ops::dropout("mlp_dropout", B * l2 * e / n1));
   v.push_back(ops::residual_add("mlp_residual", B * l2 * e / n1));

@@ -29,11 +29,10 @@ double append_moe_mlp(std::vector<ops::Op>& v,
 
   // Router: (tokens, e) x (e, E) per owned token plus the routing softmax.
   {
-    auto router = ops::matmul("moe_router", owned_tokens, E, e, 1.0,
-                              /*store_a=*/false);
+    auto& router = v.emplace_back(ops::matmul(
+        "moe_router", owned_tokens, E, e, 1.0, /*store_a=*/false));
     router.detail = "G:(tokens,E) = Y~ x Wr:(e,E)";
     router.in_elems = 0;  // gate branch: not the residual-stream interface
-    v.push_back(std::move(router));
   }
   v.push_back(ops::vector_op("moe_route_softmax", owned_tokens * E, 5.0,
                              owned_tokens * E));
@@ -42,38 +41,37 @@ double append_moe_mlp(std::vector<ops::Op>& v,
   // expert-parallel (DP) group; balanced routing returns the same volume.
   const Bytes a2a_bytes = Bytes(kBytesPerElement * owned_tokens * e * topk);
   {
-    ops::Op dispatch;
+    ops::Op& dispatch = v.emplace_back();
     dispatch.name = "moe_dispatch";
     dispatch.unit = ops::ComputeUnit::Vector;
     dispatch.fwd_bytes = 2.0 * a2a_bytes;  // pack + unpack through HBM
     dispatch.bwd_bytes = 2.0 * a2a_bytes;
     add_conjugate_comm(dispatch, Collective::AllToAll, CommGroup::DP,
                        a2a_bytes);
-    v.push_back(std::move(dispatch));
   }
 
   // Expert MLP on top_k-times the tokens, weights sharded over n1 as in the
   // dense MLP (Tables I/II shapes with tokens scaled by top_k).
   const double routed_tokens = matmul_tokens * topk;
   {
-    auto fc1 = ops::matmul("moe_fc1", routed_tokens, f / n1, e);
+    auto& fc1 =
+        v.emplace_back(ops::matmul("moe_fc1", routed_tokens, f / n1, e));
     fc1.detail = "Z = X_routed x W1[expert]:(e,f/n1)";
-    v.push_back(std::move(fc1));
   }
   v.push_back(ops::gelu("moe_gelu", routed_tokens * f / n1));
   {
-    auto fc2 = ops::matmul("moe_fc2", routed_tokens, e, f / n1);
+    auto& fc2 =
+        v.emplace_back(ops::matmul("moe_fc2", routed_tokens, e, f / n1));
     fc2.detail = "X <- RS(n1) <- Z x W2[expert]:(f/n1,e)";
     fc2.out_elems = 0;  // token layout is data-dependent until the combine
     add_conjugate_comm(fc2, Collective::ReduceScatter, CommGroup::TP1,
                        Bytes(kBytesPerElement * matmul_tokens * e * topk));
-    v.push_back(std::move(fc2));
   }
 
   // Combine: routed outputs return to their home GPU and are mixed by the
   // router weights.
   {
-    ops::Op combine;
+    ops::Op& combine = v.emplace_back();
     combine.name = "moe_combine";
     combine.unit = ops::ComputeUnit::Vector;
     combine.fwd_flops = Flops(owned_tokens * e * (2.0 * topk));  // weighted sum
@@ -82,7 +80,6 @@ double append_moe_mlp(std::vector<ops::Op>& v,
     combine.bwd_bytes = 2.0 * a2a_bytes;
     add_conjugate_comm(combine, Collective::AllToAll, CommGroup::DP,
                        a2a_bytes);
-    v.push_back(std::move(combine));
   }
 
   // Resident weights: E/ep local experts, each sharded over n1, plus the

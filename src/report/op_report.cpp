@@ -1,6 +1,7 @@
 #include "report/op_report.hpp"
 
 #include <stdexcept>
+#include <string>
 
 #include "parallel/layer_builder.hpp"
 #include "util/table.hpp"
@@ -33,7 +34,8 @@ void print_op_report(std::ostream& os, const model::TransformerConfig& mdl,
     total_fwd += fwd;
     total_bwd += bwd;
     total_comm += f.comm + b.comm;
-    t.add_row({op.name, ops::to_string(op.unit), util::format_flops(op.fwd_flops),
+    t.add_row({std::string(op.name), ops::to_string(op.unit),
+               util::format_flops(op.fwd_flops),
                util::format_bytes(op.fwd_bytes), util::format_fixed(ai, 1),
                util::format_time(fwd), util::format_time(bwd),
                util::format_time(f.comm + b.comm),

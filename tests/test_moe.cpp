@@ -69,7 +69,7 @@ TEST(MoeLayer, OpsIncludeRouterDispatchCombine) {
   const auto m = tiny_moe();
   const auto lc = parallel::build_layer(m, cfg_1d(2, 4), 2);
   std::vector<std::string> names;
-  for (const auto& op : lc.ops) names.push_back(op.name);
+  for (const auto& op : lc.ops) names.emplace_back(op.name);
   for (const char* expected : {"moe_router", "moe_dispatch", "moe_fc1",
                                "moe_gelu", "moe_fc2", "moe_combine"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "ops/op_factory.hpp"
 
 namespace tfpe::ops {
@@ -124,6 +126,21 @@ TEST(Summa, BackwardUsesBroadcastAndReduce) {
   EXPECT_EQ(broadcasts, 2);
   EXPECT_EQ(reduces, 2);
   EXPECT_EQ(op.summa_panels, 4);
+}
+
+TEST(CommList, HoldsFourRequestsAndThrowsOnTheFifth) {
+  // A SUMMA backward fills the list; a fifth collective on one pass throws
+  // rather than being dropped, and the four already held stay intact.
+  Op op = summa_matmul("s", 64, 64, 64, 2, 2, 4);
+  ASSERT_EQ(op.bwd_comm.size(), CommList::kCapacity);
+  const CommRequest fifth{Collective::AllReduce, CommGroup::DP, Bytes(1.0)};
+  EXPECT_THROW(op.bwd_comm.push_back(fifth), std::logic_error);
+  ASSERT_EQ(op.bwd_comm.size(), 4u);
+  EXPECT_EQ(op.bwd_comm[3].collective, Collective::Reduce);
+  EXPECT_EQ(op.bwd_comm[3].group, CommGroup::TP2);
+  op.bwd_comm.clear();
+  EXPECT_TRUE(op.bwd_comm.empty());
+  EXPECT_EQ(op.bwd_comm.begin(), op.bwd_comm.end());
 }
 
 TEST(Summa, NoSharedWeightStorage) {
