@@ -17,8 +17,10 @@
 //   BM_BuildLayer            — parallel::build_layer's op graph for one
 //                              GPT3-1T block per tensor-parallel strategy,
 //                              and one Llama3-405B decode block;
-//   BM_LowerBlock            — search::lower_block (build, compile_layer,
-//                              lower_batched) for the same training blocks.
+//   BM_LowerBlock            — core::compile_layer on an already built
+//                              training block: the one lowering of an op
+//                              graph into its SoA block, so build and lower
+//                              time apart.
 //
 // `--smoke` runs a fast bitwise lockstep check of every kernel arm against
 // the core::evaluate_with_layer oracle, per placement, then builds and
@@ -40,7 +42,6 @@
 #include "core/evaluator.hpp"
 #include "parallel/layer_builder.hpp"
 #include "search/search.hpp"
-#include "search/search_cache.hpp"
 #include "search/sweep.hpp"
 
 namespace {
@@ -80,12 +81,11 @@ void BM_BatchedPlacements(benchmark::State& state) {
   Fixture fx;
   const core::CostSignature sig =
       core::compile_signature(fx.mdl, fx.cfg, kBatch);
-  const core::BatchedSignature bat = core::lower_batched(sig);
-  const core::SystemTiming base = core::bind_system_batched(sig, bat, fx.sys);
+  const core::SystemTiming base = core::bind_system(sig, fx.sys);
   core::BatchScratch scratch;
   std::vector<core::PlacementTiming> out;
   for (auto _ : state) {
-    core::time_placements_batch(sig, bat, base, fx.sys, fx.cfg, fx.placements,
+    core::time_placements_batch(sig, sig, base, fx.sys, fx.cfg, fx.placements,
                                 {}, out, &scratch);
     benchmark::DoNotOptimize(out);
   }
@@ -99,15 +99,14 @@ void BM_BatchedPlacementsPricer(benchmark::State& state) {
   Fixture fx;
   const core::CostSignature sig =
       core::compile_signature(fx.mdl, fx.cfg, kBatch);
-  const core::BatchedSignature bat = core::lower_batched(sig);
   const hw::Topology fabric = fx.sys.resolved_fabric();
   const comm::FabricPricer pricer(fabric);
   core::SystemTiming base;
-  core::finish_bind(core::bind_block(bat, fx.sys), sig, fx.sys, base);
+  core::finish_bind(core::bind_block(sig, fx.sys), sig, fx.sys, base);
   core::BatchScratch scratch;
   std::vector<core::PlacementTiming> out;
   for (auto _ : state) {
-    core::time_placements_batch(sig, bat, base, fx.sys, fx.cfg, fx.placements,
+    core::time_placements_batch(sig, sig, base, fx.sys, fx.cfg, fx.placements,
                                 {}, out, &scratch, &pricer);
     benchmark::DoNotOptimize(out);
   }
@@ -121,10 +120,9 @@ void BM_BindBatched(benchmark::State& state) {
   Fixture fx;
   const core::CostSignature sig =
       core::compile_signature(fx.mdl, fx.cfg, kBatch);
-  const core::BatchedSignature bat = core::lower_batched(sig);
   core::SystemTiming base;
   for (auto _ : state) {
-    core::finish_bind(core::bind_block(bat, fx.sys), sig, fx.sys, base);
+    core::finish_bind(core::bind_block(sig, fx.sys), sig, fx.sys, base);
     benchmark::DoNotOptimize(base);
   }
 }
@@ -249,8 +247,9 @@ BENCHMARK_CAPTURE(BM_BuildLayer, decode, Block::kDecode)
 void BM_LowerBlock(benchmark::State& state, Block b) {
   const model::TransformerConfig mdl = block_model(b);
   const parallel::ParallelConfig cfg = block_config(b);
+  const parallel::LayerCost layer = build_block(b, mdl, cfg);
   for (auto _ : state) {
-    core::BatchedSignature bat = search::lower_block(mdl, cfg, kBatch);
+    core::BatchedSignature bat = core::compile_layer(mdl, cfg, kBatch, layer);
     benchmark::DoNotOptimize(bat.fwd_flops.data());
   }
 }
@@ -280,19 +279,17 @@ int run_smoke() {
         fx.mdl, fx.cfg, fx.cfg.local_microbatch(kBatch));
     const core::CostSignature sig =
         core::compile_signature(fx.mdl, fx.cfg, kBatch, layer);
-    const core::BatchedSignature bat = core::lower_batched(sig);
-    const core::SystemTiming base =
-        core::bind_system_batched(sig, bat, fx.sys);
+    const core::SystemTiming base = core::bind_system(sig, fx.sys);
     const hw::Topology fabric = fx.sys.resolved_fabric();
     const comm::FabricPricer pricer(fabric);
     // The engines' bind: per-block sums finished per candidate, no fabric.
     core::SystemTiming lean;
-    core::finish_bind(core::bind_block(bat, fx.sys), sig, fx.sys, lean);
+    core::finish_bind(core::bind_block(sig, fx.sys), sig, fx.sys, lean);
     core::BatchScratch scratch;
     std::vector<core::PlacementTiming> plain, priced;
-    core::time_placements_batch(sig, bat, base, fx.sys, fx.cfg, fx.placements,
+    core::time_placements_batch(sig, sig, base, fx.sys, fx.cfg, fx.placements,
                                 {}, plain, &scratch);
-    core::time_placements_batch(sig, bat, lean, fx.sys, fx.cfg, fx.placements,
+    core::time_placements_batch(sig, sig, lean, fx.sys, fx.cfg, fx.placements,
                                 {}, priced, &scratch, &pricer);
     parallel::ParallelConfig cfg = fx.cfg;
     for (std::size_t p = 0; p < fx.placements.size(); ++p) {
@@ -320,9 +317,10 @@ int run_smoke() {
   for (Block b : kBlocks) {
     const model::TransformerConfig mdl = block_model(b);
     const parallel::ParallelConfig cfg = block_config(b);
-    if (build_block(b, mdl, cfg).ops.empty()) ++empty;
+    const parallel::LayerCost layer = build_block(b, mdl, cfg);
+    if (layer.ops.empty()) ++empty;
     if (b != Block::kDecode &&
-        search::lower_block(mdl, cfg, kBatch).op_count() == 0) {
+        core::compile_layer(mdl, cfg, kBatch, layer).op_count() == 0) {
       ++empty;
     }
   }

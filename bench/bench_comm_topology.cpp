@@ -118,13 +118,12 @@ void BM_TimePlacementsBatch(benchmark::State& state) {
   hw::SystemConfig sys = hw::make_system(hw::GpuGeneration::B200, 8, kGpus);
   sys.fabric = f.topo;
   const auto sig = core::compile_signature(mdl, cfg, kBatch);
-  const auto bat = core::lower_batched(sig);
-  const auto base = core::bind_system_batched(sig, bat, sys);
+  const auto base = core::bind_system(sig, sys);
   const auto placements = own_placement(cfg);
   core::BatchScratch scratch;
   std::vector<core::PlacementTiming> out;
   for (auto _ : state) {
-    core::time_placements_batch(sig, bat, base, sys, cfg, placements, {}, out,
+    core::time_placements_batch(sig, sig, base, sys, cfg, placements, {}, out,
                                 &scratch);
     benchmark::DoNotOptimize(out);
   }
@@ -182,7 +181,6 @@ int run_driver() {
   const auto cfg = paper_optimum();
   const auto pool = request_pool();
   const auto sig = core::compile_signature(mdl, cfg, kBatch);
-  const auto bat = core::lower_batched(sig);
   const auto placements = own_placement(cfg);
   core::BatchScratch scratch;
   std::vector<core::PlacementTiming> timed;
@@ -191,7 +189,7 @@ int run_driver() {
   for (const Fabric& f : fabrics()) {
     hw::SystemConfig sys = hw::make_system(hw::GpuGeneration::B200, 8, kGpus);
     sys.fabric = f.topo;
-    const auto base = core::bind_system_batched(sig, bat, sys);
+    const auto base = core::bind_system(sig, sys);
 
     Sample s;
     s.fabric = f.name;
@@ -203,13 +201,13 @@ int run_driver() {
         static_cast<double>(pool.size()) * 1e9;
     core::SystemTiming bound;
     s.bind_us = min_of_n(5, 50, [&] {
-                  core::finish_bind(core::bind_block(bat, sys), sig, sys,
+                  core::finish_bind(core::bind_block(sig, sys), sig, sys,
                                     bound);
                   benchmark::DoNotOptimize(bound);
                 }) *
                 1e6;
     s.placement_us = min_of_n(5, 200, [&] {
-                       core::time_placements_batch(sig, bat, base, sys, cfg,
+                       core::time_placements_batch(sig, sig, base, sys, cfg,
                                                    placements, {}, timed,
                                                    &scratch);
                        benchmark::DoNotOptimize(timed);

@@ -1,7 +1,9 @@
 #include "analysis/consistency.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <initializer_list>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -20,12 +22,15 @@ std::string req_name(std::size_t r) {
 
 }  // namespace
 
-LintReport lint_batched(const core::CostSignature& sig,
+LintReport lint_batched(const parallel::LayerCost& layer,
                         const core::BatchedSignature& bat,
                         const LintOptions& opts) {
   DiagnosticSink sink(opts.rules);
-  const std::size_t n = sig.ops.size();
-  const std::size_t nc = sig.comm.size();
+  const std::size_t n = layer.ops.size();
+  std::size_t nc = 0;
+  for (const ops::Op& op : layer.ops) {
+    nc += op.fwd_comm.size() + op.bwd_comm.size();
+  }
 
   const auto shape = [&](const std::string& op, double expected,
                          double actual, const std::string& what) {
@@ -34,173 +39,120 @@ LintReport lint_batched(const core::CostSignature& sig,
     sink.emit(RuleId::kBatchedShape, op, expected, actual, msg.str());
   };
 
-  // --- batched-shape: array sizes mirror the AoS signature. ---
-  bool sized_ok = true;
-  const auto size_check = [&](std::size_t got, std::size_t want,
-                              const std::string& what) {
-    if (got != want) {
-      shape("<batch>", static_cast<double>(want), static_cast<double>(got),
-            what + " array length");
-      sized_ok = false;
+  // --- batched-shape: one slot per layer op, one pool entry per request,
+  // head columns of one length. ---
+  const auto sized = [&](std::size_t want, const std::string& what,
+                         std::initializer_list<std::size_t> columns) {
+    for (const std::size_t got : columns) {
+      if (got != want) {
+        shape("<batch>", static_cast<double>(want), static_cast<double>(got),
+              what + " column length");
+        return false;
+      }
     }
+    return true;
   };
-  size_check(bat.fwd_flops.size(), n, "fwd_flops");
-  size_check(bat.bwd_flops.size(), n, "bwd_flops");
-  size_check(bat.fwd_bytes.size(), n, "fwd_bytes");
-  size_check(bat.bwd_bytes.size(), n, "bwd_bytes");
-  size_check(bat.panels.size(), n, "panels");
-  size_check(bat.tensor_core.size(), n, "tensor_core");
-  size_check(bat.fwd_comm_begin.size(), n, "fwd_comm_begin");
-  size_check(bat.fwd_comm_count.size(), n, "fwd_comm_count");
-  size_check(bat.bwd_comm_begin.size(), n, "bwd_comm_begin");
-  size_check(bat.bwd_comm_count.size(), n, "bwd_comm_count");
-  size_check(bat.comm_kind.size(), nc, "comm_kind");
-  size_check(bat.comm_group.size(), nc, "comm_group");
-  size_check(bat.comm_panel_bytes.size(), nc, "comm_panel_bytes");
-  size_check(bat.comm_price_row.size(), nc, "comm_price_row");
-  size_check(bat.head_fwd_flops.size(), sig.head.size(), "head_fwd_flops");
-  size_check(bat.head_bwd_flops.size(), sig.head.size(), "head_bwd_flops");
-  size_check(bat.head_fwd_bytes.size(), sig.head.size(), "head_fwd_bytes");
-  size_check(bat.head_bwd_bytes.size(), sig.head.size(), "head_bwd_bytes");
-  size_check(bat.head_tensor_core.size(), sig.head.size(),
-             "head_tensor_core");
-  if (!sized_ok) return sink.take();  // Element checks would index OOB.
+  if (!sized(n, "per-op",
+             {bat.fwd_flops.size(), bat.bwd_flops.size(), bat.fwd_bytes.size(),
+              bat.bwd_bytes.size(), bat.panels.size(), bat.tensor_core.size(),
+              bat.fwd_comm_begin.size(), bat.fwd_comm_count.size(),
+              bat.bwd_comm_begin.size(), bat.bwd_comm_count.size()}) ||
+      !sized(nc, "comm pool",
+             {bat.comm_kind.size(), bat.comm_group.size(),
+              bat.comm_panel_bytes.size(), bat.comm_price_row.size()}) ||
+      !sized(bat.head_fwd_flops.size(), "head",
+             {bat.head_bwd_flops.size(), bat.head_fwd_bytes.size(),
+              bat.head_bwd_bytes.size(), bat.head_tensor_core.size()})) {
+    return sink.take();  // Element checks would index out of bounds.
+  }
 
-  // --- batched-shape: per-slot value agreement (bitwise). ---
+  // --- batched-shape: each slot is its op's operands (bitwise), and each
+  // op's forward then backward requests fill its pool range, in op order.
+  // --- batched-panel-scale: each request's pre-scaled volume is the exact
+  // req.bytes * (1 / panels) product core::op_time feeds to
+  // collective_time.
+  std::size_t pool = 0;
+  std::vector<std::uint32_t> want_summa;
   for (std::size_t i = 0; i < n; ++i) {
-    const core::SigOp& op = sig.ops[i];
-    const auto mirror = [&](double want, double got,
-                            const std::string& what) {
+    const ops::Op& op = layer.ops[i];
+    const std::int64_t panels = std::max<std::int64_t>(1, op.summa_panels);
+    if (panels > 1) want_summa.push_back(static_cast<std::uint32_t>(i));
+    const auto mirror = [&](double want, double got, const char* what) {
       if (bits(want) != bits(got)) {
-        shape(op_name(i), want, got, what + " differs from the signature");
+        shape(op_name(i), want, got, std::string(what) + " differs");
       }
     };
     mirror(op.fwd_flops.value(), bat.fwd_flops[i].value(), "fwd flops");
     mirror(op.bwd_flops.value(), bat.bwd_flops[i].value(), "bwd flops");
     mirror(op.fwd_bytes.value(), bat.fwd_bytes[i].value(), "fwd bytes");
     mirror(op.bwd_bytes.value(), bat.bwd_bytes[i].value(), "bwd bytes");
-    if (op.panels != bat.panels[i]) {
-      shape(op_name(i), static_cast<double>(op.panels),
-            static_cast<double>(bat.panels[i]), "panel count");
-    }
-    if ((op.tensor_core ? 1 : 0) != bat.tensor_core[i]) {
-      shape(op_name(i), op.tensor_core ? 1.0 : 0.0,
-            static_cast<double>(bat.tensor_core[i]), "tensor-core flag");
-    }
-    const auto range = [&](std::uint32_t begin, std::uint32_t count,
-                           std::uint32_t want_begin, std::uint32_t want_count,
-                           const std::string& what) {
-      if (begin != want_begin || count != want_count) {
-        shape(op_name(i), static_cast<double>(want_begin),
-              static_cast<double>(begin), what + " comm range differs");
-      } else if (static_cast<std::size_t>(begin) + count > nc) {
-        shape(op_name(i), static_cast<double>(nc),
-              static_cast<double>(begin) + count,
-              what + " comm range exceeds the pool");
+    mirror(static_cast<double>(panels), static_cast<double>(bat.panels[i]),
+           "panel count");
+    mirror(op.unit == ops::ComputeUnit::TensorCore ? 1.0 : 0.0,
+           bat.tensor_core[i], "tensor-core flag");
+    const double inv_panels = 1.0 / static_cast<double>(panels);
+    const auto requests = [&](const ops::CommList& list, std::uint32_t begin,
+                              std::uint32_t count, const char* what) {
+      if (begin != pool || count != list.size()) {
+        shape(op_name(i), static_cast<double>(pool),
+              static_cast<double>(begin), std::string(what) + " comm range");
+      }
+      for (const ops::CommRequest& req : list) {
+        if (bat.comm_kind[pool] != req.collective ||
+            bat.comm_group[pool] != static_cast<std::uint8_t>(req.group)) {
+          shape(req_name(pool), static_cast<double>(req.collective),
+                static_cast<double>(bat.comm_kind[pool]),
+                "collective or group differs from the op graph");
+        }
+        const double want = (req.bytes * inv_panels).value();
+        const double got = bat.comm_panel_bytes[pool].value();
+        if (bits(want) != bits(got)) {
+          std::ostringstream msg;
+          msg << "pre-scaled panel volume is " << got
+              << " B, scalar path feeds " << want << " B to collective_time";
+          sink.emit(RuleId::kBatchedPanelScale, req_name(pool), want, got,
+                    msg.str());
+        }
+        ++pool;
       }
     };
-    range(bat.fwd_comm_begin[i], bat.fwd_comm_count[i], op.fwd_comm_begin,
-          op.fwd_comm_count, "forward");
-    range(bat.bwd_comm_begin[i], bat.bwd_comm_count[i], op.bwd_comm_begin,
-          op.bwd_comm_count, "backward");
-  }
-  for (std::size_t r = 0; r < nc; ++r) {
-    const core::SigComm& req = sig.comm[r];
-    if (bat.comm_kind[r] != req.collective) {
-      shape(req_name(r), static_cast<double>(req.collective),
-            static_cast<double>(bat.comm_kind[r]),
-            "collective kind differs from the signature");
-    }
-    if (bat.comm_group[r] != static_cast<std::uint8_t>(req.group)) {
-      shape(req_name(r), static_cast<double>(req.group),
-            static_cast<double>(bat.comm_group[r]),
-            "comm group differs from the signature");
-    }
-  }
-  for (std::size_t i = 0; i < sig.head.size(); ++i) {
-    const core::SigHeadOp& op = sig.head[i];
-    const std::string name = "head[" + std::to_string(i) + "]";
-    if (bits(op.fwd_flops.value()) != bits(bat.head_fwd_flops[i].value()) ||
-        bits(op.bwd_flops.value()) != bits(bat.head_bwd_flops[i].value()) ||
-        bits(op.fwd_bytes.value()) != bits(bat.head_fwd_bytes[i].value()) ||
-        bits(op.bwd_bytes.value()) != bits(bat.head_bwd_bytes[i].value()) ||
-        (op.tensor_core ? 1 : 0) != bat.head_tensor_core[i]) {
-      shape(name, op.fwd_flops.value(), bat.head_fwd_flops[i].value(),
-            "head op operands differ from the signature");
-    }
+    requests(op.fwd_comm, bat.fwd_comm_begin[i], bat.fwd_comm_count[i],
+             "forward");
+    requests(op.bwd_comm, bat.bwd_comm_begin[i], bat.bwd_comm_count[i],
+             "backward");
   }
 
-  // --- batched-panel-scale: pre-scaled volume is the exact scalar product.
-  // Resolve each request's owning op through the begin/count ranges, as the
-  // packer does; unowned requests keep scale 1.
-  std::vector<double> inv_scale(nc, 1.0);
-  for (const core::SigOp& op : sig.ops) {
-    const double inv_panels = 1.0 / static_cast<double>(op.panels);
-    for (std::uint32_t r = op.fwd_comm_begin;
-         r < op.fwd_comm_begin + op.fwd_comm_count && r < nc; ++r) {
-      inv_scale[r] = inv_panels;
-    }
-    for (std::uint32_t r = op.bwd_comm_begin;
-         r < op.bwd_comm_begin + op.bwd_comm_count && r < nc; ++r) {
-      inv_scale[r] = inv_panels;
-    }
-  }
-  for (std::size_t r = 0; r < nc; ++r) {
-    const double want = (sig.comm[r].bytes * inv_scale[r]).value();
-    const double got = bat.comm_panel_bytes[r].value();
-    if (bits(want) != bits(got)) {
-      std::ostringstream msg;
-      msg << "pre-scaled panel volume is " << got << " B, scalar path feeds "
-          << want << " B to collective_time";
-      sink.emit(RuleId::kBatchedPanelScale, req_name(r), want, got,
-                msg.str());
-    }
-  }
-
-  // --- batched-price-row: the dedup preserves the request multiset. ---
-  bool rows_ok = true;
+  // --- batched-price-row: the dedup preserves the request multiset: each
+  // row's representative maps back to it, and each request maps to a row
+  // whose representative carries its exact (collective, group, volume).
   for (std::size_t u = 0; u < bat.price_rep.size(); ++u) {
-    if (bat.price_rep[u] >= nc) {
+    const std::uint32_t rep = bat.price_rep[u];
+    if (rep >= nc || bat.comm_price_row[rep] != u) {
       sink.emit(RuleId::kBatchedPriceRow, "row[" + std::to_string(u) + "]",
-                static_cast<double>(nc), static_cast<double>(bat.price_rep[u]),
-                "row representative indexes past the comm pool");
-      rows_ok = false;
-    } else if (bat.comm_price_row[bat.price_rep[u]] != u) {
-      sink.emit(RuleId::kBatchedPriceRow, "row[" + std::to_string(u) + "]",
-                static_cast<double>(u),
-                static_cast<double>(bat.comm_price_row[bat.price_rep[u]]),
-                "row representative does not map back to its own row");
-      rows_ok = false;
+                static_cast<double>(u), static_cast<double>(rep),
+                "row representative is not a request of its own row");
     }
   }
-  for (std::size_t r = 0; rows_ok && r < nc; ++r) {
+  for (std::size_t r = 0; r < nc; ++r) {
     const std::uint32_t u = bat.comm_price_row[r];
-    if (u >= bat.price_rep.size()) {
-      sink.emit(RuleId::kBatchedPriceRow, req_name(r),
-                static_cast<double>(bat.price_rep.size()),
-                static_cast<double>(u),
-                "request maps to a nonexistent pricing row");
-      continue;
-    }
-    const std::uint32_t rep = bat.price_rep[u];
-    if (bat.comm_kind[rep] != bat.comm_kind[r] ||
+    const std::size_t rep = u < bat.price_rep.size() ? bat.price_rep[u] : nc;
+    if (rep >= nc || bat.comm_kind[rep] != bat.comm_kind[r] ||
         bat.comm_group[rep] != bat.comm_group[r] ||
         bits(bat.comm_panel_bytes[rep].value()) !=
             bits(bat.comm_panel_bytes[r].value())) {
       std::ostringstream msg;
-      msg << "request shares pricing row " << u
-          << " with a different (collective, group, volume) triple — the "
-             "dedup no longer preserves the request multiset";
-      sink.emit(RuleId::kBatchedPriceRow, req_name(r),
-                bat.comm_panel_bytes[rep].value(),
-                bat.comm_panel_bytes[r].value(), msg.str());
+      msg << "request maps to pricing row " << u
+          << ", which prices a different (collective, group, volume) triple"
+             " or none — the dedup no longer preserves the request multiset";
+      sink.emit(RuleId::kBatchedPriceRow, req_name(r), static_cast<double>(u),
+                static_cast<double>(rep), msg.str());
     }
   }
 
   // --- batched-group-mask: bit g set iff group g appears in the pool. ---
   std::uint8_t want_mask = 0;
-  for (std::size_t r = 0; r < nc; ++r) {
-    want_mask |= static_cast<std::uint8_t>(1u << bat.comm_group[r]);
+  for (const std::uint8_t g : bat.comm_group) {
+    want_mask |= static_cast<std::uint8_t>(1u << g);
   }
   if (want_mask != bat.comm_groups_mask) {
     std::ostringstream msg;
@@ -214,12 +166,6 @@ LintReport lint_batched(const core::CostSignature& sig,
   }
 
   // --- batched-summa-ops: exactly the panels>1 ops, in op order. ---
-  std::vector<std::uint32_t> want_summa;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (sig.ops[i].panels > 1) {
-      want_summa.push_back(static_cast<std::uint32_t>(i));
-    }
-  }
   if (want_summa != bat.summa_ops) {
     sink.emit(RuleId::kBatchedSummaOps, "<batch>",
               static_cast<double>(want_summa.size()),
@@ -423,9 +369,9 @@ LintReport lint_system(const hw::SystemConfig& sys,
   return sink.take();
 }
 
-void assert_batched_invariants(const core::CostSignature& sig,
+void assert_batched_invariants(const parallel::LayerCost& layer,
                                const core::BatchedSignature& bat) {
-  const LintReport report = lint_batched(sig, bat);
+  const LintReport report = lint_batched(layer, bat);
   if (report.errors() > 0) {
     throw std::logic_error("batched lowering invariants violated:\n" +
                            report.summary());

@@ -1,13 +1,15 @@
 #pragma once
 // Cross-layer consistency passes over the two-phase/batched pipeline. The
 // op-graph linter (analysis/invariants.hpp) audits the layer builders;
-// these passes audit everything compiled FROM a layer: the batched SoA
-// lowering, the per-sweep scratch tables and the hardware descriptions the
-// signatures are bound against. All pure; debug builds run the batched
-// checks inside bind_system_batched / time_placements_batch.
+// these passes audit everything compiled FROM a layer: the SoA block, the
+// per-sweep scratch tables and the hardware descriptions the signatures
+// are bound against. All pure; debug builds run the block checks inside
+// core::compile_layer / compile_decode_signature (against the op graph
+// just lowered) and the scratch checks inside time_placements_batch.
 //
-//   batched-shape         every SoA array mirrors the AoS signature slot
-//                         for slot (sizes, values, comm begin/count ranges)
+//   batched-shape         the block mirrors the op graph bitwise: one
+//                         slot per op (operands, panels, unit, comm range),
+//                         one pool entry per request (kind, group)
 //   batched-panel-scale   comm_panel_bytes is bitwise req.bytes * (1 /
 //                         panels) of the owning op — the exact product
 //                         core::op_time feeds to collective_time
@@ -38,12 +40,14 @@
 #include "core/batched_signature.hpp"
 #include "core/cost_signature.hpp"
 #include "hw/system.hpp"
+#include "parallel/layer_builder.hpp"
 
 namespace tfpe::analysis {
 
-/// Lint a SoA lowering against the signature it was packed from
+/// Lint a SoA block against the op graph it was compiled from
 /// (batched-shape, -panel-scale, -price-row, -group-mask, -summa-ops).
-LintReport lint_batched(const core::CostSignature& sig,
+/// The head rows have no op graph here; only their lengths are checked.
+LintReport lint_batched(const parallel::LayerCost& layer,
                         const core::BatchedSignature& bat,
                         const LintOptions& opts = {});
 
@@ -66,8 +70,8 @@ LintReport lint_system(const hw::SystemConfig& sys,
                        const LintOptions& opts = {});
 
 /// Debug-build hook: throws std::logic_error with the report summary when
-/// the lowering violates any error-severity batched invariant.
-void assert_batched_invariants(const core::CostSignature& sig,
+/// the block violates any error-severity batched invariant against `layer`.
+void assert_batched_invariants(const parallel::LayerCost& layer,
                                const core::BatchedSignature& bat);
 
 }  // namespace tfpe::analysis

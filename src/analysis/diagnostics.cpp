@@ -38,13 +38,13 @@ constexpr std::array<RuleInfo, kRuleCount> kRegistry{{
      Severity::kError,
      "every signature operand, volume and memory term must be >= 0"},
     {RuleId::kSignatureOpCount, "TFPE-SIG-002", "signature-op-count",
-     Severity::kError, "the signature must carry one SigOp per layer op"},
+     Severity::kError, "the signature must carry one block slot per layer op"},
     {RuleId::kSignatureFlopTotal, "TFPE-SIG-003", "signature-flop-total",
      Severity::kError,
-     "per-class FLOP sums must reproduce the layer totals"},
+     "the block's FLOP sums must reproduce the layer totals"},
     {RuleId::kSignatureHbmTotal, "TFPE-SIG-004", "signature-hbm-total",
      Severity::kError,
-     "per-class HBM byte sums must reproduce the layer totals"},
+     "the block's HBM byte sums must reproduce the layer totals"},
     {RuleId::kSignatureCommVolume, "TFPE-SIG-005", "signature-comm-volume",
      Severity::kError,
      "per-group collective volumes must match the layer extraction"},
@@ -73,7 +73,7 @@ constexpr std::array<RuleInfo, kRuleCount> kRegistry{{
      "nvs must not exceed the fabric's bounded leaf fan-in"},
     {RuleId::kBatchedShape, "TFPE-BATCH-001", "batched-shape",
      Severity::kError,
-     "SoA arrays must mirror the signature record counts and ranges"},
+     "block arrays must mirror the op graph bitwise"},
     {RuleId::kBatchedPanelScale, "TFPE-BATCH-002", "batched-panel-scale",
      Severity::kError,
      "per-panel pre-scaled volumes must match the scalar comm pool"},

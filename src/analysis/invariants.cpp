@@ -1,6 +1,7 @@
 #include "analysis/invariants.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -44,7 +45,7 @@ struct ExpectedComm {
 /// Independent re-derivation of one op's table row: its stored-activation
 /// bytes and forward collectives (paper Tables I / II / A2).
 struct ExpectedOp {
-  std::string name;
+  std::string_view name;  ///< A literal, like ops::Op::name.
   double stored = 0;
   std::vector<ExpectedComm> fwd;
 };
@@ -88,9 +89,9 @@ std::vector<ExpectedOp> expected_ops(const model::TransformerConfig& mdl,
   const double vol_seq = eps * B * lq * e;
 
   std::vector<ExpectedOp> exp;
-  auto add = [&](std::string name, double stored,
+  auto add = [&](std::string_view name, double stored,
                  std::vector<ExpectedComm> fwd = {}) {
-    exp.push_back({std::move(name), stored, std::move(fwd)});
+    exp.push_back({name, stored, std::move(fwd)});
   };
 
   // --- Self-attention ---
@@ -183,7 +184,8 @@ class Linter {
          const parallel::ParallelConfig& cfg, std::int64_t local_microbatch,
          const parallel::LayerCost& layer, const LintOptions& opts)
       : mdl_(mdl), cfg_(cfg), b_(local_microbatch), layer_(layer),
-        opts_(opts), sink_(opts.rules) {}
+        opts_(opts), sink_(opts.rules),
+        exp_(expected_ops(mdl, cfg, local_microbatch)) {}
 
   LintReport run() {
     const bool aligned = check_sequence();
@@ -208,22 +210,21 @@ class Linter {
   }
 
   bool check_sequence() {
-    const auto exp = expected_ops(mdl_, cfg_, b_);
-    bool aligned = layer_.ops.size() == exp.size();
+    bool aligned = layer_.ops.size() == exp_.size();
     if (!aligned) {
       std::ostringstream msg;
-      msg << "expected " << exp.size() << " ops, layer has "
+      msg << "expected " << exp_.size() << " ops, layer has "
           << layer_.ops.size();
-      emit(RuleId::kOpSequence, "<layer>", static_cast<double>(exp.size()),
+      emit(RuleId::kOpSequence, "<layer>", static_cast<double>(exp_.size()),
            static_cast<double>(layer_.ops.size()), msg.str());
       return false;
     }
-    for (std::size_t i = 0; i < exp.size(); ++i) {
-      if (layer_.ops[i].name != exp[i].name) {
+    for (std::size_t i = 0; i < exp_.size(); ++i) {
+      if (layer_.ops[i].name != exp_[i].name) {
         emit(RuleId::kOpSequence, layer_.ops[i].name, 0, 0,
              "op #" + std::to_string(i) + " is '" +
                  std::string(layer_.ops[i].name) + "', expected '" +
-                 exp[i].name + "'");
+                 std::string(exp_[i].name) + "'");
         aligned = false;
       }
     }
@@ -231,16 +232,15 @@ class Linter {
   }
 
   void check_activations() {
-    const auto exp = expected_ops(mdl_, cfg_, b_);
     double exp_total = 0;
-    for (std::size_t i = 0; i < exp.size(); ++i) {
-      exp_total += exp[i].stored;
+    for (std::size_t i = 0; i < exp_.size(); ++i) {
+      exp_total += exp_[i].stored;
       const double actual = layer_.ops[i].stored_bytes.value();
-      if (rel_diff(exp[i].stored, actual) > opts_.bytes_rtol) {
+      if (rel_diff(exp_[i].stored, actual) > opts_.bytes_rtol) {
         std::ostringstream msg;
-        msg << "op '" << exp[i].name << "' stores " << actual
-            << " B, table prescribes " << exp[i].stored << " B";
-        emit(RuleId::kActivationTerm, exp[i].name, exp[i].stored, actual, msg.str());
+        msg << "op '" << exp_[i].name << "' stores " << actual
+            << " B, table prescribes " << exp_[i].stored << " B";
+        emit(RuleId::kActivationTerm, exp_[i].name, exp_[i].stored, actual, msg.str());
       }
     }
     const double actual_total = layer_.stored_bytes().value();
@@ -253,20 +253,19 @@ class Linter {
   }
 
   void check_collectives() {
-    const auto exp = expected_ops(mdl_, cfg_, b_);
-    for (std::size_t i = 0; i < exp.size(); ++i) {
+    for (std::size_t i = 0; i < exp_.size(); ++i) {
       const auto& op = layer_.ops[i];
-      if (op.fwd_comm.size() != exp[i].fwd.size()) {
+      if (op.fwd_comm.size() != exp_[i].fwd.size()) {
         std::ostringstream msg;
         msg << "op '" << op.name << "' has " << op.fwd_comm.size()
-            << " forward collectives, table prescribes " << exp[i].fwd.size();
+            << " forward collectives, table prescribes " << exp_[i].fwd.size();
         emit(RuleId::kCollectiveStructure, op.name,
-             static_cast<double>(exp[i].fwd.size()),
+             static_cast<double>(exp_[i].fwd.size()),
              static_cast<double>(op.fwd_comm.size()), msg.str());
         continue;
       }
-      for (std::size_t j = 0; j < exp[i].fwd.size(); ++j) {
-        const auto& want = exp[i].fwd[j];
+      for (std::size_t j = 0; j < exp_[i].fwd.size(); ++j) {
+        const auto& want = exp_[i].fwd[j];
         const auto& got = op.fwd_comm[j];
         if (got.collective != want.coll || got.group != want.group) {
           std::ostringstream msg;
@@ -458,6 +457,9 @@ class Linter {
   const parallel::LayerCost& layer_;
   LintOptions opts_;
   DiagnosticSink sink_;
+  /// The block's table rows, derived once and read by the sequence,
+  /// activation and collective checks.
+  const std::vector<ExpectedOp> exp_;
 };
 
 }  // namespace
@@ -490,12 +492,11 @@ void assert_layer_invariants(const model::TransformerConfig& mdl,
   }
 }
 
-LintReport lint_signature(const model::TransformerConfig& mdl,
-                          const parallel::ParallelConfig& cfg,
+LintReport lint_signature(const model::TransformerConfig& /*mdl*/,
+                          const parallel::ParallelConfig& /*cfg*/,
                           const core::CostSignature& sig,
                           const parallel::LayerCost& layer,
                           const LintOptions& opts) {
-  (void)mdl;
   DiagnosticSink sink(opts.rules);
   const auto diag = [&](RuleId rule, const std::string& op, double expected,
                         double actual, const std::string& what) {
@@ -510,20 +511,59 @@ LintReport lint_signature(const model::TransformerConfig& mdl,
     }
   };
 
-  for (std::size_t i = 0; i < sig.ops.size(); ++i) {
-    const core::SigOp& op = sig.ops[i];
-    const std::string name = "op[" + std::to_string(i) + "]";
-    nonneg(name, op.fwd_flops.value(), "fwd flops");
-    nonneg(name, op.bwd_flops.value(), "bwd flops");
-    nonneg(name, op.fwd_bytes.value(), "fwd bytes");
-    nonneg(name, op.bwd_bytes.value(), "bwd bytes");
-    if (op.panels < 1) {
-      diag(RuleId::kSignatureNonnegative, name, 1.0,
-           static_cast<double>(op.panels), "panels < 1");
-    }
+  // signature-op-count: one block slot per layer op, in every per-op
+  // column; the per-op checks below read the slots only when they hold.
+  const std::size_t n = layer.ops.size();
+  std::size_t slots = n;
+  for (const std::size_t size :
+       {sig.fwd_flops.size(), sig.bwd_flops.size(), sig.fwd_bytes.size(),
+        sig.bwd_bytes.size(), sig.panels.size(), sig.fwd_comm_begin.size(),
+        sig.fwd_comm_count.size(), sig.bwd_comm_begin.size(),
+        sig.bwd_comm_count.size()}) {
+    if (size != n) slots = size;
   }
-  for (const core::SigComm& c : sig.comm) {
-    nonneg("<comm>", c.bytes.value(), "collective volume");
+  if (slots != n) {
+    diag(RuleId::kSignatureOpCount, "<layer>", static_cast<double>(n),
+         static_cast<double>(slots), "block slot count");
+  }
+
+  // Block totals in op order; each request's full volume is its panel
+  // volume times the owning op's panel count. Requests past the pool or in
+  // no group are batched-shape's to report (lint_batched).
+  Flops fwd_flops, bwd_flops;
+  Bytes fwd_bytes, bwd_bytes;
+  std::array<Bytes, 4> fwd_volume{}, bwd_volume{};
+  const std::size_t pool =
+      std::min(sig.comm_group.size(), sig.comm_panel_bytes.size());
+  const auto volume = [&](std::array<Bytes, 4>& into, std::uint32_t begin,
+                          std::uint32_t count, std::int64_t panels) {
+    for (std::size_t r = begin; r < begin + count && r < pool; ++r) {
+      if (sig.comm_group[r] >= into.size()) continue;
+      into[sig.comm_group[r]] +=
+          sig.comm_panel_bytes[r] * static_cast<double>(panels);
+    }
+  };
+  for (std::size_t i = 0; slots == n && i < n; ++i) {
+    const std::string name = "op[" + std::to_string(i) + "]";
+    nonneg(name, sig.fwd_flops[i].value(), "fwd flops");
+    nonneg(name, sig.bwd_flops[i].value(), "bwd flops");
+    nonneg(name, sig.fwd_bytes[i].value(), "fwd bytes");
+    nonneg(name, sig.bwd_bytes[i].value(), "bwd bytes");
+    if (sig.panels[i] < 1) {
+      diag(RuleId::kSignatureNonnegative, name, 1.0,
+           static_cast<double>(sig.panels[i]), "panels < 1");
+    }
+    fwd_flops += sig.fwd_flops[i];
+    bwd_flops += sig.bwd_flops[i];
+    fwd_bytes += sig.fwd_bytes[i];
+    bwd_bytes += sig.bwd_bytes[i];
+    volume(fwd_volume, sig.fwd_comm_begin[i], sig.fwd_comm_count[i],
+           sig.panels[i]);
+    volume(bwd_volume, sig.bwd_comm_begin[i], sig.bwd_comm_count[i],
+           sig.panels[i]);
+  }
+  for (const Bytes& bytes : sig.comm_panel_bytes) {
+    nonneg("<comm>", bytes.value(), "collective volume");
   }
   nonneg("<layer>", sig.stored_activation_bytes.value(), "stored activations");
   nonneg("<layer>", sig.pp_boundary_bytes.value(), "pp boundary bytes");
@@ -533,37 +573,33 @@ LintReport lint_signature(const model::TransformerConfig& mdl,
   nonneg("<mem>", sig.mem.optimizer.value(), "optimizer memory");
   nonneg("<mem>", sig.mem.activations.value(), "activation memory");
 
-  if (sig.ops.size() != layer.ops.size()) {
-    diag(RuleId::kSignatureOpCount, "<layer>",
-         static_cast<double>(layer.ops.size()),
-         static_cast<double>(sig.ops.size()), "op record count");
-  }
-
   const auto match = [&](RuleId rule, const std::string& op, double expected,
                          double actual, const std::string& what) {
     if (rel_diff(expected, actual) > opts.bytes_rtol) {
       diag(rule, op, expected, actual, what);
     }
   };
-  match(RuleId::kSignatureFlopTotal, "<layer>", layer.fwd_flops().value(),
-        sig.fwd_flops().value(), "forward FLOP total");
-  match(RuleId::kSignatureFlopTotal, "<layer>", layer.bwd_flops().value(),
-        sig.bwd_flops().value(), "backward FLOP total");
-  match(RuleId::kSignatureHbmTotal, "<layer>", layer.fwd_hbm_bytes().value(),
-        sig.fwd_hbm_bytes().value(), "forward HBM total");
-  match(RuleId::kSignatureHbmTotal, "<layer>", layer.bwd_hbm_bytes().value(),
-        sig.bwd_hbm_bytes().value(), "backward HBM total");
-  for (CommGroup g : {CommGroup::TP1, CommGroup::TP2, CommGroup::DP,
-                      CommGroup::PP}) {
-    const auto gi = static_cast<std::size_t>(g);
-    match(RuleId::kSignatureCommVolume,
-          "<group " + std::to_string(gi) + ">",
-          layer.fwd_comm_bytes(g).value(), sig.fwd_comm_volume[gi].value(),
-          "forward collective volume");
-    match(RuleId::kSignatureCommVolume,
-          "<group " + std::to_string(gi) + ">",
-          layer.bwd_comm_bytes(g).value(), sig.bwd_comm_volume[gi].value(),
-          "backward collective volume");
+  if (slots == n) {
+    match(RuleId::kSignatureFlopTotal, "<layer>", layer.fwd_flops().value(),
+          fwd_flops.value(), "forward FLOP total");
+    match(RuleId::kSignatureFlopTotal, "<layer>", layer.bwd_flops().value(),
+          bwd_flops.value(), "backward FLOP total");
+    match(RuleId::kSignatureHbmTotal, "<layer>", layer.fwd_hbm_bytes().value(),
+          fwd_bytes.value(), "forward HBM total");
+    match(RuleId::kSignatureHbmTotal, "<layer>", layer.bwd_hbm_bytes().value(),
+          bwd_bytes.value(), "backward HBM total");
+    for (CommGroup g : {CommGroup::TP1, CommGroup::TP2, CommGroup::DP,
+                        CommGroup::PP}) {
+      const auto gi = static_cast<std::size_t>(g);
+      match(RuleId::kSignatureCommVolume,
+            "<group " + std::to_string(gi) + ">",
+            layer.fwd_comm_bytes(g).value(), fwd_volume[gi].value(),
+            "forward collective volume");
+      match(RuleId::kSignatureCommVolume,
+            "<group " + std::to_string(gi) + ">",
+            layer.bwd_comm_bytes(g).value(), bwd_volume[gi].value(),
+            "backward collective volume");
+    }
   }
   match(RuleId::kSignatureStoredBytes, "<layer>",
         layer.stored_bytes().value(), sig.stored_activation_bytes.value(),
@@ -571,8 +607,6 @@ LintReport lint_signature(const model::TransformerConfig& mdl,
   match(RuleId::kSignaturePpBoundary, "<layer>",
         layer.pp_boundary_bytes.value(), sig.pp_boundary_bytes.value(),
         "pipeline boundary bytes");
-
-  (void)cfg;
   return sink.take();
 }
 

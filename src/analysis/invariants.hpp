@@ -78,14 +78,16 @@ void assert_layer_invariants(const model::TransformerConfig& mdl,
 /// Lint a compiled CostSignature against the layer it was lowered from:
 ///   signature-nonnegative  every roofline operand, collective volume and
 ///                          memory term is >= 0 (panels >= 1)
-///   signature-op-count     one SigOp per layer op
-///   signature-flop-total   per-class FLOP sums reproduce the layer's
+///   signature-op-count     one block slot per layer op in every per-op
+///                          column
+///   signature-flop-total   the block's FLOP sums reproduce the layer's
 ///                          fwd/bwd totals (and thereby inherit the
 ///                          analyzer's serial-block flop-invariance, which
 ///                          lint_layer checks on the same layer)
-///   signature-hbm-total    per-class HBM byte sums reproduce the layer's
-///   signature-comm-volume  per-group fwd/bwd collective volumes match the
-///                          layer's fwd/bwd_comm_bytes extraction hooks
+///   signature-hbm-total    the block's HBM byte sums reproduce the layer's
+///   signature-comm-volume  per-group fwd/bwd collective volumes (panel
+///                          volume x panels) match the layer's
+///                          fwd/bwd_comm_bytes extraction hooks
 ///   signature-stored-bytes stored activations match layer.stored_bytes()
 ///   signature-pp-boundary  the pipeline handoff volume is preserved
 LintReport lint_signature(const model::TransformerConfig& mdl,

@@ -1,7 +1,6 @@
 #include "core/batched_signature.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <optional>
 
 #ifndef NDEBUG
@@ -91,106 +90,6 @@ BatchScratch::CommBlock stage_terms(const CommWalk& walk,
 }
 
 }  // namespace
-
-BatchedSignature lower_batched(const CostSignature& sig) {
-  BatchedSignature b;
-  static_cast<BlockScalars&>(b) = sig;
-
-  const std::size_t n = sig.ops.size();
-  b.fwd_flops.reserve(n);
-  b.bwd_flops.reserve(n);
-  b.fwd_bytes.reserve(n);
-  b.bwd_bytes.reserve(n);
-  b.panels.reserve(n);
-  b.tensor_core.reserve(n);
-  b.fwd_comm_begin.reserve(n);
-  b.fwd_comm_count.reserve(n);
-  b.bwd_comm_begin.reserve(n);
-  b.bwd_comm_count.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const SigOp& op = sig.ops[i];
-    b.fwd_flops.push_back(op.fwd_flops);
-    b.bwd_flops.push_back(op.bwd_flops);
-    b.fwd_bytes.push_back(op.fwd_bytes);
-    b.bwd_bytes.push_back(op.bwd_bytes);
-    b.panels.push_back(op.panels);
-    b.tensor_core.push_back(op.tensor_core ? 1 : 0);
-    b.fwd_comm_begin.push_back(op.fwd_comm_begin);
-    b.fwd_comm_count.push_back(op.fwd_comm_count);
-    b.bwd_comm_begin.push_back(op.bwd_comm_begin);
-    b.bwd_comm_count.push_back(op.bwd_comm_count);
-    if (op.panels > 1) b.summa_ops.push_back(static_cast<std::uint32_t>(i));
-  }
-
-  // Per-request volume scaled by the owning op's 1 / panels — the exact
-  // product core::op_time feeds to collective_time — resolved through
-  // the begin/count ranges so the packing is correct for any pool tiling.
-  // A request no op range covers keeps the unit scale.
-  b.comm_panel_bytes.resize(sig.comm.size());
-  for (std::size_t r = 0; r < sig.comm.size(); ++r) {
-    b.comm_panel_bytes[r] = sig.comm[r].bytes * 1.0;
-  }
-  for (const SigOp& op : sig.ops) {
-    const double inv_panels = 1.0 / static_cast<double>(op.panels);
-    for (std::uint32_t r = op.fwd_comm_begin;
-         r < op.fwd_comm_begin + op.fwd_comm_count; ++r) {
-      b.comm_panel_bytes[r] = sig.comm[r].bytes * inv_panels;
-    }
-    for (std::uint32_t r = op.bwd_comm_begin;
-         r < op.bwd_comm_begin + op.bwd_comm_count; ++r) {
-      b.comm_panel_bytes[r] = sig.comm[r].bytes * inv_panels;
-    }
-  }
-  b.comm_kind.reserve(sig.comm.size());
-  b.comm_group.reserve(sig.comm.size());
-  for (const SigComm& req : sig.comm) {
-    b.comm_kind.push_back(req.collective);
-    b.comm_group.push_back(static_cast<std::uint8_t>(req.group));
-    b.comm_groups_mask |=
-        static_cast<std::uint8_t>(1u << static_cast<unsigned>(req.group));
-  }
-
-  // Dedup the pricing rows: two requests agreeing on kind, group and the
-  // exact volume bits make the identical pure collective_time call, so
-  // they share one table row. Bit equality (not ==) so a would-be -0.0 /
-  // 0.0 collision can never alias two different calls.
-  b.comm_price_row.resize(sig.comm.size());
-  for (std::size_t r = 0; r < sig.comm.size(); ++r) {
-    const std::uint64_t bits =
-        std::bit_cast<std::uint64_t>(b.comm_panel_bytes[r].value());
-    std::size_t u = 0;
-    for (; u < b.price_rep.size(); ++u) {
-      const std::uint32_t rep = b.price_rep[u];
-      if (b.comm_kind[rep] == b.comm_kind[r] &&
-          b.comm_group[rep] == b.comm_group[r] &&
-          std::bit_cast<std::uint64_t>(b.comm_panel_bytes[rep].value()) ==
-              bits) {
-        break;
-      }
-    }
-    if (u == b.price_rep.size()) {
-      b.price_rep.push_back(static_cast<std::uint32_t>(r));
-    }
-    b.comm_price_row[r] = static_cast<std::uint32_t>(u);
-  }
-
-  b.head_fwd_flops.reserve(sig.head.size());
-  b.head_bwd_flops.reserve(sig.head.size());
-  b.head_fwd_bytes.reserve(sig.head.size());
-  b.head_bwd_bytes.reserve(sig.head.size());
-  b.head_tensor_core.reserve(sig.head.size());
-  for (const SigHeadOp& op : sig.head) {
-    b.head_fwd_flops.push_back(op.fwd_flops);
-    b.head_bwd_flops.push_back(op.bwd_flops);
-    b.head_fwd_bytes.push_back(op.fwd_bytes);
-    b.head_bwd_bytes.push_back(op.bwd_bytes);
-    b.head_tensor_core.push_back(op.tensor_core ? 1 : 0);
-  }
-#ifndef NDEBUG
-  analysis::assert_batched_invariants(sig, b);
-#endif
-  return b;
-}
 
 BlockTiming bind_block(const BatchedSignature& bat, const hw::SystemConfig& sys,
                        const EvalOptions& opts) {

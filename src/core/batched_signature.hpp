@@ -1,20 +1,20 @@
 #pragma once
-// Batched structure-of-arrays lowering of a CostSignature: the evaluation
-// hot path restructured from per-op scalar walks into contiguous-array
-// kernels that time N placements per signature in one pass.
+// The evaluation hot path: contiguous-array kernels over a signature's
+// structure-of-arrays block (BatchedSignature, core/cost_signature.hpp)
+// that time N placements per signature in one pass.
 //
-// A per-placement walk of the AoS SigOp/SigComm records (core::evaluate's
-// shape) re-prices every collective request with a full fabric walk each
-// time. Across the placements of one candidate those walks are massively
-// redundant: a request's collective_time depends on the placement only
-// through its group's (size, nvs) pair, and across an enumerated placement
-// set each group takes just a handful of distinct nvs values.
-// lower_batched() packs the operands into flat arrays once per signature;
-// time_placements_batch() then
-//   * dedupes the comm pool into one pricing row per distinct
-//     (collective, group, panel-bytes) triple and prices each row once
-//     per DISTINCT nvs value of its group, on first read (a small table
-//     instead of |placements| x |requests| fabric walks),
+// A per-placement walk of the op list (core::evaluate's shape) re-prices
+// every collective request with a full fabric walk each time. Across the
+// placements of one candidate those walks are massively redundant: a
+// request's collective_time depends on the placement only through its
+// group's (size, nvs) pair, and across an enumerated placement set each
+// group takes just a handful of distinct nvs values. compile_layer packs
+// the operands into flat arrays once per block; time_placements_batch()
+// then
+//   * prices each of the block's pricing rows (one per distinct
+//     (collective, group, panel-bytes) triple) once per DISTINCT nvs value
+//     of its group, on first read (a small table instead of
+//     |placements| x |requests| fabric walks),
 //   * streams every placement through one linear pass over the packed
 //     arrays, assembling per-op exposed-communication sums, stage times and
 //     the pipeline/DP terms from table lookups,
@@ -49,7 +49,7 @@
 // bind_system_batched / placement_floor would
 // (BlockTail.MatchesWholeSignatureBitwise).
 //
-// Thread-safety: BatchedSignature is immutable after lower_batched(); any
+// Thread-safety: BatchedSignature is immutable once compiled; any
 // number of threads may share it (the engines share one per LayerKey,
 // search/search_cache.hpp). BatchScratch is per-thread mutable state.
 
@@ -61,59 +61,6 @@
 #include "core/cost_signature.hpp"
 
 namespace tfpe::core {
-
-/// Hardware-invariant SoA packing of one CostSignature's block half — the
-/// engine's per-LayerKey BLOCK. Parallel arrays (one slot per
-/// CostSignature::ops entry, in op order) plus a flattened comm pool in
-/// CostSignature::comm order; indices are shared with the AoS form so the
-/// two views describe the same signature. It carries no SignatureTail: the
-/// kernels below take the candidate's tail separately, so one block serves
-/// every candidate sharing its layer.
-struct BatchedSignature : BlockScalars {
-  // Per-op roofline operands (op order preserved).
-  std::vector<Flops> fwd_flops, bwd_flops;
-  std::vector<Bytes> fwd_bytes, bwd_bytes;
-  std::vector<std::int64_t> panels;
-  std::vector<std::uint8_t> tensor_core;  ///< 0/1 (vector<bool> defeats SoA).
-  std::vector<std::uint32_t> fwd_comm_begin, fwd_comm_count;
-  std::vector<std::uint32_t> bwd_comm_begin, bwd_comm_count;
-  /// Ops with panels > 1, in op order — mirrors SystemTiming::summa_panel_time.
-  std::vector<std::uint32_t> summa_ops;
-
-  // Comm pool (CostSignature::comm order preserved).
-  std::vector<ops::Collective> comm_kind;
-  std::vector<std::uint8_t> comm_group;  ///< ops::CommGroup as an index.
-  /// Pre-scaled per-panel volume: req.bytes * (1 / op.panels), the exact
-  /// product core::op_time feeds to collective_time.
-  std::vector<Bytes> comm_panel_bytes;
-  /// Bitmask of the comm groups that actually appear in the pool
-  /// (bit g set <=> some request has comm_group == g). The per-placement
-  /// comm sums depend on the placement only through these groups' nvs
-  /// values, so placements agreeing on them share one comm block.
-  std::uint8_t comm_groups_mask = 0;
-  /// Pricing-row dedup: requests with the same (collective, group) and
-  /// bit-identical panel volume are the same pure collective_time call
-  /// under every placement — a transformer layer repeats its boundary
-  /// allreduce per op — so the comm table carries one priced row per
-  /// distinct triple. comm_price_row maps each request to its table row;
-  /// price_rep holds one representative request index per row.
-  std::vector<std::uint32_t> comm_price_row;
-  std::vector<std::uint32_t> price_rep;
-
-  // Head ops (head order preserved).
-  std::vector<Flops> head_fwd_flops, head_bwd_flops;
-  std::vector<Bytes> head_fwd_bytes, head_bwd_bytes;
-  std::vector<std::uint8_t> head_tensor_core;
-
-  std::size_t op_count() const { return fwd_flops.size(); }
-  bool has_head() const { return !head_fwd_flops.empty(); }
-};
-
-/// Pack a compiled signature's block half (records and BlockScalars) into
-/// its SoA form. Pure; the search engines call it once per LayerKey on
-/// compile_layer's output and share the block. Debug builds check the
-/// packing against the records (analysis::assert_batched_invariants).
-BatchedSignature lower_batched(const CostSignature& sig);
 
 /// Reusable per-thread scratch for time_placements_batch, so the placement
 /// scan of a sweep performs no per-candidate allocations once warm. Tables
@@ -185,7 +132,7 @@ void finish_bind(const BlockTiming& part, const SignatureTail& sig,
 /// fabric — the same panel_roofline calls core::evaluate_with_layer makes,
 /// accumulated in the same op order. The engines, which price through
 /// their own FabricPricer, call the two halves directly;
-/// core::bind_system is this on lower_batched(sig).
+/// core::bind_system is this on a whole signature.
 SystemTiming bind_system_batched(const SignatureTail& sig,
                                  const BatchedSignature& bat,
                                  const hw::SystemConfig& sys,

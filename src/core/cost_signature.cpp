@@ -1,7 +1,10 @@
 #include "core/cost_signature.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <initializer_list>
 
+#include "analysis/consistency.hpp"
 #include "analysis/invariants.hpp"
 #include "core/batched_signature.hpp"
 #include "ops/op_factory.hpp"
@@ -11,68 +14,104 @@ namespace tfpe::core {
 
 namespace {
 
-constexpr std::size_t group_index(ops::CommGroup g) {
-  return static_cast<std::size_t>(g);
+/// Append one request to the block's comm pool, scaled by the owning op's
+/// 1 / panels, and map it to its pricing row: the first earlier request
+/// agreeing on kind, group and the exact volume bits makes the identical
+/// pure collective_time call, so the two share a row. Bit equality (not ==)
+/// so a would-be -0.0 / 0.0 collision can never alias two different calls.
+void push_request(BatchedSignature& b, const ops::CommRequest& req,
+                  double inv_panels) {
+  const Bytes panel_bytes = req.bytes * inv_panels;
+  const auto group = static_cast<std::uint8_t>(req.group);
+  const std::uint64_t bits = std::bit_cast<std::uint64_t>(panel_bytes.value());
+  const auto row = std::find_if(
+      b.price_rep.begin(), b.price_rep.end(), [&](std::uint32_t rep) {
+        return b.comm_kind[rep] == req.collective &&
+               b.comm_group[rep] == group &&
+               std::bit_cast<std::uint64_t>(
+                   b.comm_panel_bytes[rep].value()) == bits;
+      });
+  b.comm_price_row.push_back(
+      static_cast<std::uint32_t>(row - b.price_rep.begin()));
+  if (row == b.price_rep.end()) {
+    b.price_rep.push_back(static_cast<std::uint32_t>(b.comm_kind.size()));
+  }
+  b.comm_kind.push_back(req.collective);
+  b.comm_group.push_back(group);
+  b.comm_panel_bytes.push_back(panel_bytes);
+  b.comm_groups_mask |= static_cast<std::uint8_t>(1u << group);
 }
 
-/// The per-op lowering loop, shared verbatim by the training compiler
-/// below and the decode compiler (compile_decode_signature) — same record
-/// layout, same accumulation order, so extracting it is pure code motion
-/// for the training path (bitwise-pinned by the golden tests).
-void lower_ops(CostSignature& sig, const parallel::LayerCost& layer) {
-  sig.ops.reserve(layer.ops.size());
+template <class... Columns>
+void reserve(std::size_t n, Columns&... columns) {
+  (columns.reserve(n), ...);
+}
+
+template <class... Columns>
+void zero(Columns&... columns) {
+  (columns.assign(columns.size(), {}), ...);
+}
+
+/// The one lowering of an op graph, shared by the training compiler
+/// (compile_layer) and the decode compiler (compile_decode_signature): one
+/// pass over the layer's ops into the block's rows and comm pool, then the
+/// head ops' rows. Debug builds check the block against the layer.
+BatchedSignature lower_ops(const parallel::LayerCost& layer,
+                           std::initializer_list<const ops::Op*> head) {
+  BatchedSignature b;
+  const std::size_t n = layer.ops.size();
   std::size_t requests = 0;
   for (const auto& op : layer.ops) {
     requests += op.fwd_comm.size() + op.bwd_comm.size();
   }
-  sig.comm.reserve(requests);
-  for (const auto& op : layer.ops) {
-    SigOp s;
-    s.fwd_flops = op.fwd_flops;
-    s.fwd_bytes = op.fwd_bytes;
-    s.bwd_flops = op.bwd_flops;
-    s.bwd_bytes = op.bwd_bytes;
-    s.panels = std::max<std::int64_t>(1, op.summa_panels);
-    s.tensor_core = op.unit == ops::ComputeUnit::TensorCore;
-    s.fwd_comm_begin = static_cast<std::uint32_t>(sig.comm.size());
-    for (const auto& req : op.fwd_comm) {
-      sig.comm.push_back({req.collective, req.group, req.bytes});
-      sig.fwd_comm_volume[group_index(req.group)] += req.bytes;
-    }
-    s.fwd_comm_count =
-        static_cast<std::uint32_t>(sig.comm.size()) - s.fwd_comm_begin;
-    s.bwd_comm_begin = static_cast<std::uint32_t>(sig.comm.size());
-    for (const auto& req : op.bwd_comm) {
-      sig.comm.push_back({req.collective, req.group, req.bytes});
-      sig.bwd_comm_volume[group_index(req.group)] += req.bytes;
-    }
-    s.bwd_comm_count =
-        static_cast<std::uint32_t>(sig.comm.size()) - s.bwd_comm_begin;
-    if (s.tensor_core) {
-      sig.matmul_fwd_flops += op.fwd_flops;
-      sig.matmul_bwd_flops += op.bwd_flops;
-      sig.matmul_fwd_bytes += op.fwd_bytes;
-      sig.matmul_bwd_bytes += op.bwd_bytes;
-    } else {
-      sig.vector_fwd_flops += op.fwd_flops;
-      sig.vector_bwd_flops += op.bwd_flops;
-      sig.vector_fwd_bytes += op.fwd_bytes;
-      sig.vector_bwd_bytes += op.bwd_bytes;
-    }
-    sig.ops.push_back(s);
+  reserve(n, b.fwd_flops, b.bwd_flops, b.fwd_bytes, b.bwd_bytes, b.panels,
+          b.tensor_core, b.fwd_comm_begin, b.fwd_comm_count, b.bwd_comm_begin,
+          b.bwd_comm_count);
+  reserve(requests, b.comm_kind, b.comm_group, b.comm_panel_bytes,
+          b.comm_price_row, b.price_rep);
+
+  for (std::size_t i = 0; i < n; ++i) {
+    const ops::Op& op = layer.ops[i];
+    const std::int64_t panels = std::max<std::int64_t>(1, op.summa_panels);
+    const double inv_panels = 1.0 / static_cast<double>(panels);
+    b.fwd_flops.push_back(op.fwd_flops);
+    b.bwd_flops.push_back(op.bwd_flops);
+    b.fwd_bytes.push_back(op.fwd_bytes);
+    b.bwd_bytes.push_back(op.bwd_bytes);
+    b.panels.push_back(panels);
+    b.tensor_core.push_back(op.unit == ops::ComputeUnit::TensorCore ? 1 : 0);
+    if (panels > 1) b.summa_ops.push_back(static_cast<std::uint32_t>(i));
+    b.fwd_comm_begin.push_back(static_cast<std::uint32_t>(b.comm_kind.size()));
+    for (const auto& req : op.fwd_comm) push_request(b, req, inv_panels);
+    b.fwd_comm_count.push_back(static_cast<std::uint32_t>(
+        b.comm_kind.size() - b.fwd_comm_begin.back()));
+    b.bwd_comm_begin.push_back(static_cast<std::uint32_t>(b.comm_kind.size()));
+    for (const auto& req : op.bwd_comm) push_request(b, req, inv_panels);
+    b.bwd_comm_count.push_back(static_cast<std::uint32_t>(
+        b.comm_kind.size() - b.bwd_comm_begin.back()));
   }
+
+  for (const ops::Op* op : head) {
+    b.head_fwd_flops.push_back(op->fwd_flops);
+    b.head_bwd_flops.push_back(op->bwd_flops);
+    b.head_fwd_bytes.push_back(op->fwd_bytes);
+    b.head_bwd_bytes.push_back(op->bwd_bytes);
+    b.head_tensor_core.push_back(
+        op->unit == ops::ComputeUnit::TensorCore ? 1 : 0);
+  }
+#ifndef NDEBUG
+  analysis::assert_batched_invariants(layer, b);
+#endif
+  return b;
 }
 
 }  // namespace
 
-CostSignature compile_layer(const model::TransformerConfig& mdl,
-                            const parallel::ParallelConfig& cfg,
-                            std::int64_t global_batch,
-                            const parallel::LayerCost& layer) {
-  CostSignature sig;
-  lower_ops(sig, layer);
-  static_cast<BlockScalars&>(sig) = block_scalars(mdl, cfg, layer);
-
+BatchedSignature compile_layer(const model::TransformerConfig& mdl,
+                               const parallel::ParallelConfig& cfg,
+                               std::int64_t global_batch,
+                               const parallel::LayerCost& layer) {
+  BatchedSignature b;
   if (mdl.vocab > 0) {
     const double B = static_cast<double>(cfg.local_microbatch(global_batch));
     const double tokens2 =
@@ -86,14 +125,12 @@ CostSignature compile_layer(const model::TransformerConfig& mdl,
     const ops::Op embed_gather =
         ops::vector_op("embedding", tokens2 * static_cast<double>(mdl.embed),
                        1.0, 0.0);
-    sig.head.reserve(3);
-    for (const ops::Op* op : {&logits, &loss, &embed_gather}) {
-      sig.head.push_back({op->fwd_flops, op->fwd_bytes, op->bwd_flops,
-                          op->bwd_bytes,
-                          op->unit == ops::ComputeUnit::TensorCore});
-    }
+    b = lower_ops(layer, {&logits, &loss, &embed_gather});
+  } else {
+    b = lower_ops(layer, {});
   }
-  return sig;
+  static_cast<BlockScalars&>(b) = block_scalars(mdl, cfg, layer);
+  return b;
 }
 
 BlockScalars block_scalars(const model::TransformerConfig& mdl,
@@ -169,7 +206,9 @@ CostSignature compile_signature(const model::TransformerConfig& mdl,
                                 std::int64_t global_batch,
                                 const parallel::LayerCost& layer,
                                 const EvalOptions& opts) {
-  CostSignature sig = compile_layer(mdl, cfg, global_batch, layer);
+  CostSignature sig;
+  static_cast<BatchedSignature&>(sig) =
+      compile_layer(mdl, cfg, global_batch, layer);
   static_cast<SignatureTail&>(sig) =
       compile_tail(mdl, cfg, global_batch, sig, opts);
   return sig;
@@ -189,25 +228,13 @@ CostSignature compile_signature(const model::TransformerConfig& mdl,
 
 SystemTiming bind_system(const CostSignature& sig, const hw::SystemConfig& sys,
                          const EvalOptions& opts) {
-  return bind_system_batched(sig, lower_batched(sig), sys, opts);
+  return bind_system_batched(sig, sig, sys, opts);
 }
 
 CostSignature adapt_to_phase(CostSignature sig, ExecutionPhase phase) {
   sig.phase = phase;
-  for (SigOp& op : sig.ops) {
-    op.bwd_flops = Flops(0);
-    op.bwd_bytes = Bytes(0);
-    op.bwd_comm_count = 0;
-  }
-  for (SigHeadOp& op : sig.head) {
-    op.bwd_flops = Flops(0);
-    op.bwd_bytes = Bytes(0);
-  }
-  sig.matmul_bwd_flops = Flops(0);
-  sig.matmul_bwd_bytes = Bytes(0);
-  sig.vector_bwd_flops = Flops(0);
-  sig.vector_bwd_bytes = Bytes(0);
-  sig.bwd_comm_volume = {};
+  zero(sig.bwd_flops, sig.bwd_bytes, sig.bwd_comm_begin, sig.bwd_comm_count,
+       sig.head_bwd_flops, sig.head_bwd_bytes);
   sig.dp_grad_bytes = Bytes(0);
   sig.optimizer_traffic = Bytes(0);
   // No backward: the gradient/optimizer residency vanishes, and nothing
@@ -234,20 +261,6 @@ CostSignature compile_decode_signature(const model::TransformerConfig& mdl,
   sig.microbatches = cfg.np;  // np decode groups rotate around the stages
   sig.np = cfg.np;
   sig.layers_per_stage = mdl.depth / cfg.np;
-  sig.local_microbatch = 1;
-
-  lower_ops(sig, layer);
-
-  static_cast<BlockScalars&>(sig) = block_scalars(mdl, cfg, layer);
-  sig.stored_activation_bytes = Bytes(0);
-  const double Ld = static_cast<double>(sig.layers_per_stage);
-  sig.stage_params = layer.weight_params * Ld;
-  // No data-parallel replica group, no optimizer: serving replicas are
-  // nd = 1 and the backward dimension does not exist in this phase.
-  sig.dp_size = 1;
-  sig.dp_grad_bytes = Bytes(0);
-  sig.opt_shard = 1;
-  sig.optimizer_traffic = Bytes(0);
 
   if (mdl.vocab > 0) {
     // Every decode step samples from the full vocabulary: the lm_head GEMV
@@ -258,12 +271,19 @@ CostSignature compile_decode_signature(const model::TransformerConfig& mdl,
         "lm_head", tokens_per_group, Vshard, static_cast<double>(mdl.embed)));
     const ops::Op soft = ops::forward_only(
         ops::vector_op("softmax", tokens_per_group * Vshard, 5.0, 0.0));
-    for (const ops::Op* op : {&logits, &soft}) {
-      sig.head.push_back({op->fwd_flops, op->fwd_bytes, op->bwd_flops,
-                          op->bwd_bytes,
-                          op->unit == ops::ComputeUnit::TensorCore});
-    }
+    static_cast<BatchedSignature&>(sig) = lower_ops(layer, {&logits, &soft});
+  } else {
+    static_cast<BatchedSignature&>(sig) = lower_ops(layer, {});
   }
+
+  static_cast<BlockScalars&>(sig) = block_scalars(mdl, cfg, layer);
+  sig.stored_activation_bytes = Bytes(0);
+  const double Ld = static_cast<double>(sig.layers_per_stage);
+  sig.stage_params = layer.weight_params * Ld;
+  // No data-parallel replica group, no optimizer: serving replicas are
+  // nd = 1 and the backward dimension does not exist in this phase, so the
+  // local microbatch, dp_size, opt_shard and the DP and optimizer traffic
+  // keep their SignatureTail defaults (1, 1, 1, 0, 0).
 
   // Transient working set: the double-buffered (R, e) stream plus the
   // (R, f/nt) MLP intermediate — nothing is retained across ops.

@@ -6,14 +6,19 @@
 // microbatch) — never on the hardware — yet the paper's §IV sweeps re-run
 // the full evaluation per hardware point (GPU generation, NVS domain size,
 // bandwidth/capacity what-ifs). compile_signature() lowers a LayerCost into
-// a CostSignature once:
-//   * per-op roofline operands (FLOPs + HBM bytes per class, SUMMA panel
-//     structure, tensor-core vs vector unit),
-//   * flattened collective requests with per-group volumes,
+// a CostSignature once, in one pass over the op graph, straight into the
+// structure-of-arrays form the timing kernels read (BatchedSignature):
+//   * per-op roofline operands (FLOPs + HBM bytes, SUMMA panel count,
+//     tensor-core vs vector unit),
+//   * the flattened collective requests, pre-scaled per panel and deduped
+//     into pricing rows,
 //   * the vocabulary-head ops and the stored-activation / pipeline-boundary
 //     bytes,
 //   * the full hardware-free memory breakdown (weights, gradients, Adam
 //     shard, in-flight activations) and the DP/optimizer traffic scalars.
+// The block is the only compiled form of the op list;
+// analysis::lint_batched checks it against the op graph it was compiled
+// from.
 // Timing is the SoA kernel's (core/batched_signature.hpp) for every phase
 // — training candidates, prefill and decode stages alike: the per-system
 // roofline bind, then the per-placement collective, pipeline and DP terms,
@@ -23,10 +28,10 @@
 // compile_decode_signature lower; they do not time.
 //
 // BLOCK / TAIL SPLIT. A CostSignature is two halves with different keys:
-//   * the BLOCK (compile_layer) — op, comm and head records plus the
-//     BlockScalars — depends only on the built layer, i.e. on the
-//     search::LayerKey slice of the config, so every (np, nd, m, zero)
-//     candidate with the same layer shares it;
+//   * the BLOCK (compile_layer, BatchedSignature) — op rows, comm pool and
+//     head rows plus the BlockScalars — depends only on the built layer,
+//     i.e. on the search::LayerKey slice of the config, so every
+//     (np, nd, m, zero) candidate with the same layer shares it;
 //   * the TAIL (compile_tail, SignatureTail) — layers per stage,
 //     microbatches, the DP and optimizer scalars and the memory breakdown
 //     — is a few multiplies per candidate, computed from the block's
@@ -45,6 +50,7 @@
 // (search/search_cache.hpp).
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -91,39 +97,6 @@ inline PanelRoofline panel_roofline(Flops flops, Bytes bytes,
   return out;
 }
 
-/// One flattened collective request (the signature's comm pool; ops index
-/// into it so the request vectors need no per-op allocation at time time).
-struct SigComm {
-  ops::Collective collective = ops::Collective::None;
-  ops::CommGroup group = ops::CommGroup::TP1;
-  Bytes bytes;  ///< Full tensor volume (per-panel scaling applied at time).
-};
-
-/// Roofline operands of one block op, forward and backward.
-struct SigOp {
-  Flops fwd_flops;
-  Bytes fwd_bytes;
-  Flops bwd_flops;
-  Bytes bwd_bytes;
-  std::int64_t panels = 1;   ///< SUMMA contraction panels (1 = plain op).
-  bool tensor_core = false;  ///< Tensor-core vs vector FLOP rate.
-  // [begin, begin+count) ranges into CostSignature::comm.
-  std::uint32_t fwd_comm_begin = 0;
-  std::uint32_t fwd_comm_count = 0;
-  std::uint32_t bwd_comm_begin = 0;
-  std::uint32_t bwd_comm_count = 0;
-};
-
-/// Vocabulary-head op (embedding gather / logits matmul / softmax+xent):
-/// compute + HBM only, no collectives, never SUMMA-split.
-struct SigHeadOp {
-  Flops fwd_flops;
-  Bytes fwd_bytes;
-  Flops bwd_flops;
-  Bytes bwd_bytes;
-  bool tensor_core = false;
-};
-
 /// The per-LayerKey scalars of a signature: what the built layer alone
 /// fixes, shared by every candidate whose (np, nd, m, zero) differ but whose
 /// layer is the same (search::LayerKey). The SoA block
@@ -156,49 +129,81 @@ struct SignatureTail {
   memory::MemoryBreakdown mem;
 };
 
+/// The hardware-invariant BLOCK of a signature, in the structure-of-arrays
+/// form the kernels (core/batched_signature.hpp) read: parallel arrays with
+/// one slot per op of the built layer, in op order, plus a flattened comm
+/// pool holding each op's forward then backward requests in op order, and
+/// the vocabulary-head ops. compile_layer fills it from a LayerCost in one
+/// pass; it carries no SignatureTail, so one block serves every candidate
+/// sharing its layer (search::LayerKey).
+struct BatchedSignature : BlockScalars {
+  // Per-op roofline operands (op order preserved).
+  std::vector<Flops> fwd_flops, bwd_flops;
+  std::vector<Bytes> fwd_bytes, bwd_bytes;
+  std::vector<std::int64_t> panels;       ///< SUMMA panels (1 = plain op).
+  std::vector<std::uint8_t> tensor_core;  ///< 0/1 (vector<bool> defeats SoA).
+  /// [begin, begin + count) ranges into the comm pool.
+  std::vector<std::uint32_t> fwd_comm_begin, fwd_comm_count;
+  std::vector<std::uint32_t> bwd_comm_begin, bwd_comm_count;
+  /// Ops with panels > 1, in op order — mirrors SystemTiming::summa_panel_time.
+  std::vector<std::uint32_t> summa_ops;
+
+  // Comm pool (every op's forward then backward requests, in op order).
+  std::vector<ops::Collective> comm_kind;
+  std::vector<std::uint8_t> comm_group;  ///< ops::CommGroup as an index.
+  /// Pre-scaled per-panel volume: req.bytes * (1 / panels) of the owning
+  /// op, the exact product core::op_time feeds to collective_time.
+  std::vector<Bytes> comm_panel_bytes;
+  /// Bitmask of the comm groups that actually appear in the pool
+  /// (bit g set <=> some request has comm_group == g). The per-placement
+  /// comm sums depend on the placement only through these groups' nvs
+  /// values, so placements agreeing on them share one comm block.
+  std::uint8_t comm_groups_mask = 0;
+  /// Pricing-row dedup: requests with the same (collective, group) and
+  /// bit-identical panel volume are the same pure collective_time call
+  /// under every placement — a transformer layer repeats its boundary
+  /// allreduce per op — so the comm table carries one priced row per
+  /// distinct triple. comm_price_row maps each request to its table row;
+  /// price_rep holds one representative request index per row.
+  std::vector<std::uint32_t> comm_price_row;
+  std::vector<std::uint32_t> price_rep;
+
+  // Head ops (embedding gather / logits matmul / softmax: compute and HBM
+  // only, no collectives, never SUMMA-split). Empty without a vocabulary.
+  std::vector<Flops> head_fwd_flops, head_bwd_flops;
+  std::vector<Bytes> head_fwd_bytes, head_bwd_bytes;
+  std::vector<std::uint8_t> head_tensor_core;
+
+  std::size_t op_count() const { return fwd_flops.size(); }
+  bool has_head() const { return !head_fwd_flops.empty(); }
+};
+
 /// Hardware-invariant compilation of one candidate: everything the time
 /// phase needs, with no reference back to the op list. Valid for any
 /// hw::SystemConfig and any NVS placement of the same (n1, n2, np, nd);
 /// also interleave-invariant (the schedule enters only at time time).
 /// Depends on EvalOptions (recompute/offload shape the memory breakdown),
 /// so cache signatures per (model, global batch, EvalOptions).
-/// It is the block half (op, comm and head records plus BlockScalars, from
-/// compile_layer) and the candidate's SignatureTail (compile_tail) in one
-/// object; the search engines keep the halves apart.
-struct CostSignature : SignatureTail, BlockScalars {
-  /// Execution phase of the op tables below. Training signatures carry the
-  /// full fwd+bwd+optimizer records exactly as always; inference phases
-  /// zero the backward dimension (ops, aggregates, DP/optimizer scalars).
+/// It is the block (compile_layer) and the candidate's SignatureTail
+/// (compile_tail) in one object, so it passes as either half to the
+/// kernels; the search engines keep the halves apart.
+struct CostSignature : SignatureTail, BatchedSignature {
+  /// Execution phase of the block. Training signatures carry the full
+  /// fwd+bwd+optimizer rows; inference phases zero the backward dimension
+  /// (backward columns, DP/optimizer scalars).
   ExecutionPhase phase = ExecutionPhase::kTraining;
-
-  std::vector<SigOp> ops;
-  std::vector<SigComm> comm;   ///< Flattened fwd+bwd requests of all ops.
-  std::vector<SigHeadOp> head; ///< Empty when the model has no vocabulary.
-
-  // Aggregate totals per op class and comm group — summaries for the
-  // invariant analyzer and reports; the per-op records drive the timing.
-  Flops matmul_fwd_flops, matmul_bwd_flops;
-  Bytes matmul_fwd_bytes, matmul_bwd_bytes;
-  Flops vector_fwd_flops, vector_bwd_flops;
-  Bytes vector_fwd_bytes, vector_bwd_bytes;
-  std::array<Bytes, 4> fwd_comm_volume{};  ///< Indexed by ops::CommGroup.
-  std::array<Bytes, 4> bwd_comm_volume{};
-
-  Flops fwd_flops() const { return matmul_fwd_flops + vector_fwd_flops; }
-  Flops bwd_flops() const { return matmul_bwd_flops + vector_bwd_flops; }
-  Bytes fwd_hbm_bytes() const { return matmul_fwd_bytes + vector_fwd_bytes; }
-  Bytes bwd_hbm_bytes() const { return matmul_bwd_bytes + vector_bwd_bytes; }
 };
 
-/// The block half of compile_signature: the op, comm and head records,
-/// their aggregates and the BlockScalars. It reads cfg only through the
-/// LayerKey slice (strategy, n1, n2, nb, ring attention, the local
-/// microbatch and the MoE width), so every candidate sharing a layer shares
-/// its output. The SignatureTail part is left at its defaults.
-CostSignature compile_layer(const model::TransformerConfig& mdl,
-                            const parallel::ParallelConfig& cfg,
-                            std::int64_t global_batch,
-                            const parallel::LayerCost& layer);
+/// The block half of compile_signature: one pass over the layer's ops (and
+/// the vocabulary head's) into the block's rows and comm pool, plus the
+/// BlockScalars. It reads cfg only through the LayerKey slice (strategy,
+/// n1, n2, nb, ring attention, the local microbatch and the MoE width), so
+/// every candidate sharing a layer shares its output. Debug builds check
+/// the block against the layer (analysis::assert_batched_invariants).
+BatchedSignature compile_layer(const model::TransformerConfig& mdl,
+                               const parallel::ParallelConfig& cfg,
+                               std::int64_t global_batch,
+                               const parallel::LayerCost& layer);
 
 /// The BlockScalars half of compile_layer: the layer's stored, boundary
 /// and weight scalars and the vocabulary head's weight shard.
@@ -251,9 +256,9 @@ CostSignature compile_signature(const model::TransformerConfig& mdl,
                                 const EvalOptions& opts = {});
 
 /// Re-emit a training-compiled signature as a forward-only inference
-/// phase: backward op records, aggregates and collectives zeroed, the
-/// DP-gradient and Adam-traffic scalars dropped, and the memory breakdown
-/// rebuilt for inference (no gradient/optimizer state; one microbatch's
+/// phase: every backward column of the block zeroed (op and head operands,
+/// comm ranges; the pool is kept), the DP-gradient and Adam-traffic
+/// scalars dropped, and the memory breakdown rebuilt for inference (no gradient/optimizer state; one microbatch's
 /// stored-activation footprint is kept as a conservative transient
 /// working-set bound; the K/V term is filled by the serving estimator,
 /// which owns the residency decision).
@@ -268,7 +273,7 @@ CostSignature compile_decode_signature(const model::TransformerConfig& mdl,
 
 /// Placement-independent part of timing a signature on one system (the SoA
 /// bind, bind_block + finish_bind): the roofline dot products over the op
-/// records. Amortizes across the NVS placement scan — per placement only
+/// rows. Amortizes across the NVS placement scan — per placement only
 /// the collective terms remain.
 struct SystemTiming {
   double time_compute = 0;  ///< TimeBreakdown::compute, all microbatches.
@@ -286,9 +291,9 @@ struct SystemTiming {
   std::vector<std::array<Seconds, 2>> summa_panel_time;
 };
 
-/// Whole-signature bind: core::bind_system_batched(sig, lower_batched(sig),
-/// sys, opts). For callers holding only the AoS signature (the benchmark's
-/// plan replay); the engines bind the shared SoA block instead.
+/// Whole-signature bind: core::bind_system_batched(sig, sig, sys, opts),
+/// for callers holding a whole signature (the benchmark's plan replay); the
+/// engines bind the shared block and finish it per candidate instead.
 SystemTiming bind_system(const CostSignature& sig, const hw::SystemConfig& sys,
                          const EvalOptions& opts = {});
 

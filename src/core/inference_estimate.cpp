@@ -91,10 +91,9 @@ ServingShape::ServingShape(const model::TransformerConfig& model,
 }
 
 Seconds ServingShape::stage_time(const CostSignature& sig) {
-  const BatchedSignature bat = lower_batched(sig);
   SystemTiming base;
-  finish_bind(bind_block(bat, sys, opts), sig, sys, base);
-  time_placements_batch(sig, bat, base, sys, cfg,
+  finish_bind(bind_block(sig, sys, opts), sig, sys, base);
+  time_placements_batch(sig, sig, base, sys, cfg,
                         {{cfg.nvs1, cfg.nvs2, cfg.nvsp, cfg.nvsd}}, opts,
                         timing_, &scratch_, &pricer_);
   return timing_.front().t_fwd_stage;

@@ -109,7 +109,7 @@ struct ServingShape {
   InferenceEstimate estimate(std::int64_t batch);
 
   /// One microbatch (prompt or decode group) through one stage of a phase
-  /// signature: lower_batched, bind_block + finish_bind and one
+  /// signature's block: bind_block + finish_bind and one
   /// time_placements_batch call at cfg's packed placement, t_fwd_stage.
   Seconds stage_time(const CostSignature& sig);
 

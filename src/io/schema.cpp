@@ -462,7 +462,8 @@ const Table<Sweep> kSweep{
      {flagged("gpus", "[sweep] total GPU counts",
               {"gpus", kInts, at_least(1), "1024"}),
       set<&Sweep::gpus>},
-     {flagged("strategy", "[sweep] tensor-parallel strategies",
+     {flagged("strategy",
+              "[sweep] TP strategies, each a slice (no cross-strategy winner)",
               {"strategy", kNames, names("1d|2d|summa", is_strategy), "1d"}),
       set<&Sweep::strategy>},
      {flagged("batch", "[sweep] global batches",

@@ -40,10 +40,9 @@ core::EvalResult scan_placements_signature(
     bool stop_after_infeasible) {
   core::BatchScratch scratch;
   std::vector<core::PlacementTiming> timings;
-  return scan_placements_batch(mdl, sys, cfg, global_batch, sig,
-                               core::lower_batched(sig), base, placements,
-                               eval, evals, stop_after_infeasible, scratch,
-                               timings);
+  return scan_placements_batch(mdl, sys, cfg, global_batch, sig, sig, base,
+                               placements, eval, evals, stop_after_infeasible,
+                               scratch, timings);
 }
 
 namespace {
@@ -509,20 +508,16 @@ core::EvalResult best_placement(const model::TransformerConfig& mdl,
     best.reason = *why;
     return best;
   }
-  // Compile, lower and bind once, then time every placement in one batched
+  // Compile and bind once, then time every placement in one batched
   // kernel call, priced by a transient pricer on base.fabric. No screen has
   // run, so the scan keeps its own validity and capacity probe.
   const core::CostSignature sig =
       core::compile_signature(mdl, cfg, global_batch, eval);
-  const core::BatchedSignature bat = core::lower_batched(sig);
-  const core::SystemTiming base = core::bind_system_batched(sig, bat, sys, eval);
-  core::BatchScratch scratch;
-  std::vector<core::PlacementTiming> timings;
   std::size_t evals = 0;
-  return scan_placements_batch(mdl, sys, cfg, global_batch, sig, bat, base,
-                               enumerate_placements(cfg, sys.nvs_domain), eval,
-                               evals, /*stop_after_infeasible=*/false, scratch,
-                               timings);
+  return scan_placements_signature(
+      mdl, sys, cfg, global_batch, sig, core::bind_system(sig, sys, eval),
+      enumerate_placements(cfg, sys.nvs_domain), eval, evals,
+      /*stop_after_infeasible=*/false);
 }
 
 SearchResult find_optimal(const model::TransformerConfig& mdl,

@@ -205,8 +205,8 @@ void classify_unexpanded(const CandidateTree& tree,
                          std::size_t& memory_pruned,
                          std::size_t& subtree_pruned);
 
-/// Whole-signature convenience scan over the kernel: lowers `sig`
-/// (lower_batched) and runs one non-prevalidated scan_placements_batch over
+/// Whole-signature convenience scan over the kernel: runs one
+/// non-prevalidated scan_placements_batch on `sig`'s block over
 /// `placements`, pricing on `base.fabric`. `sig`/`base` must come from
 /// compile_signature/bind_system for the same (mdl, cfg, batch, eval, sys).
 /// Returns the best placement's result — bitwise what a per-placement

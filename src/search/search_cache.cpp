@@ -116,7 +116,7 @@ core::BatchedSignature lower_block(const model::TransformerConfig& mdl,
 #ifndef NDEBUG
   analysis::assert_layer_invariants(mdl, cfg, local, layer);
 #endif
-  return core::lower_batched(core::compile_layer(mdl, cfg, global_batch, layer));
+  return core::compile_layer(mdl, cfg, global_batch, layer);
 }
 
 }  // namespace tfpe::search

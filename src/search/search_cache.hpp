@@ -178,10 +178,10 @@ class SignatureCache {
 };
 
 /// The search engines' shared half of a signature for cfg's LayerKey:
-/// build_layer, then compile_layer, then lower_batched. The LayerCost and
-/// the AoS records are freed on return; only the SoA block (rows plus
-/// BlockScalars) is kept. Debug builds run the op-list invariant hook here
-/// (and lower_batched runs the SoA one), once per block.
+/// build_layer, then compile_layer. The LayerCost is freed on return; only
+/// the SoA block (rows plus BlockScalars) is kept. Debug builds run the
+/// op-list invariant hook here (and compile_layer runs the block one), once
+/// per block.
 core::BatchedSignature lower_block(const model::TransformerConfig& mdl,
                                    const parallel::ParallelConfig& cfg,
                                    std::int64_t global_batch);

@@ -76,7 +76,7 @@ struct SweepStats {
   /// compile_hit_rate() folds them in.
   std::size_t signature_reuses = 0;
   /// Block lowers: one per distinct LayerKey, each a build_layer +
-  /// compile_layer + lower_batched. build_layer_calls counts them plus the
+  /// compile_layer. build_layer_calls counts them plus the
   /// per-token memory floor's unit builds (one build_layer at local
   /// microbatch 1 per layer family, no lowering); layer_cache_hits counts
   /// block reuses.

@@ -130,10 +130,8 @@ ValidationPoint validate_iteration(const model::TransformerConfig& mdl,
 PipelineParams pipeline_params_from_signature(
     const hw::SystemConfig& sys, const parallel::ParallelConfig& cfg,
     const core::CostSignature& sig, const core::EvalOptions& opts) {
-  const core::BatchedSignature bat = core::lower_batched(sig);
   std::vector<core::PlacementTiming> pt;
-  core::time_placements_batch(sig, bat,
-                              core::bind_system_batched(sig, bat, sys, opts),
+  core::time_placements_batch(sig, sig, core::bind_system(sig, sys, opts),
                               sys, cfg,
                               {{cfg.nvs1, cfg.nvs2, cfg.nvsp, cfg.nvsd}}, opts,
                               pt);

@@ -36,16 +36,16 @@ parallel::ParallelConfig summa_cfg() {
   return cfg;
 }
 
+/// A SUMMA op graph and the block compiled from it; the mutation cases
+/// corrupt the block and lint it against the untouched op graph.
 struct Compiled {
   model::TransformerConfig mdl = model::gpt3_1t();
   parallel::ParallelConfig cfg = summa_cfg();
-  core::CostSignature sig;
-  core::BatchedSignature bat;
-
-  Compiled() {
-    sig = core::compile_signature(mdl, cfg, /*global_batch=*/2);
-    bat = core::lower_batched(sig);
-  }
+  parallel::LayerCost layer =
+      parallel::build_layer(mdl, cfg, cfg.local_microbatch(2));
+  core::BatchedSignature bat =
+      core::compile_layer(mdl, cfg, /*global_batch=*/2, layer);
+  core::CostSignature sig = core::compile_signature(mdl, cfg, 2, layer);
 };
 
 /// Every diagnostic in `report` has rule `id`, and at least one fired.
@@ -61,13 +61,13 @@ void expect_only(const LintReport& report, RuleId id, const char* label) {
 
 TEST(LintBatched, CleanLoweringFiresNothing) {
   const Compiled c;
-  EXPECT_TRUE(analysis::lint_batched(c.sig, c.bat).clean());
+  EXPECT_TRUE(analysis::lint_batched(c.layer, c.bat).clean());
 }
 
 TEST(LintBatched, DroppedArraySlotFiresBatchedShape) {
   Compiled c;
   c.bat.fwd_flops.pop_back();
-  expect_only(analysis::lint_batched(c.sig, c.bat), RuleId::kBatchedShape,
+  expect_only(analysis::lint_batched(c.layer, c.bat), RuleId::kBatchedShape,
               "pop fwd_flops");
 }
 
@@ -75,28 +75,50 @@ TEST(LintBatched, CorruptedOperandFiresBatchedShape) {
   Compiled c;
   ASSERT_FALSE(c.bat.bwd_bytes.empty());
   c.bat.bwd_bytes[0] = c.bat.bwd_bytes[0] + Bytes(1.0);
-  expect_only(analysis::lint_batched(c.sig, c.bat), RuleId::kBatchedShape,
+  expect_only(analysis::lint_batched(c.layer, c.bat), RuleId::kBatchedShape,
               "bwd_bytes[0] += 1");
+}
+
+/// A request that is the sole member of its pricing row, so corrupting it
+/// cannot also desynchronize a row-mate from its representative (which
+/// would correctly fire batched-price-row as well).
+std::size_t singleton_request(const core::BatchedSignature& bat) {
+  std::vector<int> members(bat.price_rep.size(), 0);
+  for (std::uint32_t row : bat.comm_price_row) ++members[row];
+  for (std::size_t r = 0; r < bat.comm_price_row.size(); ++r) {
+    if (members[bat.comm_price_row[r]] == 1) return r;
+  }
+  return bat.comm_price_row.size();
+}
+
+TEST(LintBatched, RetaggedRequestFiresBatchedShape) {
+  Compiled c;
+  const std::size_t victim = singleton_request(c.bat);
+  ASSERT_LT(victim, c.bat.comm_kind.size())
+      << "fixture has no singleton pricing row";
+  c.bat.comm_kind[victim] =
+      c.bat.comm_kind[victim] == ops::Collective::AllToAll
+          ? ops::Collective::AllReduce
+          : ops::Collective::AllToAll;
+  expect_only(analysis::lint_batched(c.layer, c.bat), RuleId::kBatchedShape,
+              "comm_kind[victim] retagged");
+}
+
+TEST(LintBatched, ShiftedCommRangeFiresBatchedShape) {
+  Compiled c;
+  ASSERT_FALSE(c.bat.bwd_comm_begin.empty());
+  c.bat.bwd_comm_begin.back() += 1;
+  expect_only(analysis::lint_batched(c.layer, c.bat), RuleId::kBatchedShape,
+              "bwd_comm_begin.back() += 1");
 }
 
 TEST(LintBatched, ScaledPanelVolumeFiresBatchedPanelScale) {
   Compiled c;
-  // Pick a request that is the sole member of its pricing row, so the
-  // corruption cannot also desynchronize a row-mate from its representative
-  // (which would correctly fire batched-price-row as well).
-  std::vector<int> members(c.bat.price_rep.size(), 0);
-  for (std::uint32_t row : c.bat.comm_price_row) ++members[row];
-  std::size_t victim = c.bat.comm_price_row.size();
-  for (std::size_t r = 0; r < c.bat.comm_price_row.size(); ++r) {
-    if (members[c.bat.comm_price_row[r]] == 1) {
-      victim = r;
-      break;
-    }
-  }
+  const std::size_t victim = singleton_request(c.bat);
   ASSERT_LT(victim, c.bat.comm_price_row.size())
       << "fixture has no singleton pricing row";
   c.bat.comm_panel_bytes[victim] = c.bat.comm_panel_bytes[victim] * 2.0;
-  expect_only(analysis::lint_batched(c.sig, c.bat),
+  expect_only(analysis::lint_batched(c.layer, c.bat),
               RuleId::kBatchedPanelScale, "comm_panel_bytes[victim] *= 2");
 }
 
@@ -107,7 +129,7 @@ TEST(LintBatched, RemappedRequestFiresBatchedPriceRow) {
   // representative no longer maps back to its own row, and the request's
   // triple disagrees with row 1's representative.
   c.bat.comm_price_row[c.bat.price_rep[0]] = 1;
-  expect_only(analysis::lint_batched(c.sig, c.bat), RuleId::kBatchedPriceRow,
+  expect_only(analysis::lint_batched(c.layer, c.bat), RuleId::kBatchedPriceRow,
               "comm_price_row[rep0] = 1");
 }
 
@@ -117,7 +139,7 @@ TEST(LintBatched, ClearedMaskBitFiresBatchedGroupMask) {
   // Clear the lowest set bit: that group still appears in the pool.
   c.bat.comm_groups_mask &= static_cast<std::uint8_t>(
       c.bat.comm_groups_mask - 1);
-  expect_only(analysis::lint_batched(c.sig, c.bat), RuleId::kBatchedGroupMask,
+  expect_only(analysis::lint_batched(c.layer, c.bat), RuleId::kBatchedGroupMask,
               "clear mask bit");
 }
 
@@ -125,15 +147,15 @@ TEST(LintBatched, ExtraSummaOpFiresBatchedSummaOps) {
   Compiled c;
   ASSERT_FALSE(c.bat.summa_ops.empty()) << "SUMMA fixture has no panel ops";
   c.bat.summa_ops.push_back(c.bat.summa_ops.back());
-  expect_only(analysis::lint_batched(c.sig, c.bat), RuleId::kBatchedSummaOps,
+  expect_only(analysis::lint_batched(c.layer, c.bat), RuleId::kBatchedSummaOps,
               "duplicate summa op");
 }
 
 TEST(LintBatched, AssertHookThrowsOnCorruptionOnly) {
   Compiled c;
-  EXPECT_NO_THROW(analysis::assert_batched_invariants(c.sig, c.bat));
+  EXPECT_NO_THROW(analysis::assert_batched_invariants(c.layer, c.bat));
   c.bat.panels.back() += 1;
-  EXPECT_THROW(analysis::assert_batched_invariants(c.sig, c.bat),
+  EXPECT_THROW(analysis::assert_batched_invariants(c.layer, c.bat),
                std::logic_error);
 }
 

@@ -151,10 +151,10 @@ TEST(Fuzz, EvaluatorInvariantsOverRandomSpace) {
     const analysis::LintReport slint =
         analysis::lint_signature(mdl, cfg, sig, layer, lopts);
     EXPECT_EQ(slint.errors(), 0u) << trial << "\n" << slint.summary();
-    // The batched SoA lowering of every fuzzed signature must mirror it
+    // The SoA block of every fuzzed signature must mirror its op graph
     // slot for slot (the cross-layer consistency pass, bitwise checks).
     const analysis::LintReport blint =
-        analysis::lint_batched(sig, core::lower_batched(sig), lopts);
+        analysis::lint_batched(layer, sig, lopts);
     EXPECT_EQ(blint.errors(), 0u) << trial << "\n" << blint.summary();
     std::size_t evals = 0;
     const core::EvalResult two = search::scan_placements_signature(

@@ -18,6 +18,7 @@
 #include "model/shape_family.hpp"
 #include "search/point_scan.hpp"
 #include "search/search.hpp"
+#include "search/search_cache.hpp"
 #include "util/math.hpp"
 
 namespace tfpe::search {
@@ -813,7 +814,7 @@ TEST(Search, BatchedScanMatchesOracleScan) {
     const parallel::LayerCost layer =
         parallel::build_layer(mdl, cfg, cfg.local_microbatch(kBatch));
     const auto sig = core::compile_signature(mdl, cfg, kBatch, layer, eval);
-    const auto bat = core::lower_batched(sig);
+    const core::BatchedSignature& bat = sig;
     std::size_t batched_evals = 0;
     core::BatchScratch scratch;
     std::vector<core::PlacementTiming> timings;
@@ -1063,8 +1064,7 @@ TEST(LowerBounds, TpCommFloorBelowBlockWalk) {
       opts.allow_ring_attention = true;
       for (const auto& cfg : expand_candidates(mdl, two_level, opts)) {
         if (cfg.invalid_reason(mdl, two_level, kBatch)) continue;
-        const core::BatchedSignature bat =
-            core::lower_batched(core::compile_signature(mdl, cfg, kBatch));
+        const core::BatchedSignature bat = lower_block(mdl, cfg, kBatch);
         for (double overlap : {0.0, 0.5, 1.0}) {
           core::EvalOptions eval;
           eval.tp_overlap = overlap;

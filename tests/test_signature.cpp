@@ -1,5 +1,5 @@
 // Two-phase evaluation: golden bitwise equivalence of the batched kernel
-// (compile_signature + lower_batched + bind + time_placements_batch) against
+// (compile_signature + bind + time_placements_batch) against
 // the single-phase oracle evaluate_with_layer, per placement;
 // CostSignature invariants (analysis::lint_signature), cross-sweep cache
 // behaviour, and sweep-vs-find_optimal identity.
@@ -123,7 +123,7 @@ TEST(Signature, GoldenEquivalenceMatrix) {
             c.mdl, cfg, cfg.local_microbatch(c.global_batch));
         const core::CostSignature sig =
             core::compile_signature(c.mdl, cfg, c.global_batch, layer, eval);
-        const core::BatchedSignature bat = core::lower_batched(sig);
+        const core::BatchedSignature& bat = sig;
         const auto placements =
             search::enumerate_placements(cfg, sys.nvs_domain);
         core::time_placements_batch(sig, bat,
@@ -219,11 +219,19 @@ TEST(Signature, LintDetectsCorruption) {
     const parallel::LayerCost layer =
         parallel::build_layer(mdl, cfg, cfg.local_microbatch(256));
     core::CostSignature sig = core::compile_signature(mdl, cfg, 256, layer);
-    sig.matmul_fwd_flops = sig.matmul_fwd_flops * 2.0;
+    for (Flops& f : sig.fwd_flops) f = f * 2.0;
     const auto doubled = analysis::lint_signature(mdl, cfg, sig, layer);
     EXPECT_FALSE(doubled.clean());
     sig = core::compile_signature(mdl, cfg, 256, layer);
-    sig.ops.pop_back();
+    // One op short in every per-op column.
+    for (auto* col : {&sig.fwd_flops, &sig.bwd_flops}) col->pop_back();
+    for (auto* col : {&sig.fwd_bytes, &sig.bwd_bytes}) col->pop_back();
+    for (auto* col : {&sig.fwd_comm_begin, &sig.fwd_comm_count,
+                      &sig.bwd_comm_begin, &sig.bwd_comm_count}) {
+      col->pop_back();
+    }
+    sig.panels.pop_back();
+    sig.tensor_core.pop_back();
     const auto truncated = analysis::lint_signature(mdl, cfg, sig, layer);
     EXPECT_FALSE(truncated.clean());
     return;
@@ -378,7 +386,7 @@ TEST(Signature, BatchedTimingMatchesOracleRandomized) {
           c.mdl, cfg, cfg.local_microbatch(c.global_batch));
       const core::CostSignature sig =
           core::compile_signature(c.mdl, cfg, c.global_batch, layer, eval);
-      const core::BatchedSignature bat = core::lower_batched(sig);
+      const core::BatchedSignature& bat = sig;
       const core::SystemTiming base = core::bind_system(sig, sys, eval);
       core::time_placements_batch(sig, bat, base, sys, cfg, placements, eval,
                                   batched, &scratch);
@@ -515,7 +523,7 @@ TEST(Signature, BatchedExternalPricerMatchesScalarFuzz) {
           c.mdl, cfg, cfg.local_microbatch(c.global_batch));
       const core::CostSignature sig =
           core::compile_signature(c.mdl, cfg, c.global_batch, layer, eval);
-      const core::BatchedSignature bat = core::lower_batched(sig);
+      const core::BatchedSignature& bat = sig;
       // The chain configuration: fabric held by the caller, pricer rebound
       // to it, the bind finished from the block's sums with no fabric copy.
       const hw::Topology fabric = sys.resolved_fabric();
@@ -630,7 +638,7 @@ TEST(PlacementFloor, BelowEveryTimedPlacement) {
         if (placements.empty()) continue;
         const core::CostSignature sig =
             core::compile_signature(mdl, cfg, sopts.global_batch, eval);
-        const core::BatchedSignature bat = core::lower_batched(sig);
+        const core::BatchedSignature& bat = sig;
         const hw::Topology fabric = sys.resolved_fabric();
         pricer.rebind(fabric);
         const core::SystemTiming base =
@@ -708,7 +716,7 @@ TEST(EvalOptions, RejectedOutsideUnitInterval) {
 /// shared by every later candidate with the same LayerKey, exactly as
 /// find_optimal and scan_point share it; the candidate compiles its tail
 /// and finishes bind and floor from the block's sums. The reference is
-/// compile_signature -> lower_batched -> bind_system_batched ->
+/// compile_signature -> bind_system_batched ->
 /// placement_floor -> time_placements_batch on the same candidate. Every
 /// tail and SystemTiming field, the floor and every PlacementTiming must
 /// match exactly. GPT-MoE-1T at 1024 GPUs has MoE blocks (AllToAll over the
@@ -791,7 +799,7 @@ TEST(BlockTail, MatchesWholeSignatureBitwise) {
 
             const core::CostSignature sig =
                 core::compile_signature(mdl, cfg, kBatch, eval);
-            const core::BatchedSignature ref_bat = core::lower_batched(sig);
+            const core::BatchedSignature& ref_bat = sig;
             const core::SystemTiming ref_base =
                 core::bind_system_batched(sig, ref_bat, sys, eval);
             const double ref_floor = core::placement_floor(

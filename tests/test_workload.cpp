@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+
 #include <vector>
 
 #include "core/cost_signature.hpp"
@@ -156,7 +160,9 @@ TEST(Workload, SearchOptimumSurvivesWorkloadPath) {
 }
 
 TEST(Workload, AdaptToPhaseZeroesBackwardAndKeepsSourceIntact) {
-  const auto mdl = model::gpt3_175b();
+  // With a vocabulary, so the block carries head rows too.
+  auto mdl = model::gpt3_175b();
+  mdl.vocab = 51200;
   parallel::ParallelConfig cfg;
   cfg.strategy = TpStrategy::TP1D;
   cfg.n1 = 8;
@@ -164,26 +170,54 @@ TEST(Workload, AdaptToPhaseZeroesBackwardAndKeepsSourceIntact) {
   cfg.microbatches = 2;
   cfg.nvs1 = 8;
   const auto src = core::compile_signature(mdl, cfg, 2, core::EvalOptions{});
-  const auto before_bwd = src.matmul_bwd_flops.value();
-  ASSERT_GT(before_bwd, 0.0);
+  const core::CostSignature before = src;
   const auto adapted =
       core::adapt_to_phase(src, core::ExecutionPhase::kPrefill);
   EXPECT_EQ(adapted.phase, core::ExecutionPhase::kPrefill);
-  EXPECT_EQ(adapted.matmul_bwd_flops.value(), 0.0);
-  EXPECT_EQ(adapted.vector_bwd_flops.value(), 0.0);
   EXPECT_EQ(adapted.dp_grad_bytes.value(), 0.0);
   EXPECT_EQ(adapted.optimizer_traffic.value(), 0.0);
   EXPECT_EQ(adapted.mem.gradients.value(), 0.0);
   EXPECT_EQ(adapted.mem.optimizer.value(), 0.0);
-  for (const auto& op : adapted.ops) {
-    EXPECT_EQ(op.bwd_flops.value(), 0.0);
-    EXPECT_EQ(op.bwd_bytes.value(), 0.0);
-    EXPECT_EQ(op.bwd_comm_count, 0u);
-  }
-  // The forward side and the source signature are untouched.
-  EXPECT_EQ(adapted.matmul_fwd_flops.value(), src.matmul_fwd_flops.value());
+  const auto bits = [](const auto& col) {
+    std::vector<std::uint64_t> out;
+    for (const auto& v : col) {
+      out.push_back(std::bit_cast<std::uint64_t>(v.value()));
+    }
+    return out;
+  };
+  // Every backward column of the block is zero, every comm range empty.
+  const std::size_t n = src.op_count();
+  const std::size_t nh = src.head_fwd_flops.size();
+  ASSERT_GT(n, 0u);
+  ASSERT_GT(nh, 0u);
+  ASSERT_GT(std::ranges::max(src.bwd_flops).value(), 0.0);
+  ASSERT_GT(std::ranges::max(src.bwd_comm_count), 0u);
+  const std::vector<std::uint64_t> zero_bits(n, 0), zero_head_bits(nh, 0);
+  const std::vector<std::uint32_t> no_range(n, 0u);
+  EXPECT_EQ(bits(adapted.bwd_flops), zero_bits);
+  EXPECT_EQ(bits(adapted.bwd_bytes), zero_bits);
+  EXPECT_EQ(adapted.bwd_comm_begin, no_range);
+  EXPECT_EQ(adapted.bwd_comm_count, no_range);
+  EXPECT_EQ(bits(adapted.head_bwd_flops), zero_head_bits);
+  EXPECT_EQ(bits(adapted.head_bwd_bytes), zero_head_bits);
+  // Every forward column (and the comm pool) is bitwise the source's.
+  EXPECT_EQ(bits(adapted.fwd_flops), bits(src.fwd_flops));
+  EXPECT_EQ(bits(adapted.fwd_bytes), bits(src.fwd_bytes));
+  EXPECT_EQ(adapted.panels, src.panels);
+  EXPECT_EQ(adapted.tensor_core, src.tensor_core);
+  EXPECT_EQ(adapted.fwd_comm_begin, src.fwd_comm_begin);
+  EXPECT_EQ(adapted.fwd_comm_count, src.fwd_comm_count);
+  EXPECT_EQ(adapted.comm_kind, src.comm_kind);
+  EXPECT_EQ(adapted.comm_group, src.comm_group);
+  EXPECT_EQ(bits(adapted.comm_panel_bytes), bits(src.comm_panel_bytes));
+  EXPECT_EQ(bits(adapted.head_fwd_flops), bits(src.head_fwd_flops));
+  EXPECT_EQ(bits(adapted.head_fwd_bytes), bits(src.head_fwd_bytes));
+  EXPECT_EQ(adapted.head_tensor_core, src.head_tensor_core);
   EXPECT_EQ(adapted.mem.weights.value(), src.mem.weights.value());
-  EXPECT_EQ(src.matmul_bwd_flops.value(), before_bwd);
+  // The source signature is untouched.
+  EXPECT_EQ(bits(src.bwd_flops), bits(before.bwd_flops));
+  EXPECT_EQ(bits(src.bwd_bytes), bits(before.bwd_bytes));
+  EXPECT_EQ(src.bwd_comm_count, before.bwd_comm_count);
   EXPECT_EQ(src.phase, core::ExecutionPhase::kTraining);
   // Forward-only residency: one layer's transient buffers, not the
   // training stash of layers_per_stage of them.

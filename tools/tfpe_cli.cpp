@@ -302,7 +302,7 @@ int lint_file(const std::string& path, const model::TransformerConfig& mdl,
         const core::CostSignature sig =
             core::compile_signature(mdl, plan->cfg, batch, layer);
         sink.merge(analysis::lint_signature(mdl, plan->cfg, sig, layer, opts));
-        sink.merge(analysis::lint_batched(sig, core::lower_batched(sig), opts));
+        sink.merge(analysis::lint_batched(layer, sig, opts));
         sink.merge(analysis::lint_system(sys, sig, opts));
         const hw::Topology fab = sys.resolved_fabric();
         const parallel::ParallelConfig& c = plan->cfg;
@@ -349,7 +349,7 @@ int lint_file(const std::string& path, const model::TransformerConfig& mdl,
 }
 
 /// No file: lint the preset x strategy matrix (op graph + signature +
-/// batched lowering per case), the default system and the default sweep
+/// SoA block per case), the default system and the default sweep
 /// plan, aggregated into one report.
 int lint_matrix(std::int64_t b, const std::string& format, bool strict,
                 const analysis::LintOptions& opts) {
@@ -385,7 +385,7 @@ int lint_matrix(std::int64_t b, const std::string& format, bool strict,
       const core::CostSignature sig =
           core::compile_signature(c.mdl, c.cfg, b, layer);
       case_sink.merge(analysis::lint_signature(c.mdl, c.cfg, sig, layer, opts));
-      case_sink.merge(analysis::lint_batched(sig, core::lower_batched(sig), opts));
+      case_sink.merge(analysis::lint_batched(layer, sig, opts));
       report = case_sink.take();
     } catch (const std::exception& e) {
       analysis::DiagnosticSink fail(opts.rules);
